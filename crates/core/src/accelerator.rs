@@ -1,9 +1,9 @@
 //! Top-level accelerator API: run workloads, get cycles + efficiency.
 
-use griffin_sim::config::SimConfig;
+use griffin_sim::config::{SimConfig, SparsityMode};
 use griffin_sim::layer::GemmLayer;
 use griffin_sim::pipeline::{
-    simulate_layer, simulate_network_batch, simulate_network_multi_arch, simulate_network_with,
+    simulate_layer, simulate_layer_family, simulate_network_multi_arch, simulate_network_with,
 };
 use griffin_sim::report::{LayerReport, NetworkReport};
 use griffin_sim::scratch::SimScratch;
@@ -128,13 +128,14 @@ impl Accelerator {
     /// campaign workers keep one scratch per thread so steady-state
     /// tile simulation allocates nothing.
     pub fn run_with(&self, workload: &Workload, scratch: &mut SimScratch) -> RunReport {
-        let mode = self.spec.mode_for(workload.category);
-        let network = simulate_network_with(&workload.layers, mode, &self.cfg, scratch);
-        self.assemble_report(workload, mode, network)
+        self.run_batch(&[workload], scratch)
+            .pop()
+            .expect("one report per workload")
     }
 
     /// Runs K seed-variant workloads in one batched pass, returning one
-    /// report per workload in input order.
+    /// report per workload in input order: [`Accelerator::run_family_batch`]
+    /// with this accelerator alone.
     ///
     /// Workloads sharing a category and per-layer shapes (seed variants
     /// of one workload spec do) have their tile op grids built
@@ -146,46 +147,24 @@ impl Accelerator {
     /// workload alone (pinned by batch-equivalence tests), so callers
     /// may batch opportunistically without perturbing results.
     pub fn run_batch(&self, workloads: &[&Workload], scratch: &mut SimScratch) -> Vec<RunReport> {
-        let Some(first) = workloads.first() else {
-            return Vec::new();
-        };
-        if !workloads.iter().all(|w| w.category == first.category) {
-            // Mixed categories mean mixed modes: simulate each plane on
-            // its own, keyed separately so cached grids cannot collide.
-            let reports = workloads
-                .iter()
-                .enumerate()
-                .map(|(p, w)| {
-                    scratch.set_plane(p as u32);
-                    self.run_with(w, scratch)
-                })
-                .collect();
-            scratch.set_plane(0);
-            return reports;
-        }
-        let mode = self.spec.mode_for(first.category);
-        let networks: Vec<&[GemmLayer]> = workloads.iter().map(|w| w.layers.as_slice()).collect();
-        let reports = simulate_network_batch(&networks, mode, &self.cfg, scratch);
-        workloads
-            .iter()
-            .zip(reports)
-            .map(|(w, network)| self.assemble_report(w, mode, network))
-            .collect()
+        Self::run_family_batch(&[self], workloads, scratch)
+            .pop()
+            .unwrap_or_default()
     }
 
     /// Runs a whole architecture *family* over K seed-variant workloads
-    /// in one pass, returning `[accelerator][workload]` reports.
+    /// in one pass, returning `[accelerator][workload]` reports: the
+    /// whole-network form of [`Accelerator::run_family_layer`], every
+    /// report priced by [`Accelerator::finish`].
     ///
-    /// This is the arch-axis extension of [`Accelerator::run_batch`]:
-    /// when every accelerator shares this one's simulator configuration
+    /// When every accelerator shares this one's simulator configuration
     /// and every workload shares one category, the family's sparsity
-    /// modes go through
-    /// [`simulate_network_multi_arch`] together, so same-reach
-    /// borrowing windows share event-core passes and the scratch's
-    /// window-keyed schedule cache serves repeat windows. Anything that
-    /// breaks the preconditions falls back to per-accelerator
-    /// [`Accelerator::run_batch`] calls. Every report is **exactly**
-    /// what `accels[i].run_with(workloads[j], ..)` returns (pinned by
+    /// modes go through [`simulate_network_multi_arch`] together, so
+    /// same-reach borrowing windows share event-core passes and the
+    /// scratch's window-keyed schedule cache serves repeat windows.
+    /// Anything else simulates each (accelerator, workload) pair on its
+    /// own. Every report is **exactly** what
+    /// `accels[i].run_with(workloads[j], ..)` returns (pinned by
     /// batch-equivalence tests), so sweep drivers may regroup batches
     /// freely without perturbing results.
     pub fn run_family_batch(
@@ -193,49 +172,95 @@ impl Accelerator {
         workloads: &[&Workload],
         scratch: &mut SimScratch,
     ) -> Vec<Vec<RunReport>> {
-        let Some(first_w) = workloads.first() else {
-            return vec![Vec::new(); accels.len()];
+        let networks = match Self::family_modes(accels, workloads) {
+            Some(modes) => {
+                let networks: Vec<&[GemmLayer]> =
+                    workloads.iter().map(|w| w.layers.as_slice()).collect();
+                simulate_network_multi_arch(&networks, &modes, &accels[0].cfg, scratch)
+            }
+            // No shared call: each (accelerator, workload) pair on its
+            // own, workload `p` under batch plane `p` so memoized grids
+            // of different workloads cannot collide.
+            None => {
+                let networks = accels
+                    .iter()
+                    .map(|a| {
+                        workloads
+                            .iter()
+                            .enumerate()
+                            .map(|(p, w)| {
+                                scratch.set_plane(p as u32);
+                                let mode = a.spec.mode_for(w.category);
+                                simulate_network_with(&w.layers, mode, &a.cfg, scratch)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                scratch.set_plane(0);
+                networks
+            }
         };
-        let same_cfg = accels.windows(2).all(|pair| pair[0].cfg == pair[1].cfg);
-        let same_cat = workloads.iter().all(|w| w.category == first_w.category);
-        if !same_cfg || !same_cat {
-            return accels
-                .iter()
-                .map(|a| a.run_batch(workloads, scratch))
-                .collect();
-        }
-        let Some(first_a) = accels.first() else {
-            return Vec::new();
-        };
-        let modes: Vec<griffin_sim::config::SparsityMode> = accels
-            .iter()
-            .map(|a| a.spec.mode_for(first_w.category))
-            .collect();
-        let networks: Vec<&[GemmLayer]> = workloads.iter().map(|w| w.layers.as_slice()).collect();
-        let family = simulate_network_multi_arch(&networks, &modes, &first_a.cfg, scratch);
         accels
             .iter()
-            .zip(modes)
-            .zip(family)
-            .map(|((a, mode), nets)| {
+            .zip(networks)
+            .map(|(a, row)| {
                 workloads
                     .iter()
-                    .zip(nets)
-                    .map(|(w, network)| a.assemble_report(w, mode, network))
+                    .zip(row)
+                    .map(|(w, network)| a.finish(w, network))
                     .collect()
             })
             .collect()
     }
 
-    /// Prices the design for the achieved speedup and assembles the run
-    /// report — the shared tail of [`Accelerator::run_with`] and
-    /// [`Accelerator::run_batch`].
-    fn assemble_report(
-        &self,
-        workload: &Workload,
-        mode: griffin_sim::config::SparsityMode,
-        network: NetworkReport,
-    ) -> RunReport {
+    /// Simulates layer `index` of K seed-variant workloads under a whole
+    /// architecture family, returning `[accelerator][workload]` layer
+    /// reports — the per-layer slice of [`Accelerator::run_family_batch`]
+    /// for drivers that spread one family's layers over several
+    /// workers. Collect every layer of a workload in order into a
+    /// [`NetworkReport`] and [`Accelerator::finish`] it; the result is
+    /// exactly what `run_family_batch` reports.
+    ///
+    /// # Panics
+    ///
+    /// Unless the family is non-empty, its accelerators share one
+    /// simulator configuration and its workloads one category; and when
+    /// a workload has no layer `index`.
+    pub fn run_family_layer(
+        accels: &[&Accelerator],
+        workloads: &[&Workload],
+        index: usize,
+        scratch: &mut SimScratch,
+    ) -> Vec<Vec<LayerReport>> {
+        let modes = Self::family_modes(accels, workloads)
+            .expect("a family needs one simulator configuration and one workload category");
+        let layers: Vec<&GemmLayer> = workloads.iter().map(|w| &w.layers[index]).collect();
+        simulate_layer_family(index, &layers, &modes, &accels[0].cfg, scratch)
+    }
+
+    /// The sparsity modes a family simulates under when it can share one
+    /// simulation call — every accelerator on one simulator
+    /// configuration, every workload of one category — and `None`
+    /// otherwise (an empty family included).
+    fn family_modes(accels: &[&Accelerator], workloads: &[&Workload]) -> Option<Vec<SparsityMode>> {
+        let (first_a, first_w) = (accels.first()?, workloads.first()?);
+        let same_cfg = accels.iter().all(|a| a.cfg == first_a.cfg);
+        let same_cat = workloads.iter().all(|w| w.category == first_w.category);
+        (same_cfg && same_cat).then(|| {
+            accels
+                .iter()
+                .map(|a| a.spec.mode_for(first_w.category))
+                .collect()
+        })
+    }
+
+    /// Prices the design for a simulated network and assembles the run
+    /// report: the step after simulation in every run entry, public so
+    /// drivers that simulate layer by layer
+    /// ([`Accelerator::run_family_layer`]) can finish a workload once
+    /// all its layers are in. Provisioning needs the whole workload
+    /// (its mean B density), not just one layer.
+    pub fn finish(&self, workload: &Workload, network: NetworkReport) -> RunReport {
         let speedup = if workload.layers.is_empty() {
             1.0
         } else {
@@ -244,7 +269,7 @@ impl Accelerator {
 
         let provision = Provision {
             speedup,
-            b_stream_factor: if mode.compresses_b() {
+            b_stream_factor: if self.spec.mode_for(workload.category).compresses_b() {
                 // nonzero values + ~4 metadata bits per stored element
                 (workload.b_density() * 1.5).min(1.0)
             } else {

@@ -139,9 +139,9 @@ pub struct FleetConfig {
     pub shared_cache: Option<Arc<ResultCache>>,
     /// Scratch pool shared across campaigns by a resident driver:
     /// in-process shard workers check their simulation scratches out of
-    /// it, so buffer capacity and matching-scope tile grids survive
-    /// from one campaign to the next. `None` (one-shot runs) makes each
-    /// worker build a fresh scratch, as ever.
+    /// it, so buffer capacity survives from one campaign to the next.
+    /// `None` (one-shot runs) makes each worker build a fresh scratch,
+    /// as ever.
     pub scratch_pool: Option<Arc<ScratchPool>>,
 }
 

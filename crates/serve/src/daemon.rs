@@ -3,9 +3,9 @@
 //! A [`Daemon`] owns what a one-shot `griffin-cli sweep`/`fleet run`
 //! process throws away at exit: one warm [`ResultCache`] at
 //! `<dir>/cache` (disk-backed, so it survives daemon restarts too) and
-//! one [`ScratchPool`] whose simulation scratches — buffer capacity
-//! *and* the per-workload memoized tile grids of the grid-reuse scope —
-//! survive across campaigns. Submissions queue FIFO under admission
+//! one [`ScratchPool`] whose simulation scratches' buffer capacity
+//! survives across campaigns (memoized tile grids live only for one
+//! (family, layer) work item). Submissions queue FIFO under admission
 //! control (each campaign gets the whole `workers` budget; at most one
 //! runs at a time, at most `queue_cap` wait), and are **deduplicated by
 //! scenario fingerprint**: two clients submitting the same scenario

@@ -1,11 +1,10 @@
 //! Resident campaign daemon for the Griffin sweep engine.
 //!
 //! A one-shot `griffin-cli sweep` pays its startup costs — a cold
-//! result cache, freshly allocated simulation scratches, a grid-reuse
-//! scope that dies with the process — on every invocation. This crate
-//! keeps them resident: [`Daemon`] holds one warm disk-backed
-//! [`ResultCache`](griffin_sweep::cache::ResultCache) and one
-//! [`ScratchPool`](griffin_sweep::executor::ScratchPool) across
+//! result cache and freshly allocated simulation scratches — on every
+//! invocation. This crate keeps them resident: [`Daemon`] holds one
+//! warm disk-backed [`ResultCache`](griffin_sweep::cache::ResultCache)
+//! and one [`ScratchPool`](griffin_sweep::executor::ScratchPool) across
 //! campaigns, queues scenario submissions under admission control, and
 //! **deduplicates by scenario fingerprint** — two clients submitting
 //! the same scenario share one execution and receive the identical
@@ -38,6 +37,6 @@ pub mod wire;
 
 pub use client::{Client, ClientError};
 pub use daemon::{Accepted, Daemon, ServeConfig, ServeError, STATUS_FORMAT};
-pub use net::{serve_connections, Listener, ServeAddr};
+pub use net::{serve_connections, Listener, ServeAddr, MAX_LINE_BYTES};
 pub use tee::{Tee, TeeItem, TeeSink};
 pub use wire::{Message, ReportKind, ScenarioSource, StreamOutcome, WireError, WIRE_FORMAT};

@@ -6,16 +6,22 @@
 //! mid-message) is *not* a protocol error — the fragment is dropped
 //! and the connection counts as cleanly closed, mirroring
 //! [`griffin_fleet::split_partial_tail`]. A complete line that fails
-//! to parse gets an `error` reply and the connection stays usable.
+//! to parse gets an `error` reply and the connection stays usable. A
+//! line longer than [`MAX_LINE_BYTES`] gets an `error` reply and ends
+//! the connection, so no client can grow the daemon's memory without
+//! bound. The daemon then half-closes and drains the client's unread
+//! input for up to [`DRAIN`] before closing: closing a TCP socket with
+//! unread data sends a reset, which can discard the reply before the
+//! client reads it.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use griffin_fleet::jsonl;
 
@@ -25,6 +31,14 @@ use crate::wire::{Message, ReportKind, StreamOutcome, WIRE_FORMAT};
 
 /// How often blocked reads and the accept loop re-check the stop flag.
 const POLL: Duration = Duration::from_millis(50);
+
+/// Longest wire line the daemon reads, newline excluded. A scenario
+/// submitted by content is a few KB; anything past this is refused.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Longest a refused connection's unread input is drained before the
+/// socket closes.
+const DRAIN: Duration = Duration::from_secs(1);
 
 /// A serve endpoint address.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,6 +96,13 @@ impl Conn {
         match self {
             Conn::Unix(s) => s.set_read_timeout(t),
             Conn::Tcp(s) => s.set_read_timeout(t),
+        }
+    }
+
+    fn shutdown_write(&self) -> io::Result<()> {
+        match self {
+            Conn::Unix(s) => s.shutdown(Shutdown::Write),
+            Conn::Tcp(s) => s.shutdown(Shutdown::Write),
         }
     }
 }
@@ -214,27 +235,43 @@ pub fn serve_connections(
     Ok(())
 }
 
-/// Reads one newline-terminated line. `Ok(None)` is a clean end of
-/// stream — true EOF, or a torn final fragment (mid-message client
-/// death), which per the journal's tail rule is dropped, not
-/// diagnosed. `stop` is polled during read timeouts.
-fn read_line(r: &mut BufReader<Conn>, stop: &Arc<AtomicBool>) -> io::Result<Option<String>> {
+/// Reads one newline-terminated line. `Ok(None)` ends the connection:
+/// true EOF, or a torn final fragment (mid-message client death), which
+/// per the journal's tail rule is dropped, not diagnosed — or a line
+/// over [`MAX_LINE_BYTES`], which is answered with an `error` on `w`
+/// and a bounded drain first. `stop` is polled during read timeouts.
+fn read_line(
+    r: &mut BufReader<Conn>,
+    w: &mut Conn,
+    stop: &Arc<AtomicBool>,
+) -> io::Result<Option<String>> {
     // Accumulate raw bytes: unlike `read_line`, `read_until` keeps
     // partial data in the buffer across timeout errors even when a
     // read lands mid-UTF-8-sequence.
     let mut buf = Vec::new();
     loop {
-        match r.read_until(b'\n', &mut buf) {
-            Ok(0) => {
-                // EOF. A non-empty buf here is a torn final line:
-                // dropped per the tail rule, not a protocol error.
-                return Ok(None);
-            }
+        // Room for the longest allowed line plus its newline.
+        let room = (MAX_LINE_BYTES + 1 - buf.len()) as u64;
+        match r.by_ref().take(room).read_until(b'\n', &mut buf) {
             Ok(_) if buf.last() == Some(&b'\n') => {
                 buf.pop();
                 let line = String::from_utf8(buf)
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
                 return Ok(Some(line));
+            }
+            Ok(_) if buf.len() > MAX_LINE_BYTES => {
+                send(
+                    w,
+                    &err_msg(format!("wire line exceeds {MAX_LINE_BYTES} bytes")),
+                )?;
+                w.shutdown_write()?;
+                drain(r, stop);
+                return Ok(None);
+            }
+            Ok(0) => {
+                // EOF. A non-empty buf here is a torn final line:
+                // dropped per the tail rule, not a protocol error.
+                return Ok(None);
             }
             // A short read without newline: keep accumulating.
             Ok(_) => {}
@@ -254,6 +291,27 @@ fn read_line(r: &mut BufReader<Conn>, stop: &Arc<AtomicBool>) -> io::Result<Opti
     }
 }
 
+/// Discards input until the client closes, [`DRAIN`] passes or `stop`
+/// is raised.
+fn drain(r: &mut BufReader<Conn>, stop: &Arc<AtomicBool>) {
+    let deadline = Instant::now() + DRAIN;
+    let mut sink = [0u8; 8192];
+    while Instant::now() < deadline && !stop.load(Ordering::Relaxed) {
+        match r.read(&mut sink) {
+            Ok(0) => return,
+            Ok(_) => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) => {}
+            Err(_) => return,
+        }
+    }
+}
+
 fn send(w: &mut Conn, msg: &Message) -> io::Result<()> {
     jsonl::append_line(w, &msg.to_line())
 }
@@ -266,7 +324,7 @@ fn handle_connection(daemon: &Arc<Daemon>, conn: Conn, stop: &Arc<AtomicBool>) -
     let mut r = BufReader::new(conn);
 
     // Handshake: the first line must be a well-formed hello.
-    let Some(line) = read_line(&mut r, stop)? else {
+    let Some(line) = read_line(&mut r, &mut w, stop)? else {
         return Ok(());
     };
     let client = match Message::parse_line(&line) {
@@ -288,7 +346,7 @@ fn handle_connection(daemon: &Arc<Daemon>, conn: Conn, stop: &Arc<AtomicBool>) -
         },
     )?;
 
-    while let Some(line) = read_line(&mut r, stop)? {
+    while let Some(line) = read_line(&mut r, &mut w, stop)? {
         let msg = match Message::parse_line(&line) {
             Ok(m) => m,
             Err(e) => {

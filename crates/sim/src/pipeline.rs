@@ -59,7 +59,19 @@ pub fn simulate_layer_with(
     cfg: &SimConfig,
     scratch: &mut SimScratch,
 ) -> LayerReport {
-    let acc: ScheduleAccum = match mode {
+    let acc = schedule_layer(layer, mode, cfg, scratch);
+    assemble_layer_report(layer, mode, cfg, acc)
+}
+
+/// Runs one layer's tiles under one mode on one plane: the per-mode
+/// dispatch every entry point falls back to when nothing batches.
+fn schedule_layer(
+    layer: &GemmLayer,
+    mode: SparsityMode,
+    cfg: &SimConfig,
+    scratch: &mut SimScratch,
+) -> ScheduleAccum {
+    match mode {
         SparsityMode::Dense => simulate_dense(layer, cfg),
         SparsityMode::SparseA { win, shuffle } => {
             simulate_sparse_a_with(layer, win, shuffle, cfg, scratch)
@@ -77,8 +89,7 @@ pub fn simulate_layer_with(
             };
             simulate_sparten_with(layer, a_sparse, b_sparse, params, cfg, scratch)
         }
-    };
-    assemble_layer_report(layer, mode, cfg, acc)
+    }
 }
 
 /// Turns a layer's schedule accumulator into its full report: bandwidth
@@ -109,6 +120,127 @@ fn assemble_layer_report(
     }
 }
 
+/// The single-sparse family every mode belongs to, with the modes'
+/// (window, shuffle) variants: `Some((true, ..))` when all are
+/// `SparseB`, `Some((false, ..))` when all are `SparseA`. This is the
+/// precondition for the multi-arch tile entries to share grids and
+/// schedules.
+fn single_sparse_family(modes: &[SparsityMode]) -> Option<(bool, Vec<ArchVariant>)> {
+    let b_side = matches!(modes.first()?, SparsityMode::SparseB { .. });
+    modes
+        .iter()
+        .map(|m| match *m {
+            SparsityMode::SparseB { win, shuffle } if b_side => Some((win, shuffle)),
+            SparsityMode::SparseA { win, shuffle } if !b_side => Some((win, shuffle)),
+            _ => None,
+        })
+        .collect::<Option<Vec<ArchVariant>>>()
+        .map(|variants| (b_side, variants))
+}
+
+/// Simulates layer `index` of K seed-variant networks under V sparsity
+/// modes in one pass, returning `[mode][plane]` reports. This is the
+/// unit every network entry below loops over, and the sweep executor's
+/// work item.
+///
+/// `layers[p]` is plane `p`'s copy of the layer. Two axes batch:
+///
+/// * **arch** — several modes of one single-sparse family (all
+///   `SparseB` or all `SparseA`) go through one multi-arch tile entry
+///   ([`simulate_sparse_b_multi_arch_batch`] and its siblings), so
+///   same-reach windows share event-core passes and the scratch's
+///   window-keyed schedule cache;
+/// * **seed plane** — K > 1 planes of one shape and replica count
+///   build their tile grids word-parallel ([`simulate_sparse_b_batch`]
+///   / [`simulate_sparse_a_batch`] per single-sparse mode).
+///
+/// Everything else — `Dense`, the dual and SparTen pipelines, planes of
+/// differing shapes — runs plane-sequentially. Every report is
+/// **exactly** what [`simulate_layer_with`] produces for that (mode,
+/// plane) alone: the batched builders yield identical grids and the
+/// multi-arch schedulers are pinned bitwise-identical, so callers may
+/// regroup work freely.
+///
+/// Inside a reuse scope plane `p`'s grids are memoized under layer
+/// `index` and plane `scratch.plane + p`. A scope token that names one
+/// (workload group, layer) pair therefore holds one layer's grids.
+pub fn simulate_layer_family(
+    index: usize,
+    layers: &[&GemmLayer],
+    modes: &[SparsityMode],
+    cfg: &SimConfig,
+    scratch: &mut SimScratch,
+) -> Vec<Vec<LayerReport>> {
+    let Some(first) = layers.first() else {
+        return vec![Vec::new(); modes.len()];
+    };
+    scratch.layer_idx = index as u32;
+    let planes_batch = layers.len() > 1
+        && layers
+            .iter()
+            .all(|l| l.shape == first.shape && l.replicas == first.replicas);
+    let base = scratch.plane;
+    let accs: Vec<Vec<ScheduleAccum>> = match single_sparse_family(modes) {
+        Some((b_side, variants)) if modes.len() > 1 => {
+            if planes_batch {
+                if b_side {
+                    simulate_sparse_b_multi_arch_batch(layers, &variants, cfg, scratch)
+                } else {
+                    simulate_sparse_a_multi_arch_batch(layers, &variants, cfg, scratch)
+                }
+            } else {
+                let mut accs = vec![Vec::with_capacity(layers.len()); modes.len()];
+                for (p, l) in layers.iter().enumerate() {
+                    scratch.plane = base + p as u32;
+                    let row = if b_side {
+                        simulate_sparse_b_multi_arch(l, &variants, cfg, scratch)
+                    } else {
+                        simulate_sparse_a_multi_arch(l, &variants, cfg, scratch)
+                    };
+                    for (v, acc) in row.into_iter().enumerate() {
+                        accs[v].push(acc);
+                    }
+                }
+                accs
+            }
+        }
+        _ => modes
+            .iter()
+            .map(|&mode| match mode {
+                SparsityMode::SparseB { win, shuffle } if planes_batch => {
+                    simulate_sparse_b_batch(layers, win, shuffle, cfg, scratch)
+                }
+                SparsityMode::SparseA { win, shuffle } if planes_batch => {
+                    simulate_sparse_a_batch(layers, win, shuffle, cfg, scratch)
+                }
+                _ => {
+                    let row = layers
+                        .iter()
+                        .enumerate()
+                        .map(|(p, l)| {
+                            scratch.plane = base + p as u32;
+                            schedule_layer(l, mode, cfg, scratch)
+                        })
+                        .collect();
+                    // The next mode's batch kernel keys from the offset.
+                    scratch.plane = base;
+                    row
+                }
+            })
+            .collect(),
+    };
+    scratch.plane = base;
+    accs.into_iter()
+        .zip(modes)
+        .map(|(row, &mode)| {
+            row.into_iter()
+                .zip(layers)
+                .map(|(acc, l)| assemble_layer_report(l, mode, cfg, acc))
+                .collect()
+        })
+        .collect()
+}
+
 /// Simulates a whole network (sequence of GEMM layers) under one mode.
 pub fn simulate_network(
     layers: &[GemmLayer],
@@ -126,196 +258,59 @@ pub fn simulate_network_with(
     cfg: &SimConfig,
     scratch: &mut SimScratch,
 ) -> NetworkReport {
-    NetworkReport {
-        layers: layers
-            .iter()
-            .enumerate()
-            .map(|(i, l)| {
-                // Keys the grid-reuse cache when a scope is active.
-                scratch.layer_idx = i as u32;
-                simulate_layer_with(l, mode, cfg, scratch)
-            })
-            .collect(),
-    }
+    simulate_network_multi_arch(&[layers], &[mode], cfg, scratch)
+        .pop()
+        .and_then(|mut row| row.pop())
+        .expect("one mode, one network")
 }
 
-/// Simulates K seed-variant networks (same layer count, same per-layer
-/// shapes) under one mode, batching each layer's tile grids
-/// word-parallel where the mode supports it.
+/// Simulates K seed-variant networks under V sparsity modes, returning
+/// `[mode][plane]` reports: one [`simulate_layer_family`] call per
+/// layer index, so every report is exactly what a per-(mode, network)
+/// [`simulate_network_with`] call produces.
 ///
-/// `networks[p]` is plane `p`'s layer list. Single-sparse modes
-/// (`SparseA`, `SparseB`) batch through [`simulate_sparse_a_batch`] /
-/// [`simulate_sparse_b_batch`]; `Dense` is pure arithmetic; the dual
-/// and SparTen pipelines run plane-sequential (their per-pair stage-2
-/// replay has no shared word walk), each plane keyed separately in the
-/// grid cache via `scratch.plane`. Every plane's report is **exactly**
-/// what [`simulate_network_with`] produces for it alone — the batched
-/// builders yield identical grids and the accumulator math is shared —
-/// which is what lets the sweep executor mix batched and unbatched
-/// execution freely.
-///
-/// Layer shapes that diverge across planes (or an uneven layer count)
-/// fall back to plane-sequential simulation for the whole call.
-pub fn simulate_network_batch(
-    networks: &[&[GemmLayer]],
-    mode: SparsityMode,
-    cfg: &SimConfig,
-    scratch: &mut SimScratch,
-) -> Vec<NetworkReport> {
-    let Some(first) = networks.first() else {
-        return Vec::new();
-    };
-    let batchable = matches!(
-        mode,
-        SparsityMode::SparseA { .. } | SparsityMode::SparseB { .. }
-    ) && networks.iter().all(|n| {
-        n.len() == first.len()
-            && n.iter()
-                .zip(first.iter())
-                .all(|(a, b)| a.shape == b.shape && a.replicas == b.replicas)
-    });
-    if !batchable {
-        // Plane-sequential fallback; each plane keys its own grids.
-        let reports = networks
-            .iter()
-            .enumerate()
-            .map(|(p, net)| {
-                scratch.plane = p as u32;
-                simulate_network_with(net, mode, cfg, scratch)
-            })
-            .collect();
-        scratch.plane = 0;
-        return reports;
-    }
-
-    let mut reports: Vec<NetworkReport> = networks
-        .iter()
-        .map(|_| NetworkReport { layers: Vec::new() })
-        .collect();
-    for i in 0..first.len() {
-        scratch.layer_idx = i as u32;
-        let layers: Vec<&GemmLayer> = networks.iter().map(|n| &n[i]).collect();
-        let accs = match mode {
-            SparsityMode::SparseA { win, shuffle } => {
-                simulate_sparse_a_batch(&layers, win, shuffle, cfg, scratch)
-            }
-            SparsityMode::SparseB { win, shuffle } => {
-                simulate_sparse_b_batch(&layers, win, shuffle, cfg, scratch)
-            }
-            _ => unreachable!("batchable is only true for single-sparse modes"),
-        };
-        for (p, acc) in accs.into_iter().enumerate() {
-            reports[p]
-                .layers
-                .push(assemble_layer_report(layers[p], mode, cfg, acc));
-        }
-    }
-    reports
-}
-
-/// Simulates K seed-variant networks under V architecture variants of
-/// one sparsity family in a single pass, returning `[variant][plane]`
-/// reports.
-///
-/// This is the arch-axis extension of [`simulate_network_batch`]:
-/// besides the seed-plane batchability checks (same layer count, same
-/// per-layer shapes and replicas across planes) it checks the *arch
-/// axis* — every mode must belong to the same single-sparse family
-/// (all `SparseB` or all `SparseA`), which is the precondition for the
-/// multi-arch tile entries to share grids and schedules. When both
-/// axes batch, each layer runs through one
-/// [`simulate_sparse_b_multi_arch_batch`] /
-/// [`simulate_sparse_a_multi_arch_batch`] call; when only the arch
-/// axis batches, planes run sequentially through the single-plane
-/// multi-arch entries; otherwise the whole call falls back to
-/// per-variant [`simulate_network_batch`]. Every report is **exactly**
-/// what a per-variant call produces — the multi-arch schedulers are
-/// pinned bitwise-identical — so callers may mix family-batched and
-/// per-arch execution freely.
+/// Networks of uneven depth have no layer index that spans every
+/// plane; each plane then runs on its own under plane key
+/// `scratch.plane + p`, so memoized grids cannot collide.
 pub fn simulate_network_multi_arch(
     networks: &[&[GemmLayer]],
     modes: &[SparsityMode],
     cfg: &SimConfig,
     scratch: &mut SimScratch,
 ) -> Vec<Vec<NetworkReport>> {
-    let Some(first) = networks.first() else {
-        return vec![Vec::new(); modes.len()];
-    };
-    // Arch-axis batchability: one single-sparse family end to end.
-    let all_b = modes
-        .iter()
-        .all(|m| matches!(m, SparsityMode::SparseB { .. }));
-    let all_a = modes
-        .iter()
-        .all(|m| matches!(m, SparsityMode::SparseA { .. }));
-    if !(all_b || all_a) || modes.is_empty() {
-        return modes
-            .iter()
-            .map(|&mode| simulate_network_batch(networks, mode, cfg, scratch))
-            .collect();
-    }
-    let variants: Vec<ArchVariant> = modes
-        .iter()
-        .map(|m| match *m {
-            SparsityMode::SparseB { win, shuffle } | SparsityMode::SparseA { win, shuffle } => {
-                (win, shuffle)
-            }
-            _ => unreachable!("family membership checked above"),
-        })
-        .collect();
-    // Seed-plane batchability: identical shape sequence on every plane.
-    let planes_batch = networks.iter().all(|n| {
-        n.len() == first.len()
-            && n.iter()
-                .zip(first.iter())
-                .all(|(a, b)| a.shape == b.shape && a.replicas == b.replicas)
-    });
-
-    let mut reports: Vec<Vec<NetworkReport>> = modes
-        .iter()
-        .map(|_| {
-            networks
-                .iter()
-                .map(|_| NetworkReport { layers: Vec::new() })
-                .collect()
-        })
-        .collect();
-    if planes_batch {
-        for i in 0..first.len() {
-            scratch.layer_idx = i as u32;
-            let layers: Vec<&GemmLayer> = networks.iter().map(|n| &n[i]).collect();
-            let accs = if all_b {
-                simulate_sparse_b_multi_arch_batch(&layers, &variants, cfg, scratch)
-            } else {
-                simulate_sparse_a_multi_arch_batch(&layers, &variants, cfg, scratch)
-            };
-            for (v, row) in accs.into_iter().enumerate() {
-                for (p, acc) in row.into_iter().enumerate() {
-                    reports[v][p]
-                        .layers
-                        .push(assemble_layer_report(layers[p], modes[v], cfg, acc));
+    let mut reports = vec![vec![NetworkReport::default(); networks.len()]; modes.len()];
+    // Appends one layer's `[mode][plane]` reports to planes `from..`.
+    let push =
+        |reports: &mut Vec<Vec<NetworkReport>>, from: usize, family: Vec<Vec<LayerReport>>| {
+            for (row, layer_row) in reports.iter_mut().zip(family) {
+                for (net, l) in row[from..].iter_mut().zip(layer_row) {
+                    net.layers.push(l);
                 }
             }
+        };
+    let depth = networks.first().map_or(0, |n| n.len());
+    if networks.iter().all(|n| n.len() == depth) {
+        for i in 0..depth {
+            let layers: Vec<&GemmLayer> = networks.iter().map(|n| &n[i]).collect();
+            push(
+                &mut reports,
+                0,
+                simulate_layer_family(i, &layers, modes, cfg, scratch),
+            );
         }
     } else {
-        // Plane-sequential, arch-batched: each plane keys its own grids.
+        let base = scratch.plane;
         for (p, net) in networks.iter().enumerate() {
-            scratch.plane = p as u32;
+            scratch.plane = base + p as u32;
             for (i, l) in net.iter().enumerate() {
-                scratch.layer_idx = i as u32;
-                let accs = if all_b {
-                    simulate_sparse_b_multi_arch(l, &variants, cfg, scratch)
-                } else {
-                    simulate_sparse_a_multi_arch(l, &variants, cfg, scratch)
-                };
-                for (v, acc) in accs.into_iter().enumerate() {
-                    reports[v][p]
-                        .layers
-                        .push(assemble_layer_report(l, modes[v], cfg, acc));
-                }
+                push(
+                    &mut reports,
+                    p,
+                    simulate_layer_family(i, &[l], modes, cfg, scratch),
+                );
             }
         }
-        scratch.plane = 0;
+        scratch.plane = base;
     }
     reports
 }

@@ -43,10 +43,11 @@ pub(crate) struct GridKey {
     pub b_side: bool,
     /// Core dimensions the grid was blocked for.
     pub core: CoreDims,
-    /// Batch plane (seed-variant index) the grid belongs to. Plain
-    /// `run_with` simulations always use plane 0; `run_batch` keys each
-    /// seed variant by its position in the batch so K same-shape
-    /// workloads can share one reuse scope without colliding.
+    /// Batch plane (seed-variant index) the grid belongs to: the
+    /// scratch's plane offset plus the workload's position in the
+    /// batch, so K same-shape workloads can share one reuse scope
+    /// without colliding. A lone workload uses the offset itself
+    /// (0 unless a caller set one).
     pub plane: u32,
 }
 
@@ -119,8 +120,8 @@ pub struct SimScratch {
     /// Layer index the pipeline is currently simulating (keys the grid
     /// cache within a scope).
     pub(crate) layer_idx: u32,
-    /// Batch plane of the workload currently simulating (keys the grid
-    /// cache within a scope; 0 outside `run_batch`).
+    /// Plane offset of the workload currently simulating (keys the grid
+    /// cache within a scope; batch entries add each workload's position).
     pub(crate) plane: u32,
     /// Reusable grids for the word-parallel batch builders when no
     /// reuse scope is active (one per plane, grown on demand).
@@ -153,7 +154,9 @@ impl SimScratch {
     /// category and mask seed). While a scope is active, tile op grids
     /// are memoized and shared across architectures; entering a scope
     /// with a different token drops the previous scope's grids, so the
-    /// cache never holds more than one workload's tiles.
+    /// cache never holds more than one scope's tiles. The sweep executor
+    /// names one (family, layer) work item per token, which bounds a
+    /// worker's memo to one layer.
     ///
     /// Callers that simulate each workload once (no architecture sweep)
     /// should simply not open a scope — grids are then rebuilt in place
@@ -184,11 +187,12 @@ impl SimScratch {
         self.share_stats = ShareStats::default();
     }
 
-    /// Selects the batch plane that keys memoized tile grids (plane 0
-    /// is the plain single-run plane). Batch drivers give each
-    /// seed-variant workload its own plane so one reuse scope holds a
-    /// whole batch without key collisions; plain `run_with` callers
-    /// never need to touch this.
+    /// Selects the plane offset that keys memoized tile grids (plane 0
+    /// is the plain single-run plane); batch entries key workload `p`
+    /// of a batch as `offset + p`. Drivers that simulate several
+    /// workloads one call at a time give each its own plane so one
+    /// reuse scope holds them all without key collisions; plain
+    /// `run_with` callers never need to touch this.
     pub fn set_plane(&mut self, plane: u32) {
         self.plane = plane;
     }

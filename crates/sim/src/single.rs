@@ -155,7 +155,7 @@ pub fn simulate_sparse_b_batch(
         };
         planes
     ];
-    let layer_idx = scratch.layer_idx;
+    let (layer_idx, base) = (scratch.layer_idx, scratch.plane);
     for &n_tile in &picked {
         let key_of = |p: usize| GridKey {
             layer: layer_idx,
@@ -163,7 +163,7 @@ pub fn simulate_sparse_b_batch(
             rotate: shuffle,
             b_side: true,
             core,
-            plane: p as u32,
+            plane: base + p as u32,
         };
         if scratch.scope.is_some() {
             // All-or-nothing: the scope token covers the whole batch, so
@@ -377,7 +377,7 @@ pub fn simulate_sparse_b_multi_arch_batch(
         ];
         variants.len()
     ];
-    let layer_idx = scratch.layer_idx;
+    let (layer_idx, base) = (scratch.layer_idx, scratch.plane);
     let mut group_wins: Vec<EffectiveWindow> = Vec::new();
     let mut miss_keys: Vec<SchedKey> = Vec::new();
     let mut multi_out: Vec<Schedule> = Vec::new();
@@ -393,7 +393,7 @@ pub fn simulate_sparse_b_multi_arch_batch(
                 rotate: rot,
                 b_side: true,
                 core,
-                plane: p as u32,
+                plane: base + p as u32,
             };
             if scratch.scope.is_some() {
                 if !(0..planes).all(|p| scratch.grids.contains_key(&key_of(p))) {
@@ -578,7 +578,7 @@ pub fn simulate_sparse_a_batch(
         };
         planes
     ];
-    let layer_idx = scratch.layer_idx;
+    let (layer_idx, base) = (scratch.layer_idx, scratch.plane);
     for &m_tile in &picked {
         let key_of = |p: usize| GridKey {
             layer: layer_idx,
@@ -586,7 +586,7 @@ pub fn simulate_sparse_a_batch(
             rotate: shuffle,
             b_side: false,
             core,
-            plane: p as u32,
+            plane: base + p as u32,
         };
         if scratch.scope.is_some() {
             if !(0..planes).all(|p| scratch.grids.contains_key(&key_of(p))) {
@@ -788,7 +788,7 @@ pub fn simulate_sparse_a_multi_arch_batch(
         ];
         variants.len()
     ];
-    let layer_idx = scratch.layer_idx;
+    let (layer_idx, base) = (scratch.layer_idx, scratch.plane);
     let mut group_wins: Vec<EffectiveWindow> = Vec::new();
     let mut miss_keys: Vec<SchedKey> = Vec::new();
     let mut multi_out: Vec<Schedule> = Vec::new();
@@ -804,7 +804,7 @@ pub fn simulate_sparse_a_multi_arch_batch(
                 rotate: rot,
                 b_side: false,
                 core,
-                plane: p as u32,
+                plane: base + p as u32,
             };
             if scratch.scope.is_some() {
                 if !(0..planes).all(|p| scratch.grids.contains_key(&key_of(p))) {

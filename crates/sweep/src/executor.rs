@@ -4,8 +4,10 @@
 //! [`ResultCache`] for every cell, then drives the remaining cells
 //! through a pool of `std::thread` workers pulling from a shared atomic
 //! work queue (run-to-idle work stealing: a fast worker simply takes the
-//! next cell, so stragglers never gate throughput). Two properties hold
-//! for any worker count:
+//! next item, so stragglers never gate throughput). Cells that differ
+//! only by architecture and mask seed form one *family*; the queue's
+//! unit is one (family, layer) pair, so even a single-family campaign
+//! spreads over every worker. Two properties hold for any worker count:
 //!
 //! * **deterministic output** — results are assembled by grid index, so
 //!   the report is byte-identical for 1 or 64 workers;
@@ -15,11 +17,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use griffin_core::accelerator::{Accelerator, Workload};
 use griffin_core::category::DnnCategory;
+use griffin_sim::report::{LayerReport, NetworkReport};
 use griffin_sim::scratch::SimScratch;
 
 use crate::cache::{CacheStats, CellMetrics, ResultCache};
@@ -90,12 +93,13 @@ pub fn default_workers() -> usize {
 ///
 /// Within one campaign each worker already keeps a single scratch for
 /// its whole run, so the per-tile loop allocates nothing; but a fresh
-/// campaign driver starts from empty scratches, re-growing every buffer
-/// and rebuilding every memoized tile grid. A resident driver (the
-/// serve daemon) keeps one pool alive instead: workers check scratches
-/// out at thread start and return them at thread exit, so buffer
-/// capacity — and any tile grids whose reuse scope still matches —
-/// survive from one campaign to the next. Checking out of an empty pool
+/// campaign driver starts from empty scratches and re-grows every
+/// buffer. A resident driver (the serve daemon) keeps one pool alive
+/// instead: workers check scratches out at thread start and return them
+/// at thread exit, so buffer capacity survives from one campaign to the
+/// next. A pooled scratch carries capacity only, never a campaign's
+/// tile grids: its reuse scope spans one layer's work items and is
+/// closed before the scratch is parked. Checking out of an empty pool
 /// just creates a fresh scratch, which makes a throwaway pool exactly
 /// equivalent to the pre-pool behavior.
 #[derive(Default)]
@@ -138,6 +142,46 @@ impl std::fmt::Debug for ScratchPool {
     }
 }
 
+/// One family group's phase-3 inputs: its seed-plane workloads, one
+/// accelerator per architecture unit, the fingerprint its (family,
+/// layer) items derive their reuse-scope tokens from (shared by the
+/// families an arch cap split from one), and its depth.
+struct FamilyRun {
+    planes: Vec<Arc<Workload>>,
+    accels: Vec<Accelerator>,
+    scope: Fingerprint,
+    depth: usize,
+}
+
+/// Phase-3 progress shared by the workers.
+struct Progress {
+    /// Per family: the finished layers' `[arch][plane]` reports, and
+    /// how many work items are still out.
+    families: Vec<(Vec<Vec<Vec<LayerReport>>>, usize)>,
+    /// A worker unwound; waiting owners stop waiting.
+    panicked: bool,
+}
+
+/// Held by each phase-3 worker: if it unwinds, it flags the panic and
+/// wakes every waiting owner, so the campaign fails instead of leaving
+/// an owner waiting for a layer that never lands.
+struct PanicWake<'a> {
+    progress: &'a Mutex<Progress>,
+    landed: &'a Condvar,
+}
+
+impl Drop for PanicWake<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.progress
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .panicked = true;
+            self.landed.notify_all();
+        }
+    }
+}
+
 /// Key identifying a unique workload build within a campaign.
 fn workload_key(cell: &Cell) -> Fingerprint {
     let mut h = Hasher::new();
@@ -163,8 +207,8 @@ fn workload_memo() -> &'static Mutex<HashMap<Fingerprint, Arc<Workload>>> {
 }
 
 /// Key identifying a seed-batch group: cells agreeing on everything but
-/// the mask seed simulate word-parallel through one
-/// [`Accelerator::run_batch`] call.
+/// the mask seed simulate word-parallel as the seed planes of one
+/// [`Accelerator::run_family_layer`] call per layer.
 fn batch_key(cell: &Cell) -> Fingerprint {
     let mut h = Hasher::new();
     h.str("griffin-batch-group-v1")
@@ -211,6 +255,20 @@ fn env_arch_cap() -> usize {
 /// A live progress event emitted by [`run_cells`] while a campaign is
 /// executing. Events fire from worker threads in completion order (not
 /// grid order); the final cell list is still assembled deterministically.
+///
+/// Observer contract, for any worker count:
+///
+/// * every simulated cell gets exactly one `Started` and then exactly
+///   one `Finished { cached: false }`, **both on the same thread**. A
+///   family's layers may run on several workers, but the worker that
+///   claims its first layer announces all its cells and is also the one
+///   that finishes them, once every layer is in;
+/// * a cache hit gets only `Finished { cached: true }`, from the
+///   calling thread before any worker starts, so a fully warm rerun
+///   emits no `Started` at all;
+/// * an in-campaign twin (a cell whose fingerprint another cell of the
+///   campaign simulates) gets only `Finished { cached: true }`, from
+///   the thread that finishes its representative.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CellEvent<'a> {
     /// A worker began simulating a cell (cache misses only).
@@ -342,9 +400,8 @@ pub fn run_cells_bounded(
 
 /// [`run_cells_bounded`] drawing worker scratches from (and returning
 /// them to) a caller-owned [`ScratchPool`] — the resident-daemon entry
-/// point, where scratch capacity and matching-scope tile grids survive
-/// across campaigns. Determinism is unaffected: a scratch carries
-/// capacity, never results.
+/// point, where scratch capacity survives across campaigns. Determinism
+/// is unaffected: a scratch carries capacity, never results.
 ///
 /// # Errors
 ///
@@ -422,11 +479,9 @@ pub fn run_cells_capped(
 
     if !missing.is_empty() {
         // Group the missing cells into batch units: cells differing only
-        // by mask seed share grid shapes, so one worker simulates a whole
-        // unit word-parallel via `Accelerator::run_batch`. Units keep the
-        // grid order of `missing` (architecture-major), so consecutive
-        // units sweep architectures over one workload group and the
-        // reuse scope below shares every plane's tile grids across them.
+        // by mask seed share grid shapes, so they simulate word-parallel
+        // as the seed planes of one layer call. Units keep the grid
+        // order of `missing` (architecture-major).
         let cap = batch_cap.max(1);
         let mut units: Vec<Vec<usize>> = Vec::new();
         {
@@ -445,10 +500,11 @@ pub fn run_cells_capped(
         // Widen units into *family groups*: units agreeing on everything
         // but the architecture — same workload, category and seed-plane
         // list — hand their whole architecture family to one
-        // `Accelerator::run_family_batch` call, where same-reach
-        // borrowing windows share event-core passes. The seed tuple is
-        // part of the key so partially-cached families (some arches'
-        // cells already served) split into runs with identical planes.
+        // `Accelerator::run_family_layer` call per layer, where
+        // same-reach borrowing windows share event-core passes. The
+        // seed tuple is part of the key so partially-cached families
+        // (some arches' cells already served) split into runs with
+        // identical planes.
         let acap = arch_cap.max(1);
         let mut families: Vec<Vec<usize>> = Vec::new();
         {
@@ -472,7 +528,6 @@ pub fn run_cells_capped(
                 }
             }
         }
-        let workers = workers.clamp(1, families.len());
 
         // Phase 2: build each distinct workload once, in parallel.
         let mut keys: Vec<Fingerprint> = Vec::new();
@@ -553,111 +608,211 @@ pub fn run_cells_capped(
         }
         let built = built.into_inner().expect("build lock");
 
-        // Phase 3: simulate the batch units, any worker, any order.
-        // Each worker keeps one `SimScratch` for its whole run, so the
-        // per-tile scheduler loop allocates nothing at steady state.
+        // Phase 3: simulate (family, layer) work items, any worker, any
+        // order. A layer's reports depend only on the layer, the mode
+        // and the simulator config (tile sampling is seeded per layer),
+        // so one family's layers spread over every worker — a campaign
+        // that is a single family still fills the pool. Each item runs
+        // the family's whole architecture axis over the layer's seed
+        // planes in one call, under a reuse scope naming the (workload,
+        // category, seeds, layer) it simulates: a worker's grid memo
+        // never holds more than one layer, and families split by the
+        // arch cap share it.
+        let runs: Vec<FamilyRun> = families
+            .iter()
+            .map(|family| {
+                // Every unit of a family shares its seed-plane list
+                // (it's part of the family key), so one workload list
+                // serves all of them.
+                let unit0 = &units[family[0]];
+                let planes: Vec<Arc<Workload>> = unit0
+                    .iter()
+                    .map(|&i| Arc::clone(&built[&workload_key(&cells[i])]))
+                    .collect();
+                let accels = family
+                    .iter()
+                    .map(|&u| Accelerator::new(cells[units[u][0]].arch.clone(), spec.sim))
+                    .collect();
+                let lead = &cells[unit0[0]];
+                let mut h = Hasher::new();
+                h.str("griffin-layer-scope-v1")
+                    .feed(&lead.workload)
+                    .feed(&lead.category);
+                for &i in unit0 {
+                    h.u64(cells[i].seed);
+                }
+                // Seed variants of one workload spec have the same
+                // layer count, so plane 0's depth is the family's.
+                let depth = planes[0].layers.len();
+                FamilyRun {
+                    planes,
+                    accels,
+                    scope: h.finish(),
+                    depth,
+                }
+            })
+            .collect();
+        // Items run layer-major across the families that share a scope
+        // (an arch family split by the arch cap), so items that reuse
+        // one layer's grids sit next to each other in the queue and a
+        // worker pulling consecutive items keeps its memo; groups run
+        // in family order. A layerless workload still needs one item,
+        // whose owner finishes the family's cells.
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        {
+            let mut group_of: HashMap<Fingerprint, usize> = HashMap::new();
+            for (f, run) in runs.iter().enumerate() {
+                let g = *group_of.entry(run.scope).or_insert_with(|| {
+                    groups.push(Vec::new());
+                    groups.len() - 1
+                });
+                groups[g].push(f);
+            }
+        }
+        let items: Vec<(usize, usize)> = groups
+            .iter()
+            .flat_map(|group| {
+                // A scope names the workload, so a group shares one depth.
+                let depth = runs[group[0]].depth.max(1);
+                (0..depth).flat_map(move |l| group.iter().map(move |&f| (f, l)))
+            })
+            .collect();
+        let workers = workers.clamp(1, items.len());
+        // Per family: the finished layers' `[arch][plane]` reports and
+        // how many layers are still out. The worker that claims a
+        // family's first layer owns it and finalizes it once the count
+        // reaches 0; `landed` wakes owners whose queue has run dry.
+        let progress = Mutex::new(Progress {
+            families: runs
+                .iter()
+                .map(|run| (vec![Vec::new(); run.depth], run.depth.max(1)))
+                .collect(),
+            panicked: false,
+        });
+        let landed = Condvar::new();
         let done: Mutex<Vec<(usize, CellMetrics)>> = Mutex::new(Vec::with_capacity(missing.len()));
-        let next_family = AtomicUsize::new(0);
+        let next_item = AtomicUsize::new(0);
         // Check every worker's scratch out before spawning so a fast
         // worker that finishes early can't park a scratch a slow-to-start
         // worker then steals (each worker must hold a distinct scratch).
         let scratches: Vec<SimScratch> = (0..workers).map(|_| pool.checkout()).collect();
         std::thread::scope(|s| {
             for mut scratch in scratches {
-                let (units, families, fingerprints, built, twins, done, next_family) = (
-                    &units,
-                    &families,
-                    &fingerprints,
-                    &built,
-                    &twins,
-                    &done,
-                    &next_family,
-                );
-                s.spawn(move || {
-                    loop {
-                        let f = next_family.fetch_add(1, Ordering::Relaxed);
-                        if f >= families.len() {
-                            break;
-                        }
-                        let family = &families[f];
-                        for &u in family {
-                            for &i in &units[u] {
-                                observe(&CellEvent::Started {
-                                    cell: &cells[i],
-                                    fingerprint: fingerprints[i],
+                let (units, families, runs, items, fingerprints, twins) =
+                    (&units, &families, &runs, &items, &fingerprints, &twins);
+                let (progress, landed, done, next_item) = (&progress, &landed, &done, &next_item);
+                // Prices a finished family and streams its cells: the
+                // owner's last step for each family it claimed.
+                let finalize = move |f: usize, layers: Vec<Vec<Vec<LayerReport>>>| {
+                    let run = &runs[f];
+                    for (a, (&u, accel)) in families[f].iter().zip(&run.accels).enumerate() {
+                        for (p, &i) in units[u].iter().enumerate() {
+                            let network = NetworkReport {
+                                layers: layers.iter().map(|row| row[a][p]).collect(),
+                            };
+                            let report = accel.finish(&run.planes[p], network);
+                            let m = CellMetrics {
+                                speedup: report.speedup,
+                                cycles: report.network.cycles(),
+                                dense_cycles: report.network.dense_cycles(),
+                                power_mw: report.cost.power_mw(),
+                                area_mm2: report.cost.area_mm2(),
+                                tops_per_w: report.effective_tops_per_w,
+                                tops_per_mm2: report.effective_tops_per_mm2,
+                            };
+                            cache.insert(fingerprints[i], m);
+                            // Stream completion for the simulated cell
+                            // and every in-campaign twin it resolves.
+                            for &twin in &twins[&fingerprints[i]] {
+                                observe(&CellEvent::Finished {
+                                    cell: &cells[twin],
+                                    fingerprint: fingerprints[twin],
+                                    metrics: m,
+                                    cached: twin != i,
                                 });
                             }
-                        }
-                        // Every unit of a family shares its seed-plane
-                        // list (it's part of the family key), so one
-                        // workload list serves all of them.
-                        let unit0 = &units[family[0]];
-                        let wls: Vec<Arc<Workload>> = unit0
-                            .iter()
-                            .map(|&i| Arc::clone(&built[&workload_key(&cells[i])]))
-                            .collect();
-                        let planes: Vec<&Workload> = wls.iter().map(Arc::as_ref).collect();
-                        // Scoping the scratch to the group (workload,
-                        // category, ordered seeds — *not* the
-                        // architecture) shares every plane's tile grids
-                        // and cached schedules across the whole family.
-                        let lead = &cells[unit0[0]];
-                        let mut h = Hasher::new();
-                        h.str("griffin-batch-scope-v1")
-                            .feed(&lead.workload)
-                            .feed(&lead.category);
-                        for &i in unit0 {
-                            h.u64(cells[i].seed);
-                        }
-                        let token = h.finish();
-                        scratch
-                            .begin_reuse_scope((u128::from(token.0) << 64) | u128::from(token.1));
-                        // Singleton families take the historical
-                        // single-arch path; wider ones hand the family
-                        // to one multi-window scheduling pass. Reports
-                        // are bitwise identical either way (pinned by
-                        // batch-equivalence tests).
-                        let family_reports: Vec<Vec<griffin_core::accelerator::RunReport>> =
-                            if family.len() == 1 {
-                                vec![Accelerator::new(lead.arch.clone(), spec.sim)
-                                    .run_batch(&planes, &mut scratch)]
-                            } else {
-                                let accel_objs: Vec<Accelerator> = family
-                                    .iter()
-                                    .map(|&u| {
-                                        Accelerator::new(cells[units[u][0]].arch.clone(), spec.sim)
-                                    })
-                                    .collect();
-                                let accels: Vec<&Accelerator> = accel_objs.iter().collect();
-                                Accelerator::run_family_batch(&accels, &planes, &mut scratch)
-                            };
-                        for (&u, reports) in family.iter().zip(&family_reports) {
-                            for (&i, report) in units[u].iter().zip(reports) {
-                                let m = CellMetrics {
-                                    speedup: report.speedup,
-                                    cycles: report.network.cycles(),
-                                    dense_cycles: report.network.dense_cycles(),
-                                    power_mw: report.cost.power_mw(),
-                                    area_mm2: report.cost.area_mm2(),
-                                    tops_per_w: report.effective_tops_per_w,
-                                    tops_per_mm2: report.effective_tops_per_mm2,
-                                };
-                                cache.insert(fingerprints[i], m);
-                                // Stream completion for the simulated
-                                // cell and every in-campaign twin it
-                                // resolves.
-                                for &twin in &twins[&fingerprints[i]] {
-                                    observe(&CellEvent::Finished {
-                                        cell: &cells[twin],
-                                        fingerprint: fingerprints[twin],
-                                        metrics: m,
-                                        cached: twin != i,
-                                    });
-                                }
-                                done.lock().expect("done lock").push((i, m));
-                            }
+                            done.lock().expect("done lock").push((i, m));
                         }
                     }
+                };
+                s.spawn(move || {
+                    let _wake = PanicWake { progress, landed };
+                    let mut owned: Vec<usize> = Vec::new();
+                    loop {
+                        // Finalize owned families whose layers are all in.
+                        let mut ready: Vec<(usize, Vec<Vec<Vec<LayerReport>>>)> = Vec::new();
+                        {
+                            let mut st = progress.lock().expect("progress lock");
+                            owned.retain(|&f| {
+                                let (layers, left) = &mut st.families[f];
+                                if *left > 0 {
+                                    return true;
+                                }
+                                ready.push((f, std::mem::take(layers)));
+                                false
+                            });
+                        }
+                        for (f, layers) in ready {
+                            finalize(f, layers);
+                        }
+
+                        let k = next_item.fetch_add(1, Ordering::Relaxed);
+                        let Some(&(f, l)) = items.get(k) else {
+                            if owned.is_empty() {
+                                break;
+                            }
+                            // The queue is dry but an owned family still
+                            // has layers in flight elsewhere: sleep until
+                            // one of them lands.
+                            let mut st = progress.lock().expect("progress lock");
+                            while !st.panicked && owned.iter().all(|&f| st.families[f].1 > 0) {
+                                st = landed.wait(st).expect("progress lock");
+                            }
+                            if st.panicked {
+                                // The scope re-raises the worker's panic.
+                                return;
+                            }
+                            continue;
+                        };
+                        let run = &runs[f];
+                        if l == 0 {
+                            owned.push(f);
+                            for &u in &families[f] {
+                                for &i in &units[u] {
+                                    observe(&CellEvent::Started {
+                                        cell: &cells[i],
+                                        fingerprint: fingerprints[i],
+                                    });
+                                }
+                            }
+                        }
+                        let reports = if l < run.depth {
+                            let token = Hasher::new()
+                                .u64(run.scope.0)
+                                .u64(run.scope.1)
+                                .usize(l)
+                                .finish();
+                            scratch.begin_reuse_scope(
+                                (u128::from(token.0) << 64) | u128::from(token.1),
+                            );
+                            let accels: Vec<&Accelerator> = run.accels.iter().collect();
+                            let planes: Vec<&Workload> =
+                                run.planes.iter().map(Arc::as_ref).collect();
+                            Accelerator::run_family_layer(&accels, &planes, l, &mut scratch)
+                        } else {
+                            Vec::new()
+                        };
+                        let mut st = progress.lock().expect("progress lock");
+                        if l < run.depth {
+                            st.families[f].0[l] = reports;
+                        }
+                        st.families[f].1 -= 1;
+                        if st.families[f].1 == 0 {
+                            landed.notify_all();
+                        }
+                    }
+                    // A parked scratch carries capacity, not grids.
+                    scratch.end_reuse_scope();
                     pool.give_back(scratch);
                 });
             }
@@ -985,5 +1140,76 @@ mod tests {
         for c in r.cells.iter().filter(|c| c.arch == "Baseline") {
             assert!((c.metrics.speedup - 1.0).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn layer_split_family_keeps_the_observer_contract() {
+        // One family (mixed modes, two seed planes) over a 4-layer
+        // network: 4 (family, layer) items, so 3 workers all take
+        // layers of the same family.
+        use std::thread::ThreadId;
+        let spec = SweepSpec::new("contract")
+            .synthetic("net", 4)
+            .category(DnnCategory::B)
+            .arch(ArchSpec::dense())
+            .arch(ArchSpec::sparse_b_star())
+            .arch(ArchSpec::griffin())
+            .seeds([1, 2])
+            .sim(SimConfig {
+                fidelity: Fidelity::Sampled { tiles: 1, seed: 1 },
+                ..SimConfig::default()
+            });
+        let cells = spec.cells();
+        let cache = ResultCache::in_memory();
+        let events: Mutex<Vec<(usize, bool, ThreadId)>> = Mutex::new(Vec::new());
+        let split = run_cells(&spec, &cells, &cache, 3, &|ev| {
+            let (cell, started) = match ev {
+                CellEvent::Started { cell, .. } => (cell.index, true),
+                CellEvent::Finished { cell, cached, .. } => {
+                    assert!(!cached, "cold run, no twins: nothing is cached");
+                    (cell.index, false)
+                }
+            };
+            let tid = std::thread::current().id();
+            events.lock().unwrap().push((cell, started, tid));
+        })
+        .unwrap();
+        let events = events.into_inner().unwrap();
+        for c in &cells {
+            let mine: Vec<(bool, ThreadId)> = events
+                .iter()
+                .filter(|e| e.0 == c.index)
+                .map(|e| (e.1, e.2))
+                .collect();
+            assert_eq!(mine.len(), 2, "cell {}: one Started, one Finished", c.index);
+            assert!(mine[0].0 && !mine[1].0, "cell {}: Started first", c.index);
+            assert_eq!(mine[0].1, mine[1].1, "cell {}: same thread", c.index);
+        }
+        let serial = run_cells(&spec, &cells, &ResultCache::in_memory(), 1, &no_observer).unwrap();
+        assert_eq!(split, serial, "the layer split never changes records");
+
+        // Warm rerun: every cell is a cache hit, nothing starts.
+        let warm: Mutex<Vec<bool>> = Mutex::new(Vec::new());
+        run_cells(&spec, &cells, &cache, 3, &|ev| match ev {
+            CellEvent::Started { .. } => warm.lock().unwrap().push(false),
+            CellEvent::Finished { cached, .. } => warm.lock().unwrap().push(*cached),
+        })
+        .unwrap();
+        assert_eq!(warm.into_inner().unwrap(), vec![true; cells.len()]);
+    }
+
+    #[test]
+    fn layerless_workload_still_finishes_its_cells() {
+        // No layers means no layer items; the family still needs an
+        // owner to finish its cells (at unit speedup).
+        let spec = SweepSpec::new("empty")
+            .synthetic("none", 0)
+            .category(DnnCategory::B)
+            .arch(ArchSpec::dense())
+            .arch(ArchSpec::sparse_b_star())
+            .seeds([1, 2]);
+        let r = run_campaign(&spec, &ResultCache::in_memory(), 2).unwrap();
+        assert_eq!(r.cells.len(), 4);
+        assert!(r.cells.iter().all(|c| c.metrics.speedup == 1.0));
     }
 }

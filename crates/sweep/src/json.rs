@@ -27,6 +27,12 @@ pub enum Json {
     Obj(BTreeMap<String, Json>),
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every document
+/// the program writes nests a handful of levels; the bound keeps the
+/// recursive parser's stack use fixed, so hostile input (a wire line of
+/// 500,000 `[`) is refused instead of overflowing a thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse or access error.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsonError {
@@ -174,7 +180,7 @@ impl Json {
     pub fn parse(s: &str) -> Result<Json, JsonError> {
         let bytes = s.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return err(format!("trailing garbage at byte {pos}"));
@@ -216,12 +222,19 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses the value at `pos`, `depth` containers deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        ));
+    }
     match b.get(*pos) {
         None => err("unexpected end of input"),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -305,7 +318,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -314,7 +327,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -327,7 +340,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     *pos += 1; // consume '{'
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -346,7 +359,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             return err(format!("expected : at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(b, pos, depth)?;
         map.insert(key, val);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -420,6 +433,25 @@ mod tests {
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"open").is_err());
         assert!(Json::Null.req("x").is_err());
+    }
+
+    #[test]
+    fn hostile_nesting_is_refused_not_a_stack_overflow() {
+        // Half a million `[` used to recurse once per byte and abort
+        // the process.
+        let too_deep = format!("nesting deeper than {MAX_DEPTH}");
+        let e = Json::parse(&"[".repeat(500_000)).unwrap_err();
+        assert!(e.msg.starts_with(&too_deep), "{e}");
+        let e = Json::parse(&"{\"a\":".repeat(500_000)).unwrap_err();
+        assert!(e.msg.starts_with(&too_deep), "{e}");
+        // The limit itself parses; one level more does not.
+        let at = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at).is_ok());
+        let e = Json::parse(&format!("[{at}]")).unwrap_err();
+        assert!(e.msg.starts_with(&too_deep), "{e}");
+        // Ordinary malformed input keeps its own message.
+        let e = Json::parse("[1,]").unwrap_err();
+        assert!(!e.msg.starts_with(&too_deep), "{e}");
     }
 
     #[test]

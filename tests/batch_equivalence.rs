@@ -4,13 +4,16 @@
 //! builders and plane-sequential fallbacks alike), with and without an
 //! active grid-reuse scope, at any batch width. This is the contract
 //! that lets the sweep executor batch opportunistically: batching is an
-//! execution strategy, never a result change.
+//! execution strategy, never a result change. The per-layer family
+//! entry the executor schedules (`Accelerator::run_family_layer`) is
+//! pinned the same way, layer by layer.
 
 use griffin::core::accelerator::{Accelerator, RunReport, Workload};
 use griffin::core::arch::ArchSpec;
 use griffin::core::category::DnnCategory;
 use griffin::sim::config::{Fidelity, SimConfig};
 use griffin::sim::layer::GemmLayer;
+use griffin::sim::report::NetworkReport;
 use griffin::sim::scratch::SimScratch;
 use griffin::tensor::shape::GemmShape;
 use proptest::prelude::*;
@@ -366,5 +369,177 @@ fn uneven_shapes_fall_back_and_still_match() {
     // word-parallel, must take the plane-sequential path and still match.
     let a = variant(DnnCategory::B, &[(16, 128, 32)], 1.0, 0.3, 21);
     let b = variant(DnnCategory::B, &[(32, 64, 64)], 1.0, 0.3, 22);
-    check_batch(ArchSpec::sparse_b_star(), SimConfig::default(), &[a, b]);
+    check_batch(
+        ArchSpec::sparse_b_star(),
+        SimConfig::default(),
+        &[a.clone(), b.clone()],
+    );
+    // A plane of a different depth: no layer index spans every plane,
+    // so each plane runs its whole network on its own.
+    let c = variant(DnnCategory::B, &[(16, 128, 32), (32, 64, 64)], 1.0, 0.3, 23);
+    check_batch(ArchSpec::sparse_b_star(), SimConfig::default(), &[a, b, c]);
+}
+
+#[test]
+fn uneven_shapes_in_a_multi_arch_family_still_match() {
+    // Same depth, different per-plane layer shapes, a multi-arch
+    // single-sparse family: the arch axis still shares one call per
+    // plane, the planes run one after another.
+    use griffin::sim::window::BorrowWindow;
+    let shapes_a = [(16, 128, 32), (32, 64, 64)];
+    let shapes_b = [(32, 64, 64), (16, 64, 128)];
+    for b_side in [true, false] {
+        let (category, da, db) = if b_side {
+            (DnnCategory::B, 1.0, 0.3)
+        } else {
+            (DnnCategory::A, 0.4, 1.0)
+        };
+        let archs: Vec<ArchSpec> = [(2, 1, 0), (4, 0, 1), (2, 1, 0)]
+            .iter()
+            .zip([false, true, true])
+            .map(|(&(d1, d2, d3), shuffle)| {
+                let w = BorrowWindow::new(d1, d2, d3);
+                if b_side {
+                    ArchSpec::sparse_b(w, shuffle)
+                } else {
+                    ArchSpec::sparse_a(w, shuffle)
+                }
+            })
+            .collect();
+        let workloads = [
+            variant(category, &shapes_a, da, db, 61),
+            variant(category, &shapes_b, da, db, 62),
+        ];
+        check_family(&archs, SimConfig::default(), &workloads);
+        check_layer_entry(&archs, SimConfig::default(), &workloads);
+    }
+}
+
+/// Runs every layer through [`Accelerator::run_family_layer`] — once
+/// with one unscoped scratch for all layers, and twice (cold, then
+/// replaying memoized grids) with a reuse scope per layer, as the sweep
+/// executor does — and checks each `[accelerator][workload]` network,
+/// finished with [`Accelerator::finish`], bitwise against `run_with`.
+fn check_layer_entry(archs: &[ArchSpec], cfg: SimConfig, workloads: &[Workload]) {
+    let accels: Vec<Accelerator> = archs
+        .iter()
+        .map(|a| Accelerator::new(a.clone(), cfg))
+        .collect();
+    let refs: Vec<&Accelerator> = accels.iter().collect();
+    let planes: Vec<&Workload> = workloads.iter().collect();
+    let depth = workloads[0].layers.len();
+
+    let mut unscoped = SimScratch::new();
+    let mut scoped = SimScratch::new();
+    for pass in 0..3 {
+        let mut nets = vec![vec![NetworkReport::default(); planes.len()]; refs.len()];
+        for i in 0..depth {
+            let scratch = if pass == 0 {
+                &mut unscoped
+            } else {
+                scoped.begin_reuse_scope(0x1A7E5 + i as u128);
+                &mut scoped
+            };
+            let layer = Accelerator::run_family_layer(&refs, &planes, i, scratch);
+            assert_eq!(layer.len(), refs.len());
+            for (row, layer_row) in nets.iter_mut().zip(layer) {
+                assert_eq!(layer_row.len(), planes.len());
+                for (net, l) in row.iter_mut().zip(layer_row) {
+                    net.layers.push(l);
+                }
+            }
+        }
+        for (a, (acc, row)) in accels.iter().zip(nets).enumerate() {
+            for (p, (w, net)) in workloads.iter().zip(row).enumerate() {
+                let solo = acc.run_with(w, &mut SimScratch::new());
+                assert_reports_identical(
+                    &solo,
+                    &acc.finish(w, net),
+                    &format!("layer entry pass {pass} accel {a} plane {p}"),
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The per-layer family entry equals `run_with` layer by layer, for
+    /// every arch and plane: on homogeneous single-sparse families
+    /// (multi-arch path) and on the `sweep-b` shape — the dense baseline
+    /// plus `Sparse.B` variants, which no multi-arch call covers.
+    #[test]
+    fn layer_entry_equals_run_with_per_layer(
+        seed in 0u64..300,
+        planes in 1usize..4,
+        with_baseline in proptest::bool::ANY,
+        b_side in proptest::bool::ANY,
+        picks in proptest::collection::vec((1usize..5, 0usize..3, 0usize..2, proptest::bool::ANY), 1..5),
+        da in 0.3f64..1.0,
+        db in 0.1f64..0.9,
+    ) {
+        use griffin::sim::window::BorrowWindow;
+        // The baseline rides with the B side, as in the Fig. 5 sweep.
+        let b_side = b_side || with_baseline;
+        let category = if b_side { DnnCategory::B } else { DnnCategory::A };
+        let mut archs: Vec<ArchSpec> = Vec::new();
+        if with_baseline {
+            archs.push(ArchSpec::dense());
+        }
+        archs.extend(picks.iter().map(|&(d1, d2, d3, shuffle)| {
+            let w = BorrowWindow::new(d1, d2, d3);
+            if b_side {
+                ArchSpec::sparse_b(w, shuffle)
+            } else {
+                ArchSpec::sparse_a(w, shuffle)
+            }
+        }));
+        let workloads: Vec<Workload> = (0..planes)
+            .map(|p| {
+                variant(
+                    category,
+                    &[(16, 128, 32), (32, 64, 64), (16, 64, 128)],
+                    da,
+                    db,
+                    seed + p as u64,
+                )
+            })
+            .collect();
+        let cfg = SimConfig {
+            fidelity: Fidelity::Sampled { tiles: 2, seed: 7 },
+            ..SimConfig::default()
+        };
+        check_layer_entry(&archs, cfg, &workloads);
+    }
+}
+
+#[test]
+fn layer_entry_covers_dual_sparse_fallbacks() {
+    // Dual-sparse pipelines (plane-sequential) next to word-parallel
+    // single-sparse members on a dual-sparse workload — the dual stage
+    // 1 memoizes the same B grids the `Sparse.B*` batch builds.
+    let archs = [
+        ArchSpec::dense(),
+        ArchSpec::griffin(),
+        ArchSpec::sparse_b_star(),
+        ArchSpec::sparse_ab_star(),
+        ArchSpec::sparse_a_star(),
+    ];
+    let shapes = [(16, 128, 32), (32, 64, 64)];
+    let ab = [
+        variant(DnnCategory::AB, &shapes, 0.5, 0.3, 51),
+        variant(DnnCategory::AB, &shapes, 0.5, 0.3, 52),
+    ];
+    check_layer_entry(&archs, SimConfig::default(), &ab);
+}
+
+#[test]
+#[should_panic(expected = "one simulator configuration")]
+fn layer_entry_refuses_a_mixed_category_family() {
+    let acc = Accelerator::with_defaults(ArchSpec::sparse_b_star());
+    let shapes = [(16, 128, 32)];
+    let a = variant(DnnCategory::A, &shapes, 0.5, 1.0, 53);
+    let b = variant(DnnCategory::B, &shapes, 1.0, 0.2, 54);
+    Accelerator::run_family_layer(&[&acc], &[&a, &b], 0, &mut SimScratch::new());
 }
