@@ -15,6 +15,12 @@
 //! fresh campaign truncating and rewriting the stream file. A shrink is
 //! reported as [`TailPoll::truncated`] so the consumer can reset its
 //! state before folding the new stream from the top.
+//!
+//! Memory stays bounded whatever the producer writes: one poll reads at
+//! most [`MAX_POLL_BYTES`] (the rest waits for the next poll), and a
+//! line longer than [`MAX_LINE_BYTES`] is dropped through its next
+//! newline and counted in [`TailPoll::oversized`] instead of being
+//! buffered.
 
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -41,6 +47,14 @@ pub fn complete_lines(text: &str) -> impl Iterator<Item = &str> {
         .filter(|l| !l.is_empty())
 }
 
+/// Bytes one [`TailCursor::poll`] reads at most; a longer backlog is
+/// read by the following polls.
+pub const MAX_POLL_BYTES: u64 = 1 << 20;
+
+/// Longest line (terminator excluded) a [`TailCursor`] yields or
+/// buffers. Real journal and event lines are a few hundred bytes.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// What one [`TailCursor::poll`] observed.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct TailPoll {
@@ -51,6 +65,9 @@ pub struct TailPoll {
     /// cursor restarted from byte 0, and `lines` already holds the new
     /// stream's first complete lines. Consumers must reset their fold.
     pub truncated: bool,
+    /// Lines longer than [`MAX_LINE_BYTES`] dropped by this poll. Each
+    /// is counted once, by the poll that first sees it exceed the cap.
+    pub oversized: u64,
 }
 
 /// An incremental follower of an append-only line stream.
@@ -66,6 +83,8 @@ pub struct TailCursor {
     path: PathBuf,
     offset: u64,
     pending: Vec<u8>,
+    /// Inside an oversized line: discard input through its newline.
+    skipping: bool,
 }
 
 impl TailCursor {
@@ -75,6 +94,7 @@ impl TailCursor {
             path: path.into(),
             offset: 0,
             pending: Vec::new(),
+            skipping: false,
         }
     }
 
@@ -83,7 +103,8 @@ impl TailCursor {
         &self.path
     }
 
-    /// Reads everything appended since the last poll.
+    /// Reads what was appended since the last poll, up to
+    /// [`MAX_POLL_BYTES`].
     ///
     /// # Errors
     ///
@@ -101,6 +122,7 @@ impl TailCursor {
             // The stream was rewritten from scratch; start over.
             self.offset = 0;
             self.pending.clear();
+            self.skipping = false;
             out.truncated = true;
         }
         if len == self.offset {
@@ -108,22 +130,42 @@ impl TailCursor {
         }
         file.seek(SeekFrom::Start(self.offset))?;
         let read = file
-            .take(len - self.offset)
+            .take((len - self.offset).min(MAX_POLL_BYTES))
             .read_to_end(&mut self.pending)?;
         self.offset += read as u64;
-        // Drain every complete line; keep the torn tail pending.
-        let cut = match self.pending.iter().rposition(|&b| b == b'\n') {
-            Some(i) => i + 1,
-            None => return Ok(out),
-        };
-        for raw in self.pending[..cut].split_inclusive(|&b| b == b'\n') {
-            let line = String::from_utf8_lossy(raw);
-            let line = line.trim_end();
-            if !line.is_empty() {
-                out.lines.push(line.to_string());
+        if self.skipping {
+            // The rest of an oversized line, counted when it was cut.
+            match self.pending.iter().position(|&b| b == b'\n') {
+                Some(i) => {
+                    self.pending.drain(..=i);
+                    self.skipping = false;
+                }
+                None => {
+                    self.pending.clear();
+                    return Ok(out);
+                }
             }
         }
-        self.pending.drain(..cut);
+        // Drain every complete line; keep the torn tail pending.
+        if let Some(i) = self.pending.iter().rposition(|&b| b == b'\n') {
+            for raw in self.pending[..=i].split_inclusive(|&b| b == b'\n') {
+                if raw.len() > MAX_LINE_BYTES + 1 {
+                    out.oversized += 1;
+                    continue;
+                }
+                let line = String::from_utf8_lossy(raw);
+                let line = line.trim_end();
+                if !line.is_empty() {
+                    out.lines.push(line.to_string());
+                }
+            }
+            self.pending.drain(..=i);
+        }
+        if self.pending.len() > MAX_LINE_BYTES {
+            self.pending.clear();
+            self.skipping = true;
+            out.oversized += 1;
+        }
         Ok(out)
     }
 }
@@ -181,6 +223,53 @@ mod tests {
 
         // Nothing new: empty poll.
         assert_eq!(cur.poll().unwrap(), TailPoll::default());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn oversized_torn_line_is_dropped_and_memory_stays_bounded() {
+        let path = tmp("oversized");
+        let _ = std::fs::remove_file(&path);
+        let mut cur = TailCursor::new(&path);
+        let mut f = std::fs::File::create(&path).unwrap();
+
+        // A 2 MiB newline-less append, flushed in two parts, each caught
+        // up with a capped read at a time; the part after the cut must
+        // be discarded, not buffered as a new line.
+        let (mut lines, mut oversized) = (Vec::new(), 0);
+        for part in [3 << 19, 1 << 19] {
+            f.write_all(&vec![b'x'; part]).unwrap();
+            f.flush().unwrap();
+            for _ in 0..3 {
+                let p = cur.poll().unwrap();
+                lines.extend(p.lines);
+                oversized += p.oversized;
+                assert!(cur.pending.len() <= MAX_LINE_BYTES, "pending bounded");
+            }
+        }
+        assert_eq!(cur.offset, 2 << 20, "the whole append was consumed");
+
+        write!(f, "\nalpha\n").unwrap();
+        f.flush().unwrap();
+        let p = cur.poll().unwrap();
+        lines.extend(p.lines);
+        oversized += p.oversized;
+        assert_eq!(
+            lines,
+            ["alpha"],
+            "the line after the oversized one survives"
+        );
+        assert_eq!(oversized, 1, "the oversized line is counted once");
+
+        // An oversized line whose newline lands within the cap's reach
+        // completes in `pending` and is dropped all the same.
+        f.write_all(&vec![b'y'; 3 << 19]).unwrap();
+        write!(f, "\nbeta\n").unwrap();
+        f.flush().unwrap();
+        let (first, second) = (cur.poll().unwrap(), cur.poll().unwrap());
+        assert_eq!((first.oversized, second.oversized), (0, 1));
+        assert!(first.lines.is_empty());
+        assert_eq!(second.lines, ["beta"]);
         std::fs::remove_file(&path).unwrap();
     }
 

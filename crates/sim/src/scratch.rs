@@ -6,8 +6,8 @@
 //! every buffer the tile simulators need — the reusable CSR grids, the
 //! scheduler's [`SchedScratch`] (heads, row counts, cached tap tables,
 //! frontier state), the stage-1 assignment stream and stage-2 op list
-//! of the dual pipeline, and the SparTen wave accumulators — so the
-//! steady state allocates **nothing**:
+//! of the dual pipeline, and the SparTen operand words and wave
+//! accumulators — so the steady state allocates **nothing**:
 //!
 //! * per *tile* (the hot loop): zero allocations once every buffer has
 //!   grown to the campaign's largest grid;
@@ -138,6 +138,10 @@ pub struct SimScratch {
     pub(crate) wave_sum: Vec<u64>,
     /// SparTen per-chunk pair maxima of the current dispatch wave.
     pub(crate) wave_max: Vec<u64>,
+    /// SparTen `A[m, :]` of the current row as bit words.
+    pub(crate) sparten_arow: Vec<u64>,
+    /// SparTen `B` transposed: one row of bit words per column.
+    pub(crate) sparten_bcols: Vec<u64>,
 }
 
 impl SimScratch {

@@ -16,8 +16,15 @@
 //! intersection cardinality of `A[m, :]` and `B[:, n]` (at least one
 //! cycle per occupied chunk, modelling the chunk pipeline), and outputs
 //! are list-scheduled onto the MAC pool.
-
-use griffin_tensor::mask::SparsityMask;
+//!
+//! The pair counts are word-parallel. Once per layer, a sparse B is
+//! transposed into one row of `⌈k / 64⌉` bit words per column, in
+//! O(nnz B); once per sampled row, `A[m, :]` is loaded as words. A
+//! chunk's count is then `Σ popcount(a & b)` over its words, with the
+//! first and last word masked to the chunk's bit range. A dense operand
+//! is all-ones words, so the one-sided variants take the same path.
+//! Counts are integers, so the result is exactly the per-element count
+//! (pinned by a differential test against it).
 
 use crate::config::{Fidelity, SimConfig};
 use crate::layer::GemmLayer;
@@ -43,38 +50,31 @@ impl Default for SpartenParams {
     }
 }
 
-/// Effectual pairs of one output element per `buffer_depth`-wide chunk
-/// of the reduction dimension, written into `out` (length
-/// `⌈k / chunk⌉`). Returns the total.
-#[allow(clippy::too_many_arguments)]
-fn output_chunk_pairs(
-    a: &SparsityMask,
-    b: &SparsityMask,
-    m: usize,
-    n: usize,
-    k: usize,
-    chunk: usize,
-    a_sparse: bool,
-    b_sparse: bool,
-    out: &mut [u64],
-) -> u64 {
+/// Effectual pairs of one output element per `chunk`-wide slice of
+/// the reduction dimension, written into `out` (length `⌈k / chunk⌉`).
+/// Returns the total.
+///
+/// `arow` holds `A[m, :]` and `bcol` holds `B[:, n]` as bit words (bit
+/// `kk % 64` of word `kk / 64`); a dense operand is passed as all-ones
+/// words. Each chunk is the popcount of the AND of its words, with the
+/// first and last word masked to the chunk's bit range because neither
+/// `chunk` nor `k` need be a multiple of 64.
+fn word_chunk_pairs(arow: &[u64], bcol: &[u64], k: usize, chunk: usize, out: &mut [u64]) -> u64 {
     let mut total = 0u64;
     for (c, slot) in out.iter_mut().enumerate() {
-        let base = c * chunk;
-        let end = (base + chunk).min(k);
+        let lo = c * chunk;
+        let hi = (lo + chunk).min(k);
+        let (first, last) = (lo / 64, (hi - 1) / 64);
         let mut pairs = 0u64;
-        for kk in base..end {
-            let a_nz = a.get(m, kk);
-            let b_nz = b.get(kk, n);
-            let effectual = match (a_sparse, b_sparse) {
-                (true, true) => a_nz && b_nz,
-                (true, false) => a_nz,
-                (false, true) => b_nz,
-                (false, false) => true,
-            };
-            if effectual {
-                pairs += 1;
+        for w in first..=last {
+            let mut x = arow[w] & bcol[w];
+            if w == first {
+                x &= !0u64 << (lo % 64);
             }
+            if w == last && !hi.is_multiple_of(64) {
+                x &= (1u64 << (hi % 64)) - 1;
+            }
+            pairs += u64::from(x.count_ones());
         }
         *slot = pairs;
         total += pairs;
@@ -103,8 +103,8 @@ pub fn simulate_sparten(
     )
 }
 
-/// [`simulate_sparten`] with caller-provided scratch for the per-chunk
-/// and per-wave accumulators.
+/// [`simulate_sparten`] with caller-provided scratch for the operand
+/// words and the per-chunk and per-wave accumulators.
 pub fn simulate_sparten_with(
     layer: &GemmLayer,
     a_sparse: bool,
@@ -112,6 +112,110 @@ pub fn simulate_sparten_with(
     params: SpartenParams,
     cfg: &SimConfig,
     scratch: &mut SimScratch,
+) -> ScheduleAccum {
+    let mut counter = WordPairs::new(
+        layer,
+        a_sparse,
+        b_sparse,
+        params.buffer_depth,
+        &mut scratch.sparten_arow,
+        &mut scratch.sparten_bcols,
+    );
+    dispatch_waves(
+        layer,
+        params,
+        cfg,
+        &mut scratch.chunk_pairs,
+        &mut scratch.wave_sum,
+        &mut scratch.wave_max,
+        |mi, ni, out| counter.count(mi, ni, out),
+    )
+}
+
+/// One layer's operands as bit words, for [`word_chunk_pairs`].
+struct WordPairs<'a> {
+    layer: &'a GemmLayer,
+    a_sparse: bool,
+    chunk: usize,
+    /// Words per operand vector, `⌈k / 64⌉`.
+    words: usize,
+    /// `A[m, :]` of the row loaded last (all ones when A is dense).
+    arow: &'a mut [u64],
+    loaded_row: Option<usize>,
+    /// `B[:, n]` at offset `n * b_stride`.
+    bcols: &'a [u64],
+    /// `words` when B is sparse; 0 when every output shares one
+    /// all-ones column.
+    b_stride: usize,
+}
+
+impl<'a> WordPairs<'a> {
+    /// Transposes B's columns into rows of words — once per layer, in
+    /// O(nnz B) — when B is sparse.
+    fn new(
+        layer: &'a GemmLayer,
+        a_sparse: bool,
+        b_sparse: bool,
+        chunk: usize,
+        arow: &'a mut Vec<u64>,
+        bcols: &'a mut Vec<u64>,
+    ) -> Self {
+        let (k, n) = (layer.shape.k, layer.shape.n);
+        let words = k.div_ceil(64);
+        bcols.clear();
+        let b_stride = if b_sparse {
+            bcols.resize(n * words, 0);
+            for kk in 0..k {
+                let (w, bit) = (kk / 64, 1u64 << (kk % 64));
+                layer
+                    .b
+                    .for_each_set_in_row(kk, 0, n, |ni| bcols[ni * words + w] |= bit);
+            }
+            words
+        } else {
+            bcols.resize(words, !0);
+            0
+        };
+        arow.clear();
+        arow.resize(words, !0);
+        WordPairs {
+            layer,
+            a_sparse,
+            chunk,
+            words,
+            arow,
+            loaded_row: None,
+            bcols,
+            b_stride,
+        }
+    }
+
+    /// Per-chunk effectual pairs of output `(mi, ni)` into `out`;
+    /// returns the total. Loads `A[mi, :]` when `mi` changes.
+    fn count(&mut self, mi: usize, ni: usize, out: &mut [u64]) -> u64 {
+        if self.a_sparse && self.loaded_row != Some(mi) {
+            for (w, word) in self.arow.iter_mut().enumerate() {
+                *word = self.layer.a.span_bits(mi, w * 64, 64);
+            }
+            self.loaded_row = Some(mi);
+        }
+        let bcol = &self.bcols[ni * self.b_stride..][..self.words];
+        word_chunk_pairs(self.arow, bcol, self.layer.shape.k, self.chunk, out)
+    }
+}
+
+/// The cycle model shared by every pair count: samples output rows,
+/// dispatches outputs to the MAC pool in waves and prices each wave's
+/// chunks. `count(m, n, out)` writes output `(m, n)`'s per-chunk pair
+/// counts into `out` and returns their total; it is called row by row.
+fn dispatch_waves(
+    layer: &GemmLayer,
+    params: SpartenParams,
+    cfg: &SimConfig,
+    pairs: &mut Vec<u64>,
+    wave_sum: &mut Vec<u64>,
+    wave_max: &mut Vec<u64>,
+    mut count: impl FnMut(usize, usize, &mut [u64]) -> u64,
 ) -> ScheduleAccum {
     let (m, k, n) = (layer.shape.m, layer.shape.k, layer.shape.n);
 
@@ -139,15 +243,12 @@ pub fn simulate_sparten_with(
     // paper measures 3.9x for SparTen.B at ~81-89% weight sparsity).
     const BARRIER_RELAXATION: f64 = 0.5;
     let chunks_n = k.div_ceil(params.buffer_depth);
-    scratch.chunk_pairs.clear();
-    scratch.chunk_pairs.resize(chunks_n, 0);
-    scratch.wave_sum.clear();
-    scratch.wave_sum.resize(chunks_n, 0);
-    scratch.wave_max.clear();
-    scratch.wave_max.resize(chunks_n, 0);
-    let pairs = &mut scratch.chunk_pairs;
-    let wave_sum = &mut scratch.wave_sum;
-    let wave_max = &mut scratch.wave_max;
+    pairs.clear();
+    pairs.resize(chunks_n, 0);
+    wave_sum.clear();
+    wave_sum.resize(chunks_n, 0);
+    wave_max.clear();
+    wave_max.resize(chunks_n, 0);
     let mut wave_count = 0usize;
     let mut ops = 0f64;
     let mut cycles = 0f64;
@@ -177,17 +278,7 @@ pub fn simulate_sparten_with(
 
     for &mi in &rows {
         for ni in 0..n {
-            let total = output_chunk_pairs(
-                &layer.a,
-                &layer.b,
-                mi,
-                ni,
-                k,
-                params.buffer_depth,
-                a_sparse,
-                b_sparse,
-                pairs,
-            );
+            let total = count(mi, ni, pairs);
             ops += total as f64;
             for c in 0..chunks_n {
                 wave_sum[c] += pairs[c];
@@ -225,7 +316,73 @@ pub fn simulate_sparten_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use griffin_tensor::mask::SparsityMask;
     use griffin_tensor::shape::{CoreDims, GemmShape};
+    use proptest::prelude::*;
+
+    /// Per-element reference for [`word_chunk_pairs`]: effectual pairs
+    /// of one output element per `chunk`-wide slice of the reduction
+    /// dimension, written into `out` (length `⌈k / chunk⌉`), one mask
+    /// bit at a time. Returns the total.
+    #[allow(clippy::too_many_arguments)]
+    fn output_chunk_pairs(
+        a: &SparsityMask,
+        b: &SparsityMask,
+        m: usize,
+        n: usize,
+        k: usize,
+        chunk: usize,
+        a_sparse: bool,
+        b_sparse: bool,
+        out: &mut [u64],
+    ) -> u64 {
+        let mut total = 0u64;
+        for (c, slot) in out.iter_mut().enumerate() {
+            let base = c * chunk;
+            let end = (base + chunk).min(k);
+            let mut pairs = 0u64;
+            for kk in base..end {
+                let a_nz = a.get(m, kk);
+                let b_nz = b.get(kk, n);
+                let effectual = match (a_sparse, b_sparse) {
+                    (true, true) => a_nz && b_nz,
+                    (true, false) => a_nz,
+                    (false, true) => b_nz,
+                    (false, false) => true,
+                };
+                if effectual {
+                    pairs += 1;
+                }
+            }
+            *slot = pairs;
+            total += pairs;
+        }
+        total
+    }
+
+    /// [`simulate_sparten`]'s cycle model over the per-element
+    /// reference count.
+    fn simulate_reference(
+        l: &GemmLayer,
+        a_sparse: bool,
+        b_sparse: bool,
+        params: SpartenParams,
+        cfg: &SimConfig,
+    ) -> ScheduleAccum {
+        let (k, chunk) = (l.shape.k, params.buffer_depth);
+        let (mut pairs, mut sum, mut max) = (Vec::new(), Vec::new(), Vec::new());
+        dispatch_waves(
+            l,
+            params,
+            cfg,
+            &mut pairs,
+            &mut sum,
+            &mut max,
+            |mi, ni, out| output_chunk_pairs(&l.a, &l.b, mi, ni, k, chunk, a_sparse, b_sparse, out),
+        )
+    }
+
+    const DEPTHS: [usize; 6] = [1, 7, 64, 100, 128, 200];
 
     fn layer(m: usize, k: usize, n: usize, da: f64, db: f64, seed: u64) -> GemmLayer {
         GemmLayer::with_densities(GemmShape::new(m, k, n).unwrap(), da, db, seed).unwrap()
@@ -358,5 +515,72 @@ mod tests {
             "speedup {speedup} suspiciously close to ideal"
         );
         assert!(acc.starved > 0.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The word-parallel count equals the per-element reference for
+        /// every output, chunk and operand side.
+        #[test]
+        fn word_count_matches_per_element_reference(
+            m in 1usize..6,
+            k in 1usize..300,
+            n in 1usize..12,
+            da in 0.0f64..1.0,
+            db in 0.0f64..1.0,
+            depth in 0usize..6,
+            seed in 0u64..1000,
+        ) {
+            let l = layer(m, k, n, da, db, seed);
+            let chunk = DEPTHS[depth];
+            let chunks = k.div_ceil(chunk);
+            let (mut arow, mut bcols) = (Vec::new(), Vec::new());
+            let (mut got, mut want) = (vec![0u64; chunks], vec![0u64; chunks]);
+            for (a_sparse, b_sparse) in [(true, true), (true, false), (false, true), (false, false)] {
+                let mut counter =
+                    WordPairs::new(&l, a_sparse, b_sparse, chunk, &mut arow, &mut bcols);
+                for mi in 0..m {
+                    for ni in 0..n {
+                        let total = counter.count(mi, ni, &mut got);
+                        let expect = output_chunk_pairs(
+                            &l.a, &l.b, mi, ni, k, chunk, a_sparse, b_sparse, &mut want,
+                        );
+                        prop_assert_eq!(total, expect, "({}, {}) a{} b{}", mi, ni, a_sparse, b_sparse);
+                        prop_assert_eq!(&got, &want, "({}, {}) a{} b{}", mi, ni, a_sparse, b_sparse);
+                    }
+                }
+            }
+        }
+
+        /// The whole `ScheduleAccum` is bitwise the reference's, under
+        /// exact and sampled fidelity, with few enough MACs that several
+        /// waves flush, through one reused scratch.
+        #[test]
+        fn schedule_matches_per_element_reference(
+            m in 1usize..40,
+            k in 1usize..300,
+            n in 1usize..12,
+            da in 0.0f64..1.0,
+            db in 0.0f64..1.0,
+            depth in 0usize..6,
+            macs in 1usize..24,
+            seed in 0u64..1000,
+        ) {
+            let l = layer(m, k, n, da, db, seed);
+            let params = SpartenParams { macs, buffer_depth: DEPTHS[depth] };
+            let sampled = SimConfig {
+                fidelity: Fidelity::Sampled { tiles: 3, seed },
+                ..SimConfig::default()
+            };
+            let mut scratch = SimScratch::new();
+            for cfg in [SimConfig::exact(), sampled] {
+                for (a_sparse, b_sparse) in [(true, true), (true, false), (false, true), (false, false)] {
+                    let got = simulate_sparten_with(&l, a_sparse, b_sparse, params, &cfg, &mut scratch);
+                    let want = simulate_reference(&l, a_sparse, b_sparse, params, &cfg);
+                    prop_assert_eq!(got, want, "a{} b{} {:?}", a_sparse, b_sparse, cfg.fidelity);
+                }
+            }
+        }
     }
 }

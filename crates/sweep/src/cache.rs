@@ -8,7 +8,7 @@
 //! therefore skip every cell any earlier campaign already simulated.
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -384,11 +384,11 @@ pub struct MergeReport {
     pub merged: u64,
     /// Entries already present with identical canonical content.
     pub identical: u64,
-    /// Unreadable or unparsable source entries skipped.
+    /// Unreadable, unparsable or oversized source entries skipped.
     pub invalid: u64,
     /// Torn destination entries (unparsable — a process died between a
-    /// rename and its data hitting disk) overwritten with good source
-    /// content instead of being flagged as conflicts.
+    /// rename and its data hitting disk) and oversized ones, overwritten
+    /// with good source content instead of being flagged as conflicts.
     pub healed: u64,
     /// Fingerprints present with *different* content (sorted). The
     /// destination keeps its first-seen value; callers treat a non-empty
@@ -449,20 +449,17 @@ pub fn merge_dirs(dest: impl AsRef<Path>, sources: &[impl AsRef<Path>]) -> io::R
             };
             let canonical = metrics.to_json().write();
             let target = dest.join(format!("{fp}.json"));
-            match std::fs::read_to_string(&target) {
-                Ok(existing) if existing == canonical => report.identical += 1,
+            match read_entry_text(&target) {
+                Ok(Some(existing)) if existing == canonical => report.identical += 1,
                 Ok(existing) => {
                     // A parseable destination entry that canonicalizes
                     // to the same bytes is the same content through a
                     // different write path; one that disagrees is a
-                    // real conflict. One that does not even parse is a
-                    // torn write from a killed process — heal it with
-                    // the good source copy instead of aborting the
-                    // campaign over damage a retry already repaired.
-                    match Json::parse(&existing)
-                        .ok()
-                        .and_then(|v| CellMetrics::from_json(&v).ok())
-                    {
+                    // real conflict. One that does not even parse, or
+                    // is oversized, is a torn or corrupt write — heal
+                    // it with the good source copy instead of aborting
+                    // the campaign over damage a retry already repaired.
+                    match existing.as_deref().and_then(parse_entry) {
                         Some(m) if m.to_json().write() == canonical => report.identical += 1,
                         Some(_) => report.conflicts.push(fp.to_string()),
                         None => {
@@ -483,10 +480,32 @@ pub fn merge_dirs(dest: impl AsRef<Path>, sources: &[impl AsRef<Path>]) -> io::R
     Ok(report)
 }
 
-fn read_entry(path: &Path) -> Option<CellMetrics> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let v = Json::parse(&text).ok()?;
+/// Largest cache entry read, in bytes. A real entry is a few hundred
+/// bytes; a longer file is treated like a corrupt one and never read
+/// whole.
+const MAX_ENTRY_BYTES: u64 = 64 << 10;
+
+/// An entry file's text, or `None` when it exceeds [`MAX_ENTRY_BYTES`].
+fn read_entry_text(path: &Path) -> io::Result<Option<String>> {
+    let mut bytes = Vec::new();
+    std::fs::File::open(path)?
+        .take(MAX_ENTRY_BYTES + 1)
+        .read_to_end(&mut bytes)?;
+    if bytes.len() as u64 > MAX_ENTRY_BYTES {
+        return Ok(None);
+    }
+    String::from_utf8(bytes)
+        .map(Some)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+fn parse_entry(text: &str) -> Option<CellMetrics> {
+    let v = Json::parse(text).ok()?;
     CellMetrics::from_json(&v).ok()
+}
+
+fn read_entry(path: &Path) -> Option<CellMetrics> {
+    parse_entry(&read_entry_text(path).ok()??)
 }
 
 fn write_entry(path: &Path, metrics: &CellMetrics) -> io::Result<()> {
@@ -890,5 +909,61 @@ mod tests {
         assert_eq!(c.lookup(fp), None);
         assert_eq!(c.stats().misses, 1);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A valid entry padded past [`MAX_ENTRY_BYTES`] with whitespace:
+    /// it would parse if read whole, so only the cap rejects it.
+    fn oversized_entry(m: CellMetrics) -> String {
+        let mut text = m.to_json().write();
+        text.push_str(&" ".repeat(MAX_ENTRY_BYTES as usize));
+        text
+    }
+
+    #[test]
+    fn oversized_disk_entry_is_a_miss_and_is_overwritten() {
+        let dir = scratch_dir("oversized");
+        let fp = Fingerprint(5, 6);
+        let path = dir.join(format!("{fp}.json"));
+        let c = ResultCache::at_dir(&dir).unwrap();
+        std::fs::write(&path, oversized_entry(metrics(2.0))).unwrap();
+        assert_eq!(c.lookup(fp), None);
+        assert_eq!(c.stats().misses, 1);
+
+        // The re-simulated result replaces the oversized file.
+        c.insert(fp, metrics(2.0));
+        assert!(std::fs::metadata(&path).unwrap().len() < MAX_ENTRY_BYTES);
+        let fresh = ResultCache::at_dir(&dir).unwrap();
+        assert_eq!(fresh.lookup(fp), Some(metrics(2.0)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn merge_skips_an_oversized_source_and_heals_an_oversized_destination() {
+        let root = scratch_dir("merge-oversized");
+        let (src, big, dest) = (root.join("s0"), root.join("s1"), root.join("merged"));
+        let (good, bad) = (Fingerprint(7, 7), Fingerprint(8, 8));
+        ResultCache::at_dir(&src)
+            .unwrap()
+            .insert(good, metrics(3.0));
+        std::fs::create_dir_all(&big).unwrap();
+        std::fs::write(
+            big.join(format!("{bad}.json")),
+            oversized_entry(metrics(4.0)),
+        )
+        .unwrap();
+        std::fs::create_dir_all(&dest).unwrap();
+        let target = dest.join(format!("{good}.json"));
+        std::fs::write(&target, oversized_entry(metrics(3.0))).unwrap();
+
+        let r = merge_dirs(&dest, &[src, big]).unwrap();
+        assert_eq!((r.merged, r.healed, r.identical, r.invalid), (0, 1, 0, 1));
+        assert!(r.conflicts.is_empty());
+        assert_eq!(
+            std::fs::read_to_string(&target).unwrap(),
+            metrics(3.0).to_json().write(),
+            "destination rewritten canonically"
+        );
+        assert!(!dest.join(format!("{bad}.json")).exists());
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

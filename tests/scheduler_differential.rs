@@ -216,7 +216,10 @@ proptest! {
 
     /// End-to-end: layer simulation through reusable scratch equals the
     /// allocating convenience path (the zero-alloc plumbing changes no
-    /// numbers).
+    /// numbers). Every SparTen variant runs through the one scratch, on
+    /// a single-chunk shape and on a multi-chunk shape whose K ends in a
+    /// partial word, so neither a previous call's transposed B nor its
+    /// A row can leak into the next.
     #[test]
     fn scratch_threading_preserves_layer_results(
         seed in 0u64..200,
@@ -230,25 +233,30 @@ proptest! {
         use griffin::sim::SimScratch;
         use griffin::tensor::shape::GemmShape;
 
-        let layer = GemmLayer::with_densities(
-            GemmShape::new(24, 96, 40).unwrap(), da, db, seed,
-        ).unwrap();
         let cfg = SimConfig::exact();
         let mut scratch = SimScratch::new();
-        scratch.begin_reuse_scope(seed as u128);
-        for mode in [
-            SparsityMode::SparseB { win: BorrowWindow::new(4, 0, 1), shuffle: true },
-            SparsityMode::SparseA { win: BorrowWindow::new(2, 1, 0), shuffle: false },
-            SparsityMode::SparseAB {
-                a: BorrowWindow::new(2, 0, 0),
-                b: BorrowWindow::new(2, 0, 1),
-                shuffle: true,
-            },
-            SparsityMode::SparTen { a_sparse: true, b_sparse: true },
-        ] {
-            let fresh = simulate_layer(&layer, mode, &cfg);
-            let reused = simulate_layer_with(&layer, mode, &cfg, &mut scratch);
-            prop_assert_eq!(reused, fresh, "mode {:?}", mode);
+        for (i, k) in [96usize, 300].into_iter().enumerate() {
+            let layer = GemmLayer::with_densities(
+                GemmShape::new(24, k, 40).unwrap(), da, db, seed,
+            ).unwrap();
+            // One reuse scope per layer: the token names the masks.
+            scratch.begin_reuse_scope(((seed as u128) << 1) | i as u128);
+            for mode in [
+                SparsityMode::SparseB { win: BorrowWindow::new(4, 0, 1), shuffle: true },
+                SparsityMode::SparseA { win: BorrowWindow::new(2, 1, 0), shuffle: false },
+                SparsityMode::SparseAB {
+                    a: BorrowWindow::new(2, 0, 0),
+                    b: BorrowWindow::new(2, 0, 1),
+                    shuffle: true,
+                },
+                SparsityMode::SparTen { a_sparse: true, b_sparse: true },
+                SparsityMode::SparTen { a_sparse: true, b_sparse: false },
+                SparsityMode::SparTen { a_sparse: false, b_sparse: true },
+            ] {
+                let fresh = simulate_layer(&layer, mode, &cfg);
+                let reused = simulate_layer_with(&layer, mode, &cfg, &mut scratch);
+                prop_assert_eq!(reused, fresh, "k {} mode {:?}", k, mode);
+            }
         }
     }
 }
