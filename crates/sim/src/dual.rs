@@ -21,12 +21,43 @@
 //!
 //! The layer latency sums over output-tile pairs; stage 1 is computed
 //! once per output-tile column and reused across the sampled rows.
+//!
+//! # Dense-operand slicing
+//!
+//! Dense and single-sparse models run through this pipeline too
+//! (Griffin's conf.AB on `DNN.dense`, `Sparse.AB*` and TensorDash on
+//! `DNN.A` / `DNN.B`), and there one operand of a tile pair is often
+//! completely dense. The stage-2 grid is then `n0` (or `m0`) identical
+//! slices, and scheduling one slice gives the whole answer:
+//!
+//! * **Stage 2 never reaches across PE columns** (its window has
+//!   `cols = 0`), so the only thing the `n0` column slices share is the
+//!   horizon `H`. Identical slices consume identical rows in identical
+//!   cycles, so they move `H` identically.
+//! * **Dense B column → slice along N.** When every B element of the
+//!   tile column is nonzero and `K` fills whole time steps, stage 1
+//!   schedules a full grid, which never borrows: the compressed stream
+//!   is the identity placement of `K / K0` rows, and no B grid is built.
+//!   The filtered ops are exactly the A tile's op grid, repeated on
+//!   every PE column, so one `(t, K0, M0, 1)` grid is scheduled.
+//! * **Dense A row tile → slice along M**, only when the A window's
+//!   PE-row reach is zero (every lineup design: `Sparse.AB*`, Griffin
+//!   conf.AB, TensorDash). Every B placement survives the A filter on
+//!   every PE row, so one `(t, K0, 1, N0)` grid is scheduled. A window
+//!   with a row reach takes the general path.
+//!
+//! A slice's makespan and starved cycles are the full grid's; its
+//! executed and borrowed counts are multiplied by the slice count (as
+//! integers, before any scaling). Pairs where neither operand is dense
+//! take the general filter path. The results are bit-identical either
+//! way, which the differential tests below check against the general
+//! path on every pair.
 
 use griffin_tensor::block::{ATileView, BTileView, TileCoord, TileView};
 
 use crate::config::SimConfig;
-use crate::engine::{schedule_assign_with, schedule_with, Assignment, OpGrid};
-use crate::grid::build_b_grid;
+use crate::engine::{schedule_assign_with, schedule_with, Assignment, OpGrid, Schedule};
+use crate::grid::{build_a_grid, build_b_grid};
 use crate::layer::GemmLayer;
 use crate::sampling::sample_indices;
 use crate::scratch::{GridKey, SimScratch};
@@ -34,26 +65,40 @@ use crate::shuffle::LaneMap;
 use crate::single::ScheduleAccum;
 use crate::window::{BorrowWindow, EffectiveWindow};
 
-/// Stage-1 result for one output-tile column: the compressed B stream.
-/// Owned (not scratch-backed) because it is cached across every row
-/// tile of the column; the copy is amortized over all pairs.
-struct CompressedColumn {
-    /// Compacted stream length in compressed rows.
-    t_steps: usize,
-    /// Placements of every B nonzero.
-    assigns: Vec<Assignment>,
+/// Stage-1 result for one output-tile column. Owned (not scratch-backed)
+/// because it is cached across every row tile of the column; the copy is
+/// amortized over all pairs.
+enum CompressedColumn {
+    /// Every B element of the column is nonzero: the stream is the
+    /// identity placement of `t_steps = K / K0` rows, never materialized.
+    Dense { t_steps: usize },
+    /// The compacted stream: its length in compressed rows and the
+    /// placement of every B nonzero.
+    Compressed {
+        t_steps: usize,
+        assigns: Vec<Assignment>,
+    },
 }
 
-/// Preprocesses one B tile column with the B window (stage 1).
+/// Preprocesses one B tile column with the B window (stage 1). With
+/// `slice` set, a dense column skips the scheduler (see the module doc).
 fn preprocess_b(
     layer: &GemmLayer,
     cfg: &SimConfig,
     n_tile: usize,
     b_win: BorrowWindow,
     shuffle: bool,
+    slice: bool,
     scratch: &mut SimScratch,
 ) -> CompressedColumn {
     let core = cfg.core;
+    let k = layer.shape.k;
+    let n_base = n_tile * core.n0;
+    if slice && k.is_multiple_of(core.k0) && layer.b.all_set(0..k, n_base..n_base + core.n0) {
+        return CompressedColumn::Dense {
+            t_steps: k / core.k0,
+        };
+    }
     let lanes = LaneMap::from_flag(shuffle);
     let win = EffectiveWindow::for_b(b_win);
     let sched = if scratch.scope.is_some() {
@@ -69,7 +114,7 @@ fn preprocess_b(
         };
         if !scratch.grids.contains_key(&key) {
             let mut g = OpGrid::default();
-            let view = BTileView::new(&layer.b, core, n_tile * core.n0);
+            let view = BTileView::new(&layer.b, core, n_base);
             build_b_grid(&mut g, &mut scratch.span, &view, lanes);
             scratch.grids.insert(key, g);
         }
@@ -81,7 +126,7 @@ fn preprocess_b(
             &mut scratch.assigns,
         )
     } else {
-        let view = BTileView::new(&layer.b, core, n_tile * core.n0);
+        let view = BTileView::new(&layer.b, core, n_base);
         build_b_grid(&mut scratch.grid, &mut scratch.span, &view, lanes);
         schedule_assign_with(
             &scratch.grid,
@@ -91,9 +136,20 @@ fn preprocess_b(
             &mut scratch.assigns,
         )
     };
-    CompressedColumn {
+    CompressedColumn::Compressed {
         t_steps: sched.cycles as usize,
         assigns: scratch.assigns.clone(),
+    }
+}
+
+/// One slice's schedule stood in for `slices` identical slices: they
+/// share the horizon, so makespan and starved cycles carry over and the
+/// op counts multiply.
+fn widen(s: Schedule, slices: usize) -> Schedule {
+    Schedule {
+        executed: s.executed * slices as u64,
+        borrowed: s.borrowed * slices as u64,
+        ..s
     }
 }
 
@@ -119,6 +175,21 @@ pub fn simulate_sparse_ab_with(
     cfg: &SimConfig,
     scratch: &mut SimScratch,
 ) -> ScheduleAccum {
+    simulate_pairs(layer, a_win, b_win, shuffle, cfg, scratch, true)
+}
+
+/// The tile-pair loop behind [`simulate_sparse_ab_with`]. `slice`
+/// enables the dense-operand slices; only the differential tests clear
+/// it, to run every pair through the general filter path.
+fn simulate_pairs(
+    layer: &GemmLayer,
+    a_win: BorrowWindow,
+    b_win: BorrowWindow,
+    shuffle: bool,
+    cfg: &SimConfig,
+    scratch: &mut SimScratch,
+    slice: bool,
+) -> ScheduleAccum {
     let core = cfg.core;
     let tiles = layer.shape.tiles(core);
     let lanes = LaneMap::from_flag(shuffle);
@@ -142,43 +213,72 @@ pub fn simulate_sparse_ab_with(
     for &pair in &picked {
         let m_tile = pair / tiles.nt;
         let n_tile = pair % tiles.nt;
-        if compressed[n_tile].is_none() {
-            compressed[n_tile] = Some(preprocess_b(layer, cfg, n_tile, b_win, shuffle, scratch));
-        }
-        let col = compressed[n_tile].as_ref().expect("column preprocessed");
-        if col.t_steps == 0 {
-            continue; // all-zero B column: nothing to execute
-        }
-
-        let a_view = ATileView::new(&layer.a, core, m_tile * core.m0);
-        // Stage 2 ops: for every compressed B placement, the pair is
-        // effectual on PE row m iff the A element at the *original*
-        // coordinates is nonzero (steps 2-3: mask filtering).
-        scratch.filtered.clear();
-        for a in &col.assigns {
-            let t = a.t as usize;
-            let src_lane = lanes.source_lane(a.src.0, t);
-            for m in 0..core.m0 {
-                if a_view.is_nonzero(TileCoord {
-                    t,
-                    lane: src_lane,
-                    s: m,
-                }) {
-                    scratch
-                        .filtered
-                        .push((a.cycle as usize, a.slot.0, m, a.slot.2));
-                }
+        let m_base = m_tile * core.m0;
+        let col = compressed[n_tile].get_or_insert_with(|| {
+            preprocess_b(layer, cfg, n_tile, b_win, shuffle, slice, scratch)
+        });
+        let a_view = ATileView::new(&layer.a, core, m_base);
+        let s = match col {
+            CompressedColumn::Dense { t_steps } => {
+                // N slice: the filtered ops on each PE column are the A
+                // tile's op grid.
+                build_a_grid(&mut scratch.grid2, &mut scratch.span, &a_view, lanes);
+                debug_assert_eq!(scratch.grid2.t_steps(), *t_steps);
+                let s = schedule_with(&scratch.grid2, stage2_win, cfg.priority, &mut scratch.sched);
+                widen(s, core.n0)
             }
-        }
-
-        scratch
-            .grid2
-            .rebuild_from_ops(col.t_steps, core.k0, core.m0, core.n0, &scratch.filtered);
-        let s = schedule_with(&scratch.grid2, stage2_win, cfg.priority, &mut scratch.sched);
-        acc.cycles += s.cycles as f64 * scale;
-        acc.ops += s.executed as f64 * scale;
-        acc.borrowed += s.borrowed as f64 * scale;
-        acc.starved += s.starved_cycles as f64 * scale;
+            // All-zero B column: nothing to execute.
+            CompressedColumn::Compressed { t_steps: 0, .. } => continue,
+            CompressedColumn::Compressed { t_steps, assigns }
+                if slice
+                    && stage2_win.rows == 0
+                    && layer.a.all_set(m_base..m_base + core.m0, 0..layer.shape.k) =>
+            {
+                // M slice: every placement survives on every PE row.
+                scratch.filtered.clear();
+                scratch.filtered.extend(
+                    assigns
+                        .iter()
+                        .map(|a| (a.cycle as usize, a.slot.0, 0, a.slot.2)),
+                );
+                scratch
+                    .grid2
+                    .rebuild_from_ops(*t_steps, core.k0, 1, core.n0, &scratch.filtered);
+                let s = schedule_with(&scratch.grid2, stage2_win, cfg.priority, &mut scratch.sched);
+                widen(s, core.m0)
+            }
+            CompressedColumn::Compressed { t_steps, assigns } => {
+                // Stage 2 ops: for every compressed B placement, the pair
+                // is effectual on PE row m iff the A element at the
+                // *original* coordinates is nonzero (steps 2-3: mask
+                // filtering).
+                scratch.filtered.clear();
+                for a in assigns.iter() {
+                    let t = a.t as usize;
+                    let src_lane = lanes.source_lane(a.src.0, t);
+                    for m in 0..core.m0 {
+                        if a_view.is_nonzero(TileCoord {
+                            t,
+                            lane: src_lane,
+                            s: m,
+                        }) {
+                            scratch
+                                .filtered
+                                .push((a.cycle as usize, a.slot.0, m, a.slot.2));
+                        }
+                    }
+                }
+                scratch.grid2.rebuild_from_ops(
+                    *t_steps,
+                    core.k0,
+                    core.m0,
+                    core.n0,
+                    &scratch.filtered,
+                );
+                schedule_with(&scratch.grid2, stage2_win, cfg.priority, &mut scratch.sched)
+            }
+        };
+        acc.add(s, scale);
     }
     acc
 }
@@ -186,7 +286,11 @@ pub fn simulate_sparse_ab_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{Fidelity, Priority};
+    use griffin_tensor::gen::TensorGen;
+    use griffin_tensor::mask::SparsityMask;
     use griffin_tensor::shape::{CoreDims, GemmShape};
+    use proptest::prelude::*;
 
     fn cfg() -> SimConfig {
         SimConfig::exact()
@@ -199,6 +303,83 @@ mod tests {
     /// The paper's optimal dual-sparse routing, Sparse.AB*(2,0,0,2,0,1).
     fn star() -> (BorrowWindow, BorrowWindow) {
         (BorrowWindow::new(2, 0, 0), BorrowWindow::new(2, 0, 1))
+    }
+
+    /// One operand mask: `kind` 0 is Bernoulli, 1 all ones, 2 Bernoulli
+    /// with every other band of `tile.1` rows (`tile.0`) or columns
+    /// forced full, so dense and sparse tiles share a layer.
+    fn operand(
+        rows: usize,
+        cols: usize,
+        kind: usize,
+        density: f64,
+        seed: u64,
+        tile: (bool, usize),
+    ) -> SparsityMask {
+        let base = TensorGen::seeded(seed).bernoulli_mask(rows, cols, density);
+        SparsityMask::from_fn(rows, cols, |r, c| {
+            let line = if tile.0 { r } else { c };
+            match kind {
+                0 => base.get(r, c),
+                1 => true,
+                _ => base.get(r, c) || (line / tile.1 + seed as usize).is_multiple_of(2),
+            }
+        })
+    }
+
+    /// `(A, B)` windows: the paper's Sparse.AB*, TensorDash, and two with
+    /// a PE-row reach, which keeps dense A rows on the general path.
+    const WINDOWS: [(BorrowWindow, BorrowWindow); 4] = [
+        (BorrowWindow::new(2, 0, 0), BorrowWindow::new(2, 0, 1)),
+        (BorrowWindow::new(1, 2, 0), BorrowWindow::new(1, 2, 0)),
+        (BorrowWindow::new(2, 0, 1), BorrowWindow::new(2, 0, 1)),
+        (BorrowWindow::new(1, 1, 2), BorrowWindow::new(3, 1, 1)),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The dense-operand slices are bit-identical to the general
+        /// filter path on every pair: dense A, dense B, both and neither,
+        /// ragged K (the dense-B check must refuse), partial M and N edge
+        /// tiles, shuffle on and off, every window above, both
+        /// priorities, Exact and Sampled fidelity. One scratch serves
+        /// both paths, with and without a reuse scope.
+        #[test]
+        fn slices_match_the_general_path(
+            dims in (1usize..14, 1usize..6, 0usize..2, 1usize..40),
+            kinds in (0usize..3, 0usize..3),
+            dens in (0.1f64..0.9, 0.1f64..0.9),
+            seed in 0u64..10_000,
+            win in 0usize..WINDOWS.len(),
+            flags in (proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY),
+            sampled in 0usize..4,
+        ) {
+            let core = CoreDims::PAPER;
+            let (m, t, ragged, n) = dims;
+            // Ragged K adds 1-15 columns past a whole number of steps.
+            let k = t * core.k0 + ragged * (1 + seed as usize % (core.k0 - 1));
+            let a = operand(m, k, kinds.0, dens.0, seed, (true, core.m0));
+            let b = operand(k, n, kinds.1, dens.1, seed ^ 0x5eed, (false, core.n0));
+            let layer = GemmLayer::new(GemmShape::new(m, k, n).unwrap(), a, b).unwrap();
+            let (shuffle, earliest, scoped) = flags;
+            let cfg = SimConfig {
+                priority: if earliest { Priority::EarliestFirst } else { Priority::OwnFirst },
+                fidelity: match sampled {
+                    0 => Fidelity::Sampled { tiles: 1 + seed as usize % 5, seed },
+                    _ => Fidelity::Exact,
+                },
+                ..SimConfig::exact()
+            };
+            let (aw, bw) = WINDOWS[win];
+            let mut scratch = SimScratch::new();
+            if scoped {
+                scratch.begin_reuse_scope(u128::from(seed));
+            }
+            let sliced = simulate_sparse_ab_with(&layer, aw, bw, shuffle, &cfg, &mut scratch);
+            let general = simulate_pairs(&layer, aw, bw, shuffle, &cfg, &mut scratch, false);
+            prop_assert_eq!(sliced, general);
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub struct ScheduleAccum {
 }
 
 impl ScheduleAccum {
-    fn add(&mut self, s: Schedule, weight: f64) {
+    pub(crate) fn add(&mut self, s: Schedule, weight: f64) {
         self.cycles += s.cycles as f64 * weight;
         self.ops += s.executed as f64 * weight;
         self.borrowed += s.borrowed as f64 * weight;

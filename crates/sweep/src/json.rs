@@ -306,13 +306,20 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| JsonError {
+                // Copy the whole run up to the next quote or backslash.
+                // Both are ASCII, so the run ends on a character
+                // boundary; validating one run at a time keeps a long
+                // string linear (re-validating the rest of the input
+                // per character made a 1 MiB wire line take ~25 s).
+                let end = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |i| *pos + i);
+                let run = std::str::from_utf8(&b[*pos..end]).map_err(|_| JsonError {
                     msg: "invalid utf-8".into(),
                 })?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -452,6 +459,23 @@ mod tests {
         // Ordinary malformed input keeps its own message.
         let e = Json::parse("[1,]").unwrap_err();
         assert!(!e.msg.starts_with(&too_deep), "{e}");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A wire line is capped at 1 MiB; one string that long must
+        // parse in milliseconds, not in time quadratic in its length.
+        let body = "aé\\\"\\u00e9€".repeat(80_000);
+        let line = format!("{{\"msg\":\"{body}\"}}");
+        assert!(line.len() > 1 << 20);
+        let t = std::time::Instant::now();
+        let v = Json::parse(&line).unwrap();
+        let took = t.elapsed();
+        assert_eq!(
+            v.req("msg").unwrap().as_str().unwrap(),
+            "aé\"é€".repeat(80_000)
+        );
+        assert!(took.as_secs_f64() < 5.0, "1 MiB string took {took:?}");
     }
 
     #[test]

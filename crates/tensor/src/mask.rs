@@ -5,6 +5,8 @@
 //! packed bit-set over a `rows × cols` grid with `true` marking a nonzero
 //! element.
 
+use std::ops::Range;
+
 use crate::error::TensorError;
 
 /// A packed 2-D bit-set, `true` = nonzero element.
@@ -237,6 +239,27 @@ impl SparsityMask {
         v
     }
 
+    /// Whether every element of the block `rows × cols` is nonzero,
+    /// tested a word (up to 64 columns) at a time through
+    /// [`span_bits`](SparsityMask::span_bits). A range that runs past the
+    /// mask reads as `false`, even when empty: a block that reaches into
+    /// the zero padding is not full. An empty block inside the mask is
+    /// vacuously full.
+    pub fn all_set(&self, rows: Range<usize>, cols: Range<usize>) -> bool {
+        if rows.end > self.rows || cols.end > self.cols {
+            return false;
+        }
+        for r in rows {
+            for c in cols.clone().step_by(64) {
+                let width = (cols.end - c).min(64);
+                if self.span_bits(r, c, width) != u64::MAX >> (64 - width) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
     /// Per-row nonzero counts (useful for load-imbalance diagnostics).
     pub fn row_nnz(&self) -> Vec<usize> {
         (0..self.rows)
@@ -252,6 +275,7 @@ impl SparsityMask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn zeros_and_ones() {
@@ -357,6 +381,55 @@ mod tests {
         assert_eq!(calls, 0);
         m.for_each_set_in_row(0, 6, 100, |_| calls += 1); // end clipped
         assert_eq!(calls, 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `all_set` agrees with a per-element `get` scan, including
+        /// ranges that start or end past the mask and empty ranges.
+        #[test]
+        fn all_set_matches_per_element_reads(
+            rows in 1usize..6,
+            cols in 1usize..140,
+            holes in 0usize..3,
+            seed in 0usize..1000,
+            r in (0usize..8, 0usize..8),
+            c in (0usize..150, 0usize..150),
+        ) {
+            // Mostly-full masks with 0-2 holes, so full blocks are common.
+            let hole = |i: usize| (seed * 7919 + i * 104_729) % (rows * cols);
+            let m = SparsityMask::from_fn(rows, cols, |rr, cc| {
+                !(0..holes).any(|i| hole(i) == rr * cols + cc)
+            });
+            let (r0, r1) = (r.0.min(r.1), r.0.max(r.1));
+            let (c0, c1) = (c.0.min(c.1), c.0.max(c.1));
+            let want = r1 <= rows
+                && c1 <= cols
+                && (r0..r1).all(|rr| (c0..c1).all(|cc| m.get(rr, cc)));
+            prop_assert_eq!(m.all_set(r0..r1, c0..c1), want, "{}..{} x {}..{}", r0, r1, c0, c1);
+        }
+    }
+
+    #[test]
+    fn all_set_sees_a_hole_at_every_bit_and_refuses_the_padding() {
+        // 130 columns: two full words and a partial third per row.
+        let full = SparsityMask::ones(3, 130);
+        for hole in 0..130 {
+            let mut m = full.clone();
+            m.set(1, hole, false);
+            for c0 in [0, 1, 63, 64, 65, 127] {
+                for c1 in c0..=130 {
+                    let want = !(c0..c1).contains(&hole);
+                    assert_eq!(m.all_set(0..3, c0..c1), want, "hole {hole} cols {c0}..{c1}");
+                    assert!(m.all_set(2..3, c0..c1));
+                }
+            }
+        }
+        assert!(full.all_set(1..1, 5..5));
+        assert!(!full.all_set(0..4, 0..130));
+        assert!(!full.all_set(0..3, 64..131));
+        assert!(!full.all_set(3..4, 0..0));
     }
 
     #[test]

@@ -219,7 +219,10 @@ proptest! {
     /// numbers). Every SparTen variant runs through the one scratch, on
     /// a single-chunk shape and on a multi-chunk shape whose K ends in a
     /// partial word, so neither a previous call's transposed B nor its
-    /// A row can leak into the next.
+    /// A row can leak into the next. A dense-B layer then runs the dual
+    /// pipeline first in its scope: its dense columns skip stage 1 and
+    /// leave the shared B-grid memo empty, so the `Sparse.B` run after
+    /// it on the same scratch must build those grids itself.
     #[test]
     fn scratch_threading_preserves_layer_results(
         seed in 0u64..200,
@@ -257,6 +260,23 @@ proptest! {
                 let reused = simulate_layer_with(&layer, mode, &cfg, &mut scratch);
                 prop_assert_eq!(reused, fresh, "k {} mode {:?}", k, mode);
             }
+        }
+        // N = 40: two dense B tile columns and a partial edge column.
+        let dense_b = GemmLayer::with_densities(
+            GemmShape::new(24, 96, 40).unwrap(), da, 1.0, seed,
+        ).unwrap();
+        scratch.begin_reuse_scope((1u128 << 64) | seed as u128);
+        for mode in [
+            SparsityMode::SparseAB {
+                a: BorrowWindow::new(2, 0, 0),
+                b: BorrowWindow::new(2, 0, 1),
+                shuffle: true,
+            },
+            SparsityMode::SparseB { win: BorrowWindow::new(4, 0, 1), shuffle: true },
+        ] {
+            let fresh = simulate_layer(&dense_b, mode, &cfg);
+            let reused = simulate_layer_with(&dense_b, mode, &cfg, &mut scratch);
+            prop_assert_eq!(reused, fresh, "dense B mode {:?}", mode);
         }
     }
 }
