@@ -70,17 +70,24 @@ impl TensorGen {
         if p >= 1.0 {
             return SparsityMask::ones(rows, cols);
         }
+        self.draw_mask(rows, cols, std::iter::repeat_n(p, rows * cols))
+    }
+
+    /// One `gen_bool(pp)` per element, in row-major order, for the
+    /// `rows · cols` probabilities `pps` yields. Row-major element order
+    /// is plain linear bit order, so each 64-bit word is assembled in a
+    /// register and stored once.
+    fn draw_mask(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        mut pps: impl Iterator<Item = f64>,
+    ) -> SparsityMask {
         let mut m = SparsityMask::zeros(rows, cols);
-        // Row-major element order is plain linear bit order; accumulate
-        // whole words locally instead of read-modify-writing per bit.
-        // Draw order is identical to the per-element loop.
-        let total = rows * cols;
-        let words = m.bits_mut();
-        for (wi, word) in words.iter_mut().enumerate() {
-            let bits_here = 64.min(total - wi * 64);
+        for word in m.bits_mut() {
             let mut w = 0u64;
-            for b in 0..bits_here {
-                if self.rng.gen_bool(p) {
+            for (b, pp) in pps.by_ref().take(64).enumerate() {
+                if self.rng.gen_bool(pp) {
                     w |= 1u64 << b;
                 }
             }
@@ -145,95 +152,6 @@ impl TensorGen {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// A mask whose density varies per row and per column around the
-    /// target mean: `p(r, c) = clamp(density · f_r · g_c)` with
-    /// log-normal row/column factors of the given spreads.
-    ///
-    /// This models what real pruned weight and post-ReLU activation
-    /// tensors look like: some input channels (`k` indices) are far
-    /// denser than others, which is precisely the load imbalance the
-    /// paper's shuffler and `d2`/`d3` routing exist to fix (§III "Load
-    /// Balancing"). I.i.d. masks have statistically identical lanes and
-    /// would make those mechanisms look useless.
-    pub fn channel_varied_mask(
-        &mut self,
-        rows: usize,
-        cols: usize,
-        density: f64,
-        row_spread: f64,
-        col_spread: f64,
-    ) -> SparsityMask {
-        let p = Self::clamp_density(density);
-        let row_f: Vec<f64> = (0..rows)
-            .map(|_| (self.standard_normal() * row_spread - row_spread * row_spread / 2.0).exp())
-            .collect();
-        let col_f: Vec<f64> = (0..cols)
-            .map(|_| (self.standard_normal() * col_spread - col_spread * col_spread / 2.0).exp())
-            .collect();
-        let mut m = SparsityMask::zeros(rows, cols);
-        for (r, rf) in row_f.iter().enumerate() {
-            for (c, cf) in col_f.iter().enumerate() {
-                let pp = (p * rf * cf).clamp(0.0, 1.0);
-                if self.rng.gen_bool(pp) {
-                    m.set(r, c, true);
-                }
-            }
-        }
-        m
-    }
-
-    /// A mask with *block-correlated* density variation along the
-    /// reduction (`k`) axis: `k` positions are grouped into contiguous
-    /// blocks of `k_block` (one block per filter patch, `R·S` entries for
-    /// an `R×S` convolution, or per channel group), and every block draws
-    /// one log-normal density factor with standard deviation `k_spread`;
-    /// the other axis draws milder per-index factors (`other_spread`).
-    ///
-    /// This is the structure real magnitude-pruned conv weights and
-    /// im2col'd post-ReLU activations exhibit — whole channels are pruned
-    /// or dead while others stay dense. Because `R·S` (9) is coprime to
-    /// the lane count `K0` (16), dense blocks precess across lanes and
-    /// create the *quasi-persistent lane imbalance* that the paper's
-    /// shuffler and `d2` routing mitigate (§III "Load Balancing").
-    ///
-    /// `k_axis_is_rows` is `true` for weight matrices (`K × N`) and
-    /// `false` for activation matrices (`M × K`).
-    pub fn block_varied_mask(
-        &mut self,
-        rows: usize,
-        cols: usize,
-        density: f64,
-        k_block: usize,
-        k_spread: f64,
-        k_axis_is_rows: bool,
-    ) -> SparsityMask {
-        let p = Self::clamp_density(density);
-        let k_len = if k_axis_is_rows { rows } else { cols };
-        let other_len = if k_axis_is_rows { cols } else { rows };
-        let block = k_block.max(1);
-        let other_spread = k_spread * 0.3;
-
-        let lognormal = |g: &mut Self, s: f64| (g.standard_normal() * s - s * s / 2.0).exp();
-        let block_f: Vec<f64> = (0..k_len.div_ceil(block))
-            .map(|_| lognormal(self, k_spread))
-            .collect();
-        let other_f: Vec<f64> = (0..other_len)
-            .map(|_| lognormal(self, other_spread))
-            .collect();
-
-        let mut m = SparsityMask::zeros(rows, cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                let (k_idx, o_idx) = if k_axis_is_rows { (r, c) } else { (c, r) };
-                let pp = (p * block_f[k_idx / block] * other_f[o_idx]).clamp(0.0, 1.0);
-                if self.rng.gen_bool(pp) {
-                    m.set(r, c, true);
-                }
-            }
-        }
-        m
-    }
-
     /// A mask with *channel-minor* per-channel density variation: the
     /// reduction axis enumerates `k = spatial · Cin + cin` (NHWC /
     /// channels-last im2col, the layout of mobile NPUs including the
@@ -248,6 +166,15 @@ impl TensorGen {
     ///
     /// `k_axis_is_rows` is `true` for weight matrices (`K × N`) and
     /// `false` for activation matrices (`M × K`).
+    ///
+    /// Element `(k, o)` is nonzero with probability
+    /// `pp = clamp(p · gain · chan_f[k mod Cin] · other_f[o], 0, 1)`,
+    /// where `gain` comes from a 4-pass calibration of the mean density
+    /// over the factor grid. The calibration is part of the model: its
+    /// f64 sums set `gain`, so reordering or subsampling them changes
+    /// every mask. The draw contract is exact too: after the factors,
+    /// the mask takes one `gen_bool(pp)` per element with `pp < 1`, in
+    /// row-major order, and none for an element with `pp ≥ 1`.
     pub fn channel_minor_mask(
         &mut self,
         rows: usize,
@@ -257,6 +184,41 @@ impl TensorGen {
         spread: f64,
         k_axis_is_rows: bool,
     ) -> SparsityMask {
+        let (scale, chan_f, other_f) =
+            self.channel_factors(rows, cols, density, cin, spread, k_axis_is_rows);
+        // `scale · chan_f · other_f` evaluates left to right, so folding
+        // `scale` into the channel factor keeps every `pp` bit-exact. The
+        // K-axis factor is expanded to its full length so that no element
+        // pays for `k mod Cin`.
+        let k_len = if k_axis_is_rows { rows } else { cols };
+        let k_f: Vec<f64> = chan_f
+            .iter()
+            .map(|f| scale * f)
+            .cycle()
+            .take(k_len)
+            .collect();
+        let (row_f, col_f) = if k_axis_is_rows {
+            (k_f, other_f)
+        } else {
+            (other_f, k_f)
+        };
+        let pps = row_f
+            .iter()
+            .flat_map(|&rf| col_f.iter().map(move |&cf| (rf * cf).clamp(0.0, 1.0)));
+        self.draw_mask(rows, cols, pps)
+    }
+
+    /// The factors of [`TensorGen::channel_minor_mask`]: `p · gain`, the
+    /// per-channel factors and the per-index factors of the other axis.
+    fn channel_factors(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        density: f64,
+        cin: usize,
+        spread: f64,
+        k_axis_is_rows: bool,
+    ) -> (f64, Vec<f64>, Vec<f64>) {
         let p = Self::clamp_density(density);
         let cin = cin.max(1);
         let lognormal = |g: &mut Self, s: f64| (g.standard_normal() * s - s * s / 2.0).exp();
@@ -293,49 +255,7 @@ impl TensorGen {
                 gain = (gain * p / mean).min(100.0);
             }
         }
-
-        let mut m = SparsityMask::zeros(rows, cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                let (k_idx, o_idx) = if k_axis_is_rows { (r, c) } else { (c, r) };
-                let pp = (p * gain * chan_f[k_idx % cin] * other_f[o_idx]).clamp(0.0, 1.0);
-                if self.rng.gen_bool(pp) {
-                    m.set(r, c, true);
-                }
-            }
-        }
-        m
-    }
-
-    /// A mask with *clustered* (bursty) sparsity: runs of nonzeros along
-    /// rows. Used by robustness tests to show the load-balancing value of
-    /// shuffling under a non-i.i.d. distribution, which the paper calls
-    /// "unstructured" imbalance.
-    pub fn clustered_mask(
-        &mut self,
-        rows: usize,
-        cols: usize,
-        density: f64,
-        mean_run: usize,
-    ) -> SparsityMask {
-        let p = Self::clamp_density(density);
-        let run = mean_run.max(1);
-        let mut m = SparsityMask::zeros(rows, cols);
-        for r in 0..rows {
-            let mut c = 0;
-            while c < cols {
-                if self.rng.gen_bool(p) {
-                    let len = self.rng.gen_range(1..=2 * run).min(cols - c);
-                    for cc in c..c + len {
-                        m.set(r, cc, true);
-                    }
-                    c += len + 1;
-                } else {
-                    c += run;
-                }
-            }
-        }
-        m
+        (p * gain, chan_f, other_f)
     }
 
     /// A fresh sub-generator whose stream is independent of subsequent
@@ -348,6 +268,94 @@ impl TensorGen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-element `channel_minor_mask` loop the word-assembled one
+    /// must reproduce bit for bit, draw for draw.
+    fn channel_minor_mask_reference(
+        g: &mut TensorGen,
+        rows: usize,
+        cols: usize,
+        density: f64,
+        cin: usize,
+        spread: f64,
+        k_axis_is_rows: bool,
+    ) -> SparsityMask {
+        let (scale, chan_f, other_f) =
+            g.channel_factors(rows, cols, density, cin, spread, k_axis_is_rows);
+        let cin = chan_f.len();
+        let mut m = SparsityMask::zeros(rows, cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                let (k_idx, o_idx) = if k_axis_is_rows { (r, c) } else { (c, r) };
+                let pp = (scale * chan_f[k_idx % cin] * other_f[o_idx]).clamp(0.0, 1.0);
+                if g.rng.gen_bool(pp) {
+                    m.set(r, c, true);
+                }
+            }
+        }
+        m
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The word-assembled generator equals the per-element reference
+        /// and leaves the stream where it does: the next draw agrees.
+        /// Shapes cover partial last words and `cin` not dividing K;
+        /// densities cover 0 and, with a wide spread, saturated `pp ≥ 1`
+        /// elements that draw nothing.
+        #[test]
+        fn channel_minor_mask_matches_per_element_reference(
+            seed in 0u64..1_000_000,
+            shape in (1usize..40, 1usize..150),
+            density_pct in 0u64..=100,
+            cin in 1usize..80,
+            spread in 0.0f64..2.5,
+            k_axis_is_rows in proptest::bool::ANY,
+        ) {
+            let (rows, cols) = shape;
+            // A quarter of the cases at density 0, a quarter in 0.6–1.0
+            // (where a wide spread saturates elements), the rest uniform.
+            let density = match density_pct % 4 {
+                0 => 0.0,
+                1 => 0.6 + 0.4 * density_pct as f64 / 100.0,
+                _ => density_pct as f64 / 100.0,
+            };
+            let mut fast = TensorGen::seeded(seed);
+            let mut slow = TensorGen::seeded(seed);
+            let got = fast.channel_minor_mask(rows, cols, density, cin, spread, k_axis_is_rows);
+            let want = channel_minor_mask_reference(
+                &mut slow, rows, cols, density, cin, spread, k_axis_is_rows,
+            );
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(fast.bernoulli_mask(1, 70, 0.5), slow.bernoulli_mask(1, 70, 0.5));
+        }
+    }
+
+    #[test]
+    fn saturated_and_empty_masks_match_the_reference() {
+        // One fixed case of each regime the proptest samples: some
+        // `pp ≥ 1` (no draw), and density 0 (a draw per element, none set).
+        for (density, spread, saturated) in [(0.9, 2.0, true), (0.0, 0.8, false)] {
+            let (scale, chan_f, other_f) =
+                TensorGen::seeded(1).channel_factors(8, 67, density, 5, spread, true);
+            let any_saturated = chan_f
+                .iter()
+                .any(|f| other_f.iter().any(|g| scale * f * g >= 1.0));
+            assert_eq!(any_saturated, saturated, "density {density}");
+            let mut fast = TensorGen::seeded(1);
+            let mut slow = TensorGen::seeded(1);
+            let got = fast.channel_minor_mask(8, 67, density, 5, spread, true);
+            let want = channel_minor_mask_reference(&mut slow, 8, 67, density, 5, spread, true);
+            assert_eq!(got, want, "density {density}");
+            assert_eq!(got.nnz() == 0, density == 0.0);
+            assert_eq!(
+                fast.bernoulli_mask(1, 70, 0.5),
+                slow.bernoulli_mask(1, 70, 0.5)
+            );
+        }
+    }
 
     #[test]
     fn determinism_given_seed() {
@@ -398,41 +406,6 @@ mod tests {
         // Out-of-range densities are clamped, not rejected.
         let clamped = TensorGen::seeded(7).bernoulli_mask(8, 8, 1.7);
         assert_eq!(clamped.nnz(), 64);
-    }
-
-    #[test]
-    fn channel_varied_mask_keeps_mean_density() {
-        let m = TensorGen::seeded(21).channel_varied_mask(512, 512, 0.2, 0.5, 0.2);
-        let d = m.density();
-        assert!((d - 0.2).abs() < 0.04, "density {d} too far from 0.2");
-    }
-
-    #[test]
-    fn channel_varied_mask_rows_really_vary() {
-        let m = TensorGen::seeded(22).channel_varied_mask(256, 256, 0.2, 0.6, 0.0);
-        let row_nnz = m.row_nnz();
-        let min = *row_nnz.iter().min().unwrap() as f64;
-        let max = *row_nnz.iter().max().unwrap() as f64;
-        assert!(
-            max > 2.0 * (min + 1.0),
-            "rows too uniform: min {min} max {max}"
-        );
-    }
-
-    #[test]
-    fn zero_spread_reduces_to_bernoulli_statistics() {
-        let m = TensorGen::seeded(23).channel_varied_mask(256, 256, 0.3, 0.0, 0.0);
-        assert!((m.density() - 0.3).abs() < 0.02);
-    }
-
-    #[test]
-    fn clustered_mask_hits_rough_density() {
-        let m = TensorGen::seeded(8).clustered_mask(256, 256, 0.4, 4);
-        let d = m.density();
-        assert!(
-            d > 0.1 && d < 0.9,
-            "clustered density {d} out of plausible band"
-        );
     }
 
     #[test]

@@ -44,8 +44,11 @@ impl SparsityMask {
     /// Creates an all-one (fully dense) mask.
     pub fn ones(rows: usize, cols: usize) -> Self {
         let mut m = Self::zeros(rows, cols);
-        for i in 0..rows * cols {
-            m.bits[i / 64] |= 1u64 << (i % 64);
+        m.bits.fill(u64::MAX);
+        // Bits past `rows · cols` stay zero, as every reader assumes.
+        let tail = (rows * cols) % 64;
+        if tail != 0 {
+            *m.bits.last_mut().expect("dimensions are positive") = (1u64 << tail) - 1;
         }
         m
     }
@@ -285,6 +288,18 @@ mod tests {
         let o = SparsityMask::ones(3, 5);
         assert_eq!(o.nnz(), 15);
         assert_eq!(o.density(), 1.0);
+    }
+
+    #[test]
+    fn ones_equals_per_element_construction() {
+        // All but 8x8 and 4x32 end inside a word.
+        for (rows, cols) in [(1, 1), (3, 5), (9, 9), (7, 67), (8, 8), (4, 32), (3, 130)] {
+            assert_eq!(
+                SparsityMask::ones(rows, cols),
+                SparsityMask::from_fn(rows, cols, |_, _| true),
+                "{rows}x{cols}"
+            );
+        }
     }
 
     #[test]
