@@ -2,9 +2,7 @@
 
 use griffin_sim::config::{SimConfig, SparsityMode};
 use griffin_sim::layer::GemmLayer;
-use griffin_sim::pipeline::{
-    simulate_layer, simulate_layer_family, simulate_network_multi_arch, simulate_network_with,
-};
+use griffin_sim::pipeline::{simulate_layer, simulate_layer_family, simulate_network_with};
 use griffin_sim::report::{LayerReport, NetworkReport};
 use griffin_sim::scratch::SimScratch;
 use griffin_tensor::error::TensorError;
@@ -128,78 +126,61 @@ impl Accelerator {
     /// campaign workers keep one scratch per thread so steady-state
     /// tile simulation allocates nothing.
     pub fn run_with(&self, workload: &Workload, scratch: &mut SimScratch) -> RunReport {
-        self.run_batch(&[workload], scratch)
-            .pop()
-            .expect("one report per workload")
+        let mode = self.spec.mode_for(workload.category);
+        self.finish(
+            workload,
+            simulate_network_with(&workload.layers, mode, &self.cfg, scratch),
+        )
     }
 
-    /// Runs K seed-variant workloads in one batched pass, returning one
-    /// report per workload in input order: [`Accelerator::run_family_batch`]
-    /// with this accelerator alone.
-    ///
-    /// Workloads sharing a category and per-layer shapes (seed variants
-    /// of one workload spec do) have their tile op grids built
-    /// word-parallel across the batch and are keyed per plane in the
-    /// scratch's reuse scope; anything else — mixed categories, uneven
-    /// shapes, modes without a batched kernel — falls back to
-    /// plane-sequential simulation. Either way every report is
-    /// **exactly** what [`Accelerator::run_with`] returns for that
-    /// workload alone (pinned by batch-equivalence tests), so callers
-    /// may batch opportunistically without perturbing results.
-    pub fn run_batch(&self, workloads: &[&Workload], scratch: &mut SimScratch) -> Vec<RunReport> {
-        Self::run_family_batch(&[self], workloads, scratch)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Runs a whole architecture *family* over K seed-variant workloads
-    /// in one pass, returning `[accelerator][workload]` reports: the
-    /// whole-network form of [`Accelerator::run_family_layer`], every
-    /// report priced by [`Accelerator::finish`].
+    /// Runs a whole architecture *family* over K seed-variant workloads,
+    /// returning `[accelerator][workload]` reports: the whole-network
+    /// form of [`Accelerator::run_family_layer`], every report priced by
+    /// [`Accelerator::finish`].
     ///
     /// When every accelerator shares this one's simulator configuration
-    /// and every workload shares one category, the family's sparsity
-    /// modes go through [`simulate_network_multi_arch`] together, so
-    /// same-reach borrowing windows share event-core passes and the
-    /// scratch's window-keyed schedule cache serves repeat windows.
-    /// Anything else simulates each (accelerator, workload) pair on its
-    /// own. Every report is **exactly** what
-    /// `accels[i].run_with(workloads[j], ..)` returns (pinned by
-    /// batch-equivalence tests), so sweep drivers may regroup batches
-    /// freely without perturbing results.
+    /// and every workload shares one category and depth, each layer goes
+    /// through one [`Accelerator::run_family_layer`] call; anything else
+    /// runs each (accelerator, workload) pair through
+    /// [`Accelerator::run_with`], workload `p` under plane `p`. Every
+    /// report is **exactly** what `accels[i].run_with(workloads[j], ..)`
+    /// returns, so sweep drivers may regroup work freely.
     pub fn run_family_batch(
         accels: &[&Accelerator],
         workloads: &[&Workload],
         scratch: &mut SimScratch,
     ) -> Vec<Vec<RunReport>> {
-        let networks = match Self::family_modes(accels, workloads) {
-            Some(modes) => {
-                let networks: Vec<&[GemmLayer]> =
-                    workloads.iter().map(|w| w.layers.as_slice()).collect();
-                simulate_network_multi_arch(&networks, &modes, &accels[0].cfg, scratch)
+        let depth = workloads.first().map_or(0, |w| w.layers.len());
+        let shared = Self::family_modes(accels, workloads).is_some()
+            && workloads.iter().all(|w| w.layers.len() == depth);
+        if !shared {
+            // Workload `p` under plane `p`, so memoized grids of
+            // different workloads cannot collide.
+            let reports = accels
+                .iter()
+                .map(|a| {
+                    workloads
+                        .iter()
+                        .enumerate()
+                        .map(|(p, w)| {
+                            scratch.set_plane(p as u32);
+                            a.run_with(w, scratch)
+                        })
+                        .collect()
+                })
+                .collect();
+            scratch.set_plane(0);
+            return reports;
+        }
+        let mut networks = vec![vec![NetworkReport::default(); workloads.len()]; accels.len()];
+        for index in 0..depth {
+            let layer = Self::run_family_layer(accels, workloads, index, scratch);
+            for (row, layer_row) in networks.iter_mut().zip(layer) {
+                for (net, l) in row.iter_mut().zip(layer_row) {
+                    net.layers.push(l);
+                }
             }
-            // No shared call: each (accelerator, workload) pair on its
-            // own, workload `p` under batch plane `p` so memoized grids
-            // of different workloads cannot collide.
-            None => {
-                let networks = accels
-                    .iter()
-                    .map(|a| {
-                        workloads
-                            .iter()
-                            .enumerate()
-                            .map(|(p, w)| {
-                                scratch.set_plane(p as u32);
-                                let mode = a.spec.mode_for(w.category);
-                                simulate_network_with(&w.layers, mode, &a.cfg, scratch)
-                            })
-                            .collect()
-                    })
-                    .collect();
-                scratch.set_plane(0);
-                networks
-            }
-        };
+        }
         accels
             .iter()
             .zip(networks)

@@ -53,16 +53,16 @@
 //! way, which the differential tests below check against the general
 //! path on every pair.
 
-use griffin_tensor::block::{ATileView, BTileView, TileCoord, TileView};
+use griffin_tensor::block::{ATileView, TileCoord, TileView};
 
 use crate::config::SimConfig;
-use crate::engine::{schedule_assign_with, schedule_with, Assignment, OpGrid, Schedule};
-use crate::grid::{build_a_grid, build_b_grid};
+use crate::engine::{schedule_assign_with, schedule_with, Assignment, Schedule};
+use crate::grid::build_a_grid;
 use crate::layer::GemmLayer;
 use crate::sampling::sample_indices;
-use crate::scratch::{GridKey, SimScratch};
+use crate::scratch::SimScratch;
 use crate::shuffle::LaneMap;
-use crate::single::ScheduleAccum;
+use crate::single::{ScheduleAccum, Side};
 use crate::window::{BorrowWindow, EffectiveWindow};
 
 /// Stage-1 result for one output-tile column. Owned (not scratch-backed)
@@ -99,46 +99,19 @@ fn preprocess_b(
             t_steps: k / core.k0,
         };
     }
-    let lanes = LaneMap::from_flag(shuffle);
-    let win = EffectiveWindow::for_b(b_win);
-    let sched = if scratch.scope.is_some() {
-        // Stage-1 grids share the cache with the single-sparse B path:
-        // they are the same grids.
-        let key = GridKey {
-            layer: scratch.layer_idx,
-            tile: n_tile as u32,
-            rotate: shuffle,
-            b_side: true,
-            core,
-            plane: scratch.plane,
-        };
-        if !scratch.grids.contains_key(&key) {
-            let mut g = OpGrid::default();
-            let view = BTileView::new(&layer.b, core, n_base);
-            build_b_grid(&mut g, &mut scratch.span, &view, lanes);
-            scratch.grids.insert(key, g);
-        }
-        schedule_assign_with(
-            &scratch.grids[&key],
-            win,
-            cfg.priority,
-            &mut scratch.sched,
-            &mut scratch.assigns,
-        )
-    } else {
-        let view = BTileView::new(&layer.b, core, n_base);
-        build_b_grid(&mut scratch.grid, &mut scratch.span, &view, lanes);
-        schedule_assign_with(
-            &scratch.grid,
-            win,
-            cfg.priority,
-            &mut scratch.sched,
-            &mut scratch.assigns,
-        )
-    };
+    // Stage-1 grids are the single-sparse B path's grids, so inside a
+    // reuse scope the two share one memo.
+    let (grid, sched, assigns) = scratch.tile_grid(layer, Side::B, n_tile, shuffle, core);
+    let s = schedule_assign_with(
+        grid,
+        EffectiveWindow::for_b(b_win),
+        cfg.priority,
+        sched,
+        assigns,
+    );
     CompressedColumn::Compressed {
-        t_steps: sched.cycles as usize,
-        assigns: scratch.assigns.clone(),
+        t_steps: s.cycles as usize,
+        assigns: assigns.clone(),
     }
 }
 
@@ -287,6 +260,7 @@ fn simulate_pairs(
 mod tests {
     use super::*;
     use crate::config::{Fidelity, Priority};
+    use crate::single::simulate_single;
     use griffin_tensor::gen::TensorGen;
     use griffin_tensor::mask::SparsityMask;
     use griffin_tensor::shape::{CoreDims, GemmShape};
@@ -298,6 +272,11 @@ mod tests {
 
     fn layer(m: usize, k: usize, n: usize, da: f64, db: f64, seed: u64) -> GemmLayer {
         GemmLayer::with_densities(GemmShape::new(m, k, n).unwrap(), da, db, seed).unwrap()
+    }
+
+    /// A single-sparse `side` design with shuffling, for comparison.
+    fn single(l: &GemmLayer, side: Side, win: BorrowWindow) -> ScheduleAccum {
+        simulate_single(l, side, &[(win, true)], &cfg(), &mut SimScratch::new())[0]
     }
 
     /// The paper's optimal dual-sparse routing, Sparse.AB*(2,0,0,2,0,1).
@@ -397,12 +376,11 @@ mod tests {
         // within the 3-deep BBUF, so it beats the plain downgrade but
         // cannot reach Griffin's conf.B(8,0,1), whose *static* window
         // covers all nine ABUF entries.
-        use crate::single::simulate_sparse_b;
         let l = layer(16, 512, 32, 1.0, 0.2, 2);
         let (a, b) = star();
         let dual = simulate_sparse_ab(&l, a, b, true, &cfg());
-        let downgrade = simulate_sparse_b(&l, BorrowWindow::new(2, 0, 1), true, &cfg());
-        let conf_b = simulate_sparse_b(&l, BorrowWindow::new(8, 0, 1), true, &cfg());
+        let downgrade = single(&l, Side::B, BorrowWindow::new(2, 0, 1));
+        let conf_b = single(&l, Side::B, BorrowWindow::new(8, 0, 1));
         assert!(
             dual.cycles <= downgrade.cycles,
             "dual {} should not lose to its downgrade {}",
@@ -438,12 +416,11 @@ mod tests {
 
     #[test]
     fn dual_beats_either_single_side_on_dual_sparse_input() {
-        use crate::single::{simulate_sparse_a, simulate_sparse_b};
         let l = layer(16, 384, 32, 0.5, 0.2, 3);
         let (a, b) = star();
         let ab = simulate_sparse_ab(&l, a, b, true, &cfg());
-        let only_b = simulate_sparse_b(&l, BorrowWindow::new(4, 0, 1), true, &cfg());
-        let only_a = simulate_sparse_a(&l, BorrowWindow::new(2, 1, 0), true, &cfg());
+        let only_b = single(&l, Side::B, BorrowWindow::new(4, 0, 1));
+        let only_a = single(&l, Side::A, BorrowWindow::new(2, 1, 0));
         assert!(ab.cycles < only_b.cycles);
         assert!(ab.cycles < only_a.cycles);
     }

@@ -435,10 +435,7 @@ fn tap_key(grid: &OpGrid, win: EffectiveWindow) -> (usize, usize, usize, usize, 
 /// How many tap tables a scratch keeps before recycling slots. The dual
 /// pipeline alternates between the stage-1 and stage-2 shapes every
 /// tile pair, so two entries are the working set; four leaves headroom
-/// for mixed campaigns without letting the cache grow. Multi-window
-/// calls raise the effective capacity to their distinct reach count via
-/// [`SchedScratch::reserve_taps`], so an architecture family sweeping
-/// many reaches over one grid never thrashes the cache.
+/// for mixed campaigns without letting the cache grow.
 const TAP_CACHE: usize = 4;
 
 /// Reusable scheduler state: column heads, per-row op counts, cached tap
@@ -464,10 +461,6 @@ pub struct SchedScratch {
     /// Cached tap tables, recycled round-robin.
     taps: Vec<TapTable>,
     next_tap: usize,
-    /// Capacity floor for the tap cache, raised by multi-window calls
-    /// whose distinct reach count exceeds [`TAP_CACHE`] (never shrinks;
-    /// bounded by the largest window family the scratch has seen).
-    tap_cap: usize,
     /// Bitset of active (non-dormant) slots.
     active: Vec<u64>,
     /// Bordered head-time plane for the 2-D stencil fast path: the
@@ -505,23 +498,16 @@ impl SchedScratch {
         if let Some(i) = self.taps.iter().position(|t| t.key == key) {
             return i;
         }
-        let cap = self.tap_cap.max(TAP_CACHE);
         let table = TapTable::build(grid, win);
-        if self.taps.len() < cap {
+        if self.taps.len() < TAP_CACHE {
             self.taps.push(table);
             self.taps.len() - 1
         } else {
             let i = self.next_tap;
-            self.next_tap = (self.next_tap + 1) % cap;
+            self.next_tap = (self.next_tap + 1) % TAP_CACHE;
             self.taps[i] = table;
             i
         }
-    }
-
-    /// Raises the tap-cache capacity floor so a multi-window call can
-    /// keep every distinct reach of its family resident at once.
-    fn reserve_taps(&mut self, n: usize) {
-        self.tap_cap = self.tap_cap.max(n);
     }
 }
 
@@ -558,7 +544,7 @@ pub fn schedule_with(
     priority: Priority,
     scratch: &mut SchedScratch,
 ) -> Schedule {
-    run_event::<false, _>(grid, win, priority, scratch, &mut NoSink).0
+    run_event(grid, win, priority, scratch, &mut NoSink)
 }
 
 /// [`schedule_assign`] with caller-provided scratch and output buffer.
@@ -572,132 +558,7 @@ pub fn schedule_assign_with(
     out: &mut Vec<Assignment>,
 ) -> Schedule {
     out.clear();
-    run_event::<false, _>(grid, win, priority, scratch, out).0
-}
-
-/// How [`schedule_multi`] served each of its K windows: every window is
-/// either *scheduled* (a full event-core pass over the grid) or
-/// *replayed* (proven bit-identical to an already-scheduled deeper
-/// window on the same reach, and copied without running).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MultiShare {
-    /// Windows that executed a full event-core pass.
-    pub scheduled: usize,
-    /// Windows whose schedule was copied from a deeper same-reach run.
-    pub replayed: usize,
-}
-
-impl MultiShare {
-    /// Accumulates another call's counters.
-    pub fn absorb(&mut self, other: MultiShare) {
-        self.scheduled += other.scheduled;
-        self.replayed += other.replayed;
-    }
-}
-
-/// Schedules one grid under K windows in a single call, writing
-/// `out[i]` = the schedule of `wins[i]`. Every result is **bitwise**
-/// identical to an independent [`schedule_with`] call (pinned by
-/// differential property tests); the point of the entry is to share
-/// work across the family:
-///
-/// * Windows are processed grouped by reach `(lane, rows, cols)`, so
-///   each distinct reach builds its dsum-sorted tap table exactly once
-///   per call — and the scratch's tap cache is widened to the family's
-///   reach count ([`SchedScratch::reserve_taps`]), so repeated calls
-///   (one per tile of a campaign) build **no** tables at all. Under the
-///   per-architecture sweep order this entry replaces, every call
-///   cycled more reaches than the cache holds and rebuilt its table
-///   every time.
-/// * Within a reach group, windows run deepest-first and each run
-///   tracks its maximum *executed lag* — the largest `t − H` (op time
-///   minus oldest unfinished row) over all pops. A window of depth `L`
-///   makes exactly the ops with lag `≤ L − 1` visible, so when the
-///   last run's max lag is below a shallower window's depth, the
-///   shallower window provably arbitrates identically cycle-for-cycle:
-///   every candidate the smaller horizon removes has `t` strictly above
-///   the winning op's `t` and never wins, slots idle in the same
-///   cycles, and the counters follow from the identical assignment
-///   stream. Such windows are *replayed* — the deeper schedule is
-///   copied — and the counts are reported in [`MultiShare`]. Saturated
-///   grids (where some slot runs a full `depth − 1` ahead) simply fall
-///   back to one pass per window.
-pub fn schedule_multi(
-    grid: &OpGrid,
-    wins: &[EffectiveWindow],
-    priority: Priority,
-    scratch: &mut SchedScratch,
-    out: &mut Vec<Schedule>,
-) -> MultiShare {
-    out.clear();
-    out.resize(wins.len(), Schedule::empty());
-    let mut order: Vec<u32> = (0..wins.len() as u32).collect();
-    order.sort_by_key(|&i| {
-        let w = &wins[i as usize];
-        (w.lane, w.rows, w.cols, std::cmp::Reverse(w.depth))
-    });
-    // Widen the tap cache to this family's distinct (non-trivial) reach
-    // count so the K windows cannot thrash it.
-    let mut distinct = 0usize;
-    let mut prev_reach = None;
-    for &i in &order {
-        let w = &wins[i as usize];
-        let reach = (w.lane, w.rows, w.cols);
-        if reach != (0, 0, 0) && Some(reach) != prev_reach {
-            distinct += 1;
-        }
-        prev_reach = Some(reach);
-    }
-    scratch.reserve_taps(distinct);
-
-    let mut share = MultiShare::default();
-    // Reach, schedule and max executed lag of the last window that
-    // actually ran — the comparison point for saturation sharing.
-    let mut last: Option<((usize, usize, usize), Schedule, u32)> = None;
-    // Lag tracking costs a few percent per pop, so it runs adaptively:
-    // the deepest window of every reach group always tracks (this alone
-    // guarantees duplicate and saturating-depth replays, since a run's
-    // lag is at most `depth − 1`), and later group members track only
-    // while replay keeps proving itself on this grid. On replay-hostile
-    // data (iid sparsity never saturates) the group degrades to plain
-    // untracked passes after the first window.
-    let mut cur_reach: Option<(usize, usize, usize)> = None;
-    let mut first_in_group = true;
-    let mut group_replayed = false;
-    for (pos, &i) in order.iter().enumerate() {
-        let w = wins[i as usize];
-        let reach = (w.lane, w.rows, w.cols);
-        if cur_reach != Some(reach) {
-            cur_reach = Some(reach);
-            first_in_group = true;
-            group_replayed = false;
-        }
-        if let Some((r, s, lag)) = last {
-            if r == reach && w.depth as u64 > u64::from(lag) {
-                out[i as usize] = s;
-                share.replayed += 1;
-                group_replayed = true;
-                continue;
-            }
-        }
-        let next_same_reach = order.get(pos + 1).is_some_and(|&j| {
-            let n = wins[j as usize];
-            (n.lane, n.rows, n.cols) == reach
-        });
-        let track = next_same_reach && (first_in_group || group_replayed);
-        if track {
-            let (s, lag) = run_event::<true, _>(grid, w, priority, scratch, &mut NoSink);
-            out[i as usize] = s;
-            last = Some((reach, s, lag));
-        } else {
-            let (s, _) = run_event::<false, _>(grid, w, priority, scratch, &mut NoSink);
-            out[i as usize] = s;
-            last = None;
-        }
-        share.scheduled += 1;
-        first_in_group = false;
-    }
-    share
+    run_event(grid, win, priority, scratch, out)
 }
 
 /// Assignment consumer, monomorphized so the non-collecting scheduler
@@ -725,22 +586,18 @@ impl Sink for Vec<Assignment> {
     }
 }
 
-/// The event-driven core. `TRACK` additionally computes the maximum
-/// *executed lag* — `max(t − H)` over every pop, where `H` is the
-/// oldest unfinished row at that cycle — which [`schedule_multi`] uses
-/// to prove shallower windows identical; with `TRACK = false` the lag
-/// arithmetic compiles out and the returned lag is 0.
-fn run_event<const TRACK: bool, S: Sink>(
+/// The event-driven core.
+fn run_event<S: Sink>(
     grid: &OpGrid,
     win: EffectiveWindow,
     priority: Priority,
     scratch: &mut SchedScratch,
     sink: &mut S,
-) -> (Schedule, u32) {
+) -> Schedule {
     assert!(win.depth >= 1, "window depth must be at least 1");
     let total = grid.total_ops();
     if total == 0 {
-        return (Schedule::empty(), 0);
+        return Schedule::empty();
     }
     let slots = grid.lanes * grid.rows * grid.cols;
     let row_cols = grid.rows * grid.cols;
@@ -766,7 +623,7 @@ fn run_event<const TRACK: bool, S: Sink>(
             None
         };
         if let Some((ext2, reach2)) = two_d {
-            return run_event_stencil::<TRACK, S>(grid, win, priority, scratch, sink, ext2, reach2);
+            return run_event_stencil::<S>(grid, win, priority, scratch, sink, ext2, reach2);
         }
     }
 
@@ -818,9 +675,6 @@ fn run_event<const TRACK: bool, S: Sink>(
     let mut starved_cycles = 0u64;
     let mut prev_horizon = 0usize;
     let mut first_cycle = true;
-    // Max executed lag (TRACK only). No pending op sits below the
-    // oldest unfinished row, so `t - h` never underflows.
-    let mut max_lag = 0u32;
 
     if single_tap {
         // Specialized no-reach loop: a slot executes its own head op
@@ -866,9 +720,6 @@ fn run_event<const TRACK: bool, S: Sink>(
                         head_cursor[slot] = hp;
                         row_remaining[t as usize] -= 1;
                         remaining -= 1;
-                        if TRACK {
-                            max_lag = max_lag.max(t - h as u32);
-                        }
                         if S::ACTIVE {
                             let src = (
                                 slot / row_cols,
@@ -919,15 +770,12 @@ fn run_event<const TRACK: bool, S: Sink>(
                 h += 1;
             }
         }
-        return (
-            Schedule {
-                cycles,
-                executed: total as u64,
-                borrowed: 0,
-                starved_cycles,
-            },
-            max_lag,
-        );
+        return Schedule {
+            cycles,
+            executed: total as u64,
+            borrowed: 0,
+            starved_cycles,
+        };
     }
 
     let (tap_off, tap_col, tap_dsum) = {
@@ -995,9 +843,6 @@ fn run_event<const TRACK: bool, S: Sink>(
                             nt
                         };
                         remaining -= 1;
-                        if TRACK {
-                            max_lag = max_lag.max(t - h as u32);
-                        }
                         if S::ACTIVE {
                             let src = (
                                 slot / row_cols,
@@ -1117,9 +962,6 @@ fn run_event<const TRACK: bool, S: Sink>(
                         *row_remaining.get_unchecked_mut(bt as usize) -= 1;
                     }
                     remaining -= 1;
-                    if TRACK {
-                        max_lag = max_lag.max(bt - h32);
-                    }
                     if dsum > 0 {
                         borrowed += 1;
                     }
@@ -1198,15 +1040,12 @@ fn run_event<const TRACK: bool, S: Sink>(
         }
     }
 
-    (
-        Schedule {
-            cycles,
-            executed: total as u64,
-            borrowed,
-            starved_cycles,
-        },
-        max_lag,
-    )
+    Schedule {
+        cycles,
+        executed: total as u64,
+        borrowed,
+        starved_cycles,
+    }
 }
 
 /// The 2-D stencil specialization of [`run_event`]: grids whose third
@@ -1220,7 +1059,7 @@ fn run_event<const TRACK: bool, S: Sink>(
 /// compile-time trip count turns every arbitration scan and dormancy
 /// walk into a fully unrolled branchless min-chain. `W = 0` is the
 /// runtime-length fallback for wider windows.
-fn run_event_stencil<const TRACK: bool, S: Sink>(
+fn run_event_stencil<S: Sink>(
     grid: &OpGrid,
     win: EffectiveWindow,
     priority: Priority,
@@ -1228,7 +1067,7 @@ fn run_event_stencil<const TRACK: bool, S: Sink>(
     sink: &mut S,
     ext2: usize,
     reach2: usize,
-) -> (Schedule, u32) {
+) -> Schedule {
     // Displacement list in `(dsum, enumeration)` priority order — the
     // same order `TapTable::build` gives interior slots (border reads
     // stand in for edge clipping).
@@ -1255,12 +1094,12 @@ fn run_event_stencil<const TRACK: bool, S: Sink>(
         }
     }
     match scratch.deltas.len() {
-        2 => run_event_stencil_w::<TRACK, 2, S>(grid, win, priority, scratch, sink, ext2, reach2),
-        3 => run_event_stencil_w::<TRACK, 3, S>(grid, win, priority, scratch, sink, ext2, reach2),
-        4 => run_event_stencil_w::<TRACK, 4, S>(grid, win, priority, scratch, sink, ext2, reach2),
-        6 => run_event_stencil_w::<TRACK, 6, S>(grid, win, priority, scratch, sink, ext2, reach2),
-        9 => run_event_stencil_w::<TRACK, 9, S>(grid, win, priority, scratch, sink, ext2, reach2),
-        _ => run_event_stencil_w::<TRACK, 0, S>(grid, win, priority, scratch, sink, ext2, reach2),
+        2 => run_event_stencil_w::<2, S>(grid, win, priority, scratch, sink, ext2, reach2),
+        3 => run_event_stencil_w::<3, S>(grid, win, priority, scratch, sink, ext2, reach2),
+        4 => run_event_stencil_w::<4, S>(grid, win, priority, scratch, sink, ext2, reach2),
+        6 => run_event_stencil_w::<6, S>(grid, win, priority, scratch, sink, ext2, reach2),
+        9 => run_event_stencil_w::<9, S>(grid, win, priority, scratch, sink, ext2, reach2),
+        _ => run_event_stencil_w::<0, S>(grid, win, priority, scratch, sink, ext2, reach2),
     }
 }
 
@@ -1281,7 +1120,7 @@ fn run_event_stencil<const TRACK: bool, S: Sink>(
 ///
 /// Results are **bit-identical** to the general loop and to
 /// [`reference`], pinned by the differential tests.
-fn run_event_stencil_w<const TRACK: bool, const W: usize, S: Sink>(
+fn run_event_stencil_w<const W: usize, S: Sink>(
     grid: &OpGrid,
     win: EffectiveWindow,
     priority: Priority,
@@ -1289,7 +1128,7 @@ fn run_event_stencil_w<const TRACK: bool, const W: usize, S: Sink>(
     sink: &mut S,
     ext2: usize,
     reach2: usize,
-) -> (Schedule, u32) {
+) -> Schedule {
     let total = grid.total_ops();
     let slots = grid.lanes * grid.rows * grid.cols;
     let row_cols = grid.rows * grid.cols;
@@ -1363,7 +1202,6 @@ fn run_event_stencil_w<const TRACK: bool, const W: usize, S: Sink>(
     let mut starved_cycles = 0u64;
     let mut prev_horizon = 0usize;
     let mut first_cycle = true;
-    let mut max_lag = 0u32;
 
     while remaining > 0 {
         cycles += 1;
@@ -1421,9 +1259,6 @@ fn run_event_stencil_w<const TRACK: bool, const W: usize, S: Sink>(
                         nt
                     };
                     remaining -= 1;
-                    if TRACK {
-                        max_lag = max_lag.max(t - h as u32);
-                    }
                     if S::ACTIVE {
                         let src = (
                             slot / row_cols,
@@ -1513,9 +1348,6 @@ fn run_event_stencil_w<const TRACK: bool, const W: usize, S: Sink>(
                         nt
                     };
                     remaining -= 1;
-                    if TRACK {
-                        max_lag = max_lag.max(bt - h as u32);
-                    }
                     if dsum > 0 {
                         borrowed += 1;
                     }
@@ -1579,15 +1411,12 @@ fn run_event_stencil_w<const TRACK: bool, const W: usize, S: Sink>(
         }
     }
 
-    (
-        Schedule {
-            cycles,
-            executed: total as u64,
-            borrowed,
-            starved_cycles,
-        },
-        max_lag,
-    )
+    Schedule {
+        cycles,
+        executed: total as u64,
+        borrowed,
+        starved_cycles,
+    }
 }
 
 /// The naive rescan-everything scheduler, retained verbatim as the
@@ -2077,149 +1906,6 @@ mod tests {
                 fresh
             );
         }
-    }
-
-    /// `schedule_multi` must be bitwise identical to K independent
-    /// `schedule_with` calls, in any window order, for any mix of
-    /// reaches and depths — including duplicate windows and saturated
-    /// grids where the depth-sharing proof cannot fire.
-    #[test]
-    fn schedule_multi_matches_independent_calls() {
-        let grids = [
-            OpGrid::from_fn(24, 4, 1, 4, |t, l, _, c| (t * 5 + l * 3 + c) % 4 == 0),
-            OpGrid::from_fn(16, 2, 2, 2, |t, l, r, c| (t + l + r + c) % 7 != 2),
-            OpGrid::from_fn(12, 2, 1, 1, |t, l, _, _| l == 0 && t % 2 == 0),
-            OpGrid::from_fn(8, 2, 1, 2, |_, _, _, _| false),
-        ];
-        // A family shape like the paper's fanin-8 enumeration: several
-        // reaches, multiple depths per reach, a duplicate, and windows
-        // deliberately out of group order.
-        let wins = [
-            EffectiveWindow {
-                depth: 5,
-                lane: 1,
-                rows: 0,
-                cols: 1,
-            },
-            EffectiveWindow {
-                depth: 8,
-                lane: 0,
-                rows: 0,
-                cols: 0,
-            },
-            EffectiveWindow {
-                depth: 3,
-                lane: 1,
-                rows: 0,
-                cols: 1,
-            },
-            EffectiveWindow {
-                depth: 4,
-                lane: 0,
-                rows: 0,
-                cols: 0,
-            },
-            EffectiveWindow {
-                depth: 3,
-                lane: 2,
-                rows: 1,
-                cols: 2,
-            },
-            EffectiveWindow {
-                depth: 8,
-                lane: 0,
-                rows: 0,
-                cols: 0,
-            },
-            EffectiveWindow {
-                depth: 1,
-                lane: 0,
-                rows: 1,
-                cols: 0,
-            },
-        ];
-        let mut scratch = SchedScratch::new();
-        let mut out = Vec::new();
-        for g in &grids {
-            for p in [Priority::OwnFirst, Priority::EarliestFirst] {
-                let share = schedule_multi(g, &wins, p, &mut scratch, &mut out);
-                assert_eq!(out.len(), wins.len());
-                assert_eq!(share.scheduled + share.replayed, wins.len());
-                for (i, &win) in wins.iter().enumerate() {
-                    let solo = schedule(g, win, p);
-                    assert_eq!(out[i], solo, "window {i} ({win:?}) p {p:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn schedule_multi_replays_duplicates_and_saturating_depths() {
-        // A grid whose lag never reaches the deep window's allowance:
-        // ops live only in rows 0..3, so with depth 100 the max lag is
-        // at most 2 and every shallower same-reach window with depth
-        // above it must replay rather than re-run.
-        let g = OpGrid::from_fn(32, 2, 1, 2, |t, l, _, c| t < 3 && (l + c) % 2 == 0);
-        let mk = |depth| EffectiveWindow {
-            depth,
-            lane: 1,
-            rows: 0,
-            cols: 1,
-        };
-        let wins = [mk(100), mk(50), mk(10), mk(10)];
-        let mut out = Vec::new();
-        let share = schedule_multi(
-            &g,
-            &wins,
-            Priority::OwnFirst,
-            &mut SchedScratch::new(),
-            &mut out,
-        );
-        assert_eq!(share.scheduled, 1, "one pass serves the whole family");
-        assert_eq!(share.replayed, 3);
-        for (i, &win) in wins.iter().enumerate() {
-            assert_eq!(out[i], schedule(&g, win, Priority::OwnFirst), "window {i}");
-        }
-
-        // An empty window list is a no-op.
-        let share = schedule_multi(
-            &g,
-            &[],
-            Priority::OwnFirst,
-            &mut SchedScratch::new(),
-            &mut out,
-        );
-        assert!(out.is_empty());
-        assert_eq!(share, MultiShare::default());
-    }
-
-    #[test]
-    fn wide_families_keep_every_reach_resident() {
-        // More distinct reaches than TAP_CACHE: the multi call must
-        // widen the cache so a second call builds no tables (observable
-        // as byte-identical results and, indirectly, by the capacity).
-        // Both spatial extents exceed 1 so the grid takes the tap-table
-        // path rather than the 2-D stencil (which builds no tables).
-        let g = OpGrid::from_fn(20, 4, 2, 4, |t, l, r, c| (t + l * 2 + r + c) % 3 == 0);
-        let wins: Vec<EffectiveWindow> = (0..6)
-            .map(|i| EffectiveWindow {
-                depth: 3 + i,
-                lane: i % 3,
-                rows: 0,
-                cols: i / 3 + 1,
-            })
-            .collect();
-        let mut scratch = SchedScratch::new();
-        let mut out = Vec::new();
-        schedule_multi(&g, &wins, Priority::OwnFirst, &mut scratch, &mut out);
-        let first = out.clone();
-        assert!(
-            scratch.taps.len() >= 6,
-            "all 6 reaches resident, got {}",
-            scratch.taps.len()
-        );
-        schedule_multi(&g, &wins, Priority::OwnFirst, &mut scratch, &mut out);
-        assert_eq!(out, first);
     }
 
     #[test]

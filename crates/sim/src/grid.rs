@@ -100,94 +100,6 @@ pub fn build_b_grid(grid: &mut OpGrid, span: &mut Vec<u64>, view: &BTileView<'_>
     grid.finish_fill();
 }
 
-/// Rebuilds one grid per view as the op grids of K seed-variant B-side
-/// tile columns, sharing a single `(t, src)` walk across the batch.
-///
-/// All views must agree on the core and the time extent (seed-variant
-/// masks of one layer shape do by construction). Compared with K
-/// independent [`build_b_grid`] calls this hoists the loop control and
-/// the `dest_lane` shuffle lookup out of the per-plane work, and keeps
-/// all K span words of one reduction row adjacent in `span` (layout
-/// `row * K + plane`) so the two CSR passes stay word-parallel across
-/// the batch. Each produced grid is **identical** to what the
-/// single-mask builder produces for its view (asserted by differential
-/// tests), which is what lets `run_batch` stay byte-compatible with K
-/// independent `run_with` calls.
-pub fn build_b_grids(
-    grids: &mut [OpGrid],
-    span: &mut Vec<u64>,
-    views: &[BTileView<'_>],
-    lanes: LaneMap,
-) {
-    assert_eq!(grids.len(), views.len(), "one grid per view");
-    let Some(first) = views.first() else { return };
-    let core = first.core();
-    let n0 = core.n0;
-    let t_steps = first.t_steps();
-    for v in views {
-        assert_eq!(v.core(), core, "batched views must share the core");
-        assert_eq!(
-            v.t_steps(),
-            t_steps,
-            "batched views must share the time extent"
-        );
-    }
-    if n0 > 64 {
-        // The span-word fast path needs the whole spatial extent in one
-        // word; fall back to per-plane builds beyond it.
-        for (g, v) in grids.iter_mut().zip(views) {
-            build_b_grid(g, span, v, lanes);
-        }
-        return;
-    }
-    let planes = views.len();
-    for g in grids.iter_mut() {
-        g.reset_dims(t_steps, core.k0, 1, n0);
-    }
-    span.clear();
-    for t in 0..t_steps {
-        for src in 0..core.k0 {
-            let k = t * core.k0 + src;
-            let base = lanes.dest_lane(src, t) * n0;
-            for (g, v) in grids.iter_mut().zip(views) {
-                let bits = if k < v.mask().rows() {
-                    v.mask().span_bits(k, v.n_base(), n0)
-                } else {
-                    0
-                };
-                span.push(bits);
-                g.t_counts[t] += bits.count_ones();
-                let mut w = bits;
-                while w != 0 {
-                    g.col_off[base + w.trailing_zeros() as usize] += 1;
-                    w &= w - 1;
-                }
-            }
-        }
-    }
-    for g in grids.iter_mut() {
-        g.finish_counts();
-    }
-    let mut i = 0;
-    for t in 0..t_steps {
-        for src in 0..core.k0 {
-            let base = lanes.dest_lane(src, t) * n0;
-            for g in grids.iter_mut() {
-                let mut w = span[i];
-                i += 1;
-                while w != 0 {
-                    g.push_counted(base + w.trailing_zeros() as usize, t as u32);
-                    w &= w - 1;
-                }
-            }
-        }
-    }
-    debug_assert_eq!(i, t_steps * core.k0 * planes);
-    for g in grids.iter_mut() {
-        g.finish_fill();
-    }
-}
-
 /// Rebuilds `grid` as the op grid of one A-side tile row: ops are the
 /// nonzeros of A over `(t, lane, m_local, 1)`.
 ///
@@ -257,79 +169,6 @@ pub fn build_a_grid(grid: &mut OpGrid, span: &mut Vec<u64>, view: &ATileView<'_>
     grid.finish_fill();
 }
 
-/// Batched counterpart of [`build_a_grid`]: one grid per A-side view,
-/// sharing the `(row, t)` walk across K seed-variant masks. Same
-/// contract as [`build_b_grids`] — identical output to K independent
-/// single-mask builds, falling back to them when the reduction span
-/// exceeds one word.
-pub fn build_a_grids(
-    grids: &mut [OpGrid],
-    span: &mut Vec<u64>,
-    views: &[ATileView<'_>],
-    lanes: LaneMap,
-) {
-    assert_eq!(grids.len(), views.len(), "one grid per view");
-    let Some(first) = views.first() else { return };
-    let core = first.core();
-    let m0 = core.m0;
-    let t_steps = first.t_steps();
-    for v in views {
-        assert_eq!(v.core(), core, "batched views must share the core");
-        assert_eq!(
-            v.t_steps(),
-            t_steps,
-            "batched views must share the time extent"
-        );
-    }
-    if core.k0 > 64 {
-        for (g, v) in grids.iter_mut().zip(views) {
-            build_a_grid(g, span, v, lanes);
-        }
-        return;
-    }
-    let planes = views.len();
-    for g in grids.iter_mut() {
-        g.reset_dims(t_steps, core.k0, m0, 1);
-    }
-    span.clear();
-    for r in 0..m0 {
-        for t in 0..t_steps {
-            for (g, v) in grids.iter_mut().zip(views) {
-                let w = v.mask().span_bits(v.m_base() + r, t * core.k0, core.k0);
-                span.push(w);
-                g.t_counts[t] += w.count_ones();
-                let mut w = w;
-                while w != 0 {
-                    let lane = lanes.dest_lane(w.trailing_zeros() as usize, t);
-                    g.col_off[lane * m0 + r] += 1;
-                    w &= w - 1;
-                }
-            }
-        }
-    }
-    for g in grids.iter_mut() {
-        g.finish_counts();
-    }
-    let mut i = 0;
-    for r in 0..m0 {
-        for t in 0..t_steps {
-            for g in grids.iter_mut() {
-                let mut w = span[i];
-                i += 1;
-                while w != 0 {
-                    let lane = lanes.dest_lane(w.trailing_zeros() as usize, t);
-                    g.push_counted(lane * m0 + r, t as u32);
-                    w &= w - 1;
-                }
-            }
-        }
-    }
-    debug_assert_eq!(i, m0 * t_steps * planes);
-    for g in grids.iter_mut() {
-        g.finish_fill();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,71 +231,6 @@ mod tests {
                 assert_eq!(grid, want, "shuffle={shuffle} m_tile={m_tile}");
             }
         }
-    }
-
-    #[test]
-    fn batched_b_builder_matches_independent_builds() {
-        let core = CoreDims::PAPER;
-        // Three seed-variant masks of one ragged layer shape.
-        let masks: Vec<SparsityMask> = (1..=3)
-            .map(|s| TensorGen::seeded(s).bernoulli_mask(3 * core.k0 + 5, 2 * core.n0 - 3, 0.3))
-            .collect();
-        for shuffle in [false, true] {
-            let lanes = LaneMap::from_flag(shuffle);
-            for n_tile in 0..2 {
-                let views: Vec<BTileView<'_>> = masks
-                    .iter()
-                    .map(|m| BTileView::new(m, core, n_tile * core.n0))
-                    .collect();
-                let mut grids = vec![OpGrid::default(); views.len()];
-                let mut span = Vec::new();
-                build_b_grids(&mut grids, &mut span, &views, lanes);
-                for (g, v) in grids.iter().zip(&views) {
-                    let mut want = OpGrid::default();
-                    build_b_grid(&mut want, &mut span, v, lanes);
-                    assert_eq!(g, &want, "shuffle={shuffle} n_tile={n_tile}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_a_builder_matches_independent_builds() {
-        let core = CoreDims::PAPER;
-        let masks: Vec<SparsityMask> = (4..=6)
-            .map(|s| TensorGen::seeded(s).bernoulli_mask(2 * core.m0 - 1, 2 * core.k0 + 9, 0.4))
-            .collect();
-        for shuffle in [false, true] {
-            let lanes = LaneMap::from_flag(shuffle);
-            for m_tile in 0..2 {
-                let views: Vec<ATileView<'_>> = masks
-                    .iter()
-                    .map(|m| ATileView::new(m, core, m_tile * core.m0))
-                    .collect();
-                let mut grids = vec![OpGrid::default(); views.len()];
-                let mut span = Vec::new();
-                build_a_grids(&mut grids, &mut span, &views, lanes);
-                for (g, v) in grids.iter().zip(&views) {
-                    let mut want = OpGrid::default();
-                    build_a_grid(&mut want, &mut span, v, lanes);
-                    assert_eq!(g, &want, "shuffle={shuffle} m_tile={m_tile}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_builders_accept_empty_and_single_batches() {
-        let core = CoreDims::PAPER;
-        let mut span = Vec::new();
-        build_b_grids(&mut [], &mut span, &[], LaneMap::Rotate);
-        let mask = TensorGen::seeded(8).bernoulli_mask(2 * core.k0, core.n0, 0.25);
-        let views = [BTileView::new(&mask, core, 0)];
-        let mut grids = [OpGrid::default()];
-        build_b_grids(&mut grids, &mut span, &views, LaneMap::Rotate);
-        let mut want = OpGrid::default();
-        build_b_grid(&mut want, &mut span, &views[0], LaneMap::Rotate);
-        assert_eq!(grids[0], want);
     }
 
     #[test]

@@ -14,12 +14,7 @@ use crate::dual::simulate_sparse_ab_with;
 use crate::layer::GemmLayer;
 use crate::report::{LayerReport, NetworkReport};
 use crate::scratch::SimScratch;
-use crate::single::{
-    simulate_dense, simulate_sparse_a_batch, simulate_sparse_a_multi_arch,
-    simulate_sparse_a_multi_arch_batch, simulate_sparse_a_with, simulate_sparse_b_batch,
-    simulate_sparse_b_multi_arch, simulate_sparse_b_multi_arch_batch, simulate_sparse_b_with,
-    ArchVariant, ScheduleAccum,
-};
+use crate::single::{simulate_dense, simulate_single, ArchVariant, ScheduleAccum, Side};
 use crate::sparten::{simulate_sparten_with, SpartenParams};
 
 /// Bytes each dense B element costs in SRAM for this mode: compressed
@@ -63,8 +58,7 @@ pub fn simulate_layer_with(
     assemble_layer_report(layer, mode, cfg, acc)
 }
 
-/// Runs one layer's tiles under one mode on one plane: the per-mode
-/// dispatch every entry point falls back to when nothing batches.
+/// Runs one layer's tiles under one mode on one plane.
 fn schedule_layer(
     layer: &GemmLayer,
     mode: SparsityMode,
@@ -74,10 +68,10 @@ fn schedule_layer(
     match mode {
         SparsityMode::Dense => simulate_dense(layer, cfg),
         SparsityMode::SparseA { win, shuffle } => {
-            simulate_sparse_a_with(layer, win, shuffle, cfg, scratch)
+            simulate_single(layer, Side::A, &[(win, shuffle)], cfg, scratch)[0]
         }
         SparsityMode::SparseB { win, shuffle } => {
-            simulate_sparse_b_with(layer, win, shuffle, cfg, scratch)
+            simulate_single(layer, Side::B, &[(win, shuffle)], cfg, scratch)[0]
         }
         SparsityMode::SparseAB { a, b, shuffle } => {
             simulate_sparse_ab_with(layer, a, b, shuffle, cfg, scratch)
@@ -94,7 +88,7 @@ fn schedule_layer(
 
 /// Turns a layer's schedule accumulator into its full report: bandwidth
 /// floors, replica weighting, per-layer counters. Shared by the
-/// single-layer and batched paths so both produce bit-identical reports
+/// single-layer and family paths so both produce bit-identical reports
 /// from identical accumulators.
 fn assemble_layer_report(
     layer: &GemmLayer,
@@ -120,46 +114,27 @@ fn assemble_layer_report(
     }
 }
 
-/// The single-sparse family every mode belongs to, with the modes'
-/// (window, shuffle) variants: `Some((true, ..))` when all are
-/// `SparseB`, `Some((false, ..))` when all are `SparseA`. This is the
-/// precondition for the multi-arch tile entries to share grids and
-/// schedules.
-fn single_sparse_family(modes: &[SparsityMode]) -> Option<(bool, Vec<ArchVariant>)> {
-    let b_side = matches!(modes.first()?, SparsityMode::SparseB { .. });
-    modes
-        .iter()
-        .map(|m| match *m {
-            SparsityMode::SparseB { win, shuffle } if b_side => Some((win, shuffle)),
-            SparsityMode::SparseA { win, shuffle } if !b_side => Some((win, shuffle)),
-            _ => None,
-        })
-        .collect::<Option<Vec<ArchVariant>>>()
-        .map(|variants| (b_side, variants))
+/// The side and variant of a single-sparse mode; `None` for every other
+/// mode.
+fn single_side(mode: SparsityMode) -> Option<(Side, ArchVariant)> {
+    match mode {
+        SparsityMode::SparseA { win, shuffle } => Some((Side::A, (win, shuffle))),
+        SparsityMode::SparseB { win, shuffle } => Some((Side::B, (win, shuffle))),
+        _ => None,
+    }
 }
 
 /// Simulates layer `index` of K seed-variant networks under V sparsity
-/// modes in one pass, returning `[mode][plane]` reports. This is the
-/// unit every network entry below loops over, and the sweep executor's
-/// work item.
+/// modes, returning `[mode][plane]` reports. This is the unit every
+/// network entry below loops over, and the sweep executor's work item.
 ///
-/// `layers[p]` is plane `p`'s copy of the layer. Two axes batch:
-///
-/// * **arch** — several modes of one single-sparse family (all
-///   `SparseB` or all `SparseA`) go through one multi-arch tile entry
-///   ([`simulate_sparse_b_multi_arch_batch`] and its siblings), so
-///   same-reach windows share event-core passes and the scratch's
-///   window-keyed schedule cache;
-/// * **seed plane** — K > 1 planes of one shape and replica count
-///   build their tile grids word-parallel ([`simulate_sparse_b_batch`]
-///   / [`simulate_sparse_a_batch`] per single-sparse mode).
-///
-/// Everything else — `Dense`, the dual and SparTen pipelines, planes of
-/// differing shapes — runs plane-sequentially. Every report is
-/// **exactly** what [`simulate_layer_with`] produces for that (mode,
-/// plane) alone: the batched builders yield identical grids and the
-/// multi-arch schedulers are pinned bitwise-identical, so callers may
-/// regroup work freely.
+/// `layers[p]` is plane `p`'s copy of the layer. Per plane, all
+/// `SparseB` modes go through one [`simulate_single`] call and all
+/// `SparseA` modes through another, so each tile grid is taken once per
+/// shuffle flag and scheduled under every window of the side; `Dense`,
+/// dual and SparTen modes run one by one. Every report is **exactly**
+/// what [`simulate_layer_with`] produces for that (mode, plane) alone,
+/// so callers may regroup work freely.
 ///
 /// Inside a reuse scope plane `p`'s grids are memoized under layer
 /// `index` and plane `scratch.plane + p`. A scope token that names one
@@ -171,64 +146,35 @@ pub fn simulate_layer_family(
     cfg: &SimConfig,
     scratch: &mut SimScratch,
 ) -> Vec<Vec<LayerReport>> {
-    let Some(first) = layers.first() else {
-        return vec![Vec::new(); modes.len()];
-    };
     scratch.layer_idx = index as u32;
-    let planes_batch = layers.len() > 1
-        && layers
-            .iter()
-            .all(|l| l.shape == first.shape && l.replicas == first.replicas);
+    // Per side: the modes it serves and their variants.
+    let mut sides = [Side::B, Side::A].map(|side| (side, Vec::new(), Vec::new()));
+    for (m, &mode) in modes.iter().enumerate() {
+        if let Some((side, variant)) = single_side(mode) {
+            let (_, members, variants) = &mut sides[usize::from(side == Side::A)];
+            members.push(m);
+            variants.push(variant);
+        }
+    }
     let base = scratch.plane;
-    let accs: Vec<Vec<ScheduleAccum>> = match single_sparse_family(modes) {
-        Some((b_side, variants)) if modes.len() > 1 => {
-            if planes_batch {
-                if b_side {
-                    simulate_sparse_b_multi_arch_batch(layers, &variants, cfg, scratch)
-                } else {
-                    simulate_sparse_a_multi_arch_batch(layers, &variants, cfg, scratch)
-                }
-            } else {
-                let mut accs = vec![Vec::with_capacity(layers.len()); modes.len()];
-                for (p, l) in layers.iter().enumerate() {
-                    scratch.plane = base + p as u32;
-                    let row = if b_side {
-                        simulate_sparse_b_multi_arch(l, &variants, cfg, scratch)
-                    } else {
-                        simulate_sparse_a_multi_arch(l, &variants, cfg, scratch)
-                    };
-                    for (v, acc) in row.into_iter().enumerate() {
-                        accs[v].push(acc);
-                    }
-                }
-                accs
+    let mut accs: Vec<Vec<ScheduleAccum>> = vec![Vec::with_capacity(layers.len()); modes.len()];
+    for (p, layer) in layers.iter().enumerate() {
+        scratch.plane = base + p as u32;
+        for (side, members, variants) in &sides {
+            if members.is_empty() {
+                continue;
+            }
+            let row = simulate_single(layer, *side, variants, cfg, scratch);
+            for (&m, acc) in members.iter().zip(row) {
+                accs[m].push(acc);
             }
         }
-        _ => modes
-            .iter()
-            .map(|&mode| match mode {
-                SparsityMode::SparseB { win, shuffle } if planes_batch => {
-                    simulate_sparse_b_batch(layers, win, shuffle, cfg, scratch)
-                }
-                SparsityMode::SparseA { win, shuffle } if planes_batch => {
-                    simulate_sparse_a_batch(layers, win, shuffle, cfg, scratch)
-                }
-                _ => {
-                    let row = layers
-                        .iter()
-                        .enumerate()
-                        .map(|(p, l)| {
-                            scratch.plane = base + p as u32;
-                            schedule_layer(l, mode, cfg, scratch)
-                        })
-                        .collect();
-                    // The next mode's batch kernel keys from the offset.
-                    scratch.plane = base;
-                    row
-                }
-            })
-            .collect(),
-    };
+        for (m, &mode) in modes.iter().enumerate() {
+            if single_side(mode).is_none() {
+                accs[m].push(schedule_layer(layer, mode, cfg, scratch));
+            }
+        }
+    }
     scratch.plane = base;
     accs.into_iter()
         .zip(modes)
@@ -251,68 +197,24 @@ pub fn simulate_network(
 }
 
 /// [`simulate_network`] with caller-provided scratch shared by every
-/// layer.
+/// layer. Inside a reuse scope layer `i`'s grids are memoized under
+/// layer `i` and the scratch's plane offset.
 pub fn simulate_network_with(
     layers: &[GemmLayer],
     mode: SparsityMode,
     cfg: &SimConfig,
     scratch: &mut SimScratch,
 ) -> NetworkReport {
-    simulate_network_multi_arch(&[layers], &[mode], cfg, scratch)
-        .pop()
-        .and_then(|mut row| row.pop())
-        .expect("one mode, one network")
-}
-
-/// Simulates K seed-variant networks under V sparsity modes, returning
-/// `[mode][plane]` reports: one [`simulate_layer_family`] call per
-/// layer index, so every report is exactly what a per-(mode, network)
-/// [`simulate_network_with`] call produces.
-///
-/// Networks of uneven depth have no layer index that spans every
-/// plane; each plane then runs on its own under plane key
-/// `scratch.plane + p`, so memoized grids cannot collide.
-pub fn simulate_network_multi_arch(
-    networks: &[&[GemmLayer]],
-    modes: &[SparsityMode],
-    cfg: &SimConfig,
-    scratch: &mut SimScratch,
-) -> Vec<Vec<NetworkReport>> {
-    let mut reports = vec![vec![NetworkReport::default(); networks.len()]; modes.len()];
-    // Appends one layer's `[mode][plane]` reports to planes `from..`.
-    let push =
-        |reports: &mut Vec<Vec<NetworkReport>>, from: usize, family: Vec<Vec<LayerReport>>| {
-            for (row, layer_row) in reports.iter_mut().zip(family) {
-                for (net, l) in row[from..].iter_mut().zip(layer_row) {
-                    net.layers.push(l);
-                }
-            }
-        };
-    let depth = networks.first().map_or(0, |n| n.len());
-    if networks.iter().all(|n| n.len() == depth) {
-        for i in 0..depth {
-            let layers: Vec<&GemmLayer> = networks.iter().map(|n| &n[i]).collect();
-            push(
-                &mut reports,
-                0,
-                simulate_layer_family(i, &layers, modes, cfg, scratch),
-            );
-        }
-    } else {
-        let base = scratch.plane;
-        for (p, net) in networks.iter().enumerate() {
-            scratch.plane = base + p as u32;
-            for (i, l) in net.iter().enumerate() {
-                push(
-                    &mut reports,
-                    p,
-                    simulate_layer_family(i, &[l], modes, cfg, scratch),
-                );
-            }
-        }
-        scratch.plane = base;
+    NetworkReport {
+        layers: layers
+            .iter()
+            .enumerate()
+            .map(|(i, l)| {
+                scratch.layer_idx = i as u32;
+                simulate_layer_with(l, mode, cfg, scratch)
+            })
+            .collect(),
     }
-    reports
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //!   cache (amortized over all tile pairs of the column) and the
 //!   sampled tile index list;
 //! * per *worker*: one `SimScratch`, created once and threaded through
-//!   `simulate_*_with` / `Accelerator::run_with`.
+//!   the `simulate_*` entries and `Accelerator::run_with`.
 //!
 //! The scratch carries no results — only capacity. Reusing one scratch
 //! across arbitrary grids, windows and architectures is deterministic
@@ -25,9 +25,10 @@ use std::collections::HashMap;
 
 use griffin_tensor::shape::CoreDims;
 
-use crate::config::Priority;
-use crate::engine::{Assignment, OpGrid, SchedScratch, Schedule};
-use crate::window::EffectiveWindow;
+use crate::engine::{Assignment, OpGrid, SchedScratch};
+use crate::layer::GemmLayer;
+use crate::shuffle::LaneMap;
+use crate::single::Side;
 
 /// Identity of one memoized tile grid inside a reuse scope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,57 +40,16 @@ pub(crate) struct GridKey {
     pub tile: u32,
     /// Whether the rotation shuffler was applied.
     pub rotate: bool,
-    /// `true` for B-side grids, `false` for A-side.
-    pub b_side: bool,
+    /// Which operand's nonzeros the grid holds.
+    pub side: Side,
     /// Core dimensions the grid was blocked for.
     pub core: CoreDims,
-    /// Batch plane (seed-variant index) the grid belongs to: the
-    /// scratch's plane offset plus the workload's position in the
-    /// batch, so K same-shape workloads can share one reuse scope
-    /// without colliding. A lone workload uses the offset itself
-    /// (0 unless a caller set one).
+    /// Seed plane the grid belongs to: the scratch's plane offset plus
+    /// the workload's position among the planes of one layer call, so K
+    /// seed-variant workloads can share one reuse scope without
+    /// colliding. A lone workload uses the offset itself (0 unless a
+    /// caller set one).
     pub plane: u32,
-}
-
-/// Identity of one memoized tile *schedule* inside a reuse scope: the
-/// grid it ran on plus the effective window and arbitration priority.
-/// Two architectures of a family that resolve to the same key provably
-/// produce the same [`Schedule`], so the multi-arch simulators serve
-/// the second one from this cache instead of re-running the event core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct SchedKey {
-    /// The memoized grid the schedule was computed on.
-    pub grid: GridKey,
-    /// Effective scheduling window.
-    pub win: EffectiveWindow,
-    /// Arbitration priority.
-    pub priority: Priority,
-}
-
-/// Cross-architecture schedule-sharing counters, accumulated by the
-/// `simulate_*_multi_arch*` entries for cache-stats telemetry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShareStats {
-    /// Windows requested through multi-arch scheduling entries.
-    pub multi_windows: u64,
-    /// Full event-core passes actually executed for those windows.
-    pub multi_passes: u64,
-    /// Windows served by saturating-depth replay inside
-    /// [`schedule_multi`](crate::engine::schedule_multi).
-    pub multi_replayed: u64,
-    /// Windows served from the window-keyed schedule cache (duplicate
-    /// effective windows across a family, or re-requests within one
-    /// reuse scope).
-    pub sched_cache_hits: u64,
-}
-
-impl ShareStats {
-    /// Schedules that were shared rather than recomputed: for a family
-    /// of `K` window requests resolving to one distinct schedule, this
-    /// is `K − 1`.
-    pub fn shared(&self) -> u64 {
-        self.multi_windows - self.multi_passes
-    }
 }
 
 /// Reusable buffers for layer/network simulation. See the module docs
@@ -110,22 +70,12 @@ pub struct SimScratch {
     /// not on the borrowing window — so one build serves every
     /// architecture of a sweep.
     pub(crate) grids: HashMap<GridKey, OpGrid>,
-    /// Window-keyed schedule cache of the current scope, the
-    /// cross-architecture companion of `grids`: schedules depend on the
-    /// grid *and* the effective window, so family members that share
-    /// both reuse the cached result.
-    pub(crate) scheds: HashMap<SchedKey, Schedule>,
-    /// Cross-architecture sharing counters (monotonic per scratch).
-    pub(crate) share_stats: ShareStats,
     /// Layer index the pipeline is currently simulating (keys the grid
     /// cache within a scope).
     pub(crate) layer_idx: u32,
-    /// Plane offset of the workload currently simulating (keys the grid
-    /// cache within a scope; batch entries add each workload's position).
+    /// Seed plane of the workload currently simulating (keys the grid
+    /// cache within a scope).
     pub(crate) plane: u32,
-    /// Reusable grids for the word-parallel batch builders when no
-    /// reuse scope is active (one per plane, grown on demand).
-    pub(crate) batch_grids: Vec<OpGrid>,
     /// Secondary grid for the dual pipeline's stage-2 replay.
     pub(crate) grid2: OpGrid,
     /// Assignment stream of the most recent `schedule_assign_with`.
@@ -168,36 +118,69 @@ impl SimScratch {
     pub fn begin_reuse_scope(&mut self, token: u128) {
         if self.scope != Some(token) {
             self.grids.clear();
-            self.scheds.clear();
             self.scope = Some(token);
         }
     }
 
-    /// Closes the grid-reuse scope and frees the memoized grids and
-    /// schedules.
+    /// Closes the grid-reuse scope and frees the memoized grids.
     pub fn end_reuse_scope(&mut self) {
         self.scope = None;
         self.grids.clear();
-        self.scheds.clear();
-    }
-
-    /// Cross-architecture schedule-sharing counters accumulated so far.
-    pub fn share_stats(&self) -> ShareStats {
-        self.share_stats
-    }
-
-    /// Resets the sharing counters (e.g. between benchmark phases).
-    pub fn reset_share_stats(&mut self) {
-        self.share_stats = ShareStats::default();
     }
 
     /// Selects the plane offset that keys memoized tile grids (plane 0
-    /// is the plain single-run plane); batch entries key workload `p`
-    /// of a batch as `offset + p`. Drivers that simulate several
-    /// workloads one call at a time give each its own plane so one
-    /// reuse scope holds them all without key collisions; plain
-    /// `run_with` callers never need to touch this.
+    /// is the plain single-run plane); family layer calls key workload
+    /// `p` as `offset + p`. Drivers that simulate several workloads one
+    /// call at a time give each its own plane so one reuse scope holds
+    /// them all without key collisions; plain `run_with` callers never
+    /// need to touch this.
     pub fn set_plane(&mut self, plane: u32) {
         self.plane = plane;
+    }
+
+    /// The op grid of home tile `tile` of `layer` on `side`, with the
+    /// scheduler state and assignment buffer to run it: memoized inside
+    /// a reuse scope (built on first use, then shared by every
+    /// architecture and pipeline stage that asks for it), otherwise
+    /// rebuilt in place in the primary grid.
+    pub(crate) fn tile_grid(
+        &mut self,
+        layer: &GemmLayer,
+        side: Side,
+        tile: usize,
+        rotate: bool,
+        core: CoreDims,
+    ) -> (&OpGrid, &mut SchedScratch, &mut Vec<Assignment>) {
+        let lanes = LaneMap::from_flag(rotate);
+        let SimScratch {
+            sched,
+            grid,
+            span,
+            scope,
+            grids,
+            layer_idx,
+            plane,
+            assigns,
+            ..
+        } = self;
+        let grid = if scope.is_some() {
+            let key = GridKey {
+                layer: *layer_idx,
+                tile: tile as u32,
+                rotate,
+                side,
+                core,
+                plane: *plane,
+            };
+            grids.entry(key).or_insert_with(|| {
+                let mut g = OpGrid::default();
+                side.build_grid(&mut g, span, layer, core, tile, lanes);
+                g
+            })
+        } else {
+            side.build_grid(grid, span, layer, core, tile, lanes);
+            grid
+        };
+        (grid, sched, assigns)
     }
 }

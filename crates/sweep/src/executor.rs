@@ -142,10 +142,9 @@ impl std::fmt::Debug for ScratchPool {
     }
 }
 
-/// One family group's phase-3 inputs: its seed-plane workloads, one
+/// One family's phase-3 inputs: its seed-plane workloads, one
 /// accelerator per architecture unit, the fingerprint its (family,
-/// layer) items derive their reuse-scope tokens from (shared by the
-/// families an arch cap split from one), and its depth.
+/// layer) items derive their reuse-scope tokens from, and its depth.
 struct FamilyRun {
     planes: Vec<Arc<Workload>>,
     accels: Vec<Accelerator>,
@@ -206,50 +205,16 @@ fn workload_memo() -> &'static Mutex<HashMap<Fingerprint, Arc<Workload>>> {
     MEMO.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Key identifying a seed-batch group: cells agreeing on everything but
-/// the mask seed simulate word-parallel as the seed planes of one
+/// Key identifying a seed group: cells agreeing on everything but the
+/// mask seed simulate as the seed planes of one
 /// [`Accelerator::run_family_layer`] call per layer.
-fn batch_key(cell: &Cell) -> Fingerprint {
+fn seed_group_key(cell: &Cell) -> Fingerprint {
     let mut h = Hasher::new();
     h.str("griffin-batch-group-v1")
         .feed(&cell.workload)
         .feed(&cell.category)
         .feed(&cell.arch);
     h.finish()
-}
-
-/// Maximum seed-variant planes per batched simulation, read from the
-/// environment: `GRIFFIN_UNBATCHED=1` forces plane-at-a-time execution
-/// (the historical path — reports are byte-identical either way, which
-/// CI pins), `GRIFFIN_BATCH=n` caps batches at `n` planes, and the
-/// default is unbounded (one batch per seed-variant group).
-fn env_batch_cap() -> usize {
-    let set = |k: &str| std::env::var(k).ok().filter(|v| !v.is_empty() && v != "0");
-    if set("GRIFFIN_UNBATCHED").is_some() {
-        return 1;
-    }
-    set("GRIFFIN_BATCH")
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(usize::MAX)
-}
-
-/// Maximum architectures per family-batched simulation, read from the
-/// environment: `GRIFFIN_UNBATCHED=1` forces one architecture per
-/// simulation call (covering the arch axis as well as the seed axis),
-/// `GRIFFIN_ARCH_BATCH=n` caps family width at `n`, and the default is
-/// unbounded (one call per whole architecture family). Reports are
-/// byte-identical at every width — family batching only changes how
-/// many event-core passes the scheduler can share.
-fn env_arch_cap() -> usize {
-    let set = |k: &str| std::env::var(k).ok().filter(|v| !v.is_empty() && v != "0");
-    if set("GRIFFIN_UNBATCHED").is_some() {
-        return 1;
-    }
-    set("GRIFFIN_ARCH_BATCH")
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(usize::MAX)
 }
 
 /// A live progress event emitted by [`run_cells`] while a campaign is
@@ -415,40 +380,6 @@ pub fn run_cells_pooled(
     observe: &(dyn Fn(&CellEvent<'_>) + Sync),
     pool: &ScratchPool,
 ) -> Result<Vec<CellRecord>, SweepError> {
-    run_cells_capped(
-        spec,
-        cells,
-        cache,
-        workers,
-        build_workers,
-        observe,
-        pool,
-        env_batch_cap(),
-        env_arch_cap(),
-    )
-}
-
-/// [`run_cells_pooled`] with explicit seed-batch and arch-family caps
-/// instead of the environment's (`GRIFFIN_UNBATCHED` / `GRIFFIN_BATCH`
-/// / `GRIFFIN_ARCH_BATCH`): `batch_cap` 1 is plane-at-a-time execution
-/// and larger caps split each seed-variant group into batches of at
-/// most that many planes; `arch_cap` 1 simulates one architecture per
-/// call and larger caps hand up to that many family members to one
-/// multi-window scheduling pass. Reports are byte-identical at
-/// **every** cap combination and worker count — the batch-equivalence
-/// harness sweeps all three axes against this entry point.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cells_capped(
-    spec: &SweepSpec,
-    cells: &[Cell],
-    cache: &ResultCache,
-    workers: usize,
-    build_workers: usize,
-    observe: &(dyn Fn(&CellEvent<'_>) + Sync),
-    pool: &ScratchPool,
-    batch_cap: usize,
-    arch_cap: usize,
-) -> Result<Vec<CellRecord>, SweepError> {
     let fingerprints: Vec<Fingerprint> = cells.iter().map(|c| c.fingerprint(&spec.sim)).collect();
 
     // Phase 1: probe the cache, and deduplicate identical scenarios
@@ -478,34 +409,31 @@ pub fn run_cells_capped(
     }
 
     if !missing.is_empty() {
-        // Group the missing cells into batch units: cells differing only
-        // by mask seed share grid shapes, so they simulate word-parallel
-        // as the seed planes of one layer call. Units keep the grid
-        // order of `missing` (architecture-major).
-        let cap = batch_cap.max(1);
+        // Group the missing cells into units: cells differing only by
+        // mask seed simulate as the seed planes of one layer call. Units
+        // keep the grid order of `missing` (architecture-major).
         let mut units: Vec<Vec<usize>> = Vec::new();
         {
             let mut unit_of: HashMap<Fingerprint, usize> = HashMap::new();
             for &i in &missing {
-                let key = batch_key(&cells[i]);
+                let key = seed_group_key(&cells[i]);
                 match unit_of.get(&key) {
-                    Some(&u) if units[u].len() < cap => units[u].push(i),
-                    _ => {
+                    Some(&u) => units[u].push(i),
+                    None => {
                         unit_of.insert(key, units.len());
                         units.push(vec![i]);
                     }
                 }
             }
         }
-        // Widen units into *family groups*: units agreeing on everything
-        // but the architecture — same workload, category and seed-plane
-        // list — hand their whole architecture family to one
-        // `Accelerator::run_family_layer` call per layer, where
-        // same-reach borrowing windows share event-core passes. The
-        // seed tuple is part of the key so partially-cached families
-        // (some arches' cells already served) split into runs with
-        // identical planes.
-        let acap = arch_cap.max(1);
+        // Widen units into *families*: units agreeing on everything but
+        // the architecture — same workload, category and seed-plane list
+        // — hand their whole architecture family to one
+        // `Accelerator::run_family_layer` call per layer, where every
+        // single-sparse design of a side shares each tile grid. The seed
+        // tuple is part of the key so partially-cached families (some
+        // arches' cells already served) split into runs with identical
+        // planes.
         let mut families: Vec<Vec<usize>> = Vec::new();
         {
             let mut fam_of: HashMap<Fingerprint, usize> = HashMap::new();
@@ -520,8 +448,8 @@ pub fn run_cells_capped(
                 }
                 let key = h.finish();
                 match fam_of.get(&key) {
-                    Some(&f) if families[f].len() < acap => families[f].push(u),
-                    _ => {
+                    Some(&f) => families[f].push(u),
+                    None => {
                         fam_of.insert(key, families.len());
                         families.push(vec![u]);
                     }
@@ -615,9 +543,8 @@ pub fn run_cells_capped(
         // that is a single family still fills the pool. Each item runs
         // the family's whole architecture axis over the layer's seed
         // planes in one call, under a reuse scope naming the (workload,
-        // category, seeds, layer) it simulates: a worker's grid memo
-        // never holds more than one layer, and families split by the
-        // arch cap share it.
+        // category, seeds, layer) it simulates, so a worker's grid memo
+        // never holds more than one layer.
         let runs: Vec<FamilyRun> = families
             .iter()
             .map(|family| {
@@ -652,30 +579,13 @@ pub fn run_cells_capped(
                 }
             })
             .collect();
-        // Items run layer-major across the families that share a scope
-        // (an arch family split by the arch cap), so items that reuse
-        // one layer's grids sit next to each other in the queue and a
-        // worker pulling consecutive items keeps its memo; groups run
-        // in family order. A layerless workload still needs one item,
-        // whose owner finishes the family's cells.
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        {
-            let mut group_of: HashMap<Fingerprint, usize> = HashMap::new();
-            for (f, run) in runs.iter().enumerate() {
-                let g = *group_of.entry(run.scope).or_insert_with(|| {
-                    groups.push(Vec::new());
-                    groups.len() - 1
-                });
-                groups[g].push(f);
-            }
-        }
-        let items: Vec<(usize, usize)> = groups
+        // Items run family by family, layers in order. A layerless
+        // workload still needs one item, whose owner finishes the
+        // family's cells.
+        let items: Vec<(usize, usize)> = runs
             .iter()
-            .flat_map(|group| {
-                // A scope names the workload, so a group shares one depth.
-                let depth = runs[group[0]].depth.max(1);
-                (0..depth).flat_map(move |l| group.iter().map(move |&f| (f, l)))
-            })
+            .enumerate()
+            .flat_map(|(f, run)| (0..run.depth.max(1)).map(move |l| (f, l)))
             .collect();
         let workers = workers.clamp(1, items.len());
         // Per family: the finished layers' `[arch][plane]` reports and
@@ -1035,54 +945,34 @@ mod tests {
     }
 
     #[test]
-    fn batch_caps_and_worker_count_never_change_records() {
+    fn worker_count_never_changes_records() {
         let spec = small_spec();
         let cells = spec.cells();
         let pool = ScratchPool::new();
-        // Caps (1, 1) are plane-at-a-time, arch-at-a-time execution —
-        // the historical path.
-        let unbatched = run_cells_capped(
-            &spec,
-            &cells,
-            &ResultCache::in_memory(),
-            1,
-            1,
-            &no_observer,
-            &pool,
-            1,
-            1,
-        )
-        .unwrap();
-        for cap in [1, 2, usize::MAX] {
-            for arch_cap in [1, 2, usize::MAX] {
-                for workers in [1, 2, 5] {
-                    let batched = run_cells_capped(
-                        &spec,
-                        &cells,
-                        &ResultCache::in_memory(),
-                        workers,
-                        2,
-                        &no_observer,
-                        &pool,
-                        cap,
-                        arch_cap,
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        unbatched, batched,
-                        "cap {cap}, arch cap {arch_cap}, {workers} workers"
-                    );
-                }
-            }
+        let run = |workers| {
+            run_cells_pooled(
+                &spec,
+                &cells,
+                &ResultCache::in_memory(),
+                workers,
+                2,
+                &no_observer,
+                &pool,
+            )
+            .unwrap()
+        };
+        let serial = run(1);
+        for workers in [2, 4] {
+            assert_eq!(serial, run(workers), "{workers} workers");
         }
     }
 
     #[test]
     fn arch_family_batching_never_changes_records() {
         // A genuine single-sparse family (not the mixed-mode small_spec
-        // archs): the family path hands all members to one multi-window
-        // scheduling pass, which must be byte-identical to the
-        // arch-at-a-time path at every cap combination.
+        // archs): every member goes through one tile-driver call per
+        // layer and plane, which must report exactly what each
+        // architecture's own `run_with` does, at any worker count.
         use crate::spec::ArchFamily;
         let spec = SweepSpec::new("family")
             .adhoc_layer("l0", 32, 256, 32, 1.0, 0.2)
@@ -1094,42 +984,24 @@ mod tests {
                 ..SimConfig::default()
             });
         let cells = spec.cells();
-        let pool = ScratchPool::new();
-        let unbatched = run_cells_capped(
-            &spec,
-            &cells,
-            &ResultCache::in_memory(),
-            1,
-            1,
-            &no_observer,
-            &pool,
-            1,
-            1,
-        )
-        .unwrap();
-        for (cap, arch_cap, workers) in [
-            (usize::MAX, 1, 2),
-            (1, usize::MAX, 2),
-            (usize::MAX, usize::MAX, 1),
-            (usize::MAX, usize::MAX, 8),
-            (2, 3, 8),
-        ] {
-            let batched = run_cells_capped(
+        let serial = run_cells(&spec, &cells, &ResultCache::in_memory(), 1, &no_observer).unwrap();
+        let mut scratch = SimScratch::new();
+        for (cell, rec) in cells.iter().zip(&serial) {
+            let wl = cell.workload.build(cell.category, cell.seed).unwrap();
+            let r = Accelerator::new(cell.arch.clone(), spec.sim).run_with(&wl, &mut scratch);
+            assert_eq!(rec.metrics.cycles, r.network.cycles(), "{}", rec.arch);
+            assert_eq!(rec.metrics.speedup, r.speedup, "{}", rec.arch);
+        }
+        for workers in [2, 4] {
+            let split = run_cells(
                 &spec,
                 &cells,
                 &ResultCache::in_memory(),
                 workers,
-                2,
                 &no_observer,
-                &pool,
-                cap,
-                arch_cap,
             )
             .unwrap();
-            assert_eq!(
-                unbatched, batched,
-                "cap {cap}, arch cap {arch_cap}, {workers} workers"
-            );
+            assert_eq!(serial, split, "{workers} workers");
         }
     }
 

@@ -1448,7 +1448,6 @@ fn cmd_bench(rest: &[String]) -> ExitCode {
     };
     match bench::run_bench(&opts) {
         Ok(json) => {
-            let json = bench::merge_unknown_sections(json, &opts.out);
             if let Err(e) = write_file(&opts.out, &json.write()) {
                 eprintln!("cannot write {}: {e}", opts.out);
                 return ExitCode::FAILURE;

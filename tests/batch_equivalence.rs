@@ -1,12 +1,13 @@
-//! Batch-equivalence properties: `Accelerator::run_batch` over K
-//! seed-variant workloads must be **bitwise** identical to K independent
-//! `Accelerator::run_with` calls — for every mode (word-parallel batched
-//! builders and plane-sequential fallbacks alike), with and without an
-//! active grid-reuse scope, at any batch width. This is the contract
-//! that lets the sweep executor batch opportunistically: batching is an
-//! execution strategy, never a result change. The per-layer family
-//! entry the executor schedules (`Accelerator::run_family_layer`) is
-//! pinned the same way, layer by layer.
+//! Family-equivalence properties: `Accelerator::run_family_batch` over
+//! V architectures and K seed-variant workloads must be **bitwise**
+//! identical to V × K independent `Accelerator::run_with` calls — for
+//! every mode (shared single-sparse tile-driver calls and per-mode
+//! pipelines alike), with and without an active grid-reuse scope. This
+//! is the contract that lets the sweep executor group work freely:
+//! grouping is an execution strategy, never a result change. The
+//! per-layer family entry the executor schedules
+//! (`Accelerator::run_family_layer`) is pinned the same way, layer by
+//! layer.
 
 use griffin::core::accelerator::{Accelerator, RunReport, Workload};
 use griffin::core::arch::ArchSpec;
@@ -111,34 +112,6 @@ fn assert_reports_identical(solo: &RunReport, batched: &RunReport, what: &str) {
     }
 }
 
-/// Runs the batch three ways (solo runs, unscoped batch, scoped batch)
-/// and checks all agree plane-by-plane.
-fn check_batch(arch: ArchSpec, cfg: SimConfig, workloads: &[Workload]) {
-    let acc = Accelerator::new(arch, cfg);
-    let solo: Vec<RunReport> = workloads
-        .iter()
-        .map(|w| acc.run_with(w, &mut SimScratch::new()))
-        .collect();
-
-    let planes: Vec<&Workload> = workloads.iter().collect();
-    let unscoped = acc.run_batch(&planes, &mut SimScratch::new());
-    assert_eq!(unscoped.len(), workloads.len());
-    for (p, (s, b)) in solo.iter().zip(&unscoped).enumerate() {
-        assert_reports_identical(s, b, &format!("unscoped plane {p}"));
-    }
-
-    // Under a reuse scope the batch memoizes per-plane tile grids; the
-    // second pass replays entirely from cache and must still agree.
-    let mut scoped = SimScratch::new();
-    scoped.begin_reuse_scope(0xBA7C4);
-    for pass in 0..2 {
-        let batched = acc.run_batch(&planes, &mut scoped);
-        for (p, (s, b)) in solo.iter().zip(&batched).enumerate() {
-            assert_reports_identical(s, b, &format!("scoped pass {pass} plane {p}"));
-        }
-    }
-}
-
 fn arch_for(category: DnnCategory) -> Vec<ArchSpec> {
     let mut archs = vec![ArchSpec::dense(), ArchSpec::griffin()];
     match category {
@@ -152,12 +125,12 @@ fn arch_for(category: DnnCategory) -> Vec<ArchSpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// K seed variants of one workload, batched, equal K solo runs —
-    /// across categories (so both the word-parallel SparseA/SparseB
-    /// kernels and the dual-pipeline plane-sequential fallback run),
-    /// exact and sampled fidelity, and batch widths 1..=4.
+    /// K seed variants of one workload through one family call equal K
+    /// solo runs — across categories (so the single-sparse tile driver
+    /// and the dual pipeline both run), exact and sampled fidelity, and
+    /// 1..=4 planes.
     #[test]
-    fn run_batch_equals_independent_runs(
+    fn seed_planes_equal_independent_runs(
         seed in 0u64..500,
         planes in 1usize..5,
         cat_pick in 0usize..3,
@@ -179,14 +152,14 @@ proptest! {
             ..SimConfig::default()
         };
         for arch in arch_for(category) {
-            check_batch(arch, cfg, &workloads);
+            check_family(&[arch], cfg, &workloads);
         }
     }
 }
 
-/// Runs a whole architecture family three ways (per-accelerator
-/// `run_batch`, unscoped family batch, scoped family batch) and checks
-/// every `[accelerator][workload]` report agrees bitwise.
+/// Runs a whole architecture family three ways (per-pair `run_with`,
+/// unscoped family batch, scoped family batch) and checks every
+/// `[accelerator][workload]` report agrees bitwise.
 fn check_family(archs: &[ArchSpec], cfg: SimConfig, workloads: &[Workload]) {
     let accels: Vec<Accelerator> = archs
         .iter()
@@ -196,7 +169,12 @@ fn check_family(archs: &[ArchSpec], cfg: SimConfig, workloads: &[Workload]) {
     let planes: Vec<&Workload> = workloads.iter().collect();
     let solo: Vec<Vec<RunReport>> = accels
         .iter()
-        .map(|a| a.run_batch(&planes, &mut SimScratch::new()))
+        .map(|a| {
+            workloads
+                .iter()
+                .map(|w| a.run_with(w, &mut SimScratch::new()))
+                .collect()
+        })
         .collect();
 
     let unscoped = Accelerator::run_family_batch(&refs, &planes, &mut SimScratch::new());
@@ -208,9 +186,8 @@ fn check_family(archs: &[ArchSpec], cfg: SimConfig, workloads: &[Workload]) {
         }
     }
 
-    // Under a reuse scope the family shares memoized grids *and* the
-    // window-keyed schedule cache; a second pass replays from cache and
-    // must still agree.
+    // Under a reuse scope the family shares memoized grids; a second
+    // pass builds nothing and must still agree.
     let mut scoped = SimScratch::new();
     scoped.begin_reuse_scope(0xFA417);
     for pass in 0..2 {
@@ -230,11 +207,10 @@ fn check_family(archs: &[ArchSpec], cfg: SimConfig, workloads: &[Workload]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// A whole architecture family batched through one
-    /// `run_family_batch` call equals per-accelerator `run_batch` calls
-    /// (themselves pinned to solo runs above) — over random single-
-    /// sparse families with shared-reach members, duplicates, and both
-    /// shuffle flags, on K seed-variant workloads.
+    /// A whole architecture family through one `run_family_batch` call
+    /// equals per-pair `run_with` calls — over random single-sparse
+    /// families with shared-reach members, duplicates, and both shuffle
+    /// flags, on K seed-variant workloads.
     #[test]
     fn run_family_batch_equals_independent_runs(
         seed in 0u64..300,
@@ -270,9 +246,9 @@ proptest! {
 
 #[test]
 fn mixed_mode_family_falls_back_and_still_matches() {
-    // Dense + dual-sparse + single-sparse in one family: no shared
-    // single-sparse axis, so the family call must fall back per
-    // accelerator — and still match bitwise.
+    // Dense + dual-sparse + single-sparse in one family: only the
+    // single-sparse member goes through the tile driver, the rest run
+    // per mode — and every report still matches bitwise.
     let archs = [
         ArchSpec::dense(),
         ArchSpec::griffin(),
@@ -286,56 +262,10 @@ fn mixed_mode_family_falls_back_and_still_matches() {
 }
 
 #[test]
-fn identical_family_members_share_all_but_one_schedule() {
-    // K family members with the *same* window and shuffle flag resolve
-    // to one distinct schedule per (tile, plane): the telemetry must
-    // report exactly K−1 of every K window requests as shared, and the
-    // reports must still equal solo runs. (The real 54-arch SparseB
-    // family has 54 distinct (window, shuffle) combos, so its sharing
-    // comes only from saturating-depth replay on structured masks —
-    // this constructed family pins the cache/dedup half of the
-    // counters.)
-    let k = 5;
-    let arch = ArchSpec::sparse_b_star();
-    let archs: Vec<ArchSpec> = (0..k).map(|_| arch.clone()).collect();
-    let workloads = [
-        variant(DnnCategory::B, &[(16, 128, 32)], 1.0, 0.3, 41),
-        variant(DnnCategory::B, &[(16, 128, 32)], 1.0, 0.3, 42),
-    ];
-    check_family(&archs, SimConfig::default(), &workloads);
-
-    let accels: Vec<Accelerator> = archs
-        .iter()
-        .map(|a| Accelerator::new(a.clone(), SimConfig::default()))
-        .collect();
-    let refs: Vec<&Accelerator> = accels.iter().collect();
-    let planes: Vec<&Workload> = workloads.iter().collect();
-    let mut scratch = SimScratch::new();
-    scratch.begin_reuse_scope(0x54A11);
-    let _ = Accelerator::run_family_batch(&refs, &planes, &mut scratch);
-    let stats = scratch.share_stats();
-    assert!(stats.multi_passes > 0, "family must schedule something");
-    assert_eq!(
-        stats.multi_windows,
-        stats.multi_passes * k as u64,
-        "every distinct schedule serves K identical members"
-    );
-    assert_eq!(
-        stats.shared(),
-        stats.multi_passes * (k as u64 - 1),
-        "K−1 of every K window requests are shared"
-    );
-    assert_eq!(
-        stats.sched_cache_hits + stats.multi_replayed,
-        stats.shared(),
-        "shares are either cache hits or replays"
-    );
-}
-
-#[test]
 fn empty_batch_returns_no_reports() {
     let acc = Accelerator::with_defaults(ArchSpec::griffin());
-    assert!(acc.run_batch(&[], &mut SimScratch::new()).is_empty());
+    let w = variant(DnnCategory::B, &[(16, 128, 32)], 1.0, 0.3, 1);
+    assert!(Accelerator::run_family_batch(&[], &[&w], &mut SimScratch::new()).is_empty());
     assert!(
         Accelerator::run_family_batch(&[&acc], &[], &mut SimScratch::new())
             .iter()
@@ -348,15 +278,17 @@ fn mixed_category_batch_falls_back_per_plane() {
     let shapes = [(16, 128, 32)];
     let a = variant(DnnCategory::A, &shapes, 0.5, 1.0, 11);
     let b = variant(DnnCategory::B, &shapes, 1.0, 0.2, 12);
-    check_batch(
-        ArchSpec::griffin(),
+    check_family(
+        &[ArchSpec::griffin()],
         SimConfig::default(),
         &[a.clone(), b.clone()],
     );
 
     // Explicitly: the mixed batch equals the per-plane solo runs.
     let acc = Accelerator::with_defaults(ArchSpec::griffin());
-    let batched = acc.run_batch(&[&a, &b], &mut SimScratch::new());
+    let batched = Accelerator::run_family_batch(&[&acc], &[&a, &b], &mut SimScratch::new())
+        .pop()
+        .expect("one accelerator row");
     let solo_a = acc.run_with(&a, &mut SimScratch::new());
     let solo_b = acc.run_with(&b, &mut SimScratch::new());
     assert_reports_identical(&solo_a, &batched[0], "mixed plane 0");
@@ -365,26 +297,30 @@ fn mixed_category_batch_falls_back_per_plane() {
 
 #[test]
 fn uneven_shapes_fall_back_and_still_match() {
-    // Same category, different per-plane layer shapes: not batchable
-    // word-parallel, must take the plane-sequential path and still match.
+    // Same category, different per-plane layer shapes: each plane's
+    // tiles are its own, and every report must still match.
     let a = variant(DnnCategory::B, &[(16, 128, 32)], 1.0, 0.3, 21);
     let b = variant(DnnCategory::B, &[(32, 64, 64)], 1.0, 0.3, 22);
-    check_batch(
-        ArchSpec::sparse_b_star(),
+    check_family(
+        &[ArchSpec::sparse_b_star()],
         SimConfig::default(),
         &[a.clone(), b.clone()],
     );
     // A plane of a different depth: no layer index spans every plane,
-    // so each plane runs its whole network on its own.
+    // so each (accelerator, plane) pair runs through `run_with`.
     let c = variant(DnnCategory::B, &[(16, 128, 32), (32, 64, 64)], 1.0, 0.3, 23);
-    check_batch(ArchSpec::sparse_b_star(), SimConfig::default(), &[a, b, c]);
+    check_family(
+        &[ArchSpec::sparse_b_star()],
+        SimConfig::default(),
+        &[a, b, c],
+    );
 }
 
 #[test]
 fn uneven_shapes_in_a_multi_arch_family_still_match() {
     // Same depth, different per-plane layer shapes, a multi-arch
-    // single-sparse family: the arch axis still shares one call per
-    // plane, the planes run one after another.
+    // single-sparse family: the arch axis still shares one tile-driver
+    // call per plane, the planes run one after another.
     use griffin::sim::window::BorrowWindow;
     let shapes_a = [(16, 128, 32), (32, 64, 64)];
     let shapes_b = [(32, 64, 64), (16, 64, 128)];
@@ -466,9 +402,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The per-layer family entry equals `run_with` layer by layer, for
-    /// every arch and plane: on homogeneous single-sparse families
-    /// (multi-arch path) and on the `sweep-b` shape — the dense baseline
-    /// plus `Sparse.B` variants, which no multi-arch call covers.
+    /// every arch and plane: on homogeneous single-sparse families and on
+    /// the `sweep-b` shape — the dense baseline plus `Sparse.B`
+    /// variants.
     #[test]
     fn layer_entry_equals_run_with_per_layer(
         seed in 0u64..300,
@@ -516,9 +452,9 @@ proptest! {
 
 #[test]
 fn layer_entry_covers_dual_sparse_fallbacks() {
-    // Dual-sparse pipelines (plane-sequential) next to word-parallel
-    // single-sparse members on a dual-sparse workload — the dual stage
-    // 1 memoizes the same B grids the `Sparse.B*` batch builds.
+    // Dual-sparse pipelines next to single-sparse members on a
+    // dual-sparse workload — the dual stage 1 memoizes the same B grids
+    // the `Sparse.B*` tile driver uses.
     let archs = [
         ArchSpec::dense(),
         ArchSpec::griffin(),
