@@ -35,9 +35,9 @@
 //! terminal event (`campaign_done` / `campaign_failed`).
 //!
 //! Recovery paths are exercised deterministically through
-//! [`fault::FaultPlan`](crate::fault::FaultPlan): the in-process
-//! coordinator consults [`FleetConfig::fault`] directly, spawned
-//! workers arm their own faults from the inherited
+//! [`fault::FaultPlan`]: the in-process coordinator consults
+//! [`FleetConfig::fault`] directly, spawned workers arm their own
+//! faults from the inherited
 //! [`GRIFFIN_FAULT`](crate::fault::FAULT_ENV) environment (gated by the
 //! attempt number the coordinator exports per respawn).
 //!
@@ -51,9 +51,9 @@
 //!
 //! [`run_fleet_hosted`] runs the spawned mode across several machines:
 //! each shard is planned onto a home host fingerprint-stably
-//! ([`host_of`](crate::plan::host_of)), workers launch through an
-//! [`ExecTransport`] per host, and shard events carry the host label. A
-//! host whose launches or workers keep failing
+//! ([`host_of`]), workers launch through an [`ExecTransport`] per host,
+//! and shard events carry the host label. A host whose launches or
+//! workers keep failing
 //! ([`FleetConfig::host_failure_limit`] consecutive failures, while
 //! other hosts survive) is declared **lost** (`host_lost`): its pending
 //! shards re-queue onto the surviving hosts, and the campaign only
@@ -1082,8 +1082,8 @@ pub fn run_fleet_spawned(
 
 /// Runs a sharded campaign across a **multi-host fleet**: one
 /// [`ExecTransport`] per machine, shards planned onto home hosts
-/// fingerprint-stably ([`host_of`](crate::plan::host_of)), shard events
-/// stamped with host labels, and `host_lost` / `host_retired` tracking
+/// fingerprint-stably ([`host_of`]), shard events stamped with host
+/// labels, and `host_lost` / `host_retired` tracking
 /// per-machine liveness. A host that keeps failing
 /// ([`FleetConfig::host_failure_limit`] consecutive failures while
 /// others survive) is declared lost and its shards re-queue onto the

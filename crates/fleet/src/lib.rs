@@ -29,10 +29,9 @@
 //! * [`coordinator`] — the in-process and subprocess campaign drivers
 //!   plus the shard-worker entry point,
 //! * [`transport`] — how workers are launched on a machine
-//!   ([`LocalExec`](transport::LocalExec) subprocesses,
-//!   [`SshExec`](transport::SshExec) remote workers, and the
-//!   fault-enacting [`ChaosExec`](transport::ChaosExec) decorator
-//!   behind multi-host chaos tests),
+//!   ([`LocalExec`] subprocesses, [`SshExec`] remote workers, and the
+//!   fault-enacting [`ChaosExec`] decorator behind multi-host chaos
+//!   tests),
 //! * [`fault`] — deterministic fault injection (worker kill/stall,
 //!   host partition/refusal, cache and journal corruption) for chaos
 //!   tests.

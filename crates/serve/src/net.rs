@@ -10,9 +10,9 @@
 //! line longer than [`MAX_LINE_BYTES`] gets an `error` reply and ends
 //! the connection, so no client can grow the daemon's memory without
 //! bound. The daemon then half-closes and drains the client's unread
-//! input for up to [`DRAIN`] before closing: closing a TCP socket with
-//! unread data sends a reset, which can discard the reply before the
-//! client reads it.
+//! input for up to one second (`DRAIN`) before closing: closing a TCP
+//! socket with unread data sends a reset, which can discard the reply
+//! before the client reads it.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};

@@ -27,11 +27,17 @@
 //!   `Vec<Vec<u32>>`, so a grid is two allocations (reused across tiles
 //!   through [`SchedScratch`]) and column heads are plain indices into
 //!   one array.
-//! * Each slot's **tap table** — the `signed_offsets` cross-product of
-//!   the window, clipped to the grid, in priority order — is precomputed
-//!   once per `(grid dims, window)` pair and cached in the scratch, so
-//!   the per-cycle scan is a linear walk over `(column, displacement)`
-//!   pairs with no offset arithmetic or bounds checks.
+//! * Column head times live in one **bordered head volume** over
+//!   `(lane, row, col)`: each axis is padded by `reach.div_ceil(2)`
+//!   sentinel `NONE` entries (the largest displacement
+//!   `signed_offsets` produces; unreached axes get no padding). Every
+//!   slot then shares one tap list — the window's `signed_offsets`
+//!   cross-product as bordered-index displacements, in
+//!   `(dsum, enumeration)` priority order — and a border read stands in
+//!   for a tap clipped at the grid edge: it reads `NONE` and loses every
+//!   arbitration. The per-cycle scan is a fixed-trip branchless
+//!   min-chain with no per-slot bounds, monomorphized over the tap count
+//!   for the window families the sweeps explore.
 //! * Slots are **event-driven**: when a slot's scan finds no reachable
 //!   work, the slot records the earliest time row any of its tap columns
 //!   could offer (`wake_t`, the minimum head time over its taps) and
@@ -43,17 +49,23 @@
 //!   (heads only advance, so the current minimum head time is at least
 //!   the recorded `wake_t`). A woken slot simply rescans; if its op was
 //!   consumed by another slot in the meantime it re-sleeps with a
-//!   strictly later `wake_t`.
+//!   strictly later `wake_t`. With a one-tap window (no lane or spatial
+//!   reach) a slot whose next op sits exactly one row past the horizon
+//!   is not pre-slept: on dense rows the horizon advances every cycle,
+//!   and sleeping would only thrash the wake lists. Dormancy decides
+//!   which slots get scanned, never what a scan finds.
 //!
 //! The observable semantics — [`Schedule`] counters and the
 //! [`Assignment`] stream — are **bit-identical** to the naive
-//! rescan-everything policy, which is retained in [`reference`] and
-//! checked by differential property tests.
+//! rescan-everything policy, which is retained in
+//! [`reference`](mod@reference) and checked by differential property
+//! tests.
 
 use crate::config::Priority;
 use crate::window::EffectiveWindow;
 
-/// Sentinel for "no entry" in the intrusive wake lists.
+/// Sentinel for "no entry": an exhausted column head, a border cell of
+/// the head volume, the end of an intrusive wake list.
 const NONE: u32 = u32::MAX;
 
 /// A grid of effectual operations in blocked coordinates.
@@ -351,95 +363,8 @@ pub struct Assignment {
     pub slot: (usize, usize, usize),
 }
 
-/// One slot's precomputed borrowing neighbourhood for a given grid shape
-/// and window: the `signed_offsets` cross-product clipped to the grid,
-/// in arbitration priority order.
-#[derive(Debug, Clone, Default)]
-struct TapTable {
-    /// Cache key: `(lanes, rows, cols, lane reach, row reach, col reach)`
-    /// — the time depth does not affect tap geometry.
-    key: (usize, usize, usize, usize, usize, usize),
-    /// Per-slot offsets into `col`/`dsum`; length `slots + 1`.
-    off: Vec<u32>,
-    /// Source column index of each tap.
-    col: Vec<u32>,
-    /// Total displacement `|Δlane| + |Δrow| + |Δcol|` of each tap.
-    dsum: Vec<u32>,
-}
-
-impl TapTable {
-    fn build(grid: &OpGrid, win: EffectiveWindow) -> Self {
-        let slots = grid.lanes * grid.rows * grid.cols;
-        let mut t = TapTable {
-            key: tap_key(grid, win),
-            off: Vec::with_capacity(slots + 1),
-            col: Vec::new(),
-            dsum: Vec::new(),
-        };
-        t.off.push(0);
-        for lane in 0..grid.lanes {
-            for row in 0..grid.rows {
-                for col in 0..grid.cols {
-                    for dl in signed_offsets(win.lane) {
-                        let Some(sl) = offset(lane, dl, grid.lanes) else {
-                            continue;
-                        };
-                        for dr in signed_offsets(win.rows) {
-                            let Some(sr) = offset(row, dr, grid.rows) else {
-                                continue;
-                            };
-                            for dc in signed_offsets(win.cols) {
-                                let Some(sc) = offset(col, dc, grid.cols) else {
-                                    continue;
-                                };
-                                t.col.push(grid.column(sl, sr, sc) as u32);
-                                t.dsum.push(
-                                    (dl.unsigned_abs() + dr.unsigned_abs() + dc.unsigned_abs())
-                                        as u32,
-                                );
-                            }
-                        }
-                    }
-                    let lo = *t.off.last().unwrap() as usize;
-                    // Stable-sort the slot's run by displacement, keeping
-                    // the Figure 2 enumeration order inside equal
-                    // displacements. With the run in `(dsum, tap order)`
-                    // order, the arbitration scan recovers the full
-                    // `(t, dsum, tap order)` priority from head *times*
-                    // alone: a strict `<` keeps the earliest-sorted tap
-                    // among equal times, which is exactly the dsum /
-                    // enumeration tie-break.
-                    let mut order: Vec<usize> = (lo..t.col.len()).collect();
-                    order.sort_by_key(|&i| t.dsum[i]);
-                    let col_run: Vec<u32> = order.iter().map(|&i| t.col[i]).collect();
-                    let dsum_run: Vec<u32> = order.iter().map(|&i| t.dsum[i]).collect();
-                    t.col[lo..].copy_from_slice(&col_run);
-                    t.dsum[lo..].copy_from_slice(&dsum_run);
-                    t.off.push(u32::try_from(t.col.len()).expect(
-                        "tap table exceeds u32 indexing; shrink the \
-                         borrowing window or split the grid",
-                    ));
-                }
-            }
-        }
-        t
-    }
-}
-
-fn tap_key(grid: &OpGrid, win: EffectiveWindow) -> (usize, usize, usize, usize, usize, usize) {
-    (
-        grid.lanes, grid.rows, grid.cols, win.lane, win.rows, win.cols,
-    )
-}
-
-/// How many tap tables a scratch keeps before recycling slots. The dual
-/// pipeline alternates between the stage-1 and stage-2 shapes every
-/// tile pair, so two entries are the working set; four leaves headroom
-/// for mixed campaigns without letting the cache grow.
-const TAP_CACHE: usize = 4;
-
-/// Reusable scheduler state: column heads, per-row op counts, cached tap
-/// tables and the dormant-slot frontier machinery.
+/// Reusable scheduler state: column heads, per-row op counts, the tap
+/// list and the dormant-slot frontier machinery.
 ///
 /// One scratch serves any sequence of grids and windows; every buffer is
 /// sized on entry and keeps its capacity, so steady-state tile
@@ -447,36 +372,29 @@ const TAP_CACHE: usize = 4;
 /// keeping per worker thread (see `griffin_sweep`'s executor).
 #[derive(Debug, Default)]
 pub struct SchedScratch {
-    /// Time at each column's head op (`u32::MAX` when exhausted). Kept
-    /// as a dense `u32` array separate from the cursors: the arbitration
-    /// scan only needs times, and the split packs twice as many column
-    /// heads per cache line.
-    head_t: Vec<u32>,
     /// Absolute index of each column's next unconsumed op in
     /// `OpGrid::ops`; only touched when a head actually pops.
     head_cursor: Vec<u32>,
     /// Remaining op count per original time row; row `H` advances when
     /// its count reaches zero.
     row_remaining: Vec<u32>,
-    /// Cached tap tables, recycled round-robin.
-    taps: Vec<TapTable>,
-    next_tap: usize,
     /// Bitset of active (non-dormant) slots.
     active: Vec<u64>,
-    /// Bordered head-time plane for the 2-D stencil fast path: the
-    /// `(lane, spatial)` head times surrounded by a sentinel ring of
-    /// `NONE` wide enough for the window's largest displacement, so tap
-    /// reads never need clipping (border taps read `NONE` and lose every
-    /// arbitration, exactly like a clipped-away tap).
+    /// Bordered head-time volume: each column's head op time
+    /// (`NONE` when exhausted) at its `(lane, row, col)` position,
+    /// surrounded by a sentinel border of `NONE` wide enough for the
+    /// window's largest displacement, so tap reads never need clipping
+    /// (border taps read `NONE` and lose every arbitration, exactly like
+    /// a tap clipped at the grid edge).
     head_b: Vec<u32>,
-    /// Bordered index of each flat slot (stencil path).
+    /// Bordered index of each flat slot.
     bb_of: Vec<u32>,
-    /// Flat column of each bordered index (`NONE` on the ring).
+    /// Flat column of each bordered index (`NONE` on the border).
     flat_of: Vec<u32>,
-    /// Signed bordered-index displacement of each stencil tap, in
+    /// Signed bordered-index displacement of each tap, in
     /// `(dsum, enumeration)` priority order.
     deltas: Vec<i32>,
-    /// Total displacement of each stencil tap.
+    /// Total displacement `|Δlane| + |Δrow| + |Δcol|` of each tap.
     delta_dsum: Vec<u32>,
     /// Intrusive singly-linked wake buckets: `wake_head[t]` is the first
     /// dormant slot waiting for the horizon to reach `t`.
@@ -489,25 +407,6 @@ impl SchedScratch {
     /// Creates an empty scratch; buffers are sized lazily per grid.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Returns the cached tap table for `(grid, win)`, building it on
-    /// first use. Index-based so the caller can split borrows.
-    fn tap_index(&mut self, grid: &OpGrid, win: EffectiveWindow) -> usize {
-        let key = tap_key(grid, win);
-        if let Some(i) = self.taps.iter().position(|t| t.key == key) {
-            return i;
-        }
-        let table = TapTable::build(grid, win);
-        if self.taps.len() < TAP_CACHE {
-            self.taps.push(table);
-            self.taps.len() - 1
-        } else {
-            let i = self.next_tap;
-            self.next_tap = (self.next_tap + 1) % TAP_CACHE;
-            self.taps[i] = table;
-            i
-        }
     }
 }
 
@@ -586,7 +485,13 @@ impl Sink for Vec<Assignment> {
     }
 }
 
-/// The event-driven core.
+/// The event-driven core: builds the tap list and dispatches to the one
+/// event loop, monomorphized over the tap count.
+///
+/// The window families the sweeps explore produce tiny tap lists (1–9
+/// taps), and a compile-time trip count turns every arbitration scan and
+/// dormancy walk into a fully unrolled branchless min-chain. `W = 0` is
+/// the runtime-length instance for every other tap count.
 fn run_event<S: Sink>(
     grid: &OpGrid,
     win: EffectiveWindow,
@@ -595,53 +500,119 @@ fn run_event<S: Sink>(
     sink: &mut S,
 ) -> Schedule {
     assert!(win.depth >= 1, "window depth must be at least 1");
-    let total = grid.total_ops();
-    if total == 0 {
+    if grid.total_ops() == 0 {
         return Schedule::empty();
     }
-    let slots = grid.lanes * grid.rows * grid.cols;
-    let row_cols = grid.rows * grid.cols;
-
-    // With no lane or spatial reach every slot's neighbourhood is just
-    // its own column — no tap table, no arbitration, and wake rows are
-    // exact, so the specialized loop below visits a slot only when it
-    // executes.
-    let single_tap = win.lane == 0 && win.rows == 0 && win.cols == 0;
-
-    // Grids with one degenerate unreached spatial axis (every A-side and
-    // B-side production grid) take the 2-D stencil core: taps become a
-    // fixed displacement list over a sentinel-bordered head plane, so
-    // arbitration scans are branchless fixed-trip loops with no tap-table
-    // indirection. Bit-identical to the general loop (and to
-    // [`reference`]) — pinned by the differential tests.
-    if !single_tap {
-        let two_d = if grid.rows == 1 && win.rows == 0 {
-            Some((grid.cols, win.cols))
-        } else if grid.cols == 1 && win.cols == 0 {
-            Some((grid.rows, win.rows))
-        } else {
-            None
-        };
-        if let Some((ext2, reach2)) = two_d {
-            return run_event_stencil::<S>(grid, win, priority, scratch, sink, ext2, reach2);
+    // Tap list in `(dsum, enumeration)` priority order: the
+    // `signed_offsets` cross-product as displacements into the bordered
+    // head volume (see `run_event_w`), where border reads stand in for
+    // taps clipped at the grid edge.
+    let [_, p2, p3] = border(win);
+    let e2 = (grid.rows + 2 * p2) as isize;
+    let e3 = (grid.cols + 2 * p3) as isize;
+    scratch.deltas.clear();
+    scratch.delta_dsum.clear();
+    for dl in signed_offsets(win.lane) {
+        for dr in signed_offsets(win.rows) {
+            for dc in signed_offsets(win.cols) {
+                scratch.deltas.push(((dl * e2 + dr) * e3 + dc) as i32);
+                scratch
+                    .delta_dsum
+                    .push((dl.unsigned_abs() + dr.unsigned_abs() + dc.unsigned_abs()) as u32);
+            }
         }
     }
+    // Stable insertion sort by dsum (the list is short), keeping the
+    // enumeration order inside equal displacements.
+    for i in 1..scratch.deltas.len() {
+        let mut j = i;
+        while j > 0 && scratch.delta_dsum[j - 1] > scratch.delta_dsum[j] {
+            scratch.delta_dsum.swap(j - 1, j);
+            scratch.deltas.swap(j - 1, j);
+            j -= 1;
+        }
+    }
+    match scratch.deltas.len() {
+        1 => run_event_w::<1, S>(grid, win, priority, scratch, sink),
+        2 => run_event_w::<2, S>(grid, win, priority, scratch, sink),
+        3 => run_event_w::<3, S>(grid, win, priority, scratch, sink),
+        4 => run_event_w::<4, S>(grid, win, priority, scratch, sink),
+        6 => run_event_w::<6, S>(grid, win, priority, scratch, sink),
+        9 => run_event_w::<9, S>(grid, win, priority, scratch, sink),
+        _ => run_event_w::<0, S>(grid, win, priority, scratch, sink),
+    }
+}
+
+/// Sentinel border width of the head volume on each `(lane, row, col)`
+/// axis: the largest displacement `signed_offsets` produces for the
+/// axis's reach, so no tap read leaves the volume.
+fn border(win: EffectiveWindow) -> [usize; 3] {
+    [win.lane, win.rows, win.cols].map(|reach| reach.div_ceil(2))
+}
+
+/// The event loop proper, monomorphized over the tap count `W`
+/// (`0` = read the length at runtime). See [`run_event`].
+///
+/// Column head times sit in a bordered `(lane, row, col)` volume, so
+/// out-of-grid taps read the `NONE` border and lose every comparison,
+/// exactly like a tap clipped at the grid edge. Every slot shares one
+/// displacement list, and the arbitration scan is a fixed-trip
+/// branchless min-chain with no per-slot bounds and no data-dependent
+/// early exits. The scan tracks the second-smallest head alongside the
+/// minimum, so the post-borrow dormancy check becomes `min(second,
+/// popped column's next head)` — the only head a pop moves is the popped
+/// column's — instead of re-walking the neighbourhood.
+///
+/// Results are **bit-identical** to [`reference`], pinned by the
+/// differential tests.
+///
+/// Each instance stays out of line: inlined together into the dispatcher,
+/// the 9-tap instance ran ~10% slower on the `griffin-cli bench`
+/// `lane_reach` tile (x86-64), for the cost of one call per tile.
+#[inline(never)]
+fn run_event_w<const W: usize, S: Sink>(
+    grid: &OpGrid,
+    win: EffectiveWindow,
+    priority: Priority,
+    scratch: &mut SchedScratch,
+    sink: &mut S,
+) -> Schedule {
+    let total = grid.total_ops();
+    let slots = grid.lanes * grid.rows * grid.cols;
+    let row_cols = grid.rows * grid.cols;
+    let [p1, p2, p3] = border(win);
+    let e2 = grid.rows + 2 * p2;
+    let e3 = grid.cols + 2 * p3;
+    let volume = (grid.lanes + 2 * p1) * e2 * e3;
+    assert!(
+        volume <= i32::MAX as usize,
+        "bordered head volume of {volume} entries exceeds i32 indexing; \
+         shrink the borrowing window or split the grid"
+    );
+    debug_assert!(W == 0 || scratch.deltas.len() == W);
+    let n_taps = if W == 0 { scratch.deltas.len() } else { W };
 
     // --- prepare scratch (resize-only; no allocation at steady state) ---
-    let tap = if single_tap {
-        usize::MAX
-    } else {
-        scratch.tap_index(grid, win)
-    };
-    scratch.head_t.clear();
-    scratch.head_t.reserve(slots);
+    scratch.bb_of.clear();
+    scratch.bb_of.reserve(slots);
+    scratch.flat_of.clear();
+    scratch.flat_of.resize(volume, NONE);
+    scratch.head_b.clear();
+    scratch.head_b.resize(volume, NONE);
     scratch.head_cursor.clear();
     scratch.head_cursor.reserve(slots);
-    for c in 0..slots {
-        let (lo, hi) = (grid.col_off[c], grid.col_off[c + 1]);
-        let t = if lo < hi { grid.ops[lo as usize] } else { NONE };
-        scratch.head_t.push(t);
-        scratch.head_cursor.push(lo);
+    for l in 0..grid.lanes {
+        for r in 0..grid.rows {
+            for x in 0..grid.cols {
+                let c = grid.column(l, r, x);
+                let bb = ((l + p1) * e2 + r + p2) * e3 + x + p3;
+                scratch.bb_of.push(bb as u32);
+                scratch.flat_of[bb] = c as u32;
+                let (lo, hi) = (grid.col_off[c], grid.col_off[c + 1]);
+                scratch.head_b[bb] = if lo < hi { grid.ops[lo as usize] } else { NONE };
+                scratch.head_cursor.push(lo);
+            }
+        }
     }
     scratch.row_remaining.clear();
     scratch.row_remaining.extend_from_slice(&grid.t_counts);
@@ -655,13 +626,37 @@ fn run_event<S: Sink>(
     scratch.wake_head.resize(grid.t_steps, NONE);
     scratch.wake_next.clear();
     scratch.wake_next.resize(slots, NONE);
-    // Split borrows for the hot loop.
-    let head_t = &mut scratch.head_t;
-    let head_cursor = &mut scratch.head_cursor;
-    let row_remaining = &mut scratch.row_remaining;
-    let active = &mut scratch.active;
-    let wake_head = &mut scratch.wake_head;
-    let wake_next = &mut scratch.wake_next;
+
+    // Split borrows for the hot loop, as slices: their base pointers
+    // then live in registers instead of being reloaded from the scratch
+    // after every store into a buffer.
+    let SchedScratch {
+        head_b,
+        head_cursor,
+        row_remaining,
+        active,
+        wake_head,
+        wake_next,
+        bb_of,
+        flat_of,
+        deltas,
+        delta_dsum,
+    } = scratch;
+    let (head_b, head_cursor, row_remaining) = (
+        &mut head_b[..],
+        &mut head_cursor[..],
+        &mut row_remaining[..],
+    );
+    let (active, wake_head, wake_next) = (&mut active[..], &mut wake_head[..], &mut wake_next[..]);
+    // Slicing the tap list to `n_taps` makes its length the constant `W`
+    // in each const instance, so indexing by the winning tap needs no
+    // bounds check.
+    let (bb_of, flat_of, deltas, delta_dsum) = (
+        &bb_of[..],
+        &flat_of[..],
+        &deltas[..n_taps],
+        &delta_dsum[..n_taps],
+    );
 
     let mut h = 0usize; // oldest unfinished time row
     while h < grid.t_steps && row_remaining[h] == 0 {
@@ -676,117 +671,16 @@ fn run_event<S: Sink>(
     let mut prev_horizon = 0usize;
     let mut first_cycle = true;
 
-    if single_tap {
-        // Specialized no-reach loop: a slot executes its own head op
-        // when it is inside the window and otherwise sleeps until the
-        // horizon reaches it (an exact wake row — its own column is the
-        // only place work can come from). Identical to the general
-        // arbitration with a one-entry tap table, for both priorities.
-        while remaining > 0 {
-            cycles += 1;
-            let horizon = (h + win.depth - 1).min(grid.t_steps - 1);
-            let horizon32 = horizon as u32;
-            if !first_cycle && horizon > prev_horizon {
-                for wh in &mut wake_head[prev_horizon + 1..=horizon] {
-                    let mut slot = *wh;
-                    *wh = NONE;
-                    while slot != NONE {
-                        let s = slot as usize;
-                        slot = wake_next[s];
-                        active[s / 64] |= 1u64 << (s % 64);
-                        dormant -= 1;
-                    }
-                }
-            }
-            first_cycle = false;
-            prev_horizon = horizon;
-            let mut idled = dormant > 0;
-
-            for (w, aw) in active.iter_mut().enumerate() {
-                let mut bits = *aw;
-                let mut cleared = 0u64;
-                while bits != 0 {
-                    let slot = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let t = head_t[slot];
-                    if t <= horizon32 {
-                        let hp = head_cursor[slot] + 1;
-                        let nt = if hp < grid.col_off[slot + 1] {
-                            grid.ops[hp as usize]
-                        } else {
-                            NONE
-                        };
-                        head_t[slot] = nt;
-                        head_cursor[slot] = hp;
-                        row_remaining[t as usize] -= 1;
-                        remaining -= 1;
-                        if S::ACTIVE {
-                            let src = (
-                                slot / row_cols,
-                                slot % row_cols / grid.cols,
-                                slot % grid.cols,
-                            );
-                            sink.push(Assignment {
-                                t,
-                                src,
-                                cycle: cycles - 1,
-                                slot: src,
-                            });
-                        }
-                        if nt > horizon32 + 1 {
-                            // Pre-sleep until the own column's next op
-                            // enters the window. Ops exactly one row
-                            // past the horizon stay active: on dense
-                            // rows the horizon advances every cycle, and
-                            // sleeping would just thrash the wake lists
-                            // (dormancy is an optimization — skipping it
-                            // never changes results, only who scans).
-                            cleared |= 1u64 << (slot % 64);
-                            dormant += 1;
-                            if nt != NONE {
-                                wake_next[slot] = wake_head[nt as usize];
-                                wake_head[nt as usize] = slot as u32;
-                            }
-                        }
-                    } else {
-                        // Only reachable on the first cycle (slots start
-                        // active); afterwards wakes are exact.
-                        idled = true;
-                        cleared |= 1u64 << (slot % 64);
-                        dormant += 1;
-                        if t != NONE {
-                            wake_next[slot] = wake_head[t as usize];
-                            wake_head[t as usize] = slot as u32;
-                        }
-                    }
-                }
-                *aw &= !cleared;
-            }
-
-            if idled && remaining > 0 {
-                starved_cycles += 1;
-            }
-            while h < grid.t_steps && row_remaining[h] == 0 {
-                h += 1;
-            }
-        }
-        return Schedule {
-            cycles,
-            executed: total as u64,
-            borrowed: 0,
-            starved_cycles,
-        };
-    }
-
-    let (tap_off, tap_col, tap_dsum) = {
-        let t = &scratch.taps[tap];
-        (&t.off, &t.col, &t.dsum)
-    };
-
     while remaining > 0 {
         cycles += 1;
         let horizon = (h + win.depth - 1).min(grid.t_steps - 1);
         let horizon32 = horizon as u32;
+        // Pre-sleep threshold. With one tap (no reach), a slot whose next
+        // op sits exactly one row past the horizon stays active: on dense
+        // rows the horizon advances every cycle, and sleeping would just
+        // thrash the wake lists. Dormancy only decides which slots get
+        // scanned, so this never changes results.
+        let sleep_above = horizon32 + u32::from(W == 1);
 
         // Wake dormant slots whose earliest reachable row entered the
         // window. The horizon is monotone, so each bucket drains once.
@@ -810,423 +704,6 @@ fn run_event<S: Sink>(
         // only joins the idle set from the next cycle on).
         let mut idled = dormant > 0;
 
-        for (w, aw) in active.iter_mut().enumerate() {
-            let mut bits = *aw;
-            let mut cleared = 0u64;
-            while bits != 0 {
-                let slot = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-
-                // Own op first (Bit-Tactical priority), if within the
-                // time window (`head_t` is `NONE` > horizon when the
-                // column is exhausted).
-                let own_t = head_t[slot];
-                if priority == Priority::OwnFirst {
-                    let t = own_t;
-                    if t <= horizon32 {
-                        // SAFETY: `slot < slots` from the active bitset,
-                        // bounding the head arrays and `col_off`; the
-                        // cursor stays within the column's CSR slice; `t`
-                        // is an op time, so `t < t_steps` =
-                        // `row_remaining.len()` (see the arbitration pop
-                        // below).
-                        let nt = unsafe {
-                            let hp = *head_cursor.get_unchecked(slot) + 1;
-                            let nt = if hp < *grid.col_off.get_unchecked(slot + 1) {
-                                *grid.ops.get_unchecked(hp as usize)
-                            } else {
-                                NONE
-                            };
-                            *head_t.get_unchecked_mut(slot) = nt;
-                            *head_cursor.get_unchecked_mut(slot) = hp;
-                            *row_remaining.get_unchecked_mut(t as usize) -= 1;
-                            nt
-                        };
-                        remaining -= 1;
-                        if S::ACTIVE {
-                            let src = (
-                                slot / row_cols,
-                                slot % row_cols / grid.cols,
-                                slot % grid.cols,
-                            );
-                            sink.push(Assignment {
-                                t,
-                                src,
-                                cycle: cycles - 1,
-                                slot: src,
-                            });
-                        }
-                        // Pre-sleep: if no tap (own column included) can
-                        // offer work at the current horizon, the next
-                        // visit would fail — skip it. Sound because heads
-                        // and the horizon are monotone; equivalent
-                        // because a dormant slot idles exactly like a
-                        // scan that finds nothing.
-                        if nt > horizon32 {
-                            // The exact minimum only matters when the
-                            // slot actually sleeps; any in-window tap
-                            // keeps it active, so bail on the first one.
-                            let mut m = NONE;
-                            for &tc in &tap_col[tap_off[slot] as usize..tap_off[slot + 1] as usize]
-                            {
-                                // SAFETY: tap columns are in-bounds for
-                                // `head_t` by construction (see the
-                                // arbitration scan below).
-                                m = m.min(unsafe { *head_t.get_unchecked(tc as usize) });
-                                if m <= horizon32 {
-                                    break;
-                                }
-                            }
-                            if m > horizon32 {
-                                cleared |= 1u64 << (slot % 64);
-                                dormant += 1;
-                                if m != NONE {
-                                    wake_next[slot] = wake_head[m as usize];
-                                    wake_head[m as usize] = slot as u32;
-                                }
-                            }
-                        }
-                        continue;
-                    }
-                }
-
-                // Arbitration scan over the precomputed tap table:
-                // earliest time, then smallest displacement, ties broken
-                // by tap order (which encodes the Figure 2 arbitration
-                // priority) — one packed `t << 32 | dsum` key comparison
-                // per tap. The scan pops the head of a ready queue the
-                // tap table implicitly indexes by column: each packed
-                // `heads[c]` key is the front of column `c`'s queue, so
-                // the minimum over the neighbourhood is the next ready
-                // candidate (exhausted columns pack as `NONE` and lose to
-                // everything live) and a failed arbitration goes straight
-                // to sleep on it instead of re-walking dormant taps.
-                let lo = tap_off[slot] as usize;
-                let hi = tap_off[slot + 1] as usize;
-                let run = &tap_col[lo..hi];
-                let n = run.len();
-                // The run is in `(dsum, tap order)` order (see
-                // `TapTable::build`), so a strict `<` on head times
-                // alone resolves the whole `(t, dsum, tap order)`
-                // arbitration priority; exhausted columns sit at `NONE`
-                // and lose to everything live. Conditional moves keep
-                // the random sparsity pattern out of the branch
-                // predictor, with one certain-winner exit: no head can
-                // sit below the oldest unfinished row `h`, so the first
-                // tap exactly at `h` wins outright — on contended
-                // windows (where the backlog lives at `h`) that fires
-                // within the first few taps of almost every scan.
-                debug_assert_eq!(tap_dsum[lo], 0, "own column must sort first");
-                let h32 = h as u32;
-                let mut bt = NONE;
-                let mut best_i = 0usize;
-                let mut i = 0;
-                while i < n {
-                    // SAFETY: `i < n` bounds the run access;
-                    // `TapTable::build` only emits neighbour columns
-                    // below `lanes * rows * cols`, and `prep` sizes
-                    // `head_t` to exactly that (the table is cached
-                    // keyed by (dims, window), so it always matches the
-                    // grid the heads were built for).
-                    let t = unsafe { *head_t.get_unchecked(*run.get_unchecked(i) as usize) };
-                    if t == h32 {
-                        bt = t;
-                        best_i = i;
-                        break;
-                    }
-                    let lt = t < bt;
-                    bt = if lt { t } else { bt };
-                    best_i = if lt { i } else { best_i };
-                    i += 1;
-                }
-
-                if bt <= horizon32 {
-                    let best_c = tap_col[lo + best_i] as usize;
-                    let dsum = tap_dsum[lo + best_i];
-                    // SAFETY: `best_c` is a tap column (in-bounds for the
-                    // head arrays and `col_off`, see the scan above); the
-                    // cursor stays within the column's CSR slice, whose
-                    // end `col_off[best_c + 1]` bounds `ops`; `bt` is an
-                    // op time, and every builder counts times into
-                    // `t_counts` (len `t_steps`), so `bt < t_steps` =
-                    // `row_remaining.len()`.
-                    unsafe {
-                        let hp = *head_cursor.get_unchecked(best_c) + 1;
-                        let nt = if hp < *grid.col_off.get_unchecked(best_c + 1) {
-                            *grid.ops.get_unchecked(hp as usize)
-                        } else {
-                            NONE
-                        };
-                        *head_t.get_unchecked_mut(best_c) = nt;
-                        *head_cursor.get_unchecked_mut(best_c) = hp;
-                        *row_remaining.get_unchecked_mut(bt as usize) -= 1;
-                    }
-                    remaining -= 1;
-                    if dsum > 0 {
-                        borrowed += 1;
-                    }
-                    if S::ACTIVE {
-                        sink.push(Assignment {
-                            t: bt,
-                            src: (
-                                best_c / row_cols,
-                                best_c % row_cols / grid.cols,
-                                best_c % grid.cols,
-                            ),
-                            cycle: cycles - 1,
-                            slot: (
-                                slot / row_cols,
-                                slot % row_cols / grid.cols,
-                                slot % grid.cols,
-                            ),
-                        });
-                    }
-                    // Pre-sleep after a borrow, mirroring the own-exec
-                    // path: the popped column's head already advanced, so
-                    // a bail-early walk over the (updated) neighbourhood
-                    // decides dormancy. On contended windows the first
-                    // tap is usually still in-window and the walk exits
-                    // immediately.
-                    let mut m = NONE;
-                    for &tc in &tap_col[lo..hi] {
-                        // SAFETY: tap columns are in-bounds for `head_t`
-                        // by construction (see the arbitration scan).
-                        m = m.min(unsafe { *head_t.get_unchecked(tc as usize) });
-                        if m <= horizon32 {
-                            break;
-                        }
-                    }
-                    if m > horizon32 {
-                        cleared |= 1u64 << (slot % 64);
-                        dormant += 1;
-                        if m != NONE {
-                            wake_next[slot] = wake_head[m as usize];
-                            wake_head[m as usize] = slot as u32;
-                        }
-                    }
-                } else {
-                    // Nothing reachable: this slot idles, and goes
-                    // dormant until the horizon reaches the earliest tap
-                    // head (`bt` — the minimum key's high word *is* the
-                    // earliest head time; it stays `NONE` when the whole
-                    // neighbourhood is exhausted and the slot never
-                    // wakes again).
-                    idled = true;
-                    cleared |= 1u64 << (slot % 64);
-                    dormant += 1;
-                    if bt != NONE {
-                        // SAFETY: a non-NONE `bt` is an op time, and op
-                        // times are `< t_steps` (= `wake_head.len()`) by
-                        // builder construction; `slot < slots` from the
-                        // active bitset.
-                        unsafe {
-                            *wake_next.get_unchecked_mut(slot) =
-                                *wake_head.get_unchecked(bt as usize);
-                            *wake_head.get_unchecked_mut(bt as usize) = slot as u32;
-                        }
-                    }
-                }
-            }
-            *aw &= !cleared;
-        }
-
-        // A starved cycle is one where some slot idled while work
-        // remained outside its window.
-        if idled && remaining > 0 {
-            starved_cycles += 1;
-        }
-        while h < grid.t_steps && row_remaining[h] == 0 {
-            h += 1;
-        }
-    }
-
-    Schedule {
-        cycles,
-        executed: total as u64,
-        borrowed,
-        starved_cycles,
-    }
-}
-
-/// The 2-D stencil specialization of [`run_event`]: grids whose third
-/// axis is degenerate (extent 1 with zero reach) — every A-side
-/// `(lane, row)` and B-side `(lane, col)` production grid — arbitrate
-/// over one fixed displacement list applied to a sentinel-bordered head
-/// plane instead of per-slot tap-table runs.
-///
-/// Monomorphizes the hot loop over the tap count: the window families
-/// the sweeps explore produce tiny displacement lists (2–9 taps), and a
-/// compile-time trip count turns every arbitration scan and dormancy
-/// walk into a fully unrolled branchless min-chain. `W = 0` is the
-/// runtime-length fallback for wider windows.
-fn run_event_stencil<S: Sink>(
-    grid: &OpGrid,
-    win: EffectiveWindow,
-    priority: Priority,
-    scratch: &mut SchedScratch,
-    sink: &mut S,
-    ext2: usize,
-    reach2: usize,
-) -> Schedule {
-    // Displacement list in `(dsum, enumeration)` priority order — the
-    // same order `TapTable::build` gives interior slots (border reads
-    // stand in for edge clipping).
-    let pad2 = reach2.div_ceil(2);
-    let ext2_p = ext2 + 2 * pad2;
-    scratch.deltas.clear();
-    scratch.delta_dsum.clear();
-    for dl in signed_offsets(win.lane) {
-        for d2 in signed_offsets(reach2) {
-            scratch.deltas.push((dl * ext2_p as isize + d2) as i32);
-            scratch
-                .delta_dsum
-                .push((dl.unsigned_abs() + d2.unsigned_abs()) as u32);
-        }
-    }
-    // Stable insertion sort by dsum (the list is at most a few dozen
-    // entries), keeping the enumeration order inside equal displacements.
-    for i in 1..scratch.deltas.len() {
-        let mut j = i;
-        while j > 0 && scratch.delta_dsum[j - 1] > scratch.delta_dsum[j] {
-            scratch.delta_dsum.swap(j - 1, j);
-            scratch.deltas.swap(j - 1, j);
-            j -= 1;
-        }
-    }
-    match scratch.deltas.len() {
-        2 => run_event_stencil_w::<2, S>(grid, win, priority, scratch, sink, ext2, reach2),
-        3 => run_event_stencil_w::<3, S>(grid, win, priority, scratch, sink, ext2, reach2),
-        4 => run_event_stencil_w::<4, S>(grid, win, priority, scratch, sink, ext2, reach2),
-        6 => run_event_stencil_w::<6, S>(grid, win, priority, scratch, sink, ext2, reach2),
-        9 => run_event_stencil_w::<9, S>(grid, win, priority, scratch, sink, ext2, reach2),
-        _ => run_event_stencil_w::<0, S>(grid, win, priority, scratch, sink, ext2, reach2),
-    }
-}
-
-/// The stencil event loop proper, monomorphized over the tap count `W`
-/// (`0` = read the length at runtime). See [`run_event_stencil`].
-///
-/// The differences from the general loop are mechanical, not semantic:
-///
-/// * Out-of-grid taps read the `NONE` border and lose every comparison,
-///   exactly like a tap the table builder clipped away — so every slot
-///   shares one displacement list and the arbitration scan is a
-///   fixed-trip branchless min-chain with no per-slot bounds, no
-///   tap-table indirection and no data-dependent early exits.
-/// * The scan tracks the second-smallest head alongside the minimum, so
-///   the post-borrow dormancy check becomes `min(second, popped
-///   column's next head)` — the only head a pop moves is the popped
-///   column's — instead of re-walking the neighbourhood.
-///
-/// Results are **bit-identical** to the general loop and to
-/// [`reference`], pinned by the differential tests.
-fn run_event_stencil_w<const W: usize, S: Sink>(
-    grid: &OpGrid,
-    win: EffectiveWindow,
-    priority: Priority,
-    scratch: &mut SchedScratch,
-    sink: &mut S,
-    ext2: usize,
-    reach2: usize,
-) -> Schedule {
-    let total = grid.total_ops();
-    let slots = grid.lanes * grid.rows * grid.cols;
-    let row_cols = grid.rows * grid.cols;
-    let ext1 = grid.lanes;
-    let pad1 = win.lane.div_ceil(2);
-    let pad2 = reach2.div_ceil(2);
-    let ext2_p = ext2 + 2 * pad2;
-    let ext1_p = ext1 + 2 * pad1;
-    let plane = ext1_p * ext2_p;
-    debug_assert!(W == 0 || scratch.deltas.len() == W);
-    let n_taps = if W == 0 { scratch.deltas.len() } else { W };
-
-    // --- prepare scratch (resize-only; no allocation at steady state) ---
-    scratch.bb_of.clear();
-    scratch.bb_of.reserve(slots);
-    scratch.flat_of.clear();
-    scratch.flat_of.resize(plane, NONE);
-    scratch.head_b.clear();
-    scratch.head_b.resize(plane, NONE);
-    scratch.head_cursor.clear();
-    scratch.head_cursor.reserve(slots);
-    for l in 0..ext1 {
-        for x in 0..ext2 {
-            let c = l * ext2 + x;
-            let bb = (l + pad1) * ext2_p + (x + pad2);
-            scratch.bb_of.push(bb as u32);
-            scratch.flat_of[bb] = c as u32;
-            let (lo, hi) = (grid.col_off[c], grid.col_off[c + 1]);
-            scratch.head_b[bb] = if lo < hi { grid.ops[lo as usize] } else { NONE };
-            scratch.head_cursor.push(lo);
-        }
-    }
-    scratch.row_remaining.clear();
-    scratch.row_remaining.extend_from_slice(&grid.t_counts);
-    let words = slots.div_ceil(64);
-    scratch.active.clear();
-    scratch.active.resize(words, !0u64);
-    if !slots.is_multiple_of(64) {
-        scratch.active[words - 1] = (1u64 << (slots % 64)) - 1;
-    }
-    scratch.wake_head.clear();
-    scratch.wake_head.resize(grid.t_steps, NONE);
-    scratch.wake_next.clear();
-    scratch.wake_next.resize(slots, NONE);
-
-    // Split borrows for the hot loop.
-    let SchedScratch {
-        head_b,
-        head_cursor,
-        row_remaining,
-        active,
-        wake_head,
-        wake_next,
-        bb_of,
-        flat_of,
-        deltas,
-        delta_dsum,
-        ..
-    } = scratch;
-    let deltas = &deltas[..];
-
-    let mut h = 0usize; // oldest unfinished time row
-    while h < grid.t_steps && row_remaining[h] == 0 {
-        h += 1;
-    }
-
-    let mut remaining = total;
-    let mut dormant = 0usize;
-    let mut cycles = 0u64;
-    let mut borrowed = 0u64;
-    let mut starved_cycles = 0u64;
-    let mut prev_horizon = 0usize;
-    let mut first_cycle = true;
-
-    while remaining > 0 {
-        cycles += 1;
-        let horizon = (h + win.depth - 1).min(grid.t_steps - 1);
-        let horizon32 = horizon as u32;
-
-        // Wake dormant slots whose earliest reachable row entered the
-        // window. The horizon is monotone, so each bucket drains once.
-        if !first_cycle && horizon > prev_horizon {
-            for wh in &mut wake_head[prev_horizon + 1..=horizon] {
-                let mut slot = *wh;
-                *wh = NONE;
-                while slot != NONE {
-                    let s = slot as usize;
-                    slot = wake_next[s];
-                    active[s / 64] |= 1u64 << (s % 64);
-                    dormant -= 1;
-                }
-            }
-        }
-        first_cycle = false;
-        prev_horizon = horizon;
-
-        let mut idled = dormant > 0;
-
         for (wd, aw) in active.iter_mut().enumerate() {
             let mut bits = *aw;
             let mut cleared = 0u64;
@@ -1234,12 +711,13 @@ fn run_event_stencil_w<const W: usize, S: Sink>(
                 let slot = wd * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 // SAFETY: `slot < slots` from the active bitset, and
-                // `bb_of` holds one in-plane interior index per slot.
+                // `bb_of` holds one in-volume interior index per slot.
                 let bb = unsafe { *bb_of.get_unchecked(slot) } as usize;
                 let own_t = unsafe { *head_b.get_unchecked(bb) };
 
                 // Own op first (Bit-Tactical priority), if within the
-                // time window.
+                // time window (`NONE` > horizon when the column is
+                // exhausted).
                 if priority == Priority::OwnFirst && own_t <= horizon32 {
                     let t = own_t;
                     // SAFETY: `slot < slots` bounds `head_cursor` and
@@ -1272,10 +750,12 @@ fn run_event_stencil_w<const W: usize, S: Sink>(
                             slot: src,
                         });
                     }
-                    // Pre-sleep on an exhausted window, mirroring the
-                    // general loop: cheap neighbourhood min over the
-                    // updated heads (unrolled for const `W`).
-                    if nt > horizon32 {
+                    // Pre-sleep: if no tap (own column included) can
+                    // offer work at the current horizon, the next visit
+                    // would fail — skip it. Sound because heads and the
+                    // horizon are monotone; equivalent because a dormant
+                    // slot idles exactly like a scan that finds nothing.
+                    if nt > sleep_above {
                         let mut m = NONE;
                         for i in 0..n_taps {
                             // SAFETY: `i < n_taps = deltas.len()`; `bb`
@@ -1288,7 +768,7 @@ fn run_event_stencil_w<const W: usize, S: Sink>(
                             };
                             m = m.min(t);
                         }
-                        if m > horizon32 {
+                        if m > sleep_above {
                             cleared |= 1u64 << (slot % 64);
                             dormant += 1;
                             if m != NONE {
@@ -1372,7 +852,7 @@ fn run_event_stencil_w<const W: usize, S: Sink>(
                     // neighbourhood minimum is `min(second-best, its
                     // next head)` — no re-walk.
                     let m = m2.min(nt);
-                    if m > horizon32 {
+                    if m > sleep_above {
                         cleared |= 1u64 << (slot % 64);
                         dormant += 1;
                         if m != NONE {
@@ -1383,7 +863,9 @@ fn run_event_stencil_w<const W: usize, S: Sink>(
                 } else {
                     // Nothing reachable: idle, then sleep until the
                     // horizon reaches the earliest tap head (`bt` is the
-                    // exact full minimum — the scan has no early exit).
+                    // exact full minimum — the scan has no early exit —
+                    // and stays `NONE` when the whole neighbourhood is
+                    // exhausted, so the slot never wakes again).
                     idled = true;
                     cleared |= 1u64 << (slot % 64);
                     dormant += 1;
@@ -1403,6 +885,8 @@ fn run_event_stencil_w<const W: usize, S: Sink>(
             *aw &= !cleared;
         }
 
+        // A starved cycle is one where some slot idled while work
+        // remained outside its window.
         if idled && remaining > 0 {
             starved_cycles += 1;
         }
@@ -1942,14 +1426,15 @@ mod tests {
         g.finish_counts();
     }
 
-    /// Contended reach windows drive the column-indexed ready queue
-    /// through its chain-pop, stale-invalidation and sleep-with-cache
-    /// paths; the reference must agree exactly, assignments included.
+    /// Contended reach windows on 3-D grids: many slots borrow from the
+    /// same few donor columns, so arbitration tie-breaks, border taps
+    /// and post-borrow dormancy all decide outcomes; the reference must
+    /// agree exactly, assignments included.
     #[test]
     fn ready_queue_matches_reference_under_contention() {
         // Clustered columns: a few hot columns hold long runs while
         // their neighbours are empty or sparse, so borrows hammer the
-        // same heads and cached winners go stale in every way.
+        // same heads and slots sleep and wake on them repeatedly.
         let grids = [
             OpGrid::from_fn(32, 4, 2, 2, |t, l, r, c| {
                 (l == 1 && r == 0 && c == 0) || (t + l * 7 + r * 3 + c * 5) % 11 == 0

@@ -15,6 +15,9 @@
 //! so every CSR column receives its op times already sorted, and tile
 //! edges keep their zero-padding semantics because the word iterator
 //! clips to the mask.
+//!
+//! [`SparsityMask`]: griffin_tensor::mask::SparsityMask
+//! [`SparsityMask::for_each_set_in_row`]: griffin_tensor::mask::SparsityMask::for_each_set_in_row
 
 use griffin_tensor::block::{ATileView, BTileView, TileView};
 

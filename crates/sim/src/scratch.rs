@@ -4,7 +4,7 @@
 //! times; with fresh buffers per tile, allocator traffic dominates the
 //! small grids the paper's core sizes produce. [`SimScratch`] bundles
 //! every buffer the tile simulators need — the reusable CSR grids, the
-//! scheduler's [`SchedScratch`] (heads, row counts, cached tap tables,
+//! scheduler's [`SchedScratch`] (head volume, row counts, tap list,
 //! frontier state), the stage-1 assignment stream and stage-2 op list
 //! of the dual pipeline, and the SparTen operand words and wave
 //! accumulators — so the steady state allocates **nothing**:
@@ -56,7 +56,7 @@ pub(crate) struct GridKey {
 /// for the allocation contract.
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    /// Scheduler state (heads, row counts, tap tables, frontiers).
+    /// Scheduler state (head volume, row counts, tap list, frontiers).
     pub(crate) sched: SchedScratch,
     /// Primary tile grid (single-sparse tiles; dual stage 1).
     pub(crate) grid: OpGrid,

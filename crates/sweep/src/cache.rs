@@ -1,8 +1,8 @@
 //! Content-addressed result cache.
 //!
 //! Each completed scenario cell is stored under its stable
-//! [`Fingerprint`](crate::fingerprint::Fingerprint): an in-memory map
-//! serves repeats inside one campaign, and an optional cache directory
+//! [`Fingerprint`]: an in-memory map serves repeats inside one
+//! campaign, and an optional cache directory
 //! persists results across processes (one small JSON file per cell,
 //! written atomically via a temp file + rename). Overlapping campaigns
 //! therefore skip every cell any earlier campaign already simulated.

@@ -752,8 +752,12 @@ fn int_in_range(b: &Binding, v: i128, min: i128, max: i128) -> Result<i128, Scen
 }
 
 fn as_usize(b: &Binding, min: usize) -> Result<usize, ScenarioError> {
+    as_usize_in(b, min, usize::MAX)
+}
+
+fn as_usize_in(b: &Binding, min: usize, max: usize) -> Result<usize, ScenarioError> {
     match &b.value {
-        Value::Int(v) => Ok(int_in_range(b, *v, min as i128, usize::MAX as i128)? as usize),
+        Value::Int(v) => Ok(int_in_range(b, *v, min as i128, max as i128)? as usize),
         other => fail(
             b.line,
             format!("`{}` must be an integer, got {}", b.key, other.type_name()),
@@ -1006,6 +1010,16 @@ fn build_sim_section(t: &Table) -> Result<SimConfig, ScenarioError> {
     Ok(cfg)
 }
 
+/// Largest `layers` of a synthetic workload. The deepest suite network,
+/// BERT (MNLI), has 96 layers; the bound leaves ten times that headroom
+/// and refuses a runaway layer count before any mask is built.
+const MAX_SYNTHETIC_LAYERS: usize = 1024;
+
+/// Largest `m`, `k` or `n` of an ad-hoc GEMM layer, above every GEMM
+/// extent in the suite (InceptionV3's largest `M` is 22 201, AlexNet's
+/// largest `K` is 9 216).
+const MAX_ADHOC_DIM: usize = 32_768;
+
 fn build_workload(t: &Table) -> Result<WorkloadSpec, ScenarioError> {
     let variants: Vec<&str> = ["suite", "synthetic", "adhoc"]
         .into_iter()
@@ -1032,7 +1046,7 @@ fn build_workload(t: &Table) -> Result<WorkloadSpec, ScenarioError> {
             t.check_keys("workload", &["synthetic", "layers"])?;
             let name = as_str(t.get("synthetic").expect("checked"))?.to_string();
             let layers = match t.get("layers") {
-                Some(b) => as_usize(b, 1)?,
+                Some(b) => as_usize_in(b, 1, MAX_SYNTHETIC_LAYERS)?,
                 None => return fail(t.header_line, "synthetic workload requires `layers`"),
             };
             Ok(WorkloadSpec::Synthetic { name, layers })
@@ -1048,7 +1062,7 @@ fn build_workload(t: &Table) -> Result<WorkloadSpec, ScenarioError> {
                 let Some(b) = t.get(key) else {
                     return fail(t.header_line, format!("adhoc workload requires `{key}`"));
                 };
-                dims[i] = as_usize(b, 1)?;
+                dims[i] = as_usize_in(b, 1, MAX_ADHOC_DIM)?;
             }
             let mut dens = [0.0f64; 2];
             for (i, key) in ["a_density", "b_density"].iter().enumerate() {
@@ -1732,6 +1746,34 @@ heartbeat = 16
         .unwrap_err();
         assert_eq!(err.line, 6);
         assert!(err.msg.contains("exact"), "{err}");
+    }
+
+    #[test]
+    fn oversized_workloads_are_refused_with_their_line() {
+        let err = Scenario::parse(
+            "[scenario]\nname = \"x\"\ncategories = [\"b\"]\n\n\
+             [[workload]]\nsynthetic = \"s\"\nlayers = 50000000\n\n\
+             [[arch]]\npreset = \"baseline\"\n",
+        )
+        .unwrap_err();
+        assert_eq!(err.line, 7);
+        assert!(
+            err.msg
+                .contains("`layers` = 50000000 out of range [1, 1024]"),
+            "{err}"
+        );
+
+        let adhoc = |m: usize| {
+            format!(
+                "[scenario]\nname = \"x\"\ncategories = [\"b\"]\n\n\
+                 [[workload]]\nadhoc = \"g\"\nm = {m}\nk = 8\nn = 8\na_density = 0.5\nb_density = 0.5\n\n\
+                 [[arch]]\npreset = \"baseline\"\n"
+            )
+        };
+        let err = Scenario::parse(&adhoc(MAX_ADHOC_DIM + 1)).unwrap_err();
+        assert_eq!(err.line, 7);
+        assert!(err.msg.contains("`m` = 32769 out of range"), "{err}");
+        assert!(Scenario::parse(&adhoc(MAX_ADHOC_DIM)).is_ok());
     }
 
     #[test]

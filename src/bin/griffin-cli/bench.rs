@@ -82,7 +82,7 @@ fn tile_grid(t_rows: usize, density: f64, seed: u64) -> OpGrid {
 const TIMING_CHUNKS: usize = 8;
 
 fn time_per_call(mut f: impl FnMut(), iters: usize) -> f64 {
-    // One untimed call so lazily-built scratch (tap tables, wake
+    // One untimed call so lazily-grown scratch (head volume, wake
     // buckets) doesn't land in the first chunk.
     f();
     let per_chunk = (iters / TIMING_CHUNKS).max(1);
@@ -116,11 +116,11 @@ pub fn run_bench(args: &BenchArgs) -> Result<Json, String> {
             win: EffectiveWindow::for_b(BorrowWindow::new(4, 0, 1)),
         },
         MicroCase {
-            name: "lane_reach", // contended arbitration, 9-tap tables
+            name: "lane_reach", // contended arbitration, the 9-tap instance
             win: EffectiveWindow::for_b(BorrowWindow::new(2, 2, 2)),
         },
         MicroCase {
-            name: "narrow_window", // no reach: the specialized own-only loop
+            name: "narrow_window", // no reach: the one-tap instance
             win: EffectiveWindow::for_b(BorrowWindow::new(1, 0, 0)),
         },
     ];

@@ -31,6 +31,9 @@ proptest! {
 
     /// Event-driven scheduler == naive reference, for both the counters
     /// and the full assignment stream, over random grids and windows.
+    /// The extents are drawn too, so unit axes under non-zero reach,
+    /// reaches at or beyond an axis's extent and one-tap windows on
+    /// 3-D grids all meet the reference.
     #[test]
     fn event_core_is_bit_identical_to_reference(
         seed in 0u64..2000,
@@ -40,8 +43,10 @@ proptest! {
         rows_reach in 0usize..2,
         cols_reach in 0usize..3,
         own_first in proptest::bool::ANY,
+        extents in (1usize..=6, 1usize..=3, 1usize..=4),
     ) {
-        let g = grid(20, 6, 2, 4, density, seed);
+        let (lanes, rows, cols) = extents;
+        let g = grid(20, lanes, rows, cols, density, seed);
         let win = EffectiveWindow { depth, lane, rows: rows_reach, cols: cols_reach };
         let p = if own_first { Priority::OwnFirst } else { Priority::EarliestFirst };
 
@@ -58,10 +63,10 @@ proptest! {
 
     /// Contended windows: dense grids under deep, wide-reach windows,
     /// where many borrow taps compete for the same donor columns every
-    /// cycle. This is the regime the sorted-tap time-only scan and the
-    /// certain-winner early exit optimize, so it gets its own pin
-    /// against the reference — the general test above rarely samples
-    /// this corner of the (density, window) space.
+    /// cycle, so the `(t, dsum, tap order)` tie-breaks decide most
+    /// arbitrations. It gets its own pin against the reference — the
+    /// general test above rarely samples this corner of the
+    /// (density, window) space.
     #[test]
     fn contended_windows_stay_bit_identical(
         seed in 0u64..1500,
