@@ -142,9 +142,9 @@ impl Accelerator {
     /// and every workload shares one category and depth, each layer goes
     /// through one [`Accelerator::run_family_layer`] call; anything else
     /// runs each (accelerator, workload) pair through
-    /// [`Accelerator::run_with`], workload `p` under plane `p`. Every
-    /// report is **exactly** what `accels[i].run_with(workloads[j], ..)`
-    /// returns, so sweep drivers may regroup work freely.
+    /// [`Accelerator::run_with`]. Every report is **exactly** what
+    /// `accels[i].run_with(workloads[j], ..)` returns, so sweep drivers
+    /// may regroup work freely.
     pub fn run_family_batch(
         accels: &[&Accelerator],
         workloads: &[&Workload],
@@ -154,23 +154,10 @@ impl Accelerator {
         let shared = Self::family_modes(accels, workloads).is_some()
             && workloads.iter().all(|w| w.layers.len() == depth);
         if !shared {
-            // Workload `p` under plane `p`, so memoized grids of
-            // different workloads cannot collide.
-            let reports = accels
+            return accels
                 .iter()
-                .map(|a| {
-                    workloads
-                        .iter()
-                        .enumerate()
-                        .map(|(p, w)| {
-                            scratch.set_plane(p as u32);
-                            a.run_with(w, scratch)
-                        })
-                        .collect()
-                })
+                .map(|a| workloads.iter().map(|w| a.run_with(w, scratch)).collect())
                 .collect();
-            scratch.set_plane(0);
-            return reports;
         }
         let mut networks = vec![vec![NetworkReport::default(); workloads.len()]; accels.len()];
         for index in 0..depth {
@@ -216,7 +203,7 @@ impl Accelerator {
         let modes = Self::family_modes(accels, workloads)
             .expect("a family needs one simulator configuration and one workload category");
         let layers: Vec<&GemmLayer> = workloads.iter().map(|w| &w.layers[index]).collect();
-        simulate_layer_family(index, &layers, &modes, &accels[0].cfg, scratch)
+        simulate_layer_family(&layers, &modes, &accels[0].cfg, scratch)
     }
 
     /// The sparsity modes a family simulates under when it can share one

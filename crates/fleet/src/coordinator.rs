@@ -71,8 +71,7 @@ use std::time::{Duration, Instant};
 
 use griffin_sweep::cache::{merge_dirs, scan_dir, ResultCache};
 use griffin_sweep::executor::{
-    default_workers, run_campaign, run_cells_pooled, CampaignReport, CellEvent, ScratchPool,
-    SweepError,
+    default_workers, run_campaign, run_cells_bounded, CampaignReport, CellEvent, SweepError,
 };
 use griffin_sweep::fingerprint::{Fingerprint, Hasher};
 use griffin_sweep::scenario::ScenarioProvenance;
@@ -137,12 +136,6 @@ pub struct FleetConfig {
     /// directly — no merge step. Spawned/hosted fleets ignore it (their
     /// workers are separate processes with private caches).
     pub shared_cache: Option<Arc<ResultCache>>,
-    /// Scratch pool shared across campaigns by a resident driver:
-    /// in-process shard workers check their simulation scratches out of
-    /// it, so buffer capacity survives from one campaign to the next.
-    /// `None` (one-shot runs) makes each worker build a fresh scratch,
-    /// as ever.
-    pub scratch_pool: Option<Arc<ScratchPool>>,
 }
 
 impl FleetConfig {
@@ -163,7 +156,6 @@ impl FleetConfig {
             fault: None,
             scenario: None,
             shared_cache: None,
-            scratch_pool: None,
         }
     }
 
@@ -487,8 +479,7 @@ impl<'a> Shared<'a> {
 /// its `shard_done`. `build_workers` bounds the executor's phase-2
 /// build pool: the whole machine for the in-process coordinator, the
 /// worker's pinned thread budget for spawned shards (N concurrent
-/// siblings share the cores). `pool` is the resident driver's warm
-/// scratch pool, when one exists (`None` = fresh scratches).
+/// siblings share the cores).
 #[allow(clippy::too_many_arguments)]
 fn run_shard_cells(
     spec: &SweepSpec,
@@ -502,7 +493,6 @@ fn run_shard_cells(
     heartbeat_every: usize,
     shared: &Mutex<Shared<'_>>,
     emit_done: bool,
-    pool: Option<&ScratchPool>,
 ) -> Result<(), FleetError> {
     let start = Instant::now();
     shared.lock().expect("fleet lock").emit(&Event::ShardStart {
@@ -554,16 +544,7 @@ fn run_shard_cells(
             }
         }
     };
-    let throwaway = ScratchPool::new();
-    run_cells_pooled(
-        spec,
-        todo,
-        cache,
-        workers,
-        build_workers,
-        &observe,
-        pool.unwrap_or(&throwaway),
-    )?;
+    run_cells_bounded(spec, todo, cache, workers, build_workers, &observe)?;
     let mut g = shared.lock().expect("fleet lock");
     g.take_err()?;
     if emit_done {
@@ -832,7 +813,6 @@ fn run_fleet_inner(
                 cfg.heartbeat_every,
                 &shared,
                 die.is_none(),
-                cfg.scratch_pool.as_deref(),
             );
             appends = shared.into_inner().expect("fleet lock").appends;
             let attempt_result = run.and_then(|()| {
@@ -1654,7 +1634,6 @@ pub fn run_shard_worker(
         cfg.heartbeat_every,
         &shared,
         die.is_none(),
-        None,
     )?;
     if fault_plan.is_some_and(|f| f.corrupts_cache(cfg.shard, cfg.attempt)) {
         fault::corrupt_shard_cache(&cfg.cache_dir)?;

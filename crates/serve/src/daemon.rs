@@ -2,15 +2,14 @@
 //!
 //! A [`Daemon`] owns what a one-shot `griffin-cli sweep`/`fleet run`
 //! process throws away at exit: one warm [`ResultCache`] at
-//! `<dir>/cache` (disk-backed, so it survives daemon restarts too) and
-//! one [`ScratchPool`] whose simulation scratches' buffer capacity
-//! survives across campaigns (memoized tile grids live only for one
-//! (family, layer) work item). Submissions queue FIFO under admission
-//! control (each campaign gets the whole `workers` budget; at most one
-//! runs at a time, at most `queue_cap` wait), and are **deduplicated by
-//! scenario fingerprint**: two clients submitting the same scenario
-//! share one execution, and both subscribe to the identical event
-//! stream through the campaign's [`Tee`].
+//! `<dir>/cache` (disk-backed, so it survives daemon restarts too).
+//! Simulation scratches are not kept: each campaign worker owns one for
+//! that campaign, and it holds buffer capacity only. Submissions queue
+//! FIFO under admission control (each campaign gets the whole `workers`
+//! budget; at most one runs at a time, at most `queue_cap` wait), and
+//! are **deduplicated by scenario fingerprint**: two clients submitting
+//! the same scenario share one execution, and both subscribe to the
+//! identical event stream through the campaign's [`Tee`].
 //!
 //! Every campaign runs through the ordinary fleet coordinator with its
 //! own state directory `<dir>/campaigns/<id>/` (journal.jsonl +
@@ -18,7 +17,8 @@
 //! `--resume` tooling keep working on daemon-run campaigns unchanged.
 //! Finished campaigns additionally get a rendered `report.html`;
 //! retention keeps the newest [`ServeConfig::retain`] finished
-//! directories and deletes the rest.
+//! campaigns and evicts the rest: their directories, report bytes and
+//! event replay are dropped, so the daemon's memory stays bounded.
 //!
 //! Draining ([`Daemon::drain`]) refuses new submissions, cancels
 //! queued campaigns with a synthesized terminal event, and aborts the
@@ -38,7 +38,6 @@ use std::thread;
 use griffin_fleet::coordinator::{run_fleet, FleetConfig};
 use griffin_fleet::events::Event;
 use griffin_sweep::cache::ResultCache;
-use griffin_sweep::executor::ScratchPool;
 use griffin_sweep::fingerprint::Fingerprint;
 use griffin_sweep::json::Json;
 use griffin_sweep::scenario::{Scenario, ScenarioProvenance};
@@ -66,8 +65,9 @@ pub struct ServeConfig {
     /// Maximum campaigns waiting in the queue (the running one not
     /// counted). Submissions beyond it are refused.
     pub queue_cap: usize,
-    /// Finished campaign directories kept on disk; older ones are
-    /// deleted (their in-memory stream replay stays available).
+    /// Finished campaigns kept; older ones are evicted — directory
+    /// deleted, report bytes and event replay dropped. An evicted
+    /// campaign stays listed in the status object.
     pub retain: usize,
     /// Server identity announced in `hello_ok`.
     pub server: String,
@@ -101,6 +101,8 @@ pub enum ServeError {
     UnknownCampaign(String),
     /// The campaign has not finished, or its report was evicted.
     NoReport(String),
+    /// The campaign was evicted by retention; its event stream is gone.
+    Evicted(String),
     /// Filesystem failure in the daemon's state directory.
     Io(io::Error),
 }
@@ -113,6 +115,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Scenario(msg) => write!(f, "bad scenario: {msg}"),
             ServeError::UnknownCampaign(id) => write!(f, "unknown campaign `{id}`"),
             ServeError::NoReport(id) => write!(f, "no report for campaign `{id}`"),
+            ServeError::Evicted(id) => write!(f, "campaign `{id}` was evicted"),
             ServeError::Io(e) => write!(f, "serve i/o error: {e}"),
         }
     }
@@ -171,7 +174,8 @@ struct CampaignEntry {
     reports: Option<(String, String)>,
     /// Monotonic finish order (drives retention).
     finished_at: Option<usize>,
-    /// The on-disk directory was deleted by retention.
+    /// Evicted by retention: directory deleted, reports and event
+    /// replay dropped.
     evicted: bool,
 }
 
@@ -209,7 +213,6 @@ struct Job {
 pub struct Daemon {
     cfg: ServeConfig,
     cache: Arc<ResultCache>,
-    pool: Arc<ScratchPool>,
     sync: Arc<(Mutex<State>, Condvar)>,
     executor: Option<thread::JoinHandle<()>>,
 }
@@ -232,21 +235,18 @@ impl Daemon {
     pub fn start(cfg: ServeConfig) -> io::Result<Daemon> {
         fs::create_dir_all(cfg.dir.join("campaigns"))?;
         let cache = Arc::new(ResultCache::at_dir(cfg.dir.join("cache"))?);
-        let pool = Arc::new(ScratchPool::new());
         let sync = Arc::new((Mutex::new(State::default()), Condvar::new()));
         let executor = {
             let cfg = cfg.clone();
             let cache = Arc::clone(&cache);
-            let pool = Arc::clone(&pool);
             let sync = Arc::clone(&sync);
             thread::Builder::new()
                 .name("serve-executor".into())
-                .spawn(move || executor_loop(&cfg, &cache, &pool, &sync))?
+                .spawn(move || executor_loop(&cfg, &cache, &sync))?
         };
         Ok(Daemon {
             cfg,
             cache,
-            pool,
             sync,
             executor: Some(executor),
         })
@@ -371,7 +371,8 @@ impl Daemon {
     /// # Errors
     ///
     /// [`ServeError::UnknownCampaign`] when the id (or any campaign at
-    /// all, for `None`) does not exist.
+    /// all, for `None`) does not exist; [`ServeError::Evicted`] when
+    /// retention has dropped the campaign's stream.
     pub fn subscribe(
         &self,
         campaign: Option<&str>,
@@ -390,6 +391,9 @@ impl Daemon {
             .campaigns
             .get(&id)
             .ok_or_else(|| ServeError::UnknownCampaign(id.clone()))?;
+        if entry.evicted {
+            return Err(ServeError::Evicted(id));
+        }
         Ok((id, entry.tee.subscribe()))
     }
 
@@ -542,7 +546,6 @@ impl Daemon {
             ),
             ("clients".into(), clients),
             ("campaigns".into(), Json::Arr(campaigns)),
-            ("scratches_parked".into(), num(self.pool.parked())),
         ])
     }
 
@@ -630,12 +633,7 @@ impl Drop for Daemon {
     }
 }
 
-fn executor_loop(
-    cfg: &ServeConfig,
-    cache: &Arc<ResultCache>,
-    pool: &Arc<ScratchPool>,
-    sync: &Arc<(Mutex<State>, Condvar)>,
-) {
+fn executor_loop(cfg: &ServeConfig, cache: &Arc<ResultCache>, sync: &Arc<(Mutex<State>, Condvar)>) {
     let (lock, cv) = &**sync;
     loop {
         let job = {
@@ -662,7 +660,7 @@ fn executor_loop(
                 st = cv.wait(st).expect("serve state lock");
             }
         };
-        let (outcome, reports) = run_job(cfg, cache, pool, &job);
+        let (outcome, reports) = run_job(cfg, cache, &job);
         // `running` stays set through retention deletion so wait_idle
         // cannot observe the daemon idle with eviction still pending.
         let evict = {
@@ -688,10 +686,10 @@ fn executor_loop(
     }
 }
 
-/// Finished campaigns beyond the retention cap, oldest first, that
-/// still have an on-disk directory. Marks them evicted and drops their
-/// stored report bytes (the tee replay stays, so late subscribers are
-/// unaffected).
+/// Finished campaigns beyond the retention cap, oldest first, not yet
+/// evicted. Marks them evicted and drops their stored report bytes and
+/// their tee's replay lines, so a resident daemon's memory does not grow
+/// with every campaign it ever ran.
 fn retention_victims(st: &mut State, retain: usize) -> Vec<String> {
     let mut finished: Vec<(usize, String)> = st
         .campaigns
@@ -711,18 +709,18 @@ fn retention_victims(st: &mut State, retain: usize) -> Vec<String> {
         let entry = st.campaigns.get_mut(id).expect("victim exists");
         entry.evicted = true;
         entry.reports = None;
+        entry.tee.forget_replay();
     }
     victims
 }
 
 /// Runs one campaign through the fleet coordinator against the warm
-/// cache and scratch pool, teeing events to `events.jsonl` and every
-/// subscriber, and rendering `report.html` afterwards. Returns the
-/// outcome and, on success, the `(csv, json)` report bytes.
+/// cache, teeing events to `events.jsonl` and every subscriber, and
+/// rendering `report.html` afterwards. Returns the outcome and, on
+/// success, the `(csv, json)` report bytes.
 fn run_job(
     cfg: &ServeConfig,
     cache: &Arc<ResultCache>,
-    pool: &Arc<ScratchPool>,
     job: &Job,
 ) -> (StreamOutcome, Option<(String, String)>) {
     let dir = cfg.dir.join("campaigns").join(&job.id);
@@ -735,7 +733,6 @@ fn run_job(
             fleet.workers = cfg.workers;
             fleet.scenario = Some(job.provenance.clone());
             fleet.shared_cache = Some(Arc::clone(cache));
-            fleet.scratch_pool = Some(Arc::clone(pool));
             fleet.abort = Some(Arc::clone(&job.abort));
             let mut sink = crate::tee::TeeSink::new(file, Arc::clone(&job.tee));
             run_fleet(&job.spec, &fleet, &mut sink).map_err(|e| e.to_string())
@@ -946,6 +943,7 @@ fanin = 3
         cfg.workers = 2;
         cfg.retain = 1;
         let d = Daemon::start(cfg).unwrap();
+        let mut ids = Vec::new();
         for seed in 1..=3 {
             let text = SMOKE.replace("seeds = [1]", &format!("seeds = [{seed}]"));
             let acc = d
@@ -953,6 +951,7 @@ fanin = 3
                 .unwrap();
             let (_, rx) = d.subscribe(Some(&acc.campaign)).unwrap();
             drain_stream(rx);
+            ids.push(acc.campaign);
         }
         d.wait_idle();
         let dirs: Vec<_> = fs::read_dir(tmp.join("campaigns"))
@@ -966,6 +965,11 @@ fanin = 3
             3,
             "evicted campaigns stay listed"
         );
+        // The oldest campaign's stream is gone: subscribing is a typed
+        // error, and its replay buffer holds nothing.
+        let oldest = &ids[0];
+        assert!(matches!(d.subscribe(Some(oldest)), Err(ServeError::Evicted(id)) if &id == oldest));
+        assert_eq!(d.sync.0.lock().unwrap().campaigns[oldest].tee.len(), 0);
         d.shutdown();
         let _ = fs::remove_dir_all(&tmp);
     }

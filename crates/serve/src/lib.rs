@@ -1,11 +1,10 @@
 //! Resident campaign daemon for the Griffin sweep engine.
 //!
-//! A one-shot `griffin-cli sweep` pays its startup costs — a cold
-//! result cache and freshly allocated simulation scratches — on every
-//! invocation. This crate keeps them resident: [`Daemon`] holds one
-//! warm disk-backed [`ResultCache`](griffin_sweep::cache::ResultCache)
-//! and one [`ScratchPool`](griffin_sweep::executor::ScratchPool) across
-//! campaigns, queues scenario submissions under admission control, and
+//! A one-shot `griffin-cli sweep` starts from a cold result cache on
+//! every invocation. This crate keeps the cache resident: [`Daemon`]
+//! holds one warm disk-backed
+//! [`ResultCache`](griffin_sweep::cache::ResultCache) across campaigns,
+//! queues scenario submissions under admission control, and
 //! **deduplicates by scenario fingerprint** — two clients submitting
 //! the same scenario share one execution and receive the identical
 //! event stream.

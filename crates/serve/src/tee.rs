@@ -95,6 +95,12 @@ impl Tee {
         }
     }
 
+    /// Drops the replay buffer. Used when retention evicts a finished
+    /// campaign; the daemon refuses later subscriptions to it.
+    pub(crate) fn forget_replay(&self) {
+        self.state.lock().expect("tee lock").lines = Vec::new();
+    }
+
     /// The terminal outcome, once published.
     pub fn outcome(&self) -> Option<StreamOutcome> {
         self.state.lock().expect("tee lock").done

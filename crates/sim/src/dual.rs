@@ -99,8 +99,8 @@ fn preprocess_b(
             t_steps: k / core.k0,
         };
     }
-    // Stage-1 grids are the single-sparse B path's grids, so inside a
-    // reuse scope the two share one memo.
+    // Stage-1 grids are the single-sparse B path's grids, built by the
+    // same builder into the same scratch grid.
     let (grid, sched, assigns) = scratch.tile_grid(layer, Side::B, n_tile, shuffle, core);
     let s = schedule_assign_with(
         grid,
@@ -323,7 +323,7 @@ mod tests {
         /// ragged K (the dense-B check must refuse), partial M and N edge
         /// tiles, shuffle on and off, every window above, both
         /// priorities, Exact and Sampled fidelity. One scratch serves
-        /// both paths, with and without a reuse scope.
+        /// both paths.
         #[test]
         fn slices_match_the_general_path(
             dims in (1usize..14, 1usize..6, 0usize..2, 1usize..40),
@@ -331,7 +331,7 @@ mod tests {
             dens in (0.1f64..0.9, 0.1f64..0.9),
             seed in 0u64..10_000,
             win in 0usize..WINDOWS.len(),
-            flags in (proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY),
+            flags in (proptest::bool::ANY, proptest::bool::ANY),
             sampled in 0usize..4,
         ) {
             let core = CoreDims::PAPER;
@@ -341,7 +341,7 @@ mod tests {
             let a = operand(m, k, kinds.0, dens.0, seed, (true, core.m0));
             let b = operand(k, n, kinds.1, dens.1, seed ^ 0x5eed, (false, core.n0));
             let layer = GemmLayer::new(GemmShape::new(m, k, n).unwrap(), a, b).unwrap();
-            let (shuffle, earliest, scoped) = flags;
+            let (shuffle, earliest) = flags;
             let cfg = SimConfig {
                 priority: if earliest { Priority::EarliestFirst } else { Priority::OwnFirst },
                 fidelity: match sampled {
@@ -352,9 +352,6 @@ mod tests {
             };
             let (aw, bw) = WINDOWS[win];
             let mut scratch = SimScratch::new();
-            if scoped {
-                scratch.begin_reuse_scope(u128::from(seed));
-            }
             let sliced = simulate_sparse_ab_with(&layer, aw, bw, shuffle, &cfg, &mut scratch);
             let general = simulate_pairs(&layer, aw, bw, shuffle, &cfg, &mut scratch, false);
             prop_assert_eq!(sliced, general);

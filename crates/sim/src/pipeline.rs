@@ -124,7 +124,7 @@ fn single_side(mode: SparsityMode) -> Option<(Side, ArchVariant)> {
     }
 }
 
-/// Simulates layer `index` of K seed-variant networks under V sparsity
+/// Simulates one layer of K seed-variant networks under V sparsity
 /// modes, returning `[mode][plane]` reports. This is the unit every
 /// network entry below loops over, and the sweep executor's work item.
 ///
@@ -135,18 +135,12 @@ fn single_side(mode: SparsityMode) -> Option<(Side, ArchVariant)> {
 /// dual and SparTen modes run one by one. Every report is **exactly**
 /// what [`simulate_layer_with`] produces for that (mode, plane) alone,
 /// so callers may regroup work freely.
-///
-/// Inside a reuse scope plane `p`'s grids are memoized under layer
-/// `index` and plane `scratch.plane + p`. A scope token that names one
-/// (workload group, layer) pair therefore holds one layer's grids.
 pub fn simulate_layer_family(
-    index: usize,
     layers: &[&GemmLayer],
     modes: &[SparsityMode],
     cfg: &SimConfig,
     scratch: &mut SimScratch,
 ) -> Vec<Vec<LayerReport>> {
-    scratch.layer_idx = index as u32;
     // Per side: the modes it serves and their variants.
     let mut sides = [Side::B, Side::A].map(|side| (side, Vec::new(), Vec::new()));
     for (m, &mode) in modes.iter().enumerate() {
@@ -156,10 +150,8 @@ pub fn simulate_layer_family(
             variants.push(variant);
         }
     }
-    let base = scratch.plane;
     let mut accs: Vec<Vec<ScheduleAccum>> = vec![Vec::with_capacity(layers.len()); modes.len()];
-    for (p, layer) in layers.iter().enumerate() {
-        scratch.plane = base + p as u32;
+    for layer in layers {
         for (side, members, variants) in &sides {
             if members.is_empty() {
                 continue;
@@ -175,7 +167,6 @@ pub fn simulate_layer_family(
             }
         }
     }
-    scratch.plane = base;
     accs.into_iter()
         .zip(modes)
         .map(|(row, &mode)| {
@@ -197,8 +188,7 @@ pub fn simulate_network(
 }
 
 /// [`simulate_network`] with caller-provided scratch shared by every
-/// layer. Inside a reuse scope layer `i`'s grids are memoized under
-/// layer `i` and the scratch's plane offset.
+/// layer.
 pub fn simulate_network_with(
     layers: &[GemmLayer],
     mode: SparsityMode,
@@ -208,11 +198,7 @@ pub fn simulate_network_with(
     NetworkReport {
         layers: layers
             .iter()
-            .enumerate()
-            .map(|(i, l)| {
-                scratch.layer_idx = i as u32;
-                simulate_layer_with(l, mode, cfg, scratch)
-            })
+            .map(|l| simulate_layer_with(l, mode, cfg, scratch))
             .collect(),
     }
 }

@@ -59,7 +59,7 @@ impl ScheduleAccum {
 /// Which operand a single-sparse architecture skips zeros of — the one
 /// place the A/B symmetry of §III is spelled out. Everything else in
 /// [`simulate_single`] is side-agnostic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Side {
     /// `Sparse.A`: A nonzeros over `(time, lane, PE row)`.
     A,
@@ -126,10 +126,9 @@ impl Side {
 /// on `side`, returning one accumulator per variant (the pipeline adds
 /// bandwidth floors).
 ///
-/// The loop is tile-major: each sampled home tile's grid is taken once
-/// per shuffle flag — from the scratch's reuse-scope memo, or rebuilt in
-/// place when no scope is open — and every variant with that flag is
-/// scheduled on it. A variant's result is therefore exactly what a
+/// The loop is tile-major: each sampled home tile's grid is built once
+/// per shuffle flag, in place in the scratch, and every variant with
+/// that flag is scheduled on it. A variant's result is therefore exactly what a
 /// one-variant call returns.
 pub fn simulate_single(
     layer: &GemmLayer,
@@ -213,7 +212,7 @@ mod tests {
     #[test]
     fn family_call_matches_one_variant_calls() {
         // Mixed shuffle flags and a duplicate variant, on both sides,
-        // with and without a reuse scope on one shared scratch.
+        // over repeated passes on one shared scratch.
         let l = layer(40, 300, 70, 0.6, 0.3, 8);
         let variants = [
             (BorrowWindow::new(4, 0, 1), true),
@@ -227,15 +226,11 @@ mod tests {
         };
         let mut scratch = SimScratch::new();
         for side in [Side::A, Side::B] {
-            for scoped in [false, true] {
-                if scoped {
-                    scratch.begin_reuse_scope(1);
-                }
+            for _pass in 0..2 {
                 let family = simulate_single(&l, side, &variants, &cfg, &mut scratch);
                 for (got, &(win, shuffle)) in family.iter().zip(&variants) {
                     assert_eq!(*got, run(&l, side, win, shuffle, &cfg), "{side:?} {win:?}");
                 }
-                scratch.end_reuse_scope();
             }
             assert!(simulate_single(&l, side, &[], &cfg, &mut scratch).is_empty());
         }

@@ -88,67 +88,11 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// A pool of reusable [`SimScratch`] instances shared **across**
-/// campaigns.
-///
-/// Within one campaign each worker already keeps a single scratch for
-/// its whole run, so the per-tile loop allocates nothing; but a fresh
-/// campaign driver starts from empty scratches and re-grows every
-/// buffer. A resident driver (the serve daemon) keeps one pool alive
-/// instead: workers check scratches out at thread start and return them
-/// at thread exit, so buffer capacity survives from one campaign to the
-/// next. A pooled scratch carries capacity only, never a campaign's
-/// tile grids: its reuse scope spans one layer's work items and is
-/// closed before the scratch is parked. Checking out of an empty pool
-/// just creates a fresh scratch, which makes a throwaway pool exactly
-/// equivalent to the pre-pool behavior.
-#[derive(Default)]
-pub struct ScratchPool {
-    free: Mutex<Vec<SimScratch>>,
-}
-
-impl ScratchPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes a pooled scratch, or creates a fresh one when none is
-    /// parked.
-    pub fn checkout(&self) -> SimScratch {
-        self.free
-            .lock()
-            .expect("scratch pool lock")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Parks a scratch for the next campaign's workers.
-    pub fn give_back(&self, scratch: SimScratch) {
-        self.free.lock().expect("scratch pool lock").push(scratch);
-    }
-
-    /// How many scratches are currently parked.
-    pub fn parked(&self) -> usize {
-        self.free.lock().expect("scratch pool lock").len()
-    }
-}
-
-impl std::fmt::Debug for ScratchPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScratchPool")
-            .field("parked", &self.parked())
-            .finish()
-    }
-}
-
 /// One family's phase-3 inputs: its seed-plane workloads, one
-/// accelerator per architecture unit, the fingerprint its (family,
-/// layer) items derive their reuse-scope tokens from, and its depth.
+/// accelerator per architecture unit, and its depth.
 struct FamilyRun {
     planes: Vec<Arc<Workload>>,
     accels: Vec<Accelerator>,
-    scope: Fingerprint,
     depth: usize,
 }
 
@@ -339,6 +283,10 @@ pub fn run_cells(
 /// [`run_cells`] with an explicit phase-2 build-pool bound — for
 /// processes pinned to a thread budget on a shared machine.
 ///
+/// Each phase-3 worker owns one fresh [`SimScratch`] for the whole
+/// campaign: it holds buffer capacity only, never results, so reports
+/// cannot depend on which worker ran which item.
+///
 /// # Errors
 ///
 /// As [`run_cells`].
@@ -349,36 +297,6 @@ pub fn run_cells_bounded(
     workers: usize,
     build_workers: usize,
     observe: &(dyn Fn(&CellEvent<'_>) + Sync),
-) -> Result<Vec<CellRecord>, SweepError> {
-    // A throwaway pool starts empty, so every worker builds a fresh
-    // scratch — the historical behavior.
-    run_cells_pooled(
-        spec,
-        cells,
-        cache,
-        workers,
-        build_workers,
-        observe,
-        &ScratchPool::new(),
-    )
-}
-
-/// [`run_cells_bounded`] drawing worker scratches from (and returning
-/// them to) a caller-owned [`ScratchPool`] — the resident-daemon entry
-/// point, where scratch capacity survives across campaigns. Determinism
-/// is unaffected: a scratch carries capacity, never results.
-///
-/// # Errors
-///
-/// As [`run_cells`].
-pub fn run_cells_pooled(
-    spec: &SweepSpec,
-    cells: &[Cell],
-    cache: &ResultCache,
-    workers: usize,
-    build_workers: usize,
-    observe: &(dyn Fn(&CellEvent<'_>) + Sync),
-    pool: &ScratchPool,
 ) -> Result<Vec<CellRecord>, SweepError> {
     let fingerprints: Vec<Fingerprint> = cells.iter().map(|c| c.fingerprint(&spec.sim)).collect();
 
@@ -542,9 +460,8 @@ pub fn run_cells_pooled(
         // so one family's layers spread over every worker — a campaign
         // that is a single family still fills the pool. Each item runs
         // the family's whole architecture axis over the layer's seed
-        // planes in one call, under a reuse scope naming the (workload,
-        // category, seeds, layer) it simulates, so a worker's grid memo
-        // never holds more than one layer.
+        // planes in one call, which schedules every tile grid under all
+        // the family's windows.
         let runs: Vec<FamilyRun> = families
             .iter()
             .map(|family| {
@@ -560,21 +477,12 @@ pub fn run_cells_pooled(
                     .iter()
                     .map(|&u| Accelerator::new(cells[units[u][0]].arch.clone(), spec.sim))
                     .collect();
-                let lead = &cells[unit0[0]];
-                let mut h = Hasher::new();
-                h.str("griffin-layer-scope-v1")
-                    .feed(&lead.workload)
-                    .feed(&lead.category);
-                for &i in unit0 {
-                    h.u64(cells[i].seed);
-                }
                 // Seed variants of one workload spec have the same
                 // layer count, so plane 0's depth is the family's.
                 let depth = planes[0].layers.len();
                 FamilyRun {
                     planes,
                     accels,
-                    scope: h.finish(),
                     depth,
                 }
             })
@@ -602,12 +510,8 @@ pub fn run_cells_pooled(
         let landed = Condvar::new();
         let done: Mutex<Vec<(usize, CellMetrics)>> = Mutex::new(Vec::with_capacity(missing.len()));
         let next_item = AtomicUsize::new(0);
-        // Check every worker's scratch out before spawning so a fast
-        // worker that finishes early can't park a scratch a slow-to-start
-        // worker then steals (each worker must hold a distinct scratch).
-        let scratches: Vec<SimScratch> = (0..workers).map(|_| pool.checkout()).collect();
         std::thread::scope(|s| {
-            for mut scratch in scratches {
+            for _ in 0..workers {
                 let (units, families, runs, items, fingerprints, twins) =
                     (&units, &families, &runs, &items, &fingerprints, &twins);
                 let (progress, landed, done, next_item) = (&progress, &landed, &done, &next_item);
@@ -647,6 +551,7 @@ pub fn run_cells_pooled(
                 };
                 s.spawn(move || {
                     let _wake = PanicWake { progress, landed };
+                    let mut scratch = SimScratch::new();
                     let mut owned: Vec<usize> = Vec::new();
                     loop {
                         // Finalize owned families whose layers are all in.
@@ -697,14 +602,6 @@ pub fn run_cells_pooled(
                             }
                         }
                         let reports = if l < run.depth {
-                            let token = Hasher::new()
-                                .u64(run.scope.0)
-                                .u64(run.scope.1)
-                                .usize(l)
-                                .finish();
-                            scratch.begin_reuse_scope(
-                                (u128::from(token.0) << 64) | u128::from(token.1),
-                            );
                             let accels: Vec<&Accelerator> = run.accels.iter().collect();
                             let planes: Vec<&Workload> =
                                 run.planes.iter().map(Arc::as_ref).collect();
@@ -721,9 +618,6 @@ pub fn run_cells_pooled(
                             landed.notify_all();
                         }
                     }
-                    // A parked scratch carries capacity, not grids.
-                    scratch.end_reuse_scope();
-                    pool.give_back(scratch);
                 });
             }
         });
@@ -919,47 +813,12 @@ mod tests {
     }
 
     #[test]
-    fn pooled_scratches_survive_campaigns_with_identical_results() {
-        let spec = small_spec();
-        let pool = ScratchPool::new();
-        let cache = ResultCache::in_memory();
-        let pooled =
-            run_cells_pooled(&spec, &spec.cells(), &cache, 2, 2, &no_observer, &pool).unwrap();
-        assert_eq!(pool.parked(), 2, "each worker parks its scratch");
-
-        // A second cold campaign re-checks the same scratches out and
-        // returns them — and its records are byte-identical to a
-        // fresh-scratch run (a scratch carries capacity, not results).
-        let cold = ResultCache::in_memory();
-        let warm_scratch =
-            run_cells_pooled(&spec, &spec.cells(), &cold, 2, 2, &no_observer, &pool).unwrap();
-        assert_eq!(pool.parked(), 2);
-        assert_eq!(pooled, warm_scratch);
-        let fresh = run_campaign(&spec, &ResultCache::in_memory(), 2).unwrap();
-        assert_eq!(fresh.cells, warm_scratch);
-
-        // A fully cached campaign never touches the pool (no misses —
-        // nothing simulates, so nothing checks out).
-        run_cells_pooled(&spec, &spec.cells(), &cache, 2, 2, &no_observer, &pool).unwrap();
-        assert_eq!(pool.parked(), 2);
-    }
-
-    #[test]
     fn worker_count_never_changes_records() {
         let spec = small_spec();
-        let cells = spec.cells();
-        let pool = ScratchPool::new();
         let run = |workers| {
-            run_cells_pooled(
-                &spec,
-                &cells,
-                &ResultCache::in_memory(),
-                workers,
-                2,
-                &no_observer,
-                &pool,
-            )
-            .unwrap()
+            run_campaign(&spec, &ResultCache::in_memory(), workers)
+                .unwrap()
+                .cells
         };
         let serial = run(1);
         for workers in [2, 4] {

@@ -63,8 +63,8 @@ pub use cache::{
     MergeReport, PruneReport, ResultCache, ScanReport,
 };
 pub use executor::{
-    default_workers, no_observer, run_campaign, run_cells, run_cells_bounded, run_cells_pooled,
-    CampaignReport, CellEvent, CellRecord, ScratchPool, SweepError,
+    default_workers, no_observer, run_campaign, run_cells, run_cells_bounded, CampaignReport,
+    CellEvent, CellRecord, SweepError,
 };
 pub use fingerprint::Fingerprint;
 pub use scenario::{ArchEntry, FleetSettings, Scenario, ScenarioError, ScenarioProvenance};

@@ -19,10 +19,10 @@
 //! * [`watch`] — fleet observability: live event-stream tailing, the
 //!   replayable campaign model, terminal dashboards, JSON summaries and
 //!   static HTML reports ([`griffin_watch`]),
-//! * [`serve`] — the resident campaign daemon: a warm cache and scratch
-//!   pool shared across campaigns behind the `griffin-serve-wire/1`
-//!   JSONL socket protocol, with fingerprint dedup and event-stream
-//!   fan-out ([`griffin_serve`]).
+//! * [`serve`] — the resident campaign daemon: a warm cache shared
+//!   across campaigns behind the `griffin-serve-wire/1` JSONL socket
+//!   protocol, with fingerprint dedup and event-stream fan-out
+//!   ([`griffin_serve`]).
 //!
 //! # Quickstart
 //!

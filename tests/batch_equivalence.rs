@@ -2,8 +2,8 @@
 //! V architectures and K seed-variant workloads must be **bitwise**
 //! identical to V × K independent `Accelerator::run_with` calls — for
 //! every mode (shared single-sparse tile-driver calls and per-mode
-//! pipelines alike), with and without an active grid-reuse scope. This
-//! is the contract that lets the sweep executor group work freely:
+//! pipelines alike), on fresh and on reused scratch. This is the
+//! contract that lets the sweep executor group work freely:
 //! grouping is an execution strategy, never a result change. The
 //! per-layer family entry the executor schedules
 //! (`Accelerator::run_family_layer`) is pinned the same way, layer by
@@ -157,8 +157,8 @@ proptest! {
     }
 }
 
-/// Runs a whole architecture family three ways (per-pair `run_with`,
-/// unscoped family batch, scoped family batch) and checks every
+/// Runs a whole architecture family as per-pair `run_with` calls and as
+/// two family-batch passes on one reused scratch, and checks every
 /// `[accelerator][workload]` report agrees bitwise.
 fn check_family(archs: &[ArchSpec], cfg: SimConfig, workloads: &[Workload]) {
     let accels: Vec<Accelerator> = archs
@@ -177,28 +177,16 @@ fn check_family(archs: &[ArchSpec], cfg: SimConfig, workloads: &[Workload]) {
         })
         .collect();
 
-    let unscoped = Accelerator::run_family_batch(&refs, &planes, &mut SimScratch::new());
-    assert_eq!(unscoped.len(), archs.len());
-    for (a, (srow, brow)) in solo.iter().zip(&unscoped).enumerate() {
-        assert_eq!(brow.len(), workloads.len());
-        for (p, (s, b)) in srow.iter().zip(brow).enumerate() {
-            assert_reports_identical(s, b, &format!("family unscoped accel {a} plane {p}"));
-        }
-    }
-
-    // Under a reuse scope the family shares memoized grids; a second
-    // pass builds nothing and must still agree.
-    let mut scoped = SimScratch::new();
-    scoped.begin_reuse_scope(0xFA417);
+    // The second pass reuses the first pass's scratch, whose buffers
+    // already hold every grid of the family: capacity, never results.
+    let mut scratch = SimScratch::new();
     for pass in 0..2 {
-        let batched = Accelerator::run_family_batch(&refs, &planes, &mut scoped);
+        let batched = Accelerator::run_family_batch(&refs, &planes, &mut scratch);
+        assert_eq!(batched.len(), archs.len());
         for (a, (srow, brow)) in solo.iter().zip(&batched).enumerate() {
+            assert_eq!(brow.len(), workloads.len());
             for (p, (s, b)) in srow.iter().zip(brow).enumerate() {
-                assert_reports_identical(
-                    s,
-                    b,
-                    &format!("family scoped pass {pass} accel {a} plane {p}"),
-                );
+                assert_reports_identical(s, b, &format!("family pass {pass} accel {a} plane {p}"));
             }
         }
     }
@@ -351,10 +339,9 @@ fn uneven_shapes_in_a_multi_arch_family_still_match() {
     }
 }
 
-/// Runs every layer through [`Accelerator::run_family_layer`] — once
-/// with one unscoped scratch for all layers, and twice (cold, then
-/// replaying memoized grids) with a reuse scope per layer, as the sweep
-/// executor does — and checks each `[accelerator][workload]` network,
+/// Runs every layer through [`Accelerator::run_family_layer`] — twice,
+/// both passes threading one scratch through every layer, as a sweep
+/// worker does — and checks each `[accelerator][workload]` network,
 /// finished with [`Accelerator::finish`], bitwise against `run_with`.
 fn check_layer_entry(archs: &[ArchSpec], cfg: SimConfig, workloads: &[Workload]) {
     let accels: Vec<Accelerator> = archs
@@ -365,18 +352,11 @@ fn check_layer_entry(archs: &[ArchSpec], cfg: SimConfig, workloads: &[Workload])
     let planes: Vec<&Workload> = workloads.iter().collect();
     let depth = workloads[0].layers.len();
 
-    let mut unscoped = SimScratch::new();
-    let mut scoped = SimScratch::new();
-    for pass in 0..3 {
+    let mut scratch = SimScratch::new();
+    for pass in 0..2 {
         let mut nets = vec![vec![NetworkReport::default(); planes.len()]; refs.len()];
         for i in 0..depth {
-            let scratch = if pass == 0 {
-                &mut unscoped
-            } else {
-                scoped.begin_reuse_scope(0x1A7E5 + i as u128);
-                &mut scoped
-            };
-            let layer = Accelerator::run_family_layer(&refs, &planes, i, scratch);
+            let layer = Accelerator::run_family_layer(&refs, &planes, i, &mut scratch);
             assert_eq!(layer.len(), refs.len());
             for (row, layer_row) in nets.iter_mut().zip(layer) {
                 assert_eq!(layer_row.len(), planes.len());
@@ -453,8 +433,8 @@ proptest! {
 #[test]
 fn layer_entry_covers_dual_sparse_fallbacks() {
     // Dual-sparse pipelines next to single-sparse members on a
-    // dual-sparse workload — the dual stage 1 memoizes the same B grids
-    // the `Sparse.B*` tile driver uses.
+    // dual-sparse workload — the dual stage 1 builds the same B grids
+    // the `Sparse.B*` tile driver uses, into the same scratch.
     let archs = [
         ArchSpec::dense(),
         ArchSpec::griffin(),
