@@ -53,3 +53,26 @@ fn synth_a_two_seeds_matches_its_golden() {
         assert_eq!(csv_of(&spec, workers), want, "{workers} workers");
     }
 }
+
+#[test]
+fn synth_ab_matches_its_golden() {
+    // `griffin-cli sweep synth ab --family ab --fanin 8 --tiles 2
+    // --seeds 1`: every dual design on sparse A and B, so every cell
+    // runs the general stage-2 path over many A/B windows.
+    let spec = SweepSpec::new("sweep-synth-ab")
+        .category(DnnCategory::AB)
+        .seeds([1])
+        .sim(SimConfig {
+            fidelity: Fidelity::Sampled {
+                tiles: 2,
+                seed: 0xBEEF,
+            },
+            ..SimConfig::default()
+        })
+        .synthetic("synth", 4)
+        .arch(ArchSpec::dense())
+        .family(ArchFamily::SparseAB { max_fanin: 8 });
+    // One worker count keeps the debug-mode test short; CI `cmp`s the
+    // CLI report at both.
+    assert_eq!(csv_of(&spec, 2), golden("synth-ab.csv"));
+}
