@@ -40,6 +40,9 @@
 //!   is the identity placement of `K / K0` rows, and no B grid is built.
 //!   The filtered ops are exactly the A tile's op grid, repeated on
 //!   every PE column, so one `(t, K0, M0, 1)` grid is scheduled.
+//! * **Both dense → closed form.** When the A row tile is full as well,
+//!   the whole stage-2 grid is full and its schedule is
+//!   [`Schedule::full`]: no grid is built or scheduled.
 //! * **Dense A row tile → slice along M**, only when the A window's
 //!   PE-row reach is zero (every lineup design: `Sparse.AB*`, Griffin
 //!   conf.AB, TensorDash). Every B placement survives the A filter on
@@ -49,15 +52,25 @@
 //! A slice's makespan and starved cycles are the full grid's; its
 //! executed and borrowed counts are multiplied by the slice count (as
 //! integers, before any scaling). Pairs where neither operand is dense
-//! take the general filter path. The results are bit-identical either
-//! way, which the differential tests below check against the general
-//! path on every pair.
+//! take the general path. The results are bit-identical either way,
+//! which the differential tests below check against the general path on
+//! every pair.
+//!
+//! # The placement stream
+//!
+//! Stage 1 keeps a column's compressed stream as 12-byte
+//! `Placement`s — compressed cycle, original `k`, stage-1 slot — in
+//! the scheduler's cycle order, with `k` resolved through the shuffle
+//! lane map once per column. The M slice and the general path both build
+//! their stage-2 grid straight from it with `grid::build_pair_grid`, which
+//! filters through a per-`k` A row-bit table (`grid::a_row_bits`) and
+//! scatters into CSR columns that come out sorted.
 
-use griffin_tensor::block::{ATileView, TileCoord, TileView};
+use griffin_tensor::block::ATileView;
 
 use crate::config::SimConfig;
-use crate::engine::{schedule_assign_with, schedule_with, Assignment, Schedule};
-use crate::grid::build_a_grid;
+use crate::engine::{schedule_assign_with, schedule_with, Schedule};
+use crate::grid::{a_row_bits, build_a_grid, build_pair_grid, Placement};
 use crate::layer::GemmLayer;
 use crate::sampling::sample_indices;
 use crate::scratch::SimScratch;
@@ -73,10 +86,10 @@ enum CompressedColumn {
     /// identity placement of `t_steps = K / K0` rows, never materialized.
     Dense { t_steps: usize },
     /// The compacted stream: its length in compressed rows and the
-    /// placement of every B nonzero.
+    /// placement of every B nonzero, in cycle order.
     Compressed {
         t_steps: usize,
-        assigns: Vec<Assignment>,
+        placements: Vec<Placement>,
     },
 }
 
@@ -92,6 +105,10 @@ fn preprocess_b(
     scratch: &mut SimScratch,
 ) -> CompressedColumn {
     let core = cfg.core;
+    assert!(
+        core.k0 <= u16::MAX as usize && core.n0 <= u16::MAX as usize,
+        "dual-sparse core {core:?} exceeds 65535 lanes or PE columns"
+    );
     let k = layer.shape.k;
     let n_base = n_tile * core.n0;
     if slice && k.is_multiple_of(core.k0) && layer.b.all_set(0..k, n_base..n_base + core.n0) {
@@ -109,9 +126,23 @@ fn preprocess_b(
         sched,
         assigns,
     );
+    let lanes = LaneMap::from_flag(shuffle);
+    let placements = assigns
+        .iter()
+        .map(|a| {
+            let t = a.t as usize;
+            Placement {
+                // Cycles are below the grid's `u32`-bounded time axis.
+                cycle: a.cycle as u32,
+                k: (t * core.k0 + lanes.source_lane(a.src.0, t)) as u32,
+                lane: a.slot.0 as u16,
+                col: a.slot.2 as u16,
+            }
+        })
+        .collect();
     CompressedColumn::Compressed {
         t_steps: s.cycles as usize,
-        assigns: assigns.clone(),
+        placements,
     }
 }
 
@@ -138,8 +169,8 @@ pub fn simulate_sparse_ab(
 }
 
 /// [`simulate_sparse_ab`] with caller-provided scratch: per tile pair
-/// the stage-2 replay reuses the scratch's op list and grid, so only
-/// the per-column stage-1 cache allocates.
+/// the stage-2 build reuses the scratch's row-bit table and grid, so
+/// only the per-column stage-1 cache allocates.
 pub fn simulate_sparse_ab_with(
     layer: &GemmLayer,
     a_win: BorrowWindow,
@@ -153,7 +184,7 @@ pub fn simulate_sparse_ab_with(
 
 /// The tile-pair loop behind [`simulate_sparse_ab_with`]. `slice`
 /// enables the dense-operand slices; only the differential tests clear
-/// it, to run every pair through the general filter path.
+/// it, to run every pair through the general path.
 fn simulate_pairs(
     layer: &GemmLayer,
     a_win: BorrowWindow,
@@ -190,63 +221,60 @@ fn simulate_pairs(
         let col = compressed[n_tile].get_or_insert_with(|| {
             preprocess_b(layer, cfg, n_tile, b_win, shuffle, slice, scratch)
         });
-        let a_view = ATileView::new(&layer.a, core, m_base);
         let s = match col {
             CompressedColumn::Dense { t_steps } => {
-                // N slice: the filtered ops on each PE column are the A
-                // tile's op grid.
-                build_a_grid(&mut scratch.grid2, &mut scratch.span, &a_view, lanes);
-                debug_assert_eq!(scratch.grid2.t_steps(), *t_steps);
-                let s = schedule_with(&scratch.grid2, stage2_win, cfg.priority, &mut scratch.sched);
-                widen(s, core.n0)
+                if Side::A.is_full(layer, core, m_tile) {
+                    // Both operands dense: the stage-2 grid is full.
+                    Schedule::full(*t_steps, core.macs())
+                } else {
+                    // N slice: the filtered ops on each PE column are the
+                    // A tile's op grid.
+                    let a_view = ATileView::new(&layer.a, core, m_base);
+                    build_a_grid(&mut scratch.grid2, &mut scratch.span, &a_view, lanes);
+                    debug_assert_eq!(scratch.grid2.t_steps(), *t_steps);
+                    let s =
+                        schedule_with(&scratch.grid2, stage2_win, cfg.priority, &mut scratch.sched);
+                    widen(s, core.n0)
+                }
             }
             // All-zero B column: nothing to execute.
             CompressedColumn::Compressed { t_steps: 0, .. } => continue,
-            CompressedColumn::Compressed { t_steps, assigns }
-                if slice
-                    && stage2_win.rows == 0
-                    && layer.a.all_set(m_base..m_base + core.m0, 0..layer.shape.k) =>
+            CompressedColumn::Compressed {
+                t_steps,
+                placements,
+            } if slice
+                && stage2_win.rows == 0
+                && layer.a.all_set(m_base..m_base + core.m0, 0..layer.shape.k) =>
             {
                 // M slice: every placement survives on every PE row.
-                scratch.filtered.clear();
-                scratch.filtered.extend(
-                    assigns
-                        .iter()
-                        .map(|a| (a.cycle as usize, a.slot.0, 0, a.slot.2)),
+                build_pair_grid(
+                    &mut scratch.grid2,
+                    *t_steps,
+                    core.k0,
+                    1,
+                    core.n0,
+                    placements,
+                    None,
                 );
-                scratch
-                    .grid2
-                    .rebuild_from_ops(*t_steps, core.k0, 1, core.n0, &scratch.filtered);
                 let s = schedule_with(&scratch.grid2, stage2_win, cfg.priority, &mut scratch.sched);
                 widen(s, core.m0)
             }
-            CompressedColumn::Compressed { t_steps, assigns } => {
-                // Stage 2 ops: for every compressed B placement, the pair
-                // is effectual on PE row m iff the A element at the
-                // *original* coordinates is nonzero (steps 2-3: mask
-                // filtering).
-                scratch.filtered.clear();
-                for a in assigns.iter() {
-                    let t = a.t as usize;
-                    let src_lane = lanes.source_lane(a.src.0, t);
-                    for m in 0..core.m0 {
-                        if a_view.is_nonzero(TileCoord {
-                            t,
-                            lane: src_lane,
-                            s: m,
-                        }) {
-                            scratch
-                                .filtered
-                                .push((a.cycle as usize, a.slot.0, m, a.slot.2));
-                        }
-                    }
-                }
-                scratch.grid2.rebuild_from_ops(
+            CompressedColumn::Compressed {
+                t_steps,
+                placements,
+            } => {
+                // Stage 2 ops: a placement is effectual on PE row m iff
+                // the A element at its *original* `k` is nonzero (steps
+                // 2-3: mask filtering).
+                a_row_bits(&mut scratch.a_rows, &layer.a, m_base, core.m0);
+                build_pair_grid(
+                    &mut scratch.grid2,
                     *t_steps,
                     core.k0,
                     core.m0,
                     core.n0,
-                    &scratch.filtered,
+                    placements,
+                    Some(&scratch.a_rows),
                 );
                 schedule_with(&scratch.grid2, stage2_win, cfg.priority, &mut scratch.sched)
             }
@@ -260,7 +288,9 @@ fn simulate_pairs(
 mod tests {
     use super::*;
     use crate::config::{Fidelity, Priority};
+    use crate::engine::OpGrid;
     use crate::single::simulate_single;
+    use griffin_tensor::block::{TileCoord, TileView};
     use griffin_tensor::gen::TensorGen;
     use griffin_tensor::mask::SparsityMask;
     use griffin_tensor::shape::{CoreDims, GemmShape};
@@ -355,6 +385,74 @@ mod tests {
             let sliced = simulate_sparse_ab_with(&layer, aw, bw, shuffle, &cfg, &mut scratch);
             let general = simulate_pairs(&layer, aw, bw, shuffle, &cfg, &mut scratch, false);
             prop_assert_eq!(sliced, general);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(100))]
+
+        /// `build_pair_grid` builds exactly the grid of the per-element
+        /// filter over the stage-1 assignment stream followed by
+        /// `OpGrid::rebuild_from_ops`: the general path on every row
+        /// tile and the M slice, shuffle on and off, ragged M and K.
+        #[test]
+        fn pair_grid_matches_filter_and_rebuild(
+            dims in (1usize..10, 1usize..5, 0usize..16, 1usize..40),
+            dens in (0.1f64..0.95, 0.1f64..0.9),
+            seed in 0u64..10_000,
+            shuffle in proptest::bool::ANY,
+        ) {
+            let core = CoreDims::PAPER;
+            let (m, t, ragged, n) = dims;
+            let k = t * core.k0 + ragged;
+            let layer = layer(m, k, n, dens.0, dens.1, seed);
+            let lanes = LaneMap::from_flag(shuffle);
+            let tiles = layer.shape.tiles(core);
+            let cfg = cfg();
+            let mut scratch = SimScratch::new();
+            let mut want = OpGrid::default();
+            let mut ops = Vec::new();
+            for n_tile in 0..tiles.nt {
+                let win = BorrowWindow::new(2, 1, 1);
+                let CompressedColumn::Compressed { t_steps, placements } =
+                    preprocess_b(&layer, &cfg, n_tile, win, shuffle, false, &mut scratch)
+                else {
+                    unreachable!("an unsliced column is always compressed");
+                };
+                let assigns = scratch.assigns.clone();
+                // The M slice: every placement on the single PE row.
+                ops.clear();
+                ops.extend(assigns.iter().map(|a| (a.cycle as usize, a.slot.0, 0, a.slot.2)));
+                want.rebuild_from_ops(t_steps, core.k0, 1, core.n0, &ops);
+                build_pair_grid(&mut scratch.grid2, t_steps, core.k0, 1, core.n0, &placements, None);
+                prop_assert_eq!(&scratch.grid2, &want);
+                // The general path on every row tile.
+                for m_tile in 0..tiles.mt {
+                    let a_view = ATileView::new(&layer.a, core, m_tile * core.m0);
+                    ops.clear();
+                    for a in &assigns {
+                        let t = a.t as usize;
+                        let lane = lanes.source_lane(a.src.0, t);
+                        for row in 0..core.m0 {
+                            if a_view.is_nonzero(TileCoord { t, lane, s: row }) {
+                                ops.push((a.cycle as usize, a.slot.0, row, a.slot.2));
+                            }
+                        }
+                    }
+                    want.rebuild_from_ops(t_steps, core.k0, core.m0, core.n0, &ops);
+                    a_row_bits(&mut scratch.a_rows, &layer.a, m_tile * core.m0, core.m0);
+                    build_pair_grid(
+                        &mut scratch.grid2,
+                        t_steps,
+                        core.k0,
+                        core.m0,
+                        core.n0,
+                        &placements,
+                        Some(&scratch.a_rows),
+                    );
+                    prop_assert_eq!(&scratch.grid2, &want, "m_tile {}", m_tile);
+                }
+            }
         }
     }
 

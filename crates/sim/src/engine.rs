@@ -326,6 +326,22 @@ impl Schedule {
             starved_cycles: 0,
         }
     }
+
+    /// The schedule of a full grid: `slots` columns, each holding one op
+    /// on every one of `t_steps` time rows. Under any window and either
+    /// priority, each slot's own head is the oldest row `H` every cycle,
+    /// so it executes its own op (own first, or as the unique
+    /// zero-displacement earliest tap): one row per cycle, nothing
+    /// borrowed, nothing starved. Pinned against both schedulers by the
+    /// differential tests.
+    pub fn full(t_steps: usize, slots: usize) -> Self {
+        Schedule {
+            cycles: t_steps as u64,
+            executed: (t_steps * slots) as u64,
+            borrowed: 0,
+            starved_cycles: 0,
+        }
+    }
 }
 
 /// Displacement taps for a dimension with borrowing distance `d`:
@@ -1106,6 +1122,33 @@ mod tests {
                 let s = schedule(&g, win, p);
                 assert_eq!(s.cycles, 16, "win {win:?} priority {p:?}");
                 assert_eq!(s.executed, 16 * 4 * 2 * 4);
+            }
+        }
+    }
+
+    #[test]
+    fn full_schedule_matches_both_schedulers_on_full_grids() {
+        // Every depth 1-9, every lane/row/col reach 0-3, both priorities,
+        // on full grids of several extents (degenerate axes included).
+        let extents = [(1, 1, 1, 1), (5, 4, 1, 3), (3, 2, 3, 1), (4, 3, 2, 2)];
+        let mut scratch = SchedScratch::new();
+        for (t, lanes, rows, cols) in extents {
+            let g = dense_grid(t, lanes, rows, cols);
+            let want = Schedule::full(t, lanes * rows * cols);
+            for depth in 1..=9 {
+                for (lane, row, col) in (0..64).map(|i| (i / 16, i / 4 % 4, i % 4)) {
+                    let win = EffectiveWindow {
+                        depth,
+                        lane,
+                        rows: row,
+                        cols: col,
+                    };
+                    for p in [Priority::OwnFirst, Priority::EarliestFirst] {
+                        let ctx = (t, lanes, rows, cols, win, p);
+                        assert_eq!(schedule_with(&g, win, p, &mut scratch), want, "{ctx:?}");
+                        assert_eq!(reference::schedule(&g, win, p), want, "{ctx:?}");
+                    }
+                }
             }
         }
     }

@@ -130,6 +130,12 @@ pub fn sparse_a_product(
 /// Executes `C = A × B` through the two-stage `Sparse.AB` pipeline
 /// (preprocess B, then skip A over the compressed stream).
 ///
+/// Stage 2 is rebuilt here the plain way: a per-element A filter over
+/// the full assignment stream, then `OpGrid::rebuild_from_ops`. The
+/// timing path (`dual`) builds the same grid from compact placements
+/// and row-bit tables; keeping this replay separate leaves the
+/// functional check independent of that code.
+///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] when `A.cols() != B.rows()`.

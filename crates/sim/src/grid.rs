@@ -9,17 +9,23 @@
 //! counting-sort scatter per *nonzero*, and they rebuild into an
 //! existing grid's CSR arrays so the per-tile loop allocates nothing.
 //!
-//! Both builders produce exactly the grid the equivalent
+//! The A and B builders produce exactly the grid the equivalent
 //! `OpGrid::from_fn` predicate over `TileView::is_nonzero` produces
 //! (asserted by differential tests): mask traversal is `k`-ascending,
 //! so every CSR column receives its op times already sorted, and tile
 //! edges keep their zero-padding semantics because the word iterator
 //! clips to the mask.
 //!
+//! The dual pipeline's stage-2 grid comes from `build_pair_grid`, which
+//! scatters stage-1 placements through an A row-bit table instead of
+//! walking a mask; a differential test in `dual` pins it to the
+//! per-element filter followed by `OpGrid::rebuild_from_ops`.
+//!
 //! [`SparsityMask`]: griffin_tensor::mask::SparsityMask
 //! [`SparsityMask::for_each_set_in_row`]: griffin_tensor::mask::SparsityMask::for_each_set_in_row
 
 use griffin_tensor::block::{ATileView, BTileView, TileView};
+use griffin_tensor::mask::SparsityMask;
 
 use crate::engine::OpGrid;
 use crate::shuffle::LaneMap;
@@ -170,6 +176,96 @@ pub fn build_a_grid(grid: &mut OpGrid, span: &mut Vec<u64>, view: &ATileView<'_>
         }
     }
     grid.finish_fill();
+}
+
+/// One B nonzero's place in a dual tile column's compressed stream
+/// (stage 1): the compressed cycle it executes in, its original
+/// reduction index `k` (the shuffle lane map already undone), and the
+/// stage-1 slot `(lane, col)` that executes it. Twelve bytes, where the
+/// scheduler's [`Assignment`](crate::engine::Assignment) is 64.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Placement {
+    pub cycle: u32,
+    pub k: u32,
+    pub lane: u16,
+    pub col: u16,
+}
+
+const _: () = assert!(std::mem::size_of::<Placement>() == 12);
+
+/// Fills `table` with the A row-bit table of the tile row at `m_base`:
+/// `m0.div_ceil(64)` words per reduction index `k`, bit `m` set iff
+/// `A[m_base + m, k]` is nonzero (rows past the mask read as zero).
+pub(crate) fn a_row_bits(table: &mut Vec<u64>, mask: &SparsityMask, m_base: usize, m0: usize) {
+    let words = m0.div_ceil(64);
+    table.clear();
+    table.resize(mask.cols() * words, 0);
+    for m in 0..m0 {
+        mask.for_each_set_in_row(m_base + m, 0, mask.cols(), |k| {
+            table[k * words + m / 64] |= 1 << (m % 64);
+        });
+    }
+}
+
+/// Rebuilds `grid` as the stage-2 op grid of one dual tile pair, a
+/// `(t_steps, k0, rows, n0)` grid: each placement becomes one op at its
+/// compressed cycle on slot `(lane, m, col)` for every PE row `m` whose
+/// A element at the placement's `k` is nonzero (§IV-A steps 2-3).
+///
+/// `a_rows` is the tile row's [`a_row_bits`] table. `None` stands for a
+/// dense A row tile sliced to one PE row (`rows = 1`): every placement
+/// survives once.
+///
+/// The scheduler emits its stream cycle by cycle, so placements arrive
+/// in cycle order and the counting scatter leaves every column sorted.
+pub(crate) fn build_pair_grid(
+    grid: &mut OpGrid,
+    t_steps: usize,
+    k0: usize,
+    rows: usize,
+    n0: usize,
+    placements: &[Placement],
+    a_rows: Option<&[u64]>,
+) {
+    grid.reset_dims(t_steps, k0, rows, n0);
+    for_each_pair_op(placements, rows, n0, a_rows, |c, t| {
+        grid.col_off[c] += 1;
+        grid.t_counts[t as usize] += 1;
+    });
+    grid.finish_counts();
+    for_each_pair_op(placements, rows, n0, a_rows, |c, t| grid.push_counted(c, t));
+    grid.finish_fill();
+}
+
+/// Calls `f(column, cycle)` for every stage-2 op of [`build_pair_grid`],
+/// in placement order.
+#[inline(always)]
+fn for_each_pair_op(
+    placements: &[Placement],
+    rows: usize,
+    n0: usize,
+    a_rows: Option<&[u64]>,
+    mut f: impl FnMut(usize, u32),
+) {
+    let Some(table) = a_rows else {
+        for p in placements {
+            f(p.lane as usize * n0 + p.col as usize, p.cycle);
+        }
+        return;
+    };
+    let words = rows.div_ceil(64);
+    for p in placements {
+        let base = p.lane as usize * rows * n0 + p.col as usize;
+        let at = p.k as usize * words;
+        for (w, &bits) in table[at..at + words].iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let m = w * 64 + bits.trailing_zeros() as usize;
+                f(base + m * n0, p.cycle);
+                bits &= bits - 1;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -5,15 +5,16 @@
 //! small grids the paper's core sizes produce. [`SimScratch`] bundles
 //! every buffer the tile simulators need — the reusable CSR grids, the
 //! scheduler's [`SchedScratch`] (head volume, row counts, tap list,
-//! frontier state), the stage-1 assignment stream and stage-2 op list
-//! of the dual pipeline, and the SparTen operand words and wave
+//! frontier state), the dual pipeline's stage-1 assignment stream and
+//! stage-2 A row-bit table, and the SparTen operand words and wave
 //! accumulators — so the steady state allocates **nothing**:
 //!
 //! * per *tile* (the hot loop): zero allocations once every buffer has
-//!   grown to the campaign's largest grid;
-//! * per *layer*: only the dual pipeline's per-column compressed-stream
-//!   cache (amortized over all tile pairs of the column) and the
-//!   sampled tile index list;
+//!   grown to the campaign's largest grid; a full single-sparse tile
+//!   touches no buffer at all (its schedule is closed form);
+//! * per *layer*: only the dual pipeline's per-column placement cache
+//!   (12 bytes per B nonzero, amortized over all tile pairs of the
+//!   column) and the sampled tile index list;
 //! * per *worker*: one `SimScratch`, created once and threaded through
 //!   the `simulate_*` entries and `Accelerator::run_with`.
 //!
@@ -38,12 +39,12 @@ pub struct SimScratch {
     pub(crate) grid: OpGrid,
     /// Word cache for the A/B builders' per-row bit spans.
     pub(crate) span: Vec<u64>,
-    /// Secondary grid for the dual pipeline's stage-2 replay.
+    /// Secondary grid for the dual pipeline's stage 2.
     pub(crate) grid2: OpGrid,
     /// Assignment stream of the most recent `schedule_assign_with`.
     pub(crate) assigns: Vec<Assignment>,
-    /// Stage-2 effectual-pair op list of the dual pipeline.
-    pub(crate) filtered: Vec<(usize, usize, usize, usize)>,
+    /// A row-bit table of the dual pipeline's current row tile.
+    pub(crate) a_rows: Vec<u64>,
     /// SparTen per-chunk pair counts of one output.
     pub(crate) chunk_pairs: Vec<u64>,
     /// SparTen per-chunk pair sums of the current dispatch wave.

@@ -95,6 +95,24 @@ impl Side {
         }
     }
 
+    /// Slots of a home tile's grid: `K0` lanes by the home axis's PE
+    /// lines (`M0` rows for A, `N0` columns for B).
+    fn slots(self, core: CoreDims) -> usize {
+        core.macs() / self.fan_out(core)
+    }
+
+    /// Whether home tile `tile` is full: `K` fills whole time steps and
+    /// every operand element of the tile is nonzero. `all_set` refuses a
+    /// range that runs past the mask, so a partial edge tile never is.
+    pub(crate) fn is_full(self, layer: &GemmLayer, core: CoreDims, tile: usize) -> bool {
+        let k = layer.shape.k;
+        k.is_multiple_of(core.k0)
+            && match self {
+                Side::A => layer.a.all_set(tile * core.m0..(tile + 1) * core.m0, 0..k),
+                Side::B => layer.b.all_set(0..k, tile * core.n0..(tile + 1) * core.n0),
+            }
+    }
+
     /// Rebuilds `grid` as the op grid of home tile `tile`.
     pub(crate) fn build_grid(
         self,
@@ -128,8 +146,14 @@ impl Side {
 ///
 /// The loop is tile-major: each sampled home tile's grid is built once
 /// per shuffle flag, in place in the scratch, and every variant with
-/// that flag is scheduled on it. A variant's result is therefore exactly what a
-/// one-variant call returns.
+/// that flag is scheduled on it. A variant's result is therefore exactly
+/// what a one-variant call returns.
+///
+/// A full home tile (see `Side::is_full`) builds and schedules no grid:
+/// its schedule is known in advance, [`Schedule::full`], under every
+/// window and shuffle flag (a lane permutation of a full grid is the
+/// same full grid). Dense operands make such tiles common in the
+/// paper's four-category comparison.
 pub fn simulate_single(
     layer: &GemmLayer,
     side: Side,
@@ -151,6 +175,13 @@ pub fn simulate_single(
         variants.len()
     ];
     for &tile in &picked {
+        if side.is_full(layer, core, tile) {
+            let full = Schedule::full(layer.shape.k / core.k0, side.slots(core));
+            for acc in &mut accs {
+                acc.add(full, weight);
+            }
+            continue;
+        }
         for rotate in [false, true] {
             if !variants.iter().any(|&(_, s)| s == rotate) {
                 continue;
@@ -186,9 +217,12 @@ pub fn simulate_dense(layer: &GemmLayer, cfg: &SimConfig) -> ScheduleAccum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use griffin_tensor::shape::GemmShape;
-
-    use griffin_tensor::shape::CoreDims;
+    use crate::config::Priority;
+    use crate::engine::schedule;
+    use griffin_tensor::gen::TensorGen;
+    use griffin_tensor::mask::SparsityMask;
+    use griffin_tensor::shape::{CoreDims, GemmShape};
+    use proptest::prelude::*;
 
     fn cfg() -> SimConfig {
         SimConfig::exact()
@@ -233,6 +267,68 @@ mod tests {
                 }
             }
             assert!(simulate_single(&l, side, &[], &cfg, &mut scratch).is_empty());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(150))]
+
+        /// On layers mixing full and sparse home tiles, `simulate_single` equals
+        /// building and scheduling every tile's grid, and the full-tile
+        /// test holds exactly when the built grid is full. Ragged K and
+        /// partial M/N edge tiles are padded, so they must refuse the
+        /// shortcut even when every element inside the mask is set.
+        #[test]
+        fn full_tiles_match_their_built_grids(
+            dims in (1usize..12, 1usize..5, 0usize..2, 1usize..50),
+            kind in 0usize..3,
+            density in 0.2f64..0.9,
+            seed in 0u64..10_000,
+            flags in (proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY),
+            win in 0usize..4,
+        ) {
+            let core = CoreDims::PAPER;
+            let (m, t, ragged, n) = dims;
+            let k = t * core.k0 + ragged * (1 + seed as usize % (core.k0 - 1));
+            let (side_a, shuffle, earliest) = flags;
+            let side = if side_a { Side::A } else { Side::B };
+            // Kind 0 is Bernoulli, 1 all ones, 2 Bernoulli with every
+            // other band of home tiles forced full.
+            let mask = |rows: usize, cols: usize, seed: u64, home_axis_rows: bool, span: usize| {
+                let base = TensorGen::seeded(seed).bernoulli_mask(rows, cols, density);
+                SparsityMask::from_fn(rows, cols, |r, c| {
+                    let line = if home_axis_rows { r } else { c };
+                    match kind {
+                        0 => base.get(r, c),
+                        1 => true,
+                        _ => base.get(r, c) || (line / span + seed as usize).is_multiple_of(2),
+                    }
+                })
+            };
+            let a = mask(m, k, seed, true, core.m0);
+            let b = mask(k, n, seed ^ 0x5eed, false, core.n0);
+            let l = GemmLayer::new(GemmShape::new(m, k, n).unwrap(), a, b).unwrap();
+            let win = [
+                BorrowWindow::new(4, 0, 1),
+                BorrowWindow::new(2, 1, 0),
+                BorrowWindow::new(0, 0, 0),
+                BorrowWindow::new(3, 2, 2),
+            ][win];
+            let priority = if earliest { Priority::EarliestFirst } else { Priority::OwnFirst };
+            let cfg = SimConfig { priority, ..SimConfig::exact() };
+
+            let got = simulate_single(&l, side, &[(win, shuffle)], &cfg, &mut SimScratch::new());
+            let (home, other) = side.tiles(&l, core);
+            let (mut grid, mut span) = (OpGrid::default(), Vec::new());
+            let mut want = ScheduleAccum::default();
+            for tile in 0..home {
+                side.build_grid(&mut grid, &mut span, &l, core, tile, LaneMap::from_flag(shuffle));
+                let full = grid.total_ops() == grid.t_steps() * side.slots(core);
+                prop_assert_eq!(side.is_full(&l, core, tile), full, "tile {}", tile);
+                want.add(schedule(&grid, side.window(win), priority), other as f64);
+            }
+            want.ops *= side.fan_out(core) as f64;
+            prop_assert_eq!(got, vec![want]);
         }
     }
 

@@ -30,7 +30,9 @@ impl fmt::Display for Fingerprint {
 impl Fingerprint {
     /// Parses the 32-hex-digit form produced by `Display`.
     pub fn parse(s: &str) -> Option<Fingerprint> {
-        if s.len() != 32 {
+        // Hex digits only: a multi-byte character would make the split
+        // below panic, and `from_str_radix` alone would accept a sign.
+        if s.len() != 32 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
             return None;
         }
         let hi = u64::from_str_radix(&s[..16], 16).ok()?;
@@ -209,6 +211,14 @@ mod tests {
         assert_eq!(Fingerprint::parse(&fp.to_string()), Some(fp));
         assert_eq!(Fingerprint::parse("nope"), None);
         assert_eq!(Fingerprint::parse(&"x".repeat(32)), None);
+        // 32 bytes whose 16th and 17th form one character: refused, not
+        // split mid-character.
+        assert_eq!(
+            Fingerprint::parse(&format!("{0}é{0}", "0".repeat(15))),
+            None
+        );
+        // `from_str_radix` would take a sign; a fingerprint has none.
+        assert_eq!(Fingerprint::parse(&format!("+{}", "f".repeat(31))), None);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! tiles = 12                   # sampled tiles per layer
 //! sample_seed = 0xBEEF         # tile-subset RNG seed
 //! priority = "own_first"       # or "earliest_first"
-//! core = [16, 16, 4]           # (K0, N0, M0)
+//! core = [16, 16, 4]           # (K0, N0, M0), each 1..=4096
 //! bandwidth = "provisioned"    # or [a, b, dram] bytes/cycle
 //!
 //! [[workload]]
@@ -957,6 +957,12 @@ fn build_sim_section(t: &Table) -> Result<SimConfig, ScenarioError> {
             if d[i] == 0 {
                 return fail(b.line, "`core` dimensions must be positive");
             }
+            if d[i] > MAX_CORE_DIM {
+                return fail(
+                    b.line,
+                    format!("`core` dimension {} exceeds {MAX_CORE_DIM}", d[i]),
+                );
+            }
         }
         cfg.core = CoreDims {
             k0: d[0],
@@ -1019,6 +1025,11 @@ const MAX_SYNTHETIC_LAYERS: usize = 1024;
 /// extent in the suite (InceptionV3's largest `M` is 22 201, AlexNet's
 /// largest `K` is 9 216).
 const MAX_ADHOC_DIM: usize = 32_768;
+
+/// Largest `core` dimension: 256 times the paper's widest (`K0 = N0 =
+/// 16`), and inside what the simulators index with 16-bit lanes and PE
+/// columns (the dual pipeline's stage-1 placements).
+const MAX_CORE_DIM: usize = 4096;
 
 fn build_workload(t: &Table) -> Result<WorkloadSpec, ScenarioError> {
     let variants: Vec<&str> = ["suite", "synthetic", "adhoc"]
@@ -1774,6 +1785,21 @@ heartbeat = 16
         assert_eq!(err.line, 7);
         assert!(err.msg.contains("`m` = 32769 out of range"), "{err}");
         assert!(Scenario::parse(&adhoc(MAX_ADHOC_DIM)).is_ok());
+
+        let core = |k0: usize| {
+            format!(
+                "[scenario]\nname = \"x\"\ncategories = [\"b\"]\n\n\
+                 [sim]\ncore = [{k0}, 16, 4]\n\n\
+                 [[workload]]\nsynthetic = \"s\"\nlayers = 1\n\n\
+                 [[arch]]\npreset = \"baseline\"\n"
+            )
+        };
+        let err = Scenario::parse(&core(MAX_CORE_DIM + 1)).unwrap_err();
+        assert!(
+            err.msg.contains("`core` dimension 4097 exceeds 4096"),
+            "{err}"
+        );
+        assert!(Scenario::parse(&core(MAX_CORE_DIM)).is_ok());
     }
 
     #[test]

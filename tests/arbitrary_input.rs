@@ -6,12 +6,22 @@
 //! bytes replaced, inserted or deleted, each also cut short at a random
 //! byte, must come back as `Ok` or as a typed error that renders; no
 //! input may panic.
+//!
+//! The same holds for the files a campaign reads back from disk: a
+//! mutated journal given to `Journal::resume`, and mutated cache entries
+//! (content and file name) in a `merge_dirs` source.
+
+use std::os::unix::ffi::OsStrExt;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use griffin::fleet::events::sample::build_event;
+use griffin::fleet::{Journal, JournalHeader};
 use griffin::serve::wire::sample::build_message;
 use griffin::serve::Message;
 use griffin::sweep::json::Json;
 use griffin::sweep::scenario::Scenario;
+use griffin::sweep::{merge_dirs, CellMetrics, Fingerprint};
 use proptest::prelude::*;
 
 /// Every shipped scenario: valid inputs to mutate.
@@ -32,7 +42,13 @@ const SYNTAX: &[u8] = b"[]{}\":,.=#\\-+0123456789eEtrufalsn \n\tux";
 /// Applies `(position, byte, op)` edits to `base`: op 0 replaces the
 /// byte at `position % len`, op 1 inserts before it, op 2 deletes it.
 fn mutate(base: &str, edits: &[(usize, u8, usize)]) -> String {
-    let mut bytes = base.as_bytes().to_vec();
+    String::from_utf8_lossy(&mutate_bytes(base.as_bytes(), edits)).into_owned()
+}
+
+/// [`mutate`] on raw bytes, which may leave invalid UTF-8 (as a file on
+/// disk can hold).
+fn mutate_bytes(base: &[u8], edits: &[(usize, u8, usize)]) -> Vec<u8> {
+    let mut bytes = base.to_vec();
     for &(pos, byte, op) in edits {
         let at = pos % (bytes.len() + 1);
         match op {
@@ -44,7 +60,91 @@ fn mutate(base: &str, edits: &[(usize, u8, usize)]) -> String {
             _ => bytes.push(byte),
         }
     }
-    String::from_utf8_lossy(&bytes).into_owned()
+    bytes
+}
+
+/// Characters for text-level edits: hex digits and their near misses,
+/// JSON structure, and multi-byte characters that byte edits almost
+/// never assemble into valid UTF-8.
+const CHARS: [char; 12] = ['0', 'f', 'F', 'g', '+', '-', '"', '\\', '.', 'é', '€', '😀'];
+
+/// Applies `(position, char, op)` edits to `base` as [`mutate`] does,
+/// over characters drawn from [`CHARS`].
+fn mutate_chars(base: &str, edits: &[(usize, usize, usize)]) -> String {
+    let mut chars: Vec<char> = base.chars().collect();
+    for &(pos, pick, op) in edits {
+        let at = pos % (chars.len() + 1);
+        let c = CHARS[pick % CHARS.len()];
+        match op {
+            0 if at < chars.len() => chars[at] = c,
+            1 => chars.insert(at, c),
+            _ if at < chars.len() => {
+                chars.remove(at);
+            }
+            _ => chars.push(c),
+        }
+    }
+    chars.into_iter().collect()
+}
+
+/// A fresh, empty directory under the system temp dir.
+fn fresh_dir(tag: &str) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "griffin-arbitrary-{tag}-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+/// The campaign identity the journal properties resume against.
+fn journal_header() -> JournalHeader {
+    JournalHeader {
+        campaign: "arbitrary".into(),
+        spec_fp: Fingerprint(0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210),
+        cells: 12,
+        scenario: None,
+    }
+}
+
+/// A valid journal's bytes: the header and `entries` completed cells.
+fn journal_bytes(dir: &Path, entries: usize) -> Vec<u8> {
+    let path = dir.join("base.jsonl");
+    let mut j = Journal::create(&path, &journal_header()).expect("create journal");
+    for cell in 0..entries {
+        j.append(cell * 5 % 12, Fingerprint(cell as u64, 7))
+            .expect("append");
+    }
+    drop(j);
+    std::fs::read(&path).expect("read journal")
+}
+
+/// Cache entry `i`: its fingerprint and canonical file content.
+fn cache_entry(i: u64) -> (Fingerprint, String) {
+    let m = CellMetrics {
+        speedup: 1.0 + i as f64 / 8.0,
+        cycles: 1000.0 + i as f64,
+        dense_cycles: 2000 + i,
+        power_mw: 150.5,
+        area_mm2: 0.25,
+        tops_per_w: 9.75,
+        tops_per_mm2: 7.5,
+    };
+    (Fingerprint(i, i * 31), m.to_json().write())
+}
+
+/// Number of `*.json` files in `dir`: what a merge reads as entries.
+fn json_files(dir: &Path) -> u64 {
+    std::fs::read_dir(dir)
+        .expect("read dir")
+        .filter(|e| {
+            let p = e.as_ref().expect("entry").path();
+            p.extension().is_some_and(|x| x == "json")
+        })
+        .count() as u64
 }
 
 /// Feeds `text`, and its first `cut % (len + 1)` bytes decoded lossily,
@@ -118,6 +218,82 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A journal with up to five characters and five bytes edited, cut
+    /// short at a random byte past its middle, resumes as `Ok` or as a
+    /// typed error that renders. An `Ok` resume holds only in-grid cells
+    /// and repairs the file so that a second resume restores the same
+    /// set.
+    #[test]
+    fn mutated_journals_resume_or_refuse(
+        entries in 0usize..6,
+        char_edits in proptest::collection::vec((0usize..100_000, 0usize..CHARS.len(), 0usize..3), 0..6),
+        edits in proptest::collection::vec((0usize..100_000, 0u8..=u8::MAX, 0usize..3), 0..6),
+        cut in 0usize..100_000,
+    ) {
+        let dir = fresh_dir("journal");
+        let text = String::from_utf8(journal_bytes(&dir, entries)).expect("journal is UTF-8");
+        let mut bytes = mutate_bytes(mutate_chars(&text, &char_edits).as_bytes(), &edits);
+        bytes.truncate(cut % (bytes.len() + 1) + bytes.len() / 2);
+        let path = dir.join("journal.jsonl");
+        std::fs::write(&path, &bytes).expect("write journal");
+        let header = journal_header();
+        match Journal::resume(&path, &header) {
+            Ok(j) => {
+                let done = j.completed().clone();
+                drop(j);
+                prop_assert!(done.keys().all(|&c| c < header.cells));
+                let again = Journal::resume(&path, &header).expect("repaired journal resumes");
+                prop_assert_eq!(again.completed(), &done);
+            }
+            Err(e) => prop_assert!(!e.to_string().is_empty()),
+        }
+        std::fs::remove_dir_all(&dir).expect("clean up");
+    }
+
+    /// A merge source whose first entry has up to five bytes of content
+    /// and up to two bytes and two characters of its file name edited:
+    /// every entry is merged, identical, invalid, healed or a conflict,
+    /// and merging the same source again copies and heals nothing.
+    #[test]
+    fn mutated_cache_entries_merge_or_refuse(
+        edits in proptest::collection::vec((0usize..100_000, 0u8..=u8::MAX, 0usize..3), 0..6),
+        name_chars in proptest::collection::vec((0usize..64, 0usize..CHARS.len(), 0usize..3), 0..3),
+        name_edits in proptest::collection::vec((0usize..64, 1u8..=u8::MAX, 0usize..3), 0..3),
+        in_dest in proptest::bool::ANY,
+    ) {
+        let (src, dest) = (fresh_dir("merge-src"), fresh_dir("merge-dest"));
+        for i in 1..4 {
+            let (fp, text) = cache_entry(i);
+            std::fs::write(src.join(format!("{fp}.json")), text).expect("write entry");
+        }
+        let (fp, text) = cache_entry(0);
+        if in_dest {
+            std::fs::write(dest.join(format!("{fp}.json")), &text).expect("write dest entry");
+        }
+        // A file name holds any byte but `/` and NUL (the edits never
+        // produce NUL).
+        let stem = mutate_chars(&fp.to_string(), &name_chars);
+        let mut stem = mutate_bytes(stem.as_bytes(), &name_edits);
+        stem.retain(|&b| b != b'/');
+        stem.extend_from_slice(b".json");
+        let name = std::ffi::OsStr::from_bytes(&stem);
+        std::fs::write(src.join(name), mutate_bytes(text.as_bytes(), &edits))
+            .expect("write mutated entry");
+
+        let entries = json_files(&src);
+        let r = merge_dirs(&dest, &[&src]).expect("merge reads its source");
+        let accounted = r.merged + r.identical + r.invalid + r.healed + r.conflicts.len() as u64;
+        prop_assert_eq!(accounted, entries, "{:?}", r);
+        let again = merge_dirs(&dest, &[&src]).expect("second merge");
+        prop_assert_eq!((again.merged, again.healed), (0, 0), "{:?}", again);
+        std::fs::remove_dir_all(&src).expect("clean up");
+        std::fs::remove_dir_all(&dest).expect("clean up");
+    }
+}
+
 /// The unmutated inputs the properties start from are valid, so the
 /// mutations really begin inside each grammar.
 #[test]
@@ -130,4 +306,10 @@ fn mutation_bases_parse() {
         assert_eq!(Message::parse_line(&msg.to_line()).expect("wire line"), msg);
         Json::parse(&build_event(variant, 7, 11, true, 0).to_json().write()).expect("event line");
     }
+    let dir = fresh_dir("bases");
+    let path = dir.join("journal.jsonl");
+    std::fs::write(&path, journal_bytes(&dir, 5)).expect("write journal");
+    let j = Journal::resume(&path, &journal_header()).expect("journal resumes");
+    assert_eq!(j.completed().len(), 5);
+    std::fs::remove_dir_all(&dir).expect("clean up");
 }
