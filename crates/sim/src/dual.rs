@@ -56,6 +56,17 @@
 //! which the differential tests below check against the general path on
 //! every pair.
 //!
+//! A slice is scheduled once and reused while its input repeats:
+//!
+//! * **M slice → cached on the column.** It reads only the column's
+//!   placements (the A row tile is full, the window has no PE-row
+//!   reach), so the first full row tile that meets a column stores the
+//!   widened schedule next to its stage-1 stream.
+//! * **N slice → the last one.** It reads only the A row tile (every
+//!   dense column has the same `K / K0` rows). Sampled pairs are sorted
+//!   row-major, so the pairs of one row tile are adjacent, and the last
+//!   N slice is reused until the row tile changes.
+//!
 //! # The placement stream
 //!
 //! Stage 1 keeps a column's compressed stream as 12-byte
@@ -85,11 +96,13 @@ enum CompressedColumn {
     /// Every B element of the column is nonzero: the stream is the
     /// identity placement of `t_steps = K / K0` rows, never materialized.
     Dense { t_steps: usize },
-    /// The compacted stream: its length in compressed rows and the
-    /// placement of every B nonzero, in cycle order.
+    /// The compacted stream: its length in compressed rows, the
+    /// placement of every B nonzero in cycle order, and the widened M
+    /// slice once a full A row tile has met the column.
     Compressed {
         t_steps: usize,
         placements: Vec<Placement>,
+        m_slice: Option<Schedule>,
     },
 }
 
@@ -143,6 +156,7 @@ fn preprocess_b(
     CompressedColumn::Compressed {
         t_steps: s.cycles as usize,
         placements,
+        m_slice: None,
     }
 }
 
@@ -209,6 +223,9 @@ fn simulate_pairs(
 
     // Stage 1 depends only on the column; cache it across row tiles.
     let mut compressed: Vec<Option<CompressedColumn>> = (0..tiles.nt).map(|_| None).collect();
+    // The last N slice and its row tile: `picked` is sorted, so the
+    // pairs of one row tile are adjacent.
+    let mut n_slice: Option<(usize, Schedule)> = None;
 
     let mut acc = ScheduleAccum {
         sampled: scale > 1.0,
@@ -226,6 +243,8 @@ fn simulate_pairs(
                 if Side::A.is_full(layer, core, m_tile) {
                     // Both operands dense: the stage-2 grid is full.
                     Schedule::full(*t_steps, core.macs())
+                } else if let Some((_, s)) = n_slice.filter(|&(m, _)| m == m_tile) {
+                    s
                 } else {
                     // N slice: the filtered ops on each PE column are the
                     // A tile's op grid.
@@ -234,7 +253,9 @@ fn simulate_pairs(
                     debug_assert_eq!(scratch.grid2.t_steps(), *t_steps);
                     let s =
                         schedule_with(&scratch.grid2, stage2_win, cfg.priority, &mut scratch.sched);
-                    widen(s, core.n0)
+                    let s = widen(s, core.n0);
+                    n_slice = Some((m_tile, s));
+                    s
                 }
             }
             // All-zero B column: nothing to execute.
@@ -242,26 +263,32 @@ fn simulate_pairs(
             CompressedColumn::Compressed {
                 t_steps,
                 placements,
+                m_slice,
             } if slice
                 && stage2_win.rows == 0
                 && layer.a.all_set(m_base..m_base + core.m0, 0..layer.shape.k) =>
             {
-                // M slice: every placement survives on every PE row.
-                build_pair_grid(
-                    &mut scratch.grid2,
-                    *t_steps,
-                    core.k0,
-                    1,
-                    core.n0,
-                    placements,
-                    None,
-                );
-                let s = schedule_with(&scratch.grid2, stage2_win, cfg.priority, &mut scratch.sched);
-                widen(s, core.m0)
+                // M slice: every placement survives on every PE row. It
+                // depends on the column alone, so it is scheduled once.
+                *m_slice.get_or_insert_with(|| {
+                    build_pair_grid(
+                        &mut scratch.grid2,
+                        *t_steps,
+                        core.k0,
+                        1,
+                        core.n0,
+                        placements,
+                        None,
+                    );
+                    let s =
+                        schedule_with(&scratch.grid2, stage2_win, cfg.priority, &mut scratch.sched);
+                    widen(s, core.m0)
+                })
             }
             CompressedColumn::Compressed {
                 t_steps,
                 placements,
+                ..
             } => {
                 // Stage 2 ops: a placement is effectual on PE row m iff
                 // the A element at its *original* `k` is nonzero (steps
@@ -348,7 +375,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
-        /// The dense-operand slices are bit-identical to the general
+        /// The dense-operand slices, scheduled once per column (M) or
+        /// row tile (N) and reused, are bit-identical to the general
         /// filter path on every pair: dense A, dense B, both and neither,
         /// ragged K (the dense-B check must refuse), partial M and N edge
         /// tiles, shuffle on and off, every window above, both
@@ -414,7 +442,7 @@ mod tests {
             let mut ops = Vec::new();
             for n_tile in 0..tiles.nt {
                 let win = BorrowWindow::new(2, 1, 1);
-                let CompressedColumn::Compressed { t_steps, placements } =
+                let CompressedColumn::Compressed { t_steps, placements, .. } =
                     preprocess_b(&layer, &cfg, n_tile, win, shuffle, false, &mut scratch)
                 else {
                     unreachable!("an unsliced column is always compressed");

@@ -128,22 +128,33 @@ fn single_side(mode: SparsityMode) -> Option<(Side, ArchVariant)> {
 /// modes, returning `[mode][plane]` reports. This is the unit every
 /// network entry below loops over, and the sweep executor's work item.
 ///
-/// `layers[p]` is plane `p`'s copy of the layer. Per plane, all
-/// `SparseB` modes go through one [`simulate_single`] call and all
-/// `SparseA` modes through another, so each tile grid is taken once per
-/// shuffle flag and scheduled under every window of the side; `Dense`,
-/// dual and SparTen modes run one by one. Every report is **exactly**
-/// what [`simulate_layer_with`] produces for that (mode, plane) alone,
-/// so callers may regroup work freely.
+/// `layers[p]` is plane `p`'s copy of the layer. Each distinct mode is
+/// simulated once per plane and its report copied to every repeat (a
+/// report depends only on the layer, the mode and `cfg`; Griffin's
+/// conf.AB is `Sparse.AB*`'s mode, so a lineup holds such repeats). Per
+/// plane, all distinct `SparseB` modes go through one
+/// [`simulate_single`] call and all `SparseA` modes through another, so
+/// each tile grid is taken once per shuffle flag and scheduled under
+/// every window of the side; `Dense`, dual and SparTen modes run one by
+/// one. Every report is **exactly** what [`simulate_layer_with`]
+/// produces for that (mode, plane) alone, so callers may regroup work
+/// freely.
 pub fn simulate_layer_family(
     layers: &[&GemmLayer],
     modes: &[SparsityMode],
     cfg: &SimConfig,
     scratch: &mut SimScratch,
 ) -> Vec<Vec<LayerReport>> {
+    // Each mode's first occurrence; only those are simulated.
+    let first: Vec<usize> = (0..modes.len())
+        .map(|m| (0..m).find(|&j| modes[j] == modes[m]).unwrap_or(m))
+        .collect();
     // Per side: the modes it serves and their variants.
     let mut sides = [Side::B, Side::A].map(|side| (side, Vec::new(), Vec::new()));
     for (m, &mode) in modes.iter().enumerate() {
+        if first[m] != m {
+            continue;
+        }
         if let Some((side, variant)) = single_side(mode) {
             let (_, members, variants) = &mut sides[usize::from(side == Side::A)];
             members.push(m);
@@ -162,20 +173,25 @@ pub fn simulate_layer_family(
             }
         }
         for (m, &mode) in modes.iter().enumerate() {
-            if single_side(mode).is_none() {
+            if first[m] == m && single_side(mode).is_none() {
                 accs[m].push(schedule_layer(layer, mode, cfg, scratch));
             }
         }
     }
-    accs.into_iter()
-        .zip(modes)
-        .map(|(row, &mode)| {
-            row.into_iter()
+    let mut reports: Vec<Vec<LayerReport>> = Vec::with_capacity(modes.len());
+    for (m, &mode) in modes.iter().enumerate() {
+        let row = if first[m] < m {
+            reports[first[m]].clone()
+        } else {
+            accs[m]
+                .iter()
                 .zip(layers)
-                .map(|(acc, l)| assemble_layer_report(l, mode, cfg, acc))
+                .map(|(&acc, l)| assemble_layer_report(l, mode, cfg, acc))
                 .collect()
-        })
-        .collect()
+        };
+        reports.push(row);
+    }
+    reports
 }
 
 /// Simulates a whole network (sequence of GEMM layers) under one mode.

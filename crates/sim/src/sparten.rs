@@ -25,6 +25,13 @@
 //! is all-ones words, so the one-sided variants take the same path.
 //! Counts are integers, so the result is exactly the per-element count
 //! (pinned by a differential test against it).
+//!
+//! An all-ones B — dense, or sparse with no zero in its mask — is one
+//! shared all-ones column instead of a transpose. Every output of a row
+//! then has the same per-chunk counts, so the row is counted once and
+//! its outputs join the dispatch waves in runs; only a B with a zero
+//! takes the per-output loop. The run sums are integers too, so the
+//! result is bit-identical to counting output by output.
 
 use crate::config::{Fidelity, SimConfig};
 use crate::layer::GemmLayer;
@@ -121,6 +128,7 @@ pub fn simulate_sparten_with(
         &mut scratch.sparten_arow,
         &mut scratch.sparten_bcols,
     );
+    let uniform_rows = counter.b_stride == 0;
     dispatch_waves(
         layer,
         params,
@@ -128,6 +136,7 @@ pub fn simulate_sparten_with(
         &mut scratch.chunk_pairs,
         &mut scratch.wave_sum,
         &mut scratch.wave_max,
+        uniform_rows,
         |mi, ni, out| counter.count(mi, ni, out),
     )
 }
@@ -144,14 +153,14 @@ struct WordPairs<'a> {
     loaded_row: Option<usize>,
     /// `B[:, n]` at offset `n * b_stride`.
     bcols: &'a [u64],
-    /// `words` when B is sparse; 0 when every output shares one
+    /// `words` when B has a zero; 0 when every output shares one
     /// all-ones column.
     b_stride: usize,
 }
 
 impl<'a> WordPairs<'a> {
     /// Transposes B's columns into rows of words — once per layer, in
-    /// O(nnz B) — when B is sparse.
+    /// O(nnz B) — when B is sparse and has a zero.
     fn new(
         layer: &'a GemmLayer,
         a_sparse: bool,
@@ -163,7 +172,7 @@ impl<'a> WordPairs<'a> {
         let (k, n) = (layer.shape.k, layer.shape.n);
         let words = k.div_ceil(64);
         bcols.clear();
-        let b_stride = if b_sparse {
+        let b_stride = if b_sparse && !layer.b.all_set(0..k, 0..n) {
             bcols.resize(n * words, 0);
             for kk in 0..k {
                 let (w, bit) = (kk / 64, 1u64 << (kk % 64));
@@ -208,6 +217,13 @@ impl<'a> WordPairs<'a> {
 /// dispatches outputs to the MAC pool in waves and prices each wave's
 /// chunks. `count(m, n, out)` writes output `(m, n)`'s per-chunk pair
 /// counts into `out` and returns their total; it is called row by row.
+///
+/// With `uniform_rows` set, every output of a row has the same counts
+/// (B is all ones): `count` runs once per row, at `n = 0`, and the row's
+/// outputs join the waves in runs that split at wave boundaries. The
+/// wave sums and maxima are integers, so the result is bit-identical to
+/// one output at a time.
+#[allow(clippy::too_many_arguments)]
 fn dispatch_waves(
     layer: &GemmLayer,
     params: SpartenParams,
@@ -215,6 +231,7 @@ fn dispatch_waves(
     pairs: &mut Vec<u64>,
     wave_sum: &mut Vec<u64>,
     wave_max: &mut Vec<u64>,
+    uniform_rows: bool,
     mut count: impl FnMut(usize, usize, &mut [u64]) -> u64,
 ) -> ScheduleAccum {
     let (m, k, n) = (layer.shape.m, layer.shape.k, layer.shape.n);
@@ -277,14 +294,25 @@ fn dispatch_waves(
     };
 
     for &mi in &rows {
-        for ni in 0..n {
-            let total = count(mi, ni, pairs);
-            ops += total as f64;
+        let (mut ni, mut total) = (0, 0);
+        while ni < n {
+            // `run` outputs with this count join the current wave.
+            let run = if uniform_rows {
+                if ni == 0 {
+                    total = count(mi, 0, pairs);
+                }
+                (n - ni).min(params.macs - wave_count)
+            } else {
+                total = count(mi, ni, pairs);
+                1
+            };
+            ni += run;
+            ops += (total * run as u64) as f64;
             for c in 0..chunks_n {
-                wave_sum[c] += pairs[c];
+                wave_sum[c] += pairs[c] * run as u64;
                 wave_max[c] = wave_max[c].max(pairs[c]);
             }
-            wave_count += 1;
+            wave_count += run;
             if wave_count == params.macs {
                 flush(
                     wave_sum,
@@ -378,6 +406,7 @@ mod tests {
             &mut pairs,
             &mut sum,
             &mut max,
+            false,
             |mi, ni, out| output_chunk_pairs(&l.a, &l.b, mi, ni, k, chunk, a_sparse, b_sparse, out),
         )
     }
@@ -555,7 +584,10 @@ mod tests {
 
         /// The whole `ScheduleAccum` is bitwise the reference's, under
         /// exact and sampled fidelity, with few enough MACs that several
-        /// waves flush, through one reused scratch.
+        /// waves flush, through one reused scratch. `ones` makes B (1)
+        /// or both operands (2) all ones, so the uniform-row runs meet
+        /// an `n` that need not divide `macs` and rows that split
+        /// across waves; the reference counts one output at a time.
         #[test]
         fn schedule_matches_per_element_reference(
             m in 1usize..40,
@@ -566,8 +598,15 @@ mod tests {
             depth in 0usize..6,
             macs in 1usize..24,
             seed in 0u64..1000,
+            ones in 0usize..3,
         ) {
             let l = layer(m, k, n, da, db, seed);
+            let l = match ones {
+                0 => l,
+                1 => GemmLayer::new(l.shape, l.a, SparsityMask::ones(k, n)).unwrap(),
+                _ => GemmLayer::new(l.shape, SparsityMask::ones(m, k), SparsityMask::ones(k, n))
+                    .unwrap(),
+            };
             let params = SpartenParams { macs, buffer_depth: DEPTHS[depth] };
             let sampled = SimConfig {
                 fidelity: Fidelity::Sampled { tiles: 3, seed },

@@ -12,6 +12,8 @@
 //!   plus schedule with a reused scratch), counted by the process-wide
 //!   [`griffin::telemetry::CountingAlloc`] — the zero-alloc contract,
 //!   measured rather than asserted;
+//! * **grid_build** — the word-level B and A tile grid builders alone,
+//!   rebuilding into reused grid and span buffers, in ns per build;
 //! * **watch** — a deterministic 54-cell event stream (per-cell events
 //!   regenerated through `events::sample`, with v3 host stamps,
 //!   scenario provenance, a mid-flight retry episode and non-finite
@@ -27,12 +29,12 @@ use std::time::Instant;
 
 use griffin::sim::config::Priority;
 use griffin::sim::engine::{reference, schedule_with, OpGrid, SchedScratch};
-use griffin::sim::grid::build_b_grid;
+use griffin::sim::grid::{build_a_grid, build_b_grid};
 use griffin::sim::shuffle::LaneMap;
 use griffin::sim::window::{BorrowWindow, EffectiveWindow};
 use griffin::sweep::json::Json;
 use griffin::telemetry::count_allocations;
-use griffin::tensor::block::BTileView;
+use griffin::tensor::block::{ATileView, BTileView};
 use griffin::tensor::gen::TensorGen;
 use griffin::tensor::shape::CoreDims;
 
@@ -191,6 +193,31 @@ pub fn run_bench(args: &BenchArgs) -> Result<Json, String> {
         allocs, bytes, tiles
     );
 
+    // --- grid_build: the word-level tile grid builders ----------------
+    let a_mask = TensorGen::seeded(12).bernoulli_mask(core.m0, t_rows * core.k0, 0.43);
+    let a_view = ATileView::new(&a_mask, core, 0);
+    let b_build_ns = time_per_call(
+        || build_b_grid(&mut g, &mut span, &view, LaneMap::Rotate),
+        iters,
+    );
+    let a_build_ns = time_per_call(
+        || build_a_grid(&mut g, &mut span, &a_view, LaneMap::Rotate),
+        iters,
+    );
+    println!("  grid build: B tile {b_build_ns:.0} ns, A tile {a_build_ns:.0} ns");
+    let grid_build = [
+        ("b_tile_word_build", b_build_ns),
+        ("a_tile_word_build", a_build_ns),
+    ]
+    .into_iter()
+    .map(|(name, ns)| {
+        Json::obj([
+            ("name".into(), Json::Str(name.into())),
+            ("ns_per_build".into(), Json::from_f64(ns)),
+        ])
+    })
+    .collect();
+
     // --- watch: the observability fold keeps up with the stream -------
     let stream = watch_stream_lines();
     let passes = if args.quick { 50 } else { 500 };
@@ -241,6 +268,7 @@ pub fn run_bench(args: &BenchArgs) -> Result<Json, String> {
                 ),
             ]),
         ),
+        ("grid_build".into(), Json::Arr(grid_build)),
         (
             "watch".into(),
             Json::obj([

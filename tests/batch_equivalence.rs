@@ -234,9 +234,10 @@ proptest! {
 
 #[test]
 fn mixed_mode_family_falls_back_and_still_matches() {
-    // Dense + dual-sparse + single-sparse in one family: only the
-    // single-sparse member goes through the tile driver, the rest run
-    // per mode — and every report still matches bitwise.
+    // Dense + Griffin (conf.B on DNN.B) + Sparse.B* in one family: the
+    // two `Sparse.B` members share one tile-driver call, the dense
+    // baseline runs on its own — and every report still matches
+    // bitwise.
     let archs = [
         ArchSpec::dense(),
         ArchSpec::griffin(),
@@ -247,6 +248,35 @@ fn mixed_mode_family_falls_back_and_still_matches() {
         variant(DnnCategory::B, &[(16, 128, 32)], 1.0, 0.25, 32),
     ];
     check_family(&archs, SimConfig::default(), &workloads);
+}
+
+#[test]
+fn lineup_family_matches_per_arch_runs_in_every_category() {
+    // The Table VII lineup over all four categories, where the family
+    // reuses known answers: Griffin's conf.AB repeats `Sparse.AB*`'s
+    // mode on DNN.dense and DNN.AB and is simulated once, dual pairs
+    // reuse the N slice of a dense-B row tile and the M slice of a
+    // column met by full A row tiles, and SparTen.AB counts once per row
+    // of an all-ones B. The memos and row runs sit below both entries;
+    // their differentials against the general path and the per-output
+    // count are in `sim::dual` and `sim::sparten`. Shapes `(m, k, n)`:
+    // one with ragged K and partial M and N edge tiles (37 % 4,
+    // 200 % 16 and 40 % 16 are all nonzero), one of whole tiles with six
+    // row tiles per column; their 1480 and 1152 outputs split a SparTen
+    // row across the 1024-MAC waves.
+    let shapes = [(37, 200, 40), (24, 128, 48)];
+    for (category, da, db) in [
+        (DnnCategory::Dense, 1.0, 1.0),
+        (DnnCategory::A, 0.5, 1.0),
+        (DnnCategory::B, 1.0, 0.3),
+        (DnnCategory::AB, 0.5, 0.3),
+    ] {
+        let workloads = [
+            variant(category, &shapes, da, db, 71),
+            variant(category, &shapes, da, db, 72),
+        ];
+        check_family(&ArchSpec::table7_lineup(), SimConfig::exact(), &workloads);
+    }
 }
 
 #[test]
