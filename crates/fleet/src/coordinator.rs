@@ -22,8 +22,9 @@
 //!
 //! # Fault tolerance
 //!
-//! A campaign survives the death of its workers. When a shard attempt
-//! fails — the subprocess exits abnormally, breaks protocol, or (with
+//! A campaign survives the death of its workers, through one retry
+//! lifecycle both modes share. When a shard attempt fails — the
+//! subprocess exits abnormally, breaks protocol, or (with
 //! [`FleetConfig::heartbeat_timeout_ms`]) goes silent past the liveness
 //! deadline and is killed — the coordinator emits `shard_failed`,
 //! re-queues the shard's remaining (non-journaled) cells, emits
@@ -46,30 +47,15 @@
 //! abort flag ([`FleetConfig::abort`] — the CLI's SIGINT handler)
 //! drains workers and ends the stream with a terminal `campaign_failed`
 //! while leaving the journal resumable.
-//!
-//! # Multi-host fleets
-//!
-//! [`run_fleet_hosted`] runs the spawned mode across several machines:
-//! each shard is planned onto a home host fingerprint-stably
-//! ([`host_of`]), workers launch through an [`ExecTransport`] per host,
-//! and shard events carry the host label. A host whose launches or
-//! workers keep failing
-//! ([`FleetConfig::host_failure_limit`] consecutive failures, while
-//! other hosts survive) is declared **lost** (`host_lost`): its pending
-//! shards re-queue onto the surviving hosts, and the campaign only
-//! fails when every host is gone. Remote shard caches are pulled back
-//! after each successful worker and verified (a torn pull is re-pulled
-//! once; what remains torn is healed by the merge and re-simulated by
-//! the final replay — byte identity never depends on a clean pull).
 
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use griffin_sweep::cache::{merge_dirs, scan_dir, ResultCache};
+use griffin_sweep::cache::{merge_dirs, ResultCache};
 use griffin_sweep::executor::{
     default_workers, run_campaign, run_cells_bounded, CampaignReport, CellEvent, SweepError,
 };
@@ -80,8 +66,7 @@ use griffin_sweep::spec::{Cell, SweepSpec};
 use crate::events::{Event, EventSink, JsonlSink};
 use crate::fault::{self, AttemptGate, Fault, FaultPlan};
 use crate::journal::{Journal, JournalError, JournalHeader};
-use crate::plan::{host_of, remaining_cells, PlanError, ShardPlan};
-use crate::transport::{ExecTransport, LocalExec, WorkerInvocation};
+use crate::plan::{remaining_cells, PlanError, ShardPlan};
 
 /// Configuration of a fleet campaign.
 #[derive(Debug, Clone)]
@@ -112,10 +97,6 @@ pub struct FleetConfig {
     /// jitter of up to `base / 4` ms seeded from (shard, attempt) — see
     /// [`retry_backoff_ms`]. 0 disables backoff (tests).
     pub retry_backoff_ms: u64,
-    /// Consecutive failures on one host before it is declared lost and
-    /// its shards re-queue onto surviving hosts (multi-host fleets
-    /// only; a host is never declared lost while it is the last one).
-    pub host_failure_limit: usize,
     /// External abort flag (the CLI's SIGINT handler sets it): the
     /// coordinator stops launching work, kills running workers, and
     /// fails the campaign with [`FleetError::Interrupted`] — journal
@@ -133,7 +114,7 @@ pub struct FleetConfig {
     /// (the serve daemon). When set, the **in-process** coordinator runs
     /// every shard against this cache instead of per-shard `shard-<i>/`
     /// directories, and the final report replays the grid against it
-    /// directly — no merge step. Spawned/hosted fleets ignore it (their
+    /// directly — no merge step. Spawned fleets ignore it (their
     /// workers are separate processes with private caches).
     pub shared_cache: Option<Arc<ResultCache>>,
 }
@@ -151,7 +132,6 @@ impl FleetConfig {
             max_shard_retries: 2,
             heartbeat_timeout_ms: 0,
             retry_backoff_ms: 250,
-            host_failure_limit: 2,
             abort: None,
             fault: None,
             scenario: None,
@@ -213,11 +193,6 @@ pub enum FleetError {
     /// The external abort flag ([`FleetConfig::abort`]) was raised —
     /// typically the CLI's SIGINT handler. The journal stays resumable.
     Interrupted,
-    /// Every host of a multi-host fleet was declared lost.
-    HostsExhausted {
-        /// Total hosts the fleet started with.
-        hosts: usize,
-    },
     /// A shard cache directory exists but cannot be read — permissions,
     /// a file squatting on the name — so the merge would silently drop
     /// its results.
@@ -263,12 +238,6 @@ impl std::fmt::Display for FleetError {
                 f,
                 "campaign aborted by interrupt (journal intact; rerun with --resume)"
             ),
-            FleetError::HostsExhausted { hosts } => {
-                write!(
-                    f,
-                    "all {hosts} fleet host(s) lost; no machine left to run shards"
-                )
-            }
             FleetError::ShardDirUnreadable { dir, err } => write!(
                 f,
                 "shard cache dir `{}` is unreadable ({err}); merging would drop its results",
@@ -499,9 +468,6 @@ fn run_shard_cells(
         shard,
         cells: planned,
         skipped,
-        // Host labels are the coordinator's knowledge, stamped on the
-        // consumer side: a worker does not know which machine it is.
-        host: None,
     });
     let stats0 = cache.stats();
     let done = AtomicUsize::new(0);
@@ -554,7 +520,6 @@ fn run_shard_cells(
             simulated: (stats.stores - stats0.stores) as usize,
             cached: (stats.hits - stats0.hits) as usize,
             elapsed_ms: start.elapsed().as_millis() as u64,
-            host: None,
         });
     }
     g.take_err()
@@ -667,22 +632,45 @@ fn finish_with_terminal(
     result
 }
 
+/// Plans the campaign, opens (or resumes) its journal and emits
+/// `campaign_start` — the opening both coordinators share.
+fn open_campaign(
+    spec: &SweepSpec,
+    cfg: &FleetConfig,
+    sink: &mut dyn EventSink,
+) -> Result<(ShardPlan, Journal), FleetError> {
+    let plan = ShardPlan::new(spec, cfg.shards)?;
+    std::fs::create_dir_all(&cfg.dir)?;
+    let journal = Journal::open(
+        journal_path(&cfg.dir),
+        &plan_header(spec, &plan, cfg.scenario.as_ref()),
+        cfg.resume,
+    )?;
+    sink.emit(&Event::CampaignStart {
+        campaign: spec.name.clone(),
+        spec_fp: plan.spec_fp,
+        cells: plan.cell_count(),
+        shards: plan.shards,
+        resumed: journal.completed().len(),
+        scenario: cfg.scenario.clone(),
+    })?;
+    Ok((plan, journal))
+}
+
 /// Emits the failure lifecycle for one dead shard attempt and decides
 /// whether to retry. Returns the next attempt number, or the error to
 /// abort with. `requeued` is the shard's remaining non-journaled cell
 /// count at the moment of death; `backoff_ms` is the wait the caller
 /// will impose before the respawn (announced on `shard_retried` so
-/// observers can account for the quiet period). `hosts` carries the
-/// (failed, next) host labels in multi-host fleets, `(None, None)`
-/// otherwise.
-#[allow(clippy::too_many_arguments)]
+/// observers can account for the quiet period). Both coordinators
+/// route every failed attempt through here, so the in-process and
+/// spawned fleets share one failure/requeue/retry lifecycle.
 fn shard_failure(
     shard: usize,
     attempt: usize,
     max_retries: usize,
     requeued: usize,
     backoff_ms: u64,
-    hosts: (Option<String>, Option<String>),
     e: FleetError,
     emit: &mut dyn FnMut(&Event),
 ) -> Result<usize, FleetError> {
@@ -691,7 +679,6 @@ fn shard_failure(
         shard,
         attempt,
         msg: e.to_string(),
-        host: hosts.0,
     });
     if !can_retry {
         return Err(if retryable(&e) {
@@ -712,7 +699,6 @@ fn shard_failure(
         shard,
         attempt: attempt + 1,
         backoff_ms,
-        host: hosts.1,
     });
     Ok(attempt + 1)
 }
@@ -744,22 +730,7 @@ fn run_fleet_inner(
     sink: &mut dyn EventSink,
 ) -> Result<CampaignReport, FleetError> {
     let start = Instant::now();
-    let plan = ShardPlan::new(spec, cfg.shards)?;
-    std::fs::create_dir_all(&cfg.dir)?;
-    let mut journal = Journal::open(
-        journal_path(&cfg.dir),
-        &plan_header(spec, &plan, cfg.scenario.as_ref()),
-        cfg.resume,
-    )?;
-    let resumed = journal.completed().len();
-    sink.emit(&Event::CampaignStart {
-        campaign: spec.name.clone(),
-        spec_fp: plan.spec_fp,
-        cells: plan.cell_count(),
-        shards: plan.shards,
-        resumed,
-        scenario: cfg.scenario.clone(),
-    })?;
+    let (plan, mut journal) = open_campaign(spec, cfg, sink)?;
     let fault = cfg.fault.as_ref();
     let truncate_after = fault.and_then(FaultPlan::journal_truncate_after);
     let mut appends = 0usize;
@@ -843,7 +814,6 @@ fn run_fleet_inner(
                         cfg.max_shard_retries,
                         requeued,
                         backoff,
-                        (None, None),
                         e,
                         &mut |ev| {
                             if sink_err.is_none() {
@@ -880,152 +850,6 @@ pub struct WorkerSpawn {
     pub attempt: usize,
 }
 
-/// How the coordinator turns a [`WorkerSpawn`] into something a
-/// transport can launch: the legacy [`Command`]-building callback of
-/// [`run_fleet_spawned`], or the transport-agnostic
-/// [`WorkerInvocation`] callback of [`run_fleet_hosted`].
-enum WorkerLauncher<'a> {
-    Command(&'a (dyn Fn(&WorkerSpawn) -> Command + Sync)),
-    Invocation(&'a (dyn Fn(&WorkerSpawn) -> WorkerInvocation + Sync)),
-}
-
-impl WorkerLauncher<'_> {
-    fn invocation(&self, w: &WorkerSpawn) -> WorkerInvocation {
-        match self {
-            WorkerLauncher::Command(f) => WorkerInvocation::from_command(&f(w)),
-            WorkerLauncher::Invocation(f) => f(w),
-        }
-    }
-}
-
-/// What [`HostBoard::note_failure`] reports when a failure crossed the
-/// host-loss threshold.
-struct HostLoss {
-    host: String,
-    /// Shards that were pending on the host when it was lost (they
-    /// re-queue onto survivors on their next retry).
-    moved: usize,
-}
-
-/// Shard→host bookkeeping for one campaign: which host each shard is
-/// currently assigned to, which hosts are lost, and how close each is
-/// to being declared so. `named = false` (the single-machine
-/// [`run_fleet_spawned`] path) suppresses host labels and host events
-/// entirely — streams look exactly as they did before transports.
-struct HostBoard<'t> {
-    transports: &'t [Box<dyn ExecTransport>],
-    named: bool,
-    spec_fp: Fingerprint,
-    state: Mutex<BoardState>,
-}
-
-struct BoardState {
-    lost: Vec<bool>,
-    /// Consecutive failures per host (any shard), reset on any success.
-    consecutive: Vec<usize>,
-    /// Shards currently assigned per host.
-    pending: Vec<usize>,
-    /// Hosts that already emitted `host_retired` (once per host).
-    retired: Vec<bool>,
-    /// Current host index per shard.
-    current: Vec<Option<usize>>,
-}
-
-impl<'t> HostBoard<'t> {
-    fn new(
-        transports: &'t [Box<dyn ExecTransport>],
-        named: bool,
-        spec_fp: Fingerprint,
-        shards: usize,
-    ) -> Self {
-        let n = transports.len();
-        HostBoard {
-            transports,
-            named,
-            spec_fp,
-            state: Mutex::new(BoardState {
-                lost: vec![false; n],
-                consecutive: vec![0; n],
-                pending: vec![0; n],
-                retired: vec![false; n],
-                current: vec![None; shards],
-            }),
-        }
-    }
-
-    fn transport(&self, host: usize) -> &dyn ExecTransport {
-        self.transports[host].as_ref()
-    }
-
-    /// The host label stamped on events — `None` for anonymous
-    /// single-machine fleets.
-    fn label(&self, host: usize) -> Option<String> {
-        self.named.then(|| self.transports[host].host().to_string())
-    }
-
-    /// Assigns (or re-confirms) the shard's host: its fingerprint-stable
-    /// home host, or — walking forward deterministically — the first
-    /// surviving host after it.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::HostsExhausted`] when every host is lost.
-    fn assign(&self, shard: usize) -> Result<usize, FleetError> {
-        let n = self.transports.len();
-        let mut s = self.state.lock().expect("host board");
-        let home = host_of(self.spec_fp, shard, n);
-        let Some(idx) = (0..n).map(|o| (home + o) % n).find(|&i| !s.lost[i]) else {
-            return Err(FleetError::HostsExhausted { hosts: n });
-        };
-        if s.current[shard] != Some(idx) {
-            if let Some(old) = s.current[shard] {
-                s.pending[old] -= 1;
-            }
-            s.pending[idx] += 1;
-            s.current[shard] = Some(idx);
-        }
-        Ok(idx)
-    }
-
-    /// Records one failed attempt on `host`. Crossing
-    /// `failure_limit` consecutive failures — while at least one other
-    /// host survives — declares the host lost and reports what moved.
-    fn note_failure(&self, host: usize, failure_limit: usize) -> Option<HostLoss> {
-        let mut s = self.state.lock().expect("host board");
-        s.consecutive[host] += 1;
-        let live = s.lost.iter().filter(|l| !**l).count();
-        let crossed = self.named
-            && !s.lost[host]
-            && failure_limit > 0
-            && s.consecutive[host] >= failure_limit
-            && live > 1;
-        if !crossed {
-            return None;
-        }
-        s.lost[host] = true;
-        Some(HostLoss {
-            host: self.transports[host].host().to_string(),
-            moved: s.pending[host],
-        })
-    }
-
-    /// Records the shard's successful completion; returns the host's
-    /// name when this was its last pending shard (to emit
-    /// `host_retired`, once per host).
-    fn complete(&self, shard: usize) -> Option<String> {
-        let mut s = self.state.lock().expect("host board");
-        let host = s.current[shard]?;
-        s.consecutive[host] = 0;
-        s.pending[host] -= 1;
-        let retire = self.named && !s.lost[host] && s.pending[host] == 0 && !s.retired[host];
-        if !retire {
-            return None;
-        }
-        s.retired[host] = true;
-        Some(self.transports[host].host().to_string())
-    }
-}
-
 /// Runs a sharded campaign by **spawning one subprocess per shard**
 /// (concurrently), consuming each worker's JSONL event stream from its
 /// stdout: events are validated, re-emitted into `sink`, and `cell_done`
@@ -1036,12 +860,9 @@ impl<'t> HostBoard<'t> {
 /// [`retry_backoff_ms`] wait), up to [`FleetConfig::max_shard_retries`]
 /// attempts per shard. `make_command` turns a [`WorkerSpawn`] into the
 /// `griffin-cli shard-worker …` invocation (or any protocol-compatible
-/// program); stdout is piped, stderr inherits, and the coordinator
-/// exports the attempt number via [`fault::ATTEMPT_ENV`].
-///
-/// This is the single-machine entry point: it routes through the same
-/// transport machinery as [`run_fleet_hosted`] over one anonymous
-/// [`LocalExec`], so its event streams carry no host labels.
+/// program); the coordinator spawns it with stdin null, stdout piped
+/// and stderr inherited, and exports the attempt number via
+/// [`fault::ATTEMPT_ENV`].
 ///
 /// # Errors
 ///
@@ -1054,86 +875,33 @@ pub fn run_fleet_spawned(
     make_command: &(dyn Fn(&WorkerSpawn) -> Command + Sync),
     sink: &mut dyn EventSink,
 ) -> Result<CampaignReport, FleetError> {
-    let transports: [Box<dyn ExecTransport>; 1] = [Box::new(LocalExec::default())];
-    let launcher = WorkerLauncher::Command(make_command);
-    let result = run_fleet_transports_inner(spec, cfg, &transports, false, &launcher, sink);
+    let result = run_fleet_spawned_inner(spec, cfg, make_command, sink);
     finish_with_terminal(sink, result)
 }
 
-/// Runs a sharded campaign across a **multi-host fleet**: one
-/// [`ExecTransport`] per machine, shards planned onto home hosts
-/// fingerprint-stably ([`host_of`]), shard events stamped with host
-/// labels, and `host_lost` / `host_retired` tracking
-/// per-machine liveness. A host that keeps failing
-/// ([`FleetConfig::host_failure_limit`] consecutive failures while
-/// others survive) is declared lost and its shards re-queue onto the
-/// surviving hosts; remote shard caches are pulled back and verified
-/// after each successful worker. `make_invocation` builds the
-/// transport-agnostic worker command line.
-///
-/// # Errors
-///
-/// As [`run_fleet_spawned`], plus [`FleetError::HostsExhausted`] when
-/// every host is lost (or `transports` is empty). Every failure still
-/// terminates the stream with `campaign_failed`.
-pub fn run_fleet_hosted(
+fn run_fleet_spawned_inner(
     spec: &SweepSpec,
     cfg: &FleetConfig,
-    transports: &[Box<dyn ExecTransport>],
-    make_invocation: &(dyn Fn(&WorkerSpawn) -> WorkerInvocation + Sync),
-    sink: &mut dyn EventSink,
-) -> Result<CampaignReport, FleetError> {
-    let launcher = WorkerLauncher::Invocation(make_invocation);
-    let result = run_fleet_transports_inner(spec, cfg, transports, true, &launcher, sink);
-    finish_with_terminal(sink, result)
-}
-
-fn run_fleet_transports_inner(
-    spec: &SweepSpec,
-    cfg: &FleetConfig,
-    transports: &[Box<dyn ExecTransport>],
-    named: bool,
-    launcher: &WorkerLauncher<'_>,
+    make_command: &(dyn Fn(&WorkerSpawn) -> Command + Sync),
     sink: &mut dyn EventSink,
 ) -> Result<CampaignReport, FleetError> {
     let start = Instant::now();
-    if transports.is_empty() {
-        return Err(FleetError::HostsExhausted { hosts: 0 });
-    }
-    let plan = ShardPlan::new(spec, cfg.shards)?;
-    std::fs::create_dir_all(&cfg.dir)?;
-    let mut journal = Journal::open(
-        journal_path(&cfg.dir),
-        &plan_header(spec, &plan, cfg.scenario.as_ref()),
-        cfg.resume,
-    )?;
-    let resumed = journal.completed().len();
-    sink.emit(&Event::CampaignStart {
-        campaign: spec.name.clone(),
-        spec_fp: plan.spec_fp,
-        cells: plan.cell_count(),
-        shards: plan.shards,
-        resumed,
-        scenario: cfg.scenario.clone(),
-    })?;
+    let (plan, mut journal) = open_campaign(spec, cfg, sink)?;
     let truncate_after = cfg
         .fault
         .as_ref()
         .and_then(FaultPlan::journal_truncate_after);
-
-    let board = HostBoard::new(transports, named, plan.spec_fp, cfg.shards);
     let shared = Mutex::new(Shared::new(sink, Some(&mut journal), 0, truncate_after));
     let results: Vec<Result<(), FleetError>> = std::thread::scope(|s| {
         let shared = &shared;
         let plan = &plan;
-        let board = &board;
         let handles: Vec<_> = plan
             .cells
             .iter()
             .enumerate()
             .map(|(shard, shard_cells)| {
                 s.spawn(move || {
-                    drive_spawned_shard(shard, shard_cells, plan, cfg, launcher, board, shared)
+                    drive_spawned_shard(shard, shard_cells, plan, cfg, make_command, shared)
                 })
             })
             .collect();
@@ -1165,17 +933,15 @@ fn run_fleet_transports_inner(
     finalize(spec, cfg, sink, start)
 }
 
-/// Owns one shard's lifecycle in spawn mode: assign a host, launch a
-/// worker through its transport, consume its stream, and retry — with
-/// backoff, possibly on another host — until the shard completes or
-/// the retry budget / host pool is spent.
+/// Owns one shard's lifecycle in spawn mode: launch a worker, consume
+/// its stream, and retry — with backoff — through [`shard_failure`]
+/// until the shard completes or the retry budget is spent.
 fn drive_spawned_shard(
     shard: usize,
     shard_cells: &[Cell],
     plan: &ShardPlan,
     cfg: &FleetConfig,
-    launcher: &WorkerLauncher<'_>,
-    board: &HostBoard<'_>,
+    make_command: &(dyn Fn(&WorkerSpawn) -> Command + Sync),
     shared: &Mutex<Shared<'_>>,
 ) -> Result<(), FleetError> {
     let mut attempt = 0usize;
@@ -1183,108 +949,59 @@ fn drive_spawned_shard(
         if cfg.abort_requested() {
             return Err(FleetError::Interrupted);
         }
-        // (Re-)assign every iteration: the host may have been declared
-        // lost by a sibling shard while this one slept in backoff.
-        let host = board.assign(shard)?;
-        let label = board.label(host);
-        let res = spawn_worker_attempt(
+        let e = match spawn_worker_attempt(
             shard,
             shard_cells,
             plan,
             attempt,
             cfg,
-            launcher,
-            board.transport(host),
-            label.as_deref(),
+            make_command,
             shared,
-        );
-        match res {
-            Ok(()) => {
-                let retired = board.complete(shard);
-                let mut g = shared.lock().expect("fleet lock");
-                if let Some(host) = retired {
-                    g.emit(&Event::HostRetired { host });
-                }
-                return g.take_err();
-            }
+        ) {
+            Ok(()) => return shared.lock().expect("fleet lock").take_err(),
             // An interrupt is a shutdown, not a shard failure: no
-            // failure lifecycle, no host accounting.
+            // failure lifecycle.
             Err(FleetError::Interrupted) => return Err(FleetError::Interrupted),
+            Err(e) => e,
+        };
+        let mut g = shared.lock().expect("fleet lock");
+        let requeued = shard_cells.iter().filter(|c| !g.is_done(c.index)).count();
+        let backoff = retry_backoff_ms(shard, attempt + 1, cfg.retry_backoff_ms);
+        let next = shard_failure(
+            shard,
+            attempt,
+            cfg.max_shard_retries,
+            requeued,
+            backoff,
+            e,
+            &mut |ev| g.emit(ev),
+        );
+        attempt = match next {
+            Ok(next) => next,
             Err(e) => {
-                let loss = board.note_failure(host, cfg.host_failure_limit);
-                let mut g = shared.lock().expect("fleet lock");
-                let requeued = shard_cells.iter().filter(|c| !g.is_done(c.index)).count();
-                let can_retry = retryable(&e) && attempt < cfg.max_shard_retries;
-                g.emit(&Event::ShardFailed {
-                    shard,
-                    attempt,
-                    msg: e.to_string(),
-                    host: label,
-                });
-                if let Some(loss) = loss {
-                    g.emit(&Event::HostLost {
-                        host: loss.host,
-                        shards: loss.moved,
-                    });
-                }
-                if !can_retry {
-                    // The root cause outranks any sink trouble while
-                    // reporting it.
-                    let _ = g.take_err();
-                    return Err(if retryable(&e) {
-                        FleetError::ShardExhausted {
-                            shard,
-                            attempts: attempt + 1,
-                            msg: e.to_string(),
-                        }
-                    } else {
-                        e
-                    });
-                }
-                // Re-queue onto the (possibly different) next host.
-                let next = match board.assign(shard) {
-                    Ok(h) => h,
-                    Err(err) => {
-                        let _ = g.take_err();
-                        return Err(err);
-                    }
-                };
-                let backoff = retry_backoff_ms(shard, attempt + 1, cfg.retry_backoff_ms);
-                g.emit(&Event::CellsRequeued {
-                    shard,
-                    cells: requeued,
-                });
-                g.emit(&Event::ShardRetried {
-                    shard,
-                    attempt: attempt + 1,
-                    backoff_ms: backoff,
-                    host: board.label(next),
-                });
-                g.take_err()?;
-                drop(g);
-                sleep_backoff(backoff, cfg.abort.as_deref())?;
-                attempt += 1;
+                // The root cause outranks any sink trouble while
+                // reporting it.
+                let _ = g.take_err();
+                return Err(e);
             }
-        }
+        };
+        g.take_err()?;
+        drop(g);
+        sleep_backoff(backoff, cfg.abort.as_deref())?;
     }
 }
 
-/// Launches and fully consumes one worker attempt for one shard,
-/// through `transport`. A shard with nothing left to do (journal caught
-/// up — including after a predecessor attempt journaled everything but
-/// died before `shard_done`) is reported locally without paying a
-/// process spawn or a cache pull (the final replay re-simulates
-/// anything a never-pulled cache would have contributed).
-#[allow(clippy::too_many_arguments)]
+/// Launches and fully consumes one worker attempt for one shard. A
+/// shard with nothing left to do (journal caught up — including after a
+/// predecessor attempt journaled everything but died before
+/// `shard_done`) is reported locally without paying a process spawn.
 fn spawn_worker_attempt(
     shard: usize,
     shard_cells: &[Cell],
     plan: &ShardPlan,
     attempt: usize,
     cfg: &FleetConfig,
-    launcher: &WorkerLauncher<'_>,
-    transport: &dyn ExecTransport,
-    host: Option<&str>,
+    make_command: &(dyn Fn(&WorkerSpawn) -> Command + Sync),
     shared: &Mutex<Shared<'_>>,
 ) -> Result<(), FleetError> {
     {
@@ -1295,14 +1012,12 @@ fn spawn_worker_attempt(
                 shard,
                 cells: shard_cells.len(),
                 skipped: shard_cells.len(),
-                host: host.map(str::to_string),
             });
             g.emit(&Event::ShardDone {
                 shard,
                 simulated: 0,
                 cached: 0,
                 elapsed_ms: 0,
-                host: host.map(str::to_string),
             });
             return g.take_err();
         }
@@ -1316,34 +1031,21 @@ fn spawn_worker_attempt(
         expect_fp: plan.spec_fp,
         attempt,
     };
-    let host_tag = host.map(|h| format!(" on host `{h}`")).unwrap_or_default();
-    let mut inv = launcher.invocation(&info);
-    inv.env
-        .push((fault::ATTEMPT_ENV.to_string(), attempt.to_string()));
-    let mut handle = transport
-        .spawn(&info, &inv)
-        .map_err(|e| FleetError::Worker {
-            shard,
-            msg: format!("spawn failed{host_tag}: {e}"),
-        })?;
-    let stdout = match handle.take_stdout() {
-        Some(s) => s,
-        None => {
-            let _ = handle.kill();
-            let _ = handle.wait();
-            return Err(FleetError::Worker {
-                shard,
-                msg: format!("transport produced no stdout{host_tag}"),
-            });
-        }
-    };
+    let mut cmd = make_command(&info);
+    cmd.env(fault::ATTEMPT_ENV, attempt.to_string())
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped());
+    let mut child = cmd.spawn().map_err(|e| FleetError::Worker {
+        shard,
+        msg: format!("spawn failed: {e}"),
+    })?;
+    let stdout = child.stdout.take().expect("worker stdout is piped");
 
     // Liveness watchdog: any stream line is a proof of life; a worker
     // silent past the deadline is killed (its reader then sees EOF and
     // reports the death, which routes into the retry path). The same
     // poll loop watches the abort flag, so an interrupt kills running
     // workers instead of waiting them out.
-    let handle = Mutex::new(handle);
     let t0 = Instant::now();
     let last_event_ms = AtomicU64::new(0);
     let reader_done = AtomicBool::new(false);
@@ -1351,6 +1053,7 @@ fn spawn_worker_attempt(
     let abort_killed = AtomicBool::new(false);
     let stream_res = std::thread::scope(|ws| {
         if cfg.heartbeat_timeout_ms > 0 || cfg.abort.is_some() {
+            let child = &mut child;
             ws.spawn(|| {
                 let poll = Duration::from_millis(if cfg.heartbeat_timeout_ms > 0 {
                     (cfg.heartbeat_timeout_ms / 8).clamp(10, 250)
@@ -1364,7 +1067,7 @@ fn spawn_worker_attempt(
                     }
                     if cfg.abort_requested() {
                         abort_killed.store(true, Ordering::Release);
-                        let _ = handle.lock().expect("worker handle").kill();
+                        let _ = child.kill();
                         break;
                     }
                     if cfg.heartbeat_timeout_ms > 0 {
@@ -1372,26 +1075,25 @@ fn spawn_worker_attempt(
                         let last = last_event_ms.load(Ordering::Acquire);
                         if now.saturating_sub(last) > cfg.heartbeat_timeout_ms {
                             timed_out.store(true, Ordering::Release);
-                            let _ = handle.lock().expect("worker handle").kill();
+                            let _ = child.kill();
                             break;
                         }
                     }
                 }
             });
         }
-        let r = consume_worker_stream(shard, plan.cell_count(), stdout, host, shared, &|| {
+        let r = consume_worker_stream(shard, plan.cell_count(), stdout, shared, &|| {
             last_event_ms.store(t0.elapsed().as_millis() as u64, Ordering::Release);
         });
         reader_done.store(true, Ordering::Release);
         r
     });
-    let mut handle = handle.into_inner().expect("worker handle");
     if stream_res.is_err() {
         // Protocol break with the process possibly still alive: reap it
         // before reporting, or the retry races a zombie writer.
-        let _ = handle.kill();
+        let _ = child.kill();
     }
-    let status = handle.wait();
+    let status = child.wait();
     // The watchdog verdict only explains an attempt that actually
     // failed: a worker that got its final burst out and exited cleanly
     // in the same instant the watchdog fired still succeeded (the kill
@@ -1400,11 +1102,11 @@ fn spawn_worker_attempt(
         Ok(st) if st.success() => Ok(()),
         Ok(st) => Err(FleetError::Worker {
             shard,
-            msg: format!("exited with {st}{host_tag}"),
+            msg: format!("exited with {st}"),
         }),
         Err(e) => Err(FleetError::Worker {
             shard,
-            msg: format!("wait failed{host_tag}: {e}"),
+            msg: format!("wait failed: {e}"),
         }),
     });
     match outcome {
@@ -1416,55 +1118,21 @@ fn spawn_worker_attempt(
         Err(_) if timed_out.load(Ordering::Acquire) => Err(FleetError::Worker {
             shard,
             msg: format!(
-                "no events for over {} ms (heartbeat timeout); worker killed{host_tag}",
+                "no events for over {} ms (heartbeat timeout); worker killed",
                 cfg.heartbeat_timeout_ms
             ),
         }),
-        Err(e) => Err(e),
-        Ok(()) => pull_shard_cache(shard, &info, transport, &host_tag),
+        other => other,
     }
-}
-
-/// Pulls a remote shard cache back and verifies the copy. A failed
-/// pull is retried once, then fails the attempt (burning a shard retry,
-/// which also feeds host-failure accounting). A pulled copy containing
-/// torn entries is re-pulled once and then **accepted** either way:
-/// the merge heals torn entries where it can and the final replay
-/// re-simulates anything still missing, so verification limits damage
-/// but never gates correctness.
-fn pull_shard_cache(
-    shard: usize,
-    info: &WorkerSpawn,
-    transport: &dyn ExecTransport,
-    host_tag: &str,
-) -> Result<(), FleetError> {
-    let pulled = match transport.pull_cache(info) {
-        Ok(p) => p,
-        Err(first) => transport.pull_cache(info).map_err(|e| FleetError::Worker {
-            shard,
-            msg: format!("cache pull failed twice{host_tag}: {first}; then: {e}"),
-        })?,
-    };
-    if !pulled {
-        return Ok(());
-    }
-    let scan = scan_dir(&info.cache_dir)?;
-    if scan.torn > 0 {
-        let _ = transport.pull_cache(info);
-    }
-    Ok(())
 }
 
 /// Reads one worker's JSONL stream, validating shard provenance and
-/// cell range, forwarding events and journaling completions. `host` is
-/// stamped onto the shard lifecycle events — the worker doesn't know
-/// which machine it runs on; the coordinator does. `tick` is called
-/// once per stream line (the liveness signal for the watchdog).
+/// cell range, forwarding events and journaling completions. `tick` is
+/// called once per stream line (the liveness signal for the watchdog).
 fn consume_worker_stream(
     shard: usize,
     cells: usize,
     stdout: impl std::io::Read,
-    host: Option<&str>,
     shared: &Mutex<Shared<'_>>,
     tick: &(dyn Fn() + Sync),
 ) -> Result<(), FleetError> {
@@ -1478,18 +1146,10 @@ fn consume_worker_stream(
         if line.trim().is_empty() {
             continue;
         }
-        let mut ev = Event::parse_line(&line).map_err(|e| FleetError::Worker {
+        let ev = Event::parse_line(&line).map_err(|e| FleetError::Worker {
             shard,
             msg: format!("bad event line: {e}"),
         })?;
-        if let Some(h) = host {
-            match &mut ev {
-                Event::ShardStart { host: eh, .. } | Event::ShardDone { host: eh, .. } => {
-                    *eh = Some(h.to_string());
-                }
-                _ => {}
-            }
-        }
         let claimed = match &ev {
             Event::ShardStart { shard, .. }
             | Event::CellStart { shard, .. }

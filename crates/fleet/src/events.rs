@@ -12,16 +12,16 @@
 //! | `ev`              | fields                                                      |
 //! |-------------------|-------------------------------------------------------------|
 //! | `campaign_start`  | `format`, `campaign`, `spec_fp`, `cells`, `shards`, `resumed`, `scenario_file`?, `scenario_fp`? |
-//! | `shard_start`     | `shard`, `cells`, `skipped`, `host`?                        |
+//! | `shard_start`     | `shard`, `cells`, `skipped`                                 |
 //! | `cell_start`      | `shard`, `cell`, `fp`                                       |
 //! | `cell_done`       | `shard`, `cell`, `fp`, `cached`, `metrics{…}`               |
 //! | `heartbeat`       | `shard`, `done`, `total`, `elapsed_ms`, `cached`            |
-//! | `shard_done`      | `shard`, `simulated`, `cached`, `elapsed_ms`, `host`?       |
-//! | `shard_failed`    | `shard`, `attempt`, `msg`, `host`?                          |
+//! | `shard_done`      | `shard`, `simulated`, `cached`, `elapsed_ms`                |
+//! | `shard_failed`    | `shard`, `attempt`, `msg`                                   |
 //! | `cells_requeued`  | `shard`, `cells`                                            |
-//! | `shard_retried`   | `shard`, `attempt`, `backoff_ms`, `host`?                   |
-//! | `host_lost`       | `host`, `shards`                                            |
-//! | `host_retired`    | `host`                                                      |
+//! | `shard_retried`   | `shard`, `attempt`, `backoff_ms`                            |
+//! | `host_lost`       | `host`, `shards` (legacy, parsed and ignored)               |
+//! | `host_retired`    | `host` (legacy, parsed and ignored)                         |
 //! | `merge_done`      | `sources`, `merged`, `identical`, `healed`, `conflicts`     |
 //! | `campaign_done`   | `cells`, `elapsed_ms`                                       |
 //! | `campaign_failed` | `msg`                                                       |
@@ -47,15 +47,13 @@
 //! `cell_done` history) rides on it the same way: streams written
 //! before it parse with both fields as 0.
 //!
-//! v3 is the multi-host schema: shard lifecycle events gain an
-//! **additive** `host` field (absent on single-host streams, stamped by
-//! the coordinator when a fleet runs over named transports),
-//! `shard_retried` gains `backoff_ms` (the deterministic respawn
-//! backoff the coordinator slept before this attempt), and two host
-//! lifecycle events arrive — `host_lost` (a machine was declared dead;
-//! its pending shards re-queue onto survivors) and `host_retired` (a
-//! machine finished everything assigned to it). v1/v2 streams parse
-//! with `host` absent and `backoff_ms` 0.
+//! v3 added `backoff_ms` to `shard_retried` (the deterministic respawn
+//! backoff the coordinator slept before this attempt); v1/v2 streams
+//! parse with it 0. v3 streams written by the since-removed multi-host
+//! fleet also carry a `host` field on the four shard lifecycle events
+//! (ignored like any unknown field) and two host events, `host_lost`
+//! and `host_retired`. Those two still parse, so old streams stay
+//! readable, but no coordinator emits them and consumers ignore them.
 
 use std::io::{self, Write};
 
@@ -103,8 +101,6 @@ pub enum Event {
         cells: usize,
         /// Cells skipped as journal-completed.
         skipped: usize,
-        /// Host the shard runs on (v3; absent on single-host streams).
-        host: Option<String>,
     },
     /// A worker thread began simulating a cell (cache misses only).
     CellStart {
@@ -155,8 +151,6 @@ pub enum Event {
         cached: usize,
         /// Wall-clock milliseconds of the shard run.
         elapsed_ms: u64,
-        /// Host the shard ran on (v3; absent on single-host streams).
-        host: Option<String>,
     },
     /// A shard attempt died: the worker exited abnormally, broke
     /// protocol, or went silent past the heartbeat timeout (v2).
@@ -167,8 +161,6 @@ pub enum Event {
         attempt: usize,
         /// Human-readable cause.
         msg: String,
-        /// Host the attempt ran on (v3; absent on single-host streams).
-        host: Option<String>,
     },
     /// A dead shard's remaining (non-journaled) cells were put back on
     /// the queue for the next attempt (v2).
@@ -189,22 +181,18 @@ pub enum Event {
         /// milliseconds (v3; 0 in older streams). See
         /// [`retry_backoff_ms`](crate::coordinator::retry_backoff_ms).
         backoff_ms: u64,
-        /// Host the retry is assigned to (v3; absent on single-host
-        /// streams) — after a `host_lost` this names the inheritor.
-        host: Option<String>,
     },
-    /// A host was declared lost (v3): its workers kept dying or going
-    /// silent past the per-host failure limit, so the coordinator stops
-    /// scheduling on it and re-queues its pending shards onto the
-    /// surviving hosts.
+    /// Legacy (v3 multi-host streams): a host was declared lost.
+    /// Parsed so old streams stay readable; never emitted.
     HostLost {
         /// The lost host's name.
         host: String,
-        /// Shards pending on the host at the moment of loss (the work
-        /// the survivors inherit).
+        /// Shards pending on the host at the moment of loss.
         shards: usize,
     },
-    /// A host finished every shard assigned to it (v3).
+    /// Legacy (v3 multi-host streams): a host finished every shard
+    /// assigned to it. Parsed so old streams stay readable; never
+    /// emitted.
     HostRetired {
         /// The retiring host's name.
         host: String,
@@ -284,15 +272,6 @@ fn get_str(v: &Json, key: &str) -> Result<String, EventError> {
         .to_string())
 }
 
-/// An optional string field — the v3 `host` stamp, absent in older
-/// streams and on single-host fleets.
-fn get_opt_str(v: &Json, key: &str) -> Result<Option<String>, EventError> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(_) => get_str(v, key).map(Some),
-    }
-}
-
 fn get_fp(v: &Json, key: &str) -> Result<Fingerprint, EventError> {
     let s = v
         .req(key)
@@ -333,19 +312,12 @@ impl Event {
                 shard,
                 cells,
                 skipped,
-                host,
-            } => {
-                let mut entries = vec![
-                    ("ev".into(), Json::Str("shard_start".into())),
-                    ("shard".into(), num(*shard)),
-                    ("cells".into(), num(*cells)),
-                    ("skipped".into(), num(*skipped)),
-                ];
-                if let Some(h) = host {
-                    entries.push(("host".into(), Json::Str(h.clone())));
-                }
-                Json::obj(entries)
-            }
+            } => Json::obj([
+                ("ev".into(), Json::Str("shard_start".into())),
+                ("shard".into(), num(*shard)),
+                ("cells".into(), num(*cells)),
+                ("skipped".into(), num(*skipped)),
+            ]),
             Event::CellStart { shard, cell, fp } => Json::obj([
                 ("ev".into(), Json::Str("cell_start".into())),
                 ("shard".into(), num(*shard)),
@@ -385,37 +357,23 @@ impl Event {
                 simulated,
                 cached,
                 elapsed_ms,
-                host,
-            } => {
-                let mut entries = vec![
-                    ("ev".into(), Json::Str("shard_done".into())),
-                    ("shard".into(), num(*shard)),
-                    ("simulated".into(), num(*simulated)),
-                    ("cached".into(), num(*cached)),
-                    ("elapsed_ms".into(), num(*elapsed_ms as usize)),
-                ];
-                if let Some(h) = host {
-                    entries.push(("host".into(), Json::Str(h.clone())));
-                }
-                Json::obj(entries)
-            }
+            } => Json::obj([
+                ("ev".into(), Json::Str("shard_done".into())),
+                ("shard".into(), num(*shard)),
+                ("simulated".into(), num(*simulated)),
+                ("cached".into(), num(*cached)),
+                ("elapsed_ms".into(), num(*elapsed_ms as usize)),
+            ]),
             Event::ShardFailed {
                 shard,
                 attempt,
                 msg,
-                host,
-            } => {
-                let mut entries = vec![
-                    ("ev".into(), Json::Str("shard_failed".into())),
-                    ("shard".into(), num(*shard)),
-                    ("attempt".into(), num(*attempt)),
-                    ("msg".into(), Json::Str(msg.clone())),
-                ];
-                if let Some(h) = host {
-                    entries.push(("host".into(), Json::Str(h.clone())));
-                }
-                Json::obj(entries)
-            }
+            } => Json::obj([
+                ("ev".into(), Json::Str("shard_failed".into())),
+                ("shard".into(), num(*shard)),
+                ("attempt".into(), num(*attempt)),
+                ("msg".into(), Json::Str(msg.clone())),
+            ]),
             Event::CellsRequeued { shard, cells } => Json::obj([
                 ("ev".into(), Json::Str("cells_requeued".into())),
                 ("shard".into(), num(*shard)),
@@ -425,19 +383,12 @@ impl Event {
                 shard,
                 attempt,
                 backoff_ms,
-                host,
-            } => {
-                let mut entries = vec![
-                    ("ev".into(), Json::Str("shard_retried".into())),
-                    ("shard".into(), num(*shard)),
-                    ("attempt".into(), num(*attempt)),
-                    ("backoff_ms".into(), num(*backoff_ms as usize)),
-                ];
-                if let Some(h) = host {
-                    entries.push(("host".into(), Json::Str(h.clone())));
-                }
-                Json::obj(entries)
-            }
+            } => Json::obj([
+                ("ev".into(), Json::Str("shard_retried".into())),
+                ("shard".into(), num(*shard)),
+                ("attempt".into(), num(*attempt)),
+                ("backoff_ms".into(), num(*backoff_ms as usize)),
+            ]),
             Event::HostLost { host, shards } => Json::obj([
                 ("ev".into(), Json::Str("host_lost".into())),
                 ("host".into(), Json::Str(host.clone())),
@@ -523,7 +474,6 @@ impl Event {
                 shard: get_usize(&v, "shard")?,
                 cells: get_usize(&v, "cells")?,
                 skipped: get_usize(&v, "skipped")?,
-                host: get_opt_str(&v, "host")?,
             }),
             "cell_start" => Ok(Event::CellStart {
                 shard: get_usize(&v, "shard")?,
@@ -559,13 +509,11 @@ impl Event {
                 simulated: get_usize(&v, "simulated")?,
                 cached: get_usize(&v, "cached")?,
                 elapsed_ms: get_usize(&v, "elapsed_ms")? as u64,
-                host: get_opt_str(&v, "host")?,
             }),
             "shard_failed" => Ok(Event::ShardFailed {
                 shard: get_usize(&v, "shard")?,
                 attempt: get_usize(&v, "attempt")?,
                 msg: get_str(&v, "msg")?,
-                host: get_opt_str(&v, "host")?,
             }),
             "cells_requeued" => Ok(Event::CellsRequeued {
                 shard: get_usize(&v, "shard")?,
@@ -575,7 +523,6 @@ impl Event {
                 shard: get_usize(&v, "shard")?,
                 attempt: get_usize(&v, "attempt")?,
                 backoff_ms: get_usize_or(&v, "backoff_ms", 0)? as u64,
-                host: get_opt_str(&v, "host")?,
             }),
             "host_lost" => Ok(Event::HostLost {
                 host: get_str(&v, "host")?,
@@ -684,12 +631,11 @@ pub mod sample {
 
     /// One event of each schema variant (`variant % 14`), fields
     /// derived from the draws. Strings mix in characters that need
-    /// JSON escaping; `flag` toggles the optional v3 `host` stamp on
-    /// shard lifecycle events, so both shapes stay covered.
+    /// JSON escaping; `flag` toggles the optional fields (scenario
+    /// provenance, `cached`), so both shapes stay covered.
     pub fn build_event(variant: usize, a: u64, b: u64, flag: bool, special: u64) -> Event {
         let s = |tag: &str| format!("{tag}-\"{a}\"\n\\{b}");
         let n = |x: u64| (x % 100_000) as usize;
-        let host = |tag: &str| flag.then(|| format!("{tag}-{}", b % 4));
         match variant % 14 {
             0 => Event::CampaignStart {
                 campaign: s("camp"),
@@ -707,7 +653,6 @@ pub mod sample {
                 shard: n(a),
                 cells: n(b),
                 skipped: n(a ^ 1),
-                host: host("h"),
             },
             2 => Event::CellStart {
                 shard: n(a),
@@ -733,13 +678,11 @@ pub mod sample {
                 simulated: n(b),
                 cached: n(a ^ 2),
                 elapsed_ms: b % 1_000_000_000,
-                host: host("h"),
             },
             6 => Event::ShardFailed {
                 shard: n(a),
                 attempt: n(b) % 16,
                 msg: s("worker exited"),
-                host: host("h"),
             },
             7 => Event::CellsRequeued {
                 shard: n(a),
@@ -749,7 +692,6 @@ pub mod sample {
                 shard: n(a),
                 attempt: n(b) % 16 + 1,
                 backoff_ms: a % 60_000,
-                host: host("h"),
             },
             9 => Event::MergeDone {
                 sources: n(a),
@@ -816,13 +758,6 @@ mod tests {
                 shard: 2,
                 cells: 10,
                 skipped: 3,
-                host: None,
-            },
-            Event::ShardStart {
-                shard: 2,
-                cells: 10,
-                skipped: 3,
-                host: Some("web-02".into()),
             },
             Event::CellStart {
                 shard: 2,
@@ -848,26 +783,17 @@ mod tests {
                 simulated: 6,
                 cached: 1,
                 elapsed_ms: 1234,
-                host: Some("local".into()),
             },
             Event::ShardFailed {
                 shard: 2,
                 attempt: 0,
                 msg: "worker exited with code 3 (\"killed\")".into(),
-                host: Some("web-02".into()),
             },
             Event::CellsRequeued { shard: 2, cells: 4 },
             Event::ShardRetried {
                 shard: 2,
                 attempt: 1,
                 backoff_ms: 375,
-                host: None,
-            },
-            Event::ShardRetried {
-                shard: 2,
-                attempt: 2,
-                backoff_ms: 0,
-                host: Some("web-03".into()),
             },
             Event::HostLost {
                 host: "web-02".into(),
@@ -950,12 +876,12 @@ mod tests {
             "\"campaign\":\"old\",\"format\":\"griffin-fleet-events/1\"",
         );
         assert!(Event::parse_line(&tagged).is_ok());
-        // A v2 tag (pre-host schema) is also still accepted.
+        // A v2 tag is also still accepted.
         let v2 = tagged.replace("events/1", "events/2");
         assert!(Event::parse_line(&v2).is_ok());
         let future = tagged.replace("events/1", "events/99");
         assert!(Event::parse_line(&future).is_err());
-        // A v2 shard_retried has no backoff_ms/host: parsed as 0/None.
+        // A v2 shard_retried has no backoff_ms: parsed as 0.
         let retried = "{\"attempt\":1,\"ev\":\"shard_retried\",\"shard\":4}";
         assert_eq!(
             Event::parse_line(retried),
@@ -963,7 +889,6 @@ mod tests {
                 shard: 4,
                 attempt: 1,
                 backoff_ms: 0,
-                host: None,
             })
         );
         // A pre-enrichment heartbeat has no elapsed_ms/cached: parsed

@@ -27,19 +27,6 @@
 //! truncate-journal:after=3        the journal loses its tail mid-append
 //! ```
 //!
-//! Multi-host campaigns add **host faults**, keyed by host name and
-//! enacted by the [`ChaosExec`](crate::transport::ChaosExec) transport
-//! wrapper rather than by the worker process (a partitioned *machine*
-//! cannot run its own fault code):
-//!
-//! ```text
-//! partition:host=h1:after=1          h1's stream is severed after 1 cell_done
-//! partition:host=h1:after=1:attempt=any   …on every attempt (a dead machine)
-//! refuse-spawn:host=h1:attempts=2    the first 2 launches on h1 fail outright
-//! fail-pull:host=h1                  pulling h1's shard cache back fails (attempt 0)
-//! corrupt-pull:host=h1               the pulled cache arrives torn (attempt 0)
-//! ```
-//!
 //! Determinism: "after N completions" is implemented by *truncating the
 //! shard's work list* to its first N remaining cells (grid order), so
 //! the set of journaled cells at the moment of death is a pure function
@@ -64,9 +51,6 @@ pub enum AttemptGate {
     /// Fire only on this attempt number (default: attempt 0 — the fault
     /// happens once, the retry runs clean).
     Only(usize),
-    /// Fire on every attempt below this bound (`attempts=N` in the
-    /// textual form) — "refuse respawns for N attempts".
-    Under(usize),
     /// Fire on every attempt (drives the retries-exhausted path).
     Any,
 }
@@ -76,7 +60,6 @@ impl AttemptGate {
     pub fn admits(self, attempt: usize) -> bool {
         match self {
             AttemptGate::Only(a) => a == attempt,
-            AttemptGate::Under(n) => attempt < n,
             AttemptGate::Any => true,
         }
     }
@@ -131,44 +114,6 @@ pub enum Fault {
     },
 }
 
-/// What a [`HostFault`] does to its host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HostFaultKind {
-    /// The network path to the host drops mid-stream: the worker's
-    /// stdout is severed after `after` `cell_done` lines have come
-    /// through (the coordinator sees EOF before `shard_done`, exactly
-    /// like a connection reset). Enacted by
-    /// [`ChaosExec`](crate::transport::ChaosExec).
-    Partition {
-        /// `cell_done` lines let through before the cut.
-        after: usize,
-    },
-    /// Launching a worker on the host fails outright (an unreachable
-    /// machine refusing the exec). Usually gated `attempts=N` — the
-    /// host refuses its first N launches, then recovers.
-    RefuseSpawn,
-    /// Pulling the shard cache back from the host fails.
-    FailPull,
-    /// The pulled shard cache arrives torn, as if the copy died
-    /// mid-transfer ([`corrupt_shard_cache`] is applied to the local
-    /// copy).
-    CorruptPull,
-}
-
-/// One injectable **host** failure: a [`HostFaultKind`] aimed at a host
-/// name, gated by attempt. Enacted transport-side (see
-/// [`crate::transport::ChaosExec`]), never by the worker process.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HostFault {
-    /// Host name the fault targets (matched against the transport's
-    /// host label).
-    pub host: String,
-    /// What happens.
-    pub kind: HostFaultKind,
-    /// Attempt gate (per shard attempt on that host).
-    pub attempt: AttemptGate,
-}
-
 /// Fault-plan parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultError {
@@ -188,13 +133,12 @@ fn fail<T>(msg: impl Into<String>) -> Result<T, FaultError> {
     Err(FaultError { msg: msg.into() })
 }
 
-/// Canonical `:attempt=…` / `:attempts=…` suffix of a gate (empty for
-/// the default gate, attempt 0).
+/// Canonical `:attempt=…` suffix of a gate (empty for the default
+/// gate, attempt 0).
 fn write_gate(f: &mut fmt::Formatter<'_>, g: AttemptGate) -> fmt::Result {
     match g {
         AttemptGate::Only(0) => Ok(()),
         AttemptGate::Only(a) => write!(f, ":attempt={a}"),
-        AttemptGate::Under(n) => write!(f, ":attempts={n}"),
         AttemptGate::Any => write!(f, ":attempt=any"),
     }
 }
@@ -228,47 +172,19 @@ impl fmt::Display for Fault {
     }
 }
 
-impl fmt::Display for HostFault {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.kind {
-            HostFaultKind::Partition { after } => {
-                write!(f, "partition:host={}:after={after}", self.host)?;
-            }
-            HostFaultKind::RefuseSpawn => write!(f, "refuse-spawn:host={}", self.host)?,
-            HostFaultKind::FailPull => write!(f, "fail-pull:host={}", self.host)?,
-            HostFaultKind::CorruptPull => write!(f, "corrupt-pull:host={}", self.host)?,
-        }
-        write_gate(f, self.attempt)
-    }
-}
-
 /// A deterministic list of faults to inject into one campaign.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// The shard/journal faults, in plan order.
     pub faults: Vec<Fault>,
-    /// The host faults, in plan order (enacted by
-    /// [`crate::transport::ChaosExec`]).
-    pub hosts: Vec<HostFault>,
 }
 
 impl fmt::Display for FaultPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        let mut sep = |f: &mut fmt::Formatter<'_>| {
-            if first {
-                first = false;
-                Ok(())
-            } else {
-                write!(f, ";")
+        for (i, fault) in self.faults.iter().enumerate() {
+            if i > 0 {
+                write!(f, ";")?;
             }
-        };
-        for fault in &self.faults {
-            sep(f)?;
-            write!(f, "{fault}")?;
-        }
-        for fault in &self.hosts {
-            sep(f)?;
             write!(f, "{fault}")?;
         }
         Ok(())
@@ -279,7 +195,6 @@ impl fmt::Display for FaultPlan {
 #[derive(Default)]
 struct Fields {
     shard: Option<usize>,
-    host: Option<String>,
     after: Option<usize>,
     attempt: Option<AttemptGate>,
 }
@@ -298,12 +213,9 @@ impl Fields {
             };
             match key {
                 "shard" => f.shard = Some(num()?),
-                "host" if !value.is_empty() => f.host = Some(value.to_string()),
-                "host" => return fail(format!("`{kind}`: empty host name")),
                 "after" => f.after = Some(num()?),
                 "attempt" if value == "any" => f.attempt = Some(AttemptGate::Any),
                 "attempt" => f.attempt = Some(AttemptGate::Only(num()?)),
-                "attempts" => f.attempt = Some(AttemptGate::Under(num()?)),
                 other => return fail(format!("`{kind}`: unknown field `{other}`")),
             }
         }
@@ -313,12 +225,6 @@ impl Fields {
     fn shard(&self, kind: &str) -> Result<usize, FaultError> {
         self.shard
             .map_or_else(|| fail(format!("`{kind}` needs shard=N")), Ok)
-    }
-
-    fn host(&self, kind: &str) -> Result<String, FaultError> {
-        self.host
-            .clone()
-            .map_or_else(|| fail(format!("`{kind}` needs host=NAME")), Ok)
     }
 
     fn after(&self, kind: &str) -> Result<usize, FaultError> {
@@ -341,7 +247,6 @@ impl FaultPlan {
     /// missing required field.
     pub fn parse(s: &str) -> Result<FaultPlan, FaultError> {
         let mut faults = Vec::new();
-        let mut hosts = Vec::new();
         for clause in s.split(';') {
             let clause = clause.trim();
             if clause.is_empty() {
@@ -349,49 +254,43 @@ impl FaultPlan {
             }
             let mut parts = clause.split(':');
             let kind = parts.next().expect("split yields at least one part");
-            let f = Fields::parse(&mut parts, kind)?;
-            let host_kind = match kind {
-                "partition" => Some(HostFaultKind::Partition {
-                    after: f.after(kind)?,
+            // The kind is judged before its fields, so an unknown kind
+            // reads as unknown whatever fields it carries.
+            let fields = Fields::parse(&mut parts, kind);
+            let fault = match kind {
+                "kill" => fields.and_then(|f| {
+                    Ok(Fault::Kill {
+                        shard: f.shard(kind)?,
+                        after: f.after(kind)?,
+                        attempt: f.gate(),
+                    })
                 }),
-                "refuse-spawn" => Some(HostFaultKind::RefuseSpawn),
-                "fail-pull" => Some(HostFaultKind::FailPull),
-                "corrupt-pull" => Some(HostFaultKind::CorruptPull),
-                _ => None,
+                "stall" | "delay-heartbeats" => fields.and_then(|f| {
+                    Ok(Fault::Stall {
+                        shard: f.shard(kind)?,
+                        after: f.after(kind)?,
+                        attempt: f.gate(),
+                    })
+                }),
+                "corrupt-cache" => fields.and_then(|f| {
+                    Ok(Fault::CorruptCache {
+                        shard: f.shard(kind)?,
+                        attempt: f.gate(),
+                    })
+                }),
+                "truncate-journal" => fields.and_then(|f| {
+                    Ok(Fault::TruncateJournal {
+                        after: f.after(kind)?,
+                    })
+                }),
+                other => fail(format!("unknown fault `{other}`")),
             };
-            if let Some(hk) = host_kind {
-                hosts.push(HostFault {
-                    host: f.host(kind)?,
-                    kind: hk,
-                    attempt: f.gate(),
-                });
-                continue;
-            }
-            faults.push(match kind {
-                "kill" => Fault::Kill {
-                    shard: f.shard(kind)?,
-                    after: f.after(kind)?,
-                    attempt: f.gate(),
-                },
-                "stall" | "delay-heartbeats" => Fault::Stall {
-                    shard: f.shard(kind)?,
-                    after: f.after(kind)?,
-                    attempt: f.gate(),
-                },
-                "corrupt-cache" => Fault::CorruptCache {
-                    shard: f.shard(kind)?,
-                    attempt: f.gate(),
-                },
-                "truncate-journal" => Fault::TruncateJournal {
-                    after: f.after(kind)?,
-                },
-                other => return fail(format!("unknown fault `{other}`")),
-            });
+            faults.push(fault?);
         }
-        if faults.is_empty() && hosts.is_empty() {
+        if faults.is_empty() {
             return fail("empty fault plan");
         }
-        Ok(FaultPlan { faults, hosts })
+        Ok(FaultPlan { faults })
     }
 
     /// Completions before a [`Fault::Kill`] matching (`shard`,
@@ -435,48 +334,6 @@ impl FaultPlan {
             Fault::TruncateJournal { after } => Some(after),
             _ => None,
         })
-    }
-
-    /// Whether the plan carries any host fault (so the CLI knows to wrap
-    /// transports in [`crate::transport::ChaosExec`]).
-    pub fn has_host_faults(&self) -> bool {
-        !self.hosts.is_empty()
-    }
-
-    /// `cell_done` lines let through before a
-    /// [`HostFaultKind::Partition`] severs `host`'s stream on `attempt`,
-    /// if any.
-    pub fn partition_after(&self, host: &str, attempt: usize) -> Option<usize> {
-        self.hosts.iter().find_map(|f| match f.kind {
-            HostFaultKind::Partition { after } if f.host == host && f.attempt.admits(attempt) => {
-                Some(after)
-            }
-            _ => None,
-        })
-    }
-
-    /// Whether a [`HostFaultKind::RefuseSpawn`] matches (`host`,
-    /// `attempt`).
-    pub fn refuses_spawn(&self, host: &str, attempt: usize) -> bool {
-        self.host_fault_matches(HostFaultKind::RefuseSpawn, host, attempt)
-    }
-
-    /// Whether a [`HostFaultKind::FailPull`] matches (`host`,
-    /// `attempt`).
-    pub fn fails_pull(&self, host: &str, attempt: usize) -> bool {
-        self.host_fault_matches(HostFaultKind::FailPull, host, attempt)
-    }
-
-    /// Whether a [`HostFaultKind::CorruptPull`] matches (`host`,
-    /// `attempt`).
-    pub fn corrupts_pull(&self, host: &str, attempt: usize) -> bool {
-        self.host_fault_matches(HostFaultKind::CorruptPull, host, attempt)
-    }
-
-    fn host_fault_matches(&self, kind: HostFaultKind, host: &str, attempt: usize) -> bool {
-        self.hosts
-            .iter()
-            .any(|f| f.kind == kind && f.host == host && f.attempt.admits(attempt))
     }
 }
 
@@ -547,11 +404,6 @@ mod tests {
             "corrupt-cache:shard=2",
             "truncate-journal:after=3",
             "kill:shard=1:after=2;corrupt-cache:shard=1;truncate-journal:after=9",
-            "partition:host=h1:after=1",
-            "partition:host=web-02:after=0:attempt=any",
-            "refuse-spawn:host=h1:attempts=2",
-            "fail-pull:host=h0;corrupt-pull:host=h1:attempt=1",
-            "kill:shard=1:after=2;partition:host=h1:after=1",
         ];
         for text in plans {
             let plan = FaultPlan::parse(text).unwrap();
@@ -569,18 +421,13 @@ mod tests {
             "",
             "  ;  ",
             "warp-core-breach:shard=1",
-            "kill:shard=1",                    // missing after
-            "kill:after=2",                    // missing shard
-            "kill:shard=x:after=2",            // bad number
-            "kill:shard=1:after=2:zap",        // not key=value
-            "kill:shard=1:after=2:k=v",        // unknown field
-            "truncate-journal:shard=1",        // missing after
-            "corrupt-cache:attempt=any",       // missing shard
-            "partition:shard=1:after=2",       // host faults need host=
-            "partition:host=h1",               // missing after
-            "refuse-spawn:host=",              // empty host
-            "fail-pull:attempts=2",            // missing host
-            "corrupt-pull:host=h1:attempts=x", // bad attempts bound
+            "kill:shard=1",              // missing after
+            "kill:after=2",              // missing shard
+            "kill:shard=x:after=2",      // bad number
+            "kill:shard=1:after=2:zap",  // not key=value
+            "kill:shard=1:after=2:k=v",  // unknown field
+            "truncate-journal:shard=1",  // missing after
+            "corrupt-cache:attempt=any", // missing shard
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "`{bad}` must be rejected");
         }
@@ -605,31 +452,21 @@ mod tests {
         assert!(plan.corrupts_cache(2, 0));
         assert!(!plan.corrupts_cache(2, 1));
         assert_eq!(plan.journal_truncate_after(), Some(7));
-        assert!(!plan.has_host_faults());
     }
 
     #[test]
-    fn host_fault_queries_respect_host_and_attempt_gates() {
-        let plan = FaultPlan::parse(
-            "partition:host=h1:after=1:attempt=any;refuse-spawn:host=h0:attempts=2;\
-             fail-pull:host=h1;corrupt-pull:host=h0:attempt=1",
-        )
-        .unwrap();
-        assert!(plan.has_host_faults());
-        assert_eq!(plan.partition_after("h1", 0), Some(1));
-        assert_eq!(plan.partition_after("h1", 7), Some(1), "any gate");
-        assert_eq!(plan.partition_after("h0", 0), None, "wrong host");
-        assert!(plan.refuses_spawn("h0", 0), "attempts=2 admits 0");
-        assert!(plan.refuses_spawn("h0", 1), "attempts=2 admits 1");
-        assert!(!plan.refuses_spawn("h0", 2), "recovered on attempt 2");
-        assert!(plan.fails_pull("h1", 0), "default gate is attempt 0");
-        assert!(!plan.fails_pull("h1", 1));
-        assert!(plan.corrupts_pull("h0", 1));
-        assert!(!plan.corrupts_pull("h0", 0));
-        // Shard-fault queries ignore a host-only plan entirely.
-        let hosts_only = FaultPlan::parse("partition:host=h1:after=0").unwrap();
-        assert_eq!(hosts_only.kill_after(0, 0), None);
-        assert_eq!(hosts_only.journal_truncate_after(), None);
+    fn removed_host_faults_and_fields_are_refused() {
+        for kind in ["partition", "refuse-spawn", "fail-pull", "corrupt-pull"] {
+            let err = FaultPlan::parse(&format!("{kind}:host=h1:after=0")).unwrap_err();
+            assert!(
+                err.msg.contains(&format!("unknown fault `{kind}`")),
+                "{err}"
+            );
+        }
+        let err = FaultPlan::parse("kill:shard=1:host=h1:after=0").unwrap_err();
+        assert!(err.msg.contains("unknown field `host`"), "{err}");
+        let err = FaultPlan::parse("kill:shard=1:after=0:attempts=2").unwrap_err();
+        assert!(err.msg.contains("unknown field `attempts`"), "{err}");
     }
 
     #[test]

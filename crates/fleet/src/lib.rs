@@ -1,7 +1,7 @@
 //! Sharded campaign orchestration for the Griffin sweep engine.
 //!
-//! `griffin-sweep` executes one campaign on one machine; this crate
-//! scales that to a **fleet**: the grid is deterministically partitioned
+//! `griffin-sweep` executes one campaign in one process; this crate
+//! splits it into a **fleet** of shards on the same machine: the grid is deterministically partitioned
 //! into shards by cell fingerprint, shards run in-process or as
 //! subprocesses with an append-only JSONL event stream, completions are
 //! journaled for crash-safe resume, and per-shard caches are unioned by
@@ -28,13 +28,8 @@
 //!   journal loader and live event-stream consumers,
 //! * [`coordinator`] — the in-process and subprocess campaign drivers
 //!   plus the shard-worker entry point,
-//! * [`transport`] — how workers are launched on a machine
-//!   ([`LocalExec`] subprocesses, [`SshExec`] remote workers, and the
-//!   fault-enacting [`ChaosExec`] decorator behind multi-host chaos
-//!   tests),
 //! * [`fault`] — deterministic fault injection (worker kill/stall,
-//!   host partition/refusal, cache and journal corruption) for chaos
-//!   tests.
+//!   cache and journal corruption) for chaos tests.
 //!
 //! # Example
 //!
@@ -68,16 +63,14 @@ pub mod journal;
 pub mod jsonl;
 pub mod plan;
 pub mod tail;
-pub mod transport;
 
 pub use coordinator::{
     default_events_path, journal_path, merged_cache_dir, retry_backoff_ms, run_fleet,
-    run_fleet_hosted, run_fleet_spawned, run_shard_worker, shard_cache_dir, verify_shard_sources,
-    FleetConfig, FleetError, WorkerConfig, WorkerSpawn,
+    run_fleet_spawned, run_shard_worker, shard_cache_dir, verify_shard_sources, FleetConfig,
+    FleetError, WorkerConfig, WorkerSpawn,
 };
 pub use events::{Event, EventError, EventSink, JsonlSink, NullSink, EVENTS_FORMAT};
 pub use fault::{AttemptGate, Fault, FaultError, FaultPlan, ATTEMPT_ENV, FAULT_ENV};
 pub use journal::{Journal, JournalError, JournalHeader, JOURNAL_FORMAT};
-pub use plan::{host_of, remaining_cells, shard_of, spec_fingerprint, PlanError, ShardPlan};
+pub use plan::{remaining_cells, shard_of, spec_fingerprint, PlanError, ShardPlan};
 pub use tail::{complete_lines, split_partial_tail, TailCursor, TailPoll};
-pub use transport::{ChaosExec, ExecTransport, LocalExec, SshExec, WorkerHandle, WorkerInvocation};

@@ -71,28 +71,6 @@ pub fn shard_of(fp: Fingerprint, shards: usize) -> usize {
     ((fp.0 ^ fp.1) % shards as u64) as usize
 }
 
-/// The home host for a shard, for a given host count. Keyed on the
-/// campaign's spec fingerprint plus the shard index, so the assignment
-/// is stable across resumes and machines (the same property
-/// [`shard_of`] gives cells) but re-shuffles when the grid itself
-/// changes — no host keeps a privileged position between campaigns.
-pub fn host_of(spec_fp: Fingerprint, shard: usize, hosts: usize) -> usize {
-    debug_assert!(hosts > 0);
-    let mut h = Hasher::new();
-    h.str("griffin-fleet-host-v1")
-        .u64(spec_fp.0)
-        .u64(spec_fp.1)
-        .usize(shard);
-    let fp = h.finish();
-    // FNV's low bits are weak modulo small powers of two; avalanche the
-    // 128-bit state down to 64 well-mixed bits before reducing.
-    let mut x = fp.0 ^ fp.1.rotate_left(31);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x ^= x >> 33;
-    (x % hosts as u64) as usize
-}
-
 /// A deterministic partition of a campaign grid into shards.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlan {
@@ -240,24 +218,6 @@ mod tests {
             ..spec()
         };
         assert_ne!(base, spec_fingerprint(&reordered));
-    }
-
-    #[test]
-    fn host_assignment_is_deterministic_and_in_range() {
-        let fp = spec_fingerprint(&spec());
-        for hosts in [1, 2, 3, 7] {
-            for shard in 0..16 {
-                let h = host_of(fp, shard, hosts);
-                assert!(h < hosts);
-                assert_eq!(h, host_of(fp, shard, hosts), "stable");
-            }
-        }
-        // One host takes everything.
-        assert!((0..16).all(|s| host_of(fp, s, 1) == 0));
-        // A different grid reshuffles at least one of 16 shards across
-        // 4 hosts (overwhelmingly likely for any real hash).
-        let other = spec_fingerprint(&spec().seeds([1, 3]));
-        assert!((0..16).any(|s| host_of(fp, s, 4) != host_of(other, s, 4)));
     }
 
     #[test]

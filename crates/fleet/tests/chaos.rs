@@ -108,7 +108,6 @@ fn in_process_kill_is_retried_and_stays_byte_identical() {
         shard: victim,
         attempt: 1,
         backoff_ms: 0,
-        host: None,
     }));
     // The victim shard started twice; the retry skipped the journaled
     // cell.
@@ -365,7 +364,6 @@ mod spawned {
             shard: victim,
             attempt: 1,
             backoff_ms: 0,
-            host: None,
         }));
         assert!(matches!(rec.0.last(), Some(Event::CampaignDone { .. })));
         std::fs::remove_dir_all(&dir).unwrap();

@@ -161,7 +161,6 @@ mod tests {
             shard: i,
             cells: i + 1,
             skipped: 0,
-            host: None,
         }
         .to_line()
     }
@@ -220,7 +219,6 @@ mod tests {
                 shard: 0,
                 cells: 3,
                 skipped: 0,
-                host: None,
             })
             .unwrap();
             sink.emit(&Event::CampaignDone {

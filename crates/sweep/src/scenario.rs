@@ -56,7 +56,6 @@
 //! [fleet]                      # optional defaults for `fleet --scenario`
 //! shards = 2
 //! spawn = true
-//! hosts = ["local:h0", "db@rack2"]   # multi-host worker placement
 //! ```
 //!
 //! # Identity
@@ -366,10 +365,6 @@ pub struct FleetSettings {
     pub max_shard_retries: Option<usize>,
     /// Liveness deadline for spawned workers (ms).
     pub heartbeat_timeout_ms: Option<u64>,
-    /// Host labels for multi-host fleets (empty = single machine).
-    /// Labels name exec transports; the CLI maps each onto a local or
-    /// ssh worker launcher, and `--hosts` on the command line wins.
-    pub hosts: Vec<String>,
 }
 
 /// Scenario provenance: which file a campaign came from, and the
@@ -1179,6 +1174,13 @@ fn build_arch(t: &Table) -> Result<ArchEntry, ScenarioError> {
 }
 
 fn build_fleet_section(t: &Table) -> Result<FleetSettings, ScenarioError> {
+    if let Some(b) = t.get("hosts") {
+        return fail(
+            b.line,
+            "`hosts` in [fleet] is no longer supported: multi-host fleets were \
+             removed; fleets run on this machine (drop the key)",
+        );
+    }
     t.check_keys(
         "fleet",
         &[
@@ -1187,7 +1189,6 @@ fn build_fleet_section(t: &Table) -> Result<FleetSettings, ScenarioError> {
             "heartbeat",
             "max_shard_retries",
             "heartbeat_timeout_ms",
-            "hosts",
         ],
     )?;
     let shards = match t.get("shards") {
@@ -1204,42 +1205,12 @@ fn build_fleet_section(t: &Table) -> Result<FleetSettings, ScenarioError> {
         .map(|b| as_usize(b, 0))
         .transpose()?;
     let heartbeat_timeout_ms = t.get("heartbeat_timeout_ms").map(as_u64).transpose()?;
-    let hosts = match t.get("hosts") {
-        None => Vec::new(),
-        Some(b) => {
-            let Value::Arr(items) = &b.value else {
-                return fail(b.line, "`hosts` must be an array of strings");
-            };
-            if items.is_empty() {
-                return fail(b.line, "`hosts` must not be empty");
-            }
-            let mut hosts = Vec::with_capacity(items.len());
-            let mut seen = std::collections::BTreeSet::new();
-            for v in items {
-                let Value::Str(s) = v else {
-                    return fail(
-                        b.line,
-                        format!("`hosts` items must be strings, got {}", v.type_name()),
-                    );
-                };
-                if s.trim().is_empty() {
-                    return fail(b.line, "`hosts` items must not be empty");
-                }
-                if !seen.insert(s.clone()) {
-                    return fail(b.line, format!("duplicate host `{s}` in `hosts`"));
-                }
-                hosts.push(s.clone());
-            }
-            hosts
-        }
-    };
     Ok(FleetSettings {
         shards,
         spawn,
         heartbeat_every,
         max_shard_retries,
         heartbeat_timeout_ms,
-        hosts,
     })
 }
 
@@ -1503,11 +1474,6 @@ impl Scenario {
             if let Some(v) = f.heartbeat_timeout_ms {
                 out.push_str(&format!("heartbeat_timeout_ms = {v}\n"));
             }
-            if !f.hosts.is_empty() {
-                let hosts: Vec<String> =
-                    f.hosts.iter().map(|h| format!("\"{}\"", esc(h))).collect();
-                out.push_str(&format!("hosts = [{}]\n", hosts.join(", ")));
-            }
         }
         out
     }
@@ -1691,53 +1657,17 @@ heartbeat = 16
     }
 
     #[test]
-    fn fleet_hosts_parse_and_roundtrip() {
-        let s = Scenario::parse(&with_fleet(
-            "shards = 4\nhosts = [\"local:h0\", \"db@rack2\", \"we\\\"ird\"]\n",
-        ))
-        .unwrap();
-        let fleet = s.fleet.clone().unwrap();
-        assert_eq!(fleet.hosts, ["local:h0", "db@rack2", "we\"ird"]);
-        assert!(s
-            .canonical()
-            .contains("hosts = [\"local:h0\", \"db@rack2\""));
-        assert_eq!(Scenario::parse(&s.canonical()).unwrap(), s);
-        // Absent hosts stay absent (and out of the canonical text).
-        let s = Scenario::parse(&with_fleet("shards = 1\n")).unwrap();
-        assert!(s.fleet.unwrap().hosts.is_empty());
-    }
-
-    #[test]
-    fn fleet_hosts_typo_gets_a_suggestion() {
-        let err = Scenario::parse(&with_fleet("shards = 2\nhostz = [\"h0\"]\n")).unwrap_err();
-        assert_eq!(err.line, 10, "{err}");
-        assert!(
-            err.msg.contains("hostz") && err.msg.contains("hosts"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn fleet_hosts_reject_bad_shapes() {
-        let err = Scenario::parse(&with_fleet("shards = 2\nhosts = []\n")).unwrap_err();
-        assert_eq!(err.line, 10, "{err}");
-        assert!(err.msg.contains("must not be empty"), "{err}");
-
+    fn fleet_hosts_are_refused_as_removed() {
         let err = Scenario::parse(&with_fleet(
-            "shards = 2\nhosts = [\"h0\", \"h1\", \"h0\"]\n",
+            "shards = 4\nhosts = [\"local:h0\", \"db@rack2\"]\n",
         ))
         .unwrap_err();
         assert_eq!(err.line, 10, "{err}");
-        assert!(err.msg.contains("duplicate host `h0`"), "{err}");
-
-        let err = Scenario::parse(&with_fleet("shards = 2\nhosts = [\"h0\", 3]\n")).unwrap_err();
-        assert!(err.msg.contains("must be strings"), "{err}");
-
-        let err = Scenario::parse(&with_fleet("shards = 2\nhosts = [\"  \"]\n")).unwrap_err();
-        assert!(err.msg.contains("must not be empty"), "{err}");
-
-        let err = Scenario::parse(&with_fleet("shards = 2\nhosts = \"h0\"\n")).unwrap_err();
-        assert!(err.msg.contains("array of strings"), "{err}");
+        assert!(err.msg.contains("`hosts`"), "{err}");
+        assert!(err.msg.contains("multi-host fleets were removed"), "{err}");
+        // Any shape of the key gets the same answer, not a type error.
+        let err = Scenario::parse(&with_fleet("shards = 2\nhosts = []\n")).unwrap_err();
+        assert!(err.msg.contains("removed"), "{err}");
     }
 
     #[test]

@@ -107,13 +107,6 @@ fn build_scenario(a: u64, b: u64, seed: u64, flag: bool) -> Scenario {
         heartbeat_every: (a.is_multiple_of(7)).then(|| pick(a, 100)),
         max_shard_retries: (b.is_multiple_of(5)).then(|| pick(b, 5)),
         heartbeat_timeout_ms: (a.is_multiple_of(11)).then_some(seed % 10_000),
-        hosts: if a.is_multiple_of(2) {
-            (0..1 + pick(b, 4))
-                .map(|i| format!("host\"{i}\"\\{}", pick(a, 7)))
-                .collect()
-        } else {
-            Vec::new()
-        },
     });
 
     Scenario {

@@ -206,7 +206,6 @@ mod tests {
             shard: 0,
             attempt: 0,
             msg: "exit <code> & chaos".into(),
-            host: None,
         });
         m.apply(&Event::CampaignFailed {
             msg: "gave up".into(),

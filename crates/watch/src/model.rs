@@ -117,66 +117,18 @@ pub struct ShardModel {
     pub events: usize,
     /// Cells freshly simulated, authoritative once `shard_done` lands.
     pub simulated: usize,
-    /// Host the shard is (or was last) running on — `None` for
-    /// single-machine fleets, whose events carry no host labels.
-    pub host: Option<String>,
 }
 
 impl ShardModel {
     fn restart(&mut self, planned: usize, skipped: usize) {
-        let attempt = self.attempt;
-        let host = self.host.take();
         *self = ShardModel {
             state: ShardState::Running,
             planned,
             skipped,
-            attempt,
-            host,
+            attempt: self.attempt,
             ..ShardModel::default()
         };
     }
-
-    fn note_host(&mut self, host: &Option<String>) {
-        if host.is_some() {
-            self.host = host.clone();
-        }
-    }
-}
-
-/// One host's liveness as seen through the event stream (multi-host
-/// fleets only; single-machine streams never populate the host map).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum HostState {
-    /// Carrying (or assigned) work, no verdict yet.
-    #[default]
-    Live,
-    /// `host_lost` observed: the machine was declared dead and its
-    /// shards re-queued onto survivors.
-    Lost,
-    /// `host_retired` observed: all of its shards completed.
-    Retired,
-}
-
-impl HostState {
-    /// Short human/JSON tag.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            HostState::Live => "live",
-            HostState::Lost => "lost",
-            HostState::Retired => "retired",
-        }
-    }
-}
-
-/// Rolling view of one fleet host.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct HostModel {
-    /// Liveness verdict.
-    pub state: HostState,
-    /// Shards that were pending on the host when it was lost.
-    pub shards_moved: usize,
-    /// `shard_failed` events attributed to this host.
-    pub failures: usize,
 }
 
 /// One `shard_failed` event, kept verbatim for the failure log.
@@ -246,9 +198,6 @@ pub struct CampaignModel {
     pub retries: usize,
     /// Cells put back on the queue by `cells_requeued` events.
     pub requeued_cells: usize,
-    /// Per-host liveness, keyed by host label (empty for
-    /// single-machine fleets).
-    pub hosts: BTreeMap<String, HostModel>,
     /// Failure log: every `shard_failed`, in stream order.
     pub failures: Vec<Failure>,
     /// Merge counters once `merge_done` lands.
@@ -323,13 +272,7 @@ impl CampaignModel {
                 shard,
                 cells,
                 skipped,
-                host,
-            } => {
-                let s = self.shard_mut(*shard);
-                s.restart(*cells, *skipped);
-                s.note_host(host);
-                self.host_touch(host);
-            }
+            } => self.shard_mut(*shard).restart(*cells, *skipped),
             Event::CellStart { shard, .. } => self.shard_touch(*shard),
             Event::CellDone {
                 shard,
@@ -370,21 +313,17 @@ impl CampaignModel {
                 simulated,
                 cached,
                 elapsed_ms,
-                host,
             } => {
                 let s = self.shard_mut(*shard);
                 s.state = ShardState::Done;
                 s.simulated = *simulated;
                 s.cached = s.cached.max(*cached);
                 s.elapsed_ms = s.elapsed_ms.max(*elapsed_ms);
-                s.note_host(host);
-                self.host_touch(host);
             }
             Event::ShardFailed {
                 shard,
                 attempt,
                 msg,
-                host,
             } => {
                 self.failures.push(Failure {
                     shard: *shard,
@@ -394,41 +333,19 @@ impl CampaignModel {
                 let s = self.shard_mut(*shard);
                 s.state = ShardState::Failed;
                 s.attempt = s.attempt.max(*attempt);
-                s.note_host(host);
-                if let Some(h) = host {
-                    let hm = self.hosts.entry(h.clone()).or_default();
-                    hm.failures = hm.failures.saturating_add(1);
-                }
             }
             Event::CellsRequeued { shard, cells } => {
                 self.requeued_cells = self.requeued_cells.saturating_add(*cells);
                 self.shard_touch(*shard);
             }
-            Event::ShardRetried {
-                shard,
-                attempt,
-                host,
-                ..
-            } => {
+            Event::ShardRetried { shard, attempt, .. } => {
                 self.retries = self.retries.saturating_add(1);
                 let s = self.shard_mut(*shard);
                 s.state = ShardState::Retrying;
                 s.attempt = s.attempt.max(*attempt);
-                s.note_host(host);
-                self.host_touch(host);
             }
-            Event::HostLost { host, shards } => {
-                let hm = self.hosts.entry(host.clone()).or_default();
-                hm.state = HostState::Lost;
-                hm.shards_moved = hm.shards_moved.saturating_add(*shards);
-            }
-            Event::HostRetired { host } => {
-                let hm = self.hosts.entry(host.clone()).or_default();
-                // A loss verdict is final; retirement never upgrades it.
-                if hm.state != HostState::Lost {
-                    hm.state = HostState::Retired;
-                }
-            }
+            // Legacy multi-host stream lines: parsed, then ignored.
+            Event::HostLost { .. } | Event::HostRetired { .. } => {}
             Event::MergeDone {
                 sources,
                 merged,
@@ -542,14 +459,6 @@ impl CampaignModel {
             ("cache_hits".into(), num(self.cache_hits)),
             ("retries".into(), num(self.retries)),
             ("requeued_cells".into(), num(self.requeued_cells)),
-            (
-                "hosts_lost".into(),
-                num(self
-                    .hosts
-                    .values()
-                    .filter(|h| h.state == HostState::Lost)
-                    .count()),
-            ),
             ("failures".into(), num(self.failures.len())),
             ("parse_errors".into(), num(self.parse_errors)),
             ("events".into(), num(self.events_folded)),
@@ -589,31 +498,13 @@ impl CampaignModel {
         if let CampaignState::Failed { msg } = &self.state {
             o.push(("error".into(), Json::Str(msg.clone())));
         }
-        if !self.hosts.is_empty() {
-            o.push((
-                "hosts".into(),
-                Json::Arr(
-                    self.hosts
-                        .iter()
-                        .map(|(name, h)| {
-                            Json::obj([
-                                ("host".into(), Json::Str(name.clone())),
-                                ("state".into(), Json::Str(h.state.tag().into())),
-                                ("shards_moved".into(), num(h.shards_moved)),
-                                ("failures".into(), num(h.failures)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
         o.push((
             "shard_detail".into(),
             Json::Arr(
                 self.shards
                     .iter()
                     .map(|(idx, s)| {
-                        let mut fields = vec![
+                        Json::obj([
                             ("shard".into(), num(*idx)),
                             ("state".into(), Json::Str(s.state.tag().into())),
                             ("planned".into(), num(s.planned)),
@@ -623,11 +514,7 @@ impl CampaignModel {
                             ("simulated".into(), num(s.simulated)),
                             ("attempt".into(), num(s.attempt)),
                             ("elapsed_ms".into(), Json::Num(s.elapsed_ms as f64)),
-                        ];
-                        if let Some(h) = &s.host {
-                            fields.push(("host".into(), Json::Str(h.clone())));
-                        }
-                        Json::obj(fields)
+                        ])
                     })
                     .collect(),
             ),
@@ -658,14 +545,6 @@ impl CampaignModel {
 
     fn shard_touch(&mut self, shard: usize) {
         self.shard_mut(shard);
-    }
-
-    /// Registers a labeled host as live — without overriding a loss or
-    /// retirement verdict already folded.
-    fn host_touch(&mut self, host: &Option<String>) {
-        if let Some(h) = host {
-            self.hosts.entry(h.clone()).or_default();
-        }
     }
 }
 
@@ -770,7 +649,6 @@ mod tests {
                 shard,
                 cells: 2,
                 skipped: 0,
-                host: None,
             });
         }
         m.apply(&cell_done(0, 0, false));
@@ -783,7 +661,6 @@ mod tests {
                 simulated: 1,
                 cached: 1,
                 elapsed_ms: 50,
-                host: None,
             });
         }
         m.apply(&Event::CampaignDone {
@@ -810,27 +687,23 @@ mod tests {
             shard: 0,
             cells: 2,
             skipped: 0,
-            host: None,
         });
         m.apply(&cell_done(0, 0, false));
         m.apply(&Event::ShardFailed {
             shard: 0,
             attempt: 0,
             msg: "worker exited".into(),
-            host: None,
         });
         m.apply(&Event::CellsRequeued { shard: 0, cells: 1 });
         m.apply(&Event::ShardRetried {
             shard: 0,
             attempt: 1,
             backoff_ms: 0,
-            host: None,
         });
         m.apply(&Event::ShardStart {
             shard: 0,
             cells: 1,
             skipped: 1,
-            host: None,
         });
         m.apply(&cell_done(0, 1, false));
         m.apply(&Event::CampaignDone {
@@ -845,62 +718,6 @@ mod tests {
         let s = &m.shards[&0];
         assert_eq!(s.attempt, 1);
         assert_eq!(s.done, 1, "per-attempt progress reset on the retry");
-    }
-
-    #[test]
-    fn host_liveness_folds_from_the_stream() {
-        let mut m = CampaignModel::new();
-        m.apply(&start(4, 2, 0));
-        m.apply(&Event::ShardStart {
-            shard: 0,
-            cells: 2,
-            skipped: 0,
-            host: Some("h0".into()),
-        });
-        m.apply(&Event::ShardStart {
-            shard: 1,
-            cells: 2,
-            skipped: 0,
-            host: Some("h1".into()),
-        });
-        m.apply(&Event::ShardFailed {
-            shard: 1,
-            attempt: 0,
-            msg: "stream ended".into(),
-            host: Some("h1".into()),
-        });
-        m.apply(&Event::HostLost {
-            host: "h1".into(),
-            shards: 1,
-        });
-        // The shard moves to the survivor.
-        m.apply(&Event::ShardRetried {
-            shard: 1,
-            attempt: 1,
-            backoff_ms: 250,
-            host: Some("h0".into()),
-        });
-        m.apply(&Event::HostRetired { host: "h0".into() });
-        assert_eq!(m.hosts.len(), 2);
-        assert_eq!(m.hosts["h1"].state, HostState::Lost);
-        assert_eq!(m.hosts["h1"].shards_moved, 1);
-        assert_eq!(m.hosts["h1"].failures, 1);
-        assert_eq!(m.hosts["h0"].state, HostState::Retired);
-        assert_eq!(m.shards[&1].host.as_deref(), Some("h0"), "moved");
-        // A late retirement never upgrades a loss.
-        m.apply(&Event::HostRetired { host: "h1".into() });
-        assert_eq!(m.hosts["h1"].state, HostState::Lost);
-        let line = m.summary().write();
-        assert!(line.contains("\"hosts_lost\":1"), "{line}");
-        assert!(
-            line.contains("\"host\":\"h1\",\"state\":\"lost\"")
-                || line.contains("\"state\":\"lost\""),
-            "{line}"
-        );
-        // Host-free streams keep their summary host-free.
-        let mut plain = CampaignModel::new();
-        plain.apply(&start(1, 1, 0));
-        assert!(!plain.summary().write().contains("\"hosts\":["));
     }
 
     #[test]
@@ -945,7 +762,6 @@ mod tests {
             shard: 0,
             cells: 10,
             skipped: 0,
-            host: None,
         });
         m.apply(&Event::Heartbeat {
             shard: 0,
@@ -976,7 +792,6 @@ mod tests {
             shard: 0,
             cells: 100,
             skipped: 0,
-            host: None,
         });
         m.apply(&Event::Heartbeat {
             shard: 0,
@@ -997,7 +812,6 @@ mod tests {
             shard: 0,
             cells: 10,
             skipped: 0,
-            host: None,
         });
         for c in 0..4 {
             m.apply(&cell_done(0, c, false));

@@ -7,7 +7,7 @@
 //! bold/dim/color SGR codes every ANSI terminal has supported since
 //! forever; `ansi: false` strips them for dumb terminals and tests.
 
-use crate::model::{CampaignModel, CampaignState, HostState, RateTracker, ShardState};
+use crate::model::{CampaignModel, CampaignState, RateTracker, ShardState};
 use std::fmt::Write as _;
 
 /// Renders `ms` as a compact human duration (`850ms`, `4.2s`, `3m04s`).
@@ -130,26 +130,9 @@ pub fn dashboard(model: &CampaignModel, rates: &RateTracker, width: usize, ansi:
     }
     out.push('\n');
 
-    // Host status line (multi-host fleets only).
-    if !model.hosts.is_empty() {
-        let _ = write!(out, "hosts");
-        for (name, h) in &model.hosts {
-            let style = match h.state {
-                HostState::Live => "36",
-                HostState::Lost => "1;31",
-                HostState::Retired => "32",
-            };
-            let _ = write!(out, " · {name} {}", sgr(ansi, style, h.state.tag()));
-            if h.shards_moved > 0 {
-                let _ = write!(out, " ({} shards moved)", h.shards_moved);
-            }
-        }
-        out.push('\n');
-    }
-
     // Per-shard table.
     for (idx, s) in &model.shards {
-        let _ = write!(
+        let _ = writeln!(
             out,
             "  shard {idx:>3} {:<8} {:>5}/{:<5} cached {:<5} attempt {} · {}",
             sgr(ansi, shard_style(&s.state), s.state.tag()),
@@ -159,10 +142,6 @@ pub fn dashboard(model: &CampaignModel, rates: &RateTracker, width: usize, ansi:
             s.attempt,
             fmt_duration_ms(s.elapsed_ms),
         );
-        if let Some(h) = &s.host {
-            let _ = write!(out, " @ {h}");
-        }
-        out.push('\n');
     }
 
     // Failure log (most recent last, like the stream).
@@ -200,14 +179,6 @@ pub fn status_line(model: &CampaignModel, rates: &RateTracker) -> String {
     if !model.failures.is_empty() {
         let _ = write!(out, " failures={}", model.failures.len());
     }
-    if !model.hosts.is_empty() {
-        let lost = model
-            .hosts
-            .values()
-            .filter(|h| h.state == HostState::Lost)
-            .count();
-        let _ = write!(out, " hosts={} hosts_lost={lost}", model.hosts.len());
-    }
     out
 }
 
@@ -231,31 +202,11 @@ mod tests {
             shard: 0,
             cells: 5,
             skipped: 1,
-            host: None,
         });
         m.apply(&Event::ShardFailed {
             shard: 1,
             attempt: 0,
             msg: "went silent".into(),
-            host: None,
-        });
-        m
-    }
-
-    fn hosted_model() -> CampaignModel {
-        let mut m = model();
-        m.apply(&Event::ShardStart {
-            shard: 1,
-            cells: 5,
-            skipped: 0,
-            host: Some("web-02".into()),
-        });
-        m.apply(&Event::HostLost {
-            host: "web-02".into(),
-            shards: 1,
-        });
-        m.apply(&Event::HostRetired {
-            host: "web-01".into(),
         });
         m
     }
@@ -280,20 +231,6 @@ mod tests {
             0,
             "every SGR open has its reset"
         );
-    }
-
-    #[test]
-    fn dashboard_and_status_line_surface_host_liveness() {
-        let m = hosted_model();
-        let frame = dashboard(&m, &RateTracker::new(1000.0), 80, false);
-        assert!(frame.contains("web-02 lost (1 shards moved)"), "{frame}");
-        assert!(frame.contains("web-01 retired"), "{frame}");
-        assert!(frame.contains("@ web-02"), "shard row names its host");
-        let line = status_line(&m, &RateTracker::new(1000.0));
-        assert!(line.contains("hosts=2 hosts_lost=1"), "{line}");
-        // Single-machine streams stay host-free.
-        let plain = dashboard(&model(), &RateTracker::new(1000.0), 80, false);
-        assert!(!plain.contains("hosts"), "{plain}");
     }
 
     #[test]

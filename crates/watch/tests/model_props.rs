@@ -20,25 +20,14 @@ fn event_from(draw: (usize, u64, u64, bool)) -> Event {
 
 /// Serializes `ev` the way a v1 producer would have: no v2/v3-only
 /// optional fields (`healed` on merge_done; the enrichment pair on
-/// heartbeat; `host`/`backoff_ms` on the shard lifecycle events).
+/// heartbeat; `backoff_ms` on shard_retried).
 fn as_v1_line(ev: &Event) -> String {
     let Json::Obj(mut m) = ev.to_json() else {
         panic!("events serialize to objects");
     };
     m.remove("format");
     m.remove("healed");
-    // `host` is required on host_lost/host_retired (which have no
-    // legacy form at all) — only the shard events carry it optionally.
-    if matches!(
-        ev,
-        Event::ShardStart { .. }
-            | Event::ShardDone { .. }
-            | Event::ShardFailed { .. }
-            | Event::ShardRetried { .. }
-    ) {
-        m.remove("host");
-        m.remove("backoff_ms");
-    }
+    m.remove("backoff_ms");
     if matches!(ev, Event::Heartbeat { .. }) {
         m.remove("elapsed_ms");
         m.remove("cached");
@@ -157,7 +146,6 @@ proptest! {
                 shard: s,
                 cells: cells / shards,
                 skipped: 0,
-                host: None,
             });
         }
         // A deterministic shuffle of cell completion order.

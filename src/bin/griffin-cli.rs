@@ -34,7 +34,7 @@
 //! protocol on stdout.)
 
 use std::env;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -43,12 +43,11 @@ use griffin::core::accelerator::Accelerator;
 use griffin::core::arch::ArchSpec;
 use griffin::core::category::DnnCategory;
 use griffin::fleet::coordinator::{
-    default_events_path, run_fleet, run_fleet_hosted, run_fleet_spawned, run_shard_worker,
-    FleetConfig, FleetError, WorkerConfig, WorkerSpawn,
+    default_events_path, run_fleet, run_fleet_spawned, run_shard_worker, FleetConfig, FleetError,
+    WorkerConfig, WorkerSpawn,
 };
 use griffin::fleet::events::JsonlSink;
-use griffin::fleet::fault::{self, Fault, FaultPlan};
-use griffin::fleet::transport::{ChaosExec, ExecTransport, LocalExec, SshExec, WorkerInvocation};
+use griffin::fleet::fault::{self, Fault};
 use griffin::sim::config::{Fidelity, SimConfig};
 use griffin::sweep::report::{to_csv, to_json, write_file};
 use griffin::sweep::scenario::{self, Scenario};
@@ -151,12 +150,6 @@ fn usage() -> ExitCode {
     eprintln!("  --heartbeat-timeout MS with --spawn: kill + retry a worker silent for MS");
     eprintln!("                      milliseconds (default 0 = off; must exceed the");
     eprintln!("                      slowest single cell — completions are the signal)");
-    eprintln!("  --hosts H1,H2,...   multi-host fleet, one worker transport per host:");
-    eprintln!("                      `local` / `local:<label>` run on this machine,");
-    eprintln!("                      anything else is an ssh destination ([user@]host).");
-    eprintln!("                      Implies subprocess workers; overrides a scenario's");
-    eprintln!("                      [fleet] hosts. A host that keeps failing is declared");
-    eprintln!("                      lost and its shards move to the survivors.");
     eprintln!();
     eprintln!("  GRIFFIN_FAULT       deterministic fault injection for chaos tests, e.g.");
     eprintln!("                      kill:shard=1:after=2;corrupt-cache:shard=1 (see docs)");
@@ -524,9 +517,6 @@ struct FleetCliArgs {
     heartbeat: Option<usize>,
     max_shard_retries: Option<usize>,
     heartbeat_timeout_ms: Option<u64>,
-    /// `--hosts a,b,c`; `None` = defer to the scenario's `[fleet]`
-    /// hosts (an empty list there means single-machine).
-    hosts: Option<Vec<String>>,
     /// Remaining (sweep) options, preserved verbatim so `--spawn` can
     /// forward them to shard workers unchanged.
     sweep_rest: Vec<String>,
@@ -540,14 +530,6 @@ struct FleetResolved {
     heartbeat: usize,
     max_shard_retries: usize,
     heartbeat_timeout_ms: u64,
-    /// Host tokens of a multi-host fleet (empty = single machine).
-    hosts: Vec<String>,
-}
-
-/// The event/fault label of a `--hosts` token: the part after
-/// `local:`, or the token itself (ssh destinations and bare `local`).
-fn host_label(token: &str) -> &str {
-    token.strip_prefix("local:").unwrap_or(token)
 }
 
 impl FleetCliArgs {
@@ -562,27 +544,9 @@ impl FleetCliArgs {
             .shards
             .or(scen.map(|s| s.shards))
             .ok_or("fleet requires --shards (or a scenario [fleet] section)")?;
-        let hosts = match &self.hosts {
-            Some(h) => h.clone(),
-            None => scen.map(|s| s.hosts.clone()).unwrap_or_default(),
-        };
-        let mut seen = std::collections::BTreeSet::new();
-        for tok in &hosts {
-            let label = host_label(tok);
-            if label.is_empty() {
-                return Err("--hosts entries must not be empty".into());
-            }
-            if !seen.insert(label.to_string()) {
-                return Err(format!("duplicate host `{label}` in --hosts"));
-            }
-        }
-        if !hosts.is_empty() && self.spawn == Some(false) {
-            return Err("--no-spawn conflicts with --hosts: host workers are subprocesses".into());
-        }
         Ok(FleetResolved {
             shards,
             spawn: self.spawn.unwrap_or_else(|| scen.is_some_and(|s| s.spawn)),
-            hosts,
             heartbeat: self
                 .heartbeat
                 .or(scen.and_then(|s| s.heartbeat_every))
@@ -628,7 +592,6 @@ fn split_fleet_args(args: &[String]) -> Option<FleetCliArgs> {
         heartbeat: None,
         max_shard_retries: None,
         heartbeat_timeout_ms: None,
-        hosts: None,
         sweep_rest: Vec::new(),
     };
     let mut it = args.iter();
@@ -643,15 +606,6 @@ fn split_fleet_args(args: &[String]) -> Option<FleetCliArgs> {
             "--heartbeat" => out.heartbeat = Some(it.next()?.parse().ok()?),
             "--max-shard-retries" => out.max_shard_retries = Some(it.next()?.parse().ok()?),
             "--heartbeat-timeout" => out.heartbeat_timeout_ms = Some(it.next()?.parse().ok()?),
-            "--hosts" => {
-                let toks: Vec<String> = it
-                    .next()?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .collect();
-                (!toks.is_empty()).then_some(())?;
-                out.hosts = Some(toks);
-            }
             other => forward_sweep_flag(other, &mut it, &mut out.sweep_rest)?,
         }
     }
@@ -724,45 +678,6 @@ fn install_sigint_abort() -> Arc<AtomicBool> {
         signal(SIGINT, on_sigint as extern "C" fn(i32) as usize);
     }
     flag
-}
-
-/// Wraps a transport in [`ChaosExec`] when the fault plan injects host
-/// faults, so chaos campaigns exercise the same transport stack.
-fn boxed_transport<T: ExecTransport + 'static>(
-    t: T,
-    fault: Option<&FaultPlan>,
-) -> Box<dyn ExecTransport> {
-    match fault {
-        Some(p) if p.has_host_faults() => Box::new(ChaosExec::new(t, p.clone())),
-        _ => Box::new(t),
-    }
-}
-
-/// Maps `--hosts` tokens onto exec transports. `local` /
-/// `local:<label>` run on this machine; anything else is an ssh
-/// destination, which also gets the scenario file (if any) shipped by
-/// content before its first launch.
-fn build_transports(
-    hosts: &[String],
-    fault: Option<&FaultPlan>,
-    ship: Option<&Path>,
-) -> Vec<Box<dyn ExecTransport>> {
-    hosts
-        .iter()
-        .map(|tok| {
-            if let Some(label) = tok.strip_prefix("local:") {
-                boxed_transport(LocalExec::new(label), fault)
-            } else if tok == "local" {
-                boxed_transport(LocalExec::default(), fault)
-            } else {
-                let mut ssh = SshExec::new(tok.clone());
-                if let Some(p) = ship {
-                    ssh = ssh.with_shipped_file(p);
-                }
-                boxed_transport(ssh, fault)
-            }
-        })
-        .collect()
 }
 
 /// Flags of `fleet watch <dir>`.
@@ -1115,18 +1030,11 @@ fn cmd_fleet(workload: &str, cat: &str, rest: &[String]) -> ExitCode {
         Ok(s) => s,
         Err(code) => return code,
     };
-    let hosted = !resolved.hosts.is_empty();
     if !quiet {
-        let mode = if hosted {
-            format!(
-                "{} hosts: {}",
-                resolved.hosts.len(),
-                resolved.hosts.join(", ")
-            )
-        } else if resolved.spawn {
-            "subprocesses".to_string()
+        let mode = if resolved.spawn {
+            "subprocesses"
         } else {
-            "in-process".to_string()
+            "in-process"
         };
         println!(
             "fleet `{}`: {} cells over {} shards ({mode}){}...",
@@ -1137,7 +1045,7 @@ fn cmd_fleet(workload: &str, cat: &str, rest: &[String]) -> ExitCode {
         );
     }
 
-    let report = if hosted || resolved.spawn {
+    let report = if resolved.spawn {
         let exe = match std::env::current_exe() {
             Ok(p) => p,
             Err(e) => {
@@ -1164,8 +1072,6 @@ fn cmd_fleet(workload: &str, cat: &str, rest: &[String]) -> ExitCode {
             let per_shard = (default_workers() / cfg.shards).max(1);
             forward.extend(["--workers".into(), per_shard.to_string()]);
         }
-        // One argument-list builder for both launch paths, so local
-        // subprocesses and remote transports run identical workers.
         let worker_args = |w: &WorkerSpawn| -> Vec<String> {
             let mut args: Vec<String> = vec!["shard-worker".into()];
             args.extend(source_args.iter().cloned());
@@ -1186,22 +1092,12 @@ fn cmd_fleet(workload: &str, cat: &str, rest: &[String]) -> ExitCode {
             ]);
             args
         };
-        if hosted {
-            // Ssh hosts get the scenario file shipped by content before
-            // their first launch (--expect-fp still guards drift).
-            let ship = (workload == "--scenario").then(|| PathBuf::from(&source_args[1]));
-            let transports = build_transports(&resolved.hosts, cfg.fault.as_ref(), ship.as_deref());
-            let exe_str = exe.display().to_string();
-            let make = |w: &WorkerSpawn| WorkerInvocation::new(exe_str.clone(), worker_args(w));
-            run_fleet_hosted(&spec, &cfg, &transports, &make, &mut sink)
-        } else {
-            let make = |w: &WorkerSpawn| {
-                let mut cmd = std::process::Command::new(&exe);
-                cmd.args(worker_args(w));
-                cmd
-            };
-            run_fleet_spawned(&spec, &cfg, &make, &mut sink)
-        }
+        let make = |w: &WorkerSpawn| {
+            let mut cmd = std::process::Command::new(&exe);
+            cmd.args(worker_args(w));
+            cmd
+        };
+        run_fleet_spawned(&spec, &cfg, &make, &mut sink)
     } else {
         run_fleet(&spec, &cfg, &mut sink)
     };

@@ -15,8 +15,8 @@
 //! * **grid_build** — the word-level B and A tile grid builders alone,
 //!   rebuilding into reused grid and span buffers, in ns per build;
 //! * **watch** — a deterministic 54-cell event stream (per-cell events
-//!   regenerated through `events::sample`, with v3 host stamps,
-//!   scenario provenance, a mid-flight retry episode and non-finite
+//!   regenerated through `events::sample`, with scenario provenance,
+//!   a mid-flight retry episode and non-finite
 //!   metric floats) replayed through the observability fold
 //!   ([`griffin::watch::CampaignModel`]), reporting events/second
 //!   parsed-and-folded — the consumer must stay far ahead of any
@@ -290,8 +290,8 @@ pub fn run_bench(args: &BenchArgs) -> Result<Json, String> {
 /// (`events::sample::build_event`, the same one behind the event and
 /// watch-model property tests), so the fold is measured against the
 /// full wire surface: escaped strings, occasional non-finite metric
-/// floats, and the v3 host/provenance fields the old hand-rolled
-/// stream never carried.
+/// floats, and the provenance fields the old hand-rolled stream never
+/// carried.
 fn watch_stream_lines() -> Vec<String> {
     use griffin::fleet::events::sample::build_event;
     use griffin::fleet::events::Event;
@@ -316,7 +316,6 @@ fn watch_stream_lines() -> Vec<String> {
             shard,
             cells: PLANNED,
             skipped: 0,
-            host: Some(format!("host-{shard}")),
         });
         for d in 0..PLANNED {
             let cell = shard * PLANNED + d;
@@ -343,15 +342,13 @@ fn watch_stream_lines() -> Vec<String> {
                     cached: (d + 1) / 3,
                 });
             }
-            // Mid-flight recovery on shard 1: its host drops, the
+            // Mid-flight recovery on shard 1: its worker dies, the
             // remaining cells requeue, the shard retries (the v2/v3
             // recovery variants, via the same sample generator).
             if shard == 1 && d == 12 {
-                evs.push(build_event(11, 0, 1, true, 0)); // host_lost
                 evs.push(build_event(6, 1, 0, true, 0)); // shard_failed
                 evs.push(build_event(7, 1, (PLANNED - d - 1) as u64, false, 0)); // cells_requeued
                 evs.push(build_event(8, 1, 0, true, 0)); // shard_retried
-                evs.push(build_event(12, 0, 0, true, 0)); // host_retired
             }
         }
         evs.push(Event::ShardDone {
@@ -359,7 +356,6 @@ fn watch_stream_lines() -> Vec<String> {
             simulated: PLANNED - PLANNED / 3,
             cached: PLANNED / 3,
             elapsed_ms: 321,
-            host: Some(format!("host-{shard}")),
         });
     }
     evs.push(Event::MergeDone {
