@@ -1665,9 +1665,28 @@ heartbeat = 16
         assert_eq!(err.line, 10, "{err}");
         assert!(err.msg.contains("`hosts`"), "{err}");
         assert!(err.msg.contains("multi-host fleets were removed"), "{err}");
-        // Any shape of the key gets the same answer, not a type error.
-        let err = Scenario::parse(&with_fleet("shards = 2\nhosts = []\n")).unwrap_err();
-        assert!(err.msg.contains("removed"), "{err}");
+    }
+
+    #[test]
+    fn fleet_hosts_of_any_shape_get_the_removal_error() {
+        // The shapes the old `hosts` validation refused each get the
+        // removal answer on the key's line, not a type or shape error.
+        for hosts in [
+            "[]",
+            "[\"h0\", \"h1\", \"h0\"]",
+            "[\"h0\", 3]",
+            "[\"  \"]",
+            "\"h0\"",
+        ] {
+            let err = Scenario::parse(&with_fleet(&format!("shards = 2\nhosts = {hosts}\n")))
+                .unwrap_err();
+            assert_eq!(err.line, 10, "{hosts}: {err}");
+            assert!(err.msg.contains("`hosts`"), "{hosts}: {err}");
+            assert!(
+                err.msg.contains("multi-host fleets were removed"),
+                "{hosts}: {err}"
+            );
+        }
     }
 
     #[test]

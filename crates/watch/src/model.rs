@@ -836,6 +836,73 @@ mod tests {
         assert!(m.summary().write().contains("\"eta_ms\":\"n/a\""));
     }
 
+    /// Streams written by the removed multi-host fleet: shard events
+    /// stamped with a `host` field, plus `host_lost` / `host_retired`
+    /// lines. Folding them gives the model of the same stream without
+    /// any host line, and the summary carries no host state.
+    #[test]
+    fn legacy_host_lines_fold_to_the_host_free_model() {
+        let stream = |with_hosts: bool| -> Vec<String> {
+            let stamp = |ev: Event, host: &str| -> String {
+                let line = ev.to_line();
+                if with_hosts {
+                    line.replacen('{', &format!("{{\"host\":\"{host}\","), 1)
+                } else {
+                    line
+                }
+            };
+            let mut lines = vec![start(4, 2, 0).to_line()];
+            for (shard, host) in [(0, "h0"), (1, "h1")] {
+                let ev = Event::ShardStart {
+                    shard,
+                    cells: 2,
+                    skipped: 0,
+                };
+                lines.push(stamp(ev, host));
+            }
+            let failed = Event::ShardFailed {
+                shard: 1,
+                attempt: 0,
+                msg: "stream ended".into(),
+            };
+            lines.push(stamp(failed, "h1"));
+            if with_hosts {
+                lines.push(r#"{"ev":"host_lost","host":"h1","shards":1}"#.into());
+            }
+            let retried = Event::ShardRetried {
+                shard: 1,
+                attempt: 1,
+                backoff_ms: 250,
+            };
+            lines.push(stamp(retried, "h0"));
+            lines.push(cell_done(0, 0, false).to_line());
+            if with_hosts {
+                lines.push(r#"{"ev":"host_retired","host":"h0"}"#.into());
+                lines.push(r#"{"ev":"host_retired","host":"h1"}"#.into());
+            }
+            lines
+        };
+        let fold = |lines: &[String]| {
+            let mut m = CampaignModel::new();
+            for line in lines {
+                m.apply_line(line);
+            }
+            m
+        };
+        let (mut hosted, plain) = (fold(&stream(true)), fold(&stream(false)));
+        assert_eq!(hosted.parse_errors, 0);
+        assert_eq!(hosted.retries, 1);
+        assert_eq!(hosted.failures.len(), 1);
+        assert_eq!(hosted.shards[&1].state, ShardState::Retrying);
+        // The three host lines are folded (counted) and otherwise ignored.
+        assert_eq!(hosted.events_folded, plain.events_folded + 3);
+        hosted.events_folded = plain.events_folded;
+        assert_eq!(hosted, plain);
+        let line = hosted.summary().write();
+        assert!(!line.contains("host"), "{line}");
+        assert_eq!(line, plain.summary().write());
+    }
+
     #[test]
     fn rate_tracker_zero_elapsed_and_zero_rate_windows_yield_no_eta() {
         // One observation: no window yet, no rate, no ETA.

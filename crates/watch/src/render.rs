@@ -246,6 +246,40 @@ mod tests {
         assert!(line.contains("failures=1"));
     }
 
+    /// The dashboard and status line of a legacy multi-host stream
+    /// (host-stamped shard lines, `host_lost`, `host_retired`) are the
+    /// ones of the same stream without hosts: no host line, tag or field.
+    #[test]
+    fn legacy_host_lines_leave_dashboard_and_status_line_unchanged() {
+        let plain = model();
+        let mut hosted = model();
+        for line in [
+            r#"{"host":"h1","attempt":0,"ev":"shard_failed","msg":"went silent","shard":1}"#,
+            r#"{"ev":"host_lost","host":"h1","shards":1}"#,
+            r#"{"ev":"host_retired","host":"h0"}"#,
+        ] {
+            hosted.apply_line(line);
+        }
+        assert_eq!(hosted.parse_errors, 0);
+        assert_eq!(hosted.failures.len(), 2, "the stamped failure still counts");
+        let mut again = model();
+        again.apply_line(r#"{"attempt":0,"ev":"shard_failed","msg":"went silent","shard":1}"#);
+
+        let mut r = RateTracker::new(1000.0);
+        r.observe(0, 0);
+        r.observe(1000, 3);
+        for ansi in [false, true] {
+            let frame = dashboard(&hosted, &r, 80, ansi);
+            assert!(!frame.contains("host"), "{frame}");
+            assert!(!frame.contains(" @ "), "{frame}");
+            assert_eq!(frame, dashboard(&again, &r, 80, ansi));
+        }
+        let line = status_line(&hosted, &r);
+        assert!(!line.contains("hosts="), "{line}");
+        assert_eq!(line, status_line(&again, &r));
+        assert_ne!(line, status_line(&plain, &r), "the failure is surfaced");
+    }
+
     #[test]
     fn durations_format_compactly() {
         assert_eq!(fmt_duration_ms(850), "850ms");
