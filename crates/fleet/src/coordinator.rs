@@ -1098,17 +1098,27 @@ fn spawn_worker_attempt(
     // failed: a worker that got its final burst out and exited cleanly
     // in the same instant the watchdog fired still succeeded (the kill
     // landed on an already-finished process).
-    let outcome = stream_res.and(match status {
-        Ok(st) if st.success() => Ok(()),
-        Ok(st) => Err(FleetError::Worker {
+    let outcome = match (stream_res, status) {
+        (Ok(()), Ok(st)) if st.success() => Ok(()),
+        (Ok(()), Ok(st)) => Err(FleetError::Worker {
             shard,
             msg: format!("exited with {st}"),
         }),
-        Err(e) => Err(FleetError::Worker {
+        (Ok(()), Err(e)) => Err(FleetError::Worker {
             shard,
             msg: format!("wait failed: {e}"),
         }),
-    });
+        // A worker that died mid-line also exited nonzero on its own (an
+        // exit code, where the reaping kill above leaves a signal): the
+        // exit status is the likelier cause, so report both.
+        (Err(FleetError::Worker { msg, .. }), Ok(st)) if st.code().is_some_and(|c| c != 0) => {
+            Err(FleetError::Worker {
+                shard,
+                msg: format!("{msg}; worker exited with {st}"),
+            })
+        }
+        (Err(e), _) => Err(e),
+    };
     match outcome {
         // A failure while draining for an interrupt *is* the interrupt:
         // the kill was ours.

@@ -357,9 +357,23 @@ mod spawned {
         cfg.retry_backoff_ms = 0;
         let fleet = run_fleet_spawned(&spec, &cfg, &make, &mut rec).unwrap();
         assert_eq!(to_csv(&fleet), to_csv(&single), "respawn == clean sweep");
-        assert!(rec.0.iter().any(
-            |e| matches!(e, Event::ShardFailed { shard, attempt: 0, .. } if *shard == victim)
-        ));
+        let msg = rec
+            .0
+            .iter()
+            .find_map(|e| match e {
+                Event::ShardFailed {
+                    shard,
+                    attempt: 0,
+                    msg,
+                    ..
+                } if *shard == victim => Some(msg.clone()),
+                _ => None,
+            })
+            .expect("the victim's first attempt failed");
+        assert!(
+            msg.contains("bad event line") && msg.contains("exit status: 3"),
+            "the failure names the torn line and the exit status: {msg}"
+        );
         assert!(rec.0.contains(&Event::ShardRetried {
             shard: victim,
             attempt: 1,

@@ -17,7 +17,7 @@
 //! own pending op if one is in the window, otherwise it borrows the
 //! earliest reachable op, breaking ties toward the smallest displacement.
 //!
-//! # Implementation: an event-driven core over flat memory
+//! # Implementation: a per-cycle frontier over flat memory
 //!
 //! The scheduler is the hot path of every sweep campaign, so its data
 //! layout and control flow are tuned for the steady state:
@@ -35,25 +35,21 @@
 //!   cross-product as bordered-index displacements, in
 //!   `(dsum, enumeration)` priority order — and a border read stands in
 //!   for a tap clipped at the grid edge: it reads `NONE` and loses every
-//!   arbitration. The per-cycle scan is a fixed-trip branchless
+//!   arbitration. The per-slot scan is a fixed-trip branchless
 //!   min-chain with no per-slot bounds, monomorphized over the tap count
 //!   for the window families the sweeps explore.
-//! * Slots are **event-driven**: when a slot's scan finds no reachable
-//!   work, the slot records the earliest time row any of its tap columns
-//!   could offer (`wake_t`, the minimum head time over its taps) and
-//!   goes dormant in a wake bucket for that row. Dormant slots are
-//!   skipped entirely (an active-slot bitset) until the horizon
-//!   `H + depth − 1` reaches their `wake_t`. This is sound because both
-//!   column heads and the horizon move monotonically forward in time:
-//!   while `horizon < wake_t`, no tap column can hold a reachable op
-//!   (heads only advance, so the current minimum head time is at least
-//!   the recorded `wake_t`). A woken slot simply rescans; if its op was
-//!   consumed by another slot in the meantime it re-sleeps with a
-//!   strictly later `wake_t`. With a one-tap window (no lane or spatial
-//!   reach) a slot whose next op sits exactly one row past the horizon
-//!   is not pre-slept: on dense rows the horizon advances every cycle,
-//!   and sleeping would only thrash the wake lists. Dormancy decides
-//!   which slots get scanned, never what a scan finds.
+//! * Each cycle visits only its **frontier**: the slots with a tap
+//!   column whose head is ready (`t ≤ H + depth − 1`) at cycle start.
+//!   Within a cycle the horizon is fixed and heads only move forward,
+//!   so no other slot can act. One pass over a flat copy of the heads
+//!   (padded to whole words with `NONE`) builds a `ready` bitset; the
+//!   frontier is `ready` OR'd with `ready` shifted by each tap's flat
+//!   displacement, masked to the slot count. A shift that wraps across
+//!   a line edge only adds a slot whose scan finds nothing; no slot
+//!   that can act is ever left out. Frontier slots are visited in slot
+//!   order, so the assignment stream comes out in the reference's
+//!   order. A cycle is starved iff fewer ops than slots executed while
+//!   work remained, and the next `H` is the minimum head.
 //!
 //! The observable semantics — [`Schedule`] counters and the
 //! [`Assignment`] stream — are **bit-identical** to the naive
@@ -65,7 +61,7 @@ use crate::config::Priority;
 use crate::window::EffectiveWindow;
 
 /// Sentinel for "no entry": an exhausted column head, a border cell of
-/// the head volume, the end of an intrusive wake list.
+/// the head volume, a padding slot of the flat head array.
 const NONE: u32 = u32::MAX;
 
 /// A grid of effectual operations in blocked coordinates.
@@ -88,10 +84,6 @@ pub struct OpGrid {
     pub(crate) col_off: Vec<u32>,
     /// Concatenated per-column op time indices, each column sorted.
     pub(crate) ops: Vec<u32>,
-    /// Ops per original time row, maintained by every builder so the
-    /// scheduler seeds its row counters with one copy instead of
-    /// re-scanning the whole op buffer per tile.
-    pub(crate) t_counts: Vec<u32>,
 }
 
 impl Default for OpGrid {
@@ -105,7 +97,6 @@ impl Default for OpGrid {
             cols: 0,
             col_off: vec![0],
             ops: Vec::new(),
-            t_counts: Vec::new(),
         }
     }
 }
@@ -134,8 +125,6 @@ impl OpGrid {
         self.col_off.clear();
         self.col_off.resize(columns + 1, 0);
         self.ops.clear();
-        self.t_counts.clear();
-        self.t_counts.resize(t_steps, 0);
     }
 
     /// Turns per-column counts left in `col_off[c + 1]` into start
@@ -168,9 +157,7 @@ impl OpGrid {
 
     /// Scatters one op into column `c` during the fill pass, using
     /// `col_off[c]` as the running cursor (the classic CSR fill; offsets
-    /// are restored by [`Self::finish_fill`]). The caller is responsible
-    /// for having counted the op into `t_counts` (builders do it in
-    /// their counting pass, one bulk update per span instead of per op).
+    /// are restored by [`Self::finish_fill`]).
     #[inline]
     pub(crate) fn push_counted(&mut self, c: usize, t: u32) {
         let at = self.col_off[c];
@@ -211,7 +198,6 @@ impl OpGrid {
                             let c = (lane * rows + row) * cols + col;
                             pairs.push((c as u32, t as u32));
                             grid.col_off[c] += 1;
-                            grid.t_counts[t] += 1;
                         }
                     }
                 }
@@ -256,7 +242,6 @@ impl OpGrid {
         for &(t, lane, row, col) in ops {
             debug_assert!(t < t_steps && lane < lanes && row < rows && col < cols);
             self.col_off[(lane * rows + row) * cols + col] += 1;
-            self.t_counts[t] += 1;
         }
         self.finish_counts();
         for &(t, lane, row, col) in ops {
@@ -379,8 +364,8 @@ pub struct Assignment {
     pub slot: (usize, usize, usize),
 }
 
-/// Reusable scheduler state: column heads, per-row op counts, the tap
-/// list and the dormant-slot frontier machinery.
+/// Reusable scheduler state: column heads (bordered and flat), the tap
+/// list and the ready bitset the frontier is shifted out of.
 ///
 /// One scratch serves any sequence of grids and windows; every buffer is
 /// sized on entry and keeps its capacity, so steady-state tile
@@ -391,11 +376,6 @@ pub struct SchedScratch {
     /// Absolute index of each column's next unconsumed op in
     /// `OpGrid::ops`; only touched when a head actually pops.
     head_cursor: Vec<u32>,
-    /// Remaining op count per original time row; row `H` advances when
-    /// its count reaches zero.
-    row_remaining: Vec<u32>,
-    /// Bitset of active (non-dormant) slots.
-    active: Vec<u64>,
     /// Bordered head-time volume: each column's head op time
     /// (`NONE` when exhausted) at its `(lane, row, col)` position,
     /// surrounded by a sentinel border of `NONE` wide enough for the
@@ -403,6 +383,13 @@ pub struct SchedScratch {
     /// (border taps read `NONE` and lose every arbitration, exactly like
     /// a tap clipped at the grid edge).
     head_b: Vec<u32>,
+    /// The same head times by flat column, padded with `NONE` to whole
+    /// 64-slot words: the source of each cycle's `ready` bits and `H`.
+    head_t: Vec<u32>,
+    /// Ready bitset (bit `c` set iff column `c`'s head is within the
+    /// horizon), with zero words on both sides wide enough that every
+    /// tap's shift reads inside the buffer.
+    ready: Vec<u64>,
     /// Bordered index of each flat slot.
     bb_of: Vec<u32>,
     /// Flat column of each bordered index (`NONE` on the border).
@@ -412,11 +399,9 @@ pub struct SchedScratch {
     deltas: Vec<i32>,
     /// Total displacement `|Δlane| + |Δrow| + |Δcol|` of each tap.
     delta_dsum: Vec<u32>,
-    /// Intrusive singly-linked wake buckets: `wake_head[t]` is the first
-    /// dormant slot waiting for the horizon to reach `t`.
-    wake_head: Vec<u32>,
-    /// Next pointer per slot for the wake bucket lists.
-    wake_next: Vec<u32>,
+    /// Each tap's flat displacement as a shift of `ready`: the word
+    /// offset (padding included) and the bit offset within a word.
+    shifts: Vec<(usize, u32)>,
 }
 
 impl SchedScratch {
@@ -459,7 +444,7 @@ pub fn schedule_with(
     priority: Priority,
     scratch: &mut SchedScratch,
 ) -> Schedule {
-    run_event(grid, win, priority, scratch, &mut NoSink)
+    run_frontier(grid, win, priority, scratch, &mut NoSink)
 }
 
 /// [`schedule_assign`] with caller-provided scratch and output buffer.
@@ -473,7 +458,7 @@ pub fn schedule_assign_with(
     out: &mut Vec<Assignment>,
 ) -> Schedule {
     out.clear();
-    run_event(grid, win, priority, scratch, out)
+    run_frontier(grid, win, priority, scratch, out)
 }
 
 /// Assignment consumer, monomorphized so the non-collecting scheduler
@@ -501,14 +486,15 @@ impl Sink for Vec<Assignment> {
     }
 }
 
-/// The event-driven core: builds the tap list and dispatches to the one
-/// event loop, monomorphized over the tap count.
+/// The frontier core: builds the tap list and its ready-bitset shifts,
+/// then dispatches to the one cycle loop, monomorphized over the tap
+/// count.
 ///
 /// The window families the sweeps explore produce tiny tap lists (1–9
 /// taps), and a compile-time trip count turns every arbitration scan and
-/// dormancy walk into a fully unrolled branchless min-chain. `W = 0` is
-/// the runtime-length instance for every other tap count.
-fn run_event<S: Sink>(
+/// frontier shift into a fully unrolled branchless chain. `W = 0` is the
+/// runtime-length instance for every other tap count.
+fn run_frontier<S: Sink>(
     grid: &OpGrid,
     win: EffectiveWindow,
     priority: Priority,
@@ -521,13 +507,20 @@ fn run_event<S: Sink>(
     }
     // Tap list in `(dsum, enumeration)` priority order: the
     // `signed_offsets` cross-product as displacements into the bordered
-    // head volume (see `run_event_w`), where border reads stand in for
+    // head volume (see `run_frontier_w`), where border reads stand in for
     // taps clipped at the grid edge.
-    let [_, p2, p3] = border(win);
+    let [p1, p2, p3] = border(win);
     let e2 = (grid.rows + 2 * p2) as isize;
     let e3 = (grid.cols + 2 * p3) as isize;
+    // Each tap's flat displacement `f` shifts the ready bitset. A shift
+    // past the grid's whole words reads only zero padding, so `f` is
+    // clamped there, which bounds the padding at one more word.
+    let words = (grid.lanes * grid.rows * grid.cols).div_ceil(64);
+    let pad = ((p1 * grid.rows + p2) * grid.cols + p3).min(64 * words) / 64 + 1;
+    let (rows, cols, lim) = (grid.rows as isize, grid.cols as isize, 64 * words as isize);
     scratch.deltas.clear();
     scratch.delta_dsum.clear();
+    scratch.shifts.clear();
     for dl in signed_offsets(win.lane) {
         for dr in signed_offsets(win.rows) {
             for dc in signed_offsets(win.cols) {
@@ -535,11 +528,17 @@ fn run_event<S: Sink>(
                 scratch
                     .delta_dsum
                     .push((dl.unsigned_abs() + dr.unsigned_abs() + dc.unsigned_abs()) as u32);
+                let f = ((dl * rows + dr) * cols + dc).clamp(-lim, lim);
+                scratch.shifts.push((
+                    (pad as isize + f.div_euclid(64)) as usize,
+                    f.rem_euclid(64) as u32,
+                ));
             }
         }
     }
     // Stable insertion sort by dsum (the list is short), keeping the
-    // enumeration order inside equal displacements.
+    // enumeration order inside equal displacements. The shifts are
+    // OR'd together, so their order does not matter.
     for i in 1..scratch.deltas.len() {
         let mut j = i;
         while j > 0 && scratch.delta_dsum[j - 1] > scratch.delta_dsum[j] {
@@ -549,13 +548,13 @@ fn run_event<S: Sink>(
         }
     }
     match scratch.deltas.len() {
-        1 => run_event_w::<1, S>(grid, win, priority, scratch, sink),
-        2 => run_event_w::<2, S>(grid, win, priority, scratch, sink),
-        3 => run_event_w::<3, S>(grid, win, priority, scratch, sink),
-        4 => run_event_w::<4, S>(grid, win, priority, scratch, sink),
-        6 => run_event_w::<6, S>(grid, win, priority, scratch, sink),
-        9 => run_event_w::<9, S>(grid, win, priority, scratch, sink),
-        _ => run_event_w::<0, S>(grid, win, priority, scratch, sink),
+        1 => run_frontier_w::<1, S>(grid, win, priority, pad, scratch, sink),
+        2 => run_frontier_w::<2, S>(grid, win, priority, pad, scratch, sink),
+        3 => run_frontier_w::<3, S>(grid, win, priority, pad, scratch, sink),
+        4 => run_frontier_w::<4, S>(grid, win, priority, pad, scratch, sink),
+        6 => run_frontier_w::<6, S>(grid, win, priority, pad, scratch, sink),
+        9 => run_frontier_w::<9, S>(grid, win, priority, pad, scratch, sink),
+        _ => run_frontier_w::<0, S>(grid, win, priority, pad, scratch, sink),
     }
 }
 
@@ -566,18 +565,18 @@ fn border(win: EffectiveWindow) -> [usize; 3] {
     [win.lane, win.rows, win.cols].map(|reach| reach.div_ceil(2))
 }
 
-/// The event loop proper, monomorphized over the tap count `W`
-/// (`0` = read the length at runtime). See [`run_event`].
+/// The cycle loop proper, monomorphized over the tap count `W`
+/// (`0` = read the length at runtime). See [`run_frontier`].
 ///
-/// Column head times sit in a bordered `(lane, row, col)` volume, so
-/// out-of-grid taps read the `NONE` border and lose every comparison,
-/// exactly like a tap clipped at the grid edge. Every slot shares one
-/// displacement list, and the arbitration scan is a fixed-trip
-/// branchless min-chain with no per-slot bounds and no data-dependent
-/// early exits. The scan tracks the second-smallest head alongside the
-/// minimum, so the post-borrow dormancy check becomes `min(second,
-/// popped column's next head)` — the only head a pop moves is the popped
-/// column's — instead of re-walking the neighbourhood.
+/// Each cycle fixes the horizon from `H`, the minimum head, builds the
+/// ready bitset from the flat heads, and visits the frontier (`ready`
+/// OR'd with its per-tap shifts, `pad` words of zeros on each side) in
+/// slot order. Column head times sit in a bordered `(lane, row, col)`
+/// volume, so out-of-grid taps read the `NONE` border and lose every
+/// comparison, exactly like a tap clipped at the grid edge. Every slot
+/// shares one displacement list, and the arbitration scan is a
+/// fixed-trip branchless min-chain with no per-slot bounds and no
+/// data-dependent early exits.
 ///
 /// Results are **bit-identical** to [`reference`], pinned by the
 /// differential tests.
@@ -586,15 +585,17 @@ fn border(win: EffectiveWindow) -> [usize; 3] {
 /// the 9-tap instance ran ~10% slower on the `griffin-cli bench`
 /// `lane_reach` tile (x86-64), for the cost of one call per tile.
 #[inline(never)]
-fn run_event_w<const W: usize, S: Sink>(
+fn run_frontier_w<const W: usize, S: Sink>(
     grid: &OpGrid,
     win: EffectiveWindow,
     priority: Priority,
+    pad: usize,
     scratch: &mut SchedScratch,
     sink: &mut S,
 ) -> Schedule {
     let total = grid.total_ops();
     let slots = grid.lanes * grid.rows * grid.cols;
+    let words = slots.div_ceil(64);
     let row_cols = grid.rows * grid.cols;
     let [p1, p2, p3] = border(win);
     let e2 = grid.rows + 2 * p2;
@@ -615,6 +616,10 @@ fn run_event_w<const W: usize, S: Sink>(
     scratch.flat_of.resize(volume, NONE);
     scratch.head_b.clear();
     scratch.head_b.resize(volume, NONE);
+    scratch.head_t.clear();
+    scratch.head_t.resize(words * 64, NONE);
+    scratch.ready.clear();
+    scratch.ready.resize(words + 2 * pad, 0);
     scratch.head_cursor.clear();
     scratch.head_cursor.reserve(slots);
     for l in 0..grid.lanes {
@@ -625,109 +630,97 @@ fn run_event_w<const W: usize, S: Sink>(
                 scratch.bb_of.push(bb as u32);
                 scratch.flat_of[bb] = c as u32;
                 let (lo, hi) = (grid.col_off[c], grid.col_off[c + 1]);
-                scratch.head_b[bb] = if lo < hi { grid.ops[lo as usize] } else { NONE };
+                let head = if lo < hi { grid.ops[lo as usize] } else { NONE };
+                scratch.head_b[bb] = head;
+                scratch.head_t[c] = head;
                 scratch.head_cursor.push(lo);
             }
         }
     }
-    scratch.row_remaining.clear();
-    scratch.row_remaining.extend_from_slice(&grid.t_counts);
-    let words = slots.div_ceil(64);
-    scratch.active.clear();
-    scratch.active.resize(words, !0u64);
-    if !slots.is_multiple_of(64) {
-        scratch.active[words - 1] = (1u64 << (slots % 64)) - 1;
-    }
-    scratch.wake_head.clear();
-    scratch.wake_head.resize(grid.t_steps, NONE);
-    scratch.wake_next.clear();
-    scratch.wake_next.resize(slots, NONE);
 
     // Split borrows for the hot loop, as slices: their base pointers
     // then live in registers instead of being reloaded from the scratch
     // after every store into a buffer.
     let SchedScratch {
-        head_b,
         head_cursor,
-        row_remaining,
-        active,
-        wake_head,
-        wake_next,
+        head_b,
+        head_t,
+        ready,
         bb_of,
         flat_of,
         deltas,
         delta_dsum,
+        shifts,
     } = scratch;
-    let (head_b, head_cursor, row_remaining) = (
-        &mut head_b[..],
+    let (head_cursor, head_b, head_t, ready) = (
         &mut head_cursor[..],
-        &mut row_remaining[..],
+        &mut head_b[..],
+        &mut head_t[..],
+        &mut ready[..],
     );
-    let (active, wake_head, wake_next) = (&mut active[..], &mut wake_head[..], &mut wake_next[..]);
-    // Slicing the tap list to `n_taps` makes its length the constant `W`
-    // in each const instance, so indexing by the winning tap needs no
+    // Slicing the tap lists to `n_taps` makes their length the constant
+    // `W` in each const instance, so indexing by the winning tap needs no
     // bounds check.
-    let (bb_of, flat_of, deltas, delta_dsum) = (
+    let (bb_of, flat_of, deltas, delta_dsum, shifts) = (
         &bb_of[..],
         &flat_of[..],
         &deltas[..n_taps],
         &delta_dsum[..n_taps],
+        &shifts[..n_taps],
     );
-
-    let mut h = 0usize; // oldest unfinished time row
-    while h < grid.t_steps && row_remaining[h] == 0 {
-        h += 1;
-    }
+    // Frontier bits at or past `slots` come from shifts, not slots.
+    let tail = match slots % 64 {
+        0 => !0u64,
+        r => (1u64 << r) - 1,
+    };
 
     let mut remaining = total;
-    let mut dormant = 0usize;
     let mut cycles = 0u64;
     let mut borrowed = 0u64;
     let mut starved_cycles = 0u64;
-    let mut prev_horizon = 0usize;
-    let mut first_cycle = true;
 
     while remaining > 0 {
         cycles += 1;
-        let horizon = (h + win.depth - 1).min(grid.t_steps - 1);
-        let horizon32 = horizon as u32;
-        // Pre-sleep threshold. With one tap (no reach), a slot whose next
-        // op sits exactly one row past the horizon stays active: on dense
-        // rows the horizon advances every cycle, and sleeping would just
-        // thrash the wake lists. Dormancy only decides which slots get
-        // scanned, so this never changes results.
-        let sleep_above = horizon32 + u32::from(W == 1);
-
-        // Wake dormant slots whose earliest reachable row entered the
-        // window. The horizon is monotone, so each bucket drains once.
-        if !first_cycle && horizon > prev_horizon {
-            for wh in &mut wake_head[prev_horizon + 1..=horizon] {
-                let mut slot = *wh;
-                *wh = NONE;
-                while slot != NONE {
-                    let s = slot as usize;
-                    slot = wake_next[s];
-                    active[s / 64] |= 1u64 << (s % 64);
-                    dormant -= 1;
-                }
+        // `H`, the oldest unfinished row, is the minimum head; work
+        // remains, so it is a live op time.
+        let h = head_t.iter().fold(NONE, |m, &t| m.min(t));
+        let horizon32 = (h as usize + win.depth - 1).min(grid.t_steps - 1) as u32;
+        for (bits, heads) in ready[pad..pad + words]
+            .iter_mut()
+            .zip(head_t.chunks_exact(64))
+        {
+            let mut w = 0u64;
+            for (j, &t) in heads.iter().enumerate() {
+                w |= u64::from(t <= horizon32) << j;
             }
+            *bits = w;
         }
-        first_cycle = false;
-        prev_horizon = horizon;
 
-        // Slots dormant at this point idle through the whole cycle; a
-        // slot that pre-sleeps *after* executing below does not (it
-        // only joins the idle set from the next cycle on).
-        let mut idled = dormant > 0;
-
-        for (wd, aw) in active.iter_mut().enumerate() {
-            let mut bits = *aw;
-            let mut cleared = 0u64;
+        let mut pops = 0usize;
+        for wd in 0..words {
+            // The frontier word: slot `s` is in it iff some tap's column
+            // `s + f` is ready. `(hi << 1) << (63 - r)` is `hi << (64 - r)`
+            // without overflowing at `r = 0`.
+            let mut bits = 0u64;
+            for &(off, r) in shifts {
+                // SAFETY: `off + wd + 1 < words + 2 * pad = ready.len()`
+                // by the padding construction in `run_frontier`.
+                let (lo, hi) = unsafe {
+                    (
+                        *ready.get_unchecked(wd + off),
+                        *ready.get_unchecked(wd + off + 1),
+                    )
+                };
+                bits |= (lo >> r) | ((hi << 1) << (63 - r));
+            }
+            if wd + 1 == words {
+                bits &= tail;
+            }
             while bits != 0 {
                 let slot = wd * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                // SAFETY: `slot < slots` from the active bitset, and
-                // `bb_of` holds one in-volume interior index per slot.
+                // SAFETY: `slot < slots` (the tail mask), and `bb_of`
+                // holds one in-volume interior index per slot.
                 let bb = unsafe { *bb_of.get_unchecked(slot) } as usize;
                 let own_t = unsafe { *head_b.get_unchecked(bb) };
 
@@ -735,12 +728,10 @@ fn run_event_w<const W: usize, S: Sink>(
                 // time window (`NONE` > horizon when the column is
                 // exhausted).
                 if priority == Priority::OwnFirst && own_t <= horizon32 {
-                    let t = own_t;
-                    // SAFETY: `slot < slots` bounds `head_cursor` and
-                    // `col_off`; the cursor stays within the column's CSR
-                    // slice; `t` is an op time, so `t < t_steps` =
-                    // `row_remaining.len()`.
-                    let nt = unsafe {
+                    // SAFETY: `slot < slots` bounds `head_cursor`,
+                    // `head_t` and `col_off`; the cursor stays within
+                    // the column's CSR slice.
+                    unsafe {
                         let hp = *head_cursor.get_unchecked(slot) + 1;
                         let nt = if hp < *grid.col_off.get_unchecked(slot + 1) {
                             *grid.ops.get_unchecked(hp as usize)
@@ -748,11 +739,10 @@ fn run_event_w<const W: usize, S: Sink>(
                             NONE
                         };
                         *head_b.get_unchecked_mut(bb) = nt;
+                        *head_t.get_unchecked_mut(slot) = nt;
                         *head_cursor.get_unchecked_mut(slot) = hp;
-                        *row_remaining.get_unchecked_mut(t as usize) -= 1;
-                        nt
-                    };
-                    remaining -= 1;
+                    }
+                    pops += 1;
                     if S::ACTIVE {
                         let src = (
                             slot / row_cols,
@@ -760,49 +750,19 @@ fn run_event_w<const W: usize, S: Sink>(
                             slot % grid.cols,
                         );
                         sink.push(Assignment {
-                            t,
+                            t: own_t,
                             src,
                             cycle: cycles - 1,
                             slot: src,
                         });
-                    }
-                    // Pre-sleep: if no tap (own column included) can
-                    // offer work at the current horizon, the next visit
-                    // would fail — skip it. Sound because heads and the
-                    // horizon are monotone; equivalent because a dormant
-                    // slot idles exactly like a scan that finds nothing.
-                    if nt > sleep_above {
-                        let mut m = NONE;
-                        for i in 0..n_taps {
-                            // SAFETY: `i < n_taps = deltas.len()`; `bb`
-                            // is interior and every delta stays inside
-                            // the sentinel border by pad construction.
-                            let t = unsafe {
-                                *head_b.get_unchecked(
-                                    (bb as isize + *deltas.get_unchecked(i) as isize) as usize,
-                                )
-                            };
-                            m = m.min(t);
-                        }
-                        if m > sleep_above {
-                            cleared |= 1u64 << (slot % 64);
-                            dormant += 1;
-                            if m != NONE {
-                                wake_next[slot] = wake_head[m as usize];
-                                wake_head[m as usize] = slot as u32;
-                            }
-                        }
                     }
                     continue;
                 }
 
                 // Branchless arbitration scan: strict `<` over head
                 // times in `(dsum, enumeration)` order resolves the full
-                // `(t, dsum, tap order)` priority (first minimum wins);
-                // the second-smallest head rides along for the
-                // post-borrow dormancy check.
+                // `(t, dsum, tap order)` priority (first minimum wins).
                 let mut bt = NONE;
-                let mut m2 = NONE;
                 let mut best_i = 0usize;
                 for i in 0..n_taps {
                     // SAFETY: `i < n_taps = deltas.len()`; `bb` is
@@ -814,100 +774,60 @@ fn run_event_w<const W: usize, S: Sink>(
                         )
                     };
                     let lt = t < bt;
-                    let demoted = if lt { bt } else { t };
-                    m2 = m2.min(demoted);
                     bt = if lt { t } else { bt };
                     best_i = if lt { i } else { best_i };
                 }
-
-                if bt <= horizon32 {
-                    let pb = (bb as isize + deltas[best_i] as isize) as usize;
-                    // SAFETY: the winning head is a live op time, so `pb`
-                    // is interior (border entries are `NONE` and lose to
-                    // every live head); `flat_of` maps interior entries
-                    // to their flat column.
-                    let best_c = unsafe { *flat_of.get_unchecked(pb) } as usize;
-                    let dsum = delta_dsum[best_i];
-                    // SAFETY: `best_c < slots` (see above); the cursor
-                    // stays within the column's CSR slice; `bt` is an op
-                    // time, so `bt < t_steps` = `row_remaining.len()`.
-                    let nt = unsafe {
-                        let hp = *head_cursor.get_unchecked(best_c) + 1;
-                        let nt = if hp < *grid.col_off.get_unchecked(best_c + 1) {
-                            *grid.ops.get_unchecked(hp as usize)
-                        } else {
-                            NONE
-                        };
-                        *head_b.get_unchecked_mut(pb) = nt;
-                        *head_cursor.get_unchecked_mut(best_c) = hp;
-                        *row_remaining.get_unchecked_mut(bt as usize) -= 1;
-                        nt
+                if bt > horizon32 {
+                    // Nothing reachable: the slot idles this cycle.
+                    continue;
+                }
+                let pb = (bb as isize + deltas[best_i] as isize) as usize;
+                // SAFETY: the winning head is a live op time, so `pb` is
+                // interior (border entries are `NONE` and lose to every
+                // live head); `flat_of` maps interior entries to their
+                // flat column, so `best_c < slots`; the cursor stays
+                // within the column's CSR slice.
+                let best_c = unsafe { *flat_of.get_unchecked(pb) } as usize;
+                unsafe {
+                    let hp = *head_cursor.get_unchecked(best_c) + 1;
+                    let nt = if hp < *grid.col_off.get_unchecked(best_c + 1) {
+                        *grid.ops.get_unchecked(hp as usize)
+                    } else {
+                        NONE
                     };
-                    remaining -= 1;
-                    if dsum > 0 {
-                        borrowed += 1;
-                    }
-                    if S::ACTIVE {
-                        sink.push(Assignment {
-                            t: bt,
-                            src: (
-                                best_c / row_cols,
-                                best_c % row_cols / grid.cols,
-                                best_c % grid.cols,
-                            ),
-                            cycle: cycles - 1,
-                            slot: (
-                                slot / row_cols,
-                                slot % row_cols / grid.cols,
-                                slot % grid.cols,
-                            ),
-                        });
-                    }
-                    // Post-borrow dormancy: the pop moved exactly one
-                    // head (the popped column's), so the fresh
-                    // neighbourhood minimum is `min(second-best, its
-                    // next head)` — no re-walk.
-                    let m = m2.min(nt);
-                    if m > sleep_above {
-                        cleared |= 1u64 << (slot % 64);
-                        dormant += 1;
-                        if m != NONE {
-                            wake_next[slot] = wake_head[m as usize];
-                            wake_head[m as usize] = slot as u32;
-                        }
-                    }
-                } else {
-                    // Nothing reachable: idle, then sleep until the
-                    // horizon reaches the earliest tap head (`bt` is the
-                    // exact full minimum — the scan has no early exit —
-                    // and stays `NONE` when the whole neighbourhood is
-                    // exhausted, so the slot never wakes again).
-                    idled = true;
-                    cleared |= 1u64 << (slot % 64);
-                    dormant += 1;
-                    if bt != NONE {
-                        // SAFETY: a non-NONE `bt` is an op time, and op
-                        // times are `< t_steps` (= `wake_head.len()`) by
-                        // builder construction; `slot < slots` from the
-                        // active bitset.
-                        unsafe {
-                            *wake_next.get_unchecked_mut(slot) =
-                                *wake_head.get_unchecked(bt as usize);
-                            *wake_head.get_unchecked_mut(bt as usize) = slot as u32;
-                        }
-                    }
+                    *head_b.get_unchecked_mut(pb) = nt;
+                    *head_t.get_unchecked_mut(best_c) = nt;
+                    *head_cursor.get_unchecked_mut(best_c) = hp;
+                }
+                pops += 1;
+                if delta_dsum[best_i] > 0 {
+                    borrowed += 1;
+                }
+                if S::ACTIVE {
+                    sink.push(Assignment {
+                        t: bt,
+                        src: (
+                            best_c / row_cols,
+                            best_c % row_cols / grid.cols,
+                            best_c % grid.cols,
+                        ),
+                        cycle: cycles - 1,
+                        slot: (
+                            slot / row_cols,
+                            slot % row_cols / grid.cols,
+                            slot % grid.cols,
+                        ),
+                    });
                 }
             }
-            *aw &= !cleared;
         }
 
-        // A starved cycle is one where some slot idled while work
-        // remained outside its window.
-        if idled && remaining > 0 {
+        // Every slot pops at most once a cycle, so some slot idled iff
+        // fewer than `slots` ops executed; the cycle is starved if work
+        // remains.
+        remaining -= pops;
+        if pops < slots && remaining > 0 {
             starved_cycles += 1;
-        }
-        while h < grid.t_steps && row_remaining[h] == 0 {
-            h += 1;
         }
     }
 
@@ -920,12 +840,12 @@ fn run_event_w<const W: usize, S: Sink>(
 }
 
 /// The naive rescan-everything scheduler, retained verbatim as the
-/// semantic reference for the event-driven core.
+/// semantic reference for the frontier core.
 ///
 /// Every cycle it re-walks each slot's full borrowing cross-product,
 /// exactly as §III describes the arbitration. It is the ground truth
 /// for the differential property tests; production paths use the
-/// event-driven [`schedule`]/[`schedule_with`] family, which must
+/// frontier [`schedule`]/[`schedule_with`] family, which must
 /// produce bit-identical [`Schedule`]s and [`Assignment`] streams.
 pub mod reference {
     use super::{offset, signed_offsets, Assignment, OpGrid, Schedule};
@@ -1374,8 +1294,8 @@ mod tests {
         assert_eq!(s.executed, 1);
     }
 
-    /// The event-driven core against the retained reference on a grid
-    /// mix that exercises dormancy, waking and dead slots. Broad random
+    /// The frontier core against the retained reference on a grid mix
+    /// with empty rows, idle frontier slots and dead slots. Broad random
     /// coverage lives in the proptest suite (`tests/` of the façade).
     #[test]
     fn event_core_matches_reference_exactly() {
@@ -1471,13 +1391,13 @@ mod tests {
 
     /// Contended reach windows on 3-D grids: many slots borrow from the
     /// same few donor columns, so arbitration tie-breaks, border taps
-    /// and post-borrow dormancy all decide outcomes; the reference must
-    /// agree exactly, assignments included.
+    /// and frontier shifts across line edges all decide outcomes; the
+    /// reference must agree exactly, assignments included.
     #[test]
     fn ready_queue_matches_reference_under_contention() {
         // Clustered columns: a few hot columns hold long runs while
         // their neighbours are empty or sparse, so borrows hammer the
-        // same heads and slots sleep and wake on them repeatedly.
+        // same heads and slots drop in and out of the frontier.
         let grids = [
             OpGrid::from_fn(32, 4, 2, 2, |t, l, r, c| {
                 (l == 1 && r == 0 && c == 0) || (t + l * 7 + r * 3 + c * 5) % 11 == 0

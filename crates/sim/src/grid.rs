@@ -62,7 +62,6 @@ pub fn build_b_grid(grid: &mut OpGrid, span: &mut Vec<u64>, view: &BTileView<'_>
                     0
                 };
                 span.push(bits);
-                grid.t_counts[t] += bits.count_ones();
                 let base = lanes.dest_lane(src, t) * n0;
                 let mut w = bits;
                 while w != 0 {
@@ -92,7 +91,6 @@ pub fn build_b_grid(grid: &mut OpGrid, span: &mut Vec<u64>, view: &BTileView<'_>
                 let lane = lanes.dest_lane(src, t);
                 mask.for_each_set_in_row(t * core.k0 + src, n_base, n_base + n0, |n| {
                     grid.col_off[lane * n0 + (n - n_base)] += 1;
-                    grid.t_counts[t] += 1;
                 });
             }
         }
@@ -130,10 +128,8 @@ pub fn build_a_grid(grid: &mut OpGrid, span: &mut Vec<u64>, view: &ATileView<'_>
         span.clear();
         for r in 0..m0 {
             for t in 0..t_steps {
-                let w = mask.span_bits(m_base + r, t * core.k0, core.k0);
+                let mut w = mask.span_bits(m_base + r, t * core.k0, core.k0);
                 span.push(w);
-                grid.t_counts[t] += w.count_ones();
-                let mut w = w;
                 while w != 0 {
                     let lane = lanes.dest_lane(w.trailing_zeros() as usize, t);
                     grid.col_off[lane * m0 + r] += 1;
@@ -163,7 +159,6 @@ pub fn build_a_grid(grid: &mut OpGrid, span: &mut Vec<u64>, view: &ATileView<'_>
                 let t = k / core.k0;
                 let lane = lanes.dest_lane(k % core.k0, t);
                 grid.col_off[lane * m0 + r] += 1;
-                grid.t_counts[t] += 1;
             });
         }
         grid.finish_counts();
@@ -228,10 +223,7 @@ pub(crate) fn build_pair_grid(
     a_rows: Option<&[u64]>,
 ) {
     grid.reset_dims(t_steps, k0, rows, n0);
-    for_each_pair_op(placements, rows, n0, a_rows, |c, t| {
-        grid.col_off[c] += 1;
-        grid.t_counts[t as usize] += 1;
-    });
+    for_each_pair_op(placements, rows, n0, a_rows, |c, _| grid.col_off[c] += 1);
     grid.finish_counts();
     for_each_pair_op(placements, rows, n0, a_rows, |c, t| grid.push_counted(c, t));
     grid.finish_fill();

@@ -8,8 +8,8 @@
 //!
 //! * [`window`] — borrowing windows along the three blocked dimensions,
 //! * [`shuffle`] — the rotation-based load-balance shuffler (§III),
-//! * [`engine`] — the event-driven greedy borrowing scheduler over a
-//!   flat CSR 4-D op grid (with the naive policy retained in
+//! * [`engine`] — the greedy borrowing scheduler, a per-cycle frontier
+//!   loop over a flat CSR 4-D op grid (with the naive policy retained in
 //!   [`engine::reference`] for differential testing),
 //! * [`grid`] — word-level op-grid builders over mask bit words,
 //! * [`scratch`] — reusable simulation buffers (the zero-alloc

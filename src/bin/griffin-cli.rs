@@ -174,7 +174,10 @@ fn parse_family_or_explain(s: &str, fanin: usize) -> Result<ArchFamily, String> 
         .ok_or_else(|| scenario::unknown_token("family", s, scenario::FAMILY_TOKENS))
 }
 
-fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, String> {
+/// Parses sweep options. `owner` names the flag sets the command
+/// accepts, for the unknown-flag error (`fleet` forwards every flag it
+/// does not know here, so its errors name both sets).
+fn parse_sweep_args(args: &[String], owner: &str) -> Result<SweepArgs, String> {
     let mut out = SweepArgs {
         family: None,
         lineup: false,
@@ -228,7 +231,7 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, String> {
             "--cache" => out.cache_dir = Some(val()?),
             "--csv" => out.csv = Some(val()?),
             "--json" => out.json = Some(val()?),
-            other => return Err(format!("unknown sweep option `{other}`")),
+            other => return Err(format!("`{other}` is not a {owner} option")),
         }
     }
     if let Some(tok) = family_token {
@@ -353,13 +356,13 @@ fn cmd_sweep(workload: &str, cat: &str, rest: &[String]) -> ExitCode {
             Ok(s) => s,
             Err(code) => return code,
         };
-        let opts = match parse_sweep_args(rest) {
+        let opts = match parse_sweep_args(rest, "sweep") {
             Ok(o) => o,
             Err(e) => return explain(&e),
         };
         return run_sweep_campaign(&scen.to_spec(), &opts);
     }
-    let opts = match parse_sweep_args(rest) {
+    let opts = match parse_sweep_args(rest, "sweep") {
         Ok(o) => o,
         Err(e) => return explain(&e),
     };
@@ -428,7 +431,7 @@ fn run_sweep_campaign(spec: &SweepSpec, opts: &SweepArgs) -> ExitCode {
 }
 
 fn cmd_pareto(workload: &str, family_tok: &str, rest: &[String]) -> ExitCode {
-    let opts = match parse_sweep_args(rest) {
+    let opts = match parse_sweep_args(rest, "sweep") {
         Ok(o) => o,
         Err(e) => return explain(&e),
     };
@@ -971,7 +974,7 @@ fn cmd_fleet(workload: &str, cat: &str, rest: &[String]) -> ExitCode {
     let Some(fleet_args) = split_fleet_args(rest) else {
         return usage();
     };
-    let opts = match parse_sweep_args(&fleet_args.sweep_rest) {
+    let opts = match parse_sweep_args(&fleet_args.sweep_rest, "fleet or sweep") {
         Ok(o) => o,
         Err(e) => return explain(&e),
     };
@@ -1172,7 +1175,7 @@ fn cmd_shard_worker(workload: &str, cat: &str, rest: &[String]) -> ExitCode {
     let Some(w) = split_worker_args(rest) else {
         return usage();
     };
-    let opts = match parse_sweep_args(&w.sweep_rest) {
+    let opts = match parse_sweep_args(&w.sweep_rest, "shard-worker or sweep") {
         Ok(o) => o,
         Err(e) => return explain(&e),
     };

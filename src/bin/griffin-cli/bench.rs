@@ -2,11 +2,11 @@
 //! telemetry (`BENCH_sched.json`).
 //!
 //! Three probes, designed to track the perf trajectory of the
-//! event-driven scheduler core:
+//! scheduler core:
 //!
 //! * **micro** — representative tile grids (the `Sparse.B*` routing, a
 //!   wide lane-reach window, a narrow window, a dense tile) scheduled
-//!   by the event-driven core and by the retained naive reference,
+//!   by the frontier core and by the retained naive reference,
 //!   reporting ns/call, ns/op and the event/reference speedup;
 //! * **alloc** — allocations per tile in the steady state (grid rebuild
 //!   plus schedule with a reused scratch), counted by the process-wide
@@ -84,8 +84,8 @@ fn tile_grid(t_rows: usize, density: f64, seed: u64) -> OpGrid {
 const TIMING_CHUNKS: usize = 8;
 
 fn time_per_call(mut f: impl FnMut(), iters: usize) -> f64 {
-    // One untimed call so lazily-grown scratch (head volume, wake
-    // buckets) doesn't land in the first chunk.
+    // One untimed call so lazily-grown scratch (head volume, ready
+    // bitset) doesn't land in the first chunk.
     f();
     let per_chunk = (iters / TIMING_CHUNKS).max(1);
     let mut best = f64::INFINITY;
@@ -109,7 +109,7 @@ pub fn run_bench(args: &BenchArgs) -> Result<Json, String> {
         if args.quick { " (--quick)" } else { "" }
     );
 
-    // --- micro: event core vs retained reference -----------------------
+    // --- micro: frontier core vs retained reference --------------------
     let grid = tile_grid(t_rows, 0.19, 1);
     let dense = tile_grid(t_rows, 1.0, 2);
     let cases = [

@@ -400,6 +400,11 @@ fn the_removed_hosts_flag_is_an_unknown_flag() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2), "a usage error, not a run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("`--hosts`") && stderr.contains("fleet"),
+        "the error names the flag and the fleet flag set: {stderr}"
+    );
     assert!(
         !dir.join("fs").exists(),
         "refused before any state is written"

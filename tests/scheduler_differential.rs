@@ -1,4 +1,4 @@
-//! Differential property tests: the event-driven scheduler core must be
+//! Differential property tests: the frontier scheduler core must be
 //! observably indistinguishable from the retained naive reference
 //! (`griffin::sim::engine::reference`) — identical [`Schedule`] counters
 //! and identical [`Assignment`] streams — across random grids, windows
@@ -29,7 +29,7 @@ fn grid(t: usize, lanes: usize, rows: usize, cols: usize, density: f64, seed: u6
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Event-driven scheduler == naive reference, for both the counters
+    /// Frontier scheduler == naive reference, for both the counters
     /// and the full assignment stream, over random grids and windows.
     /// The extents are drawn too, so unit axes under non-zero reach,
     /// reaches at or beyond an axis's extent and one-tap windows on
@@ -87,6 +87,40 @@ proptest! {
 
         prop_assert_eq!(s_new, s_ref, "contended Schedule diverged (win {:?}, {:?})", win, p);
         prop_assert_eq!(&out, &a_ref, "contended Assignment stream diverged (win {:?}, {:?})", win, p);
+    }
+
+    /// Multi-word frontiers: slot counts of four or more 64-bit words,
+    /// not all multiples of 64, with lane strides (`rows · cols`) of 64
+    /// and more, so a tap's ready-bitset shift spans whole words and
+    /// crosses word and line edges. The paper's B tile (16×1×16) and
+    /// dual stage-2 grid (16×4×16) are among the shapes, and every axis
+    /// has reach.
+    #[test]
+    fn multi_word_frontiers_stay_bit_identical(
+        seed in 0u64..1000,
+        density in 0.02f64..1.0,
+        depth in 1usize..6,
+        lane in 1usize..4,
+        rows_reach in 1usize..4,
+        cols_reach in 1usize..4,
+        own_first in proptest::bool::ANY,
+        shape in 0usize..5,
+    ) {
+        // (lanes, rows, cols): 256, 1024, 345, 288 and 300 slots.
+        let (lanes, rows, cols) =
+            [(16, 1, 16), (16, 4, 16), (5, 3, 23), (4, 9, 8), (3, 1, 100)][shape];
+        let g = grid(12, lanes, rows, cols, density, seed);
+        let win = EffectiveWindow { depth, lane, rows: rows_reach, cols: cols_reach };
+        let p = if own_first { Priority::OwnFirst } else { Priority::EarliestFirst };
+
+        let (s_ref, a_ref) = reference::schedule_assign(&g, win, p);
+        let mut scratch = SchedScratch::new();
+        let mut out = Vec::new();
+        let s_new = schedule_assign_with(&g, win, p, &mut scratch, &mut out);
+
+        let ctx = ((lanes, rows, cols), win, p);
+        prop_assert_eq!(s_new, s_ref, "Schedule diverged {:?}", ctx);
+        prop_assert_eq!(&out, &a_ref, "Assignment stream diverged {:?}", ctx);
     }
 
     /// Scratch reuse across grids of different shapes and windows never
@@ -153,7 +187,7 @@ proptest! {
     }
 
     /// Structured (N:M) grids keep every slot's run-ahead lag small — a
-    /// regime random Bernoulli grids rarely reach. The event core must
+    /// regime random Bernoulli grids rarely reach. The frontier core must
     /// match the reference there too, under one shared reach at several
     /// depths on one reused scratch.
     #[test]
