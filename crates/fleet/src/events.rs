@@ -3,9 +3,7 @@
 //! Every line is one self-contained JSON object with an `"ev"`
 //! discriminant, so long campaigns can be tailed into dashboards while
 //! they run and partially-written streams stay parseable up to the last
-//! complete line. The same encoding is the wire protocol between a
-//! `shard-worker` subprocess (stdout) and the fleet coordinator, which
-//! validates and re-emits worker events into the campaign stream.
+//! complete line.
 //!
 //! Schema (`griffin-fleet-events/3`):
 //!
@@ -47,7 +45,7 @@
 //! `cell_done` history) rides on it the same way: streams written
 //! before it parse with both fields as 0.
 //!
-//! v3 added `backoff_ms` to `shard_retried` (the deterministic respawn
+//! v3 added `backoff_ms` to `shard_retried` (the deterministic retry
 //! backoff the coordinator slept before this attempt); v1/v2 streams
 //! parse with it 0. v3 streams written by the since-removed multi-host
 //! fleet also carry a `host` field on the four shard lifecycle events
@@ -152,8 +150,7 @@ pub enum Event {
         /// Wall-clock milliseconds of the shard run.
         elapsed_ms: u64,
     },
-    /// A shard attempt died: the worker exited abnormally, broke
-    /// protocol, or went silent past the heartbeat timeout (v2).
+    /// A shard attempt died (v2).
     ShardFailed {
         /// Shard index.
         shard: usize,
@@ -177,7 +174,7 @@ pub enum Event {
         shard: usize,
         /// Attempt number about to run (≥ 1).
         attempt: usize,
-        /// Deterministic respawn backoff slept before this attempt, in
+        /// Deterministic retry backoff slept before this attempt, in
         /// milliseconds (v3; 0 in older streams). See
         /// [`retry_backoff_ms`](crate::coordinator::retry_backoff_ms).
         backoff_ms: u64,

@@ -1,28 +1,23 @@
 //! Deterministic fault injection for fleet campaigns.
 //!
-//! Long sharded campaigns must survive worker death — and that claim is
-//! only testable if failures can be *injected* at precise, reproducible
-//! points and the recovery replayed deterministically. A [`FaultPlan`]
-//! is a small list of [`Fault`]s, each naming a shard, a trigger point
-//! (a completed-cell count) and an attempt gate, threaded through both
-//! coordinators:
-//!
-//! * **in-process** ([`run_fleet`](crate::coordinator::run_fleet)) —
-//!   the coordinator consults the plan directly
-//!   ([`FleetConfig::fault`](crate::coordinator::FleetConfig));
-//! * **spawned** ([`run_fleet_spawned`](crate::coordinator::run_fleet_spawned))
-//!   — shard-worker subprocesses inherit the [`FAULT_ENV`]
-//!   (`GRIFFIN_FAULT`) environment variable and arm their own faults;
-//!   the coordinator tells each respawn its attempt number via
-//!   [`ATTEMPT_ENV`], so a fault gated on `attempt=0` fires exactly
-//!   once and the retry recovers.
+//! Long sharded campaigns must survive a shard dying mid-run — and that
+//! claim is only testable if failures can be *injected* at precise,
+//! reproducible points and the recovery replayed deterministically. A
+//! [`FaultPlan`] is a small list of [`Fault`]s, each naming a shard, a
+//! trigger point (a completed-cell count) and an attempt gate. The
+//! coordinator ([`run_fleet`](crate::coordinator::run_fleet)) consults
+//! the plan directly
+//! ([`FleetConfig::fault`](crate::coordinator::FleetConfig)); the CLI
+//! reads it from the [`FAULT_ENV`] (`GRIFFIN_FAULT`) environment
+//! variable. A fault gated on `attempt=0` (the default) fires exactly
+//! once and the retry recovers; `attempt=any` fires on every attempt.
 //!
 //! The plan has a compact textual form (what the env var carries),
 //! faults separated by `;`:
 //!
 //! ```text
-//! kill:shard=1:after=2            worker 1 dies after 2 completions (attempt 0)
-//! stall:shard=0:after=1:attempt=any  worker 0 hangs silently on every attempt
+//! kill:shard=1:after=2            shard 1 dies after 2 completions (attempt 0)
+//! kill:shard=0:after=0:attempt=any  shard 0 dies at once on every attempt
 //! corrupt-cache:shard=2           shard 2's cache is torn mid-write
 //! truncate-journal:after=3        the journal loses its tail mid-append
 //! ```
@@ -37,13 +32,7 @@ use std::io;
 use std::path::Path;
 
 /// Environment variable carrying a [`FaultPlan`] in its textual form.
-/// Spawned shard workers inherit it from the coordinator's environment.
 pub const FAULT_ENV: &str = "GRIFFIN_FAULT";
-
-/// Environment variable the coordinator sets on each spawned worker:
-/// the shard's attempt number (0 on the first launch, incremented per
-/// retry). Gates faults so an injected death is not re-injected forever.
-pub const ATTEMPT_ENV: &str = "GRIFFIN_FLEET_ATTEMPT";
 
 /// Which shard attempts a fault fires on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,28 +57,13 @@ impl AttemptGate {
 /// One injectable failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// The worker for `shard` dies abruptly after completing (and
-    /// streaming) `after` of its remaining cells: no `shard_done`, a
-    /// torn final protocol line, a nonzero exit. Exercises the
-    /// coordinator's retry path.
+    /// The attempt running `shard` dies abruptly after completing (and
+    /// streaming) `after` of its remaining cells: no `shard_done`.
+    /// Exercises the coordinator's retry path.
     Kill {
-        /// Shard whose worker dies.
+        /// Shard whose attempt dies.
         shard: usize,
         /// Remaining-cell completions before death.
-        after: usize,
-        /// Attempt gate.
-        attempt: AttemptGate,
-    },
-    /// The worker for `shard` goes silent after `after` completions —
-    /// the process stays alive but emits nothing (delayed/lost
-    /// heartbeats). Exercises the coordinator's heartbeat-timeout
-    /// liveness detection; spawn mode only (the in-process coordinator
-    /// treats it as [`Fault::Kill`], since an in-process shard cannot
-    /// hang without hanging the campaign).
-    Stall {
-        /// Shard whose worker stalls.
-        shard: usize,
-        /// Remaining-cell completions before the silence.
         after: usize,
         /// Attempt gate.
         attempt: AttemptGate,
@@ -153,14 +127,6 @@ impl fmt::Display for Fault {
                 attempt,
             } => {
                 write!(f, "kill:shard={shard}:after={after}")?;
-                gate(f, attempt)
-            }
-            Fault::Stall {
-                shard,
-                after,
-                attempt,
-            } => {
-                write!(f, "stall:shard={shard}:after={after}")?;
                 gate(f, attempt)
             }
             Fault::CorruptCache { shard, attempt } => {
@@ -238,8 +204,7 @@ impl Fields {
 }
 
 impl FaultPlan {
-    /// Parses the textual form (see the module docs). `delay-heartbeats`
-    /// is accepted as an alias of `stall`.
+    /// Parses the textual form (see the module docs).
     ///
     /// # Errors
     ///
@@ -260,13 +225,6 @@ impl FaultPlan {
             let fault = match kind {
                 "kill" => fields.and_then(|f| {
                     Ok(Fault::Kill {
-                        shard: f.shard(kind)?,
-                        after: f.after(kind)?,
-                        attempt: f.gate(),
-                    })
-                }),
-                "stall" | "delay-heartbeats" => fields.and_then(|f| {
-                    Ok(Fault::Stall {
                         shard: f.shard(kind)?,
                         after: f.after(kind)?,
                         attempt: f.gate(),
@@ -298,19 +256,6 @@ impl FaultPlan {
     pub fn kill_after(&self, shard: usize, attempt: usize) -> Option<usize> {
         self.faults.iter().find_map(|f| match *f {
             Fault::Kill {
-                shard: s,
-                after,
-                attempt: g,
-            } if s == shard && g.admits(attempt) => Some(after),
-            _ => None,
-        })
-    }
-
-    /// Completions before a [`Fault::Stall`] matching (`shard`,
-    /// `attempt`) fires, if any.
-    pub fn stall_after(&self, shard: usize, attempt: usize) -> Option<usize> {
-        self.faults.iter().find_map(|f| match *f {
-            Fault::Stall {
                 shard: s,
                 after,
                 attempt: g,
@@ -351,17 +296,7 @@ pub fn plan_from_env() -> Result<Option<FaultPlan>, FaultError> {
     }
 }
 
-/// Reads the attempt number from [`ATTEMPT_ENV`] (0 when unset — a
-/// worker launched outside a retrying coordinator is on its first
-/// attempt).
-pub fn attempt_from_env() -> usize {
-    std::env::var(ATTEMPT_ENV)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-/// Tears a shard cache directory the way a worker killed mid-write
+/// Tears a shard cache directory the way a shard killed mid-write
 /// would: the lexicographically last `.json` entry is truncated to half
 /// its bytes (an unparsable torn rename target) and a partial
 /// `fault.tmp.0.0` temp file is left behind. Recovery is the normal
@@ -399,7 +334,7 @@ mod tests {
     fn plans_roundtrip_through_their_textual_form() {
         let plans = [
             "kill:shard=1:after=2",
-            "stall:shard=0:after=1:attempt=any",
+            "kill:shard=0:after=1:attempt=any",
             "kill:shard=3:after=0:attempt=2",
             "corrupt-cache:shard=2",
             "truncate-journal:after=3",
@@ -410,9 +345,6 @@ mod tests {
             assert_eq!(plan.to_string(), text, "canonical form is stable");
             assert_eq!(FaultPlan::parse(&plan.to_string()), Ok(plan));
         }
-        // The alias parses to the canonical `stall` spelling.
-        let alias = FaultPlan::parse("delay-heartbeats:shard=1:after=0").unwrap();
-        assert_eq!(alias.to_string(), "stall:shard=1:after=0");
     }
 
     #[test]
@@ -436,15 +368,11 @@ mod tests {
     #[test]
     fn queries_respect_shard_and_attempt_gates() {
         let plan =
-            FaultPlan::parse("kill:shard=1:after=2;stall:shard=0:after=1:attempt=any").unwrap();
+            FaultPlan::parse("kill:shard=1:after=2;kill:shard=0:after=1:attempt=any").unwrap();
         assert_eq!(plan.kill_after(1, 0), Some(2), "default gate is attempt 0");
         assert_eq!(plan.kill_after(1, 1), None, "retry runs clean");
-        assert_eq!(plan.kill_after(0, 0), None, "wrong shard");
-        assert_eq!(
-            plan.stall_after(0, 5),
-            Some(1),
-            "`any` admits every attempt"
-        );
+        assert_eq!(plan.kill_after(2, 0), None, "wrong shard");
+        assert_eq!(plan.kill_after(0, 5), Some(1), "`any` admits every attempt");
         assert!(!plan.corrupts_cache(1, 0));
         assert_eq!(plan.journal_truncate_after(), None);
 
@@ -467,6 +395,23 @@ mod tests {
         assert!(err.msg.contains("unknown field `host`"), "{err}");
         let err = FaultPlan::parse("kill:shard=1:after=0:attempts=2").unwrap_err();
         assert!(err.msg.contains("unknown field `attempts`"), "{err}");
+    }
+
+    #[test]
+    fn the_removed_stall_fault_is_unknown() {
+        for kind in ["stall", "delay-heartbeats"] {
+            for text in [
+                format!("{kind}:shard=0:after=1"),
+                format!("{kind}:shard=0:after=1:attempt=any"),
+                format!("kill:shard=1:after=2;{kind}:shard=0:after=0"),
+            ] {
+                let err = FaultPlan::parse(&text).unwrap_err();
+                assert!(
+                    err.msg.contains(&format!("unknown fault `{kind}`")),
+                    "{text}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -400,11 +400,9 @@ impl Journal {
     }
 
     /// Reads the completed set of a journal **without writing to the
-    /// file at all** — what shard workers use to skip finished cells
-    /// while the coordinator keeps sole write ownership (a concurrent
-    /// worker must never repair the tail the coordinator is appending
-    /// to; a torn in-flight entry simply doesn't count yet, and the
-    /// worker's redundant run of that cell is a cache hit).
+    /// file at all** — for readers that must never repair the tail a
+    /// running coordinator is appending to (a torn in-flight entry
+    /// simply doesn't count yet).
     ///
     /// # Errors
     ///

@@ -10,9 +10,8 @@
 //!
 //! The plan also computes the campaign's **spec fingerprint** — a hash
 //! over the name and the ordered cell-fingerprint list — which the
-//! journal persists and every shard worker verifies, so a resume or a
-//! subprocess running a *different* grid is rejected instead of quietly
-//! merging alien results.
+//! journal persists, so resuming a *different* grid is rejected instead
+//! of quietly merging alien results.
 
 use griffin_sweep::fingerprint::{Fingerprint, Hasher};
 use griffin_sweep::spec::{Cell, SweepSpec};
@@ -60,7 +59,7 @@ fn fingerprint_cells(spec: &SweepSpec) -> (Fingerprint, Vec<(Cell, Fingerprint)>
 /// The stable identity of a whole campaign grid: name, cell count, and
 /// every cell fingerprint in deterministic grid order. Two specs share
 /// a spec fingerprint exactly when they would produce byte-identical
-/// reports, which is the invariant resume and shard workers check.
+/// reports, which is the invariant resume checks.
 pub fn spec_fingerprint(spec: &SweepSpec) -> Fingerprint {
     fingerprint_cells(spec).0
 }

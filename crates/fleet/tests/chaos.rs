@@ -291,177 +291,6 @@ fn torn_journal_aborts_terminally_and_resume_recovers() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Spawn-mode chaos without the CLI binary: worker stdout streams are
-/// pre-recorded by running the real shard-worker entry point
-/// in-process (filling the real shard caches), then replayed through
-/// `sh`/`cat` — so a "worker" can die or hang on one attempt and
-/// produce the true stream on the next.
-#[cfg(unix)]
-mod spawned {
-    use super::*;
-    use griffin_fleet::coordinator::{run_fleet_spawned, run_shard_worker, WorkerConfig};
-    use griffin_fleet::events::NullSink;
-    use std::process::Command;
-
-    /// Records every shard's true event stream into `<dir>/stream-<s>`
-    /// (and its results into the real shard cache dirs).
-    fn record_streams(spec: &SweepSpec, dir: &std::path::Path, shards: usize) {
-        let plan = ShardPlan::new(spec, shards).unwrap();
-        std::fs::create_dir_all(dir).unwrap();
-        for shard in 0..shards {
-            let out = std::fs::File::create(dir.join(format!("stream-{shard}"))).unwrap();
-            run_shard_worker(
-                spec,
-                &WorkerConfig {
-                    shards,
-                    shard,
-                    expect_fp: Some(plan.spec_fp),
-                    journal: None,
-                    cache_dir: shard_cache_dir(dir, shard),
-                    workers: 2,
-                    heartbeat_every: 0,
-                    fault: None,
-                    attempt: 0,
-                },
-                out,
-            )
-            .unwrap();
-        }
-    }
-
-    fn sh(script: String) -> Command {
-        let mut cmd = Command::new("sh");
-        cmd.arg("-c").arg(script);
-        cmd
-    }
-
-    #[test]
-    fn dead_worker_is_respawned_and_matches_sweep() {
-        let spec = spec();
-        let single = run_campaign(&spec, &ResultCache::in_memory(), 2).unwrap();
-        let shards = 3;
-        let victim = nonempty_shard(&ShardPlan::new(&spec, shards).unwrap());
-        let dir = scratch_dir("spawn-dead");
-        record_streams(&spec, &dir, shards);
-
-        let mut rec = Recorder::default();
-        let make = |w: &griffin_fleet::WorkerSpawn| {
-            if w.shard == victim && w.attempt == 0 {
-                // First attempt: a torn half-line, then death.
-                sh("printf '{\"ev\":\"cell_'; exit 3".into())
-            } else {
-                sh(format!("cat '{}/stream-{}'", dir.display(), w.shard))
-            }
-        };
-        let mut cfg = FleetConfig::new(&dir, shards);
-        cfg.retry_backoff_ms = 0;
-        let fleet = run_fleet_spawned(&spec, &cfg, &make, &mut rec).unwrap();
-        assert_eq!(to_csv(&fleet), to_csv(&single), "respawn == clean sweep");
-        let msg = rec
-            .0
-            .iter()
-            .find_map(|e| match e {
-                Event::ShardFailed {
-                    shard,
-                    attempt: 0,
-                    msg,
-                    ..
-                } if *shard == victim => Some(msg.clone()),
-                _ => None,
-            })
-            .expect("the victim's first attempt failed");
-        assert!(
-            msg.contains("bad event line") && msg.contains("exit status: 3"),
-            "the failure names the torn line and the exit status: {msg}"
-        );
-        assert!(rec.0.contains(&Event::ShardRetried {
-            shard: victim,
-            attempt: 1,
-            backoff_ms: 0,
-        }));
-        assert!(matches!(rec.0.last(), Some(Event::CampaignDone { .. })));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn silent_worker_is_killed_by_the_watchdog_and_retried() {
-        let spec = spec();
-        let single = run_campaign(&spec, &ResultCache::in_memory(), 2).unwrap();
-        let shards = 2;
-        let victim = nonempty_shard(&ShardPlan::new(&spec, shards).unwrap());
-        let dir = scratch_dir("spawn-stall");
-        record_streams(&spec, &dir, shards);
-
-        let mut cfg = FleetConfig::new(&dir, shards);
-        cfg.heartbeat_timeout_ms = 300;
-        cfg.retry_backoff_ms = 0;
-        let mut rec = Recorder::default();
-        let make = |w: &griffin_fleet::WorkerSpawn| {
-            if w.shard == victim && w.attempt == 0 {
-                // Alive but silent: only the liveness watchdog can
-                // tell. (`exec` so the kill hits the sleeping process
-                // itself — a forked grandchild would keep the stdout
-                // pipe open past the kill, which no real shard-worker
-                // does.)
-                sh("exec sleep 30".into())
-            } else {
-                sh(format!("cat '{}/stream-{}'", dir.display(), w.shard))
-            }
-        };
-        let t0 = std::time::Instant::now();
-        let fleet = run_fleet_spawned(&spec, &cfg, &make, &mut rec).unwrap();
-        assert!(
-            t0.elapsed() < std::time::Duration::from_secs(25),
-            "the watchdog, not the sleep, ended the stall"
-        );
-        assert_eq!(to_csv(&fleet), to_csv(&single));
-        let msg = rec
-            .0
-            .iter()
-            .find_map(|e| match e {
-                Event::ShardFailed { shard, msg, .. } if *shard == victim => Some(msg.clone()),
-                _ => None,
-            })
-            .expect("the stalled attempt is reported");
-        assert!(msg.contains("heartbeat timeout"), "{msg}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn spawned_retries_exhaust_into_a_terminal_failure() {
-        let spec = spec();
-        let shards = 2;
-        let dir = scratch_dir("spawn-exhaust");
-        record_streams(&spec, &dir, shards);
-
-        let mut cfg = FleetConfig::new(&dir, shards);
-        cfg.max_shard_retries = 1;
-        cfg.retry_backoff_ms = 0;
-        let mut rec = Recorder::default();
-        let make = |w: &griffin_fleet::WorkerSpawn| {
-            if w.shard == 0 {
-                sh("exit 7".into())
-            } else {
-                sh(format!("cat '{}/stream-{}'", dir.display(), w.shard))
-            }
-        };
-        match run_fleet_spawned(&spec, &cfg, &make, &mut NullSink) {
-            Err(FleetError::ShardExhausted {
-                shard: 0,
-                attempts: 2,
-                ..
-            }) => {}
-            other => panic!("expected exhausted retries, got {other:?}"),
-        }
-        // And with a recording sink, the stream terminates properly.
-        let _ = std::fs::remove_dir_all(&dir);
-        record_streams(&spec, &dir, shards);
-        let _ = run_fleet_spawned(&spec, &cfg, &make, &mut rec);
-        assert!(matches!(rec.0.last(), Some(Event::CampaignFailed { .. })));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-}
-
 /// The pre-merge probe turns "something squatting on a shard cache
 /// name" into a typed error naming the path, instead of an opaque io
 /// failure halfway through the merge.

@@ -1,16 +1,13 @@
 //! Integration tests of the fleet coordinator: byte-identity with a
-//! single-process sweep, journaled resume, lossless cache merging, and
-//! the in-process shard-worker protocol.
+//! single-process sweep, journaled resume, and lossless cache merging.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use griffin_core::arch::ArchSpec;
 use griffin_core::category::DnnCategory;
 use griffin_fleet::coordinator::{
-    journal_path, merged_cache_dir, run_fleet, run_shard_worker, shard_cache_dir, FleetConfig,
-    FleetError, WorkerConfig,
+    journal_path, merged_cache_dir, run_fleet, shard_cache_dir, FleetConfig, FleetError,
 };
 use griffin_fleet::events::{Event, EventSink, NullSink};
 use griffin_fleet::plan::ShardPlan;
@@ -240,88 +237,5 @@ fn resuming_a_different_grid_is_rejected() {
         Err(FleetError::Journal(griffin_fleet::JournalError::Mismatch { .. })) => {}
         other => panic!("expected journal mismatch, got {other:?}"),
     }
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn shard_workers_cover_the_plan_and_reject_wrong_fingerprints() {
-    let spec = spec();
-    let single = run_campaign(&spec, &ResultCache::in_memory(), 2).unwrap();
-    let dir = scratch_dir("worker");
-    let shards = 3;
-    let plan = ShardPlan::new(&spec, shards).unwrap();
-
-    // Drive each shard through the worker entry point (what the
-    // subprocess runs), collecting its JSONL stream.
-    for shard in 0..shards {
-        let out = Mutex::new(Vec::<u8>::new());
-        struct W<'a>(&'a Mutex<Vec<u8>>);
-        impl std::io::Write for W<'_> {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        run_shard_worker(
-            &spec,
-            &WorkerConfig {
-                shards,
-                shard,
-                expect_fp: Some(plan.spec_fp),
-                journal: None,
-                cache_dir: shard_cache_dir(&dir, shard),
-                workers: 2,
-                heartbeat_every: 0,
-                fault: None,
-                attempt: 0,
-            },
-            W(&out),
-        )
-        .unwrap();
-        let text = String::from_utf8(out.into_inner().unwrap()).unwrap();
-        let events: Vec<Event> = text
-            .lines()
-            .map(|l| Event::parse_line(l).unwrap())
-            .collect();
-        assert!(matches!(events.first(), Some(Event::ShardStart { .. })));
-        assert!(matches!(events.last(), Some(Event::ShardDone { .. })));
-        let done = events
-            .iter()
-            .filter(|e| matches!(e, Event::CellDone { .. }))
-            .count();
-        assert_eq!(done, plan.cells[shard].len());
-    }
-
-    // A wrong fingerprint is refused before any work happens.
-    match run_shard_worker(
-        &spec,
-        &WorkerConfig {
-            shards,
-            shard: 0,
-            expect_fp: Some(griffin_sweep::fingerprint::Fingerprint(1, 2)),
-            journal: None,
-            cache_dir: shard_cache_dir(&dir, 9),
-            workers: 1,
-            heartbeat_every: 0,
-            fault: None,
-            attempt: 0,
-        },
-        Vec::new(),
-    ) {
-        Err(FleetError::SpecFingerprint { .. }) => {}
-        other => panic!("expected fingerprint mismatch, got {other:?}"),
-    }
-    assert!(
-        !shard_cache_dir(&dir, 9).exists(),
-        "rejected worker must not touch its cache dir"
-    );
-
-    // The per-shard caches the workers wrote merge into the single-run
-    // report without a coordinator having orchestrated them.
-    let fleet = run_fleet(&spec, &FleetConfig::new(&dir, shards), &mut NullSink).unwrap();
-    assert_eq!(to_csv(&fleet), to_csv(&single));
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -329,45 +329,6 @@ pub fn prune_dir(dir: impl AsRef<Path>, max_bytes: u64) -> io::Result<PruneRepor
     Ok(report)
 }
 
-/// Outcome of a [`scan_dir`] integrity pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ScanReport {
-    /// Entries that parse back into [`CellMetrics`].
-    pub valid: u64,
-    /// Entries that exist but do not parse — truncated transfers, or
-    /// writers that died between a rename and their data hitting disk.
-    pub torn: u64,
-}
-
-/// Parses every entry of a cache directory — the verification step
-/// after a remote shard cache is pulled back, where a short or torn
-/// transfer shows up as entries that no longer decode. A missing
-/// directory scans as empty (a shard may have had no cells to cache).
-///
-/// # Errors
-///
-/// Returns the underlying error if an existing directory cannot be
-/// read.
-pub fn scan_dir(dir: impl AsRef<Path>) -> io::Result<ScanReport> {
-    let dir = dir.as_ref();
-    let mut report = ScanReport::default();
-    if !dir.exists() {
-        return Ok(report);
-    }
-    let rd = std::fs::read_dir(dir).map_err(|e| dir_read_error(dir, &e))?;
-    for entry in rd {
-        let path = entry.map_err(|e| dir_read_error(dir, &e))?.path();
-        if !is_entry(&path) {
-            continue;
-        }
-        match read_entry(&path) {
-            Some(_) => report.valid += 1,
-            None => report.torn += 1,
-        }
-    }
-    Ok(report)
-}
-
 /// An io error annotated with the directory it came from — `read_dir`
 /// failures otherwise surface without any path at all.
 fn dir_read_error(dir: &Path, e: &io::Error) -> io::Error {
@@ -879,22 +840,6 @@ mod tests {
         .unwrap();
         let r3 = merge_dirs(&dest, &[src]).unwrap();
         assert_eq!(r3.conflicts, vec![Fingerprint(4, 4).to_string()]);
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn scan_dir_counts_valid_and_torn_entries() {
-        let root = scratch_dir("scan");
-        // Missing directory: empty report, not an error.
-        assert_eq!(scan_dir(&root).unwrap(), ScanReport::default());
-        let c = ResultCache::at_dir(&root).unwrap();
-        c.insert(Fingerprint(1, 1), metrics(1.5));
-        c.insert(Fingerprint(2, 2), metrics(2.5));
-        // A truncated entry (short pull) and non-entry junk.
-        std::fs::write(root.join(format!("{}.json", Fingerprint(3, 3))), "{\"spee").unwrap();
-        std::fs::write(root.join("x.tmp.1.0"), "partial").unwrap();
-        let r = scan_dir(&root).unwrap();
-        assert_eq!((r.valid, r.torn), (2, 1));
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -256,8 +256,8 @@ pub fn run_campaign(
 /// The phase-2 workload-build pool uses every core regardless of
 /// `workers` (builds never affect the report, so a `--workers 1`
 /// simulation run shouldn't serialize its cross-seed mask builds);
-/// callers sharing the machine with sibling processes — spawned shard
-/// workers — bound it via [`run_cells_bounded`].
+/// a caller that must hold builds to a thread budget — a benchmark
+/// timing a fixed thread count — bounds it via [`run_cells_bounded`].
 ///
 /// # Errors
 ///
@@ -281,7 +281,7 @@ pub fn run_cells(
 }
 
 /// [`run_cells`] with an explicit phase-2 build-pool bound — for
-/// processes pinned to a thread budget on a shared machine.
+/// callers pinned to a thread budget.
 ///
 /// Each phase-3 worker owns one fresh [`SimScratch`] for the whole
 /// campaign: it holds buffer capacity only, never results, so reports
@@ -411,9 +411,8 @@ pub fn run_cells_bounded(
                 }
             }
         }
-        // The pool bound comes from the caller (all cores by default —
-        // ROADMAP scheduler-headroom item — or the process's pinned
-        // budget for spawned shard workers); builds never reach the
+        // The pool bound comes from the caller (all cores by default,
+        // or the caller's pinned thread budget); builds never reach the
         // report, so the bound cannot affect results.
         let build_workers = build_workers.clamp(1, keys.len().max(1));
         let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());

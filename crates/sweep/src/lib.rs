@@ -59,8 +59,8 @@ pub mod spec;
 
 pub use aggregate::{pareto_designs, per_arch, summarize, ArchAggregate, Summary};
 pub use cache::{
-    disk_stats, merge_dirs, prune_dir, scan_dir, CacheStats, CellMetrics, DiskCacheInfo,
-    MergeReport, PruneReport, ResultCache, ScanReport,
+    disk_stats, merge_dirs, prune_dir, CacheStats, CellMetrics, DiskCacheInfo, MergeReport,
+    PruneReport, ResultCache,
 };
 pub use executor::{
     default_workers, no_observer, run_campaign, run_cells, run_cells_bounded, CampaignReport,

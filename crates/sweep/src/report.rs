@@ -12,11 +12,10 @@
 use std::fmt;
 use std::path::Path;
 
-use griffin_core::category::DnnCategory;
-
 use crate::cache::CellMetrics;
 use crate::executor::{CampaignReport, CellRecord};
 use crate::json::{Json, JsonError};
+use crate::scenario::{category_token, parse_category};
 
 /// Report parse error.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,27 +40,6 @@ impl From<JsonError> for ReportError {
 
 fn err<T>(msg: impl Into<String>) -> Result<T, ReportError> {
     Err(ReportError { msg: msg.into() })
-}
-
-/// Short stable token for a category (used in CSV and JSON).
-pub fn category_token(c: DnnCategory) -> &'static str {
-    match c {
-        DnnCategory::Dense => "dense",
-        DnnCategory::A => "a",
-        DnnCategory::B => "b",
-        DnnCategory::AB => "ab",
-    }
-}
-
-/// Parses [`category_token`] output (also accepts the display forms).
-pub fn parse_category_token(s: &str) -> Option<DnnCategory> {
-    match s.to_ascii_lowercase().as_str() {
-        "dense" | "dnn.dense" => Some(DnnCategory::Dense),
-        "a" | "dnn.a" => Some(DnnCategory::A),
-        "b" | "dnn.b" => Some(DnnCategory::B),
-        "ab" | "dnn.ab" => Some(DnnCategory::AB),
-        _ => None,
-    }
 }
 
 const CSV_HEADER: &str = "index,workload,category,arch,seed,fingerprint,speedup,cycles,\
@@ -195,7 +173,7 @@ pub fn parse_csv(text: &str) -> Result<Vec<CellRecord>, ReportError> {
         cells.push(CellRecord {
             index: num(0)? as usize,
             workload: f[1].clone(),
-            category: parse_category_token(&f[2]).ok_or_else(|| ReportError {
+            category: parse_category(&f[2]).ok_or_else(|| ReportError {
                 msg: format!("bad category `{}`", f[2]),
             })?,
             arch: f[3].clone(),
@@ -268,7 +246,7 @@ pub fn parse_json(text: &str) -> Result<CampaignReport, ReportError> {
             Ok(CellRecord {
                 index: c.req("index")?.as_f64()? as usize,
                 workload: c.req("workload")?.as_str()?.to_string(),
-                category: parse_category_token(c.req("category")?.as_str()?).ok_or_else(|| {
+                category: parse_category(c.req("category")?.as_str()?).ok_or_else(|| {
                     ReportError {
                         msg: "bad category".into(),
                     }
@@ -306,6 +284,7 @@ pub fn write_file(path: impl AsRef<Path>, contents: &str) -> std::io::Result<()>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use griffin_core::category::DnnCategory;
 
     fn sample_report() -> CampaignReport {
         let mk = |i: usize, arch: &str, speedup: f64| CellRecord {
@@ -389,10 +368,15 @@ mod tests {
 
     #[test]
     fn category_tokens_roundtrip() {
+        // Reports write and read categories through the registry's token
+        // pair, so every category survives both formats.
         for c in DnnCategory::ALL {
-            assert_eq!(parse_category_token(category_token(c)), Some(c));
+            let mut r = sample_report();
+            for cell in &mut r.cells {
+                cell.category = c;
+            }
+            assert_eq!(parse_csv(&to_csv(&r)).unwrap()[0].category, c);
+            assert_eq!(parse_json(&to_json(&r)).unwrap().cells[0].category, c);
         }
-        assert_eq!(parse_category_token("DNN.AB"), Some(DnnCategory::AB));
-        assert_eq!(parse_category_token("??"), None);
     }
 }

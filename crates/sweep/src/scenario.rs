@@ -55,7 +55,6 @@
 //!
 //! [fleet]                      # optional defaults for `fleet --scenario`
 //! shards = 2
-//! spawn = true
 //! ```
 //!
 //! # Identity
@@ -175,10 +174,11 @@ pub fn parse_workload(s: &str) -> Option<WorkloadSpec> {
     parse_suite(s).map(WorkloadSpec::Suite)
 }
 
-/// Parses a category token.
+/// Parses a category token, or a category's display form (`DNN.B`),
+/// case-insensitively.
 pub fn parse_category(s: &str) -> Option<DnnCategory> {
     match s.to_ascii_lowercase().as_str() {
-        "dense" => Some(DnnCategory::Dense),
+        "dense" | "dnn.dense" => Some(DnnCategory::Dense),
         "a" | "dnn.a" => Some(DnnCategory::A),
         "b" | "dnn.b" => Some(DnnCategory::B),
         "ab" | "dnn.ab" => Some(DnnCategory::AB),
@@ -186,7 +186,8 @@ pub fn parse_category(s: &str) -> Option<DnnCategory> {
     }
 }
 
-/// The category's stable token (inverse of [`parse_category`]).
+/// The category's stable token (inverse of [`parse_category`]), as
+/// scenario files and campaign reports write it.
 pub fn category_token(c: DnnCategory) -> &'static str {
     match c {
         DnnCategory::Dense => "dense",
@@ -357,14 +358,10 @@ impl ArchEntry {
 pub struct FleetSettings {
     /// Shard count.
     pub shards: usize,
-    /// Run shards as subprocesses.
-    pub spawn: bool,
     /// Heartbeat cadence in cell completions.
     pub heartbeat_every: Option<usize>,
     /// Retries per failed shard.
     pub max_shard_retries: Option<usize>,
-    /// Liveness deadline for spawned workers (ms).
-    pub heartbeat_timeout_ms: Option<u64>,
 }
 
 /// Scenario provenance: which file a campaign came from, and the
@@ -1173,44 +1170,46 @@ fn build_arch(t: &Table) -> Result<ArchEntry, ScenarioError> {
     }
 }
 
+/// `[fleet]` keys of removed features, each with why it went. Any value
+/// of such a key gets the removal answer on the key's own line.
+const REMOVED_FLEET_KEYS: &[(&str, &str)] = &[
+    (
+        "hosts",
+        "multi-host fleets were removed; fleets run on this machine",
+    ),
+    (
+        "spawn",
+        "subprocess shards were removed; shards always run in-process",
+    ),
+    (
+        "heartbeat_timeout_ms",
+        "the liveness watchdog was removed with subprocess shards",
+    ),
+];
+
 fn build_fleet_section(t: &Table) -> Result<FleetSettings, ScenarioError> {
-    if let Some(b) = t.get("hosts") {
-        return fail(
-            b.line,
-            "`hosts` in [fleet] is no longer supported: multi-host fleets were \
-             removed; fleets run on this machine (drop the key)",
-        );
+    for (key, why) in REMOVED_FLEET_KEYS {
+        if let Some(b) = t.get(key) {
+            return fail(
+                b.line,
+                format!("`{key}` in [fleet] is no longer supported: {why} (drop the key)"),
+            );
+        }
     }
-    t.check_keys(
-        "fleet",
-        &[
-            "shards",
-            "spawn",
-            "heartbeat",
-            "max_shard_retries",
-            "heartbeat_timeout_ms",
-        ],
-    )?;
+    t.check_keys("fleet", &["shards", "heartbeat", "max_shard_retries"])?;
     let shards = match t.get("shards") {
         Some(b) => as_usize(b, 1)?,
         None => return fail(t.header_line, "[fleet] requires `shards`"),
-    };
-    let spawn = match t.get("spawn") {
-        Some(b) => as_bool(b)?,
-        None => false,
     };
     let heartbeat_every = t.get("heartbeat").map(|b| as_usize(b, 0)).transpose()?;
     let max_shard_retries = t
         .get("max_shard_retries")
         .map(|b| as_usize(b, 0))
         .transpose()?;
-    let heartbeat_timeout_ms = t.get("heartbeat_timeout_ms").map(as_u64).transpose()?;
     Ok(FleetSettings {
         shards,
-        spawn,
         heartbeat_every,
         max_shard_retries,
-        heartbeat_timeout_ms,
     })
 }
 
@@ -1462,17 +1461,11 @@ impl Scenario {
         if let Some(f) = &self.fleet {
             out.push_str("\n[fleet]\n");
             out.push_str(&format!("shards = {}\n", f.shards));
-            if f.spawn {
-                out.push_str("spawn = true\n");
-            }
             if let Some(v) = f.heartbeat_every {
                 out.push_str(&format!("heartbeat = {v}\n"));
             }
             if let Some(v) = f.max_shard_retries {
                 out.push_str(&format!("max_shard_retries = {v}\n"));
-            }
-            if let Some(v) = f.heartbeat_timeout_ms {
-                out.push_str(&format!("heartbeat_timeout_ms = {v}\n"));
             }
         }
         out
@@ -1628,7 +1621,6 @@ name = "my point"
 
 [fleet]
 shards = 4
-spawn = true
 heartbeat = 16
 "#;
         let s = Scenario::parse(text).unwrap();
@@ -1640,7 +1632,7 @@ heartbeat = 16
         assert_eq!(archs[0].name, "my point");
         assert_eq!(archs[0].a, BorrowWindow::new(1, 2, 0));
         let fleet = s.fleet.clone().unwrap();
-        assert_eq!((fleet.shards, fleet.spawn), (4, true));
+        assert_eq!(fleet.shards, 4);
         assert_eq!(fleet.heartbeat_every, Some(16));
         assert_eq!(fleet.max_shard_retries, None);
         // Round-trip.
@@ -1686,6 +1678,22 @@ heartbeat = 16
                 err.msg.contains("multi-host fleets were removed"),
                 "{hosts}: {err}"
             );
+        }
+    }
+
+    #[test]
+    fn fleet_spawn_and_heartbeat_timeout_are_refused_as_removed() {
+        for key in ["spawn", "heartbeat_timeout_ms"] {
+            for value in ["true", "false", "0", "5000", "\"yes\"", "[1]"] {
+                let err = Scenario::parse(&with_fleet(&format!(
+                    "shards = 2\nheartbeat = 4\n{key} = {value}\n"
+                )))
+                .unwrap_err();
+                assert_eq!(err.line, 11, "{key} = {value}: {err}");
+                assert!(err.msg.contains(&format!("`{key}`")), "{err}");
+                assert!(err.msg.contains("no longer supported"), "{err}");
+                assert!(err.msg.contains("subprocess shards"), "{err}");
+            }
         }
     }
 
@@ -1845,6 +1853,22 @@ heartbeat = 16
             "{msg}"
         );
         assert!(msg.contains("dense a b ab"), "{msg}");
+    }
+
+    #[test]
+    fn every_category_token_and_display_form_parses_back() {
+        for c in DnnCategory::ALL {
+            assert_eq!(parse_category(category_token(c)), Some(c), "{c}");
+            let shown = c.to_string();
+            assert_eq!(parse_category(&shown), Some(c), "{shown}");
+            assert_eq!(parse_category(&shown.to_ascii_uppercase()), Some(c));
+        }
+        for t in CATEGORY_TOKENS {
+            let c = parse_category(t).unwrap();
+            assert_eq!(category_token(c), *t, "canonical token roundtrip");
+        }
+        assert_eq!(parse_category("dnn"), None);
+        assert_eq!(parse_category("??"), None);
     }
 
     #[test]

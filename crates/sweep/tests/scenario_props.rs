@@ -103,10 +103,8 @@ fn build_scenario(a: u64, b: u64, seed: u64, flag: bool) -> Scenario {
 
     let fleet = (a.is_multiple_of(3)).then(|| FleetSettings {
         shards: 1 + pick(b, 16),
-        spawn: b.is_multiple_of(2),
         heartbeat_every: (a.is_multiple_of(7)).then(|| pick(a, 100)),
         max_shard_retries: (b.is_multiple_of(5)).then(|| pick(b, 5)),
-        heartbeat_timeout_ms: (a.is_multiple_of(11)).then_some(seed % 10_000),
     });
 
     Scenario {

@@ -9,7 +9,7 @@
 //! $ griffin-cli sweep --scenario scenarios/fig5-bert-b.toml --csv out.csv
 //! $ griffin-cli pareto resnet50 b            # §VI Pareto front of a family
 //! $ griffin-cli fleet bert b --shards 4      # sharded campaign + journal
-//! $ griffin-cli fleet --scenario scenarios/fig5-bert-b.toml --shards 4 --spawn
+//! $ griffin-cli fleet --scenario scenarios/fig5-bert-b.toml --shards 4
 //! $ griffin-cli fleet watch .griffin-fleet   # live dashboard over events.jsonl
 //! $ griffin-cli fleet watch .griffin-fleet --json   # one-shot summary
 //! $ griffin-cli fleet report .griffin-fleet --html report.html
@@ -29,9 +29,7 @@
 //! for the campaign commands. Workload / category / architecture /
 //! family tokens come from the registry in
 //! [`griffin::sweep::scenario`], which also parses the declarative
-//! scenario files behind `--scenario`. (`shard-worker` is the internal
-//! subprocess behind `fleet --spawn`; it speaks the fleet JSONL event
-//! protocol on stdout.)
+//! scenario files behind `--scenario`.
 
 use std::env;
 use std::path::PathBuf;
@@ -42,18 +40,15 @@ use std::sync::{Arc, OnceLock};
 use griffin::core::accelerator::Accelerator;
 use griffin::core::arch::ArchSpec;
 use griffin::core::category::DnnCategory;
-use griffin::fleet::coordinator::{
-    default_events_path, run_fleet, run_fleet_spawned, run_shard_worker, FleetConfig, FleetError,
-    WorkerConfig, WorkerSpawn,
-};
+use griffin::fleet::coordinator::{default_events_path, run_fleet, FleetConfig};
 use griffin::fleet::events::JsonlSink;
-use griffin::fleet::fault::{self, Fault};
+use griffin::fleet::fault;
 use griffin::sim::config::{Fidelity, SimConfig};
 use griffin::sweep::report::{to_csv, to_json, write_file};
 use griffin::sweep::scenario::{self, Scenario};
 use griffin::sweep::{
     default_workers, disk_stats, pareto_designs, per_arch, prune_dir, run_campaign, summarize,
-    ArchFamily, Fingerprint, ResultCache, ScenarioProvenance, SweepSpec,
+    ArchFamily, ResultCache, ScenarioProvenance, SweepSpec,
 };
 use griffin::workloads::suite::{build_workload, Benchmark};
 use griffin::workloads::synth::synthetic_layer;
@@ -130,26 +125,22 @@ fn usage() -> ExitCode {
     eprintln!("  --fanin N           mux fan-in bound for the family (default: 8)");
     eprintln!("  --lineup            sweep the Table VII lineup instead of a family");
     eprintln!("  --workers N         simulation worker threads (default: all cores;");
-    eprintln!("                      workload builds use all cores except in shard workers)");
+    eprintln!("                      workload builds always use all cores)");
     eprintln!("  --seeds a,b,c       mask seeds (default: 42,43)");
     eprintln!("  --tiles N           sampled tiles per layer (default: 12)");
     eprintln!("  --cache DIR         on-disk result cache shared across runs");
     eprintln!("  --csv PATH          write the per-cell report as CSV");
     eprintln!("  --json PATH         write the per-cell report as JSON");
     eprintln!();
-    eprintln!("FLEET OPTIONS (with any sweep option; --workers applies per shard):");
+    eprintln!("FLEET OPTIONS (with any sweep option; shards run one after another in");
+    eprintln!("this process, each over --workers threads):");
     eprintln!("  --shards N          shard count (required)");
-    eprintln!("  --spawn / --no-spawn one shard-worker subprocess per shard (default");
-    eprintln!("                      in-process; overrides a scenario's [fleet] spawn)");
     eprintln!("  --dir DIR           state dir: journal, shard caches, merged cache");
     eprintln!("                      (default .griffin-fleet)");
     eprintln!("  --events PATH|-     JSONL event stream (default DIR/events.jsonl, - = stdout)");
     eprintln!("  --resume            resume from the journal (spec fingerprint verified)");
     eprintln!("  --heartbeat N       heartbeat every N cells per shard (default 32, 0 = off)");
     eprintln!("  --max-shard-retries N  retries per failed shard before giving up (default 2)");
-    eprintln!("  --heartbeat-timeout MS with --spawn: kill + retry a worker silent for MS");
-    eprintln!("                      milliseconds (default 0 = off; must exceed the");
-    eprintln!("                      slowest single cell — completions are the signal)");
     eprintln!();
     eprintln!("  GRIFFIN_FAULT       deterministic fault injection for chaos tests, e.g.");
     eprintln!("                      kill:shard=1:after=2;corrupt-cache:shard=1 (see docs)");
@@ -512,16 +503,12 @@ fn cmd_pareto(workload: &str, family_tok: &str, rest: &[String]) -> ExitCode {
 /// provide defaults without overriding explicit flags.
 struct FleetCliArgs {
     shards: Option<usize>,
-    /// `--spawn` / `--no-spawn`; `None` = defer to the scenario.
-    spawn: Option<bool>,
     dir: String,
     events: Option<String>,
     resume: bool,
     heartbeat: Option<usize>,
     max_shard_retries: Option<usize>,
-    heartbeat_timeout_ms: Option<u64>,
-    /// Remaining (sweep) options, preserved verbatim so `--spawn` can
-    /// forward them to shard workers unchanged.
+    /// Remaining (sweep) options, for [`parse_sweep_args`].
     sweep_rest: Vec<String>,
 }
 
@@ -529,10 +516,8 @@ struct FleetCliArgs {
 /// over the built-in defaults.
 struct FleetResolved {
     shards: usize,
-    spawn: bool,
     heartbeat: usize,
     max_shard_retries: usize,
-    heartbeat_timeout_ms: u64,
 }
 
 impl FleetCliArgs {
@@ -549,7 +534,6 @@ impl FleetCliArgs {
             .ok_or("fleet requires --shards (or a scenario [fleet] section)")?;
         Ok(FleetResolved {
             shards,
-            spawn: self.spawn.unwrap_or_else(|| scen.is_some_and(|s| s.spawn)),
             heartbeat: self
                 .heartbeat
                 .or(scen.and_then(|s| s.heartbeat_every))
@@ -558,58 +542,40 @@ impl FleetCliArgs {
                 .max_shard_retries
                 .or(scen.and_then(|s| s.max_shard_retries))
                 .unwrap_or(2),
-            heartbeat_timeout_ms: self
-                .heartbeat_timeout_ms
-                .or(scen.and_then(|s| s.heartbeat_timeout_ms))
-                .unwrap_or(0),
         })
     }
 }
 
-/// Forwards a flag the fleet/worker splitters don't recognize into the
-/// sweep-option remainder, keeping its value paired — the one shared
-/// rule both splitters must agree on: every sweep flag takes a value
-/// except the boolean `--lineup` ([`parse_sweep_args`] validates the
-/// result).
-fn forward_sweep_flag<'a>(
-    flag: &str,
-    it: &mut impl Iterator<Item = &'a String>,
-    sweep_rest: &mut Vec<String>,
-) -> Option<()> {
-    sweep_rest.push(flag.to_string());
-    if flag != "--lineup" {
-        sweep_rest.push(it.next()?.clone());
-    }
-    Some(())
-}
-
 /// Splits fleet flags from an argument list, leaving sweep options in
-/// `sweep_rest`.
+/// `sweep_rest`. A flag fleet does not know is forwarded with its value
+/// (every sweep flag takes one except the boolean `--lineup`), so
+/// [`parse_sweep_args`] names any unknown flag as not a fleet or sweep
+/// option.
 fn split_fleet_args(args: &[String]) -> Option<FleetCliArgs> {
     let mut out = FleetCliArgs {
         shards: None,
-        spawn: None,
         dir: ".griffin-fleet".into(),
         events: None,
         resume: false,
         heartbeat: None,
         max_shard_retries: None,
-        heartbeat_timeout_ms: None,
         sweep_rest: Vec::new(),
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--shards" => out.shards = Some(it.next()?.parse().ok().filter(|&n| n > 0)?),
-            "--spawn" => out.spawn = Some(true),
-            "--no-spawn" => out.spawn = Some(false),
             "--dir" => out.dir = it.next()?.clone(),
             "--events" => out.events = Some(it.next()?.clone()),
             "--resume" => out.resume = true,
             "--heartbeat" => out.heartbeat = Some(it.next()?.parse().ok()?),
             "--max-shard-retries" => out.max_shard_retries = Some(it.next()?.parse().ok()?),
-            "--heartbeat-timeout" => out.heartbeat_timeout_ms = Some(it.next()?.parse().ok()?),
-            other => forward_sweep_flag(other, &mut it, &mut out.sweep_rest)?,
+            other => {
+                out.sweep_rest.push(other.to_string());
+                if other != "--lineup" {
+                    out.sweep_rest.extend(it.next().cloned());
+                }
+            }
         }
     }
     Some(out)
@@ -664,10 +630,11 @@ extern "C" fn on_sigint(_sig: i32) {
     }
 }
 
-/// Installs a SIGINT handler that raises the fleet abort flag: ^C
-/// drains running workers and fails the campaign with a terminal
-/// `campaign_failed` — journal intact, so `--resume` picks up where
-/// the interrupt landed. Returns the flag for [`FleetConfig::abort`].
+/// Installs a SIGINT handler that raises the fleet abort flag: ^C stops
+/// the campaign at the next shard or retry-backoff boundary and fails it
+/// with a terminal `campaign_failed` — journal intact, so `--resume`
+/// picks up where the interrupt landed. Returns the flag for
+/// [`FleetConfig::abort`].
 fn install_sigint_abort() -> Arc<AtomicBool> {
     let flag = SIGINT_ABORT
         .get_or_init(|| Arc::new(AtomicBool::new(false)))
@@ -1020,27 +987,19 @@ fn cmd_fleet(workload: &str, cat: &str, rest: &[String]) -> ExitCode {
     cfg.resume = fleet_args.resume;
     cfg.heartbeat_every = resolved.heartbeat;
     cfg.max_shard_retries = resolved.max_shard_retries;
-    cfg.heartbeat_timeout_ms = resolved.heartbeat_timeout_ms;
-    // In spawn mode the workers arm their own faults from the
-    // inherited environment; the coordinator only acts on its own
-    // (journal) faults either way.
     cfg.fault = fault_plan;
     cfg.scenario = provenance;
-    // ^C drains workers and fails the campaign cleanly instead of
-    // tearing the stream mid-line; the journal survives for --resume.
+    // ^C fails the campaign cleanly at the next shard or backoff
+    // boundary instead of tearing the stream mid-line; the journal
+    // survives for --resume.
     cfg.abort = Some(install_sigint_abort());
     let (mut sink, quiet) = match open_event_sink(&dir, &fleet_args.events, fleet_args.resume) {
         Ok(s) => s,
         Err(code) => return code,
     };
     if !quiet {
-        let mode = if resolved.spawn {
-            "subprocesses"
-        } else {
-            "in-process"
-        };
         println!(
-            "fleet `{}`: {} cells over {} shards ({mode}){}...",
+            "fleet `{}`: {} cells over {} shards{}...",
             spec.name,
             spec.cell_count(),
             cfg.shards,
@@ -1048,63 +1007,7 @@ fn cmd_fleet(workload: &str, cat: &str, rest: &[String]) -> ExitCode {
         );
     }
 
-    let report = if resolved.spawn {
-        let exe = match std::env::current_exe() {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("cannot locate own executable for --spawn: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        // Workers rebuild the spec from the same source the coordinator
-        // used: the positional tokens, or the scenario file (passed as
-        // an absolute path so workers resolve it regardless of cwd).
-        let source_args: Vec<String> = if workload == "--scenario" {
-            let abs = std::fs::canonicalize(cat)
-                .map_or_else(|_| cat.to_string(), |p| p.display().to_string());
-            vec!["--scenario".into(), abs]
-        } else {
-            vec![workload.to_string(), cat.to_string()]
-        };
-        // Forward the sweep options verbatim so every worker rebuilds
-        // the identical spec; pin a per-shard worker count when the
-        // user left it defaulted (N concurrent shards would otherwise
-        // each grab every core).
-        let mut forward = fleet_args.sweep_rest.clone();
-        if !forward.iter().any(|a| a == "--workers") {
-            let per_shard = (default_workers() / cfg.shards).max(1);
-            forward.extend(["--workers".into(), per_shard.to_string()]);
-        }
-        let worker_args = |w: &WorkerSpawn| -> Vec<String> {
-            let mut args: Vec<String> = vec!["shard-worker".into()];
-            args.extend(source_args.iter().cloned());
-            args.extend(forward.iter().cloned());
-            args.extend([
-                "--shards".into(),
-                w.shards.to_string(),
-                "--shard".into(),
-                w.shard.to_string(),
-                "--expect-fp".into(),
-                w.expect_fp.to_string(),
-                "--heartbeat".into(),
-                resolved.heartbeat.to_string(),
-                "--cache".into(),
-                w.cache_dir.display().to_string(),
-                "--journal".into(),
-                w.journal.display().to_string(),
-            ]);
-            args
-        };
-        let make = |w: &WorkerSpawn| {
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.args(worker_args(w));
-            cmd
-        };
-        run_fleet_spawned(&spec, &cfg, &make, &mut sink)
-    } else {
-        run_fleet(&spec, &cfg, &mut sink)
-    };
-    let report = match report {
+    let report = match run_fleet(&spec, &cfg, &mut sink) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");
@@ -1133,106 +1036,6 @@ fn cmd_fleet(workload: &str, cat: &str, rest: &[String]) -> ExitCode {
         );
     }
     ExitCode::SUCCESS
-}
-
-/// Worker-specific flags of the internal `shard-worker` subcommand.
-struct WorkerCliArgs {
-    shards: usize,
-    shard: Option<usize>,
-    expect_fp: Option<Fingerprint>,
-    cache: Option<String>,
-    journal: Option<String>,
-    heartbeat: usize,
-    sweep_rest: Vec<String>,
-}
-
-fn split_worker_args(args: &[String]) -> Option<WorkerCliArgs> {
-    let mut out = WorkerCliArgs {
-        shards: 0,
-        shard: None,
-        expect_fp: None,
-        cache: None,
-        journal: None,
-        heartbeat: 0,
-        sweep_rest: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--shards" => out.shards = it.next()?.parse().ok().filter(|&n| n > 0)?,
-            "--shard" => out.shard = Some(it.next()?.parse().ok()?),
-            "--expect-fp" => out.expect_fp = Some(Fingerprint::parse(it.next()?)?),
-            "--cache" => out.cache = Some(it.next()?.clone()),
-            "--journal" => out.journal = Some(it.next()?.clone()),
-            "--heartbeat" => out.heartbeat = it.next()?.parse().ok()?,
-            other => forward_sweep_flag(other, &mut it, &mut out.sweep_rest)?,
-        }
-    }
-    (out.shards > 0 && out.shard.is_some() && out.cache.is_some()).then_some(out)
-}
-
-fn cmd_shard_worker(workload: &str, cat: &str, rest: &[String]) -> ExitCode {
-    let Some(w) = split_worker_args(rest) else {
-        return usage();
-    };
-    let opts = match parse_sweep_args(&w.sweep_rest, "shard-worker or sweep") {
-        Ok(o) => o,
-        Err(e) => return explain(&e),
-    };
-    let spec = if workload == "--scenario" {
-        match load_scenario(cat, &w.sweep_rest) {
-            Ok(s) => s.to_spec(),
-            Err(code) => return code,
-        }
-    } else {
-        match build_sweep_spec(workload, cat, &opts) {
-            Ok(s) => s,
-            Err(e) => return explain(&e),
-        }
-    };
-    let fault_plan = match fault::plan_from_env() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{}: {e}", fault::FAULT_ENV);
-            return ExitCode::FAILURE;
-        }
-    };
-    let cfg = WorkerConfig {
-        shards: w.shards,
-        shard: w.shard.expect("validated"),
-        expect_fp: w.expect_fp,
-        journal: w.journal.map(PathBuf::from),
-        cache_dir: PathBuf::from(w.cache.expect("validated")),
-        workers: opts.workers,
-        heartbeat_every: w.heartbeat,
-        fault: fault_plan,
-        attempt: fault::attempt_from_env(),
-    };
-    match run_shard_worker(&spec, &cfg, std::io::stdout()) {
-        Ok(()) => ExitCode::SUCCESS,
-        // An injected kill dies the way a real crash does: a torn
-        // protocol line, no shard_done, a nonzero exit. An injected
-        // stall goes silent while staying alive — the coordinator's
-        // heartbeat watchdog must find and kill it.
-        Err(FleetError::Injected(f @ Fault::Kill { .. })) => {
-            eprintln!("shard-worker: {f} — dying abruptly");
-            use std::io::Write as _;
-            let mut out = std::io::stdout();
-            let _ = out.write_all(b"{\"ev\":\"cell_");
-            let _ = out.flush();
-            ExitCode::from(3)
-        }
-        Err(FleetError::Injected(f @ Fault::Stall { .. })) => {
-            eprintln!("shard-worker: {f} — going silent");
-            loop {
-                std::thread::sleep(std::time::Duration::from_secs(3600));
-            }
-        }
-        Err(e) => {
-            eprintln!("shard-worker: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 fn cmd_list() -> ExitCode {
@@ -1490,13 +1293,10 @@ fn cmd_scenario_list(dir: &str) -> ExitCode {
         );
         match Scenario::load(&path) {
             Ok(s) => {
-                let fleet = s.fleet.as_ref().map_or("-".to_string(), |f| {
-                    format!(
-                        "{} shards{}",
-                        f.shards,
-                        if f.spawn { ", spawn" } else { "" }
-                    )
-                });
+                let fleet = s
+                    .fleet
+                    .as_ref()
+                    .map_or("-".to_string(), |f| format!("{} shards", f.shards));
                 println!(
                     "{file:<28} {:<20} {:<28} {fleet}",
                     s.name,
@@ -1546,11 +1346,7 @@ fn cmd_scenario_show(file: &str) -> ExitCode {
         println!("    ... and {} more", spec.archs.len() - 12);
     }
     if let Some(f) = &s.fleet {
-        println!(
-            "  fleet:        {} shards{}",
-            f.shards,
-            if f.spawn { ", spawn" } else { "" }
-        );
+        println!("  fleet:        {} shards", f.shards);
     }
     println!();
     println!("canonical form:");
@@ -1903,7 +1699,6 @@ fn main() -> ExitCode {
         Some("sweep") if args.len() >= 3 => cmd_sweep(&args[1], &args[2], &args[3..]),
         Some("pareto") if args.len() >= 3 => cmd_pareto(&args[1], &args[2], &args[3..]),
         Some("fleet") if args.len() >= 3 => cmd_fleet(&args[1], &args[2], &args[3..]),
-        Some("shard-worker") if args.len() >= 3 => cmd_shard_worker(&args[1], &args[2], &args[3..]),
         Some("scenario") => cmd_scenario(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),

@@ -83,18 +83,31 @@ fn tile_grid(t_rows: usize, density: f64, seed: u64) -> OpGrid {
 /// across runs on a shared machine (see `machine_variance_note`).
 const TIMING_CHUNKS: usize = 8;
 
-fn time_per_call(mut f: impl FnMut(), iters: usize) -> f64 {
-    // One untimed call so lazily-grown scratch (head volume, ready
-    // bitset) doesn't land in the first chunk.
-    f();
+/// Times `N` sides against each other: `f(side)` makes one call of side
+/// `side`, and each side gets `iters` calls. Every chunk times each side
+/// once, rotating which goes first, so host noise lands on all sides
+/// alike instead of on whichever loop happened to run through it. Each
+/// side keeps its fastest chunk (ns per call).
+fn time_per_call<const N: usize>(mut f: impl FnMut(usize), iters: usize) -> [f64; N] {
+    // One untimed call per side so lazily-grown scratch (head volume,
+    // ready bitset) doesn't land in the first chunk.
+    for side in 0..N {
+        f(side);
+    }
     let per_chunk = (iters / TIMING_CHUNKS).max(1);
-    let mut best = f64::INFINITY;
-    for _ in 0..TIMING_CHUNKS {
-        let start = Instant::now();
-        for _ in 0..per_chunk {
-            f();
+    let mut best = [f64::INFINITY; N];
+    for chunk in 0..TIMING_CHUNKS {
+        for k in 0..N {
+            let side = (chunk + k) % N;
+            // And one before each chunk, so what the other side evicted
+            // from the caches refills outside the timing.
+            f(side);
+            let start = Instant::now();
+            for _ in 0..per_chunk {
+                f(side);
+            }
+            best[side] = best[side].min(start.elapsed().as_secs_f64() * 1e9 / per_chunk as f64);
         }
-        best = best.min(start.elapsed().as_secs_f64() * 1e9 / per_chunk as f64);
     }
     best
 }
@@ -133,15 +146,13 @@ pub fn run_bench(args: &BenchArgs) -> Result<Json, String> {
                          g: &OpGrid,
                          win: EffectiveWindow,
                          scratch: &mut SchedScratch| {
-        let event_ns = time_per_call(
-            || {
-                schedule_with(g, win, Priority::OwnFirst, scratch);
-            },
-            iters,
-        );
-        let ref_ns = time_per_call(
-            || {
-                reference::schedule(g, win, Priority::OwnFirst);
+        let [event_ns, ref_ns] = time_per_call(
+            |side| {
+                if side == 0 {
+                    schedule_with(g, win, Priority::OwnFirst, scratch);
+                } else {
+                    reference::schedule(g, win, Priority::OwnFirst);
+                }
             },
             iters,
         );
@@ -196,12 +207,14 @@ pub fn run_bench(args: &BenchArgs) -> Result<Json, String> {
     // --- grid_build: the word-level tile grid builders ----------------
     let a_mask = TensorGen::seeded(12).bernoulli_mask(core.m0, t_rows * core.k0, 0.43);
     let a_view = ATileView::new(&a_mask, core, 0);
-    let b_build_ns = time_per_call(
-        || build_b_grid(&mut g, &mut span, &view, LaneMap::Rotate),
-        iters,
-    );
-    let a_build_ns = time_per_call(
-        || build_a_grid(&mut g, &mut span, &a_view, LaneMap::Rotate),
+    let [b_build_ns, a_build_ns] = time_per_call(
+        |side| {
+            if side == 0 {
+                build_b_grid(&mut g, &mut span, &view, LaneMap::Rotate);
+            } else {
+                build_a_grid(&mut g, &mut span, &a_view, LaneMap::Rotate);
+            }
+        },
         iters,
     );
     println!("  grid build: B tile {b_build_ns:.0} ns, A tile {a_build_ns:.0} ns");
@@ -250,7 +263,8 @@ pub fn run_bench(args: &BenchArgs) -> Result<Json, String> {
             "machine_variance_note".into(),
             Json::Str(
                 "micro numbers are the fastest of `timing_chunks` chunks of \
-                 `iters / timing_chunks` calls each (least-interfered estimate); \
+                 `iters / timing_chunks` calls each (least-interfered estimate), \
+                 the compared sides interleaved chunk by chunk; \
                  the watch rate is one timed run and can swing between machines — \
                  compare it only against numbers produced on the same host"
                     .into(),

@@ -1,5 +1,5 @@
-//! End-to-end CLI test of `griffin-cli fleet`: subprocess shard
-//! workers, journaled resume, and byte-identity with `griffin-cli
+//! End-to-end CLI test of `griffin-cli fleet`: sharded runs, journaled
+//! resume, retries, interrupts and byte-identity with `griffin-cli
 //! sweep` — the acceptance pin of the fleet subsystem at the binary
 //! boundary.
 
@@ -70,8 +70,8 @@ fn run(args: &[&str], cwd: &Path) -> std::process::Output {
 }
 
 #[test]
-fn spawned_fleet_matches_sweep_and_resumes_from_the_journal() {
-    let dir = scratch_dir("spawn");
+fn fleet_matches_sweep_and_resumes_from_the_journal() {
+    let dir = scratch_dir("resume");
 
     let mut sweep_args = vec!["sweep"];
     sweep_args.extend(CAMPAIGN);
@@ -90,7 +90,6 @@ fn spawned_fleet_matches_sweep_and_resumes_from_the_journal() {
     fleet_args.extend([
         "--shards",
         "2",
-        "--spawn",
         "--dir",
         "fs",
         "--csv",
@@ -104,16 +103,16 @@ fn spawned_fleet_matches_sweep_and_resumes_from_the_journal() {
     assert_eq!(
         single_csv,
         std::fs::read(dir.join("fleet.csv")).unwrap(),
-        "spawned fleet CSV must be byte-identical to sweep"
+        "fleet CSV must be byte-identical to sweep"
     );
     assert_eq!(
         std::fs::read(dir.join("single.json")).unwrap(),
         std::fs::read(dir.join("fleet.json")).unwrap(),
-        "spawned fleet JSON must be byte-identical to sweep"
+        "fleet JSON must be byte-identical to sweep"
     );
 
     // Interrupt simulation: drop the journal's last completed cell,
-    // then resume (still spawned) and compare again.
+    // then resume and compare again.
     let jpath = dir.join("fs/journal.jsonl");
     let text = std::fs::read_to_string(&jpath).unwrap();
     let mut lines: Vec<&str> = text.lines().collect();
@@ -126,7 +125,6 @@ fn spawned_fleet_matches_sweep_and_resumes_from_the_journal() {
     resume_args.extend([
         "--shards",
         "2",
-        "--spawn",
         "--resume",
         "--dir",
         "fs",
@@ -162,20 +160,12 @@ fn killed_worker_is_retried_and_the_report_still_matches_sweep() {
     sweep_args.extend(["--workers", "2", "--csv", "single.csv"]);
     run(&sweep_args, &dir);
 
-    // Kill shard 1's worker after one completed cell; the coordinator
-    // must re-queue its remaining cells onto a respawned worker and
-    // still produce the byte-identical report.
+    // Kill shard 1 after one completed cell; the coordinator must
+    // re-queue its remaining cells onto a retried attempt and still
+    // produce the byte-identical report.
     let mut fleet_args = vec!["fleet"];
     fleet_args.extend(CAMPAIGN);
-    fleet_args.extend([
-        "--shards",
-        "3",
-        "--spawn",
-        "--dir",
-        "fs",
-        "--csv",
-        "fleet.csv",
-    ]);
+    fleet_args.extend(["--shards", "3", "--dir", "fs", "--csv", "fleet.csv"]);
     let out = Command::new(CLI)
         .args(&fleet_args)
         .env("GRIFFIN_FAULT", "kill:shard=1:after=1")
@@ -216,15 +206,7 @@ fn exhausted_retries_fail_with_a_terminal_campaign_failed() {
     let dir = scratch_dir("chaos-exhaust");
     let mut fleet_args = vec!["fleet"];
     fleet_args.extend(CAMPAIGN);
-    fleet_args.extend([
-        "--shards",
-        "2",
-        "--spawn",
-        "--dir",
-        "fs",
-        "--max-shard-retries",
-        "1",
-    ]);
+    fleet_args.extend(["--shards", "2", "--dir", "fs", "--max-shard-retries", "1"]);
     let out = Command::new(CLI)
         .args(&fleet_args)
         .env("GRIFFIN_FAULT", "kill:shard=0:after=0:attempt=any")
@@ -300,9 +282,10 @@ fn sigint_drains_cleanly_and_resume_completes_byte_identical() {
     sweep_args.extend(["--workers", "2", "--csv", "single.csv"]);
     run(&sweep_args, &dir);
 
-    // A worker that goes silent after one cell keeps the campaign
-    // running forever (no heartbeat timeout is set) — the interrupt is
-    // the only way out, exactly the operator scenario.
+    // A shard that dies after one cell on every attempt, with a retry
+    // budget that never runs out, keeps the campaign in its backoff
+    // loop for good — the interrupt is the only way out, exactly the
+    // operator scenario.
     let plan = griffin::fleet::plan::ShardPlan::new(&campaign_spec(), 2).unwrap();
     let victim = (0..2).max_by_key(|&s| plan.cells[s].len()).unwrap();
     let mut fleet_args = vec!["fleet"];
@@ -310,7 +293,8 @@ fn sigint_drains_cleanly_and_resume_completes_byte_identical() {
     fleet_args.extend([
         "--shards",
         "2",
-        "--spawn",
+        "--max-shard-retries",
+        "1000000",
         "--dir",
         "fs",
         "--csv",
@@ -320,20 +304,20 @@ fn sigint_drains_cleanly_and_resume_completes_byte_identical() {
         .args(&fleet_args)
         .env(
             "GRIFFIN_FAULT",
-            format!("stall:shard={victim}:after=1:attempt=any"),
+            format!("kill:shard={victim}:after=1:attempt=any"),
         )
         .current_dir(&dir)
         .spawn()
         .unwrap();
 
-    // Wait until real work is journaled, then ^C the coordinator.
+    // Wait until the victim is retrying, then ^C the coordinator.
     assert!(
         wait_for_marker(
             &dir.join("fs/events.jsonl"),
-            "\"ev\":\"cell_done\"",
+            "\"ev\":\"shard_retried\"",
             Duration::from_secs(60),
         ),
-        "the campaign never started producing cells"
+        "the campaign never reached its retry loop"
     );
     assert!(Command::new("kill")
         .args(["-2", &child.id().to_string()])
@@ -372,7 +356,6 @@ fn sigint_drains_cleanly_and_resume_completes_byte_identical() {
     resume_args.extend([
         "--shards",
         "2",
-        "--spawn",
         "--resume",
         "--dir",
         "fs",
@@ -409,5 +392,95 @@ fn the_removed_hosts_flag_is_an_unknown_flag() {
         !dir.join("fs").exists(),
         "refused before any state is written"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Runs `fleet` over [`CAMPAIGN`] with `extra` flags in `dir` and
+/// returns the output, for the refusal tests.
+fn fleet_with(extra: &[&str], dir: &Path) -> std::process::Output {
+    let mut fleet_args = vec!["fleet"];
+    fleet_args.extend(CAMPAIGN);
+    fleet_args.extend(extra);
+    Command::new(CLI)
+        .args(&fleet_args)
+        .current_dir(dir)
+        .output()
+        .unwrap()
+}
+
+#[test]
+fn the_removed_spawn_and_heartbeat_timeout_flags_are_unknown_flags() {
+    let dir = scratch_dir("spawn-flags");
+    for (flag, value) in [
+        ("--spawn", None),
+        ("--no-spawn", None),
+        ("--heartbeat-timeout", Some("500")),
+    ] {
+        // Anywhere on the line, last or followed by other flags.
+        let mut last = vec!["--shards", "2", "--dir", "fs", flag];
+        last.extend(value);
+        let mut first = vec![flag];
+        first.extend(value);
+        first.extend(["--shards", "2", "--dir", "fs"]);
+        for args in [last, first] {
+            let out = fleet_with(&args, &dir);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: a usage error");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("`{flag}`")) && stderr.contains("fleet"),
+                "the error names the flag and the fleet flag set: {stderr}"
+            );
+            assert!(!dir.join("fs").exists(), "refused before any state");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn the_removed_stall_fault_is_refused_loudly() {
+    let dir = scratch_dir("stall");
+    let mut fleet_args = vec!["fleet"];
+    fleet_args.extend(CAMPAIGN);
+    fleet_args.extend(["--shards", "2", "--dir", "fs"]);
+    let out = Command::new(CLI)
+        .args(&fleet_args)
+        .env("GRIFFIN_FAULT", "stall:shard=0:after=1:attempt=any")
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "refused, not run clean");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("GRIFFIN_FAULT") && stderr.contains("unknown fault `stall`"),
+        "stderr: {stderr}"
+    );
+    assert!(!dir.join("fs").exists(), "refused before any state");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn shard_worker_is_not_a_subcommand() {
+    let dir = scratch_dir("shard-worker");
+    let out = Command::new(CLI)
+        .args([
+            "shard-worker",
+            "synth",
+            "b",
+            "--shards",
+            "2",
+            "--shard",
+            "0",
+            "--cache",
+            "c",
+        ])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "usage, exit 2");
+    assert!(out.stdout.is_empty(), "no event stream on stdout");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("USAGE:"), "stderr: {stderr}");
+    assert!(!stderr.contains("shard-worker"), "usage no longer lists it");
+    assert!(!dir.join("c").exists(), "nothing ran");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -143,8 +143,7 @@ fn scenario_fleet_records_provenance_and_matches_sweep() {
         ],
         &dir,
     );
-    // ci-smoke.toml ships shards = 2, spawn = true: no fleet flags
-    // needed.
+    // ci-smoke.toml ships shards = 2: no fleet flags needed.
     run(
         &[
             "fleet",

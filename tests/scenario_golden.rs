@@ -127,7 +127,7 @@ fn ci_smoke_matches_the_token_campaign() {
         "08f9898766ba032827910787e6e28f04"
     );
     let fleet = scen.fleet.expect("ci-smoke ships fleet settings");
-    assert_eq!((fleet.shards, fleet.spawn), (2, true));
+    assert_eq!(fleet.shards, 2);
 }
 
 #[test]
@@ -154,7 +154,7 @@ fn design_space_matches_the_example_campaign() {
 fn shipped_scenario_fingerprints_are_pinned() {
     for (file, fp) in [
         ("bert-seeds.toml", "7fb706abb4f7a9cb6da5df417b59d56c"),
-        ("ci-smoke.toml", "3686c92deffae9fb1cbe274ac7619a8c"),
+        ("ci-smoke.toml", "8c95fa28543dd6aeed391cee46ee2284"),
         ("design-space.toml", "74d26656146a5e016e2fd0656258e2ac"),
         ("fig5-alexnet-b.toml", "c070b073fd3f36778ef229dcc23a58ec"),
         ("fig5-bert-b.toml", "f412f6b6ea6c1b6f6c76c92f696b804c"),

@@ -1,7 +1,7 @@
 //! End-to-end CLI tests of the observability layer: `fleet watch`
 //! (one-shot JSON, live follow) and `fleet report --html`, pinned
 //! against `events.jsonl` ground truth — including on a chaos fleet
-//! whose worker is killed and retried mid-campaign.
+//! whose shard is killed and retried mid-campaign.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -55,19 +55,11 @@ fn field(j: &Json, key: &str) -> f64 {
 fn watch_json_matches_event_stream_ground_truth_on_a_chaos_fleet() {
     let dir = scratch_dir("chaos");
 
-    // A spawned fleet whose shard-1 worker dies after one cell: the
-    // coordinator retries it exactly once.
+    // A fleet whose shard 1 dies after one cell: the coordinator
+    // retries it exactly once.
     let mut fleet_args = vec!["fleet"];
     fleet_args.extend(CAMPAIGN);
-    fleet_args.extend([
-        "--shards",
-        "2",
-        "--spawn",
-        "--dir",
-        "fs",
-        "--heartbeat",
-        "1",
-    ]);
+    fleet_args.extend(["--shards", "2", "--dir", "fs", "--heartbeat", "1"]);
     let out = Command::new(CLI)
         .args(&fleet_args)
         .env("GRIFFIN_FAULT", "kill:shard=1:after=1")
@@ -132,18 +124,10 @@ fn watch_json_matches_event_stream_ground_truth_on_a_chaos_fleet() {
 fn live_watch_follows_a_running_chaos_fleet_to_campaign_done() {
     let dir = scratch_dir("live");
 
-    // Start the fleet (worker killed + retried mid-run) WITHOUT waiting.
+    // Start the fleet (shard killed + retried mid-run) WITHOUT waiting.
     let mut fleet_args = vec!["fleet"];
     fleet_args.extend(CAMPAIGN);
-    fleet_args.extend([
-        "--shards",
-        "2",
-        "--spawn",
-        "--dir",
-        "fs",
-        "--heartbeat",
-        "1",
-    ]);
+    fleet_args.extend(["--shards", "2", "--dir", "fs", "--heartbeat", "1"]);
     let mut fleet = Command::new(CLI)
         .args(&fleet_args)
         .env("GRIFFIN_FAULT", "kill:shard=1:after=1")
