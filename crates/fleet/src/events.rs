@@ -15,12 +15,12 @@
 //! | `cell_done`       | `shard`, `cell`, `fp`, `cached`, `metrics{…}`               |
 //! | `heartbeat`       | `shard`, `done`, `total`, `elapsed_ms`, `cached`            |
 //! | `shard_done`      | `shard`, `simulated`, `cached`, `elapsed_ms`                |
-//! | `shard_failed`    | `shard`, `attempt`, `msg`                                   |
-//! | `cells_requeued`  | `shard`, `cells`                                            |
-//! | `shard_retried`   | `shard`, `attempt`, `backoff_ms`                            |
+//! | `shard_failed`    | `shard`, `attempt` (always 0 now), `msg`                    |
+//! | `cells_requeued`  | `shard`, `cells` (legacy, parsed; no longer emitted)        |
+//! | `shard_retried`   | `shard`, `attempt`, `backoff_ms` (legacy, parsed; no longer emitted) |
 //! | `host_lost`       | `host`, `shards` (legacy, parsed and ignored)               |
 //! | `host_retired`    | `host` (legacy, parsed and ignored)                         |
-//! | `merge_done`      | `sources`, `merged`, `identical`, `healed`, `conflicts`     |
+//! | `merge_done`      | `sources`, `merged`, `identical`, `healed`, `conflicts` (legacy, parsed; no longer emitted) |
 //! | `campaign_done`   | `cells`, `elapsed_ms`                                       |
 //! | `campaign_failed` | `msg`                                                       |
 //!
@@ -52,6 +52,12 @@
 //! (ignored like any unknown field) and two host events, `host_lost`
 //! and `host_retired`. Those two still parse, so old streams stay
 //! readable, but no coordinator emits them and consumers ignore them.
+//!
+//! The coordinator no longer retries shards or merges per-shard caches:
+//! a failed shard emits `shard_failed` (attempt 0) and the campaign
+//! ends with `campaign_failed`. `cells_requeued`, `shard_retried` and
+//! `merge_done` still parse, and watch consumers fold them as before,
+//! so older streams read unchanged; no coordinator emits them.
 
 use std::io::{self, Write};
 
@@ -150,33 +156,35 @@ pub enum Event {
         /// Wall-clock milliseconds of the shard run.
         elapsed_ms: u64,
     },
-    /// A shard attempt died (v2).
+    /// A shard run died (v2); the campaign fails next.
     ShardFailed {
         /// Shard index.
         shard: usize,
-        /// The attempt that failed (0 = first launch).
+        /// The attempt that failed (always 0 from the current
+        /// coordinator; older streams count retries).
         attempt: usize,
         /// Human-readable cause.
         msg: String,
     },
-    /// A dead shard's remaining (non-journaled) cells were put back on
-    /// the queue for the next attempt (v2).
+    /// Legacy (v2/v3 streams): a dead shard's remaining (non-journaled)
+    /// cells were put back on the queue for a retry. Parsed; no longer
+    /// emitted.
     CellsRequeued {
         /// Shard index.
         shard: usize,
         /// Cells re-queued.
         cells: usize,
     },
-    /// A failed shard is being retried (v2). `attempt` is the attempt
-    /// about to run; follows `shard_failed` + `cells_requeued`.
+    /// Legacy (v2/v3 streams): a failed shard was retried. `attempt` is
+    /// the attempt about to run; follows `shard_failed` +
+    /// `cells_requeued`. Parsed; no longer emitted.
     ShardRetried {
         /// Shard index.
         shard: usize,
         /// Attempt number about to run (≥ 1).
         attempt: usize,
         /// Deterministic retry backoff slept before this attempt, in
-        /// milliseconds (v3; 0 in older streams). See
-        /// [`retry_backoff_ms`](crate::coordinator::retry_backoff_ms).
+        /// milliseconds (v3; 0 in older streams).
         backoff_ms: u64,
     },
     /// Legacy (v3 multi-host streams): a host was declared lost.
@@ -194,7 +202,8 @@ pub enum Event {
         /// The retiring host's name.
         host: String,
     },
-    /// Per-shard caches were unioned into the merged cache.
+    /// Legacy (v1–v3 streams): per-shard caches were unioned into a
+    /// merged cache. Parsed; no longer emitted.
     MergeDone {
         /// Source directories considered.
         sources: usize,

@@ -1,24 +1,23 @@
 //! Deterministic fault injection for fleet campaigns.
 //!
-//! Long sharded campaigns must survive a shard dying mid-run — and that
-//! claim is only testable if failures can be *injected* at precise,
+//! A fleet campaign must survive a shard dying mid-run — and that claim
+//! is only testable if failures can be *injected* at precise,
 //! reproducible points and the recovery replayed deterministically. A
-//! [`FaultPlan`] is a small list of [`Fault`]s, each naming a shard, a
-//! trigger point (a completed-cell count) and an attempt gate. The
-//! coordinator ([`run_fleet`](crate::coordinator::run_fleet)) consults
-//! the plan directly
-//! ([`FleetConfig::fault`](crate::coordinator::FleetConfig)); the CLI
-//! reads it from the [`FAULT_ENV`] (`GRIFFIN_FAULT`) environment
-//! variable. A fault gated on `attempt=0` (the default) fires exactly
-//! once and the retry recovers; `attempt=any` fires on every attempt.
+//! [`FaultPlan`] is a small list of [`Fault`]s, each naming a shard or a
+//! trigger point (a completed-cell count). The coordinator
+//! ([`run_fleet`](crate::coordinator::run_fleet)) consults the plan
+//! directly ([`FleetConfig::fault`](crate::coordinator::FleetConfig));
+//! the CLI reads it from the [`FAULT_ENV`] (`GRIFFIN_FAULT`) environment
+//! variable. Every fault fails the campaign (or, for `corrupt-cache`,
+//! damages what a later run reads), and the recovery is always the same:
+//! `--resume` with the fault cleared.
 //!
 //! The plan has a compact textual form (what the env var carries),
 //! faults separated by `;`:
 //!
 //! ```text
-//! kill:shard=1:after=2            shard 1 dies after 2 completions (attempt 0)
-//! kill:shard=0:after=0:attempt=any  shard 0 dies at once on every attempt
-//! corrupt-cache:shard=2           shard 2's cache is torn mid-write
+//! kill:shard=1:after=2            shard 1 dies after 2 completions
+//! corrupt-cache:shard=2           the cache is torn mid-write after shard 2
 //! truncate-journal:after=3        the journal loses its tail mid-append
 //! ```
 //!
@@ -34,49 +33,28 @@ use std::path::Path;
 /// Environment variable carrying a [`FaultPlan`] in its textual form.
 pub const FAULT_ENV: &str = "GRIFFIN_FAULT";
 
-/// Which shard attempts a fault fires on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttemptGate {
-    /// Fire only on this attempt number (default: attempt 0 — the fault
-    /// happens once, the retry runs clean).
-    Only(usize),
-    /// Fire on every attempt (drives the retries-exhausted path).
-    Any,
-}
-
-impl AttemptGate {
-    /// Whether the gate admits `attempt`.
-    pub fn admits(self, attempt: usize) -> bool {
-        match self {
-            AttemptGate::Only(a) => a == attempt,
-            AttemptGate::Any => true,
-        }
-    }
-}
-
 /// One injectable failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// The attempt running `shard` dies abruptly after completing (and
-    /// streaming) `after` of its remaining cells: no `shard_done`.
-    /// Exercises the coordinator's retry path.
+    /// The run of `shard` dies abruptly after completing (and
+    /// streaming) `after` of its remaining cells: no `shard_done`, then
+    /// `shard_failed` and a terminal `campaign_failed`. The simulated
+    /// crash: `--resume` finishes the campaign.
     Kill {
-        /// Shard whose attempt dies.
+        /// Shard whose run dies.
         shard: usize,
         /// Remaining-cell completions before death.
         after: usize,
-        /// Attempt gate.
-        attempt: AttemptGate,
     },
-    /// The shard's cache directory is torn as if the worker died
-    /// mid-write: its newest entry is truncated and a partial `.tmp`
-    /// file is left behind (see [`corrupt_shard_cache`]). Exercises the
-    /// merge's invalid-entry skip and the final replay's re-simulation.
+    /// Once `shard` completes, the campaign's cache directory is torn
+    /// as if a writer died mid-write: its newest entry is truncated and
+    /// a partial `.tmp` file is left behind (see
+    /// [`corrupt_shard_cache`]). The running campaign still reports from
+    /// memory; the next run reading the directory skips both and
+    /// re-simulates the torn entry.
     CorruptCache {
-        /// Shard whose cache is torn.
+        /// Shard after which the cache is torn.
         shard: usize,
-        /// Attempt gate.
-        attempt: AttemptGate,
     },
     /// The coordinator "crashes" mid-append: after the `after`-th
     /// journal append (campaign-wide), a torn, newline-less half entry
@@ -107,32 +85,11 @@ fn fail<T>(msg: impl Into<String>) -> Result<T, FaultError> {
     Err(FaultError { msg: msg.into() })
 }
 
-/// Canonical `:attempt=…` suffix of a gate (empty for the default
-/// gate, attempt 0).
-fn write_gate(f: &mut fmt::Formatter<'_>, g: AttemptGate) -> fmt::Result {
-    match g {
-        AttemptGate::Only(0) => Ok(()),
-        AttemptGate::Only(a) => write!(f, ":attempt={a}"),
-        AttemptGate::Any => write!(f, ":attempt=any"),
-    }
-}
-
 impl fmt::Display for Fault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let gate = write_gate;
         match *self {
-            Fault::Kill {
-                shard,
-                after,
-                attempt,
-            } => {
-                write!(f, "kill:shard={shard}:after={after}")?;
-                gate(f, attempt)
-            }
-            Fault::CorruptCache { shard, attempt } => {
-                write!(f, "corrupt-cache:shard={shard}")?;
-                gate(f, attempt)
-            }
+            Fault::Kill { shard, after } => write!(f, "kill:shard={shard}:after={after}"),
+            Fault::CorruptCache { shard } => write!(f, "corrupt-cache:shard={shard}"),
             Fault::TruncateJournal { after } => write!(f, "truncate-journal:after={after}"),
         }
     }
@@ -162,7 +119,6 @@ impl fmt::Display for FaultPlan {
 struct Fields {
     shard: Option<usize>,
     after: Option<usize>,
-    attempt: Option<AttemptGate>,
 }
 
 impl Fields {
@@ -180,8 +136,6 @@ impl Fields {
             match key {
                 "shard" => f.shard = Some(num()?),
                 "after" => f.after = Some(num()?),
-                "attempt" if value == "any" => f.attempt = Some(AttemptGate::Any),
-                "attempt" => f.attempt = Some(AttemptGate::Only(num()?)),
                 other => return fail(format!("`{kind}`: unknown field `{other}`")),
             }
         }
@@ -196,10 +150,6 @@ impl Fields {
     fn after(&self, kind: &str) -> Result<usize, FaultError> {
         self.after
             .map_or_else(|| fail(format!("`{kind}` needs after=N")), Ok)
-    }
-
-    fn gate(&self) -> AttemptGate {
-        self.attempt.unwrap_or(AttemptGate::Only(0))
     }
 }
 
@@ -227,13 +177,11 @@ impl FaultPlan {
                     Ok(Fault::Kill {
                         shard: f.shard(kind)?,
                         after: f.after(kind)?,
-                        attempt: f.gate(),
                     })
                 }),
                 "corrupt-cache" => fields.and_then(|f| {
                     Ok(Fault::CorruptCache {
                         shard: f.shard(kind)?,
-                        attempt: f.gate(),
                     })
                 }),
                 "truncate-journal" => fields.and_then(|f| {
@@ -251,25 +199,19 @@ impl FaultPlan {
         Ok(FaultPlan { faults })
     }
 
-    /// Completions before a [`Fault::Kill`] matching (`shard`,
-    /// `attempt`) fires, if any.
-    pub fn kill_after(&self, shard: usize, attempt: usize) -> Option<usize> {
+    /// Completions before a [`Fault::Kill`] of `shard` fires, if any.
+    pub fn kill_after(&self, shard: usize) -> Option<usize> {
         self.faults.iter().find_map(|f| match *f {
-            Fault::Kill {
-                shard: s,
-                after,
-                attempt: g,
-            } if s == shard && g.admits(attempt) => Some(after),
+            Fault::Kill { shard: s, after } if s == shard => Some(after),
             _ => None,
         })
     }
 
-    /// Whether a [`Fault::CorruptCache`] matches (`shard`, `attempt`).
-    pub fn corrupts_cache(&self, shard: usize, attempt: usize) -> bool {
-        self.faults.iter().any(|f| {
-            matches!(*f, Fault::CorruptCache { shard: s, attempt: g }
-                if s == shard && g.admits(attempt))
-        })
+    /// Whether a [`Fault::CorruptCache`] names `shard`.
+    pub fn corrupts_cache(&self, shard: usize) -> bool {
+        self.faults
+            .iter()
+            .any(|f| matches!(*f, Fault::CorruptCache { shard: s } if s == shard))
     }
 
     /// Campaign-wide journal appends before a [`Fault::TruncateJournal`]
@@ -296,12 +238,13 @@ pub fn plan_from_env() -> Result<Option<FaultPlan>, FaultError> {
     }
 }
 
-/// Tears a shard cache directory the way a shard killed mid-write
-/// would: the lexicographically last `.json` entry is truncated to half
-/// its bytes (an unparsable torn rename target) and a partial
-/// `fault.tmp.0.0` temp file is left behind. Recovery is the normal
-/// pipeline: `merge_dirs` skips both, and the final replay re-simulates
-/// whatever the torn entry held.
+/// Tears a cache directory the way a writer killed mid-write would: the
+/// lexicographically last `.json` entry is truncated to half its bytes
+/// (an unparsable torn rename target) and a partial `fault.tmp.0.0`
+/// temp file is left behind. Recovery is the normal pipeline: a cache
+/// reading the directory treats the torn entry as a miss and never
+/// reads the temp file, so the next replay re-simulates whatever the
+/// torn entry held.
 ///
 /// # Errors
 ///
@@ -334,8 +277,7 @@ mod tests {
     fn plans_roundtrip_through_their_textual_form() {
         let plans = [
             "kill:shard=1:after=2",
-            "kill:shard=0:after=1:attempt=any",
-            "kill:shard=3:after=0:attempt=2",
+            "kill:shard=3:after=0",
             "corrupt-cache:shard=2",
             "truncate-journal:after=3",
             "kill:shard=1:after=2;corrupt-cache:shard=1;truncate-journal:after=9",
@@ -353,33 +295,44 @@ mod tests {
             "",
             "  ;  ",
             "warp-core-breach:shard=1",
-            "kill:shard=1",              // missing after
-            "kill:after=2",              // missing shard
-            "kill:shard=x:after=2",      // bad number
-            "kill:shard=1:after=2:zap",  // not key=value
-            "kill:shard=1:after=2:k=v",  // unknown field
-            "truncate-journal:shard=1",  // missing after
-            "corrupt-cache:attempt=any", // missing shard
+            "kill:shard=1",             // missing after
+            "kill:after=2",             // missing shard
+            "kill:shard=x:after=2",     // bad number
+            "kill:shard=1:after=2:zap", // not key=value
+            "kill:shard=1:after=2:k=v", // unknown field
+            "truncate-journal:shard=1", // missing after
+            "corrupt-cache:after=1",    // missing shard
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "`{bad}` must be rejected");
         }
     }
 
     #[test]
-    fn queries_respect_shard_and_attempt_gates() {
-        let plan =
-            FaultPlan::parse("kill:shard=1:after=2;kill:shard=0:after=1:attempt=any").unwrap();
-        assert_eq!(plan.kill_after(1, 0), Some(2), "default gate is attempt 0");
-        assert_eq!(plan.kill_after(1, 1), None, "retry runs clean");
-        assert_eq!(plan.kill_after(2, 0), None, "wrong shard");
-        assert_eq!(plan.kill_after(0, 5), Some(1), "`any` admits every attempt");
-        assert!(!plan.corrupts_cache(1, 0));
+    fn queries_match_their_shard() {
+        let plan = FaultPlan::parse("kill:shard=1:after=2;kill:shard=0:after=1").unwrap();
+        assert_eq!(plan.kill_after(1), Some(2));
+        assert_eq!(plan.kill_after(0), Some(1));
+        assert_eq!(plan.kill_after(2), None, "wrong shard");
+        assert!(!plan.corrupts_cache(1));
         assert_eq!(plan.journal_truncate_after(), None);
 
         let plan = FaultPlan::parse("corrupt-cache:shard=2;truncate-journal:after=7").unwrap();
-        assert!(plan.corrupts_cache(2, 0));
-        assert!(!plan.corrupts_cache(2, 1));
+        assert!(plan.corrupts_cache(2));
+        assert!(!plan.corrupts_cache(1));
+        assert_eq!(plan.kill_after(2), None);
         assert_eq!(plan.journal_truncate_after(), Some(7));
+    }
+
+    #[test]
+    fn the_removed_attempt_field_is_unknown() {
+        for text in [
+            "kill:shard=0:after=1:attempt=any",
+            "kill:shard=1:after=2:attempt=0",
+            "corrupt-cache:shard=2:attempt=1",
+        ] {
+            let err = FaultPlan::parse(text).unwrap_err();
+            assert!(err.msg.contains("unknown field `attempt`"), "{text}: {err}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The campaign journal: crash-safe resume proof.
 //!
 //! A fleet campaign appends one JSON line per completed cell to
-//! `journal.jsonl` next to its caches. The first line is a header
+//! `journal.jsonl` next to its cache. The first line is a header
 //! carrying the campaign's spec fingerprint and cell count; `--resume`
 //! re-opens the file, verifies the header matches the *current* plan
 //! (refusing to resume a different grid), and restores the completed
@@ -10,7 +10,7 @@
 //! The file is append-only and written through a single coordinator, so
 //! interruption can only lose or truncate the final line; loading
 //! therefore tolerates a partial trailing line (and nothing else). Cell
-//! results themselves live in the per-shard caches — the journal is the
+//! results themselves live in the campaign cache — the journal is the
 //! index that proves which grid they belong to and which cells are done.
 
 use std::collections::BTreeMap;

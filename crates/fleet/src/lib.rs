@@ -4,16 +4,14 @@
 //! it into a **fleet** of shards run one after another in this process:
 //! the grid is deterministically partitioned into shards by cell
 //! fingerprint, progress streams as append-only JSONL events,
-//! completions are journaled for crash-safe resume, and per-shard caches
-//! are unioned by fingerprint into a merged cache from which the final
-//! report is assembled — **byte-identical** to a single-process sweep of
-//! the same spec.
+//! completions are journaled for crash-safe resume, and every shard
+//! writes one campaign cache from which the final report is assembled
+//! — **byte-identical** to a single-process sweep of the same spec.
 //!
-//! Campaigns are **fault-tolerant**: a shard attempt that dies has its
-//! remaining cells re-queued onto a fresh attempt (bounded by
-//! [`FleetConfig::max_shard_retries`](coordinator::FleetConfig)), and
-//! every recovery path is exercised deterministically through
-//! [`fault::FaultPlan`].
+//! Campaigns are **resumable**: a shard that dies fails the campaign
+//! with a terminal `campaign_failed` event, and `--resume` skips every
+//! journaled cell and finishes it. Every failure and recovery path is
+//! exercised deterministically through [`fault::FaultPlan`].
 //!
 //! * [`plan`] — content-addressed shard partitioning and the campaign
 //!   spec fingerprint that guards resume,
@@ -62,11 +60,10 @@ pub mod plan;
 pub mod tail;
 
 pub use coordinator::{
-    default_events_path, journal_path, merged_cache_dir, retry_backoff_ms, run_fleet,
-    shard_cache_dir, verify_shard_sources, FleetConfig, FleetError,
+    cache_dir, default_events_path, journal_path, run_fleet, FleetConfig, FleetError,
 };
 pub use events::{Event, EventError, EventSink, JsonlSink, NullSink, EVENTS_FORMAT};
-pub use fault::{AttemptGate, Fault, FaultError, FaultPlan, FAULT_ENV};
+pub use fault::{Fault, FaultError, FaultPlan, FAULT_ENV};
 pub use journal::{Journal, JournalError, JournalHeader, JOURNAL_FORMAT};
 pub use plan::{remaining_cells, shard_of, spec_fingerprint, PlanError, ShardPlan};
 pub use tail::{complete_lines, split_partial_tail, TailCursor, TailPoll};

@@ -5,8 +5,8 @@
 //! its stable 128-bit fingerprint only, never of its grid position — so
 //! reordering a spec's axes, resuming with a different shard count, or
 //! regenerating the plan on another machine always routes the same
-//! scenario to a predictable place, and per-shard caches stay reusable
-//! across plan changes.
+//! scenario to a predictable place, and a journal stays resumable across
+//! plan changes.
 //!
 //! The plan also computes the campaign's **spec fingerprint** — a hash
 //! over the name and the ordered cell-fingerprint list — which the

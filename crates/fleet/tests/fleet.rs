@@ -1,14 +1,13 @@
 //! Integration tests of the fleet coordinator: byte-identity with a
-//! single-process sweep, journaled resume, and lossless cache merging.
+//! single-process sweep, journaled resume, and resume from directories
+//! in the older per-shard cache layout.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use griffin_core::arch::ArchSpec;
 use griffin_core::category::DnnCategory;
-use griffin_fleet::coordinator::{
-    journal_path, merged_cache_dir, run_fleet, shard_cache_dir, FleetConfig, FleetError,
-};
+use griffin_fleet::coordinator::{cache_dir, journal_path, run_fleet, FleetConfig, FleetError};
 use griffin_fleet::events::{Event, EventSink, NullSink};
 use griffin_fleet::plan::ShardPlan;
 use griffin_sim::config::{Fidelity, SimConfig};
@@ -57,7 +56,7 @@ impl EventSink for Recorder {
 fn fleet_reports_are_byte_identical_to_a_single_sweep() {
     let spec = spec();
     let single = run_campaign(&spec, &ResultCache::in_memory(), 2).unwrap();
-    for shards in [1, 3, 4] {
+    for shards in [1, 2, 3] {
         let dir = scratch_dir(&format!("ident-{shards}"));
         let fleet = run_fleet(&spec, &FleetConfig::new(&dir, shards), &mut NullSink).unwrap();
         assert_eq!(
@@ -121,10 +120,11 @@ fn event_stream_covers_every_cell_and_shard() {
         heartbeats > 0,
         "heartbeat cadence 2 over 12 cells must fire"
     );
-    assert!(matches!(
-        events.iter().rev().nth(1),
-        Some(Event::MergeDone { conflicts: 0, .. })
-    ));
+    // No retry or merge lifecycle: those events are legacy-only.
+    assert!(!events.iter().any(|e| matches!(
+        e,
+        Event::MergeDone { .. } | Event::ShardRetried { .. } | Event::CellsRequeued { .. }
+    )));
 
     // The on-disk journal now knows every cell.
     assert_eq!(
@@ -160,17 +160,7 @@ fn resume_skips_journaled_cells_and_recomputes_lost_ones() {
     let last = lines.pop().unwrap();
     let lost_fp = last.split("\"fp\":\"").nth(1).unwrap()[..32].to_string();
     std::fs::write(&jpath, format!("{}\n", lines.join("\n"))).unwrap();
-    let mut removed = 0;
-    for shard in 0..2 {
-        let p = shard_cache_dir(&dir, shard).join(format!("{lost_fp}.json"));
-        if p.exists() {
-            std::fs::remove_file(&p).unwrap();
-            removed += 1;
-        }
-    }
-    let merged_entry = merged_cache_dir(&dir).join(format!("{lost_fp}.json"));
-    std::fs::remove_file(&merged_entry).unwrap();
-    assert_eq!(removed, 1, "the lost cell lived in exactly one shard");
+    std::fs::remove_file(cache_dir(&dir).join(format!("{lost_fp}.json"))).unwrap();
 
     let mut rec = Recorder::default();
     let mut cfg = cfg;
@@ -206,7 +196,7 @@ fn resume_with_a_different_shard_count_still_matches() {
     run_fleet(&spec, &FleetConfig::new(&dir, 4), &mut NullSink).unwrap();
 
     // Resharding is allowed: the journal identity is the grid, not the
-    // partition, and old shard-* caches still merge.
+    // partition, and every shard reads the one campaign cache.
     let mut cfg = FleetConfig::new(&dir, 2);
     cfg.resume = true;
     let mut rec = Recorder::default();
@@ -221,6 +211,35 @@ fn resume_with_a_different_shard_count_still_matches() {
         })
         .sum();
     assert_eq!(simulated, 0, "nothing recomputed across the reshard");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_directory_in_the_old_shard_cache_layout_still_resumes() {
+    let spec = spec();
+    let single = run_campaign(&spec, &ResultCache::in_memory(), 2).unwrap();
+    let dir = scratch_dir("old-layout");
+    run_fleet(&spec, &FleetConfig::new(&dir, 2), &mut NullSink).unwrap();
+
+    // Rewrite the directory into the older layout: results under a
+    // per-shard `shard-0/` and a `merged/` union, no `cache/`.
+    std::fs::rename(cache_dir(&dir), dir.join("shard-0")).unwrap();
+    std::fs::create_dir(dir.join("merged")).unwrap();
+
+    let mut cfg = FleetConfig::new(&dir, 2);
+    cfg.resume = true;
+    let mut rec = Recorder::default();
+    let fleet = run_fleet(&spec, &cfg, &mut rec).unwrap();
+    assert_eq!(to_csv(&fleet), to_csv(&single));
+    assert_eq!(to_json(&fleet), to_json(&single));
+    let Some(Event::CampaignStart { resumed, .. }) = rec.0.first() else {
+        panic!("no campaign_start");
+    };
+    assert_eq!(*resumed, 12, "the journal is honoured");
+    assert_eq!(
+        fleet.cache.misses, 12,
+        "the final replay re-simulates what only the old layout held"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

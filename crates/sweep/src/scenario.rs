@@ -360,8 +360,6 @@ pub struct FleetSettings {
     pub shards: usize,
     /// Heartbeat cadence in cell completions.
     pub heartbeat_every: Option<usize>,
-    /// Retries per failed shard.
-    pub max_shard_retries: Option<usize>,
 }
 
 /// Scenario provenance: which file a campaign came from, and the
@@ -1185,6 +1183,10 @@ const REMOVED_FLEET_KEYS: &[(&str, &str)] = &[
         "heartbeat_timeout_ms",
         "the liveness watchdog was removed with subprocess shards",
     ),
+    (
+        "max_shard_retries",
+        "shard retries were removed; a failed shard fails the campaign and `--resume` finishes it",
+    ),
 ];
 
 fn build_fleet_section(t: &Table) -> Result<FleetSettings, ScenarioError> {
@@ -1196,20 +1198,15 @@ fn build_fleet_section(t: &Table) -> Result<FleetSettings, ScenarioError> {
             );
         }
     }
-    t.check_keys("fleet", &["shards", "heartbeat", "max_shard_retries"])?;
+    t.check_keys("fleet", &["shards", "heartbeat"])?;
     let shards = match t.get("shards") {
         Some(b) => as_usize(b, 1)?,
         None => return fail(t.header_line, "[fleet] requires `shards`"),
     };
     let heartbeat_every = t.get("heartbeat").map(|b| as_usize(b, 0)).transpose()?;
-    let max_shard_retries = t
-        .get("max_shard_retries")
-        .map(|b| as_usize(b, 0))
-        .transpose()?;
     Ok(FleetSettings {
         shards,
         heartbeat_every,
-        max_shard_retries,
     })
 }
 
@@ -1464,9 +1461,6 @@ impl Scenario {
             if let Some(v) = f.heartbeat_every {
                 out.push_str(&format!("heartbeat = {v}\n"));
             }
-            if let Some(v) = f.max_shard_retries {
-                out.push_str(&format!("max_shard_retries = {v}\n"));
-            }
         }
         out
     }
@@ -1634,7 +1628,6 @@ heartbeat = 16
         let fleet = s.fleet.clone().unwrap();
         assert_eq!(fleet.shards, 4);
         assert_eq!(fleet.heartbeat_every, Some(16));
-        assert_eq!(fleet.max_shard_retries, None);
         // Round-trip.
         assert_eq!(Scenario::parse(&s.canonical()).unwrap(), s);
     }
@@ -1694,6 +1687,20 @@ heartbeat = 16
                 assert!(err.msg.contains("no longer supported"), "{err}");
                 assert!(err.msg.contains("subprocess shards"), "{err}");
             }
+        }
+    }
+
+    #[test]
+    fn fleet_retry_budget_is_refused_as_removed() {
+        for value in ["0", "2", "\"many\""] {
+            let err = Scenario::parse(&with_fleet(&format!(
+                "shards = 2\nheartbeat = 4\nmax_shard_retries = {value}\n"
+            )))
+            .unwrap_err();
+            assert_eq!(err.line, 11, "max_shard_retries = {value}: {err}");
+            assert!(err.msg.contains("`max_shard_retries`"), "{err}");
+            assert!(err.msg.contains("no longer supported"), "{err}");
+            assert!(err.msg.contains("--resume"), "{err}");
         }
     }
 

@@ -135,12 +135,11 @@ fn usage() -> ExitCode {
     eprintln!("FLEET OPTIONS (with any sweep option; shards run one after another in");
     eprintln!("this process, each over --workers threads):");
     eprintln!("  --shards N          shard count (required)");
-    eprintln!("  --dir DIR           state dir: journal, shard caches, merged cache");
+    eprintln!("  --dir DIR           state dir: journal, event stream, result cache");
     eprintln!("                      (default .griffin-fleet)");
     eprintln!("  --events PATH|-     JSONL event stream (default DIR/events.jsonl, - = stdout)");
     eprintln!("  --resume            resume from the journal (spec fingerprint verified)");
     eprintln!("  --heartbeat N       heartbeat every N cells per shard (default 32, 0 = off)");
-    eprintln!("  --max-shard-retries N  retries per failed shard before giving up (default 2)");
     eprintln!();
     eprintln!("  GRIFFIN_FAULT       deterministic fault injection for chaos tests, e.g.");
     eprintln!("                      kill:shard=1:after=2;corrupt-cache:shard=1 (see docs)");
@@ -507,7 +506,6 @@ struct FleetCliArgs {
     events: Option<String>,
     resume: bool,
     heartbeat: Option<usize>,
-    max_shard_retries: Option<usize>,
     /// Remaining (sweep) options, for [`parse_sweep_args`].
     sweep_rest: Vec<String>,
 }
@@ -517,7 +515,6 @@ struct FleetCliArgs {
 struct FleetResolved {
     shards: usize,
     heartbeat: usize,
-    max_shard_retries: usize,
 }
 
 impl FleetCliArgs {
@@ -538,10 +535,6 @@ impl FleetCliArgs {
                 .heartbeat
                 .or(scen.and_then(|s| s.heartbeat_every))
                 .unwrap_or(32),
-            max_shard_retries: self
-                .max_shard_retries
-                .or(scen.and_then(|s| s.max_shard_retries))
-                .unwrap_or(2),
         })
     }
 }
@@ -550,26 +543,36 @@ impl FleetCliArgs {
 /// `sweep_rest`. A flag fleet does not know is forwarded with its value
 /// (every sweep flag takes one except the boolean `--lineup`), so
 /// [`parse_sweep_args`] names any unknown flag as not a fleet or sweep
-/// option.
-fn split_fleet_args(args: &[String]) -> Option<FleetCliArgs> {
+/// option. A bad or missing fleet flag value is an error naming the
+/// flag and the value.
+fn split_fleet_args(args: &[String]) -> Result<FleetCliArgs, String> {
     let mut out = FleetCliArgs {
         shards: None,
         dir: ".griffin-fleet".into(),
         events: None,
         resume: false,
         heartbeat: None,
-        max_shard_retries: None,
         sweep_rest: Vec::new(),
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
+        let mut val = || {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} requires a value"))
+        };
+        let count = |v: String, min: usize, what: &str| {
+            v.parse::<usize>()
+                .ok()
+                .filter(|&n| n >= min)
+                .ok_or_else(|| format!("{flag} must be {what}, got `{v}`"))
+        };
         match flag.as_str() {
-            "--shards" => out.shards = Some(it.next()?.parse().ok().filter(|&n| n > 0)?),
-            "--dir" => out.dir = it.next()?.clone(),
-            "--events" => out.events = Some(it.next()?.clone()),
+            "--shards" => out.shards = Some(count(val()?, 1, "a positive integer")?),
+            "--dir" => out.dir = val()?,
+            "--events" => out.events = Some(val()?),
             "--resume" => out.resume = true,
-            "--heartbeat" => out.heartbeat = Some(it.next()?.parse().ok()?),
-            "--max-shard-retries" => out.max_shard_retries = Some(it.next()?.parse().ok()?),
+            "--heartbeat" => out.heartbeat = Some(count(val()?, 0, "a cell count (0 = off)")?),
             other => {
                 out.sweep_rest.push(other.to_string());
                 if other != "--lineup" {
@@ -578,7 +581,7 @@ fn split_fleet_args(args: &[String]) -> Option<FleetCliArgs> {
             }
         }
     }
-    Some(out)
+    Ok(out)
 }
 
 /// Opens the fleet event sink: a JSONL file in the state dir by
@@ -631,7 +634,7 @@ extern "C" fn on_sigint(_sig: i32) {
 }
 
 /// Installs a SIGINT handler that raises the fleet abort flag: ^C stops
-/// the campaign at the next shard or retry-backoff boundary and fails it
+/// the campaign at the next shard boundary and fails it
 /// with a terminal `campaign_failed` — journal intact, so `--resume`
 /// picks up where the interrupt landed. Returns the flag for
 /// [`FleetConfig::abort`].
@@ -938,15 +941,16 @@ fn cmd_fleet(workload: &str, cat: &str, rest: &[String]) -> ExitCode {
     if workload == "report" {
         return cmd_fleet_report(cat, rest);
     }
-    let Some(fleet_args) = split_fleet_args(rest) else {
-        return usage();
+    let fleet_args = match split_fleet_args(rest) {
+        Ok(a) => a,
+        Err(e) => return explain(&e),
     };
     let opts = match parse_sweep_args(&fleet_args.sweep_rest, "fleet or sweep") {
         Ok(o) => o,
         Err(e) => return explain(&e),
     };
     if opts.cache_dir.is_some() {
-        return explain("fleet manages its own caches under --dir; drop --cache");
+        return explain("fleet manages its own cache under --dir; drop --cache");
     }
     // `fleet --scenario <file>`: the campaign (and fleet defaults) come
     // from a scenario file; its provenance is recorded in the journal
@@ -986,12 +990,10 @@ fn cmd_fleet(workload: &str, cat: &str, rest: &[String]) -> ExitCode {
     cfg.workers = opts.workers;
     cfg.resume = fleet_args.resume;
     cfg.heartbeat_every = resolved.heartbeat;
-    cfg.max_shard_retries = resolved.max_shard_retries;
     cfg.fault = fault_plan;
     cfg.scenario = provenance;
-    // ^C fails the campaign cleanly at the next shard or backoff
-    // boundary instead of tearing the stream mid-line; the journal
-    // survives for --resume.
+    // ^C fails the campaign cleanly at the next shard boundary instead
+    // of tearing the stream mid-line; the journal survives for --resume.
     cfg.abort = Some(install_sigint_abort());
     let (mut sink, quiet) = match open_event_sink(&dir, &fleet_args.events, fleet_args.resume) {
         Ok(s) => s,

@@ -297,8 +297,9 @@ pub fn run_bench(args: &BenchArgs) -> Result<Json, String> {
 /// The recorded stream behind the `watch` probe: a deterministic
 /// 54-cell, 2-shard campaign — headers, every cell's start/done pair,
 /// heartbeats every 8 completions, a mid-flight shard failure and
-/// retry, the shard/merge/campaign footers — serialized exactly as the
-/// fleet writes it (one JSON line per event).
+/// retry, the shard/merge/campaign footers — serialized one JSON line
+/// per event, as the fleet wrote streams before it dropped shard
+/// retries and cache merging (the watch fold still reads both).
 ///
 /// Per-cell and recovery events come from the schema sample generator
 /// (`events::sample::build_event`, the same one behind the event and

@@ -1,50 +1,16 @@
 //! End-to-end CLI test of `griffin-cli fleet`: sharded runs, journaled
-//! resume, retries, interrupts and byte-identity with `griffin-cli
-//! sweep` — the acceptance pin of the fleet subsystem at the binary
-//! boundary.
+//! resume, injected kills, interrupts and byte-identity with
+//! `griffin-cli sweep` — the acceptance pin of the fleet subsystem at
+//! the binary boundary.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::time::{Duration, Instant};
 
 const CLI: &str = env!("CARGO_BIN_EXE_griffin-cli");
 
 /// Tiny fast campaign: synth workload, one seed, fan-in 3 family
 /// (7 cells).
 const CAMPAIGN: &[&str] = &["synth", "b", "--tiles", "2", "--seeds", "1", "--fanin", "3"];
-
-/// The [`CAMPAIGN`] tokens as the spec the CLI builds from them — the
-/// same construction `build_sweep_spec` performs, so tests can compute
-/// the deterministic shard plan the coordinator will use.
-fn campaign_spec() -> griffin::sweep::SweepSpec {
-    let mut spec = griffin::sweep::SweepSpec::new("sweep-synth-b")
-        .category(griffin::core::category::DnnCategory::B)
-        .seeds([1])
-        .sim(griffin::sim::config::SimConfig {
-            fidelity: griffin::sim::config::Fidelity::Sampled {
-                tiles: 2,
-                seed: 0xBEEF,
-            },
-            ..Default::default()
-        });
-    spec.workloads
-        .push(griffin::sweep::scenario::parse_workload("synth").expect("synth token"));
-    spec.arch(griffin::core::arch::ArchSpec::dense())
-        .family(griffin::sweep::ArchFamily::SparseB { max_fanin: 3 })
-}
-
-/// Polls `path` until it contains `needle` (files the campaign is
-/// still writing), or gives up after `timeout`.
-fn wait_for_marker(path: &Path, needle: &str, timeout: Duration) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < timeout {
-        if std::fs::read_to_string(path).is_ok_and(|s| s.contains(needle)) {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    false
-}
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("griffin-fleet-cli-{tag}-{}", std::process::id()));
@@ -152,7 +118,7 @@ fn fleet_matches_sweep_and_resumes_from_the_journal() {
 }
 
 #[test]
-fn killed_worker_is_retried_and_the_report_still_matches_sweep() {
+fn a_killed_shard_fails_the_campaign_and_resume_matches_sweep() {
     let dir = scratch_dir("chaos");
 
     let mut sweep_args = vec!["sweep"];
@@ -160,9 +126,8 @@ fn killed_worker_is_retried_and_the_report_still_matches_sweep() {
     sweep_args.extend(["--workers", "2", "--csv", "single.csv"]);
     run(&sweep_args, &dir);
 
-    // Kill shard 1 after one completed cell; the coordinator must
-    // re-queue its remaining cells onto a retried attempt and still
-    // produce the byte-identical report.
+    // Kill shard 1 after one completed cell: the campaign fails with a
+    // terminal event and no retry.
     let mut fleet_args = vec!["fleet"];
     fleet_args.extend(CAMPAIGN);
     fleet_args.extend(["--shards", "3", "--dir", "fs", "--csv", "fleet.csv"]);
@@ -172,57 +137,38 @@ fn killed_worker_is_retried_and_the_report_still_matches_sweep() {
         .current_dir(&dir)
         .output()
         .unwrap();
+    assert_eq!(out.status.code(), Some(1), "a killed campaign fails");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("fault injected"), "stderr: {stderr}");
     assert!(
-        out.status.success(),
-        "chaos fleet must recover:\n{}\n{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert_eq!(
-        std::fs::read(dir.join("single.csv")).unwrap(),
-        std::fs::read(dir.join("fleet.csv")).unwrap(),
-        "a retried campaign is byte-identical to sweep"
+        !dir.join("fleet.csv").exists(),
+        "no report from a failed run"
     );
 
     let events = std::fs::read_to_string(dir.join("fs/events.jsonl")).unwrap();
-    for marker in [
-        "\"ev\":\"shard_failed\"",
-        "\"ev\":\"cells_requeued\"",
-        "\"ev\":\"shard_retried\"",
-        "griffin-fleet-events/3",
-    ] {
-        assert!(events.contains(marker), "stream must record {marker}");
-    }
+    assert!(events.contains("\"ev\":\"shard_failed\""));
+    assert!(!events.contains("\"ev\":\"shard_retried\""), "no retry");
+    let last = events.lines().last().unwrap();
+    assert!(
+        last.contains("\"campaign_failed\""),
+        "terminal event: {last}"
+    );
+
+    // Resume with the fault cleared: byte-identical to sweep.
+    let mut resume_args = fleet_args.clone();
+    resume_args.push("--resume");
+    run(&resume_args, &dir);
+    assert_eq!(
+        std::fs::read(dir.join("single.csv")).unwrap(),
+        std::fs::read(dir.join("fleet.csv")).unwrap(),
+        "a killed-then-resumed campaign is byte-identical to sweep"
+    );
+    let events = std::fs::read_to_string(dir.join("fs/events.jsonl")).unwrap();
     let last = events.lines().last().unwrap();
     assert!(last.contains("\"campaign_done\""), "terminal event: {last}");
     for line in events.lines() {
         griffin::fleet::Event::parse_line(line).expect("every stream line parses");
     }
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn exhausted_retries_fail_with_a_terminal_campaign_failed() {
-    let dir = scratch_dir("chaos-exhaust");
-    let mut fleet_args = vec!["fleet"];
-    fleet_args.extend(CAMPAIGN);
-    fleet_args.extend(["--shards", "2", "--dir", "fs", "--max-shard-retries", "1"]);
-    let out = Command::new(CLI)
-        .args(&fleet_args)
-        .env("GRIFFIN_FAULT", "kill:shard=0:after=0:attempt=any")
-        .current_dir(&dir)
-        .output()
-        .unwrap();
-    assert!(!out.status.success(), "a shard that always dies must fail");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("retries exhausted"), "stderr: {stderr}");
-
-    let events = std::fs::read_to_string(dir.join("fs/events.jsonl")).unwrap();
-    let last = events.lines().last().unwrap();
-    assert!(
-        last.contains("\"campaign_failed\""),
-        "failures are terminal too: {last}"
-    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -273,8 +219,30 @@ fn fleet_rejects_resuming_a_different_campaign_grid() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Whether process `pid` has a handler installed for SIGINT, from the
+/// `SigCgt` mask in `/proc/<pid>/status`.
+#[cfg(target_os = "linux")]
+fn catches_sigint(pid: u32) -> bool {
+    const SIGINT: u32 = 2;
+    std::fs::read_to_string(format!("/proc/{pid}/status"))
+        .unwrap_or_default()
+        .lines()
+        .find_map(|l| l.strip_prefix("SigCgt:"))
+        .and_then(|mask| u64::from_str_radix(mask.trim(), 16).ok())
+        .is_some_and(|mask| mask & (1 << (SIGINT - 1)) != 0)
+}
+
+/// The interrupt lands at a fixed point, with no timing: `--events`
+/// names a FIFO nobody has opened, so the fleet blocks opening it after
+/// installing its SIGINT handler. The signal is sent while it is parked
+/// there; the open resumes once the test opens the read end, and the
+/// run sees the abort before its first shard.
+#[cfg(target_os = "linux")]
 #[test]
 fn sigint_drains_cleanly_and_resume_completes_byte_identical() {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
     let dir = scratch_dir("sigint");
 
     let mut sweep_args = vec!["sweep"];
@@ -282,75 +250,62 @@ fn sigint_drains_cleanly_and_resume_completes_byte_identical() {
     sweep_args.extend(["--workers", "2", "--csv", "single.csv"]);
     run(&sweep_args, &dir);
 
-    // A shard that dies after one cell on every attempt, with a retry
-    // budget that never runs out, keeps the campaign in its backoff
-    // loop for good — the interrupt is the only way out, exactly the
-    // operator scenario.
-    let plan = griffin::fleet::plan::ShardPlan::new(&campaign_spec(), 2).unwrap();
-    let victim = (0..2).max_by_key(|&s| plan.cells[s].len()).unwrap();
-    let mut fleet_args = vec!["fleet"];
-    fleet_args.extend(CAMPAIGN);
-    fleet_args.extend([
-        "--shards",
-        "2",
-        "--max-shard-retries",
-        "1000000",
-        "--dir",
-        "fs",
-        "--csv",
-        "fleet.csv",
-    ]);
-    let mut child = Command::new(CLI)
-        .args(&fleet_args)
-        .env(
-            "GRIFFIN_FAULT",
-            format!("kill:shard={victim}:after=1:attempt=any"),
-        )
-        .current_dir(&dir)
-        .spawn()
-        .unwrap();
-
-    // Wait until the victim is retrying, then ^C the coordinator.
-    assert!(
-        wait_for_marker(
-            &dir.join("fs/events.jsonl"),
-            "\"ev\":\"shard_retried\"",
-            Duration::from_secs(60),
-        ),
-        "the campaign never reached its retry loop"
-    );
-    assert!(Command::new("kill")
-        .args(["-2", &child.id().to_string()])
+    let fifo = dir.join("events.fifo");
+    assert!(Command::new("mkfifo")
+        .arg(&fifo)
         .status()
         .unwrap()
         .success());
+    let mut fleet_args = vec!["fleet"];
+    fleet_args.extend(CAMPAIGN);
+    fleet_args.extend(["--shards", "2", "--dir", "fs", "--csv", "fleet.csv"]);
+    let child = Command::new(CLI)
+        .args(&fleet_args)
+        .args(["--events", "events.fifo"])
+        .current_dir(&dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+
+    let pid = child.id();
     let waited = Instant::now();
-    let status = loop {
-        if let Some(s) = child.try_wait().unwrap() {
-            break s;
-        }
+    while !catches_sigint(pid) {
         assert!(
             waited.elapsed() < Duration::from_secs(60),
-            "interrupted fleet did not exit"
+            "the fleet never installed its SIGINT handler"
         );
-        std::thread::sleep(Duration::from_millis(50));
-    };
-    assert!(!status.success(), "an interrupted campaign is a failure");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(Command::new("kill")
+        .args(["-INT", &pid.to_string()])
+        .status()
+        .unwrap()
+        .success());
+    // Opening the read end lets the fleet's open return; reading to EOF
+    // waits for the run to close the stream.
+    let events = std::fs::read_to_string(&fifo).unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "an interrupted campaign fails");
+    assert!(
+        !dir.join("fleet.csv").exists(),
+        "no report from a failed run"
+    );
 
     // The stream terminated with a campaign_failed naming the
-    // interrupt, and every line still parses.
-    let events = std::fs::read_to_string(dir.join("fs/events.jsonl")).unwrap();
+    // interrupt before any shard started, and every line parses.
     let last = events.lines().last().unwrap();
     assert!(
         last.contains("\"campaign_failed\"") && last.contains("interrupt"),
         "terminal event: {last}"
     );
+    assert!(!events.contains("\"ev\":\"shard_start\""), "{events}");
     for line in events.lines() {
         griffin::fleet::Event::parse_line(line).expect("every stream line parses");
     }
 
-    // The journal survived: a resume (fault cleared) finishes the
-    // campaign byte-identical to the single-process sweep.
+    // The journal survived: a resume finishes the campaign
+    // byte-identical to the single-process sweep.
     let mut resume_args = vec!["fleet"];
     resume_args.extend(CAMPAIGN);
     resume_args.extend([
@@ -432,6 +387,53 @@ fn the_removed_spawn_and_heartbeat_timeout_flags_are_unknown_flags() {
             );
             assert!(!dir.join("fs").exists(), "refused before any state");
         }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn the_removed_retry_flag_is_an_unknown_flag() {
+    let dir = scratch_dir("retries-flag");
+    let out = fleet_with(
+        &["--shards", "2", "--max-shard-retries", "1", "--dir", "fs"],
+        &dir,
+    );
+    assert_eq!(out.status.code(), Some(2), "a usage error, not a run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("`--max-shard-retries`") && stderr.contains("fleet"),
+        "the error names the flag and the fleet flag set: {stderr}"
+    );
+    assert!(!dir.join("fs").exists(), "refused before any state");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn bad_fleet_flag_values_name_the_flag_and_the_value() {
+    let dir = scratch_dir("bad-values");
+    for (args, expect) in [
+        (
+            &["--shards", "0", "--dir", "fs"][..],
+            "--shards must be a positive integer, got `0`",
+        ),
+        (
+            &["--shards", "2", "--heartbeat", "x", "--dir", "fs"][..],
+            "--heartbeat must be a cell count (0 = off), got `x`",
+        ),
+        (
+            &["--dir", "fs", "--shards"][..],
+            "--shards requires a value",
+        ),
+    ] {
+        let out = fleet_with(args, &dir);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(expect), "{args:?}: {stderr}");
+        assert!(
+            !stderr.contains("USAGE:"),
+            "a pointed error, not the usage dump: {stderr}"
+        );
+        assert!(!dir.join("fs").exists(), "refused before any state");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,7 +1,7 @@
 //! End-to-end CLI tests of the observability layer: `fleet watch`
 //! (one-shot JSON, live follow) and `fleet report --html`, pinned
 //! against `events.jsonl` ground truth — including on a chaos fleet
-//! whose shard is killed and retried mid-campaign.
+//! whose shard is killed mid-campaign and then resumed.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -51,29 +51,58 @@ fn field(j: &Json, key: &str) -> f64 {
     j.req(key).and_then(Json::as_f64).unwrap()
 }
 
-#[test]
-fn watch_json_matches_event_stream_ground_truth_on_a_chaos_fleet() {
-    let dir = scratch_dir("chaos");
-
-    // A fleet whose shard 1 dies after one cell: the coordinator
-    // retries it exactly once.
+/// Runs the [`CAMPAIGN`] fleet in `dir` with shard 1 killed after one
+/// cell, and checks that it fails. Returns the fleet flags, so the
+/// caller can resume with them.
+fn killed_fleet(dir: &Path) -> Vec<&'static str> {
     let mut fleet_args = vec!["fleet"];
     fleet_args.extend(CAMPAIGN);
     fleet_args.extend(["--shards", "2", "--dir", "fs", "--heartbeat", "1"]);
     let out = Command::new(CLI)
         .args(&fleet_args)
         .env("GRIFFIN_FAULT", "kill:shard=1:after=1")
-        .current_dir(&dir)
+        .current_dir(dir)
         .output()
         .unwrap();
-    assert!(
-        out.status.success(),
-        "chaos fleet must recover:\n{}",
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "a killed fleet fails:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    fleet_args
+}
+
+#[test]
+fn watch_json_matches_event_stream_ground_truth_on_a_chaos_fleet() {
+    let dir = scratch_dir("chaos");
+
+    // A fleet whose shard 1 dies after one cell fails; the resume
+    // appends a second run to the same stream and finishes it.
+    let mut fleet_args = killed_fleet(&dir);
+    fleet_args.push("--resume");
+    run(&fleet_args, &dir);
 
     let events = std::fs::read_to_string(dir.join("fs/events.jsonl")).unwrap();
-    let count = |marker: &str| events.lines().filter(|l| l.contains(marker)).count();
+    let starts: Vec<usize> = events
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| l.contains("\"ev\":\"campaign_start\""))
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(starts.len(), 2, "the killed run and its resume");
+    assert_eq!(
+        events
+            .lines()
+            .filter(|l| l.contains("\"ev\":\"shard_failed\""))
+            .count(),
+        1,
+        "the killed run failed once"
+    );
+    // The model resets at each campaign_start, so its counters are the
+    // resumed run's.
+    let resumed_run: Vec<&str> = events.lines().skip(starts[1]).collect();
+    let count = |marker: &str| resumed_run.iter().filter(|l| l.contains(marker)).count();
 
     let watch = run(&["fleet", "watch", "fs", "--json"], &dir);
     let s = summary_of(&watch);
@@ -81,14 +110,15 @@ fn watch_json_matches_event_stream_ground_truth_on_a_chaos_fleet() {
     // The acceptance pin: every summary counter equals what grep finds
     // in the stream itself.
     assert_eq!(
-        field(&s, "retries") as usize,
+        field(&s, "restarts") as usize,
         1,
-        "killed once, retried once"
+        "killed once, resumed once"
     );
     assert_eq!(
         field(&s, "retries") as usize,
         count("\"ev\":\"shard_retried\""),
     );
+    assert_eq!(field(&s, "retries") as usize, 0, "no retries");
     assert_eq!(field(&s, "done") as usize, field(&s, "cells") as usize);
     assert_eq!(field(&s, "cells") as usize, 7, "synth fan-in 3 grid");
     assert_eq!(
@@ -97,8 +127,8 @@ fn watch_json_matches_event_stream_ground_truth_on_a_chaos_fleet() {
     );
     assert_eq!(
         field(&s, "cache_hits") as usize,
-        events
-            .lines()
+        resumed_run
+            .iter()
             .filter(|l| l.contains("\"ev\":\"cell_done\"") && l.contains("\"cached\":true"))
             .count(),
     );
@@ -124,13 +154,12 @@ fn watch_json_matches_event_stream_ground_truth_on_a_chaos_fleet() {
 fn live_watch_follows_a_running_chaos_fleet_to_campaign_done() {
     let dir = scratch_dir("live");
 
-    // Start the fleet (shard killed + retried mid-run) WITHOUT waiting.
-    let mut fleet_args = vec!["fleet"];
-    fleet_args.extend(CAMPAIGN);
-    fleet_args.extend(["--shards", "2", "--dir", "fs", "--heartbeat", "1"]);
+    // Kill the fleet mid-run, then start its resume WITHOUT waiting,
+    // streaming to a file the watcher follows from before it exists.
+    let mut fleet_args = killed_fleet(&dir);
+    fleet_args.extend(["--resume", "--events", "live.jsonl"]);
     let mut fleet = Command::new(CLI)
         .args(&fleet_args)
-        .env("GRIFFIN_FAULT", "kill:shard=1:after=1")
         .current_dir(&dir)
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
@@ -138,12 +167,14 @@ fn live_watch_follows_a_running_chaos_fleet_to_campaign_done() {
         .unwrap();
 
     // Attach a live watcher concurrently; it must ride through the
-    // kill/retry and exit 0 at the terminal campaign_done.
+    // resumed run and exit 0 at the terminal campaign_done.
     let watch = Command::new(CLI)
         .args([
             "fleet",
             "watch",
             "fs",
+            "--events",
+            "live.jsonl",
             "--no-tty",
             "--interval",
             "25",
@@ -154,7 +185,7 @@ fn live_watch_follows_a_running_chaos_fleet_to_campaign_done() {
         .output()
         .unwrap();
     let fleet_status = fleet.wait().unwrap();
-    assert!(fleet_status.success(), "chaos fleet must recover");
+    assert!(fleet_status.success(), "the resumed chaos fleet completes");
     let stdout = String::from_utf8_lossy(&watch.stdout);
     let stderr = String::from_utf8_lossy(&watch.stderr);
     assert!(
