@@ -1,48 +1,48 @@
-//! The fleet coordinator: drives a sharded campaign end to end.
+//! The fleet coordinator: drives a campaign end to end, resumably.
 //!
 //! A fleet run owns one state directory:
 //!
 //! ```text
 //! <dir>/journal.jsonl   append-only resume journal (coordinator-owned)
 //! <dir>/events.jsonl    JSONL event stream (the CLI's default sink)
-//! <dir>/cache/          the campaign's result cache, shared by every shard
+//! <dir>/cache/          the campaign's result cache
 //! ```
 //!
-//! [`run_fleet`] runs the shards in this process, one after another,
-//! each over the executor's worker pool and against one result cache
-//! (`<dir>/cache/`, or [`FleetConfig::shared_cache`] when a resident
-//! driver supplies one). It streams the campaign's events, journals
-//! every completed cell, and ends the same way every time: the final
-//! report is assembled by replaying the whole grid against that cache —
-//! which is what makes fleet reports **byte-identical** to a
-//! single-process [`run_campaign`] of the same spec, regardless of
-//! shard count, interruption or resume history.
+//! [`run_fleet`] is one pass of the sweep executor over the whole grid,
+//! against one result cache (`<dir>/cache/`, or
+//! [`FleetConfig::shared_cache`] when a resident driver supplies one).
+//! Its observer streams the campaign's events and journals every
+//! completed cell; cells the journal held at start are served again
+//! (from the cache, or re-simulated if only an old directory layout held
+//! them) but stay silent. The records of that pass are the report,
+//! which makes fleet reports **byte-identical** to a single-process
+//! [`run_campaign`](griffin_sweep::executor::run_campaign) of the same
+//! spec, regardless of interruption or resume history.
 //!
 //! # Failure and resume
 //!
-//! Each shard runs once. When it fails — an injected fault from
-//! [`FleetConfig::fault`] (see [`fault::FaultPlan`]), a journal or sink
-//! error, an executor error — the coordinator emits `shard_failed` and
-//! the campaign fails; **every** exit path, success or any failure,
+//! An injected fault from [`FleetConfig::fault`] (see
+//! [`fault::FaultPlan`]), a journal or sink error or an executor error
+//! fails the campaign; **every** exit path, success or any failure,
 //! ends the event stream with exactly one terminal event
 //! (`campaign_done` / `campaign_failed`). The journal is left
 //! resumable: `--resume` skips every journaled cell and finishes the
-//! campaign. An external abort flag ([`FleetConfig::abort`] — the CLI's
-//! SIGINT handler) is checked before every shard and fails the campaign
-//! the same way.
+//! campaign. The external abort flag ([`FleetConfig::abort`] — the
+//! CLI's SIGINT handler, the serve daemon's cancel) is checked before
+//! each (family, layer) work item and fails the campaign the same way.
 //!
 //! Directories written before the fleet kept one cache (per-shard
 //! `shard-<i>/` caches and a `merged/` union) still resume: their
-//! journal is honoured, and the final replay re-simulates the cells the
-//! new `cache/` does not hold yet.
+//! journal is honoured, and the pass re-simulates the cells the new
+//! `cache/` does not hold yet.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use griffin_sweep::cache::ResultCache;
-use griffin_sweep::executor::{run_campaign, run_cells, CampaignReport, CellEvent, SweepError};
+use griffin_sweep::cache::{CacheStats, ResultCache};
+use griffin_sweep::executor::{run_cells, CampaignReport, CellEvent, SweepError};
 use griffin_sweep::fingerprint::Fingerprint;
 use griffin_sweep::scenario::ScenarioProvenance;
 use griffin_sweep::spec::{Cell, SweepSpec};
@@ -50,28 +50,25 @@ use griffin_sweep::spec::{Cell, SweepSpec};
 use crate::events::{Event, EventSink};
 use crate::fault::{self, Fault, FaultPlan};
 use crate::journal::{Journal, JournalError, JournalHeader};
-use crate::plan::{remaining_cells, PlanError, ShardPlan};
+use crate::plan::spec_fingerprint;
 
 /// Configuration of a fleet campaign.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Shard count (≥ 1).
-    pub shards: usize,
-    /// Simulation worker threads (per shard run, and for the final
-    /// assembly pass).
+    /// Simulation worker threads.
     pub workers: usize,
     /// Fleet state directory (journal, event stream, result cache).
     pub dir: PathBuf,
     /// Resume from an existing journal instead of starting fresh.
     pub resume: bool,
-    /// Emit a heartbeat every this many cell completions per shard
-    /// (0 disables heartbeats).
+    /// Emit a heartbeat every this many cell completions (0 disables
+    /// heartbeats).
     pub heartbeat_every: usize,
-    /// External abort flag (the CLI's SIGINT handler sets it): the
-    /// coordinator stops before the next shard and fails the campaign
-    /// with [`FleetError::Interrupted`] — journal intact, stream closed
-    /// by a terminal `campaign_failed`. A shard already running
-    /// completes first.
+    /// External abort flag (the CLI's SIGINT handler and the serve
+    /// daemon's cancel set it): the executor checks it before each
+    /// (family, layer) work item, and the campaign fails with
+    /// [`FleetError::Interrupted`] — journal intact, stream closed by a
+    /// terminal `campaign_failed`.
     pub abort: Option<Arc<AtomicBool>>,
     /// Deterministic fault injection for chaos tests (see
     /// [`crate::fault`]). `None` in production.
@@ -79,22 +76,20 @@ pub struct FleetConfig {
     /// Scenario provenance of the campaign, recorded in the journal
     /// header and the `campaign_start` event when the campaign was
     /// launched from a scenario file. Informational — it never affects
-    /// planning, sharding, or resume matching.
+    /// the grid or resume matching.
     pub scenario: Option<ScenarioProvenance>,
     /// Warm result cache shared across campaigns by a resident driver
-    /// (the serve daemon). When set, the coordinator runs every shard
-    /// and the final replay against this cache instead of opening
-    /// `<dir>/cache/`.
+    /// (the serve daemon). When set, the coordinator runs against this
+    /// cache instead of opening `<dir>/cache/`.
     pub shared_cache: Option<Arc<ResultCache>>,
 }
 
 impl FleetConfig {
-    /// A config with the default worker count and heartbeat cadence,
-    /// and no fault plan.
-    pub fn new(dir: impl Into<PathBuf>, shards: usize) -> Self {
+    /// A config with `workers` simulation threads, the default
+    /// heartbeat cadence, and no fault plan.
+    pub fn new(dir: impl Into<PathBuf>, workers: usize) -> Self {
         FleetConfig {
-            shards,
-            workers: griffin_sweep::executor::default_workers(),
+            workers,
             dir: dir.into(),
             resume: false,
             heartbeat_every: 32,
@@ -104,20 +99,11 @@ impl FleetConfig {
             shared_cache: None,
         }
     }
-
-    /// Whether the external abort flag is raised.
-    fn abort_requested(&self) -> bool {
-        self.abort
-            .as_ref()
-            .is_some_and(|a| a.load(Ordering::Relaxed))
-    }
 }
 
 /// Fleet campaign failure.
 #[derive(Debug)]
 pub enum FleetError {
-    /// The shard plan could not be constructed.
-    Plan(PlanError),
     /// The journal could not be opened, verified or appended.
     Journal(JournalError),
     /// Filesystem or event-stream failure.
@@ -134,7 +120,6 @@ pub enum FleetError {
 impl std::fmt::Display for FleetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FleetError::Plan(e) => write!(f, "{e}"),
             FleetError::Journal(e) => write!(f, "{e}"),
             FleetError::Io(e) => write!(f, "fleet i/o error: {e}"),
             FleetError::Sweep(e) => write!(f, "{e}"),
@@ -148,12 +133,6 @@ impl std::fmt::Display for FleetError {
 }
 
 impl std::error::Error for FleetError {}
-
-impl From<PlanError> for FleetError {
-    fn from(e: PlanError) -> Self {
-        FleetError::Plan(e)
-    }
-}
 
 impl From<JournalError> for FleetError {
     fn from(e: JournalError) -> Self {
@@ -169,7 +148,10 @@ impl From<std::io::Error> for FleetError {
 
 impl From<SweepError> for FleetError {
     fn from(e: SweepError) -> Self {
-        FleetError::Sweep(e)
+        match e {
+            SweepError::Interrupted => FleetError::Interrupted,
+            e => FleetError::Sweep(e),
+        }
     }
 }
 
@@ -188,52 +170,23 @@ pub fn default_events_path(dir: &Path) -> PathBuf {
     dir.join("events.jsonl")
 }
 
-/// The journal header a spec/plan pair implies (plus the provenance of
-/// the scenario the campaign came from, when it came from one).
-fn plan_header(
-    spec: &SweepSpec,
-    plan: &ShardPlan,
-    scenario: Option<&ScenarioProvenance>,
-) -> JournalHeader {
-    JournalHeader {
-        campaign: spec.name.clone(),
-        spec_fp: plan.spec_fp,
-        cells: plan.cell_count(),
-        scenario: scenario.cloned(),
-    }
-}
-
 /// Sink + journal behind one lock: events and journal appends from the
 /// executor's worker threads serialize through it, and the first
 /// failure parks here — later events and appends are dropped instead of
-/// carrying on against a broken sink or journal, and the shard run
-/// returns the error once the executor is done.
+/// carrying on against a broken sink or journal, and the pass returns
+/// the error once the executor is done.
 struct Shared<'a> {
     sink: &'a mut dyn EventSink,
     journal: &'a mut Journal,
     err: Option<FleetError>,
-    /// Journal appends so far (campaign-wide), driving the
-    /// truncate-journal fault point.
-    appends: usize,
+    /// `cell_done` events so far (which drive the heartbeat and the
+    /// truncate-journal fault point), and how many were cached.
+    done: usize,
+    cached: usize,
     truncate_journal_after: Option<usize>,
 }
 
-impl<'a> Shared<'a> {
-    fn new(
-        sink: &'a mut dyn EventSink,
-        journal: &'a mut Journal,
-        appends: usize,
-        truncate_journal_after: Option<usize>,
-    ) -> Self {
-        Shared {
-            sink,
-            journal,
-            err: None,
-            appends,
-            truncate_journal_after,
-        }
-    }
-
+impl Shared<'_> {
     fn emit(&mut self, ev: &Event) {
         if self.err.is_some() {
             return;
@@ -251,100 +204,15 @@ impl<'a> Shared<'a> {
             self.err = Some(FleetError::Io(e));
             return;
         }
-        self.appends += 1;
-        if self.truncate_journal_after == Some(self.appends) {
+        if self.truncate_journal_after == Some(self.done) {
             // Simulated coordinator crash mid-append: tear the tail and
             // abort.
             let _ = self.journal.tear_tail_for_fault();
             self.err = Some(FleetError::Injected(Fault::TruncateJournal {
-                after: self.appends,
+                after: self.done,
             }));
         }
     }
-
-    fn take_err(&mut self) -> Result<(), FleetError> {
-        self.err.take().map_or(Ok(()), Err)
-    }
-}
-
-/// Executes one shard's cells against its cache, streaming events and
-/// journaling completions. `planned` / `skipped` describe the full
-/// shard for `shard_start` (with fault truncation, `todo` can be
-/// shorter than `planned - skipped`); `emit_done` is cleared when a
-/// fault will kill this run before its `shard_done`.
-#[allow(clippy::too_many_arguments)]
-fn run_shard_cells(
-    spec: &SweepSpec,
-    shard: usize,
-    todo: &[Cell],
-    planned: usize,
-    skipped: usize,
-    cache: &ResultCache,
-    workers: usize,
-    heartbeat_every: usize,
-    shared: &Mutex<Shared<'_>>,
-    emit_done: bool,
-) -> Result<(), FleetError> {
-    let start = Instant::now();
-    shared.lock().expect("fleet lock").emit(&Event::ShardStart {
-        shard,
-        cells: planned,
-        skipped,
-    });
-    let stats0 = cache.stats();
-    let done = AtomicUsize::new(0);
-    let cached_hits = AtomicUsize::new(0);
-    let observe = |ev: &CellEvent<'_>| {
-        let mut g = shared.lock().expect("fleet lock");
-        match ev {
-            CellEvent::Started { cell, fingerprint } => g.emit(&Event::CellStart {
-                shard,
-                cell: cell.index,
-                fp: *fingerprint,
-            }),
-            CellEvent::Finished {
-                cell,
-                fingerprint,
-                metrics,
-                cached,
-            } => {
-                g.emit(&Event::CellDone {
-                    shard,
-                    cell: cell.index,
-                    fp: *fingerprint,
-                    cached: *cached,
-                    metrics: *metrics,
-                });
-                g.record_done(cell.index, *fingerprint);
-                if *cached {
-                    cached_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if heartbeat_every > 0 && d.is_multiple_of(heartbeat_every) {
-                    g.emit(&Event::Heartbeat {
-                        shard,
-                        done: d,
-                        total: todo.len(),
-                        elapsed_ms: start.elapsed().as_millis() as u64,
-                        cached: cached_hits.load(Ordering::Relaxed),
-                    });
-                }
-            }
-        }
-    };
-    run_cells(spec, todo, cache, workers, &observe)?;
-    let mut g = shared.lock().expect("fleet lock");
-    g.take_err()?;
-    if emit_done {
-        let stats = cache.stats();
-        g.emit(&Event::ShardDone {
-            shard,
-            simulated: (stats.stores - stats0.stores) as usize,
-            cached: (stats.hits - stats0.hits) as usize,
-            elapsed_ms: start.elapsed().as_millis() as u64,
-        });
-    }
-    g.take_err()
 }
 
 /// Guarantees the terminal-event invariant: any failure, from any exit
@@ -361,15 +229,17 @@ fn finish_with_terminal(
     result
 }
 
-/// Runs a sharded campaign: shards execute one after another, each over
-/// the executor's worker pool and against one cache, with completions
-/// streamed to `sink` and journaled for resume. See the module docs for
-/// the state layout, the byte-identity guarantee and the failure model.
+/// Runs a campaign as one pass over its grid, with completions streamed
+/// to `sink` and journaled for resume. See the module docs for the
+/// state layout, the byte-identity guarantee and the failure model.
+///
+/// On success, `resumed` on `campaign_start` plus the `cell_done`
+/// events of the run add up to the grid's cell count.
 ///
 /// # Errors
 ///
-/// [`FleetError`] on plan/journal/executor failures, an injected fault
-/// or an interrupt; a sink write failure aborts the campaign too.
+/// [`FleetError`] on journal/executor failures, an injected fault or an
+/// interrupt; a sink write failure aborts the campaign too.
 /// Already-journaled cells resume, and every failure still terminates
 /// the stream with `campaign_failed`.
 pub fn run_fleet(
@@ -387,19 +257,32 @@ fn run_fleet_inner(
     sink: &mut dyn EventSink,
 ) -> Result<CampaignReport, FleetError> {
     let start = Instant::now();
-    let plan = ShardPlan::new(spec, cfg.shards)?;
+    if !spec.is_runnable() {
+        return Err(SweepError::EmptySpec.into());
+    }
+    let spec_fp = spec_fingerprint(spec);
+    let cells = spec.cells();
     std::fs::create_dir_all(&cfg.dir)?;
     let mut journal = Journal::open(
         journal_path(&cfg.dir),
-        &plan_header(spec, &plan, cfg.scenario.as_ref()),
+        &JournalHeader {
+            campaign: spec.name.clone(),
+            spec_fp,
+            cells: cells.len(),
+            scenario: cfg.scenario.clone(),
+        },
         cfg.resume,
     )?;
+    let resumed: Vec<bool> = cells
+        .iter()
+        .map(|c| journal.is_completed(c.index))
+        .collect();
+    let resumed_count = resumed.iter().filter(|&&r| r).count();
     sink.emit(&Event::CampaignStart {
         campaign: spec.name.clone(),
-        spec_fp: plan.spec_fp,
-        cells: plan.cell_count(),
-        shards: plan.shards,
-        resumed: journal.completed().len(),
+        spec_fp,
+        cells: cells.len(),
+        resumed: resumed_count,
         scenario: cfg.scenario.clone(),
     })?;
     let local_cache;
@@ -411,60 +294,95 @@ fn run_fleet_inner(
         }
     };
     let fault = cfg.fault.as_ref();
-    let truncate_after = fault.and_then(FaultPlan::journal_truncate_after);
-    let mut appends = 0usize;
-
-    for (shard, shard_cells) in plan.cells.iter().enumerate() {
-        if cfg.abort_requested() {
-            return Err(FleetError::Interrupted);
-        }
-        let mut todo = remaining_cells(shard_cells, |i| journal.is_completed(i));
-        let skipped = shard_cells.len() - todo.len();
-        let die = fault.and_then(|f| f.kill_after(shard));
-        if let Some(k) = die {
-            todo.truncate(k);
-        }
-        let shared = Mutex::new(Shared::new(sink, &mut journal, appends, truncate_after));
-        let run = run_shard_cells(
-            spec,
-            shard,
-            &todo,
-            shard_cells.len(),
-            skipped,
-            cache,
-            cfg.workers,
-            cfg.heartbeat_every,
-            &shared,
-            die.is_none(),
-        );
-        appends = shared.into_inner().expect("fleet lock").appends;
-        let outcome = run.and_then(|()| {
-            if fault.is_some_and(|f| f.corrupts_cache(shard)) {
-                fault::corrupt_shard_cache(cache_dir(&cfg.dir))?;
-            }
-            match die {
-                Some(after) => Err(FleetError::Injected(Fault::Kill { shard, after })),
-                None => Ok(()),
-            }
-        });
-        if let Err(e) = outcome {
-            // A sink failure while reporting never hides the root cause.
-            let _ = sink.emit(&Event::ShardFailed {
-                shard,
-                attempt: 0,
-                msg: e.to_string(),
+    // A kill runs the first K cells the journal does not hold, then
+    // dies; every other run is one pass over the whole grid.
+    let kill = fault.and_then(FaultPlan::kill_after);
+    let todo: Vec<Cell> = match kill {
+        Some(k) => cells
+            .iter()
+            .filter(|c| !resumed[c.index])
+            .take(k)
+            .cloned()
+            .collect(),
+        None => cells,
+    };
+    let total = todo.iter().filter(|c| !resumed[c.index]).count();
+    let never = AtomicBool::new(false);
+    let abort = cfg.abort.as_deref().unwrap_or(&never);
+    let stats0 = cache.stats();
+    let shared = Mutex::new(Shared {
+        sink,
+        journal: &mut journal,
+        err: None,
+        done: 0,
+        cached: 0,
+        truncate_journal_after: fault.and_then(FaultPlan::journal_truncate_after),
+    });
+    let heartbeat_every = cfg.heartbeat_every;
+    let observe = |ev: &CellEvent<'_>| match ev {
+        // Cells the journal held at start were reported by an earlier
+        // run: the pass serves them again, silently.
+        CellEvent::Started { cell, .. } | CellEvent::Finished { cell, .. }
+            if resumed[cell.index] => {}
+        CellEvent::Started { cell, fingerprint } => {
+            shared.lock().expect("fleet lock").emit(&Event::CellStart {
+                cell: cell.index,
+                fp: *fingerprint,
             });
-            return Err(e);
         }
+        CellEvent::Finished {
+            cell,
+            fingerprint,
+            metrics,
+            cached,
+        } => {
+            let mut g = shared.lock().expect("fleet lock");
+            g.emit(&Event::CellDone {
+                cell: cell.index,
+                fp: *fingerprint,
+                cached: *cached,
+                metrics: *metrics,
+            });
+            g.done += 1;
+            g.cached += usize::from(*cached);
+            g.record_done(cell.index, *fingerprint);
+            if heartbeat_every > 0 && g.done.is_multiple_of(heartbeat_every) {
+                let hb = Event::Heartbeat {
+                    done: g.done,
+                    total,
+                    elapsed_ms: start.elapsed().as_millis() as u64,
+                    cached: g.cached,
+                };
+                g.emit(&hb);
+            }
+        }
+    };
+    let records = run_cells(spec, &todo, cache, cfg.workers, &observe, abort);
+    let shared = shared.into_inner().expect("fleet lock");
+    if let Some(e) = shared.err {
+        return Err(e);
     }
-    // Replaying the full grid against the campaign's cache yields the
-    // same record list a single-process run produces — and re-simulates
-    // any cell whose cached result went missing (or was torn), so the
-    // report is always complete.
-    let mut report = run_campaign(spec, cache, cfg.workers)?;
-    report.workers = cfg.workers;
-    report.elapsed_ms = start.elapsed().as_millis();
-    sink.emit(&Event::CampaignDone {
+    let records = records?;
+    if fault.is_some_and(FaultPlan::corrupts_cache) {
+        fault::corrupt_shard_cache(cache_dir(&cfg.dir))?;
+    }
+    if let Some(after) = kill {
+        return Err(FleetError::Injected(Fault::Kill { after }));
+    }
+    let stats = cache.stats();
+    let report = CampaignReport {
+        campaign: spec.name.clone(),
+        cells: records,
+        cache: CacheStats {
+            hits: stats.hits - stats0.hits,
+            misses: stats.misses - stats0.misses,
+            disk_hits: stats.disk_hits - stats0.disk_hits,
+            stores: stats.stores - stats0.stores,
+        },
+        workers: cfg.workers,
+        elapsed_ms: start.elapsed().as_millis(),
+    };
+    shared.sink.emit(&Event::CampaignDone {
         cells: report.cells.len(),
         elapsed_ms: report.elapsed_ms as u64,
     })?;

@@ -5,29 +5,34 @@
 //! they run and partially-written streams stay parseable up to the last
 //! complete line.
 //!
-//! Schema (`griffin-fleet-events/3`):
+//! Schema (`griffin-fleet-events/4`):
 //!
 //! | `ev`              | fields                                                      |
 //! |-------------------|-------------------------------------------------------------|
-//! | `campaign_start`  | `format`, `campaign`, `spec_fp`, `cells`, `shards`, `resumed`, `scenario_file`?, `scenario_fp`? |
-//! | `shard_start`     | `shard`, `cells`, `skipped`                                 |
-//! | `cell_start`      | `shard`, `cell`, `fp`                                       |
-//! | `cell_done`       | `shard`, `cell`, `fp`, `cached`, `metrics{…}`               |
-//! | `heartbeat`       | `shard`, `done`, `total`, `elapsed_ms`, `cached`            |
-//! | `shard_done`      | `shard`, `simulated`, `cached`, `elapsed_ms`                |
-//! | `shard_failed`    | `shard`, `attempt` (always 0 now), `msg`                    |
-//! | `cells_requeued`  | `shard`, `cells` (legacy, parsed; no longer emitted)        |
-//! | `shard_retried`   | `shard`, `attempt`, `backoff_ms` (legacy, parsed; no longer emitted) |
-//! | `host_lost`       | `host`, `shards` (legacy, parsed and ignored)               |
-//! | `host_retired`    | `host` (legacy, parsed and ignored)                         |
-//! | `merge_done`      | `sources`, `merged`, `identical`, `healed`, `conflicts` (legacy, parsed; no longer emitted) |
+//! | `campaign_start`  | `format`, `campaign`, `spec_fp`, `cells`, `resumed`, `scenario_file`?, `scenario_fp`? |
+//! | `cell_start`      | `cell`, `fp`                                                |
+//! | `cell_done`       | `cell`, `fp`, `cached`, `metrics{…}`                        |
+//! | `heartbeat`       | `done`, `total`, `elapsed_ms`, `cached`                     |
 //! | `campaign_done`   | `cells`, `elapsed_ms`                                       |
 //! | `campaign_failed` | `msg`                                                       |
 //!
+//! Legacy lines of v1–v3 streams, parsed and no longer emitted:
+//!
+//! | `ev`              | fields                                                      |
+//! |-------------------|-------------------------------------------------------------|
+//! | `shard_start`     | `shard`, `cells`, `skipped`                                 |
+//! | `shard_done`      | `shard`, `simulated`, `cached`, `elapsed_ms`                |
+//! | `shard_failed`    | `shard`, `attempt`, `msg`                                   |
+//! | `cells_requeued`  | `shard`, `cells`                                            |
+//! | `shard_retried`   | `shard`, `attempt`, `backoff_ms`                            |
+//! | `host_lost`       | `host`, `shards`                                            |
+//! | `host_retired`    | `host`                                                      |
+//! | `merge_done`      | `sources`, `merged`, `identical`, `healed`, `conflicts`     |
+//!
 //! Cell indices are grid positions (`usize` as JSON numbers);
 //! fingerprints are 32-digit hex strings; `metrics` is the same object
-//! the result cache stores ([`CellMetrics::to_json`]). Event *order* is
-//! only meaningful per shard — shards interleave arbitrarily.
+//! the result cache stores ([`CellMetrics::to_json`]). Cells complete in
+//! whatever order the executor's workers finish them, not grid order.
 //!
 //! **Versioning.** `campaign_start` carries the schema tag in `format`;
 //! v2 added the shard-failure lifecycle (`shard_failed` →
@@ -53,11 +58,14 @@
 //! and `host_retired`. Those two still parse, so old streams stay
 //! readable, but no coordinator emits them and consumers ignore them.
 //!
-//! The coordinator no longer retries shards or merges per-shard caches:
-//! a failed shard emits `shard_failed` (attempt 0) and the campaign
-//! ends with `campaign_failed`. `cells_requeued`, `shard_retried` and
-//! `merge_done` still parse, and watch consumers fold them as before,
-//! so older streams read unchanged; no coordinator emits them.
+//! v4 retires shards: a campaign is one pass over the grid, so
+//! `campaign_start` loses `shards`, `cell_start`, `cell_done` and
+//! `heartbeat` lose `shard`, and a heartbeat counts the whole pass.
+//! `shard_start`, `shard_done` and `shard_failed` join the legacy lines.
+//! Older streams still parse: the dropped fields are ignored like any
+//! unknown field, and the legacy lines fold into nothing but the event
+//! count, so a v1–v3 stream folds to the same campaign totals, state
+//! and failure message it always did.
 
 use std::io::{self, Write};
 
@@ -67,7 +75,11 @@ use griffin_sweep::json::Json;
 use griffin_sweep::scenario::ScenarioProvenance;
 
 /// Current schema tag, written into every `campaign_start` line.
-pub const EVENTS_FORMAT: &str = "griffin-fleet-events/3";
+pub const EVENTS_FORMAT: &str = "griffin-fleet-events/4";
+
+/// The v3 schema tag (sharded campaigns); streams carrying it still
+/// parse.
+pub const EVENTS_FORMAT_V3: &str = "griffin-fleet-events/3";
 
 /// The v2 schema tag (failure lifecycle, terminal events); streams
 /// carrying it still parse.
@@ -88,8 +100,6 @@ pub enum Event {
         spec_fp: Fingerprint,
         /// Total grid cells.
         cells: usize,
-        /// Shard count.
-        shards: usize,
         /// Cells restored from the journal (0 on a fresh run).
         resumed: usize,
         /// Scenario provenance (`scenario_file` + `scenario_fp` on the
@@ -97,7 +107,8 @@ pub enum Event {
         /// absent for token-built campaigns and pre-scenario streams.
         scenario: Option<ScenarioProvenance>,
     },
-    /// A shard began executing.
+    /// Legacy (v1–v3 streams): a shard began executing. Parsed; no
+    /// longer emitted.
     ShardStart {
         /// Shard index.
         shard: usize,
@@ -108,8 +119,6 @@ pub enum Event {
     },
     /// A worker thread began simulating a cell (cache misses only).
     CellStart {
-        /// Shard index.
-        shard: usize,
         /// Grid index of the cell.
         cell: usize,
         /// Scenario fingerprint.
@@ -117,8 +126,6 @@ pub enum Event {
     },
     /// A cell's metrics became available.
     CellDone {
-        /// Shard index.
-        shard: usize,
         /// Grid index of the cell.
         cell: usize,
         /// Scenario fingerprint.
@@ -128,24 +135,23 @@ pub enum Event {
         /// The simulation results.
         metrics: CellMetrics,
     },
-    /// Periodic per-shard liveness signal (every
+    /// Periodic liveness signal (every
     /// [`FleetConfig::heartbeat_every`](crate::coordinator::FleetConfig)
-    /// completions).
+    /// completions). v1–v3 heartbeats counted one shard's run.
     Heartbeat {
-        /// Shard index.
-        shard: usize,
-        /// Cells finished so far on this shard (this run).
+        /// Cells finished so far (this run).
         done: usize,
-        /// Cells this shard set out to run (this run).
+        /// Cells this run set out to finish.
         total: usize,
-        /// Wall-clock milliseconds since this shard run started
-        /// (additive field; absent in older streams, parsed as 0).
+        /// Wall-clock milliseconds since this run started (additive
+        /// field; absent in older streams, parsed as 0).
         elapsed_ms: u64,
         /// Of `done`, the cells served from cache / in-campaign dedup
         /// (additive field; absent in older streams, parsed as 0).
         cached: usize,
     },
-    /// A shard finished executing.
+    /// Legacy (v1–v3 streams): a shard finished executing. Parsed; no
+    /// longer emitted.
     ShardDone {
         /// Shard index.
         shard: usize,
@@ -156,12 +162,12 @@ pub enum Event {
         /// Wall-clock milliseconds of the shard run.
         elapsed_ms: u64,
     },
-    /// A shard run died (v2); the campaign fails next.
+    /// Legacy (v2/v3 streams): a shard run died. Parsed; no longer
+    /// emitted.
     ShardFailed {
         /// Shard index.
         shard: usize,
-        /// The attempt that failed (always 0 from the current
-        /// coordinator; older streams count retries).
+        /// The attempt that failed.
         attempt: usize,
         /// Human-readable cause.
         msg: String,
@@ -217,7 +223,7 @@ pub enum Event {
         /// Conflicting fingerprints (non-zero aborts the campaign).
         conflicts: u64,
     },
-    /// The final report was assembled.
+    /// The report was assembled.
     CampaignDone {
         /// Total grid cells reported.
         cells: usize,
@@ -295,7 +301,6 @@ impl Event {
                 campaign,
                 spec_fp,
                 cells,
-                shards,
                 resumed,
                 scenario,
             } => {
@@ -305,7 +310,6 @@ impl Event {
                     ("campaign".into(), Json::Str(campaign.clone())),
                     ("spec_fp".into(), Json::Str(spec_fp.to_string())),
                     ("cells".into(), num(*cells)),
-                    ("shards".into(), num(*shards)),
                     ("resumed".into(), num(*resumed)),
                 ];
                 if let Some(s) = scenario {
@@ -324,35 +328,30 @@ impl Event {
                 ("cells".into(), num(*cells)),
                 ("skipped".into(), num(*skipped)),
             ]),
-            Event::CellStart { shard, cell, fp } => Json::obj([
+            Event::CellStart { cell, fp } => Json::obj([
                 ("ev".into(), Json::Str("cell_start".into())),
-                ("shard".into(), num(*shard)),
                 ("cell".into(), num(*cell)),
                 ("fp".into(), Json::Str(fp.to_string())),
             ]),
             Event::CellDone {
-                shard,
                 cell,
                 fp,
                 cached,
                 metrics,
             } => Json::obj([
                 ("ev".into(), Json::Str("cell_done".into())),
-                ("shard".into(), num(*shard)),
                 ("cell".into(), num(*cell)),
                 ("fp".into(), Json::Str(fp.to_string())),
                 ("cached".into(), Json::Bool(*cached)),
                 ("metrics".into(), metrics.to_json()),
             ]),
             Event::Heartbeat {
-                shard,
                 done,
                 total,
                 elapsed_ms,
                 cached,
             } => Json::obj([
                 ("ev".into(), Json::Str("heartbeat".into())),
-                ("shard".into(), num(*shard)),
                 ("done".into(), num(*done)),
                 ("total".into(), num(*total)),
                 ("elapsed_ms".into(), num(*elapsed_ms as usize)),
@@ -455,7 +454,14 @@ impl Event {
                     let tag = tag
                         .as_str()
                         .map_err(|e| EventError { msg: e.to_string() })?;
-                    if tag != EVENTS_FORMAT && tag != EVENTS_FORMAT_V2 && tag != EVENTS_FORMAT_V1 {
+                    if ![
+                        EVENTS_FORMAT,
+                        EVENTS_FORMAT_V3,
+                        EVENTS_FORMAT_V2,
+                        EVENTS_FORMAT_V1,
+                    ]
+                    .contains(&tag)
+                    {
                         return fail(format!("unknown event-stream format `{tag}`"));
                     }
                 }
@@ -471,7 +477,6 @@ impl Event {
                     campaign: get_str(&v, "campaign")?,
                     spec_fp: get_fp(&v, "spec_fp")?,
                     cells: get_usize(&v, "cells")?,
-                    shards: get_usize(&v, "shards")?,
                     resumed: get_usize(&v, "resumed")?,
                     scenario,
                 })
@@ -482,12 +487,10 @@ impl Event {
                 skipped: get_usize(&v, "skipped")?,
             }),
             "cell_start" => Ok(Event::CellStart {
-                shard: get_usize(&v, "shard")?,
                 cell: get_usize(&v, "cell")?,
                 fp: get_fp(&v, "fp")?,
             }),
             "cell_done" => Ok(Event::CellDone {
-                shard: get_usize(&v, "shard")?,
                 cell: get_usize(&v, "cell")?,
                 fp: get_fp(&v, "fp")?,
                 cached: match v
@@ -504,7 +507,6 @@ impl Event {
                 .map_err(|e| EventError { msg: e.to_string() })?,
             }),
             "heartbeat" => Ok(Event::Heartbeat {
-                shard: get_usize(&v, "shard")?,
                 done: get_usize(&v, "done")?,
                 total: get_usize(&v, "total")?,
                 elapsed_ms: get_usize_or(&v, "elapsed_ms", 0)? as u64,
@@ -647,7 +649,6 @@ pub mod sample {
                 campaign: s("camp"),
                 spec_fp: Fingerprint(a, b),
                 cells: n(a),
-                shards: n(b) + 1,
                 resumed: n(a ^ b),
                 // The optional provenance pair exercises both shapes.
                 scenario: flag.then(|| griffin_sweep::scenario::ScenarioProvenance {
@@ -661,19 +662,16 @@ pub mod sample {
                 skipped: n(a ^ 1),
             },
             2 => Event::CellStart {
-                shard: n(a),
                 cell: n(b),
                 fp: Fingerprint(b, a),
             },
             3 => Event::CellDone {
-                shard: n(a),
                 cell: n(b),
                 fp: Fingerprint(a, a),
                 cached: flag,
                 metrics: metrics_from(a, b, special),
             },
             4 => Event::Heartbeat {
-                shard: n(a),
                 done: n(b),
                 total: n(b) + n(a),
                 elapsed_ms: a % 1_000_000_000,
@@ -745,7 +743,6 @@ mod tests {
                 campaign: "sweep-synth-b".into(),
                 spec_fp: Fingerprint(1, 2),
                 cells: 40,
-                shards: 4,
                 resumed: 7,
                 scenario: None,
             },
@@ -753,7 +750,6 @@ mod tests {
                 campaign: "sweep-synth-b".into(),
                 spec_fp: Fingerprint(1, 2),
                 cells: 40,
-                shards: 4,
                 resumed: 0,
                 scenario: Some(ScenarioProvenance {
                     file: "ci-smoke.toml".into(),
@@ -766,19 +762,16 @@ mod tests {
                 skipped: 3,
             },
             Event::CellStart {
-                shard: 2,
                 cell: 17,
                 fp: Fingerprint(3, 4),
             },
             Event::CellDone {
-                shard: 2,
                 cell: 17,
                 fp: Fingerprint(3, 4),
                 cached: false,
                 metrics: metrics(),
             },
             Event::Heartbeat {
-                shard: 2,
                 done: 5,
                 total: 7,
                 elapsed_ms: 210,
@@ -820,7 +813,7 @@ mod tests {
                 elapsed_ms: 9999,
             },
             Event::CampaignFailed {
-                msg: "shard 2 worker failed: retries exhausted".into(),
+                msg: "fault injected: kill:after=2".into(),
             },
         ];
         for ev in events {
@@ -833,7 +826,6 @@ mod tests {
     #[test]
     fn degenerate_metrics_survive_the_stream() {
         let ev = Event::CellDone {
-            shard: 0,
             cell: 1,
             fp: Fingerprint(5, 6),
             cached: true,
@@ -857,11 +849,8 @@ mod tests {
         assert!(Event::parse_line("not json").is_err());
         assert!(Event::parse_line("{}").is_err());
         assert!(Event::parse_line("{\"ev\":\"warp_drive\"}").is_err());
-        assert!(Event::parse_line("{\"ev\":\"heartbeat\",\"shard\":0}").is_err());
-        assert!(
-            Event::parse_line("{\"ev\":\"cell_start\",\"shard\":0,\"cell\":1,\"fp\":\"xy\"}")
-                .is_err()
-        );
+        assert!(Event::parse_line("{\"ev\":\"heartbeat\",\"done\":0}").is_err());
+        assert!(Event::parse_line("{\"ev\":\"cell_start\",\"cell\":1,\"fp\":\"xy\"}").is_err());
         assert!(Event::parse_line("{\"ev\":\"shard_failed\",\"shard\":0}").is_err());
         assert!(Event::parse_line("{\"ev\":\"campaign_failed\"}").is_err());
         assert!(Event::parse_line("{\"ev\":\"host_lost\",\"shards\":2}").is_err());
@@ -882,9 +871,12 @@ mod tests {
             "\"campaign\":\"old\",\"format\":\"griffin-fleet-events/1\"",
         );
         assert!(Event::parse_line(&tagged).is_ok());
-        // A v2 tag is also still accepted.
-        let v2 = tagged.replace("events/1", "events/2");
-        assert!(Event::parse_line(&v2).is_ok());
+        // v2 and v3 tags are also still accepted, and their `shards`
+        // count is ignored like any unknown field.
+        for old in ["events/2", "events/3"] {
+            let ev = Event::parse_line(&tagged.replace("events/1", old)).unwrap();
+            assert_eq!(ev, Event::parse_line(v1).unwrap(), "{old}");
+        }
         let future = tagged.replace("events/1", "events/99");
         assert!(Event::parse_line(&future).is_err());
         // A v2 shard_retried has no backoff_ms: parsed as 0.
@@ -898,12 +890,11 @@ mod tests {
             })
         );
         // A pre-enrichment heartbeat has no elapsed_ms/cached: parsed
-        // as 0.
+        // as 0. Its `shard` is ignored.
         let hb = "{\"done\":5,\"ev\":\"heartbeat\",\"shard\":1,\"total\":9}";
         assert_eq!(
             Event::parse_line(hb),
             Ok(Event::Heartbeat {
-                shard: 1,
                 done: 5,
                 total: 9,
                 elapsed_ms: 0,
@@ -929,7 +920,6 @@ mod tests {
     fn jsonl_sink_writes_one_flushed_line_per_event() {
         let mut sink = JsonlSink::new(Vec::new());
         sink.emit(&Event::Heartbeat {
-            shard: 1,
             done: 2,
             total: 3,
             elapsed_ms: 0,

@@ -1,10 +1,10 @@
 //! Deterministic fault injection for fleet campaigns.
 //!
-//! A fleet campaign must survive a shard dying mid-run — and that claim
-//! is only testable if failures can be *injected* at precise,
-//! reproducible points and the recovery replayed deterministically. A
-//! [`FaultPlan`] is a small list of [`Fault`]s, each naming a shard or a
-//! trigger point (a completed-cell count). The coordinator
+//! A fleet campaign must survive dying mid-run — and that claim is only
+//! testable if failures can be *injected* at precise, reproducible
+//! points and the recovery replayed deterministically. A [`FaultPlan`]
+//! is a small list of [`Fault`]s, each firing at a trigger point (a
+//! completed-cell count, or the end of the pass). The coordinator
 //! ([`run_fleet`](crate::coordinator::run_fleet)) consults the plan
 //! directly ([`FleetConfig::fault`](crate::coordinator::FleetConfig));
 //! the CLI reads it from the [`FAULT_ENV`] (`GRIFFIN_FAULT`) environment
@@ -16,15 +16,18 @@
 //! faults separated by `;`:
 //!
 //! ```text
-//! kill:shard=1:after=2            shard 1 dies after 2 completions
-//! corrupt-cache:shard=2           the cache is torn mid-write after shard 2
+//! kill:after=2                    the campaign dies after 2 completions
+//! corrupt-cache                   the cache is torn mid-write after the pass
 //! truncate-journal:after=3        the journal loses its tail mid-append
 //! ```
 //!
 //! Determinism: "after N completions" is implemented by *truncating the
-//! shard's work list* to its first N remaining cells (grid order), so
-//! the set of journaled cells at the moment of death is a pure function
-//! of the plan — no racing a concurrent executor.
+//! pass* to the first N cells (grid order) the journal does not hold,
+//! so the set of journaled cells at the moment of death is a pure
+//! function of the plan — no racing a concurrent executor.
+//!
+//! The `shard=` field of older plans is refused by name: a campaign is
+//! one pass over the grid, so there is no shard to aim at.
 
 use std::fmt;
 use std::io;
@@ -36,26 +39,21 @@ pub const FAULT_ENV: &str = "GRIFFIN_FAULT";
 /// One injectable failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// The run of `shard` dies abruptly after completing (and
-    /// streaming) `after` of its remaining cells: no `shard_done`, then
-    /// `shard_failed` and a terminal `campaign_failed`. The simulated
-    /// crash: `--resume` finishes the campaign.
+    /// The campaign dies abruptly after completing (and streaming) the
+    /// first `after` cells the journal does not hold, then ends with a
+    /// terminal `campaign_failed`. The simulated crash: `--resume`
+    /// finishes the campaign.
     Kill {
-        /// Shard whose run dies.
-        shard: usize,
         /// Remaining-cell completions before death.
         after: usize,
     },
-    /// Once `shard` completes, the campaign's cache directory is torn
+    /// Once the pass completes, the campaign's cache directory is torn
     /// as if a writer died mid-write: its newest entry is truncated and
     /// a partial `.tmp` file is left behind (see
     /// [`corrupt_shard_cache`]). The running campaign still reports from
     /// memory; the next run reading the directory skips both and
     /// re-simulates the torn entry.
-    CorruptCache {
-        /// Shard after which the cache is torn.
-        shard: usize,
-    },
+    CorruptCache,
     /// The coordinator "crashes" mid-append: after the `after`-th
     /// journal append (campaign-wide), a torn, newline-less half entry
     /// is written and the campaign aborts with a terminal
@@ -88,8 +86,8 @@ fn fail<T>(msg: impl Into<String>) -> Result<T, FaultError> {
 impl fmt::Display for Fault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            Fault::Kill { shard, after } => write!(f, "kill:shard={shard}:after={after}"),
-            Fault::CorruptCache { shard } => write!(f, "corrupt-cache:shard={shard}"),
+            Fault::Kill { after } => write!(f, "kill:after={after}"),
+            Fault::CorruptCache => write!(f, "corrupt-cache"),
             Fault::TruncateJournal { after } => write!(f, "truncate-journal:after={after}"),
         }
     }
@@ -98,7 +96,7 @@ impl fmt::Display for Fault {
 /// A deterministic list of faults to inject into one campaign.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
-    /// The shard/journal faults, in plan order.
+    /// The faults, in plan order.
     pub faults: Vec<Fault>,
 }
 
@@ -114,43 +112,33 @@ impl fmt::Display for FaultPlan {
     }
 }
 
-/// `key=value` fields of one fault clause, after the kind token.
-#[derive(Default)]
-struct Fields {
-    shard: Option<usize>,
-    after: Option<usize>,
-}
-
-impl Fields {
-    fn parse(parts: &mut std::str::Split<'_, char>, kind: &str) -> Result<Fields, FaultError> {
-        let mut f = Fields::default();
-        for part in parts {
-            let Some((key, value)) = part.split_once('=') else {
-                return fail(format!("`{kind}`: expected key=value, got `{part}`"));
-            };
-            let num = || -> Result<usize, FaultError> {
-                value.parse().map_err(|_| FaultError {
-                    msg: format!("`{kind}`: bad number `{value}` for `{key}`"),
-                })
-            };
-            match key {
-                "shard" => f.shard = Some(num()?),
-                "after" => f.after = Some(num()?),
-                other => return fail(format!("`{kind}`: unknown field `{other}`")),
+/// The `after=N` field of one fault clause, the only field a fault
+/// takes, parsed from the parts after the kind token.
+fn parse_after(
+    parts: &mut std::str::Split<'_, char>,
+    kind: &str,
+) -> Result<Option<usize>, FaultError> {
+    let mut after = None;
+    for part in parts {
+        let Some((key, value)) = part.split_once('=') else {
+            return fail(format!("`{kind}`: expected key=value, got `{part}`"));
+        };
+        match key {
+            "after" => {
+                after = Some(value.parse().map_err(|_| FaultError {
+                    msg: format!("`{kind}`: bad number `{value}` for `after`"),
+                })?);
             }
+            "shard" => {
+                return fail(format!(
+                    "`{kind}`: the `shard` field was removed; a campaign is one pass \
+                     over the grid (drop `shard={value}`)"
+                ))
+            }
+            other => return fail(format!("`{kind}`: unknown field `{other}`")),
         }
-        Ok(f)
     }
-
-    fn shard(&self, kind: &str) -> Result<usize, FaultError> {
-        self.shard
-            .map_or_else(|| fail(format!("`{kind}` needs shard=N")), Ok)
-    }
-
-    fn after(&self, kind: &str) -> Result<usize, FaultError> {
-        self.after
-            .map_or_else(|| fail(format!("`{kind}` needs after=N")), Ok)
-    }
+    Ok(after)
 }
 
 impl FaultPlan {
@@ -171,22 +159,23 @@ impl FaultPlan {
             let kind = parts.next().expect("split yields at least one part");
             // The kind is judged before its fields, so an unknown kind
             // reads as unknown whatever fields it carries.
-            let fields = Fields::parse(&mut parts, kind);
+            let after = parse_after(&mut parts, kind);
+            let needs_after = |after: Option<usize>| {
+                after.map_or_else(|| fail(format!("`{kind}` needs after=N")), Ok)
+            };
             let fault = match kind {
-                "kill" => fields.and_then(|f| {
+                "kill" => after.and_then(|a| {
                     Ok(Fault::Kill {
-                        shard: f.shard(kind)?,
-                        after: f.after(kind)?,
+                        after: needs_after(a)?,
                     })
                 }),
-                "corrupt-cache" => fields.and_then(|f| {
-                    Ok(Fault::CorruptCache {
-                        shard: f.shard(kind)?,
-                    })
+                "corrupt-cache" => after.and_then(|a| match a {
+                    None => Ok(Fault::CorruptCache),
+                    Some(_) => fail("`corrupt-cache` takes no fields"),
                 }),
-                "truncate-journal" => fields.and_then(|f| {
+                "truncate-journal" => after.and_then(|a| {
                     Ok(Fault::TruncateJournal {
-                        after: f.after(kind)?,
+                        after: needs_after(a)?,
                     })
                 }),
                 other => fail(format!("unknown fault `{other}`")),
@@ -199,19 +188,17 @@ impl FaultPlan {
         Ok(FaultPlan { faults })
     }
 
-    /// Completions before a [`Fault::Kill`] of `shard` fires, if any.
-    pub fn kill_after(&self, shard: usize) -> Option<usize> {
+    /// Completions before a [`Fault::Kill`] fires, if the plan has one.
+    pub fn kill_after(&self) -> Option<usize> {
         self.faults.iter().find_map(|f| match *f {
-            Fault::Kill { shard: s, after } if s == shard => Some(after),
+            Fault::Kill { after } => Some(after),
             _ => None,
         })
     }
 
-    /// Whether a [`Fault::CorruptCache`] names `shard`.
-    pub fn corrupts_cache(&self, shard: usize) -> bool {
-        self.faults
-            .iter()
-            .any(|f| matches!(*f, Fault::CorruptCache { shard: s } if s == shard))
+    /// Whether the plan tears the cache after the pass.
+    pub fn corrupts_cache(&self) -> bool {
+        self.faults.contains(&Fault::CorruptCache)
     }
 
     /// Campaign-wide journal appends before a [`Fault::TruncateJournal`]
@@ -276,11 +263,11 @@ mod tests {
     #[test]
     fn plans_roundtrip_through_their_textual_form() {
         let plans = [
-            "kill:shard=1:after=2",
-            "kill:shard=3:after=0",
-            "corrupt-cache:shard=2",
+            "kill:after=2",
+            "kill:after=0",
+            "corrupt-cache",
             "truncate-journal:after=3",
-            "kill:shard=1:after=2;corrupt-cache:shard=1;truncate-journal:after=9",
+            "kill:after=2;corrupt-cache;truncate-journal:after=9",
         ];
         for text in plans {
             let plan = FaultPlan::parse(text).unwrap();
@@ -294,41 +281,53 @@ mod tests {
         for bad in [
             "",
             "  ;  ",
-            "warp-core-breach:shard=1",
-            "kill:shard=1",             // missing after
-            "kill:after=2",             // missing shard
-            "kill:shard=x:after=2",     // bad number
-            "kill:shard=1:after=2:zap", // not key=value
-            "kill:shard=1:after=2:k=v", // unknown field
-            "truncate-journal:shard=1", // missing after
-            "corrupt-cache:after=1",    // missing shard
+            "warp-core-breach:after=1",
+            "kill",                  // missing after
+            "kill:after=x",          // bad number
+            "kill:after=2:zap",      // not key=value
+            "kill:after=2:k=v",      // unknown field
+            "truncate-journal",      // missing after
+            "corrupt-cache:after=1", // takes no fields
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "`{bad}` must be rejected");
         }
     }
 
     #[test]
-    fn queries_match_their_shard() {
-        let plan = FaultPlan::parse("kill:shard=1:after=2;kill:shard=0:after=1").unwrap();
-        assert_eq!(plan.kill_after(1), Some(2));
-        assert_eq!(plan.kill_after(0), Some(1));
-        assert_eq!(plan.kill_after(2), None, "wrong shard");
-        assert!(!plan.corrupts_cache(1));
+    fn queries_read_the_plan() {
+        let plan = FaultPlan::parse("kill:after=2").unwrap();
+        assert_eq!(plan.kill_after(), Some(2));
+        assert!(!plan.corrupts_cache());
         assert_eq!(plan.journal_truncate_after(), None);
 
-        let plan = FaultPlan::parse("corrupt-cache:shard=2;truncate-journal:after=7").unwrap();
-        assert!(plan.corrupts_cache(2));
-        assert!(!plan.corrupts_cache(1));
-        assert_eq!(plan.kill_after(2), None);
+        let plan = FaultPlan::parse("corrupt-cache;truncate-journal:after=7").unwrap();
+        assert!(plan.corrupts_cache());
+        assert_eq!(plan.kill_after(), None);
         assert_eq!(plan.journal_truncate_after(), Some(7));
+    }
+
+    #[test]
+    fn the_removed_shard_field_is_refused_by_name() {
+        for text in [
+            "kill:shard=1:after=2",
+            "kill:after=2:shard=0",
+            "corrupt-cache:shard=2",
+            "truncate-journal:after=3:shard=1",
+        ] {
+            let err = FaultPlan::parse(text).unwrap_err();
+            assert!(
+                err.msg.contains("the `shard` field was removed"),
+                "{text}: {err}"
+            );
+        }
     }
 
     #[test]
     fn the_removed_attempt_field_is_unknown() {
         for text in [
-            "kill:shard=0:after=1:attempt=any",
-            "kill:shard=1:after=2:attempt=0",
-            "corrupt-cache:shard=2:attempt=1",
+            "kill:after=1:attempt=any",
+            "kill:after=2:attempt=0",
+            "corrupt-cache:attempt=1",
         ] {
             let err = FaultPlan::parse(text).unwrap_err();
             assert!(err.msg.contains("unknown field `attempt`"), "{text}: {err}");
@@ -344,9 +343,9 @@ mod tests {
                 "{err}"
             );
         }
-        let err = FaultPlan::parse("kill:shard=1:host=h1:after=0").unwrap_err();
+        let err = FaultPlan::parse("kill:host=h1:after=0").unwrap_err();
         assert!(err.msg.contains("unknown field `host`"), "{err}");
-        let err = FaultPlan::parse("kill:shard=1:after=0:attempts=2").unwrap_err();
+        let err = FaultPlan::parse("kill:after=0:attempts=2").unwrap_err();
         assert!(err.msg.contains("unknown field `attempts`"), "{err}");
     }
 
@@ -356,7 +355,7 @@ mod tests {
             for text in [
                 format!("{kind}:shard=0:after=1"),
                 format!("{kind}:shard=0:after=1:attempt=any"),
-                format!("kill:shard=1:after=2;{kind}:shard=0:after=0"),
+                format!("kill:after=2;{kind}:shard=0:after=0"),
             ] {
                 let err = FaultPlan::parse(&text).unwrap_err();
                 assert!(

@@ -3,9 +3,9 @@
 //! A fleet campaign appends one JSON line per completed cell to
 //! `journal.jsonl` next to its cache. The first line is a header
 //! carrying the campaign's spec fingerprint and cell count; `--resume`
-//! re-opens the file, verifies the header matches the *current* plan
-//! (refusing to resume a different grid), and restores the completed
-//! set so finished cells are never re-entered into a shard's work list.
+//! re-opens the file, verifies the header matches the *current* grid
+//! (refusing to resume a different one), and restores the completed
+//! set so finished cells are never reported twice.
 //!
 //! The file is append-only and written through a single coordinator, so
 //! interruption can only lose or truncate the final line; loading
@@ -267,9 +267,10 @@ impl Journal {
                     expected.cells
                 )));
             }
-            // Duplicate lines happen legitimately (a retried shard
-            // replays a cell whose completion event was lost); they
-            // dedupe by fingerprint. The same cell under two *different*
+            // Duplicate lines happen legitimately (journals written by
+            // older coordinators that retried a shard replayed a cell
+            // whose completion event was lost); they dedupe by
+            // fingerprint. The same cell under two *different*
             // fingerprints can only mean corruption — two grids wrote
             // into one journal.
             if let Some(prev) = completed.insert(cell, fp) {
@@ -546,14 +547,16 @@ mod tests {
 
     #[test]
     fn interleaved_retried_shard_writes_resume_cleanly() {
-        // A retried shard's appends interleave arbitrarily with the
-        // surviving shards' — completion order is no order at all. The
-        // journal must restore the union regardless.
+        // Appends arrive in completion order, which is no order at
+        // all: workers finish families out of grid order, and journals
+        // written by older coordinators interleaved a retried shard's
+        // appends with the surviving shards'. The journal must restore
+        // the union regardless.
         let path = tmp("interleaved");
         {
             let mut j = Journal::create(&path, &header()).unwrap();
-            // shard A: 0, 4; shard B: 1; shard A dies; retry of A
-            // interleaves with B finishing.
+            // An old stream: shard A wrote 0, 4; shard B 1; shard A
+            // died, and its retry interleaved with B finishing.
             for cell in [0, 4, 1, 5, 2, 8, 3] {
                 j.append(cell, Fingerprint(cell as u64, cell as u64))
                     .unwrap();
@@ -569,8 +572,9 @@ mod tests {
 
     #[test]
     fn duplicate_entries_dedupe_by_fingerprint() {
-        // Resume-after-retry can replay a cell whose completion event
-        // was lost with the dead worker: the duplicate line (same cell,
+        // An older coordinator's resume-after-retry could replay a cell
+        // whose completion event was lost with the dead worker: the
+        // duplicate line (same cell,
         // same fingerprint) is one completion, not two — and a raw
         // duplicate *file line* (bypassing the idempotent append) must
         // behave identically.

@@ -1,20 +1,19 @@
-//! Sharded campaign orchestration for the Griffin sweep engine.
+//! Resumable campaign orchestration for the Griffin sweep engine.
 //!
-//! `griffin-sweep` executes one campaign in one pass; this crate splits
-//! it into a **fleet** of shards run one after another in this process:
-//! the grid is deterministically partitioned into shards by cell
-//! fingerprint, progress streams as append-only JSONL events,
-//! completions are journaled for crash-safe resume, and every shard
-//! writes one campaign cache from which the final report is assembled
-//! — **byte-identical** to a single-process sweep of the same spec.
+//! `griffin-sweep` executes one campaign in one pass; this crate makes
+//! that pass a **fleet** campaign that survives being stopped: progress
+//! streams as append-only JSONL events, completions are journaled for
+//! crash-safe resume, and the pass writes one campaign cache. The
+//! report is **byte-identical** to a single-process sweep of the same
+//! spec.
 //!
-//! Campaigns are **resumable**: a shard that dies fails the campaign
-//! with a terminal `campaign_failed` event, and `--resume` skips every
-//! journaled cell and finishes it. Every failure and recovery path is
-//! exercised deterministically through [`fault::FaultPlan`].
+//! Campaigns are **resumable**: a failure, an interrupt or a cancel
+//! fails the campaign with a terminal `campaign_failed` event, and
+//! `--resume` skips every journaled cell and finishes it. Every failure
+//! and recovery path is exercised deterministically through
+//! [`fault::FaultPlan`].
 //!
-//! * [`plan`] — content-addressed shard partitioning and the campaign
-//!   spec fingerprint that guards resume,
+//! * [`plan`] — the campaign spec fingerprint that guards resume,
 //! * [`events`] — the JSONL event schema and its sinks,
 //! * [`journal`] — the append-only completed-cell journal behind
 //!   `--resume`,
@@ -23,7 +22,7 @@
 //! * [`tail`] — the truncation-tolerant line-tail rule shared by the
 //!   journal loader and live event-stream consumers,
 //! * [`coordinator`] — the campaign coordinator ([`run_fleet`]),
-//! * [`fault`] — deterministic fault injection (shard kill, cache and
+//! * [`fault`] — deterministic fault injection (a kill, cache and
 //!   journal corruption) for chaos tests.
 //!
 //! # Example
@@ -45,7 +44,7 @@
 //!     .seeds([1, 2]);
 //!
 //! let dir = std::env::temp_dir().join(format!("fleet-doc-{}", std::process::id()));
-//! let fleet = run_fleet(&spec, &FleetConfig::new(&dir, 2), &mut NullSink).unwrap();
+//! let fleet = run_fleet(&spec, &FleetConfig::new(&dir, 2), &mut NullSink).unwrap(); // 2 workers
 //! let single = run_campaign(&spec, &ResultCache::in_memory(), 1).unwrap();
 //! assert_eq!(to_csv(&fleet), to_csv(&single)); // byte-identical
 //! # std::fs::remove_dir_all(&dir).unwrap();
@@ -65,5 +64,5 @@ pub use coordinator::{
 pub use events::{Event, EventError, EventSink, JsonlSink, NullSink, EVENTS_FORMAT};
 pub use fault::{Fault, FaultError, FaultPlan, FAULT_ENV};
 pub use journal::{Journal, JournalError, JournalHeader, JOURNAL_FORMAT};
-pub use plan::{remaining_cells, shard_of, spec_fingerprint, PlanError, ShardPlan};
+pub use plan::spec_fingerprint;
 pub use tail::{complete_lines, split_partial_tail, TailCursor, TailPoll};

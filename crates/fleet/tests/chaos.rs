@@ -13,7 +13,6 @@ use griffin_core::category::DnnCategory;
 use griffin_fleet::coordinator::{cache_dir, journal_path, run_fleet, FleetConfig, FleetError};
 use griffin_fleet::events::{Event, EventSink};
 use griffin_fleet::fault::{Fault, FaultPlan};
-use griffin_fleet::plan::ShardPlan;
 use griffin_sim::config::{Fidelity, SimConfig};
 use griffin_sweep::cache::ResultCache;
 use griffin_sweep::executor::{run_campaign, CampaignReport};
@@ -56,13 +55,6 @@ impl EventSink for Recorder {
     }
 }
 
-/// A shard guaranteed to have planned cells (fault targets must bite).
-fn nonempty_shard(plan: &ShardPlan) -> usize {
-    (0..plan.shards)
-        .max_by_key(|&s| plan.cells[s].len())
-        .expect("plan has shards")
-}
-
 /// Resumes the campaign in `cfg.dir` with the fault cleared and pins
 /// the report byte-identical to `single`; returns the resumed report
 /// and its event stream.
@@ -91,69 +83,61 @@ fn count(events: &[Event], pred: impl Fn(&Event) -> bool) -> usize {
     events.iter().filter(|e| pred(e)).count()
 }
 
+/// `resumed` on the stream's `campaign_start`, and its `cell_done`
+/// count.
+fn resumed_and_done(events: &[Event]) -> (usize, usize) {
+    let Some(Event::CampaignStart { resumed, .. }) = events.first() else {
+        panic!("no campaign_start");
+    };
+    (
+        *resumed,
+        count(events, |e| matches!(e, Event::CellDone { .. })),
+    )
+}
+
 #[test]
 fn in_process_kill_fails_the_campaign_and_resume_stays_byte_identical() {
     let spec = spec();
     let single = run_campaign(&spec, &ResultCache::in_memory(), 2).unwrap();
-    let shards = 3;
-    let plan = ShardPlan::new(&spec, shards).unwrap();
-    let victim = nonempty_shard(&plan);
     let dir = scratch_dir("kill");
 
-    let mut cfg = FleetConfig::new(&dir, shards);
-    cfg.fault = Some(FaultPlan::parse(&format!("kill:shard={victim}:after=1")).unwrap());
+    let mut cfg = FleetConfig::new(&dir, 2);
+    cfg.fault = Some(FaultPlan::parse("kill:after=1").unwrap());
     let mut rec = Recorder::default();
     match run_fleet(&spec, &cfg, &mut rec) {
-        Err(FleetError::Injected(Fault::Kill { shard, after: 1 })) => assert_eq!(shard, victim),
+        Err(FleetError::Injected(Fault::Kill { after: 1 })) => {}
         other => panic!("expected the injected kill, got {other:?}"),
     }
 
-    // Failure lifecycle: one `shard_failed` for the victim's only run,
-    // no retry, no later shard, and a terminal `campaign_failed`.
-    let failed: Vec<_> = rec
+    // The first cell in grid order completes and is journaled; then the
+    // campaign dies with a terminal `campaign_failed`, and no shard
+    // lifecycle line is written.
+    let done: Vec<usize> = rec
         .0
         .iter()
-        .filter(|e| matches!(e, Event::ShardFailed { .. }))
+        .filter_map(|e| match e {
+            Event::CellDone { cell, .. } => Some(*cell),
+            _ => None,
+        })
         .collect();
-    assert_eq!(failed.len(), 1);
-    let Event::ShardFailed {
-        shard,
-        attempt,
-        msg,
-    } = failed[0]
-    else {
-        unreachable!()
-    };
-    assert_eq!((*shard, *attempt), (victim, 0));
-    assert!(msg.contains("fault injected"), "{msg}");
+    assert_eq!(done, vec![0]);
     assert_eq!(
         count(&rec.0, |e| matches!(
             e,
-            Event::ShardRetried { .. } | Event::CellsRequeued { .. }
+            Event::ShardStart { .. } | Event::ShardDone { .. } | Event::ShardFailed { .. }
         )),
-        0,
-        "a failed shard is not retried"
+        0
     );
-    assert_eq!(
-        count(&rec.0, |e| matches!(e, Event::ShardStart { .. })),
-        victim + 1,
-        "no shard starts after the victim"
-    );
-    assert!(matches!(rec.0.last(), Some(Event::CampaignFailed { .. })));
+    match rec.0.last() {
+        Some(Event::CampaignFailed { msg }) => {
+            assert!(msg.contains("fault injected: kill:after=1"), "{msg}")
+        }
+        other => panic!("expected a terminal campaign_failed, got {other:?}"),
+    }
 
-    // The N killed-before cells are journaled: the resume skips every
-    // one of them, including the victim's first cell.
-    let journaled: usize = plan.cells[..victim].iter().map(Vec::len).sum::<usize>() + 1;
+    // The resume skips the killed run's cell and reports the other 11.
     let (_, events) = resume_matches(&spec, &cfg, &single);
-    let Some(Event::CampaignStart { resumed, .. }) = events.first() else {
-        panic!("no campaign_start");
-    };
-    assert_eq!(*resumed, journaled);
-    let victim_skipped = events.iter().find_map(|e| match e {
-        Event::ShardStart { shard, skipped, .. } if *shard == victim => Some(*skipped),
-        _ => None,
-    });
-    assert_eq!(victim_skipped, Some(1));
+    assert_eq!(resumed_and_done(&events), (1, 11));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -161,16 +145,13 @@ fn in_process_kill_fails_the_campaign_and_resume_stays_byte_identical() {
 fn torn_cache_is_re_simulated_by_the_resume() {
     let spec = spec();
     let single = run_campaign(&spec, &ResultCache::in_memory(), 2).unwrap();
-    let shards = 3;
-    let plan = ShardPlan::new(&spec, shards).unwrap();
-    let victim = nonempty_shard(&plan);
     let dir = scratch_dir("corrupt");
 
-    // Standalone cache corruption: the shard completes, but the cache
+    // Standalone cache corruption: the pass completes, but the cache
     // directory looks like a writer died mid-write (torn entry + stray
     // tmp). The running campaign still reports from memory.
-    let mut cfg = FleetConfig::new(&dir, shards);
-    cfg.fault = Some(FaultPlan::parse(&format!("corrupt-cache:shard={victim}")).unwrap());
+    let mut cfg = FleetConfig::new(&dir, 2);
+    cfg.fault = Some(FaultPlan::parse("corrupt-cache").unwrap());
     let fleet = run_fleet(&spec, &cfg, &mut Recorder::default()).unwrap();
     assert_eq!(to_csv(&fleet), to_csv(&single));
     assert!(
@@ -178,32 +159,28 @@ fn torn_cache_is_re_simulated_by_the_resume() {
         "the stray tmp was left in the campaign cache"
     );
 
-    // Every cell is journaled, so the resume runs no shard work; its
-    // final replay reads the torn directory and re-simulates exactly
-    // the torn entry.
+    // Every cell is journaled, so the resume reports no cell; its pass
+    // reads the torn directory and re-simulates exactly the torn entry.
     let (resumed, events) = resume_matches(&spec, &cfg, &single);
-    let simulated: usize = events
-        .iter()
-        .filter_map(|e| match e {
-            Event::ShardDone { simulated, .. } => Some(*simulated),
-            _ => None,
-        })
-        .sum();
-    assert_eq!(simulated, 0, "every cell was journaled");
+    assert_eq!(
+        resumed_and_done(&events),
+        (12, 0),
+        "every cell was journaled"
+    );
     assert_eq!(resumed.cache.misses, 1, "only the torn entry re-simulates");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Raises the abort flag at the first `shard_done`, as a ^C landing
-/// while the first shard runs would.
-struct AbortAtFirstShardDone {
+/// Raises the abort flag at the first `cell_done`, as a ^C landing
+/// while the campaign runs would.
+struct AbortAtFirstCellDone {
     events: Vec<Event>,
     abort: Arc<AtomicBool>,
 }
 
-impl EventSink for AbortAtFirstShardDone {
+impl EventSink for AbortAtFirstCellDone {
     fn emit(&mut self, ev: &Event) -> std::io::Result<()> {
-        if matches!(ev, Event::ShardDone { .. }) {
+        if matches!(ev, Event::CellDone { .. }) {
             self.abort.store(true, Ordering::Relaxed);
         }
         self.events.push(ev.clone());
@@ -212,15 +189,28 @@ impl EventSink for AbortAtFirstShardDone {
 }
 
 #[test]
-fn abort_after_the_first_shard_fails_cleanly_and_resume_recovers() {
-    let spec = spec();
+fn abort_at_the_first_cell_done_fails_cleanly_and_resume_recovers() {
+    // Three families of eight layers each: the abort lands when the
+    // first family finishes, with most (family, layer) items unclaimed.
+    let spec = SweepSpec::new("fleet-abort")
+        .synthetic("net", 8)
+        .categories([DnnCategory::A, DnnCategory::B, DnnCategory::Dense])
+        .arch(ArchSpec::dense())
+        .arch(ArchSpec::sparse_b_star())
+        .arch(ArchSpec::griffin())
+        .seeds([1, 2])
+        .sim(SimConfig {
+            fidelity: Fidelity::Sampled { tiles: 2, seed: 1 },
+            ..SimConfig::default()
+        });
+    let cells = spec.cell_count();
     let single = run_campaign(&spec, &ResultCache::in_memory(), 2).unwrap();
     let dir = scratch_dir("abort");
 
     let abort = Arc::new(AtomicBool::new(false));
-    let mut cfg = FleetConfig::new(&dir, 3);
+    let mut cfg = FleetConfig::new(&dir, 2);
     cfg.abort = Some(Arc::clone(&abort));
-    let mut sink = AbortAtFirstShardDone {
+    let mut sink = AbortAtFirstCellDone {
         events: Vec::new(),
         abort,
     };
@@ -229,22 +219,19 @@ fn abort_after_the_first_shard_fails_cleanly_and_resume_recovers() {
         other => panic!("expected an interrupt, got {other:?}"),
     }
     let events = sink.events;
-    assert_eq!(
-        count(&events, |e| matches!(e, Event::ShardStart { .. })),
-        1,
-        "the abort is honoured before the second shard starts"
+    let (_, done) = resumed_and_done(&events);
+    assert!(
+        done > 0 && done < cells,
+        "the abort stops the pass within the campaign: {done} of {cells} cells"
     );
     match events.last() {
         Some(Event::CampaignFailed { msg }) => assert!(msg.contains("interrupt"), "{msg}"),
         other => panic!("expected a terminal campaign_failed, got {other:?}"),
     }
 
-    let (_, events) = resume_matches(&spec, &cfg, &single);
-    let first_shard = ShardPlan::new(&spec, 3).unwrap().cells[0].len();
-    let Some(Event::CampaignStart { resumed, .. }) = events.first() else {
-        panic!("no campaign_start");
-    };
-    assert_eq!(*resumed, first_shard, "the finished shard stays journaled");
+    // Every streamed cell was journaled; the resume reports the rest.
+    let (_, resumed_events) = resume_matches(&spec, &cfg, &single);
+    assert_eq!(resumed_and_done(&resumed_events), (done, cells - done));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -1,5 +1,5 @@
-//! Property tests of the full fleet event schema: every variant (v1,
-//! v2 and v3), serialized and parsed back, over randomized field
+//! Property tests of the full fleet event schema: every variant (v1
+//! to v4), serialized and parsed back, over randomized field
 //! values — including degenerate floats, strings that need escaping,
 //! unknown fields (which must be tolerated) and legacy lines (which
 //! must still parse) — plus literal lines from multi-host v3 streams,
@@ -99,12 +99,12 @@ proptest! {
             Event::MergeDone { healed, .. } if variant == 9 => {
                 prop_assert_eq!(healed, 0, "v1 merge_done has no healed count")
             }
-            Event::Heartbeat { elapsed_ms, cached, shard, done, total } if variant == 4 => {
+            Event::Heartbeat { elapsed_ms, cached, done, total } if variant == 4 => {
                 prop_assert_eq!((elapsed_ms, cached), (0, 0), "v1 heartbeat is unenriched");
-                let Event::Heartbeat { shard: s, done: d, total: t, .. } = ev else {
+                let Event::Heartbeat { done: d, total: t, .. } = ev else {
                     unreachable!()
                 };
-                prop_assert_eq!((shard, done, total), (s, d, t));
+                prop_assert_eq!((done, total), (d, t));
             }
             other => prop_assert_eq!(other, strip_v3(ev)),
         }
@@ -128,11 +128,14 @@ fn legacy_stream(with_hosts: bool) -> Vec<String> {
         campaign: "legacy".into(),
         spec_fp: Fingerprint(1, 2),
         cells: 2,
-        shards: 1,
         resumed: 0,
         scenario: None,
     };
-    let cell_done = |cell: u64| build_event(3, 0, cell, false, 0).to_line();
+    let cell_done = |cell: u64| {
+        build_event(3, 0, cell, false, 0)
+            .to_line()
+            .replacen('{', "{\"shard\":0,", 1)
+    };
     let mut lines = vec![
         start.to_line(),
         host(r#"{"cells":2,"ev":"shard_start","shard":0,"skipped":0}"#),
@@ -184,15 +187,12 @@ fn legacy_host_lines_parse_and_fold_like_the_stream_without_them() {
         }
         m
     };
-    let (with, without) = (fold(&hosted), fold(&plain));
+    let (mut with, without) = (fold(&hosted), fold(&plain));
     assert_eq!(with.parse_errors, 0);
     assert_eq!(with.done(), 2);
-    assert_eq!(with.retries, 1);
     assert_eq!(with.state.tag(), "done");
-    assert_eq!(
-        (with.done(), with.retries, &with.state),
-        (without.done(), without.retries, &without.state)
-    );
-    assert_eq!(with.shards, without.shards, "per-shard view unchanged");
-    assert_eq!(with.failures, without.failures);
+    // The two host lines are folded (counted) and otherwise ignored.
+    assert_eq!(with.events_folded, without.events_folded + 2);
+    with.events_folded = without.events_folded;
+    assert_eq!(with, without);
 }

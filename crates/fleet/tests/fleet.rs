@@ -1,6 +1,7 @@
 //! Integration tests of the fleet coordinator: byte-identity with a
-//! single-process sweep, journaled resume, and resume from directories
-//! in the older per-shard cache layout.
+//! single-process sweep, journaled resume, the `resumed` + `cell_done`
+//! = cells invariant, and resume from directories in the older
+//! per-shard cache layout.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -9,10 +10,11 @@ use griffin_core::arch::ArchSpec;
 use griffin_core::category::DnnCategory;
 use griffin_fleet::coordinator::{cache_dir, journal_path, run_fleet, FleetConfig, FleetError};
 use griffin_fleet::events::{Event, EventSink, NullSink};
-use griffin_fleet::plan::ShardPlan;
+use griffin_fleet::plan::spec_fingerprint;
 use griffin_sim::config::{Fidelity, SimConfig};
 use griffin_sweep::cache::ResultCache;
 use griffin_sweep::executor::run_campaign;
+use griffin_sweep::fingerprint::Fingerprint;
 use griffin_sweep::report::{to_csv, to_json};
 use griffin_sweep::spec::SweepSpec;
 
@@ -52,29 +54,44 @@ impl EventSink for Recorder {
     }
 }
 
+/// `resumed` on the stream's `campaign_start` and its `cell_done`
+/// count, plus the `cell_done` events served uncached.
+fn resumed_and_done(events: &[Event]) -> (usize, usize, usize) {
+    let Some(Event::CampaignStart { resumed, .. }) = events.first() else {
+        panic!("stream must open with campaign_start");
+    };
+    let done = |cached: bool| {
+        events
+            .iter()
+            .filter(|e| matches!(e, Event::CellDone { cached: c, .. } if *c == cached))
+            .count()
+    };
+    (*resumed, done(false) + done(true), done(false))
+}
+
 #[test]
 fn fleet_reports_are_byte_identical_to_a_single_sweep() {
     let spec = spec();
     let single = run_campaign(&spec, &ResultCache::in_memory(), 2).unwrap();
-    for shards in [1, 2, 3] {
-        let dir = scratch_dir(&format!("ident-{shards}"));
-        let fleet = run_fleet(&spec, &FleetConfig::new(&dir, shards), &mut NullSink).unwrap();
+    for workers in [1, 2, 3] {
+        let dir = scratch_dir(&format!("ident-{workers}"));
+        let fleet = run_fleet(&spec, &FleetConfig::new(&dir, workers), &mut NullSink).unwrap();
         assert_eq!(
             to_csv(&fleet),
             to_csv(&single),
-            "{shards}-shard CSV must match"
+            "{workers}-worker CSV must match"
         );
         assert_eq!(
             to_json(&fleet),
             to_json(&single),
-            "{shards}-shard JSON must match"
+            "{workers}-worker JSON must match"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
 #[test]
-fn event_stream_covers_every_cell_and_shard() {
+fn event_stream_covers_every_cell_once() {
     let spec = spec();
     let dir = scratch_dir("events");
     let mut rec = Recorder::default();
@@ -83,47 +100,42 @@ fn event_stream_covers_every_cell_and_shard() {
     run_fleet(&spec, &cfg, &mut rec).unwrap();
     let events = rec.0;
 
-    let Some(Event::CampaignStart {
-        cells,
-        shards,
-        resumed,
-        ..
-    }) = events.first()
-    else {
+    let Some(Event::CampaignStart { cells, resumed, .. }) = events.first() else {
         panic!("stream must open with campaign_start");
     };
-    assert_eq!((*cells, *shards, *resumed), (12, 3, 0));
+    assert_eq!((*cells, *resumed), (12, 0));
     assert!(matches!(
         events.last(),
         Some(Event::CampaignDone { cells: 12, .. })
     ));
 
     let mut done_cells = BTreeSet::new();
-    let mut shard_starts = 0;
-    let mut shard_dones = 0;
-    let mut heartbeats = 0;
+    let mut heartbeats = Vec::new();
     for ev in &events {
         match ev {
             Event::CellDone { cell, cached, .. } => {
                 assert!(!cached, "cold run simulates everything");
                 assert!(done_cells.insert(*cell), "cell {cell} done twice");
             }
-            Event::ShardStart { .. } => shard_starts += 1,
-            Event::ShardDone { .. } => shard_dones += 1,
-            Event::Heartbeat { .. } => heartbeats += 1,
+            Event::Heartbeat { done, total, .. } => heartbeats.push((*done, *total)),
             _ => {}
         }
     }
     assert_eq!(done_cells.len(), 12, "every cell streams exactly once");
-    assert_eq!((shard_starts, shard_dones), (3, 3));
-    assert!(
-        heartbeats > 0,
-        "heartbeat cadence 2 over 12 cells must fire"
+    assert_eq!(
+        heartbeats,
+        (1..=6).map(|k| (2 * k, 12)).collect::<Vec<_>>(),
+        "a heartbeat every 2 completions, counting the whole pass"
     );
-    // No retry or merge lifecycle: those events are legacy-only.
+    // No shard, retry or merge lifecycle: those events are legacy-only.
     assert!(!events.iter().any(|e| matches!(
         e,
-        Event::MergeDone { .. } | Event::ShardRetried { .. } | Event::CellsRequeued { .. }
+        Event::ShardStart { .. }
+            | Event::ShardDone { .. }
+            | Event::ShardFailed { .. }
+            | Event::MergeDone { .. }
+            | Event::ShardRetried { .. }
+            | Event::CellsRequeued { .. }
     )));
 
     // The on-disk journal now knows every cell.
@@ -132,7 +144,7 @@ fn event_stream_covers_every_cell_and_shard() {
             journal_path(&dir),
             &griffin_fleet::JournalHeader {
                 campaign: spec.name.clone(),
-                spec_fp: ShardPlan::new(&spec, 3).unwrap().spec_fp,
+                spec_fp: spec_fingerprint(&spec),
                 cells: 12,
                 scenario: None,
             },
@@ -172,45 +184,92 @@ fn resume_skips_journaled_cells_and_recomputes_lost_ones() {
         "resumed CSV byte-identical"
     );
 
-    let Some(Event::CampaignStart { resumed, .. }) = rec.0.first() else {
-        panic!("no campaign_start");
-    };
-    assert_eq!(*resumed, 11, "all but the forged-lost cell resumed");
-    let simulated: usize = rec
-        .0
-        .iter()
-        .filter_map(|e| match e {
-            Event::ShardDone { simulated, .. } => Some(*simulated),
-            _ => None,
-        })
-        .sum();
-    assert_eq!(simulated, 1, "exactly the lost cell was re-simulated");
+    let (resumed, done, simulated) = resumed_and_done(&rec.0);
+    assert_eq!(resumed, 11, "all but the forged-lost cell resumed");
+    assert_eq!(
+        (done, simulated),
+        (1, 1),
+        "exactly the lost cell re-simulated"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A directory written by an older coordinator at another shard count
+/// resumes under the one-pass fleet. Such a journal lists its cells
+/// shard by shard — the old partition was the fingerprint hash modulo
+/// the shard count — so here the journal is rewritten in the order a
+/// 4-shard run wrote it, with one shard's entries lost.
 #[test]
 fn resume_with_a_different_shard_count_still_matches() {
     let spec = spec();
     let single = run_campaign(&spec, &ResultCache::in_memory(), 2).unwrap();
     let dir = scratch_dir("reshard");
-    run_fleet(&spec, &FleetConfig::new(&dir, 4), &mut NullSink).unwrap();
+    run_fleet(&spec, &FleetConfig::new(&dir, 2), &mut NullSink).unwrap();
 
-    // Resharding is allowed: the journal identity is the grid, not the
-    // partition, and every shard reads the one campaign cache.
+    let jpath = journal_path(&dir);
+    let text = std::fs::read_to_string(&jpath).unwrap();
+    let mut lines = text.lines();
+    let header = lines.next().unwrap().to_string();
+    let shard_of = |line: &str| {
+        let fp = Fingerprint::parse(&line.split("\"fp\":\"").nth(1).unwrap()[..32]).unwrap();
+        (fp.0 ^ fp.1) % 4
+    };
+    let entries: Vec<&str> = lines.collect();
+    let lost = shard_of(entries[entries.len() - 1]);
+    let mut entries: Vec<&str> = entries
+        .into_iter()
+        .filter(|l| shard_of(l) != lost)
+        .collect();
+    entries.sort_by_key(|l| shard_of(l));
+    let kept = entries.len();
+    assert!(kept > 0 && kept < 12, "the partition splits the grid");
+    std::fs::write(&jpath, format!("{header}\n{}\n", entries.join("\n"))).unwrap();
+
     let mut cfg = FleetConfig::new(&dir, 2);
     cfg.resume = true;
     let mut rec = Recorder::default();
     let fleet = run_fleet(&spec, &cfg, &mut rec).unwrap();
     assert_eq!(to_csv(&fleet), to_csv(&single));
-    let simulated: usize = rec
-        .0
-        .iter()
-        .filter_map(|e| match e {
-            Event::ShardDone { simulated, .. } => Some(*simulated),
-            _ => None,
-        })
-        .sum();
-    assert_eq!(simulated, 0, "nothing recomputed across the reshard");
+    assert_eq!(
+        resumed_and_done(&rec.0),
+        (kept, 12 - kept, 0),
+        "the lost shard's cells stream again, from the cache"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// On success, `resumed` + `cell_done` events == cells, whether the
+/// run is fresh, resumed mid-campaign, or a warm rerun of a finished
+/// directory.
+#[test]
+fn resumed_plus_cell_done_covers_the_grid_on_every_run() {
+    let spec = spec();
+    let dir = scratch_dir("invariant");
+    let cfg = FleetConfig::new(&dir, 2);
+
+    let mut fresh = Recorder::default();
+    run_fleet(&spec, &cfg, &mut fresh).unwrap();
+    assert_eq!(resumed_and_done(&fresh.0), (0, 12, 12), "fresh");
+
+    // Drop the journal's last four entries: a resume reports just those.
+    let jpath = journal_path(&dir);
+    let text = std::fs::read_to_string(&jpath).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    std::fs::write(&jpath, format!("{}\n", lines[..lines.len() - 4].join("\n"))).unwrap();
+    let mut cfg = cfg;
+    cfg.resume = true;
+    let mut resumed = Recorder::default();
+    run_fleet(&spec, &cfg, &mut resumed).unwrap();
+    assert_eq!(
+        resumed_and_done(&resumed.0),
+        (8, 4, 0),
+        "resumed: the four cells come from the cache"
+    );
+
+    // A warm rerun of the finished directory reports nothing new.
+    let mut warm = Recorder::default();
+    run_fleet(&spec, &cfg, &mut warm).unwrap();
+    assert_eq!(resumed_and_done(&warm.0), (12, 0, 0), "warm");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -238,8 +297,9 @@ fn a_directory_in_the_old_shard_cache_layout_still_resumes() {
     assert_eq!(*resumed, 12, "the journal is honoured");
     assert_eq!(
         fleet.cache.misses, 12,
-        "the final replay re-simulates what only the old layout held"
+        "the pass re-simulates what only the old layout held"
     );
+    assert_eq!(resumed_and_done(&rec.0), (12, 0, 0), "and stays silent");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

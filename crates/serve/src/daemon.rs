@@ -60,7 +60,8 @@ pub struct ServeConfig {
     /// workers, which is also the admission-control unit (campaigns
     /// run one at a time so no two share the cores).
     pub workers: usize,
-    /// Default shard count for scenarios without a `[fleet]` section.
+    /// Read by nothing: campaigns are one pass over the grid, and the
+    /// field stays only so existing callers that assign it still build.
     pub shards: usize,
     /// Maximum campaigns waiting in the queue (the running one not
     /// counted). Submissions beyond it are refused.
@@ -74,8 +75,8 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: the machine's worker count, 2 shards, a queue of 16,
-    /// and the 8 newest finished campaigns retained.
+    /// Defaults: the machine's worker count, a queue of 16, and the 8
+    /// newest finished campaigns retained.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         ServeConfig {
             dir: dir.into(),
@@ -164,7 +165,6 @@ struct CampaignEntry {
     fp: Fingerprint,
     spec: SweepSpec,
     provenance: ScenarioProvenance,
-    shards: usize,
     cells: usize,
     phase: Phase,
     tee: Arc<Tee>,
@@ -204,7 +204,6 @@ struct Job {
     fp: Fingerprint,
     spec: SweepSpec,
     provenance: ScenarioProvenance,
-    shards: usize,
     tee: Arc<Tee>,
     abort: Arc<AtomicBool>,
 }
@@ -290,10 +289,6 @@ impl Daemon {
         };
         let fp = scenario.fingerprint();
         let cells = scenario.cell_count();
-        let shards = scenario
-            .fleet
-            .as_ref()
-            .map_or(self.cfg.shards, |f| f.shards.max(1));
         let spec = scenario.to_spec();
         let provenance = scenario.provenance(&display);
 
@@ -342,7 +337,6 @@ impl Daemon {
                 fp,
                 spec,
                 provenance,
-                shards,
                 cells,
                 phase: Phase::Queued,
                 tee: Arc::new(Tee::new()),
@@ -647,7 +641,6 @@ fn executor_loop(cfg: &ServeConfig, cache: &Arc<ResultCache>, sync: &Arc<(Mutex<
                         fp: entry.fp,
                         spec: entry.spec.clone(),
                         provenance: entry.provenance.clone(),
-                        shards: entry.shards,
                         tee: Arc::clone(&entry.tee),
                         abort: Arc::clone(&entry.abort),
                     };
@@ -729,8 +722,7 @@ fn run_job(
         .and_then(|()| {
             let events_path = dir.join("events.jsonl");
             let file = fs::File::create(&events_path).map_err(|e| format!("events file: {e}"))?;
-            let mut fleet = FleetConfig::new(&dir, job.shards);
-            fleet.workers = cfg.workers;
+            let mut fleet = FleetConfig::new(&dir, cfg.workers);
             fleet.scenario = Some(job.provenance.clone());
             fleet.shared_cache = Some(Arc::clone(cache));
             fleet.abort = Some(Arc::clone(&job.abort));
@@ -804,7 +796,6 @@ fanin = 3
     fn daemon(dir: &std::path::Path) -> Daemon {
         let mut cfg = ServeConfig::new(dir);
         cfg.workers = 2;
-        cfg.shards = 2;
         Daemon::start(cfg).unwrap()
     }
 

@@ -157,10 +157,11 @@ mod tests {
     use super::*;
 
     fn line(i: usize) -> String {
-        Event::ShardStart {
-            shard: i,
-            cells: i + 1,
-            skipped: 0,
+        Event::Heartbeat {
+            done: i,
+            total: i + 1,
+            elapsed_ms: 0,
+            cached: 0,
         }
         .to_line()
     }
@@ -215,10 +216,11 @@ mod tests {
         let mut buf = Vec::new();
         {
             let mut sink = TeeSink::new(&mut buf, Arc::clone(&tee));
-            sink.emit(&Event::ShardStart {
-                shard: 0,
-                cells: 3,
-                skipped: 0,
+            sink.emit(&Event::Heartbeat {
+                done: 0,
+                total: 3,
+                elapsed_ms: 0,
+                cached: 0,
             })
             .unwrap();
             sink.emit(&Event::CampaignDone {

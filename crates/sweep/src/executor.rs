@@ -16,7 +16,7 @@
 //!   because mask construction dominates small-cell campaigns.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -70,6 +70,9 @@ pub enum SweepError {
     EmptySpec,
     /// A workload failed to build (e.g. degenerate ad-hoc dimensions).
     Workload(String),
+    /// The caller's abort flag was raised before every work item ran.
+    /// The families it cut short were neither cached nor reported.
+    Interrupted,
 }
 
 impl std::fmt::Display for SweepError {
@@ -77,6 +80,7 @@ impl std::fmt::Display for SweepError {
         match self {
             SweepError::EmptySpec => write!(f, "sweep spec has an empty axis"),
             SweepError::Workload(e) => write!(f, "workload construction failed: {e}"),
+            SweepError::Interrupted => write!(f, "campaign interrupted"),
         }
     }
 }
@@ -96,11 +100,20 @@ struct FamilyRun {
     depth: usize,
 }
 
+/// One family's phase-3 progress.
+struct FamilyProgress {
+    /// The finished layers' `[arch][plane]` reports.
+    layers: Vec<Vec<Vec<LayerReport>>>,
+    /// Work items still out.
+    left: usize,
+    /// An item was skipped after the abort: the family is never
+    /// finalized.
+    cut: bool,
+}
+
 /// Phase-3 progress shared by the workers.
 struct Progress {
-    /// Per family: the finished layers' `[arch][plane]` reports, and
-    /// how many work items are still out.
-    families: Vec<(Vec<Vec<Vec<LayerReport>>>, usize)>,
+    families: Vec<FamilyProgress>,
     /// A worker unwound; waiting owners stop waiting.
     panicked: bool,
 }
@@ -141,7 +154,7 @@ const WORKLOAD_MEMO_CAP: usize = 64;
 /// Process-wide memo of built workloads, keyed by [`workload_key`].
 /// Workload construction is deterministic in the key, so a hit is
 /// value-identical to a fresh build — campaigns that revisit a workload
-/// (daemon reruns, in-process fleet shards, benchmark passes) skip the
+/// (daemon reruns, resumed fleet campaigns, benchmark passes) skip the
 /// synthesis cost without any observable difference.
 fn workload_memo() -> &'static Mutex<HashMap<Fingerprint, Arc<Workload>>> {
     static MEMO: std::sync::OnceLock<Mutex<HashMap<Fingerprint, Arc<Workload>>>> =
@@ -171,7 +184,8 @@ fn seed_group_key(cell: &Cell) -> Fingerprint {
 ///   one `Finished { cached: false }`, **both on the same thread**. A
 ///   family's layers may run on several workers, but the worker that
 ///   claims its first layer announces all its cells and is also the one
-///   that finishes them, once every layer is in;
+///   that finishes them, once every layer is in. A family the abort
+///   flag cuts short (see [`run_cells`]) gets no `Finished`;
 /// * a cache hit gets only `Finished { cached: true }`, from the
 ///   calling thread before any worker starts, so a fully warm rerun
 ///   emits no `Started` at all;
@@ -225,7 +239,8 @@ pub fn run_campaign(
     }
     let start = Instant::now();
     let stats_before = cache.stats();
-    let records = run_cells(spec, &spec.cells(), cache, workers, &no_observer)?;
+    let never = AtomicBool::new(false);
+    let records = run_cells(spec, &spec.cells(), cache, workers, &no_observer, &never)?;
 
     let after = cache.stats();
     Ok(CampaignReport {
@@ -243,8 +258,8 @@ pub fn run_campaign(
 }
 
 /// Runs an arbitrary subset of a campaign's grid cells — the primitive
-/// behind [`run_campaign`] (all cells) and the fleet coordinator's shard
-/// execution (one shard's cells, minus journaled completions).
+/// behind [`run_campaign`] (all cells) and the fleet coordinator's one
+/// pass (the whole grid, or the first cells of a fault-killed run).
 ///
 /// Returns one [`CellRecord`] per input cell, in input order; `cells`
 /// keep their *global* grid indices, so records from disjoint subsets
@@ -252,6 +267,13 @@ pub fn run_campaign(
 /// worker threads as cells start and finish (see [`CellEvent`]) and must
 /// therefore be `Sync`; pass [`no_observer`] when progress streaming is
 /// not needed.
+///
+/// `abort` is checked before each (family, layer) work item. Once it is
+/// raised, workers still claim the remaining items but do not simulate
+/// them, so every family's outstanding count reaches zero and no owner
+/// waits on a layer nobody will run. A family with a skipped layer is
+/// not finalized: no `Finished` events, no cache inserts. Cells that
+/// finished before the flag was seen stay cached and streamed.
 ///
 /// The phase-2 workload-build pool uses every core regardless of
 /// `workers` (builds never affect the report, so a `--workers 1`
@@ -261,35 +283,34 @@ pub fn run_campaign(
 ///
 /// # Errors
 ///
-/// [`SweepError::Workload`] when a workload fails validation. An empty
-/// subset is not an error (returns no records).
+/// [`SweepError::Workload`] when a workload fails validation, and
+/// [`SweepError::Interrupted`] when `abort` cut any family short. An
+/// empty subset is not an error (returns no records).
 pub fn run_cells(
     spec: &SweepSpec,
     cells: &[Cell],
     cache: &ResultCache,
     workers: usize,
     observe: &(dyn Fn(&CellEvent<'_>) + Sync),
+    abort: &AtomicBool,
 ) -> Result<Vec<CellRecord>, SweepError> {
-    run_cells_bounded(
+    execute(
         spec,
         cells,
         cache,
         workers,
         workers.max(default_workers()),
         observe,
+        abort,
     )
 }
 
-/// [`run_cells`] with an explicit phase-2 build-pool bound — for
-/// callers pinned to a thread budget.
-///
-/// Each phase-3 worker owns one fresh [`SimScratch`] for the whole
-/// campaign: it holds buffer capacity only, never results, so reports
-/// cannot depend on which worker ran which item.
+/// [`run_cells`] with an explicit phase-2 build-pool bound and no abort
+/// flag — for callers pinned to a thread budget.
 ///
 /// # Errors
 ///
-/// As [`run_cells`].
+/// [`SweepError::Workload`] when a workload fails validation.
 pub fn run_cells_bounded(
     spec: &SweepSpec,
     cells: &[Cell],
@@ -297,6 +318,24 @@ pub fn run_cells_bounded(
     workers: usize,
     build_workers: usize,
     observe: &(dyn Fn(&CellEvent<'_>) + Sync),
+) -> Result<Vec<CellRecord>, SweepError> {
+    let never = AtomicBool::new(false);
+    execute(spec, cells, cache, workers, build_workers, observe, &never)
+}
+
+/// The body behind [`run_cells`] and [`run_cells_bounded`].
+///
+/// Each phase-3 worker owns one fresh [`SimScratch`] for the whole
+/// campaign: it holds buffer capacity only, never results, so reports
+/// cannot depend on which worker ran which item.
+fn execute(
+    spec: &SweepSpec,
+    cells: &[Cell],
+    cache: &ResultCache,
+    workers: usize,
+    build_workers: usize,
+    observe: &(dyn Fn(&CellEvent<'_>) + Sync),
+    abort: &AtomicBool,
 ) -> Result<Vec<CellRecord>, SweepError> {
     let fingerprints: Vec<Fingerprint> = cells.iter().map(|c| c.fingerprint(&spec.sim)).collect();
 
@@ -390,7 +429,7 @@ pub fn run_cells_bounded(
         }
         // Workload construction is a pure function of the key, so builds
         // are memoized process-wide: repeated campaigns over the same
-        // workloads (benchmark reruns, fleet shards in one process, the
+        // workloads (benchmark reruns, resumed fleet campaigns, the
         // resident daemon) skip mask synthesis entirely. The memo holds
         // `Arc`s, so sharing a hit costs one clone; determinism is
         // untouched because a cached build is value-identical to a fresh
@@ -495,14 +534,17 @@ pub fn run_cells_bounded(
             .flat_map(|(f, run)| (0..run.depth.max(1)).map(move |l| (f, l)))
             .collect();
         let workers = workers.clamp(1, items.len());
-        // Per family: the finished layers' `[arch][plane]` reports and
-        // how many layers are still out. The worker that claims a
-        // family's first layer owns it and finalizes it once the count
-        // reaches 0; `landed` wakes owners whose queue has run dry.
+        // The worker that claims a family's first layer owns it and
+        // finalizes it once its count reaches 0; `landed` wakes owners
+        // whose queue has run dry.
         let progress = Mutex::new(Progress {
             families: runs
                 .iter()
-                .map(|run| (vec![Vec::new(); run.depth], run.depth.max(1)))
+                .map(|run| FamilyProgress {
+                    layers: vec![Vec::new(); run.depth],
+                    left: run.depth.max(1),
+                    cut: false,
+                })
                 .collect(),
             panicked: false,
         });
@@ -553,16 +595,19 @@ pub fn run_cells_bounded(
                     let mut scratch = SimScratch::new();
                     let mut owned: Vec<usize> = Vec::new();
                     loop {
-                        // Finalize owned families whose layers are all in.
+                        // Finalize owned families whose layers are all in;
+                        // drop the ones the abort cut short.
                         let mut ready: Vec<(usize, Vec<Vec<Vec<LayerReport>>>)> = Vec::new();
                         {
                             let mut st = progress.lock().expect("progress lock");
                             owned.retain(|&f| {
-                                let (layers, left) = &mut st.families[f];
-                                if *left > 0 {
+                                let fam = &mut st.families[f];
+                                if fam.left > 0 {
                                     return true;
                                 }
-                                ready.push((f, std::mem::take(layers)));
+                                if !fam.cut {
+                                    ready.push((f, std::mem::take(&mut fam.layers)));
+                                }
                                 false
                             });
                         }
@@ -579,7 +624,7 @@ pub fn run_cells_bounded(
                             // has layers in flight elsewhere: sleep until
                             // one of them lands.
                             let mut st = progress.lock().expect("progress lock");
-                            while !st.panicked && owned.iter().all(|&f| st.families[f].1 > 0) {
+                            while !st.panicked && owned.iter().all(|&f| st.families[f].left > 0) {
                                 st = landed.wait(st).expect("progress lock");
                             }
                             if st.panicked {
@@ -588,6 +633,19 @@ pub fn run_cells_bounded(
                             }
                             continue;
                         };
+                        if abort.load(Ordering::Relaxed) {
+                            // Claimed but not run: the count still
+                            // reaches 0, and the family is never
+                            // finalized.
+                            let mut st = progress.lock().expect("progress lock");
+                            let fam = &mut st.families[f];
+                            fam.cut = true;
+                            fam.left -= 1;
+                            if fam.left == 0 {
+                                landed.notify_all();
+                            }
+                            continue;
+                        }
                         let run = &runs[f];
                         if l == 0 {
                             owned.push(f);
@@ -609,17 +667,22 @@ pub fn run_cells_bounded(
                             Vec::new()
                         };
                         let mut st = progress.lock().expect("progress lock");
+                        let fam = &mut st.families[f];
                         if l < run.depth {
-                            st.families[f].0[l] = reports;
+                            fam.layers[l] = reports;
                         }
-                        st.families[f].1 -= 1;
-                        if st.families[f].1 == 0 {
+                        fam.left -= 1;
+                        if fam.left == 0 {
                             landed.notify_all();
                         }
                     }
                 });
             }
         });
+        let progress = progress.into_inner().expect("progress lock");
+        if progress.families.iter().any(|fam| fam.cut) {
+            return Err(SweepError::Interrupted);
+        }
         for (i, m) in done.into_inner().expect("done lock") {
             for &twin in &twins[&fingerprints[i]] {
                 metrics[twin] = Some(m);
@@ -650,6 +713,9 @@ mod tests {
     use super::*;
     use griffin_core::arch::ArchSpec;
     use griffin_sim::config::{Fidelity, SimConfig};
+
+    /// An abort flag nobody raises.
+    static NEVER: AtomicBool = AtomicBool::new(false);
 
     fn small_spec() -> SweepSpec {
         SweepSpec::new("unit")
@@ -740,13 +806,16 @@ mod tests {
         // Interleaved split: subsets are not contiguous grid ranges.
         let evens: Vec<Cell> = cells.iter().filter(|c| c.index % 2 == 0).cloned().collect();
         let odds: Vec<Cell> = cells.iter().filter(|c| c.index % 2 == 1).cloned().collect();
-        let mut recs = run_cells(&spec, &evens, &cache, 2, &no_observer).unwrap();
-        recs.extend(run_cells(&spec, &odds, &cache, 3, &no_observer).unwrap());
+        let mut recs = run_cells(&spec, &evens, &cache, 2, &no_observer, &NEVER).unwrap();
+        recs.extend(run_cells(&spec, &odds, &cache, 3, &no_observer, &NEVER).unwrap());
         recs.sort_by_key(|r| r.index);
         let full = run_campaign(&spec, &ResultCache::in_memory(), 2).unwrap();
         assert_eq!(recs, full.cells);
         // Empty subsets are fine.
-        assert_eq!(run_cells(&spec, &[], &cache, 2, &no_observer), Ok(vec![]));
+        assert_eq!(
+            run_cells(&spec, &[], &cache, 2, &no_observer, &NEVER),
+            Ok(vec![])
+        );
     }
 
     #[test]
@@ -755,14 +824,21 @@ mod tests {
         let cache = ResultCache::in_memory();
         let started = AtomicUsize::new(0);
         let finished: Mutex<Vec<(usize, bool)>> = Mutex::new(Vec::new());
-        run_cells(&spec, &spec.cells(), &cache, 3, &|ev| match ev {
-            CellEvent::Started { .. } => {
-                started.fetch_add(1, Ordering::Relaxed);
-            }
-            CellEvent::Finished { cell, cached, .. } => {
-                finished.lock().unwrap().push((cell.index, *cached));
-            }
-        })
+        run_cells(
+            &spec,
+            &spec.cells(),
+            &cache,
+            3,
+            &|ev| match ev {
+                CellEvent::Started { .. } => {
+                    started.fetch_add(1, Ordering::Relaxed);
+                }
+                CellEvent::Finished { cell, cached, .. } => {
+                    finished.lock().unwrap().push((cell.index, *cached));
+                }
+            },
+            &NEVER,
+        )
         .unwrap();
         let mut fin = finished.into_inner().unwrap();
         fin.sort_unstable();
@@ -776,15 +852,22 @@ mod tests {
         // Warm rerun: all finishes are cached, nothing starts.
         let started2 = AtomicUsize::new(0);
         let cached2 = AtomicUsize::new(0);
-        run_cells(&spec, &spec.cells(), &cache, 3, &|ev| match ev {
-            CellEvent::Started { .. } => {
-                started2.fetch_add(1, Ordering::Relaxed);
-            }
-            CellEvent::Finished { cached: true, .. } => {
-                cached2.fetch_add(1, Ordering::Relaxed);
-            }
-            CellEvent::Finished { .. } => {}
-        })
+        run_cells(
+            &spec,
+            &spec.cells(),
+            &cache,
+            3,
+            &|ev| match ev {
+                CellEvent::Started { .. } => {
+                    started2.fetch_add(1, Ordering::Relaxed);
+                }
+                CellEvent::Finished { cached: true, .. } => {
+                    cached2.fetch_add(1, Ordering::Relaxed);
+                }
+                CellEvent::Finished { .. } => {}
+            },
+            &NEVER,
+        )
         .unwrap();
         assert_eq!(started2.load(Ordering::Relaxed), 0);
         assert_eq!(cached2.load(Ordering::Relaxed), 12);
@@ -797,15 +880,22 @@ mod tests {
         let cache = ResultCache::in_memory();
         let fresh = AtomicUsize::new(0);
         let twinned = AtomicUsize::new(0);
-        run_cells(&spec, &spec.cells(), &cache, 2, &|ev| {
-            if let CellEvent::Finished { cached, .. } = ev {
-                if *cached {
-                    twinned.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    fresh.fetch_add(1, Ordering::Relaxed);
+        run_cells(
+            &spec,
+            &spec.cells(),
+            &cache,
+            2,
+            &|ev| {
+                if let CellEvent::Finished { cached, .. } = ev {
+                    if *cached {
+                        twinned.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        fresh.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
-            }
-        })
+            },
+            &NEVER,
+        )
         .unwrap();
         assert_eq!(fresh.load(Ordering::Relaxed), 6);
         assert_eq!(twinned.load(Ordering::Relaxed), 6);
@@ -842,7 +932,15 @@ mod tests {
                 ..SimConfig::default()
             });
         let cells = spec.cells();
-        let serial = run_cells(&spec, &cells, &ResultCache::in_memory(), 1, &no_observer).unwrap();
+        let serial = run_cells(
+            &spec,
+            &cells,
+            &ResultCache::in_memory(),
+            1,
+            &no_observer,
+            &NEVER,
+        )
+        .unwrap();
         let mut scratch = SimScratch::new();
         for (cell, rec) in cells.iter().zip(&serial) {
             let wl = cell.workload.build(cell.category, cell.seed).unwrap();
@@ -857,6 +955,7 @@ mod tests {
                 &ResultCache::in_memory(),
                 workers,
                 &no_observer,
+                &NEVER,
             )
             .unwrap();
             assert_eq!(serial, split, "{workers} workers");
@@ -892,17 +991,24 @@ mod tests {
         let cells = spec.cells();
         let cache = ResultCache::in_memory();
         let events: Mutex<Vec<(usize, bool, ThreadId)>> = Mutex::new(Vec::new());
-        let split = run_cells(&spec, &cells, &cache, 3, &|ev| {
-            let (cell, started) = match ev {
-                CellEvent::Started { cell, .. } => (cell.index, true),
-                CellEvent::Finished { cell, cached, .. } => {
-                    assert!(!cached, "cold run, no twins: nothing is cached");
-                    (cell.index, false)
-                }
-            };
-            let tid = std::thread::current().id();
-            events.lock().unwrap().push((cell, started, tid));
-        })
+        let split = run_cells(
+            &spec,
+            &cells,
+            &cache,
+            3,
+            &|ev| {
+                let (cell, started) = match ev {
+                    CellEvent::Started { cell, .. } => (cell.index, true),
+                    CellEvent::Finished { cell, cached, .. } => {
+                        assert!(!cached, "cold run, no twins: nothing is cached");
+                        (cell.index, false)
+                    }
+                };
+                let tid = std::thread::current().id();
+                events.lock().unwrap().push((cell, started, tid));
+            },
+            &NEVER,
+        )
         .unwrap();
         let events = events.into_inner().unwrap();
         for c in &cells {
@@ -915,17 +1021,83 @@ mod tests {
             assert!(mine[0].0 && !mine[1].0, "cell {}: Started first", c.index);
             assert_eq!(mine[0].1, mine[1].1, "cell {}: same thread", c.index);
         }
-        let serial = run_cells(&spec, &cells, &ResultCache::in_memory(), 1, &no_observer).unwrap();
+        let serial = run_cells(
+            &spec,
+            &cells,
+            &ResultCache::in_memory(),
+            1,
+            &no_observer,
+            &NEVER,
+        )
+        .unwrap();
         assert_eq!(split, serial, "the layer split never changes records");
 
         // Warm rerun: every cell is a cache hit, nothing starts.
         let warm: Mutex<Vec<bool>> = Mutex::new(Vec::new());
-        run_cells(&spec, &cells, &cache, 3, &|ev| match ev {
-            CellEvent::Started { .. } => warm.lock().unwrap().push(false),
-            CellEvent::Finished { cached, .. } => warm.lock().unwrap().push(*cached),
-        })
+        run_cells(
+            &spec,
+            &cells,
+            &cache,
+            3,
+            &|ev| match ev {
+                CellEvent::Started { .. } => warm.lock().unwrap().push(false),
+                CellEvent::Finished { cached, .. } => warm.lock().unwrap().push(*cached),
+            },
+            &NEVER,
+        )
         .unwrap();
         assert_eq!(warm.into_inner().unwrap(), vec![true; cells.len()]);
+    }
+
+    #[test]
+    fn abort_at_the_first_started_interrupts_and_caches_nothing() {
+        // One 8-layer family over 2 workers: the abort lands while its
+        // first layer runs, so the later layers are claimed but skipped.
+        // A regression that leaves the owner waiting would hang, so the
+        // call runs on a thread joined with a timeout.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let spec = SweepSpec::new("abort")
+                .synthetic("net", 8)
+                .category(DnnCategory::B)
+                .arch(ArchSpec::dense())
+                .arch(ArchSpec::sparse_b_star())
+                .arch(ArchSpec::griffin())
+                .seeds([1, 2])
+                .sim(SimConfig {
+                    fidelity: Fidelity::Sampled { tiles: 1, seed: 1 },
+                    ..SimConfig::default()
+                });
+            let cells = spec.cells();
+            let cache = ResultCache::in_memory();
+            let abort = AtomicBool::new(false);
+            let finished = AtomicUsize::new(0);
+            let out = run_cells(
+                &spec,
+                &cells,
+                &cache,
+                2,
+                &|ev| match ev {
+                    CellEvent::Started { .. } => abort.store(true, Ordering::Relaxed),
+                    CellEvent::Finished { .. } => {
+                        finished.fetch_add(1, Ordering::Relaxed);
+                    }
+                },
+                &abort,
+            );
+            let cached = cells
+                .iter()
+                .filter(|c| cache.lookup(c.fingerprint(&spec.sim)).is_some())
+                .count();
+            tx.send((out, cache.stats().stores, cached, finished.into_inner()))
+                .unwrap();
+        });
+        let (out, stores, cached, finished) = rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("an aborted run must return, not hang");
+        assert_eq!(out, Err(SweepError::Interrupted));
+        assert_eq!((stores, cached), (0, 0), "the cut family is not cached");
+        assert_eq!(finished, 0, "the cut family streams no Finished");
     }
 
     #[test]

@@ -54,7 +54,7 @@
 //! # name = "…"                 # optional display-name override
 //!
 //! [fleet]                      # optional defaults for `fleet --scenario`
-//! shards = 2
+//! heartbeat = 16
 //! ```
 //!
 //! # Identity
@@ -356,8 +356,6 @@ impl ArchEntry {
 /// `fleet --scenario` (explicit CLI flags still win).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetSettings {
-    /// Shard count.
-    pub shards: usize,
     /// Heartbeat cadence in cell completions.
     pub heartbeat_every: Option<usize>,
 }
@@ -1172,12 +1170,16 @@ fn build_arch(t: &Table) -> Result<ArchEntry, ScenarioError> {
 /// of such a key gets the removal answer on the key's own line.
 const REMOVED_FLEET_KEYS: &[(&str, &str)] = &[
     (
+        "shards",
+        "shards were removed; a fleet campaign is one pass over the grid",
+    ),
+    (
         "hosts",
         "multi-host fleets were removed; fleets run on this machine",
     ),
     (
         "spawn",
-        "subprocess shards were removed; shards always run in-process",
+        "subprocess shards were removed; a fleet campaign runs in this process",
     ),
     (
         "heartbeat_timeout_ms",
@@ -1185,7 +1187,7 @@ const REMOVED_FLEET_KEYS: &[(&str, &str)] = &[
     ),
     (
         "max_shard_retries",
-        "shard retries were removed; a failed shard fails the campaign and `--resume` finishes it",
+        "shard retries were removed; a failed campaign is finished with `--resume`",
     ),
 ];
 
@@ -1198,16 +1200,9 @@ fn build_fleet_section(t: &Table) -> Result<FleetSettings, ScenarioError> {
             );
         }
     }
-    t.check_keys("fleet", &["shards", "heartbeat"])?;
-    let shards = match t.get("shards") {
-        Some(b) => as_usize(b, 1)?,
-        None => return fail(t.header_line, "[fleet] requires `shards`"),
-    };
+    t.check_keys("fleet", &["heartbeat"])?;
     let heartbeat_every = t.get("heartbeat").map(|b| as_usize(b, 0)).transpose()?;
-    Ok(FleetSettings {
-        shards,
-        heartbeat_every,
-    })
+    Ok(FleetSettings { heartbeat_every })
 }
 
 // ---------------------------------------------------------------------
@@ -1457,7 +1452,6 @@ impl Scenario {
 
         if let Some(f) = &self.fleet {
             out.push_str("\n[fleet]\n");
-            out.push_str(&format!("shards = {}\n", f.shards));
             if let Some(v) = f.heartbeat_every {
                 out.push_str(&format!("heartbeat = {v}\n"));
             }
@@ -1614,7 +1608,6 @@ shuffle = true
 name = "my point"
 
 [fleet]
-shards = 4
 heartbeat = 16
 "#;
         let s = Scenario::parse(text).unwrap();
@@ -1626,7 +1619,6 @@ heartbeat = 16
         assert_eq!(archs[0].name, "my point");
         assert_eq!(archs[0].a, BorrowWindow::new(1, 2, 0));
         let fleet = s.fleet.clone().unwrap();
-        assert_eq!(fleet.shards, 4);
         assert_eq!(fleet.heartbeat_every, Some(16));
         // Round-trip.
         assert_eq!(Scenario::parse(&s.canonical()).unwrap(), s);
@@ -1644,7 +1636,7 @@ heartbeat = 16
     #[test]
     fn fleet_hosts_are_refused_as_removed() {
         let err = Scenario::parse(&with_fleet(
-            "shards = 4\nhosts = [\"local:h0\", \"db@rack2\"]\n",
+            "heartbeat = 4\nhosts = [\"local:h0\", \"db@rack2\"]\n",
         ))
         .unwrap_err();
         assert_eq!(err.line, 10, "{err}");
@@ -1663,7 +1655,7 @@ heartbeat = 16
             "[\"  \"]",
             "\"h0\"",
         ] {
-            let err = Scenario::parse(&with_fleet(&format!("shards = 2\nhosts = {hosts}\n")))
+            let err = Scenario::parse(&with_fleet(&format!("heartbeat = 4\nhosts = {hosts}\n")))
                 .unwrap_err();
             assert_eq!(err.line, 10, "{hosts}: {err}");
             assert!(err.msg.contains("`hosts`"), "{hosts}: {err}");
@@ -1678,10 +1670,9 @@ heartbeat = 16
     fn fleet_spawn_and_heartbeat_timeout_are_refused_as_removed() {
         for key in ["spawn", "heartbeat_timeout_ms"] {
             for value in ["true", "false", "0", "5000", "\"yes\"", "[1]"] {
-                let err = Scenario::parse(&with_fleet(&format!(
-                    "shards = 2\nheartbeat = 4\n{key} = {value}\n"
-                )))
-                .unwrap_err();
+                let err =
+                    Scenario::parse(&with_fleet(&format!("heartbeat = 4\n\n{key} = {value}\n")))
+                        .unwrap_err();
                 assert_eq!(err.line, 11, "{key} = {value}: {err}");
                 assert!(err.msg.contains(&format!("`{key}`")), "{err}");
                 assert!(err.msg.contains("no longer supported"), "{err}");
@@ -1694,7 +1685,7 @@ heartbeat = 16
     fn fleet_retry_budget_is_refused_as_removed() {
         for value in ["0", "2", "\"many\""] {
             let err = Scenario::parse(&with_fleet(&format!(
-                "shards = 2\nheartbeat = 4\nmax_shard_retries = {value}\n"
+                "heartbeat = 4\n\nmax_shard_retries = {value}\n"
             )))
             .unwrap_err();
             assert_eq!(err.line, 11, "max_shard_retries = {value}: {err}");
@@ -1702,6 +1693,27 @@ heartbeat = 16
             assert!(err.msg.contains("no longer supported"), "{err}");
             assert!(err.msg.contains("--resume"), "{err}");
         }
+    }
+
+    #[test]
+    fn fleet_shards_are_refused_as_removed() {
+        for value in ["1", "2", "0", "\"four\""] {
+            let err = Scenario::parse(&with_fleet(&format!("heartbeat = 4\nshards = {value}\n")))
+                .unwrap_err();
+            assert_eq!(err.line, 10, "shards = {value}: {err}");
+            assert!(err.msg.contains("`shards`"), "{err}");
+            assert!(err.msg.contains("no longer supported"), "{err}");
+            assert!(err.msg.contains("one pass over the grid"), "{err}");
+        }
+        // A `[fleet]` section with no keys left is still a section.
+        let s = Scenario::parse(&with_fleet("")).unwrap();
+        assert_eq!(
+            s.fleet,
+            Some(FleetSettings {
+                heartbeat_every: None
+            })
+        );
+        assert_eq!(Scenario::parse(&s.canonical()).unwrap(), s);
     }
 
     #[test]

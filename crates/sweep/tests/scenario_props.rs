@@ -102,7 +102,6 @@ fn build_scenario(a: u64, b: u64, seed: u64, flag: bool) -> Scenario {
     };
 
     let fleet = (a.is_multiple_of(3)).then(|| FleetSettings {
-        shards: 1 + pick(b, 16),
         heartbeat_every: (a.is_multiple_of(7)).then(|| pick(a, 100)),
     });
 

@@ -143,7 +143,6 @@ mod tests {
             campaign: "f".into(),
             spec_fp: Fingerprint(1, 1),
             cells: 1,
-            shards: 1,
             resumed: 0,
             scenario: None,
         };
@@ -181,7 +180,6 @@ mod tests {
             campaign: name.into(),
             spec_fp: Fingerprint(2, 2),
             cells: 5,
-            shards: 1,
             resumed: 0,
             scenario: None,
         };

@@ -92,7 +92,6 @@ pub fn report_html(model: &CampaignModel) -> String {
     let mut row = |k: &str, v: String| {
         let _ = writeln!(b, "<tr><td>{k}</td><td>{v}</td></tr>");
     };
-    row("shards", model.shard_count.to_string());
     row("resumed from journal", model.resumed.to_string());
     row(
         "stream restarts (resume appends)",
@@ -106,68 +105,22 @@ pub fn report_html(model: &CampaignModel) -> String {
     if let Some(cps) = model.cumulative_cells_per_sec() {
         row("cells/sec (cumulative)", format!("{cps:.2}"));
     }
-    row("shard retries", model.retries.to_string());
-    row("cells requeued", model.requeued_cells.to_string());
-    if let Some(m) = &model.merge {
-        row(
-            "cache merge",
-            format!(
-                "{} merged · {} identical · {} healed · {} conflicts",
-                m.merged, m.identical, m.healed, m.conflicts
-            ),
-        );
-    }
     if model.parse_errors > 0 {
         row("unparseable stream lines", model.parse_errors.to_string());
     }
     b.push_str("</table>\n");
 
-    // Shards.
-    b.push_str(
-        "<h2>Shards</h2>\n<table>\n<tr><th>shard</th><th>state</th><th>done</th>\
-         <th>planned</th><th>skipped</th><th>cached</th><th>simulated</th>\
-         <th>attempt</th><th>elapsed</th></tr>\n",
-    );
-    for (idx, s) in &model.shards {
-        let _ = writeln!(
-            b,
-            "<tr><td>{idx}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
-             <td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-            s.state.tag(),
-            s.done,
-            s.planned,
-            s.skipped,
-            s.cached,
-            s.simulated,
-            s.attempt,
-            fmt_duration_ms(s.elapsed_ms)
-        );
-    }
-    b.push_str("</table>\n");
-
     // Failure archaeology.
-    b.push_str("<h2>Failures</h2>\n");
-    if model.failures.is_empty() && !matches!(model.state, CampaignState::Failed { .. }) {
-        b.push_str("<p>none</p>\n");
-    } else {
-        b.push_str("<ul>\n");
-        for f in &model.failures {
+    b.push_str("<h2>Failure</h2>\n");
+    match &model.state {
+        CampaignState::Failed { msg } => {
             let _ = writeln!(
                 b,
-                "<li class=\"fail\">shard {} attempt {}: {}</li>",
-                f.shard,
-                f.attempt,
-                esc(&f.msg)
-            );
-        }
-        if let CampaignState::Failed { msg } = &model.state {
-            let _ = writeln!(
-                b,
-                "<li class=\"fail\"><b>campaign failed:</b> {}</li>",
+                "<p class=\"fail\"><b>campaign failed:</b> {}</p>",
                 esc(msg)
             );
         }
-        b.push_str("</ul>\n");
+        _ => b.push_str("<p>none</p>\n"),
     }
 
     // Machine-readable summary, embedded for archaeology and toggled
@@ -198,17 +151,11 @@ mod tests {
             campaign: "a<b>&\"camp\"".into(),
             spec_fp: Fingerprint(5, 6),
             cells: 3,
-            shards: 1,
             resumed: 0,
             scenario: None,
         });
-        m.apply(&Event::ShardFailed {
-            shard: 0,
-            attempt: 0,
-            msg: "exit <code> & chaos".into(),
-        });
         m.apply(&Event::CampaignFailed {
-            msg: "gave up".into(),
+            msg: "exit <code> & chaos".into(),
         });
         let page = report_html(&m);
         assert!(
@@ -229,7 +176,6 @@ mod tests {
             campaign: "ok".into(),
             spec_fp: Fingerprint(1, 2),
             cells: 2,
-            shards: 1,
             resumed: 1,
             scenario: None,
         });
@@ -240,6 +186,7 @@ mod tests {
         let page = report_html(&m);
         assert!(page.contains("1 of 2 cells (50.0%)"));
         assert!(page.contains("elapsed 1.5s"));
-        assert!(page.contains("griffin-watch-summary/1"));
+        assert!(page.contains("griffin-watch-summary/2"));
+        assert!(page.contains("<p>none</p>"), "no failure section entry");
     }
 }

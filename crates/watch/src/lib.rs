@@ -1,7 +1,7 @@
 //! Live observability for Griffin fleet campaigns.
 //!
 //! A fleet run narrates itself through an append-only JSONL event
-//! stream (`griffin-fleet-events/3`); this crate is the consumer side:
+//! stream (`griffin-fleet-events/4`); this crate is the consumer side:
 //! it attaches to that stream — live or finished — **without ever
 //! writing to the run directory**, folds it into a [`CampaignModel`],
 //! and renders the result as a terminal dashboard, a machine-readable
@@ -28,7 +28,7 @@
 //! use griffin_watch::CampaignModel;
 //!
 //! let m = CampaignModel::from_file("runs/fleet/events.jsonl".as_ref()).unwrap();
-//! println!("{}", m.summary().write()); // griffin-watch-summary/1
+//! println!("{}", m.summary().write()); // griffin-watch-summary/2
 //! assert!(m.state.is_terminal());
 //! ```
 
@@ -39,8 +39,5 @@ pub mod render;
 
 pub use follow::{PollReport, WatchOutcome, Watcher, DEFAULT_RATE_TAU_MS};
 pub use html::report_html;
-pub use model::{
-    CampaignModel, CampaignState, Failure, MergeSummary, RateTracker, ShardModel, ShardState,
-    SUMMARY_FORMAT,
-};
+pub use model::{CampaignModel, CampaignState, RateTracker, SUMMARY_FORMAT};
 pub use render::{dashboard, fmt_duration_ms, status_line};

@@ -1,9 +1,9 @@
 //! The campaign model: a pure replay fold over fleet events.
 //!
 //! [`CampaignModel::apply`] consumes [`Event`]s one at a time and
-//! maintains everything the dashboards render — per-shard progress,
-//! cache-hit split, the retry/requeue/heal lifecycle, the failure log
-//! and the terminal state. The fold is *pure*: it never reads a clock,
+//! maintains everything the dashboards render — progress, the
+//! cache-hit split, the live clock and the terminal state (with its
+//! failure message). The fold is *pure*: it never reads a clock,
 //! a file, or an environment variable, so the same event sequence
 //! always produces the same model whether it arrives from a live tail,
 //! a finished stream, or a property-test generator. Time-derived
@@ -15,13 +15,19 @@
 //! fold of the whole file always describes the *latest* run, with
 //! earlier completions folded into `resumed`.
 //!
+//! Legacy lines of v1–v3 streams (the shard lifecycle, retries,
+//! merges, hosts) are counted in [`events_folded`] and otherwise
+//! ignored: a campaign's totals, state and failure message never came
+//! from them.
+//!
 //! [`restarts`]: CampaignModel::restarts
+//! [`events_folded`]: CampaignModel::events_folded
 
 use griffin_fleet::events::Event;
 use griffin_sweep::fingerprint::Fingerprint;
 use griffin_sweep::json::Json;
 use griffin_sweep::scenario::ScenarioProvenance;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Where the campaign is in its lifecycle.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -65,100 +71,8 @@ impl CampaignState {
     }
 }
 
-/// One shard's lifecycle as seen through its events.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum ShardState {
-    /// Planned (seen in a campaign header) but no `shard_start` yet.
-    #[default]
-    Pending,
-    /// Executing cells.
-    Running,
-    /// `shard_done` observed.
-    Done,
-    /// `shard_failed` observed; may still be retried.
-    Failed,
-    /// `shard_retried` observed; a fresh attempt is launching.
-    Retrying,
-}
-
-impl ShardState {
-    /// Short human/JSON tag.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            ShardState::Pending => "pending",
-            ShardState::Running => "running",
-            ShardState::Done => "done",
-            ShardState::Failed => "failed",
-            ShardState::Retrying => "retrying",
-        }
-    }
-}
-
-/// Rolling view of one shard, folded from its events.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ShardModel {
-    /// Lifecycle state.
-    pub state: ShardState,
-    /// Cells planned onto this shard (from its latest `shard_start`).
-    pub planned: usize,
-    /// Cells skipped as journal-completed (latest attempt).
-    pub skipped: usize,
-    /// Cells finished by the *current* attempt (resets on re-start).
-    pub done: usize,
-    /// Of [`done`](Self::done), cells served from cache / dedup.
-    pub cached: usize,
-    /// Attempt number currently (or last) running; 0 = first launch.
-    pub attempt: usize,
-    /// Milliseconds into the current attempt, from the most recent
-    /// heartbeat or `shard_done` (0 until either arrives).
-    pub elapsed_ms: u64,
-    /// Events folded for this shard since its last (re)start —
-    /// liveness: a running shard whose count stops moving is silent.
-    pub events: usize,
-    /// Cells freshly simulated, authoritative once `shard_done` lands.
-    pub simulated: usize,
-}
-
-impl ShardModel {
-    fn restart(&mut self, planned: usize, skipped: usize) {
-        *self = ShardModel {
-            state: ShardState::Running,
-            planned,
-            skipped,
-            attempt: self.attempt,
-            ..ShardModel::default()
-        };
-    }
-}
-
-/// One `shard_failed` event, kept verbatim for the failure log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Failure {
-    /// Shard index.
-    pub shard: usize,
-    /// Attempt that failed (0 = first launch).
-    pub attempt: usize,
-    /// Human-readable cause.
-    pub msg: String,
-}
-
-/// The `merge_done` counters, once the merge has run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MergeSummary {
-    /// Source directories considered.
-    pub sources: usize,
-    /// Entries copied into the merged cache.
-    pub merged: u64,
-    /// Entries already present with identical content.
-    pub identical: u64,
-    /// Torn destination entries healed from good source content.
-    pub healed: u64,
-    /// Conflicting fingerprints (non-zero aborts the campaign).
-    pub conflicts: u64,
-}
-
 /// Format tag of the JSON summary emitted by [`CampaignModel::summary`].
-pub const SUMMARY_FORMAT: &str = "griffin-watch-summary/1";
+pub const SUMMARY_FORMAT: &str = "griffin-watch-summary/2";
 
 /// A campaign reconstructed by folding its event stream.
 ///
@@ -167,8 +81,7 @@ pub const SUMMARY_FORMAT: &str = "griffin-watch-summary/1";
 /// than `grep -c`:
 /// * [`done`](Self::done) = `resumed` + distinct `cell_done` cells,
 /// * [`cache_hits`](Self::cache_hits) = `cell_done` lines with
-///   `"cached":true`,
-/// * [`retries`](Self::retries) = `shard_retried` lines.
+///   `"cached":true`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CampaignModel {
     /// Campaign name (empty until `campaign_start`).
@@ -177,8 +90,6 @@ pub struct CampaignModel {
     pub spec_fp: Option<Fingerprint>,
     /// Total grid cells the campaign will report.
     pub total_cells: usize,
-    /// Shard count from the campaign header.
-    pub shard_count: usize,
     /// Cells restored from the journal before this run started.
     pub resumed: usize,
     /// Scenario provenance, when launched from a scenario file.
@@ -186,22 +97,15 @@ pub struct CampaignModel {
     /// `campaign_start` events beyond the first — i.e. how many times a
     /// resume appended a fresh run to this stream.
     pub restarts: usize,
-    /// Per-shard models, keyed by shard index.
-    pub shards: BTreeMap<usize, ShardModel>,
     /// Lifecycle state.
     pub state: CampaignState,
     /// Raw count of `cell_done` events (distinct or not).
     pub cell_events: usize,
     /// `cell_done` events with `cached == true`.
     pub cache_hits: usize,
-    /// `shard_retried` events.
-    pub retries: usize,
-    /// Cells put back on the queue by `cells_requeued` events.
-    pub requeued_cells: usize,
-    /// Failure log: every `shard_failed`, in stream order.
-    pub failures: Vec<Failure>,
-    /// Merge counters once `merge_done` lands.
-    pub merge: Option<MergeSummary>,
+    /// Milliseconds into the run, from the latest heartbeat (0 until
+    /// one arrives).
+    pub live_elapsed_ms: u64,
     /// Total events folded since the last campaign (re)start.
     pub events_folded: usize,
     /// Complete lines that failed to parse as events (skipped).
@@ -244,7 +148,6 @@ impl CampaignModel {
                 campaign,
                 spec_fp,
                 cells,
-                shards,
                 resumed,
                 scenario,
             } => {
@@ -259,7 +162,6 @@ impl CampaignModel {
                     campaign: campaign.clone(),
                     spec_fp: Some(*spec_fp),
                     total_cells: *cells,
-                    shard_count: *shards,
                     resumed: *resumed,
                     scenario: scenario.clone(),
                     restarts,
@@ -268,98 +170,17 @@ impl CampaignModel {
                     ..CampaignModel::default()
                 };
             }
-            Event::ShardStart {
-                shard,
-                cells,
-                skipped,
-            } => self.shard_mut(*shard).restart(*cells, *skipped),
-            Event::CellStart { shard, .. } => self.shard_touch(*shard),
-            Event::CellDone {
-                shard,
-                cell,
-                cached,
-                ..
-            } => {
+            Event::CellDone { cell, cached, .. } => {
                 self.done_cells.insert(*cell);
                 self.cell_events = self.cell_events.saturating_add(1);
                 if *cached {
                     self.cache_hits = self.cache_hits.saturating_add(1);
                 }
-                let s = self.shard_mut(*shard);
-                s.done = s.done.saturating_add(1);
-                if *cached {
-                    s.cached = s.cached.saturating_add(1);
-                }
             }
-            Event::Heartbeat {
-                shard,
-                done,
-                total,
-                elapsed_ms,
-                cached,
-            } => {
-                let s = self.shard_mut(*shard);
-                // Heartbeats are authoritative for the attempt's own
-                // progress (they can outrun the lock-serialized
-                // cell_done fold only in pathological streams; take the
-                // max so progress stays monotone either way).
-                s.done = s.done.max(*done);
-                s.cached = s.cached.max(*cached);
-                s.planned = s.planned.max(*total);
-                s.elapsed_ms = s.elapsed_ms.max(*elapsed_ms);
-            }
-            Event::ShardDone {
-                shard,
-                simulated,
-                cached,
-                elapsed_ms,
-            } => {
-                let s = self.shard_mut(*shard);
-                s.state = ShardState::Done;
-                s.simulated = *simulated;
-                s.cached = s.cached.max(*cached);
-                s.elapsed_ms = s.elapsed_ms.max(*elapsed_ms);
-            }
-            Event::ShardFailed {
-                shard,
-                attempt,
-                msg,
-            } => {
-                self.failures.push(Failure {
-                    shard: *shard,
-                    attempt: *attempt,
-                    msg: msg.clone(),
-                });
-                let s = self.shard_mut(*shard);
-                s.state = ShardState::Failed;
-                s.attempt = s.attempt.max(*attempt);
-            }
-            Event::CellsRequeued { shard, cells } => {
-                self.requeued_cells = self.requeued_cells.saturating_add(*cells);
-                self.shard_touch(*shard);
-            }
-            Event::ShardRetried { shard, attempt, .. } => {
-                self.retries = self.retries.saturating_add(1);
-                let s = self.shard_mut(*shard);
-                s.state = ShardState::Retrying;
-                s.attempt = s.attempt.max(*attempt);
-            }
-            // Legacy multi-host stream lines: parsed, then ignored.
-            Event::HostLost { .. } | Event::HostRetired { .. } => {}
-            Event::MergeDone {
-                sources,
-                merged,
-                identical,
-                healed,
-                conflicts,
-            } => {
-                self.merge = Some(MergeSummary {
-                    sources: *sources,
-                    merged: *merged,
-                    identical: *identical,
-                    healed: *healed,
-                    conflicts: *conflicts,
-                });
+            Event::Heartbeat { elapsed_ms, .. } => {
+                // The max keeps the clock monotone, also over the
+                // per-shard heartbeats of legacy streams.
+                self.live_elapsed_ms = self.live_elapsed_ms.max(*elapsed_ms);
             }
             Event::CampaignDone { cells, elapsed_ms } => {
                 self.state = CampaignState::Done {
@@ -370,6 +191,17 @@ impl CampaignModel {
             Event::CampaignFailed { msg } => {
                 self.state = CampaignState::Failed { msg: msg.clone() };
             }
+            // Cell starts carry nothing the model keeps; legacy lines
+            // are counted and otherwise ignored.
+            Event::CellStart { .. }
+            | Event::ShardStart { .. }
+            | Event::ShardDone { .. }
+            | Event::ShardFailed { .. }
+            | Event::CellsRequeued { .. }
+            | Event::ShardRetried { .. }
+            | Event::HostLost { .. }
+            | Event::HostRetired { .. }
+            | Event::MergeDone { .. } => {}
         }
     }
 
@@ -403,16 +235,11 @@ impl CampaignModel {
     }
 
     /// Campaign wall-clock milliseconds: the terminal elapsed time once
-    /// done, else the slowest live shard clock seen so far.
+    /// done, else the live clock from the latest heartbeat.
     pub fn elapsed_ms(&self) -> u64 {
         match &self.state {
             CampaignState::Done { elapsed_ms, .. } => *elapsed_ms,
-            _ => self
-                .shards
-                .values()
-                .map(|s| s.elapsed_ms)
-                .max()
-                .unwrap_or(0),
+            _ => self.live_elapsed_ms,
         }
     }
 
@@ -441,9 +268,9 @@ impl CampaignModel {
         Some((remaining as f64 * 1000.0 / cps) as u64)
     }
 
-    /// The scripting summary (`griffin-watch-summary/1`): every counter
-    /// the acceptance checks grep out of `events.jsonl`, plus per-shard
-    /// detail and the failure log.
+    /// The scripting summary (`griffin-watch-summary/2`): every counter
+    /// the acceptance checks grep out of `events.jsonl`, and the
+    /// failure message of a failed campaign.
     pub fn summary(&self) -> Json {
         let num = |x: usize| Json::Num(x as f64);
         let mut o: Vec<(String, Json)> = vec![
@@ -454,12 +281,8 @@ impl CampaignModel {
             ("done".into(), num(self.done())),
             ("resumed".into(), num(self.resumed)),
             ("restarts".into(), num(self.restarts)),
-            ("shards".into(), num(self.shard_count)),
             ("cell_events".into(), num(self.cell_events)),
             ("cache_hits".into(), num(self.cache_hits)),
-            ("retries".into(), num(self.retries)),
-            ("requeued_cells".into(), num(self.requeued_cells)),
-            ("failures".into(), num(self.failures.len())),
             ("parse_errors".into(), num(self.parse_errors)),
             ("events".into(), num(self.events_folded)),
             ("elapsed_ms".into(), Json::Num(self.elapsed_ms() as f64)),
@@ -483,68 +306,10 @@ impl CampaignModel {
         if let Some(s) = &self.scenario {
             o.push(("scenario_file".into(), Json::Str(s.file.clone())));
         }
-        if let Some(m) = &self.merge {
-            o.push((
-                "merge".into(),
-                Json::obj([
-                    ("sources".into(), num(m.sources)),
-                    ("merged".into(), Json::Num(m.merged as f64)),
-                    ("identical".into(), Json::Num(m.identical as f64)),
-                    ("healed".into(), Json::Num(m.healed as f64)),
-                    ("conflicts".into(), Json::Num(m.conflicts as f64)),
-                ]),
-            ));
-        }
         if let CampaignState::Failed { msg } = &self.state {
             o.push(("error".into(), Json::Str(msg.clone())));
         }
-        o.push((
-            "shard_detail".into(),
-            Json::Arr(
-                self.shards
-                    .iter()
-                    .map(|(idx, s)| {
-                        Json::obj([
-                            ("shard".into(), num(*idx)),
-                            ("state".into(), Json::Str(s.state.tag().into())),
-                            ("planned".into(), num(s.planned)),
-                            ("skipped".into(), num(s.skipped)),
-                            ("done".into(), num(s.done)),
-                            ("cached".into(), num(s.cached)),
-                            ("simulated".into(), num(s.simulated)),
-                            ("attempt".into(), num(s.attempt)),
-                            ("elapsed_ms".into(), Json::Num(s.elapsed_ms as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-        o.push((
-            "failure_log".into(),
-            Json::Arr(
-                self.failures
-                    .iter()
-                    .map(|f| {
-                        Json::obj([
-                            ("shard".into(), num(f.shard)),
-                            ("attempt".into(), num(f.attempt)),
-                            ("msg".into(), Json::Str(f.msg.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
         Json::obj(o)
-    }
-
-    fn shard_mut(&mut self, shard: usize) -> &mut ShardModel {
-        let s = self.shards.entry(shard).or_default();
-        s.events = s.events.saturating_add(1);
-        s
-    }
-
-    fn shard_touch(&mut self, shard: usize) {
-        self.shard_mut(shard);
     }
 }
 
@@ -611,20 +376,18 @@ impl RateTracker {
 mod tests {
     use super::*;
 
-    fn start(cells: usize, shards: usize, resumed: usize) -> Event {
+    fn start(cells: usize, resumed: usize) -> Event {
         Event::CampaignStart {
             campaign: "m".into(),
             spec_fp: Fingerprint(7, 9),
             cells,
-            shards,
             resumed,
             scenario: None,
         }
     }
 
-    fn cell_done(shard: usize, cell: usize, cached: bool) -> Event {
+    fn cell_done(cell: usize, cached: bool) -> Event {
         Event::CellDone {
-            shard,
             cell,
             fp: Fingerprint(cell as u64, 0),
             cached,
@@ -640,98 +403,108 @@ mod tests {
         }
     }
 
+    /// `ev`'s line as a sharded (v3) coordinator wrote it: `shard` on
+    /// the cell lines, `shards` and the v3 tag on the header.
+    fn v3_line(ev: &Event, shard: usize) -> String {
+        let line = ev.to_line();
+        match ev {
+            Event::CampaignStart { .. } => {
+                line.replace("events/4", "events/3")
+                    .replacen('{', "{\"shards\":2,", 1)
+            }
+            _ => line.replacen('{', &format!("{{\"shard\":{shard},"), 1),
+        }
+    }
+
+    fn fold(lines: &[String]) -> CampaignModel {
+        let mut m = CampaignModel::new();
+        for line in lines {
+            m.apply_line(line);
+        }
+        m
+    }
+
     #[test]
     fn a_clean_two_shard_run_folds_to_done() {
-        let mut m = CampaignModel::new();
-        m.apply(&start(4, 2, 0));
+        // A v3 stream of a 2-shard campaign: the shard lines are legacy,
+        // and the campaign totals come from the cell and campaign lines.
+        let mut lines = vec![v3_line(&start(4, 0), 0)];
         for shard in 0..2 {
-            m.apply(&Event::ShardStart {
-                shard,
-                cells: 2,
-                skipped: 0,
-            });
+            lines.push(format!(
+                r#"{{"cells":2,"ev":"shard_start","shard":{shard},"skipped":0}}"#
+            ));
         }
-        m.apply(&cell_done(0, 0, false));
-        m.apply(&cell_done(0, 1, true));
-        m.apply(&cell_done(1, 2, false));
-        m.apply(&cell_done(1, 3, false));
+        lines.push(v3_line(&cell_done(0, false), 0));
+        lines.push(v3_line(&cell_done(1, true), 0));
+        lines.push(v3_line(&cell_done(2, false), 1));
+        lines.push(v3_line(&cell_done(3, false), 1));
         for shard in 0..2 {
-            m.apply(&Event::ShardDone {
-                shard,
-                simulated: 1,
-                cached: 1,
-                elapsed_ms: 50,
-            });
+            lines.push(format!(
+                r#"{{"cached":1,"elapsed_ms":50,"ev":"shard_done","shard":{shard},"simulated":1}}"#
+            ));
         }
-        m.apply(&Event::CampaignDone {
-            cells: 4,
-            elapsed_ms: 80,
-        });
+        lines.push(r#"{"cells":4,"elapsed_ms":80,"ev":"campaign_done"}"#.into());
+        let m = fold(&lines);
+        assert_eq!(m.parse_errors, 0);
         assert_eq!(m.done(), 4);
         assert_eq!(m.cache_hits, 1);
-        assert_eq!(m.retries, 0);
         assert!(m.state.is_terminal());
         assert_eq!(m.state.tag(), "done");
         assert_eq!(m.elapsed_ms(), 80);
         assert_eq!(m.cumulative_cells_per_sec(), Some(4.0 * 1000.0 / 80.0));
         let line = m.summary().write();
-        assert!(line.contains("\"format\":\"griffin-watch-summary/1\""));
+        assert!(line.contains("\"format\":\"griffin-watch-summary/2\""));
         assert!(line.contains("\"done\":4"));
+        assert!(!line.contains("shard"), "{line}");
     }
 
     #[test]
     fn retry_lifecycle_counts_and_failure_log() {
-        let mut m = CampaignModel::new();
-        m.apply(&start(2, 1, 0));
-        m.apply(&Event::ShardStart {
-            shard: 0,
-            cells: 2,
-            skipped: 0,
-        });
-        m.apply(&cell_done(0, 0, false));
-        m.apply(&Event::ShardFailed {
-            shard: 0,
-            attempt: 0,
-            msg: "worker exited".into(),
-        });
-        m.apply(&Event::CellsRequeued { shard: 0, cells: 1 });
-        m.apply(&Event::ShardRetried {
-            shard: 0,
-            attempt: 1,
-            backoff_ms: 0,
-        });
-        m.apply(&Event::ShardStart {
-            shard: 0,
-            cells: 1,
-            skipped: 1,
-        });
-        m.apply(&cell_done(0, 1, false));
-        m.apply(&Event::CampaignDone {
-            cells: 2,
-            elapsed_ms: 10,
-        });
-        assert_eq!(m.retries, 1);
-        assert_eq!(m.requeued_cells, 1);
-        assert_eq!(m.failures.len(), 1);
-        assert_eq!(m.failures[0].msg, "worker exited");
+        // A v2/v3 retry lifecycle: cells from the failed attempt still
+        // count, and the failure message is the terminal one.
+        let lines: Vec<String> = vec![
+            v3_line(&start(3, 0), 0),
+            r#"{"cells":3,"ev":"shard_start","shard":0,"skipped":0}"#.into(),
+            v3_line(&cell_done(0, false), 0),
+            r#"{"attempt":0,"ev":"shard_failed","msg":"worker exited","shard":0}"#.into(),
+            r#"{"cells":2,"ev":"cells_requeued","shard":0}"#.into(),
+            r#"{"attempt":1,"backoff_ms":0,"ev":"shard_retried","shard":0}"#.into(),
+            r#"{"cells":3,"ev":"shard_start","shard":0,"skipped":1}"#.into(),
+            v3_line(&cell_done(1, false), 0),
+            r#"{"ev":"campaign_failed","msg":"shard 0 failed: worker exited"}"#.into(),
+        ];
+        let m = fold(&lines);
+        assert_eq!(m.parse_errors, 0);
         assert_eq!(m.done(), 2, "cells from the failed attempt still count");
-        let s = &m.shards[&0];
-        assert_eq!(s.attempt, 1);
-        assert_eq!(s.done, 1, "per-attempt progress reset on the retry");
+        assert_eq!(
+            m.state,
+            CampaignState::Failed {
+                msg: "shard 0 failed: worker exited".into()
+            }
+        );
+        let line = m.summary().write();
+        assert!(
+            line.contains("\"error\":\"shard 0 failed: worker exited\""),
+            "{line}"
+        );
+        assert!(
+            !line.contains("retries") && !line.contains("failure_log"),
+            "{line}"
+        );
     }
 
     #[test]
     fn resume_restart_resets_but_counts() {
         let mut m = CampaignModel::new();
-        m.apply(&start(3, 1, 0));
-        m.apply(&cell_done(0, 0, false));
+        m.apply(&start(3, 0));
+        m.apply(&cell_done(0, false));
         m.apply(&Event::CampaignFailed { msg: "kill".into() });
         // The resume appends a fresh header claiming the journaled cell.
-        m.apply(&start(3, 1, 1));
+        m.apply(&start(3, 1));
         assert_eq!(m.restarts, 1);
         assert_eq!(m.done(), 1, "journal-resumed cells count as done");
-        m.apply(&cell_done(0, 1, false));
-        m.apply(&cell_done(0, 2, false));
+        m.apply(&cell_done(1, false));
+        m.apply(&cell_done(2, false));
         m.apply(&Event::CampaignDone {
             cells: 3,
             elapsed_ms: 5,
@@ -744,8 +517,8 @@ mod tests {
     fn fold_text_skips_torn_tail_and_counts_bad_lines() {
         let text = format!(
             "{}\n{}\nnot-json\n{}",
-            start(2, 1, 0).to_line(),
-            cell_done(0, 0, false).to_line(),
+            start(2, 0).to_line(),
+            cell_done(0, false).to_line(),
             "{\"ev\":\"cell_done\",\"torn" // no newline: not yet a line
         );
         let m = CampaignModel::fold_text(&text);
@@ -755,24 +528,24 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_enrichment_feeds_shard_view() {
+    fn heartbeat_enrichment_feeds_live_elapsed() {
         let mut m = CampaignModel::new();
-        m.apply(&start(10, 1, 0));
-        m.apply(&Event::ShardStart {
-            shard: 0,
-            cells: 10,
-            skipped: 0,
-        });
+        m.apply(&start(10, 0));
         m.apply(&Event::Heartbeat {
-            shard: 0,
             done: 4,
             total: 10,
             elapsed_ms: 400,
             cached: 3,
         });
-        let s = &m.shards[&0];
-        assert_eq!((s.done, s.cached, s.elapsed_ms), (4, 3, 400));
-        assert_eq!(m.elapsed_ms(), 400, "live elapsed from slowest shard");
+        assert_eq!(m.elapsed_ms(), 400, "live elapsed from the heartbeat");
+        // An older heartbeat never winds the clock back.
+        m.apply(&Event::Heartbeat {
+            done: 2,
+            total: 10,
+            elapsed_ms: 300,
+            cached: 1,
+        });
+        assert_eq!(m.live_elapsed_ms, 400);
     }
 
     #[test]
@@ -782,19 +555,13 @@ mod tests {
 
         // Campaign start: zero elapsed, zero completions. The summary
         // must say "n/a" — never 0 and never a saturated huge value.
-        m.apply(&start(100, 1, 0));
+        m.apply(&start(100, 0));
         assert_eq!(m.eta_ms(), None);
         assert!(m.summary().write().contains("\"eta_ms\":\"n/a\""));
 
         // Time passing with zero completions (a stalled fleet) is a
         // zero rate: still "n/a", not a division blow-up.
-        m.apply(&Event::ShardStart {
-            shard: 0,
-            cells: 100,
-            skipped: 0,
-        });
         m.apply(&Event::Heartbeat {
-            shard: 0,
             done: 0,
             total: 100,
             elapsed_ms: 5000,
@@ -807,17 +574,11 @@ mod tests {
     #[test]
     fn eta_projects_remaining_cells_then_clears_when_terminal() {
         let mut m = CampaignModel::new();
-        m.apply(&start(10, 1, 0));
-        m.apply(&Event::ShardStart {
-            shard: 0,
-            cells: 10,
-            skipped: 0,
-        });
+        m.apply(&start(10, 0));
         for c in 0..4 {
-            m.apply(&cell_done(0, c, false));
+            m.apply(&cell_done(c, false));
         }
         m.apply(&Event::Heartbeat {
-            shard: 0,
             done: 4,
             total: 10,
             elapsed_ms: 2000,
@@ -851,7 +612,7 @@ mod tests {
                     line
                 }
             };
-            let mut lines = vec![start(4, 2, 0).to_line()];
+            let mut lines = vec![v3_line(&start(4, 0), 0)];
             for (shard, host) in [(0, "h0"), (1, "h1")] {
                 let ev = Event::ShardStart {
                     shard,
@@ -875,25 +636,16 @@ mod tests {
                 backoff_ms: 250,
             };
             lines.push(stamp(retried, "h0"));
-            lines.push(cell_done(0, 0, false).to_line());
+            lines.push(v3_line(&cell_done(0, false), 0));
             if with_hosts {
                 lines.push(r#"{"ev":"host_retired","host":"h0"}"#.into());
                 lines.push(r#"{"ev":"host_retired","host":"h1"}"#.into());
             }
             lines
         };
-        let fold = |lines: &[String]| {
-            let mut m = CampaignModel::new();
-            for line in lines {
-                m.apply_line(line);
-            }
-            m
-        };
         let (mut hosted, plain) = (fold(&stream(true)), fold(&stream(false)));
         assert_eq!(hosted.parse_errors, 0);
-        assert_eq!(hosted.retries, 1);
-        assert_eq!(hosted.failures.len(), 1);
-        assert_eq!(hosted.shards[&1].state, ShardState::Retrying);
+        assert_eq!(hosted.done(), 1);
         // The three host lines are folded (counted) and otherwise ignored.
         assert_eq!(hosted.events_folded, plain.events_folded + 3);
         hosted.events_folded = plain.events_folded;

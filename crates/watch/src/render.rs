@@ -7,7 +7,7 @@
 //! bold/dim/color SGR codes every ANSI terminal has supported since
 //! forever; `ansi: false` strips them for dumb terminals and tests.
 
-use crate::model::{CampaignModel, CampaignState, RateTracker, ShardState};
+use crate::model::{CampaignModel, CampaignState, RateTracker};
 use std::fmt::Write as _;
 
 /// Renders `ms` as a compact human duration (`850ms`, `4.2s`, `3m04s`).
@@ -49,16 +49,6 @@ fn state_style(state: &CampaignState) -> &'static str {
         CampaignState::Running => "1;36",       // bold cyan
         CampaignState::Done { .. } => "1;32",   // bold green
         CampaignState::Failed { .. } => "1;31", // bold red
-    }
-}
-
-fn shard_style(state: &ShardState) -> &'static str {
-    match state {
-        ShardState::Pending => "2",
-        ShardState::Running => "36",
-        ShardState::Done => "32",
-        ShardState::Failed => "31",
-        ShardState::Retrying => "33",
     }
 }
 
@@ -110,16 +100,9 @@ pub fn dashboard(model: &CampaignModel, rates: &RateTracker, width: usize, ansi:
     if let Some(r) = model.cache_hit_ratio() {
         let _ = write!(out, " ({:.0}%)", r * 100.0);
     }
-    let _ = write!(
-        out,
-        " · retries {} · requeued {} · resumed {}",
-        model.retries, model.requeued_cells, model.resumed
-    );
+    let _ = write!(out, " · resumed {}", model.resumed);
     if model.restarts > 0 {
         let _ = write!(out, " · restarts {}", model.restarts);
-    }
-    if let Some(m) = &model.merge {
-        let _ = write!(out, " · healed {}", m.healed);
     }
     if model.parse_errors > 0 {
         let _ = write!(
@@ -130,31 +113,6 @@ pub fn dashboard(model: &CampaignModel, rates: &RateTracker, width: usize, ansi:
     }
     out.push('\n');
 
-    // Per-shard table.
-    for (idx, s) in &model.shards {
-        let _ = writeln!(
-            out,
-            "  shard {idx:>3} {:<8} {:>5}/{:<5} cached {:<5} attempt {} · {}",
-            sgr(ansi, shard_style(&s.state), s.state.tag()),
-            s.done,
-            s.planned,
-            s.cached,
-            s.attempt,
-            fmt_duration_ms(s.elapsed_ms),
-        );
-    }
-
-    // Failure log (most recent last, like the stream).
-    for f in &model.failures {
-        let _ = writeln!(
-            out,
-            "  {} shard {} attempt {}: {}",
-            sgr(ansi, "31", "fail"),
-            f.shard,
-            f.attempt,
-            f.msg
-        );
-    }
     if let CampaignState::Failed { msg } = &model.state {
         let _ = writeln!(out, "{} {}", sgr(ansi, "1;31", "campaign failed:"), msg);
     }
@@ -165,19 +123,14 @@ pub fn dashboard(model: &CampaignModel, rates: &RateTracker, width: usize, ansi:
 /// `key=value` fields, no ANSI, no cursor tricks.
 pub fn status_line(model: &CampaignModel, rates: &RateTracker) -> String {
     let mut out = format!(
-        "watch state={} done={}/{} cached={} retries={} shards={}",
+        "watch state={} done={}/{} cached={}",
         model.state.tag(),
         model.done(),
         model.total_cells,
         model.cache_hits,
-        model.retries,
-        model.shards.len(),
     );
     if let Some(ema) = rates.cells_per_sec() {
         let _ = write!(out, " cells_per_sec={ema:.1}");
-    }
-    if !model.failures.is_empty() {
-        let _ = write!(out, " failures={}", model.failures.len());
     }
     out
 }
@@ -194,32 +147,32 @@ mod tests {
             campaign: "render-me".into(),
             spec_fp: Fingerprint(3, 4),
             cells: 10,
-            shards: 2,
             resumed: 2,
             scenario: None,
         });
-        m.apply(&Event::ShardStart {
-            shard: 0,
-            cells: 5,
-            skipped: 1,
-        });
-        m.apply(&Event::ShardFailed {
-            shard: 1,
-            attempt: 0,
-            msg: "went silent".into(),
-        });
+        m.apply_line(r#"{"cached":true,"cell":4,"ev":"cell_done","fp":"00000000000000050000000000000006","metrics":{"area_mm2":1,"cycles":1,"dense_cycles":1,"power_mw":1,"speedup":1,"tops_per_mm2":1,"tops_per_w":1}}"#);
+        assert_eq!(m.parse_errors, 0);
         m
     }
 
     #[test]
     fn dashboard_mentions_every_section_without_ansi() {
-        let m = model();
+        let mut m = model();
         let frame = dashboard(&m, &RateTracker::new(1000.0), 80, false);
         assert!(frame.contains("render-me"));
         assert!(frame.contains("running"));
-        assert!(frame.contains("shard   0"));
-        assert!(frame.contains("fail shard 1 attempt 0: went silent"));
+        assert!(
+            frame.contains("cells [") && frame.contains("3/10"),
+            "{frame}"
+        );
+        assert!(frame.contains("cache 1 hit / 1 events (100%)"), "{frame}");
+        assert!(frame.contains("resumed 2"), "{frame}");
         assert!(!frame.contains('\x1b'), "ansi=false strips escapes");
+        m.apply(&Event::CampaignFailed {
+            msg: "went silent".into(),
+        });
+        let frame = dashboard(&m, &RateTracker::new(1000.0), 80, false);
+        assert!(frame.contains("campaign failed: went silent"), "{frame}");
     }
 
     #[test]
@@ -241,14 +194,15 @@ mod tests {
         let line = status_line(&model(), &r);
         assert!(!line.contains('\n'));
         assert!(line.contains("state=running"));
-        assert!(line.contains("done=2/10"), "resumed cells count: {line}");
+        assert!(line.contains("done=3/10"), "resumed cells count: {line}");
+        assert!(line.contains("cached=1"), "{line}");
         assert!(line.contains("cells_per_sec=3.0"));
-        assert!(line.contains("failures=1"));
     }
 
     /// The dashboard and status line of a legacy multi-host stream
     /// (host-stamped shard lines, `host_lost`, `host_retired`) are the
-    /// ones of the same stream without hosts: no host line, tag or field.
+    /// ones of the same stream without those lines: no host or shard
+    /// line, tag or field.
     #[test]
     fn legacy_host_lines_leave_dashboard_and_status_line_unchanged() {
         let plain = model();
@@ -261,9 +215,6 @@ mod tests {
             hosted.apply_line(line);
         }
         assert_eq!(hosted.parse_errors, 0);
-        assert_eq!(hosted.failures.len(), 2, "the stamped failure still counts");
-        let mut again = model();
-        again.apply_line(r#"{"attempt":0,"ev":"shard_failed","msg":"went silent","shard":1}"#);
 
         let mut r = RateTracker::new(1000.0);
         r.observe(0, 0);
@@ -271,13 +222,12 @@ mod tests {
         for ansi in [false, true] {
             let frame = dashboard(&hosted, &r, 80, ansi);
             assert!(!frame.contains("host"), "{frame}");
-            assert!(!frame.contains(" @ "), "{frame}");
-            assert_eq!(frame, dashboard(&again, &r, 80, ansi));
+            assert!(!frame.contains("shard"), "{frame}");
+            assert_eq!(frame, dashboard(&plain, &r, 80, ansi));
         }
         let line = status_line(&hosted, &r);
         assert!(!line.contains("hosts="), "{line}");
-        assert_eq!(line, status_line(&again, &r));
-        assert_ne!(line, status_line(&plain, &r), "the failure is surfaced");
+        assert_eq!(line, status_line(&plain, &r));
     }
 
     #[test]

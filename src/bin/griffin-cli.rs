@@ -8,8 +8,8 @@
 //! $ griffin-cli sweep bert b --workers 8 --cache .sweep-cache --csv out.csv
 //! $ griffin-cli sweep --scenario scenarios/fig5-bert-b.toml --csv out.csv
 //! $ griffin-cli pareto resnet50 b            # §VI Pareto front of a family
-//! $ griffin-cli fleet bert b --shards 4      # sharded campaign + journal
-//! $ griffin-cli fleet --scenario scenarios/fig5-bert-b.toml --shards 4
+//! $ griffin-cli fleet bert b                 # resumable campaign + journal
+//! $ griffin-cli fleet --scenario scenarios/fig5-bert-b.toml
 //! $ griffin-cli fleet watch .griffin-fleet   # live dashboard over events.jsonl
 //! $ griffin-cli fleet watch .griffin-fleet --json   # one-shot summary
 //! $ griffin-cli fleet report .griffin-fleet --html report.html
@@ -94,15 +94,15 @@ fn usage() -> ExitCode {
     eprintln!("  griffin-cli sweep <benchmark|synth> <category> [sweep options]");
     eprintln!("  griffin-cli sweep --scenario <FILE> [--workers N --cache DIR --csv/--json PATH]");
     eprintln!("  griffin-cli pareto <benchmark|synth> <family> [sweep options]");
-    eprintln!("  griffin-cli fleet <benchmark|synth> <category> --shards N [fleet/sweep options]");
+    eprintln!("  griffin-cli fleet <benchmark|synth> <category> [fleet/sweep options]");
     eprintln!("  griffin-cli fleet --scenario <FILE> [fleet options override the file's [fleet]]");
     eprintln!("  griffin-cli fleet watch <DIR> [--json | --json-follow | --no-tty]");
     eprintln!("                         [--interval MS --timeout MS --events PATH]");
     eprintln!("  griffin-cli fleet watch --connect <ADDR> [--campaign ID]");
     eprintln!("                         [--json-follow | --no-tty] [--interval MS]");
     eprintln!("  griffin-cli fleet report <DIR> [--html PATH] [--events PATH]");
-    eprintln!("  griffin-cli serve <DIR> [--tcp ADDR --workers N --shards N");
-    eprintln!("                          --queue N --retain N]   (daemon; ^C drains)");
+    eprintln!("  griffin-cli serve <DIR> [--tcp ADDR --workers N --queue N --retain N]");
+    eprintln!("                          (daemon; ^C drains)");
     eprintln!("  griffin-cli serve submit <FILE> --connect <ADDR> [--csv/--json PATH --quiet]");
     eprintln!("  griffin-cli serve status --connect <ADDR>");
     eprintln!("  griffin-cli serve cancel <ID> --connect <ADDR>");
@@ -132,17 +132,15 @@ fn usage() -> ExitCode {
     eprintln!("  --csv PATH          write the per-cell report as CSV");
     eprintln!("  --json PATH         write the per-cell report as JSON");
     eprintln!();
-    eprintln!("FLEET OPTIONS (with any sweep option; shards run one after another in");
-    eprintln!("this process, each over --workers threads):");
-    eprintln!("  --shards N          shard count (required)");
+    eprintln!("FLEET OPTIONS (with any sweep option; the campaign is one resumable pass):");
     eprintln!("  --dir DIR           state dir: journal, event stream, result cache");
     eprintln!("                      (default .griffin-fleet)");
     eprintln!("  --events PATH|-     JSONL event stream (default DIR/events.jsonl, - = stdout)");
     eprintln!("  --resume            resume from the journal (spec fingerprint verified)");
-    eprintln!("  --heartbeat N       heartbeat every N cells per shard (default 32, 0 = off)");
+    eprintln!("  --heartbeat N       heartbeat every N cells (default 32, 0 = off)");
     eprintln!();
     eprintln!("  GRIFFIN_FAULT       deterministic fault injection for chaos tests, e.g.");
-    eprintln!("                      kill:shard=1:after=2;corrupt-cache:shard=1 (see docs)");
+    eprintln!("                      kill:after=2;corrupt-cache (see docs)");
     ExitCode::from(2)
 }
 
@@ -286,8 +284,7 @@ fn finish_reports(
 
 /// Builds the campaign spec the `sweep` and `fleet` commands share. The
 /// spec — including its name — must be identical between them: fleet
-/// reports are pinned byte-identical to single-process sweep reports,
-/// and shard workers recompute this spec from the same tokens.
+/// reports are pinned byte-identical to single-process sweep reports.
 fn build_sweep_spec(workload: &str, cat: &str, opts: &SweepArgs) -> Result<SweepSpec, String> {
     let c = parse_category_or_explain(cat)?;
     let mut spec = SweepSpec::new(format!("sweep-{workload}-{cat}"))
@@ -501,7 +498,6 @@ fn cmd_pareto(workload: &str, family_tok: &str, rest: &[String]) -> ExitCode {
 /// Tunables are `Option`s so a scenario file's `[fleet]` section can
 /// provide defaults without overriding explicit flags.
 struct FleetCliArgs {
-    shards: Option<usize>,
     dir: String,
     events: Option<String>,
     resume: bool,
@@ -510,32 +506,14 @@ struct FleetCliArgs {
     sweep_rest: Vec<String>,
 }
 
-/// Fleet tunables after merging explicit flags over scenario defaults
-/// over the built-in defaults.
-struct FleetResolved {
-    shards: usize,
-    heartbeat: usize,
-}
-
 impl FleetCliArgs {
-    /// Explicit flags win; a scenario's `[fleet]` section fills gaps;
-    /// built-in defaults cover the rest. Errors when no shard count is
-    /// available from either source.
-    fn resolve(
-        &self,
-        scen: Option<&griffin::sweep::FleetSettings>,
-    ) -> Result<FleetResolved, String> {
-        let shards = self
-            .shards
-            .or(scen.map(|s| s.shards))
-            .ok_or("fleet requires --shards (or a scenario [fleet] section)")?;
-        Ok(FleetResolved {
-            shards,
-            heartbeat: self
-                .heartbeat
-                .or(scen.and_then(|s| s.heartbeat_every))
-                .unwrap_or(32),
-        })
+    /// The heartbeat cadence: an explicit flag wins; a scenario's
+    /// `[fleet]` section fills the gap; the built-in default covers the
+    /// rest.
+    fn heartbeat(&self, scen: Option<&griffin::sweep::FleetSettings>) -> usize {
+        self.heartbeat
+            .or(scen.and_then(|s| s.heartbeat_every))
+            .unwrap_or(32)
     }
 }
 
@@ -547,7 +525,6 @@ impl FleetCliArgs {
 /// flag and the value.
 fn split_fleet_args(args: &[String]) -> Result<FleetCliArgs, String> {
     let mut out = FleetCliArgs {
-        shards: None,
         dir: ".griffin-fleet".into(),
         events: None,
         resume: false,
@@ -561,18 +538,15 @@ fn split_fleet_args(args: &[String]) -> Result<FleetCliArgs, String> {
                 .cloned()
                 .ok_or_else(|| format!("{flag} requires a value"))
         };
-        let count = |v: String, min: usize, what: &str| {
+        let count = |v: String| {
             v.parse::<usize>()
-                .ok()
-                .filter(|&n| n >= min)
-                .ok_or_else(|| format!("{flag} must be {what}, got `{v}`"))
+                .map_err(|_| format!("{flag} must be a cell count (0 = off), got `{v}`"))
         };
         match flag.as_str() {
-            "--shards" => out.shards = Some(count(val()?, 1, "a positive integer")?),
             "--dir" => out.dir = val()?,
             "--events" => out.events = Some(val()?),
             "--resume" => out.resume = true,
-            "--heartbeat" => out.heartbeat = Some(count(val()?, 0, "a cell count (0 = off)")?),
+            "--heartbeat" => out.heartbeat = Some(count(val()?)?),
             other => {
                 out.sweep_rest.push(other.to_string());
                 if other != "--lineup" {
@@ -634,7 +608,7 @@ extern "C" fn on_sigint(_sig: i32) {
 }
 
 /// Installs a SIGINT handler that raises the fleet abort flag: ^C stops
-/// the campaign at the next shard boundary and fails it
+/// the campaign before its next (family, layer) work item and fails it
 /// with a terminal `campaign_failed` — journal intact, so `--resume`
 /// picks up where the interrupt landed. Returns the flag for
 /// [`FleetConfig::abort`].
@@ -970,11 +944,6 @@ fn cmd_fleet(workload: &str, cat: &str, rest: &[String]) -> ExitCode {
             Err(e) => return explain(&e),
         }
     };
-    let resolved = match fleet_args.resolve(scenario_loaded.as_ref().and_then(|s| s.fleet.as_ref()))
-    {
-        Ok(r) => r,
-        Err(e) => return explain(&e),
-    };
     let provenance: Option<ScenarioProvenance> =
         scenario_loaded.as_ref().map(|s| s.provenance(cat));
     // A typoed chaos experiment must fail loudly, not run clean.
@@ -986,13 +955,13 @@ fn cmd_fleet(workload: &str, cat: &str, rest: &[String]) -> ExitCode {
         }
     };
     let dir = PathBuf::from(&fleet_args.dir);
-    let mut cfg = FleetConfig::new(dir.clone(), resolved.shards);
-    cfg.workers = opts.workers;
+    let mut cfg = FleetConfig::new(dir.clone(), opts.workers);
     cfg.resume = fleet_args.resume;
-    cfg.heartbeat_every = resolved.heartbeat;
+    cfg.heartbeat_every =
+        fleet_args.heartbeat(scenario_loaded.as_ref().and_then(|s| s.fleet.as_ref()));
     cfg.fault = fault_plan;
     cfg.scenario = provenance;
-    // ^C fails the campaign cleanly at the next shard boundary instead
+    // ^C fails the campaign cleanly before the next work item instead
     // of tearing the stream mid-line; the journal survives for --resume.
     cfg.abort = Some(install_sigint_abort());
     let (mut sink, quiet) = match open_event_sink(&dir, &fleet_args.events, fleet_args.resume) {
@@ -1001,10 +970,9 @@ fn cmd_fleet(workload: &str, cat: &str, rest: &[String]) -> ExitCode {
     };
     if !quiet {
         println!(
-            "fleet `{}`: {} cells over {} shards{}...",
+            "fleet `{}`: {} cells{}...",
             spec.name,
             spec.cell_count(),
-            cfg.shards,
             if cfg.resume { ", resuming" } else { "" }
         );
     }
@@ -1021,10 +989,7 @@ fn cmd_fleet(workload: &str, cat: &str, rest: &[String]) -> ExitCode {
     }
     if !quiet {
         let s = summarize(&report);
-        println!(
-            "{} cells in {} ms across {} shards",
-            s.cells, report.elapsed_ms, cfg.shards
-        );
+        println!("{} cells in {} ms", s.cells, report.elapsed_ms);
         println!(
             "geomean speedup {:.2}x over {} architectures",
             s.geomean_speedup, s.archs
@@ -1295,10 +1260,10 @@ fn cmd_scenario_list(dir: &str) -> ExitCode {
         );
         match Scenario::load(&path) {
             Ok(s) => {
-                let fleet = s
-                    .fleet
-                    .as_ref()
-                    .map_or("-".to_string(), |f| format!("{} shards", f.shards));
+                let fleet = s.fleet.as_ref().map_or("-".to_string(), |f| {
+                    f.heartbeat_every
+                        .map_or("defaults".to_string(), |n| format!("heartbeat {n}"))
+                });
                 println!(
                     "{file:<28} {:<20} {:<28} {fleet}",
                     s.name,
@@ -1347,8 +1312,8 @@ fn cmd_scenario_show(file: &str) -> ExitCode {
     if spec.archs.len() > 12 {
         println!("    ... and {} more", spec.archs.len() - 12);
     }
-    if let Some(f) = &s.fleet {
-        println!("  fleet:        {} shards", f.shards);
+    if let Some(n) = s.fleet.as_ref().and_then(|f| f.heartbeat_every) {
+        println!("  fleet:        heartbeat every {n} cells");
     }
     println!();
     println!("canonical form:");
@@ -1421,10 +1386,6 @@ fn cmd_serve_daemon(dir: &str, rest: &[String]) -> ExitCode {
                 Some(n) => cfg.workers = n,
                 None => return explain("--workers must be a positive integer"),
             },
-            "--shards" => match parsed {
-                Some(n) => cfg.shards = n,
-                None => return explain("--shards must be a positive integer"),
-            },
             "--queue" => match parsed {
                 Some(n) => cfg.queue_cap = n,
                 None => return explain("--queue must be a positive integer"),
@@ -1463,13 +1424,12 @@ fn cmd_serve_daemon(dir: &str, rest: &[String]) -> ExitCode {
         }
     };
     eprintln!(
-        "{} listening on unix:{}{} — dir {dir}, {} workers, {} shards, queue {}, retain {}",
+        "{} listening on unix:{}{} — dir {dir}, {} workers, queue {}, retain {}",
         daemon.config().server,
         sock.display(),
         tcp.as_ref()
             .map_or(String::new(), |t| format!(" and tcp:{t}")),
         daemon.config().workers,
-        daemon.config().shards,
         daemon.config().queue_cap,
         daemon.config().retain,
     );

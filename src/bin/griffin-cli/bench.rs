@@ -295,13 +295,11 @@ pub fn run_bench(args: &BenchArgs) -> Result<Json, String> {
 }
 
 /// The recorded stream behind the `watch` probe: a deterministic
-/// 54-cell, 2-shard campaign — headers, every cell's start/done pair,
-/// heartbeats every 8 completions, a mid-flight shard failure and
-/// retry, the shard/merge/campaign footers — serialized one JSON line
-/// per event, as the fleet wrote streams before it dropped shard
-/// retries and cache merging (the watch fold still reads both).
+/// 54-cell campaign — the header, every cell's start/done pair,
+/// heartbeats every 8 completions and the campaign footer — serialized
+/// one JSON line per event.
 ///
-/// Per-cell and recovery events come from the schema sample generator
+/// Per-cell events come from the schema sample generator
 /// (`events::sample::build_event`, the same one behind the event and
 /// watch-model property tests), so the fold is measured against the
 /// full wire surface: escaped strings, occasional non-finite metric
@@ -314,72 +312,38 @@ fn watch_stream_lines() -> Vec<String> {
     use griffin::sweep::Fingerprint;
 
     const CELLS: usize = 54;
-    const PLANNED: usize = CELLS / 2;
     let mut evs = vec![Event::CampaignStart {
         campaign: "bench-watch".into(),
         spec_fp: Fingerprint(0xBE, 0xEF),
         cells: CELLS,
-        shards: 2,
         resumed: 0,
         scenario: Some(ScenarioProvenance {
             file: "bench-watch.toml".into(),
             fp: Fingerprint(0xF0, 0x0D),
         }),
     }];
-    for shard in 0..2usize {
-        evs.push(Event::ShardStart {
-            shard,
-            cells: PLANNED,
-            skipped: 0,
-        });
-        for d in 0..PLANNED {
-            let cell = shard * PLANNED + d;
-            // `build_event` derives the shard from `a % 100_000` and
-            // the cell from `b`, so `a = shard + 100_000·cell` keeps
-            // the campaign coherent while the fingerprint and metric
-            // draws still vary per cell. Every 13th cell draws a
-            // non-finite metric float (the lossless-float wire path).
-            let a = (shard + 100_000 * cell) as u64;
-            evs.push(build_event(2, a, cell as u64, false, 0));
-            evs.push(build_event(
-                3,
-                a,
-                cell as u64,
-                cell.is_multiple_of(3),
-                u64::from(cell.is_multiple_of(13)),
-            ));
-            if (d + 1) % 8 == 0 {
-                evs.push(Event::Heartbeat {
-                    shard,
-                    done: d + 1,
-                    total: PLANNED,
-                    elapsed_ms: (d as u64 + 1) * 11,
-                    cached: (d + 1) / 3,
-                });
-            }
-            // Mid-flight recovery on shard 1: its worker dies, the
-            // remaining cells requeue, the shard retries (the v2/v3
-            // recovery variants, via the same sample generator).
-            if shard == 1 && d == 12 {
-                evs.push(build_event(6, 1, 0, true, 0)); // shard_failed
-                evs.push(build_event(7, 1, (PLANNED - d - 1) as u64, false, 0)); // cells_requeued
-                evs.push(build_event(8, 1, 0, true, 0)); // shard_retried
-            }
+    for cell in 0..CELLS {
+        // `build_event` takes the cell from `b`; `a` varies the
+        // fingerprint and metric draws per cell. Every 13th cell draws
+        // a non-finite metric float (the lossless-float wire path).
+        let a = (100_000 * cell) as u64;
+        evs.push(build_event(2, a, cell as u64, false, 0));
+        evs.push(build_event(
+            3,
+            a,
+            cell as u64,
+            cell.is_multiple_of(3),
+            u64::from(cell.is_multiple_of(13)),
+        ));
+        if (cell + 1) % 8 == 0 {
+            evs.push(Event::Heartbeat {
+                done: cell + 1,
+                total: CELLS,
+                elapsed_ms: (cell as u64 + 1) * 11,
+                cached: (cell + 1) / 3,
+            });
         }
-        evs.push(Event::ShardDone {
-            shard,
-            simulated: PLANNED - PLANNED / 3,
-            cached: PLANNED / 3,
-            elapsed_ms: 321,
-        });
     }
-    evs.push(Event::MergeDone {
-        sources: 2,
-        merged: CELLS as u64,
-        identical: 0,
-        healed: 0,
-        conflicts: 0,
-    });
     evs.push(Event::CampaignDone {
         cells: CELLS,
         elapsed_ms: 345,

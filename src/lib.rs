@@ -13,8 +13,8 @@
 //!   ([`griffin_workloads`]),
 //! * [`sweep`] — the parallel scenario-sweep campaign engine with
 //!   result caching and CSV/JSON reports ([`griffin_sweep`]),
-//! * [`fleet`] — sharded campaign orchestration: shard planning, JSONL
-//!   event streaming, journaled resume, cache merging
+//! * [`fleet`] — resumable campaigns: one cancellable pass over the
+//!   grid with JSONL event streaming and journaled resume
 //!   ([`griffin_fleet`]),
 //! * [`watch`] — fleet observability: live event-stream tailing, the
 //!   replayable campaign model, terminal dashboards, JSON summaries and

@@ -1,4 +1,4 @@
-//! End-to-end CLI test of `griffin-cli fleet`: sharded runs, journaled
+//! End-to-end CLI test of `griffin-cli fleet`: one-pass runs, journaled
 //! resume, injected kills, interrupts and byte-identity with
 //! `griffin-cli sweep` — the acceptance pin of the fleet subsystem at
 //! the binary boundary.
@@ -53,16 +53,7 @@ fn fleet_matches_sweep_and_resumes_from_the_journal() {
 
     let mut fleet_args = vec!["fleet"];
     fleet_args.extend(CAMPAIGN);
-    fleet_args.extend([
-        "--shards",
-        "2",
-        "--dir",
-        "fs",
-        "--csv",
-        "fleet.csv",
-        "--json",
-        "fleet.json",
-    ]);
+    fleet_args.extend(["--dir", "fs", "--csv", "fleet.csv", "--json", "fleet.json"]);
     run(&fleet_args, &dir);
 
     let single_csv = std::fs::read(dir.join("single.csv")).unwrap();
@@ -88,15 +79,7 @@ fn fleet_matches_sweep_and_resumes_from_the_journal() {
 
     let mut resume_args = vec!["fleet"];
     resume_args.extend(CAMPAIGN);
-    resume_args.extend([
-        "--shards",
-        "2",
-        "--resume",
-        "--dir",
-        "fs",
-        "--csv",
-        "resumed.csv",
-    ]);
+    resume_args.extend(["--resume", "--dir", "fs", "--csv", "resumed.csv"]);
     run(&resume_args, &dir);
     assert_eq!(
         single_csv,
@@ -126,14 +109,14 @@ fn a_killed_shard_fails_the_campaign_and_resume_matches_sweep() {
     sweep_args.extend(["--workers", "2", "--csv", "single.csv"]);
     run(&sweep_args, &dir);
 
-    // Kill shard 1 after one completed cell: the campaign fails with a
-    // terminal event and no retry.
+    // Kill the campaign after one completed cell: it fails with a
+    // terminal event, and no shard lifecycle line is written.
     let mut fleet_args = vec!["fleet"];
     fleet_args.extend(CAMPAIGN);
-    fleet_args.extend(["--shards", "3", "--dir", "fs", "--csv", "fleet.csv"]);
+    fleet_args.extend(["--dir", "fs", "--csv", "fleet.csv"]);
     let out = Command::new(CLI)
         .args(&fleet_args)
-        .env("GRIFFIN_FAULT", "kill:shard=1:after=1")
+        .env("GRIFFIN_FAULT", "kill:after=1")
         .current_dir(&dir)
         .output()
         .unwrap();
@@ -146,8 +129,8 @@ fn a_killed_shard_fails_the_campaign_and_resume_matches_sweep() {
     );
 
     let events = std::fs::read_to_string(dir.join("fs/events.jsonl")).unwrap();
-    assert!(events.contains("\"ev\":\"shard_failed\""));
-    assert!(!events.contains("\"ev\":\"shard_retried\""), "no retry");
+    assert_eq!(events.matches("\"ev\":\"cell_done\"").count(), 1);
+    assert!(!events.contains("\"ev\":\"shard_"), "{events}");
     let last = events.lines().last().unwrap();
     assert!(
         last.contains("\"campaign_failed\""),
@@ -177,10 +160,10 @@ fn a_garbage_fault_plan_is_refused_loudly() {
     let dir = scratch_dir("chaos-typo");
     let mut fleet_args = vec!["fleet"];
     fleet_args.extend(CAMPAIGN);
-    fleet_args.extend(["--shards", "2", "--dir", "fs"]);
+    fleet_args.extend(["--dir", "fs"]);
     let out = Command::new(CLI)
         .args(&fleet_args)
-        .env("GRIFFIN_FAULT", "kill:shard=one")
+        .env("GRIFFIN_FAULT", "kill:after=one")
         .current_dir(&dir)
         .output()
         .unwrap();
@@ -198,14 +181,14 @@ fn fleet_rejects_resuming_a_different_campaign_grid() {
     let dir = scratch_dir("mismatch");
     let mut fleet_args = vec!["fleet"];
     fleet_args.extend(CAMPAIGN);
-    fleet_args.extend(["--shards", "2", "--dir", "fs"]);
+    fleet_args.extend(["--dir", "fs"]);
     run(&fleet_args, &dir);
 
     // Same state dir, different seed axis → different grid → refused.
     let out = Command::new(CLI)
         .args([
-            "fleet", "synth", "b", "--tiles", "2", "--seeds", "2", "--fanin", "3", "--shards", "2",
-            "--dir", "fs", "--resume",
+            "fleet", "synth", "b", "--tiles", "2", "--seeds", "2", "--fanin", "3", "--dir", "fs",
+            "--resume",
         ])
         .current_dir(&dir)
         .output()
@@ -236,7 +219,7 @@ fn catches_sigint(pid: u32) -> bool {
 /// names a FIFO nobody has opened, so the fleet blocks opening it after
 /// installing its SIGINT handler. The signal is sent while it is parked
 /// there; the open resumes once the test opens the read end, and the
-/// run sees the abort before its first shard.
+/// run sees the abort before its first work item.
 #[cfg(target_os = "linux")]
 #[test]
 fn sigint_drains_cleanly_and_resume_completes_byte_identical() {
@@ -258,7 +241,7 @@ fn sigint_drains_cleanly_and_resume_completes_byte_identical() {
         .success());
     let mut fleet_args = vec!["fleet"];
     fleet_args.extend(CAMPAIGN);
-    fleet_args.extend(["--shards", "2", "--dir", "fs", "--csv", "fleet.csv"]);
+    fleet_args.extend(["--dir", "fs", "--csv", "fleet.csv"]);
     let child = Command::new(CLI)
         .args(&fleet_args)
         .args(["--events", "events.fifo"])
@@ -293,13 +276,14 @@ fn sigint_drains_cleanly_and_resume_completes_byte_identical() {
     );
 
     // The stream terminated with a campaign_failed naming the
-    // interrupt before any shard started, and every line parses.
+    // interrupt before any cell started, and every line parses.
     let last = events.lines().last().unwrap();
     assert!(
         last.contains("\"campaign_failed\"") && last.contains("interrupt"),
         "terminal event: {last}"
     );
-    assert!(!events.contains("\"ev\":\"shard_start\""), "{events}");
+    assert!(!events.contains("\"ev\":\"cell_start\""), "{events}");
+    assert!(!events.contains("\"ev\":\"cell_done\""), "{events}");
     for line in events.lines() {
         griffin::fleet::Event::parse_line(line).expect("every stream line parses");
     }
@@ -308,15 +292,7 @@ fn sigint_drains_cleanly_and_resume_completes_byte_identical() {
     // byte-identical to the single-process sweep.
     let mut resume_args = vec!["fleet"];
     resume_args.extend(CAMPAIGN);
-    resume_args.extend([
-        "--shards",
-        "2",
-        "--resume",
-        "--dir",
-        "fs",
-        "--csv",
-        "resumed.csv",
-    ]);
+    resume_args.extend(["--resume", "--dir", "fs", "--csv", "resumed.csv"]);
     run(&resume_args, &dir);
     assert_eq!(
         std::fs::read(dir.join("single.csv")).unwrap(),
@@ -331,7 +307,7 @@ fn the_removed_hosts_flag_is_an_unknown_flag() {
     let dir = scratch_dir("hosts");
     let mut fleet_args = vec!["fleet"];
     fleet_args.extend(CAMPAIGN);
-    fleet_args.extend(["--shards", "2", "--hosts", "local", "--dir", "fs"]);
+    fleet_args.extend(["--hosts", "local", "--dir", "fs"]);
     let out = Command::new(CLI)
         .args(&fleet_args)
         .current_dir(&dir)
@@ -372,11 +348,11 @@ fn the_removed_spawn_and_heartbeat_timeout_flags_are_unknown_flags() {
         ("--heartbeat-timeout", Some("500")),
     ] {
         // Anywhere on the line, last or followed by other flags.
-        let mut last = vec!["--shards", "2", "--dir", "fs", flag];
+        let mut last = vec!["--dir", "fs", flag];
         last.extend(value);
         let mut first = vec![flag];
         first.extend(value);
-        first.extend(["--shards", "2", "--dir", "fs"]);
+        first.extend(["--dir", "fs"]);
         for args in [last, first] {
             let out = fleet_with(&args, &dir);
             assert_eq!(out.status.code(), Some(2), "{args:?}: a usage error");
@@ -394,10 +370,7 @@ fn the_removed_spawn_and_heartbeat_timeout_flags_are_unknown_flags() {
 #[test]
 fn the_removed_retry_flag_is_an_unknown_flag() {
     let dir = scratch_dir("retries-flag");
-    let out = fleet_with(
-        &["--shards", "2", "--max-shard-retries", "1", "--dir", "fs"],
-        &dir,
-    );
+    let out = fleet_with(&["--max-shard-retries", "1", "--dir", "fs"], &dir);
     assert_eq!(out.status.code(), Some(2), "a usage error, not a run");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -413,16 +386,16 @@ fn bad_fleet_flag_values_name_the_flag_and_the_value() {
     let dir = scratch_dir("bad-values");
     for (args, expect) in [
         (
-            &["--shards", "0", "--dir", "fs"][..],
-            "--shards must be a positive integer, got `0`",
+            &["--heartbeat", "-1", "--dir", "fs"][..],
+            "--heartbeat must be a cell count (0 = off), got `-1`",
         ),
         (
-            &["--shards", "2", "--heartbeat", "x", "--dir", "fs"][..],
+            &["--heartbeat", "x", "--dir", "fs"][..],
             "--heartbeat must be a cell count (0 = off), got `x`",
         ),
         (
-            &["--dir", "fs", "--shards"][..],
-            "--shards requires a value",
+            &["--dir", "fs", "--heartbeat"][..],
+            "--heartbeat requires a value",
         ),
     ] {
         let out = fleet_with(args, &dir);
@@ -443,7 +416,7 @@ fn the_removed_stall_fault_is_refused_loudly() {
     let dir = scratch_dir("stall");
     let mut fleet_args = vec!["fleet"];
     fleet_args.extend(CAMPAIGN);
-    fleet_args.extend(["--shards", "2", "--dir", "fs"]);
+    fleet_args.extend(["--dir", "fs"]);
     let out = Command::new(CLI)
         .args(&fleet_args)
         .env("GRIFFIN_FAULT", "stall:shard=0:after=1:attempt=any")
@@ -455,6 +428,72 @@ fn the_removed_stall_fault_is_refused_loudly() {
     assert!(
         stderr.contains("GRIFFIN_FAULT") && stderr.contains("unknown fault `stall`"),
         "stderr: {stderr}"
+    );
+    assert!(!dir.join("fs").exists(), "refused before any state");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every input the retired shards read is refused by name, before any
+/// state is written: `fleet --shards`, `serve --shards`, a scenario's
+/// `[fleet] shards` and the fault plan's `shard=` field.
+#[test]
+fn the_removed_shard_inputs_are_refused_by_name() {
+    let dir = scratch_dir("shard-inputs");
+
+    let out = fleet_with(&["--shards", "2", "--dir", "fs"], &dir);
+    assert_eq!(out.status.code(), Some(2), "a usage error, not a run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("`--shards` is not a fleet or sweep option"),
+        "{stderr}"
+    );
+
+    let out = Command::new(CLI)
+        .args(["serve", "sd", "--shards", "2"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "a usage error, not a daemon");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown serve option `--shards`"),
+        "{stderr}"
+    );
+    assert!(!dir.join("sd").exists(), "no daemon state");
+
+    std::fs::write(
+        dir.join("sharded.toml"),
+        "[scenario]\nname = \"x\"\ncategories = [\"b\"]\nseeds = [1]\n\
+         [[workload]]\nsynthetic = \"synth\"\nlayers = 4\n\
+         [[arch]]\npreset = \"baseline\"\n[fleet]\nshards = 2\n",
+    )
+    .unwrap();
+    let out = Command::new(CLI)
+        .args(["fleet", "--scenario", "sharded.toml", "--dir", "fs"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "a usage error, not a run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("line 11") && stderr.contains("`shards` in [fleet] is no longer supported"),
+        "{stderr}"
+    );
+
+    let mut fleet_args = vec!["fleet"];
+    fleet_args.extend(CAMPAIGN);
+    fleet_args.extend(["--dir", "fs"]);
+    let out = Command::new(CLI)
+        .args(&fleet_args)
+        .env("GRIFFIN_FAULT", "kill:shard=1:after=1")
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "refused, not run clean");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("GRIFFIN_FAULT") && stderr.contains("the `shard` field was removed"),
+        "{stderr}"
     );
     assert!(!dir.join("fs").exists(), "refused before any state");
     std::fs::remove_dir_all(&dir).unwrap();

@@ -143,7 +143,7 @@ fn scenario_fleet_records_provenance_and_matches_sweep() {
         ],
         &dir,
     );
-    // ci-smoke.toml ships shards = 2: no fleet flags needed.
+    // A scenario needs no fleet flags.
     run(
         &[
             "fleet",
@@ -198,10 +198,9 @@ fn scenario_fleet_records_provenance_and_matches_sweep() {
 
     // A token-mode resume of the scenario-written journal works (and
     // vice versa): provenance never blocks the grid identity.
-    let plan = griffin::fleet::ShardPlan::new(&loaded.to_spec(), 2).unwrap();
     let token_header = JournalHeader {
         campaign: "sweep-synth-b".into(),
-        spec_fp: plan.spec_fp,
+        spec_fp: griffin::fleet::spec_fingerprint(&loaded.to_spec()),
         cells: 7,
         scenario: None,
     };

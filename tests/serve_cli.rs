@@ -148,7 +148,7 @@ fn two_clients_one_execution_reports_identical_to_sweep() {
     let summary = Json::parse(
         String::from_utf8_lossy(&watch.stdout)
             .lines()
-            .find(|l| l.contains("griffin-watch-summary/1"))
+            .find(|l| l.contains("griffin-watch-summary/2"))
             .expect("summary line"),
     )
     .unwrap();

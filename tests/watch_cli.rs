@@ -1,7 +1,7 @@
 //! End-to-end CLI tests of the observability layer: `fleet watch`
 //! (one-shot JSON, live follow) and `fleet report --html`, pinned
 //! against `events.jsonl` ground truth — including on a chaos fleet
-//! whose shard is killed mid-campaign and then resumed.
+//! that is killed mid-campaign and then resumed.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -37,12 +37,12 @@ fn run(args: &[&str], cwd: &Path) -> std::process::Output {
     out
 }
 
-/// Parses the one-line `griffin-watch-summary/1` JSON from stdout.
+/// Parses the one-line `griffin-watch-summary/2` JSON from stdout.
 fn summary_of(out: &std::process::Output) -> Json {
     let text = String::from_utf8_lossy(&out.stdout);
     let line = text
         .lines()
-        .find(|l| l.contains("griffin-watch-summary/1"))
+        .find(|l| l.contains("griffin-watch-summary/2"))
         .unwrap_or_else(|| panic!("no summary line in: {text}"));
     Json::parse(line).expect("summary parses")
 }
@@ -51,16 +51,16 @@ fn field(j: &Json, key: &str) -> f64 {
     j.req(key).and_then(Json::as_f64).unwrap()
 }
 
-/// Runs the [`CAMPAIGN`] fleet in `dir` with shard 1 killed after one
-/// cell, and checks that it fails. Returns the fleet flags, so the
+/// Runs the [`CAMPAIGN`] fleet in `dir`, killed after one cell, and
+/// checks that it fails. Returns the fleet flags, so the
 /// caller can resume with them.
 fn killed_fleet(dir: &Path) -> Vec<&'static str> {
     let mut fleet_args = vec!["fleet"];
     fleet_args.extend(CAMPAIGN);
-    fleet_args.extend(["--shards", "2", "--dir", "fs", "--heartbeat", "1"]);
+    fleet_args.extend(["--dir", "fs", "--heartbeat", "1"]);
     let out = Command::new(CLI)
         .args(&fleet_args)
-        .env("GRIFFIN_FAULT", "kill:shard=1:after=1")
+        .env("GRIFFIN_FAULT", "kill:after=1")
         .current_dir(dir)
         .output()
         .unwrap();
@@ -77,8 +77,8 @@ fn killed_fleet(dir: &Path) -> Vec<&'static str> {
 fn watch_json_matches_event_stream_ground_truth_on_a_chaos_fleet() {
     let dir = scratch_dir("chaos");
 
-    // A fleet whose shard 1 dies after one cell fails; the resume
-    // appends a second run to the same stream and finishes it.
+    // A fleet that dies after one cell fails; the resume appends a
+    // second run to the same stream and finishes it.
     let mut fleet_args = killed_fleet(&dir);
     fleet_args.push("--resume");
     run(&fleet_args, &dir);
@@ -94,7 +94,7 @@ fn watch_json_matches_event_stream_ground_truth_on_a_chaos_fleet() {
     assert_eq!(
         events
             .lines()
-            .filter(|l| l.contains("\"ev\":\"shard_failed\""))
+            .filter(|l| l.contains("\"ev\":\"campaign_failed\""))
             .count(),
         1,
         "the killed run failed once"
@@ -114,11 +114,6 @@ fn watch_json_matches_event_stream_ground_truth_on_a_chaos_fleet() {
         1,
         "killed once, resumed once"
     );
-    assert_eq!(
-        field(&s, "retries") as usize,
-        count("\"ev\":\"shard_retried\""),
-    );
-    assert_eq!(field(&s, "retries") as usize, 0, "no retries");
     assert_eq!(field(&s, "done") as usize, field(&s, "cells") as usize);
     assert_eq!(field(&s, "cells") as usize, 7, "synth fan-in 3 grid");
     assert_eq!(
@@ -133,9 +128,11 @@ fn watch_json_matches_event_stream_ground_truth_on_a_chaos_fleet() {
             .count(),
     );
     assert_eq!(
-        field(&s, "failures") as usize,
-        count("\"ev\":\"shard_failed\""),
+        field(&s, "resumed") as usize + field(&s, "cell_events") as usize,
+        7,
+        "the killed run's one cell resumes, the rest stream once"
     );
+    assert_eq!(field(&s, "resumed") as usize, 1);
     assert_eq!(field(&s, "parse_errors") as usize, 0);
     assert_eq!(s.req("state").unwrap().as_str().unwrap(), "done");
 
@@ -214,7 +211,7 @@ fn html_report_is_emitted_and_self_contained() {
 
     let mut fleet_args = vec!["fleet"];
     fleet_args.extend(CAMPAIGN);
-    fleet_args.extend(["--shards", "2", "--dir", "fs"]);
+    fleet_args.extend(["--dir", "fs"]);
     run(&fleet_args, &dir);
 
     run(&["fleet", "report", "fs", "--html", "page.html"], &dir);
@@ -226,7 +223,7 @@ fn html_report_is_emitted_and_self_contained() {
     );
     assert!(page.contains("sweep-synth-b"), "campaign name on the page");
     assert!(page.contains("7 of 7 cells (100.0%)"), "progress rendered");
-    assert!(page.contains("griffin-watch-summary/1"), "summary embedded");
+    assert!(page.contains("griffin-watch-summary/2"), "summary embedded");
 
     // Default output path: <dir>/report.html.
     run(&["fleet", "report", "fs"], &dir);
@@ -241,7 +238,7 @@ fn watch_json_follow_streams_summaries_and_watch_errors_cleanly() {
 
     let mut fleet_args = vec!["fleet"];
     fleet_args.extend(CAMPAIGN);
-    fleet_args.extend(["--shards", "2", "--dir", "fs"]);
+    fleet_args.extend(["--dir", "fs"]);
     run(&fleet_args, &dir);
 
     // --json-follow on a finished stream: at least one summary line,
