@@ -3,54 +3,54 @@
 //! A fleet run owns one state directory:
 //!
 //! ```text
-//! <dir>/journal.jsonl   append-only resume journal (coordinator-owned)
+//! <dir>/journal.jsonl   the grid-identity header, written once at start
 //! <dir>/events.jsonl    JSONL event stream (the CLI's default sink)
-//! <dir>/cache/          the campaign's result cache
+//! <dir>/cache/          the campaign's result cache: the resume record
 //! ```
 //!
 //! [`run_fleet`] is one pass of the sweep executor over the whole grid,
 //! against one result cache (`<dir>/cache/`, or
 //! [`FleetConfig::shared_cache`] when a resident driver supplies one).
-//! Its observer streams the campaign's events and journals every
-//! completed cell; cells the journal held at start are served again
-//! (from the cache, or re-simulated if only an old directory layout held
-//! them) but stay silent. The records of that pass are the report,
-//! which makes fleet reports **byte-identical** to a single-process
+//! Its observer streams the campaign's events; cells resumed at start
+//! are served again from the cache but stay silent. The records of that
+//! pass are the report, which makes fleet reports **byte-identical** to
+//! a single-process
 //! [`run_campaign`](griffin_sweep::executor::run_campaign) of the same
 //! spec, regardless of interruption or resume history.
 //!
 //! # Failure and resume
 //!
 //! An injected fault from [`FleetConfig::fault`] (see
-//! [`fault::FaultPlan`]), a journal or sink error or an executor error
-//! fails the campaign; **every** exit path, success or any failure,
-//! ends the event stream with exactly one terminal event
-//! (`campaign_done` / `campaign_failed`). The journal is left
-//! resumable: `--resume` skips every journaled cell and finishes the
-//! campaign. The external abort flag ([`FleetConfig::abort`] — the
-//! CLI's SIGINT handler, the serve daemon's cancel) is checked before
-//! each (family, layer) work item and fails the campaign the same way.
+//! [`fault::FaultPlan`]), a sink error or an executor error fails the
+//! campaign; **every** exit path, success or any failure, ends the
+//! event stream with exactly one terminal event (`campaign_done` /
+//! `campaign_failed`). The executor writes each cell to the cache before
+//! it reports the cell, so the cache holds every completed cell at any
+//! crash point: `--resume` verifies the journal header and resumes every
+//! cell the cache holds. The external abort flag
+//! ([`FleetConfig::abort`] — the CLI's SIGINT handler, the serve
+//! daemon's cancel) is checked before each (family, layer) work item
+//! and fails the campaign the same way; so does the first sink error.
 //!
-//! Directories written before the fleet kept one cache (per-shard
-//! `shard-<i>/` caches and a `merged/` union) still resume: their
-//! journal is honoured, and the pass re-simulates the cells the new
-//! `cache/` does not hold yet.
+//! A directory whose `cache/` lacks cells resumes by reporting them: a
+//! directory in the layout written before the fleet kept one cache
+//! (per-shard `shard-<i>/` caches and a `merged/` union), or one a serve
+//! daemon ran against its shared cache, re-simulates and reports every
+//! cell its own `cache/` does not hold.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use griffin_sweep::cache::{CacheStats, ResultCache};
 use griffin_sweep::executor::{run_cells, CampaignReport, CellEvent, SweepError};
-use griffin_sweep::fingerprint::Fingerprint;
 use griffin_sweep::scenario::ScenarioProvenance;
 use griffin_sweep::spec::{Cell, SweepSpec};
 
 use crate::events::{Event, EventSink};
 use crate::fault::{self, Fault, FaultPlan};
-use crate::journal::{Journal, JournalError, JournalHeader};
-use crate::plan::spec_fingerprint;
+use crate::journal::{spec_fingerprint, JournalError, JournalHeader};
 
 /// Configuration of a fleet campaign.
 #[derive(Debug, Clone)]
@@ -59,7 +59,8 @@ pub struct FleetConfig {
     pub workers: usize,
     /// Fleet state directory (journal, event stream, result cache).
     pub dir: PathBuf,
-    /// Resume from an existing journal instead of starting fresh.
+    /// Resume: verify an existing journal header and skip the cells the
+    /// cache holds, instead of starting fresh.
     pub resume: bool,
     /// Emit a heartbeat every this many cell completions (0 disables
     /// heartbeats).
@@ -67,8 +68,9 @@ pub struct FleetConfig {
     /// External abort flag (the CLI's SIGINT handler and the serve
     /// daemon's cancel set it): the executor checks it before each
     /// (family, layer) work item, and the campaign fails with
-    /// [`FleetError::Interrupted`] — journal intact, stream closed by a
-    /// terminal `campaign_failed`.
+    /// [`FleetError::Interrupted`] — cache intact, stream closed by a
+    /// terminal `campaign_failed`. The coordinator raises it too when
+    /// the event sink fails.
     pub abort: Option<Arc<AtomicBool>>,
     /// Deterministic fault injection for chaos tests (see
     /// [`crate::fault`]). `None` in production.
@@ -104,7 +106,7 @@ impl FleetConfig {
 /// Fleet campaign failure.
 #[derive(Debug)]
 pub enum FleetError {
-    /// The journal could not be opened, verified or appended.
+    /// The journal header could not be written, read or verified.
     Journal(JournalError),
     /// Filesystem or event-stream failure.
     Io(std::io::Error),
@@ -113,7 +115,7 @@ pub enum FleetError {
     /// A [`FaultPlan`] fault fired (chaos tests only).
     Injected(Fault),
     /// The external abort flag ([`FleetConfig::abort`]) was raised —
-    /// typically the CLI's SIGINT handler. The journal stays resumable.
+    /// typically the CLI's SIGINT handler. The campaign stays resumable.
     Interrupted,
 }
 
@@ -126,7 +128,7 @@ impl std::fmt::Display for FleetError {
             FleetError::Injected(fault) => write!(f, "fault injected: {fault}"),
             FleetError::Interrupted => write!(
                 f,
-                "campaign aborted by interrupt (journal intact; rerun with --resume)"
+                "campaign aborted by interrupt (cache intact; rerun with --resume)"
             ),
         }
     }
@@ -170,20 +172,19 @@ pub fn default_events_path(dir: &Path) -> PathBuf {
     dir.join("events.jsonl")
 }
 
-/// Sink + journal behind one lock: events and journal appends from the
-/// executor's worker threads serialize through it, and the first
-/// failure parks here — later events and appends are dropped instead of
-/// carrying on against a broken sink or journal, and the pass returns
-/// the error once the executor is done.
+/// The sink behind one lock: events from the executor's worker threads
+/// serialize through it, and the first failure parks here and raises
+/// the pass's abort flag — later events are dropped instead of carrying
+/// on against a broken sink, the executor stops within one work item,
+/// and the pass returns the parked error once the executor is done.
 struct Shared<'a> {
     sink: &'a mut dyn EventSink,
-    journal: &'a mut Journal,
+    abort: &'a AtomicBool,
     err: Option<FleetError>,
-    /// `cell_done` events so far (which drive the heartbeat and the
-    /// truncate-journal fault point), and how many were cached.
+    /// `cell_done` events so far (which drive the heartbeat), and how
+    /// many were cached.
     done: usize,
     cached: usize,
-    truncate_journal_after: Option<usize>,
 }
 
 impl Shared<'_> {
@@ -193,24 +194,7 @@ impl Shared<'_> {
         }
         if let Err(e) = self.sink.emit(ev) {
             self.err = Some(FleetError::Io(e));
-        }
-    }
-
-    fn record_done(&mut self, cell: usize, fp: Fingerprint) {
-        if self.err.is_some() {
-            return;
-        }
-        if let Err(e) = self.journal.append(cell, fp) {
-            self.err = Some(FleetError::Io(e));
-            return;
-        }
-        if self.truncate_journal_after == Some(self.done) {
-            // Simulated coordinator crash mid-append: tear the tail and
-            // abort.
-            let _ = self.journal.tear_tail_for_fault();
-            self.err = Some(FleetError::Injected(Fault::TruncateJournal {
-                after: self.done,
-            }));
+            self.abort.store(true, Ordering::Relaxed);
         }
     }
 }
@@ -230,8 +214,8 @@ fn finish_with_terminal(
 }
 
 /// Runs a campaign as one pass over its grid, with completions streamed
-/// to `sink` and journaled for resume. See the module docs for the
-/// state layout, the byte-identity guarantee and the failure model.
+/// to `sink` and cached for resume. See the module docs for the state
+/// layout, the byte-identity guarantee and the failure model.
 ///
 /// On success, `resumed` on `campaign_start` plus the `cell_done`
 /// events of the run add up to the grid's cell count.
@@ -239,9 +223,9 @@ fn finish_with_terminal(
 /// # Errors
 ///
 /// [`FleetError`] on journal/executor failures, an injected fault or an
-/// interrupt; a sink write failure aborts the campaign too.
-/// Already-journaled cells resume, and every failure still terminates
-/// the stream with `campaign_failed`.
+/// interrupt; a sink write failure aborts the campaign too. Cached
+/// cells resume, and every failure still terminates the stream with
+/// `campaign_failed`.
 pub fn run_fleet(
     spec: &SweepSpec,
     cfg: &FleetConfig,
@@ -263,19 +247,31 @@ fn run_fleet_inner(
     let spec_fp = spec_fingerprint(spec);
     let cells = spec.cells();
     std::fs::create_dir_all(&cfg.dir)?;
-    let mut journal = Journal::open(
-        journal_path(&cfg.dir),
-        &JournalHeader {
-            campaign: spec.name.clone(),
-            spec_fp,
-            cells: cells.len(),
-            scenario: cfg.scenario.clone(),
-        },
-        cfg.resume,
-    )?;
+    let header = JournalHeader {
+        campaign: spec.name.clone(),
+        spec_fp,
+        cells: cells.len(),
+        scenario: cfg.scenario.clone(),
+    };
+    let journal = journal_path(&cfg.dir);
+    let resuming = cfg.resume && journal.exists();
+    if resuming {
+        header.verify(&journal)?;
+    } else {
+        header.write(&journal)?;
+    }
+    let local_cache;
+    let cache: &ResultCache = match &cfg.shared_cache {
+        Some(shared) => shared,
+        None => {
+            local_cache = ResultCache::at_dir(cache_dir(&cfg.dir))?;
+            &local_cache
+        }
+    };
+    // The cache is the resume record: a resumed cell is one it holds.
     let resumed: Vec<bool> = cells
         .iter()
-        .map(|c| journal.is_completed(c.index))
+        .map(|c| resuming && cache.holds(c.fingerprint(&spec.sim)))
         .collect();
     let resumed_count = resumed.iter().filter(|&&r| r).count();
     sink.emit(&Event::CampaignStart {
@@ -285,17 +281,9 @@ fn run_fleet_inner(
         resumed: resumed_count,
         scenario: cfg.scenario.clone(),
     })?;
-    let local_cache;
-    let cache: &ResultCache = match &cfg.shared_cache {
-        Some(shared) => shared,
-        None => {
-            local_cache = ResultCache::at_dir(cache_dir(&cfg.dir))?;
-            &local_cache
-        }
-    };
     let fault = cfg.fault.as_ref();
-    // A kill runs the first K cells the journal does not hold, then
-    // dies; every other run is one pass over the whole grid.
+    // A kill runs the first K cells not resumed, then dies; every other
+    // run is one pass over the whole grid.
     let kill = fault.and_then(FaultPlan::kill_after);
     let todo: Vec<Cell> = match kill {
         Some(k) => cells
@@ -307,20 +295,19 @@ fn run_fleet_inner(
         None => cells,
     };
     let total = todo.iter().filter(|c| !resumed[c.index]).count();
-    let never = AtomicBool::new(false);
-    let abort = cfg.abort.as_deref().unwrap_or(&never);
+    let own_abort = AtomicBool::new(false);
+    let abort = cfg.abort.as_deref().unwrap_or(&own_abort);
     let stats0 = cache.stats();
     let shared = Mutex::new(Shared {
         sink,
-        journal: &mut journal,
+        abort,
         err: None,
         done: 0,
         cached: 0,
-        truncate_journal_after: fault.and_then(FaultPlan::journal_truncate_after),
     });
     let heartbeat_every = cfg.heartbeat_every;
     let observe = |ev: &CellEvent<'_>| match ev {
-        // Cells the journal held at start were reported by an earlier
+        // Cells the cache held at start were reported by an earlier
         // run: the pass serves them again, silently.
         CellEvent::Started { cell, .. } | CellEvent::Finished { cell, .. }
             if resumed[cell.index] => {}
@@ -345,7 +332,6 @@ fn run_fleet_inner(
             });
             g.done += 1;
             g.cached += usize::from(*cached);
-            g.record_done(cell.index, *fingerprint);
             if heartbeat_every > 0 && g.done.is_multiple_of(heartbeat_every) {
                 let hb = Event::Heartbeat {
                     done: g.done,

@@ -92,15 +92,18 @@ pub const EVENTS_FORMAT_V1: &str = "griffin-fleet-events/1";
 /// One line of the campaign event stream.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
-    /// The coordinator accepted a plan and (possibly resumed) journal.
+    /// The coordinator accepted a plan and wrote (or, on a resume,
+    /// verified) the journal header.
     CampaignStart {
         /// Campaign name from the spec.
         campaign: String,
-        /// Stable grid identity ([`crate::plan::spec_fingerprint`]).
+        /// Stable grid identity ([`crate::journal::spec_fingerprint`]).
         spec_fp: Fingerprint,
         /// Total grid cells.
         cells: usize,
-        /// Cells restored from the journal (0 on a fresh run).
+        /// Cells a resume found in the campaign cache at start: served
+        /// again silently, with no `cell_start`/`cell_done` (0 on a
+        /// fresh run).
         resumed: usize,
         /// Scenario provenance (`scenario_file` + `scenario_fp` on the
         /// wire) when the campaign was launched from a scenario file;
@@ -114,7 +117,8 @@ pub enum Event {
         shard: usize,
         /// Cells planned onto this shard.
         cells: usize,
-        /// Cells skipped as journal-completed.
+        /// Cells skipped as journal-completed (by the coordinator that
+        /// wrote the stream).
         skipped: usize,
     },
     /// A worker thread began simulating a cell (cache misses only).

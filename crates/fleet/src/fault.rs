@@ -8,9 +8,9 @@
 //! ([`run_fleet`](crate::coordinator::run_fleet)) consults the plan
 //! directly ([`FleetConfig::fault`](crate::coordinator::FleetConfig));
 //! the CLI reads it from the [`FAULT_ENV`] (`GRIFFIN_FAULT`) environment
-//! variable. Every fault fails the campaign (or, for `corrupt-cache`,
-//! damages what a later run reads), and the recovery is always the same:
-//! `--resume` with the fault cleared.
+//! variable. A `kill` fails the campaign and a `corrupt-cache` damages
+//! what a later run reads; the recovery is always the same: `--resume`
+//! with the fault cleared.
 //!
 //! The plan has a compact textual form (what the env var carries),
 //! faults separated by `;`:
@@ -18,16 +18,17 @@
 //! ```text
 //! kill:after=2                    the campaign dies after 2 completions
 //! corrupt-cache                   the cache is torn mid-write after the pass
-//! truncate-journal:after=3        the journal loses its tail mid-append
 //! ```
 //!
 //! Determinism: "after N completions" is implemented by *truncating the
-//! pass* to the first N cells (grid order) the journal does not hold,
-//! so the set of journaled cells at the moment of death is a pure
-//! function of the plan — no racing a concurrent executor.
+//! pass* to the first N cells (grid order) not resumed, so the set of
+//! cached cells at the moment of death is a pure function of the plan —
+//! no racing a concurrent executor.
 //!
-//! The `shard=` field of older plans is refused by name: a campaign is
-//! one pass over the grid, so there is no shard to aim at.
+//! Removed parts of older plans are refused by name: the `shard=` field
+//! (a campaign is one pass over the grid, so there is no shard to aim
+//! at) and the `truncate-journal` fault (the journal is one header line
+//! written at start, with no per-cell tail to tear).
 
 use std::fmt;
 use std::io;
@@ -40,7 +41,7 @@ pub const FAULT_ENV: &str = "GRIFFIN_FAULT";
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// The campaign dies abruptly after completing (and streaming) the
-    /// first `after` cells the journal does not hold, then ends with a
+    /// first `after` cells not resumed, then ends with a
     /// terminal `campaign_failed`. The simulated crash: `--resume`
     /// finishes the campaign.
     Kill {
@@ -54,14 +55,6 @@ pub enum Fault {
     /// memory; the next run reading the directory skips both and
     /// re-simulates the torn entry.
     CorruptCache,
-    /// The coordinator "crashes" mid-append: after the `after`-th
-    /// journal append (campaign-wide), a torn, newline-less half entry
-    /// is written and the campaign aborts with a terminal
-    /// `campaign_failed`. Exercises `--resume`'s truncation tolerance.
-    TruncateJournal {
-        /// Campaign-wide journal appends before the torn write.
-        after: usize,
-    },
 }
 
 /// Fault-plan parse failure.
@@ -88,7 +81,6 @@ impl fmt::Display for Fault {
         match *self {
             Fault::Kill { after } => write!(f, "kill:after={after}"),
             Fault::CorruptCache => write!(f, "corrupt-cache"),
-            Fault::TruncateJournal { after } => write!(f, "truncate-journal:after={after}"),
         }
     }
 }
@@ -160,24 +152,19 @@ impl FaultPlan {
             // The kind is judged before its fields, so an unknown kind
             // reads as unknown whatever fields it carries.
             let after = parse_after(&mut parts, kind);
-            let needs_after = |after: Option<usize>| {
-                after.map_or_else(|| fail(format!("`{kind}` needs after=N")), Ok)
-            };
             let fault = match kind {
-                "kill" => after.and_then(|a| {
-                    Ok(Fault::Kill {
-                        after: needs_after(a)?,
-                    })
+                "kill" => after.and_then(|a| match a {
+                    Some(after) => Ok(Fault::Kill { after }),
+                    None => fail("`kill` needs after=N"),
                 }),
                 "corrupt-cache" => after.and_then(|a| match a {
                     None => Ok(Fault::CorruptCache),
                     Some(_) => fail("`corrupt-cache` takes no fields"),
                 }),
-                "truncate-journal" => after.and_then(|a| {
-                    Ok(Fault::TruncateJournal {
-                        after: needs_after(a)?,
-                    })
-                }),
+                "truncate-journal" => fail(
+                    "the `truncate-journal` fault was removed; the journal is one header \
+                     line written at start, and the campaign cache records finished cells",
+                ),
                 other => fail(format!("unknown fault `{other}`")),
             };
             faults.push(fault?);
@@ -199,15 +186,6 @@ impl FaultPlan {
     /// Whether the plan tears the cache after the pass.
     pub fn corrupts_cache(&self) -> bool {
         self.faults.contains(&Fault::CorruptCache)
-    }
-
-    /// Campaign-wide journal appends before a [`Fault::TruncateJournal`]
-    /// fires, if any.
-    pub fn journal_truncate_after(&self) -> Option<usize> {
-        self.faults.iter().find_map(|f| match *f {
-            Fault::TruncateJournal { after } => Some(after),
-            _ => None,
-        })
     }
 }
 
@@ -266,8 +244,7 @@ mod tests {
             "kill:after=2",
             "kill:after=0",
             "corrupt-cache",
-            "truncate-journal:after=3",
-            "kill:after=2;corrupt-cache;truncate-journal:after=9",
+            "kill:after=2;corrupt-cache",
         ];
         for text in plans {
             let plan = FaultPlan::parse(text).unwrap();
@@ -286,7 +263,6 @@ mod tests {
             "kill:after=x",          // bad number
             "kill:after=2:zap",      // not key=value
             "kill:after=2:k=v",      // unknown field
-            "truncate-journal",      // missing after
             "corrupt-cache:after=1", // takes no fields
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "`{bad}` must be rejected");
@@ -298,12 +274,10 @@ mod tests {
         let plan = FaultPlan::parse("kill:after=2").unwrap();
         assert_eq!(plan.kill_after(), Some(2));
         assert!(!plan.corrupts_cache());
-        assert_eq!(plan.journal_truncate_after(), None);
 
-        let plan = FaultPlan::parse("corrupt-cache;truncate-journal:after=7").unwrap();
+        let plan = FaultPlan::parse("corrupt-cache").unwrap();
         assert!(plan.corrupts_cache());
         assert_eq!(plan.kill_after(), None);
-        assert_eq!(plan.journal_truncate_after(), Some(7));
     }
 
     #[test]
@@ -312,11 +286,25 @@ mod tests {
             "kill:shard=1:after=2",
             "kill:after=2:shard=0",
             "corrupt-cache:shard=2",
-            "truncate-journal:after=3:shard=1",
         ] {
             let err = FaultPlan::parse(text).unwrap_err();
             assert!(
                 err.msg.contains("the `shard` field was removed"),
+                "{text}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_removed_truncate_journal_fault_is_refused_by_name() {
+        for text in [
+            "truncate-journal:after=3",
+            "truncate-journal",
+            "kill:after=1;truncate-journal:after=0",
+        ] {
+            let err = FaultPlan::parse(text).unwrap_err();
+            assert!(
+                err.msg.contains("the `truncate-journal` fault was removed"),
                 "{text}: {err}"
             );
         }

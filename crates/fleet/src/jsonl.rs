@@ -1,9 +1,9 @@
 //! Shared JSONL line framing.
 //!
-//! Every append-only stream in the workspace — the fleet event stream,
-//! the campaign journal, and the serve daemon's wire protocol — writes
-//! one JSON object per line and is read back through the torn-tail rule
-//! in [`crate::tail`]. This module is the single writer-side half of
+//! Every append-only stream in the workspace — the fleet event stream
+//! and the serve daemon's wire protocol — writes one JSON object per
+//! line and is read back through the torn-tail rule in [`crate::tail`]
+//! (the campaign journal's one header line is written the same way). This module is the single writer-side half of
 //! that contract: a record and its terminating newline are emitted as
 //! **one** `write_all` call, so an interrupted append can only ever
 //! leave a partial *line*, never interleave with a concurrent record or

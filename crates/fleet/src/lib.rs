@@ -2,28 +2,28 @@
 //!
 //! `griffin-sweep` executes one campaign in one pass; this crate makes
 //! that pass a **fleet** campaign that survives being stopped: progress
-//! streams as append-only JSONL events, completions are journaled for
-//! crash-safe resume, and the pass writes one campaign cache. The
-//! report is **byte-identical** to a single-process sweep of the same
-//! spec.
+//! streams as append-only JSONL events, a journal header records which
+//! grid the directory belongs to, and the pass writes one campaign
+//! cache. The report is **byte-identical** to a single-process sweep of
+//! the same spec.
 //!
 //! Campaigns are **resumable**: a failure, an interrupt or a cancel
 //! fails the campaign with a terminal `campaign_failed` event, and
-//! `--resume` skips every journaled cell and finishes it. Every failure
-//! and recovery path is exercised deterministically through
-//! [`fault::FaultPlan`].
+//! `--resume` verifies the journal header and finishes the campaign.
+//! The campaign cache, not the journal, is the resume record: every
+//! cell the cache holds at start is resumed. Every failure and recovery
+//! path is exercised deterministically through [`fault::FaultPlan`].
 //!
-//! * [`plan`] — the campaign spec fingerprint that guards resume,
+//! * [`journal`] — the journal header (campaign name, cell count and
+//!   [`spec_fingerprint`]) that guards `--resume`,
 //! * [`events`] — the JSONL event schema and its sinks,
-//! * [`journal`] — the append-only completed-cell journal behind
-//!   `--resume`,
 //! * [`jsonl`] — the one-record-one-write line framing every
-//!   append-only stream (events, journal, serve wire) goes through,
-//! * [`tail`] — the truncation-tolerant line-tail rule shared by the
-//!   journal loader and live event-stream consumers,
+//!   append-only stream (events, serve wire) goes through,
+//! * [`tail`] — the truncation-tolerant line-tail rule shared by
+//!   one-shot and live event-stream consumers,
 //! * [`coordinator`] — the campaign coordinator ([`run_fleet`]),
-//! * [`fault`] — deterministic fault injection (a kill, cache and
-//!   journal corruption) for chaos tests.
+//! * [`fault`] — deterministic fault injection (a kill, cache
+//!   corruption) for chaos tests.
 //!
 //! # Example
 //!
@@ -55,7 +55,6 @@ pub mod events;
 pub mod fault;
 pub mod journal;
 pub mod jsonl;
-pub mod plan;
 pub mod tail;
 
 pub use coordinator::{
@@ -63,6 +62,5 @@ pub use coordinator::{
 };
 pub use events::{Event, EventError, EventSink, JsonlSink, NullSink, EVENTS_FORMAT};
 pub use fault::{Fault, FaultError, FaultPlan, FAULT_ENV};
-pub use journal::{Journal, JournalError, JournalHeader, JOURNAL_FORMAT};
-pub use plan::spec_fingerprint;
+pub use journal::{spec_fingerprint, JournalError, JournalHeader, JOURNAL_FORMAT};
 pub use tail::{complete_lines, split_partial_tail, TailCursor, TailPoll};

@@ -1,11 +1,10 @@
 //! Truncation-tolerant line tailing over append-only JSONL files.
 //!
-//! Both fleet stream formats — the journal and the campaign event
-//! stream — are appended one `\n`-terminated JSON line at a time, so an
-//! interruption can only leave a *partial trailing line*. This module
-//! is the one place that rule is implemented: [`split_partial_tail`]
-//! separates a buffer's cleanly-terminated prefix from its torn tail
-//! (used by [`crate::journal`] when loading, and by one-shot stream
+//! The campaign event stream (and the serve daemon's wire) is appended
+//! one `\n`-terminated JSON line at a time, so an interruption can only
+//! leave a *partial trailing line*. This module is the one place that
+//! rule is implemented: [`split_partial_tail`] separates a buffer's
+//! cleanly-terminated prefix from its torn tail (used by one-shot stream
 //! readers), and [`TailCursor`] turns the same rule into an incremental
 //! follower for live consumers (`fleet watch`) — a torn tail is simply
 //! *not yet* a line, and is yielded whole once its remaining bytes (and
@@ -52,7 +51,7 @@ pub fn complete_lines(text: &str) -> impl Iterator<Item = &str> {
 pub const MAX_POLL_BYTES: u64 = 1 << 20;
 
 /// Longest line (terminator excluded) a [`TailCursor`] yields or
-/// buffers. Real journal and event lines are a few hundred bytes.
+/// buffers. Real event lines are a few hundred bytes.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// What one [`TailCursor::poll`] observed.
@@ -285,45 +284,6 @@ mod tests {
         let p = cur.poll().unwrap();
         assert!(p.truncated, "shrink must be reported");
         assert_eq!(p.lines, ["new-1"], "new stream read from the top");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn cursor_and_journal_agree_on_a_torn_final_line() {
-        // The pin required by the shared-tail refactor: on the same
-        // torn file, the journal's loader and the tail cursor must make
-        // the same call — complete lines count, the torn tail does not.
-        use crate::journal::{Journal, JournalHeader};
-        use griffin_sweep::fingerprint::Fingerprint;
-
-        let path = tmp("agree");
-        let header = JournalHeader {
-            campaign: "t".into(),
-            spec_fp: Fingerprint(1, 2),
-            cells: 8,
-            scenario: None,
-        };
-        drop(Journal::create(&path, &header).unwrap());
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("{\"cell\":3,\"fp\":\"00000000000000030000000000000003\"}\n");
-        text.push_str("{\"cell\":5,\"fp\":\"00000000000000"); // torn mid-append
-        std::fs::write(&path, &text).unwrap();
-
-        let mut cur = TailCursor::new(&path);
-        let lines = cur.poll().unwrap().lines;
-        assert_eq!(lines.len(), 2, "header + one complete entry");
-
-        let completed = Journal::peek_completed(&path, &header).unwrap();
-        assert_eq!(
-            completed.keys().copied().collect::<Vec<_>>(),
-            vec![3],
-            "journal accepts exactly the complete entries the cursor yields"
-        );
-        assert_eq!(
-            completed.len(),
-            lines.len() - 1,
-            "identical torn-line verdict"
-        );
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -1,6 +1,6 @@
 //! Chaos tests of the fleet's failure handling: every failure is driven
-//! by a deterministic [`FaultPlan`] (or the abort flag) and pinned to
-//! the same invariant — the campaign fails cleanly with a terminal
+//! by a deterministic [`FaultPlan`], the abort flag or a failing sink,
+//! and pinned to the same invariant — the campaign fails cleanly with a terminal
 //! `campaign_failed` event, and `--resume` then produces a report
 //! **byte-identical** to an unfaulted single-process sweep.
 
@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use griffin_core::arch::ArchSpec;
 use griffin_core::category::DnnCategory;
-use griffin_fleet::coordinator::{cache_dir, journal_path, run_fleet, FleetConfig, FleetError};
+use griffin_fleet::coordinator::{cache_dir, run_fleet, FleetConfig, FleetError};
 use griffin_fleet::events::{Event, EventSink};
 use griffin_fleet::fault::{Fault, FaultPlan};
 use griffin_sim::config::{Fidelity, SimConfig};
@@ -109,7 +109,7 @@ fn in_process_kill_fails_the_campaign_and_resume_stays_byte_identical() {
         other => panic!("expected the injected kill, got {other:?}"),
     }
 
-    // The first cell in grid order completes and is journaled; then the
+    // The first cell in grid order completes and is cached; then the
     // campaign dies with a terminal `campaign_failed`, and no shard
     // lifecycle line is written.
     let done: Vec<usize> = rec
@@ -159,13 +159,13 @@ fn torn_cache_is_re_simulated_by_the_resume() {
         "the stray tmp was left in the campaign cache"
     );
 
-    // Every cell is journaled, so the resume reports no cell; its pass
-    // reads the torn directory and re-simulates exactly the torn entry.
+    // The torn entry is not a readable cache entry, so the resume
+    // reports exactly that cell, re-simulated; the rest are resumed.
     let (resumed, events) = resume_matches(&spec, &cfg, &single);
     assert_eq!(
         resumed_and_done(&events),
-        (12, 0),
-        "every cell was journaled"
+        (11, 1),
+        "only the torn cell is not resumed"
     );
     assert_eq!(resumed.cache.misses, 1, "only the torn entry re-simulates");
     std::fs::remove_dir_all(&dir).unwrap();
@@ -188,11 +188,11 @@ impl EventSink for AbortAtFirstCellDone {
     }
 }
 
-#[test]
-fn abort_at_the_first_cell_done_fails_cleanly_and_resume_recovers() {
-    // Three families of eight layers each: the abort lands when the
-    // first family finishes, with most (family, layer) items unclaimed.
-    let spec = SweepSpec::new("fleet-abort")
+/// Three families of eight layers each: a stop at the first
+/// `cell_done` lands when the first family finishes, with most
+/// (family, layer) items unclaimed.
+fn three_families() -> SweepSpec {
+    SweepSpec::new("fleet-abort")
         .synthetic("net", 8)
         .categories([DnnCategory::A, DnnCategory::B, DnnCategory::Dense])
         .arch(ArchSpec::dense())
@@ -202,7 +202,12 @@ fn abort_at_the_first_cell_done_fails_cleanly_and_resume_recovers() {
         .sim(SimConfig {
             fidelity: Fidelity::Sampled { tiles: 2, seed: 1 },
             ..SimConfig::default()
-        });
+        })
+}
+
+#[test]
+fn abort_at_the_first_cell_done_fails_cleanly_and_resume_recovers() {
+    let spec = three_families();
     let cells = spec.cell_count();
     let single = run_campaign(&spec, &ResultCache::in_memory(), 2).unwrap();
     let dir = scratch_dir("abort");
@@ -229,41 +234,62 @@ fn abort_at_the_first_cell_done_fails_cleanly_and_resume_recovers() {
         other => panic!("expected a terminal campaign_failed, got {other:?}"),
     }
 
-    // Every streamed cell was journaled; the resume reports the rest.
+    // Every streamed cell was cached; the resume reports the rest.
     let (_, resumed_events) = resume_matches(&spec, &cfg, &single);
     assert_eq!(resumed_and_done(&resumed_events), (done, cells - done));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[test]
-fn torn_journal_aborts_terminally_and_resume_recovers() {
-    let spec = spec();
-    let single = run_campaign(&spec, &ResultCache::in_memory(), 2).unwrap();
-    let dir = scratch_dir("torn-journal");
+/// Fails its first `cell_done` write, as a full disk under the event
+/// stream would, and records every event it accepts.
+#[derive(Default)]
+struct FailAtFirstCellDone {
+    events: Vec<Event>,
+    failed: bool,
+}
 
-    let mut cfg = FleetConfig::new(&dir, 2);
-    cfg.fault = Some(FaultPlan::parse("truncate-journal:after=3").unwrap());
-    let mut rec = Recorder::default();
-    match run_fleet(&spec, &cfg, &mut rec) {
-        Err(FleetError::Injected(Fault::TruncateJournal { after: 3 })) => {}
-        other => panic!("expected the injected journal fault, got {other:?}"),
+impl EventSink for FailAtFirstCellDone {
+    fn emit(&mut self, ev: &Event) -> std::io::Result<()> {
+        if matches!(ev, Event::CellDone { .. }) && !self.failed {
+            self.failed = true;
+            return Err(std::io::Error::other("sink disk full"));
+        }
+        self.events.push(ev.clone());
+        Ok(())
     }
-    assert!(matches!(rec.0.last(), Some(Event::CampaignFailed { .. })));
-    let text = std::fs::read_to_string(journal_path(&dir)).unwrap();
-    assert!(
-        !text.ends_with('\n'),
-        "the journal tail is torn mid-append: {text:?}"
-    );
-    assert_eq!(text.lines().count(), 5, "header + 3 entries + torn tail");
+}
 
-    cfg.fault = None;
-    cfg.resume = true;
-    let mut rec = Recorder::default();
-    let fleet = run_fleet(&spec, &cfg, &mut rec).unwrap();
-    assert_eq!(to_csv(&fleet), to_csv(&single), "resume after torn tail");
-    let Some(Event::CampaignStart { resumed, .. }) = rec.0.first() else {
-        panic!("no campaign_start");
-    };
-    assert_eq!(*resumed, 3, "exactly the cleanly-journaled cells resumed");
+#[test]
+fn a_failing_sink_stops_the_pass_and_its_error_is_returned() {
+    let spec = three_families();
+    let cells = spec.cell_count();
+    let single = run_campaign(&spec, &ResultCache::in_memory(), 2).unwrap();
+    let dir = scratch_dir("sink-fails");
+
+    let cfg = FleetConfig::new(&dir, 2);
+    let mut sink = FailAtFirstCellDone::default();
+    match run_fleet(&spec, &cfg, &mut sink) {
+        Err(FleetError::Io(e)) => assert!(e.to_string().contains("sink disk full"), "{e}"),
+        other => panic!("expected the sink's i/o error, got {other:?}"),
+    }
+    match sink.events.last() {
+        Some(Event::CampaignFailed { msg }) => assert!(msg.contains("sink disk full"), "{msg}"),
+        other => panic!("expected a terminal campaign_failed, got {other:?}"),
+    }
+    // The parked error stops the executor within the pass: the rest of
+    // the grid is neither simulated nor cached.
+    let cached = std::fs::read_dir(cache_dir(&dir))
+        .unwrap()
+        .filter(|e| {
+            e.as_ref()
+                .unwrap()
+                .path()
+                .extension()
+                .is_some_and(|x| x == "json")
+        })
+        .count();
+    assert!(cached < cells, "{cached} of {cells} cells cached");
+
+    resume_matches(&spec, &cfg, &single);
     std::fs::remove_dir_all(&dir).unwrap();
 }

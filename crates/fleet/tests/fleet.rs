@@ -1,7 +1,7 @@
 //! Integration tests of the fleet coordinator: byte-identity with a
-//! single-process sweep, journaled resume, the `resumed` + `cell_done`
-//! = cells invariant, and resume from directories in the older
-//! per-shard cache layout.
+//! single-process sweep, resume from the campaign cache, the `resumed` +
+//! `cell_done` = cells invariant, and resume from directories written
+//! by older coordinators (per-cell journal entries, per-shard caches).
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -10,11 +10,9 @@ use griffin_core::arch::ArchSpec;
 use griffin_core::category::DnnCategory;
 use griffin_fleet::coordinator::{cache_dir, journal_path, run_fleet, FleetConfig, FleetError};
 use griffin_fleet::events::{Event, EventSink, NullSink};
-use griffin_fleet::plan::spec_fingerprint;
 use griffin_sim::config::{Fidelity, SimConfig};
 use griffin_sweep::cache::ResultCache;
 use griffin_sweep::executor::run_campaign;
-use griffin_sweep::fingerprint::Fingerprint;
 use griffin_sweep::report::{to_csv, to_json};
 use griffin_sweep::spec::SweepSpec;
 
@@ -51,6 +49,16 @@ impl EventSink for Recorder {
     fn emit(&mut self, ev: &Event) -> std::io::Result<()> {
         self.0.push(ev.clone());
         Ok(())
+    }
+}
+
+/// Deletes the cache entries of the grid's last `n` cells, as a crash
+/// before those cells were cached would leave the directory.
+fn drop_last_cached(spec: &SweepSpec, dir: &std::path::Path, n: usize) {
+    let cells = spec.cells();
+    for c in &cells[cells.len() - n..] {
+        let fp = c.fingerprint(&spec.sim);
+        std::fs::remove_file(cache_dir(dir).join(format!("{fp}.json"))).unwrap();
     }
 }
 
@@ -138,21 +146,15 @@ fn event_stream_covers_every_cell_once() {
             | Event::CellsRequeued { .. }
     )));
 
-    // The on-disk journal now knows every cell.
-    assert_eq!(
-        griffin_fleet::Journal::peek_completed(
-            journal_path(&dir),
-            &griffin_fleet::JournalHeader {
-                campaign: spec.name.clone(),
-                spec_fp: spec_fingerprint(&spec),
-                cells: 12,
-                scenario: None,
-            },
-        )
-        .unwrap()
-        .len(),
-        12
-    );
+    // The on-disk cache now holds every cell, and the journal is its
+    // one header line.
+    let cache = ResultCache::at_dir(cache_dir(&dir)).unwrap();
+    assert!(spec
+        .cells()
+        .iter()
+        .all(|c| cache.holds(c.fingerprint(&spec.sim))));
+    let journal = std::fs::read_to_string(journal_path(&dir)).unwrap();
+    assert_eq!(journal.lines().count(), 1, "{journal}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -164,15 +166,9 @@ fn resume_skips_journaled_cells_and_recomputes_lost_ones() {
     let cfg = FleetConfig::new(&dir, 2);
     run_fleet(&spec, &cfg, &mut NullSink).unwrap();
 
-    // Forge an interruption: drop the journal's last entry AND that
-    // cell's cached result, so resume must actually re-simulate it.
-    let jpath = journal_path(&dir);
-    let text = std::fs::read_to_string(&jpath).unwrap();
-    let mut lines: Vec<&str> = text.lines().collect();
-    let last = lines.pop().unwrap();
-    let lost_fp = last.split("\"fp\":\"").nth(1).unwrap()[..32].to_string();
-    std::fs::write(&jpath, format!("{}\n", lines.join("\n"))).unwrap();
-    std::fs::remove_file(cache_dir(&dir).join(format!("{lost_fp}.json"))).unwrap();
+    // Forge an interruption: drop the last cell's cached result, so
+    // resume must actually re-simulate it.
+    drop_last_cached(&spec, &dir, 1);
 
     let mut rec = Recorder::default();
     let mut cfg = cfg;
@@ -194,50 +190,6 @@ fn resume_skips_journaled_cells_and_recomputes_lost_ones() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A directory written by an older coordinator at another shard count
-/// resumes under the one-pass fleet. Such a journal lists its cells
-/// shard by shard — the old partition was the fingerprint hash modulo
-/// the shard count — so here the journal is rewritten in the order a
-/// 4-shard run wrote it, with one shard's entries lost.
-#[test]
-fn resume_with_a_different_shard_count_still_matches() {
-    let spec = spec();
-    let single = run_campaign(&spec, &ResultCache::in_memory(), 2).unwrap();
-    let dir = scratch_dir("reshard");
-    run_fleet(&spec, &FleetConfig::new(&dir, 2), &mut NullSink).unwrap();
-
-    let jpath = journal_path(&dir);
-    let text = std::fs::read_to_string(&jpath).unwrap();
-    let mut lines = text.lines();
-    let header = lines.next().unwrap().to_string();
-    let shard_of = |line: &str| {
-        let fp = Fingerprint::parse(&line.split("\"fp\":\"").nth(1).unwrap()[..32]).unwrap();
-        (fp.0 ^ fp.1) % 4
-    };
-    let entries: Vec<&str> = lines.collect();
-    let lost = shard_of(entries[entries.len() - 1]);
-    let mut entries: Vec<&str> = entries
-        .into_iter()
-        .filter(|l| shard_of(l) != lost)
-        .collect();
-    entries.sort_by_key(|l| shard_of(l));
-    let kept = entries.len();
-    assert!(kept > 0 && kept < 12, "the partition splits the grid");
-    std::fs::write(&jpath, format!("{header}\n{}\n", entries.join("\n"))).unwrap();
-
-    let mut cfg = FleetConfig::new(&dir, 2);
-    cfg.resume = true;
-    let mut rec = Recorder::default();
-    let fleet = run_fleet(&spec, &cfg, &mut rec).unwrap();
-    assert_eq!(to_csv(&fleet), to_csv(&single));
-    assert_eq!(
-        resumed_and_done(&rec.0),
-        (kept, 12 - kept, 0),
-        "the lost shard's cells stream again, from the cache"
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
 /// On success, `resumed` + `cell_done` events == cells, whether the
 /// run is fresh, resumed mid-campaign, or a warm rerun of a finished
 /// directory.
@@ -251,19 +203,16 @@ fn resumed_plus_cell_done_covers_the_grid_on_every_run() {
     run_fleet(&spec, &cfg, &mut fresh).unwrap();
     assert_eq!(resumed_and_done(&fresh.0), (0, 12, 12), "fresh");
 
-    // Drop the journal's last four entries: a resume reports just those.
-    let jpath = journal_path(&dir);
-    let text = std::fs::read_to_string(&jpath).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    std::fs::write(&jpath, format!("{}\n", lines[..lines.len() - 4].join("\n"))).unwrap();
+    // Drop the last four cached cells: a resume reports just those.
+    drop_last_cached(&spec, &dir, 4);
     let mut cfg = cfg;
     cfg.resume = true;
     let mut resumed = Recorder::default();
     run_fleet(&spec, &cfg, &mut resumed).unwrap();
     assert_eq!(
         resumed_and_done(&resumed.0),
-        (8, 4, 0),
-        "resumed: the four cells come from the cache"
+        (8, 4, 4),
+        "resumed: the four uncached cells are simulated"
     );
 
     // A warm rerun of the finished directory reports nothing new.
@@ -291,15 +240,56 @@ fn a_directory_in_the_old_shard_cache_layout_still_resumes() {
     let fleet = run_fleet(&spec, &cfg, &mut rec).unwrap();
     assert_eq!(to_csv(&fleet), to_csv(&single));
     assert_eq!(to_json(&fleet), to_json(&single));
-    let Some(Event::CampaignStart { resumed, .. }) = rec.0.first() else {
-        panic!("no campaign_start");
-    };
-    assert_eq!(*resumed, 12, "the journal is honoured");
     assert_eq!(
         fleet.cache.misses, 12,
         "the pass re-simulates what only the old layout held"
     );
-    assert_eq!(resumed_and_done(&rec.0), (12, 0, 0), "and stays silent");
+    assert_eq!(
+        resumed_and_done(&rec.0),
+        (0, 12, 12),
+        "and reports every cell its `cache/` lacked"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Older coordinators appended one journal line per completed cell
+/// after the header. Such a directory still resumes: the lines are
+/// never read, and `resumed` comes from the cache.
+#[test]
+fn a_journal_with_per_cell_entry_lines_still_resumes() {
+    let spec = spec();
+    let single = run_campaign(&spec, &ResultCache::in_memory(), 2).unwrap();
+    let dir = scratch_dir("entry-lines");
+    run_fleet(&spec, &FleetConfig::new(&dir, 2), &mut NullSink).unwrap();
+
+    // Every cell journaled as an entry line, the last one torn, while
+    // the cache lost the last two cells.
+    let jpath = journal_path(&dir);
+    let mut text = std::fs::read_to_string(&jpath).unwrap();
+    for c in spec.cells() {
+        let fp = c.fingerprint(&spec.sim);
+        text.push_str(&format!("{{\"cell\":{},\"fp\":\"{fp}\"}}\n", c.index));
+    }
+    text.push_str("{\"cell\":");
+    std::fs::write(&jpath, &text).unwrap();
+    drop_last_cached(&spec, &dir, 2);
+
+    let mut cfg = FleetConfig::new(&dir, 2);
+    cfg.resume = true;
+    let mut rec = Recorder::default();
+    let fleet = run_fleet(&spec, &cfg, &mut rec).unwrap();
+    assert_eq!(to_csv(&fleet), to_csv(&single));
+    assert_eq!(to_json(&fleet), to_json(&single));
+    assert_eq!(
+        resumed_and_done(&rec.0),
+        (10, 2, 2),
+        "the cells the cache lacks are simulated, whatever the journal lists"
+    );
+    assert_eq!(
+        std::fs::read_to_string(&jpath).unwrap(),
+        text,
+        "resume never writes the journal"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -15,6 +15,9 @@
 //! own state directory `<dir>/campaigns/<id>/` (journal.jsonl +
 //! events.jsonl), so `fleet watch`, `fleet report --html` and
 //! `--resume` tooling keep working on daemon-run campaigns unchanged.
+//! The results live in the daemon's shared `<dir>/cache/`, not in the
+//! campaign directory, so a CLI `--resume` of that directory reports
+//! every cell its own `cache/` lacks.
 //! Finished campaigns additionally get a rendered `report.html`;
 //! retention keeps the newest [`ServeConfig::retain`] finished
 //! campaigns and evicts the rest: their directories, report bytes and
@@ -22,8 +25,8 @@
 //!
 //! Draining ([`Daemon::drain`]) refuses new submissions, cancels
 //! queued campaigns with a synthesized terminal event, and aborts the
-//! in-flight one through the coordinator's abort flag — which journals
-//! its completed cells and emits its terminal event — so every
+//! in-flight one through the coordinator's abort flag — which leaves
+//! its completed cells cached and emits its terminal event — so every
 //! subscriber of every campaign sees exactly one terminal.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -393,7 +396,7 @@ impl Daemon {
 
     /// Cancels a campaign. Queued: removed and terminated with a
     /// synthesized `campaign_failed`. Running: the coordinator's abort
-    /// flag is raised — it journals completed cells and emits its
+    /// flag is raised — it leaves completed cells cached and emits its
     /// terminal. Finished: returns `false`.
     ///
     /// # Errors
@@ -563,7 +566,7 @@ impl Daemon {
     /// Starts the graceful drain: refuse new submissions, cancel every
     /// queued campaign with a synthesized terminal event, and raise
     /// the abort flag of the running one (its completed cells stay
-    /// journaled; its subscribers get its real terminal). Idempotent.
+    /// cached; its subscribers get its real terminal). Idempotent.
     pub fn drain(&self) {
         let (lock, cv) = &*self.sync;
         let mut st = lock.lock().expect("serve state lock");

@@ -1,7 +1,7 @@
 //! Socket transport of the serve wire: unix sockets and TCP behind one
 //! listener/connection pair, plus the per-connection protocol loop.
 //!
-//! Reading follows the journal's torn-line discipline: a final
+//! Reading follows the event stream's torn-line discipline: a final
 //! fragment without a trailing newline (a client that died
 //! mid-message) is *not* a protocol error — the fragment is dropped
 //! and the connection counts as cleanly closed, mirroring
@@ -237,7 +237,7 @@ pub fn serve_connections(
 
 /// Reads one newline-terminated line. `Ok(None)` ends the connection:
 /// true EOF, or a torn final fragment (mid-message client death), which
-/// per the journal's tail rule is dropped, not diagnosed — or a line
+/// per the event stream's tail rule is dropped, not diagnosed — or a line
 /// over [`MAX_LINE_BYTES`], which is answered with an `error` on `w`
 /// and a bounded drain first. `stop` is polled during read timeouts.
 fn read_line(

@@ -154,6 +154,16 @@ impl ResultCache {
         None
     }
 
+    /// Whether the cache holds a readable entry for a fingerprint. Unlike
+    /// [`lookup`](Self::lookup) it counts nothing and promotes nothing
+    /// into memory.
+    pub fn holds(&self, fp: Fingerprint) -> bool {
+        self.mem.lock().expect("cache lock").contains_key(&fp)
+            || self
+                .entry_path(fp)
+                .is_some_and(|path| read_entry(&path).is_some())
+    }
+
     /// Inserts a result (memory, and disk when a directory is set).
     pub fn insert(&self, fp: Fingerprint, metrics: CellMetrics) {
         self.mem.lock().expect("cache lock").insert(fp, metrics);
@@ -549,6 +559,11 @@ mod tests {
         }
         // A fresh cache instance (simulating a new process) sees it.
         let c2 = ResultCache::at_dir(&dir).unwrap();
+        // Probing counts nothing and promotes nothing.
+        assert!(c2.holds(Fingerprint(7, 9)));
+        assert!(!c2.holds(Fingerprint(7, 8)));
+        assert_eq!(c2.stats(), CacheStats::default());
+        assert!(c2.is_empty());
         assert_eq!(c2.lookup(Fingerprint(7, 9)), Some(metrics(4.0)));
         let s = c2.stats();
         assert_eq!((s.hits, s.disk_hits), (1, 1));

@@ -92,7 +92,7 @@ pub fn report_html(model: &CampaignModel) -> String {
     let mut row = |k: &str, v: String| {
         let _ = writeln!(b, "<tr><td>{k}</td><td>{v}</td></tr>");
     };
-    row("resumed from journal", model.resumed.to_string());
+    row("resumed from cache", model.resumed.to_string());
     row(
         "stream restarts (resume appends)",
         model.restarts.to_string(),

@@ -15,7 +15,7 @@
 //!   arbitrary event sequences. Time-derived rates ([`RateTracker`])
 //!   are clocked explicitly by the caller.
 //! * [`follow`] — [`Watcher`], the incremental tailer: a
-//!   [`griffin_fleet::TailCursor`] (the journal's own torn-line rule)
+//!   [`griffin_fleet::TailCursor`] (the fleet's torn-line rule)
 //!   feeding the model, poll by poll.
 //! * [`render`] — plain-ANSI [`dashboard`] frames and the
 //!   [`status_line`] fallback for pipes and dumb terminals.

@@ -90,7 +90,8 @@ pub struct CampaignModel {
     pub spec_fp: Option<Fingerprint>,
     /// Total grid cells the campaign will report.
     pub total_cells: usize,
-    /// Cells restored from the journal before this run started.
+    /// Cells the run's resume found in the campaign cache at start
+    /// (`campaign_start`'s `resumed`).
     pub resumed: usize,
     /// Scenario provenance, when launched from a scenario file.
     pub scenario: Option<ScenarioProvenance>,
@@ -120,7 +121,7 @@ impl CampaignModel {
     }
 
     /// Cells complete toward [`total_cells`](Self::total_cells):
-    /// journal-resumed cells plus distinct `cell_done` cells this run.
+    /// resumed cells plus distinct `cell_done` cells this run.
     pub fn done(&self) -> usize {
         self.resumed.saturating_add(self.done_cells.len())
     }
@@ -207,7 +208,8 @@ impl CampaignModel {
 
     /// Parses and folds one stream line; malformed lines are counted in
     /// [`parse_errors`](Self::parse_errors) and skipped — a live tailer
-    /// must outlive a corrupt line, unlike the resume-critical journal.
+    /// must outlive a corrupt line, unlike the resume-critical journal
+    /// header.
     pub fn apply_line(&mut self, line: &str) {
         match Event::parse_line(line) {
             Ok(ev) => self.apply(&ev),
@@ -499,10 +501,10 @@ mod tests {
         m.apply(&start(3, 0));
         m.apply(&cell_done(0, false));
         m.apply(&Event::CampaignFailed { msg: "kill".into() });
-        // The resume appends a fresh header claiming the journaled cell.
+        // The resume appends a fresh header claiming the cached cell.
         m.apply(&start(3, 1));
         assert_eq!(m.restarts, 1);
-        assert_eq!(m.done(), 1, "journal-resumed cells count as done");
+        assert_eq!(m.done(), 1, "resumed cells count as done");
         m.apply(&cell_done(1, false));
         m.apply(&cell_done(2, false));
         m.apply(&Event::CampaignDone {

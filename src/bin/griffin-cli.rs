@@ -8,7 +8,7 @@
 //! $ griffin-cli sweep bert b --workers 8 --cache .sweep-cache --csv out.csv
 //! $ griffin-cli sweep --scenario scenarios/fig5-bert-b.toml --csv out.csv
 //! $ griffin-cli pareto resnet50 b            # §VI Pareto front of a family
-//! $ griffin-cli fleet bert b                 # resumable campaign + journal
+//! $ griffin-cli fleet bert b                 # resumable campaign
 //! $ griffin-cli fleet --scenario scenarios/fig5-bert-b.toml
 //! $ griffin-cli fleet watch .griffin-fleet   # live dashboard over events.jsonl
 //! $ griffin-cli fleet watch .griffin-fleet --json   # one-shot summary
@@ -136,7 +136,8 @@ fn usage() -> ExitCode {
     eprintln!("  --dir DIR           state dir: journal, event stream, result cache");
     eprintln!("                      (default .griffin-fleet)");
     eprintln!("  --events PATH|-     JSONL event stream (default DIR/events.jsonl, - = stdout)");
-    eprintln!("  --resume            resume from the journal (spec fingerprint verified)");
+    eprintln!("  --resume            skip the cells DIR/cache holds (the journal's spec");
+    eprintln!("                      fingerprint is verified first)");
     eprintln!("  --heartbeat N       heartbeat every N cells (default 32, 0 = off)");
     eprintln!();
     eprintln!("  GRIFFIN_FAULT       deterministic fault injection for chaos tests, e.g.");
@@ -609,7 +610,7 @@ extern "C" fn on_sigint(_sig: i32) {
 
 /// Installs a SIGINT handler that raises the fleet abort flag: ^C stops
 /// the campaign before its next (family, layer) work item and fails it
-/// with a terminal `campaign_failed` — journal intact, so `--resume`
+/// with a terminal `campaign_failed` — cache intact, so `--resume`
 /// picks up where the interrupt landed. Returns the flag for
 /// [`FleetConfig::abort`].
 fn install_sigint_abort() -> Arc<AtomicBool> {
@@ -962,7 +963,7 @@ fn cmd_fleet(workload: &str, cat: &str, rest: &[String]) -> ExitCode {
     cfg.fault = fault_plan;
     cfg.scenario = provenance;
     // ^C fails the campaign cleanly before the next work item instead
-    // of tearing the stream mid-line; the journal survives for --resume.
+    // of tearing the stream mid-line; the cache survives for --resume.
     cfg.abort = Some(install_sigint_abort());
     let (mut sink, quiet) = match open_event_sink(&dir, &fleet_args.events, fleet_args.resume) {
         Ok(s) => s,

@@ -14,7 +14,7 @@
 //! * [`sweep`] — the parallel scenario-sweep campaign engine with
 //!   result caching and CSV/JSON reports ([`griffin_sweep`]),
 //! * [`fleet`] — resumable campaigns: one cancellable pass over the
-//!   grid with JSONL event streaming and journaled resume
+//!   grid with JSONL event streaming and resume from the campaign cache
 //!   ([`griffin_fleet`]),
 //! * [`watch`] — fleet observability: live event-stream tailing, the
 //!   replayable campaign model, terminal dashboards, JSON summaries and

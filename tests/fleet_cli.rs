@@ -1,5 +1,5 @@
-//! End-to-end CLI test of `griffin-cli fleet`: one-pass runs, journaled
-//! resume, injected kills, interrupts and byte-identity with
+//! End-to-end CLI test of `griffin-cli fleet`: one-pass runs, resume
+//! from the campaign cache, injected kills, interrupts and byte-identity with
 //! `griffin-cli sweep` — the acceptance pin of the fleet subsystem at
 //! the binary boundary.
 
@@ -68,14 +68,17 @@ fn fleet_matches_sweep_and_resumes_from_the_journal() {
         "fleet JSON must be byte-identical to sweep"
     );
 
-    // Interrupt simulation: drop the journal's last completed cell,
-    // then resume and compare again.
-    let jpath = dir.join("fs/journal.jsonl");
-    let text = std::fs::read_to_string(&jpath).unwrap();
-    let mut lines: Vec<&str> = text.lines().collect();
-    assert!(lines.len() > 2, "journal has header + entries");
-    lines.pop();
-    std::fs::write(&jpath, format!("{}\n", lines.join("\n"))).unwrap();
+    // Interrupt simulation: drop one cached cell, then resume and
+    // compare again. The journal is its one header line.
+    let journal = std::fs::read_to_string(dir.join("fs/journal.jsonl")).unwrap();
+    assert_eq!(journal.lines().count(), 1, "{journal}");
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir.join("fs/cache"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    entries.sort();
+    assert_eq!(entries.len(), 7, "one cache entry per cell");
+    std::fs::remove_file(&entries[0]).unwrap();
 
     let mut resume_args = vec!["fleet"];
     resume_args.extend(CAMPAIGN);
@@ -87,8 +90,12 @@ fn fleet_matches_sweep_and_resumes_from_the_journal() {
         "resumed fleet CSV must be byte-identical to sweep"
     );
 
-    // The event stream is valid JSONL with a campaign_done terminator.
+    // The event stream is valid JSONL with a campaign_done terminator,
+    // and the resume reported just the dropped cell.
     let events = std::fs::read_to_string(dir.join("fs/events.jsonl")).unwrap();
+    let resumed_run = &events[events.rfind("\"campaign_start\"").unwrap()..];
+    assert!(resumed_run.contains("\"resumed\":6"), "{resumed_run}");
+    assert_eq!(resumed_run.matches("\"ev\":\"cell_done\"").count(), 1);
     let last = events.lines().last().unwrap();
     assert!(
         last.contains("\"campaign_done\""),
@@ -288,7 +295,7 @@ fn sigint_drains_cleanly_and_resume_completes_byte_identical() {
         griffin::fleet::Event::parse_line(line).expect("every stream line parses");
     }
 
-    // The journal survived: a resume finishes the campaign
+    // The cache survived: a resume finishes the campaign
     // byte-identical to the single-process sweep.
     let mut resume_args = vec!["fleet"];
     resume_args.extend(CAMPAIGN);

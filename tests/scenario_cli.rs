@@ -8,7 +8,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use griffin::fleet::{Event, JournalHeader, JOURNAL_FORMAT};
+use griffin::fleet::{Event, JOURNAL_FORMAT};
 use griffin::sweep::json::Json;
 
 const CLI: &str = env!("CARGO_BIN_EXE_griffin-cli");
@@ -196,16 +196,35 @@ fn scenario_fleet_records_provenance_and_matches_sweep() {
         Event::parse_line(line).expect("every stream line parses");
     }
 
-    // A token-mode resume of the scenario-written journal works (and
-    // vice versa): provenance never blocks the grid identity.
-    let token_header = JournalHeader {
-        campaign: "sweep-synth-b".into(),
-        spec_fp: griffin::fleet::spec_fingerprint(&loaded.to_spec()),
-        cells: 7,
-        scenario: None,
-    };
-    griffin::fleet::Journal::peek_completed(dir.join("fs/journal.jsonl"), &token_header)
-        .expect("token header must accept a scenario-written journal");
+    // A token-mode resume of the scenario-written directory works:
+    // provenance never blocks the grid identity.
+    run(
+        &[
+            "fleet",
+            "synth",
+            "b",
+            "--tiles",
+            "2",
+            "--seeds",
+            "1",
+            "--fanin",
+            "3",
+            "--resume",
+            "--dir",
+            "fs",
+            "--csv",
+            "resumed.csv",
+        ],
+        &dir,
+    );
+    assert_eq!(
+        std::fs::read(dir.join("single.csv")).unwrap(),
+        std::fs::read(dir.join("resumed.csv")).unwrap(),
+        "a token resume of a scenario fleet must be byte-identical to the sweep"
+    );
+    let events = std::fs::read_to_string(dir.join("fs/events.jsonl")).unwrap();
+    let resumed_run = &events[events.rfind("\"campaign_start\"").unwrap()..];
+    assert!(resumed_run.contains("\"resumed\":7"), "{resumed_run}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
