@@ -477,6 +477,7 @@ impl Daemon {
         let (lock, _) = &*self.sync;
         let st = lock.lock().expect("serve state lock");
         let cache = self.cache.stats();
+        let memo = griffin_sweep::workload_memo_stats();
         let lookups = cache.hits + cache.misses;
         let hit_rate = if lookups == 0 {
             0.0
@@ -539,6 +540,13 @@ impl Daemon {
                     ("stores".into(), num(cache.stores as usize)),
                     ("entries".into(), num(self.cache.len())),
                     ("hit_rate".into(), Json::Num(hit_rate)),
+                ]),
+            ),
+            (
+                "workload_memo".into(),
+                Json::obj([
+                    ("workloads".into(), num(memo.workloads)),
+                    ("mask_bytes".into(), num(memo.mask_bytes)),
                 ]),
             ),
             ("clients".into(), clients),
@@ -987,6 +995,11 @@ fanin = 3
         assert_eq!(status.req("deduped").unwrap().as_f64().unwrap(), 1.0);
         let clients = status.req("clients").unwrap();
         assert!(clients.get("alice").is_some() && clients.get("bob").is_some());
+        // Other tests share this process's workload memo, so only the
+        // field's shape is pinned here (tests/memo_soak.rs pins counts).
+        let memo = status.req("workload_memo").unwrap();
+        assert!(memo.req("workloads").unwrap().as_f64().is_ok());
+        assert!(memo.req("mask_bytes").unwrap().as_f64().is_ok());
         d.shutdown();
         let _ = fs::remove_dir_all(&tmp);
     }

@@ -145,21 +145,70 @@ fn workload_key(cell: &Cell) -> Fingerprint {
     h.finish()
 }
 
-/// Entries kept in the process-wide workload memo before it resets.
-/// Mask tensors are a few hundred KB per workload, so the cap bounds
-/// resident memory in long-lived daemons; a full reset (rather than
-/// eviction bookkeeping) keeps the hot path to one map probe.
-const WORKLOAD_MEMO_CAP: usize = 64;
-
 /// Process-wide memo of built workloads, keyed by [`workload_key`].
 /// Workload construction is deterministic in the key, so a hit is
-/// value-identical to a fresh build — campaigns that revisit a workload
-/// (daemon reruns, resumed fleet campaigns, benchmark passes) skip the
+/// value-identical to a fresh build — back-to-back campaigns over the
+/// same workloads (benchmark passes, a daemon re-running a workload set
+/// under new architectures, a resumed fleet campaign) skip the
 /// synthesis cost without any observable difference.
+///
+/// Its bound is one campaign's working set: phase 2 of every campaign
+/// that builds anything first drops each entry its own build keys do
+/// not name ([`scope_memo`]), so the memo never holds more than the
+/// workloads the running campaigns hold anyway. Entries are large — one
+/// BERT workload is ≈11.3 MB of masks — so a cap counted in entries
+/// would not bound memory. The trade-off: campaigns alternating between
+/// disjoint workload sets rebuild on every switch. Cells the
+/// [`ResultCache`] serves never reach phase 2, so warm resubmissions
+/// neither build nor evict.
 fn workload_memo() -> &'static Mutex<HashMap<Fingerprint, Arc<Workload>>> {
     static MEMO: std::sync::OnceLock<Mutex<HashMap<Fingerprint, Arc<Workload>>>> =
         std::sync::OnceLock::new();
     MEMO.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+/// Scopes `memo` to one campaign's build `keys`: drops every entry the
+/// keys do not name, moves each hit into `built`, and returns the
+/// indices (in `keys` order) of the keys that still need a build.
+fn scope_memo<W>(
+    memo: &mut HashMap<Fingerprint, Arc<W>>,
+    keys: &[Fingerprint],
+    built: &mut HashMap<Fingerprint, Arc<W>>,
+) -> Vec<usize> {
+    memo.retain(|key, _| keys.contains(key));
+    (0..keys.len())
+        .filter(|&k| match memo.get(&keys[k]) {
+            Some(wl) => {
+                built.insert(keys[k], Arc::clone(wl));
+                false
+            }
+            None => true,
+        })
+        .collect()
+}
+
+/// What the process-wide workload memo holds right now.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Resident workloads.
+    pub workloads: usize,
+    /// Heap bytes of their A and B masks.
+    pub mask_bytes: usize,
+}
+
+/// Reads the process-wide workload memo's size: after a campaign that
+/// built anything, it holds that campaign's distinct (workload,
+/// category, seed) builds and nothing else.
+pub fn workload_memo_stats() -> MemoStats {
+    let memo = workload_memo().lock().expect("workload memo lock");
+    MemoStats {
+        workloads: memo.len(),
+        mask_bytes: memo
+            .values()
+            .flat_map(|wl| &wl.layers)
+            .map(|l| l.a.heap_bytes() + l.b.heap_bytes())
+            .sum(),
+    }
 }
 
 /// Key identifying a seed group: cells agreeing on everything but the
@@ -427,60 +476,48 @@ fn execute(
                 }
             }
         }
-        // Workload construction is a pure function of the key, so builds
-        // are memoized process-wide: repeated campaigns over the same
-        // workloads (benchmark reruns, resumed fleet campaigns, the
-        // resident daemon) skip mask synthesis entirely. The memo holds
-        // `Arc`s, so sharing a hit costs one clone; determinism is
-        // untouched because a cached build is value-identical to a fresh
-        // one.
+        // Take the memo's hits after scoping it to this campaign (see
+        // [`workload_memo`]); the memo holds `Arc`s, so sharing a hit
+        // costs one clone.
         let memo = workload_memo();
-        let built: Mutex<HashMap<Fingerprint, Arc<Workload>>> = Mutex::new(HashMap::new());
-        {
-            let memo = memo.lock().expect("workload memo lock");
-            let mut built = built.lock().expect("build lock");
-            let mut k = 0;
-            while k < keys.len() {
-                if let Some(wl) = memo.get(&keys[k]) {
-                    built.insert(keys[k], Arc::clone(wl));
-                    keys.swap_remove(k);
-                    key_cells.swap_remove(k);
-                } else {
-                    k += 1;
-                }
-            }
-        }
+        let mut built: HashMap<Fingerprint, Arc<Workload>> = HashMap::new();
+        let mut todo = scope_memo(
+            &mut memo.lock().expect("workload memo lock"),
+            &keys,
+            &mut built,
+        );
+        // Costliest build first, so the longest one never starts last
+        // on a worker that finished a short one; the stable sort keeps
+        // grid order among equal costs.
+        todo.sort_by_cached_key(|&k| {
+            std::cmp::Reverse(key_cells[k].workload.build_cost(key_cells[k].category))
+        });
+        let built = Mutex::new(built);
         // The pool bound comes from the caller (all cores by default,
         // or the caller's pinned thread budget); builds never reach the
         // report, so the bound cannot affect results.
-        let build_workers = build_workers.clamp(1, keys.len().max(1));
+        let build_workers = build_workers.clamp(1, todo.len().max(1));
         let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
         let next_key = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..build_workers {
-                s.spawn(|| loop {
-                    let k = next_key.fetch_add(1, Ordering::Relaxed);
-                    if k >= keys.len() {
-                        break;
-                    }
-                    let cell = key_cells[k];
-                    match cell.workload.build(cell.category, cell.seed) {
-                        Ok(wl) => {
-                            let wl = Arc::new(wl);
-                            built
-                                .lock()
-                                .expect("build lock")
-                                .insert(keys[k], Arc::clone(&wl));
-                            let mut memo = memo.lock().expect("workload memo lock");
-                            if memo.len() >= WORKLOAD_MEMO_CAP {
-                                memo.clear();
+                s.spawn(|| {
+                    while let Some(&k) = todo.get(next_key.fetch_add(1, Ordering::Relaxed)) {
+                        let cell = key_cells[k];
+                        match cell.workload.build(cell.category, cell.seed) {
+                            Ok(wl) => {
+                                let wl = Arc::new(wl);
+                                built
+                                    .lock()
+                                    .expect("build lock")
+                                    .insert(keys[k], Arc::clone(&wl));
+                                memo.lock().expect("workload memo lock").insert(keys[k], wl);
                             }
-                            memo.insert(keys[k], wl);
+                            Err(e) => errors
+                                .lock()
+                                .expect("error lock")
+                                .push(format!("{}: {e}", cell.workload.name())),
                         }
-                        Err(e) => errors
-                            .lock()
-                            .expect("error lock")
-                            .push(format!("{}: {e}", cell.workload.name())),
                     }
                 });
             }
@@ -716,6 +753,47 @@ mod tests {
 
     /// An abort flag nobody raises.
     static NEVER: AtomicBool = AtomicBool::new(false);
+
+    /// Runs one campaign's phase-2 memo policy over `keys` against a
+    /// local memo, "building" the misses, and returns the hit keys.
+    fn memo_campaign(memo: &mut HashMap<Fingerprint, Arc<u64>>, keys: &[u64]) -> Vec<u64> {
+        let fps: Vec<Fingerprint> = keys
+            .iter()
+            .map(|&k| {
+                let mut h = Hasher::new();
+                h.u64(k);
+                h.finish()
+            })
+            .collect();
+        let mut built = HashMap::new();
+        let todo = scope_memo(memo, &fps, &mut built);
+        for &k in &todo {
+            memo.insert(fps[k], Arc::new(keys[k]));
+        }
+        let mut hits: Vec<u64> = built.values().map(|v| **v).collect();
+        hits.sort_unstable();
+        let mut resident: Vec<u64> = memo.values().map(|v| **v).collect();
+        resident.sort_unstable();
+        assert_eq!(
+            resident, keys,
+            "the memo holds exactly this campaign's keys"
+        );
+        hits
+    }
+
+    #[test]
+    fn the_memo_holds_one_campaign_and_serves_its_repeats() {
+        let mut memo = HashMap::new();
+        let (s1, s2) = ([1, 2, 3], [3, 4]);
+        assert_eq!(memo_campaign(&mut memo, &s1), Vec::<u64>::new());
+        // A new set keeps only what it shares with the last one.
+        assert_eq!(memo_campaign(&mut memo, &s2), vec![3]);
+        // Returning to S1 rebuilds what S2 evicted: the stated trade-off.
+        assert_eq!(memo_campaign(&mut memo, &s1), vec![3]);
+        // A back-to-back repeat is all hits.
+        assert_eq!(memo_campaign(&mut memo, &s1), vec![1, 2, 3]);
+        assert_eq!(memo_campaign(&mut memo, &[]), Vec::<u64>::new());
+    }
 
     fn small_spec() -> SweepSpec {
         SweepSpec::new("unit")

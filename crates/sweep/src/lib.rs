@@ -63,8 +63,8 @@ pub use cache::{
     PruneReport, ResultCache,
 };
 pub use executor::{
-    default_workers, no_observer, run_campaign, run_cells, run_cells_bounded, CampaignReport,
-    CellEvent, CellRecord, SweepError,
+    default_workers, no_observer, run_campaign, run_cells, run_cells_bounded, workload_memo_stats,
+    CampaignReport, CellEvent, CellRecord, MemoStats, SweepError,
 };
 pub use fingerprint::Fingerprint;
 pub use scenario::{ArchEntry, FleetSettings, Scenario, ScenarioError, ScenarioProvenance};

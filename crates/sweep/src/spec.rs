@@ -14,8 +14,10 @@ use griffin_core::arch::ArchSpec;
 use griffin_core::category::DnnCategory;
 use griffin_core::dse;
 use griffin_sim::config::SimConfig;
-use griffin_workloads::suite::{build_workload, Benchmark};
-use griffin_workloads::synth::{synthetic_layer, synthetic_workload};
+use griffin_workloads::suite::{build_workload, drawn_mask_elements, Benchmark};
+use griffin_workloads::synth::{
+    drawn_layer_elements, drawn_workload_elements, synthetic_layer, synthetic_workload,
+};
 
 use crate::fingerprint::{Fingerprintable, Hasher};
 
@@ -86,6 +88,24 @@ impl WorkloadSpec {
                 let layer = synthetic_layer(*m, *k, *n, *b_density, *a_density, seed)?;
                 Ok(Workload::new(name.clone(), category, vec![layer]))
             }
+        }
+    }
+
+    /// What [`build`](WorkloadSpec::build) costs for one category, as
+    /// the mask elements it draws at random, computed from the layer
+    /// shapes without building anything. The seed does not change it.
+    pub fn build_cost(&self, category: DnnCategory) -> usize {
+        match self {
+            WorkloadSpec::Suite(b) => drawn_mask_elements(*b, category),
+            WorkloadSpec::Synthetic { layers, .. } => drawn_workload_elements(category, *layers),
+            WorkloadSpec::AdHoc {
+                m,
+                k,
+                n,
+                a_density,
+                b_density,
+                ..
+            } => drawn_layer_elements(*m, *k, *n, *b_density, *a_density),
         }
     }
 }
@@ -340,6 +360,32 @@ impl Cell {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn build_cost_ranks_by_the_masks_a_build_draws() {
+        let synth = |layers| WorkloadSpec::Synthetic {
+            name: "s".into(),
+            layers,
+        };
+        assert!(synth(4).build_cost(DnnCategory::AB) > synth(4).build_cost(DnnCategory::B));
+        assert!(synth(4).build_cost(DnnCategory::B) > synth(4).build_cost(DnnCategory::A));
+        assert_eq!(synth(4).build_cost(DnnCategory::Dense), 0);
+        assert!(synth(5).build_cost(DnnCategory::B) > synth(4).build_cost(DnnCategory::B));
+        let bert = WorkloadSpec::Suite(Benchmark::Bert);
+        for cat in [DnnCategory::A, DnnCategory::B] {
+            assert!(bert.build_cost(DnnCategory::AB) > bert.build_cost(cat));
+        }
+        let adhoc = |a_density| WorkloadSpec::AdHoc {
+            name: "g".into(),
+            m: 2,
+            k: 3,
+            n: 5,
+            a_density,
+            b_density: 0.5,
+        };
+        assert_eq!(adhoc(1.0).build_cost(DnnCategory::Dense), 15);
+        assert_eq!(adhoc(0.5).build_cost(DnnCategory::Dense), 21);
+    }
 
     fn spec() -> SweepSpec {
         SweepSpec::new("t")

@@ -83,17 +83,18 @@ impl TensorGen {
         cols: usize,
         mut pps: impl Iterator<Item = f64>,
     ) -> SparsityMask {
-        let mut m = SparsityMask::zeros(rows, cols);
-        for word in m.bits_mut() {
+        let words = (rows * cols).div_ceil(64);
+        let mut bits = Vec::with_capacity(words);
+        for _ in 0..words {
             let mut w = 0u64;
             for (b, pp) in pps.by_ref().take(64).enumerate() {
                 if self.rng.gen_bool(pp) {
                     w |= 1u64 << b;
                 }
             }
-            *word = w;
+            bits.push(w);
         }
-        m
+        SparsityMask::from_words(rows, cols, bits)
     }
 
     /// Synthetic magnitude-pruned weight matrix (`K × N` for a layer) with

@@ -11,6 +11,11 @@ use crate::error::TensorError;
 
 /// A packed 2-D bit-set, `true` = nonzero element.
 ///
+/// The nonzero count is kept alongside the bits (every constructor and
+/// mutator maintains it), so [`nnz`](SparsityMask::nnz) and
+/// [`density`](SparsityMask::density) cost O(1): the simulator reads
+/// them per layer, per mode and per plane.
+///
 /// ```
 /// use griffin_tensor::mask::SparsityMask;
 /// let m = SparsityMask::from_fn(2, 3, |r, c| (r + c) % 2 == 0);
@@ -22,6 +27,8 @@ pub struct SparsityMask {
     rows: usize,
     cols: usize,
     bits: Vec<u64>,
+    /// Set bits in `bits`.
+    nnz: usize,
 }
 
 impl SparsityMask {
@@ -38,6 +45,7 @@ impl SparsityMask {
             rows,
             cols,
             bits: vec![0; words],
+            nnz: 0,
         }
     }
 
@@ -50,6 +58,7 @@ impl SparsityMask {
         if tail != 0 {
             *m.bits.last_mut().expect("dimensions are positive") = (1u64 << tail) - 1;
         }
+        m.nnz = rows * cols;
         m
     }
 
@@ -66,11 +75,28 @@ impl SparsityMask {
         m
     }
 
-    /// Mutable access to the packed words for bulk in-crate builders
-    /// (row-major bit order, trailing bits of the last word unused and
-    /// kept zero by construction).
-    pub(crate) fn bits_mut(&mut self) -> &mut [u64] {
-        &mut self.bits
+    /// Builds a mask from its packed words, for bulk in-crate builders
+    /// (row-major bit order; the trailing bits of the last word must be
+    /// zero).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero or `bits` is not exactly
+    /// `⌈rows · cols / 64⌉` words.
+    pub(crate) fn from_words(rows: usize, cols: usize, bits: Vec<u64>) -> Self {
+        assert!(rows > 0 && cols > 0, "mask dimensions must be positive");
+        assert_eq!(bits.len(), (rows * cols).div_ceil(64), "mask word count");
+        debug_assert!(
+            (rows * cols).is_multiple_of(64) || bits[bits.len() - 1] >> ((rows * cols) % 64) == 0,
+            "trailing bits must be zero"
+        );
+        let nnz = count_ones(&bits);
+        SparsityMask {
+            rows,
+            cols,
+            bits,
+            nnz,
+        }
     }
 
     /// Number of rows.
@@ -114,16 +140,26 @@ impl SparsityMask {
             self.cols
         );
         let i = self.bit_index(row, col);
-        if value {
-            self.bits[i / 64] |= 1u64 << (i % 64);
-        } else {
-            self.bits[i / 64] &= !(1u64 << (i % 64));
+        let word = &mut self.bits[i / 64];
+        let bit = 1u64 << (i % 64);
+        if (*word & bit != 0) != value {
+            *word ^= bit;
+            if value {
+                self.nnz += 1;
+            } else {
+                self.nnz -= 1;
+            }
         }
     }
 
     /// Number of nonzero elements.
     pub fn nnz(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
+        self.nnz
+    }
+
+    /// Heap bytes held by the packed bits.
+    pub fn heap_bytes(&self) -> usize {
+        self.bits.len() * std::mem::size_of::<u64>()
     }
 
     /// Fraction of nonzero elements in `[0, 1]`.
@@ -144,16 +180,18 @@ impl SparsityMask {
                 found: format!("{}x{}", other.rows, other.cols),
             });
         }
-        let bits = self
+        let bits: Vec<u64> = self
             .bits
             .iter()
             .zip(&other.bits)
             .map(|(a, b)| a & b)
             .collect();
+        let nnz = count_ones(&bits);
         Ok(SparsityMask {
             rows: self.rows,
             cols: self.cols,
             bits,
+            nnz,
         })
     }
 
@@ -275,6 +313,11 @@ impl SparsityMask {
     }
 }
 
+/// Set bits in a word slice.
+fn count_ones(bits: &[u64]) -> usize {
+    bits.iter().map(|w| w.count_ones() as usize).sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,6 +352,29 @@ mod tests {
         assert!(m.get(2, 3));
         m.set(2, 3, false);
         assert!(!m.get(2, 3));
+    }
+
+    #[test]
+    fn nnz_tracks_every_constructor_and_mutation() {
+        let coords = || (0..3).flat_map(|r| (0..70).map(move |c| (r, c)));
+        let mut m = SparsityMask::zeros(3, 70);
+        for (i, (r, c)) in coords().enumerate() {
+            // Set some bits twice and clear some unset ones: only real
+            // flips move the count.
+            m.set(r, c, i % 3 == 0);
+            m.set(r, c, i % 3 == 0);
+            if i % 5 == 0 {
+                m.set(r, c, false);
+            }
+        }
+        let want = coords().filter(|&(r, c)| m.get(r, c)).count();
+        assert_eq!(m.nnz(), want);
+        let o = SparsityMask::ones(3, 70);
+        assert_eq!(m.and(&o).unwrap().nnz(), want);
+        let words = SparsityMask::from_words(3, 70, m.bits.clone());
+        assert_eq!(words, m);
+        assert_eq!(words.nnz(), want);
+        assert_eq!(m.heap_bytes(), 4 * 8);
     }
 
     #[test]

@@ -14,6 +14,7 @@ use griffin_tensor::gen::TensorGen;
 use griffin_tensor::mask::SparsityMask;
 
 use crate::layer::LayerDef;
+use crate::synth::drawn_layer_elements;
 use crate::{alexnet, bert, googlenet, inception_v3, mobilenet_v2, resnet50};
 
 /// Log-normal spread of per-channel weight densities.
@@ -153,17 +154,7 @@ pub fn build_workload(bench: Benchmark, category: DnnCategory, seed: u64) -> Wor
 
     for def in bench.layers() {
         let (shape, replicas, cin) = def.gemm().expect("network tables are valid");
-
-        let a_density = if category.a_sparse() && !def.dense_input {
-            1.0 - info.a_sparsity_in_category()
-        } else {
-            1.0
-        };
-        let b_density = if category.b_sparse() && def.weight_prunable() {
-            1.0 - info.b_sparsity
-        } else {
-            1.0
-        };
+        let (a_density, b_density) = layer_densities(&info, &def, category);
 
         let a = if a_density >= 1.0 {
             SparsityMask::ones(shape.m, shape.k)
@@ -184,6 +175,39 @@ pub fn build_workload(bench: Benchmark, category: DnnCategory, seed: u64) -> Wor
     }
 
     Workload::new(info.name, category, layers)
+}
+
+/// The (A, B) nonzero fractions [`build_workload`] gives one layer's
+/// masks; a side at 1.0 is an all-ones mask, drawn without randomness.
+fn layer_densities(info: &BenchmarkInfo, def: &LayerDef, category: DnnCategory) -> (f64, f64) {
+    let a_density = if category.a_sparse() && !def.dense_input {
+        1.0 - info.a_sparsity_in_category()
+    } else {
+        1.0
+    };
+    let b_density = if category.b_sparse() && def.weight_prunable() {
+        1.0 - info.b_sparsity
+    } else {
+        1.0
+    };
+    (a_density, b_density)
+}
+
+/// Mask elements [`build_workload`] draws at random for one benchmark
+/// and category — the part of the build that scales with the masks —
+/// from the layer shapes alone, without building any mask. All-ones
+/// masks count nothing.
+pub fn drawn_mask_elements(bench: Benchmark, category: DnnCategory) -> usize {
+    let info = bench.info();
+    bench
+        .layers()
+        .iter()
+        .map(|def| {
+            let (shape, _, _) = def.gemm().expect("network tables are valid");
+            let (a_density, b_density) = layer_densities(&info, def, category);
+            drawn_layer_elements(shape.m, shape.k, shape.n, b_density, a_density)
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -216,6 +240,24 @@ mod tests {
         let wl_ab = build_workload(Benchmark::Bert, DnnCategory::AB, 1);
         let sparse_a = wl_ab.layers.iter().filter(|l| l.a_density() < 0.7).count();
         assert!(sparse_a > 60, "ReLU substitution sparsifies activations");
+    }
+
+    #[test]
+    fn drawn_mask_elements_counts_the_masks_a_build_draws() {
+        for bench in [Benchmark::AlexNet, Benchmark::MobileNetV2] {
+            for cat in DnnCategory::ALL {
+                let wl = build_workload(bench, cat, 5);
+                let drawn: usize = wl
+                    .layers
+                    .iter()
+                    .flat_map(|l| [&l.a, &l.b])
+                    .filter(|m| m.nnz() < m.rows() * m.cols())
+                    .map(|m| m.rows() * m.cols())
+                    .sum();
+                assert_eq!(drawn_mask_elements(bench, cat), drawn, "{bench:?} {cat:?}");
+            }
+        }
+        assert_eq!(drawn_mask_elements(Benchmark::Bert, DnnCategory::Dense), 0);
     }
 
     #[test]

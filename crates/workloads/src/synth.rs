@@ -59,17 +59,10 @@ pub fn synthetic_workload(
     layers: usize,
     seed: u64,
 ) -> Result<Workload, TensorError> {
-    let a_d = if category.a_sparse() { 0.45 } else { 1.0 };
-    let b_d = if category.b_sparse() { 0.19 } else { 1.0 };
-    let shapes = [
-        (196, 1152, 256),
-        (784, 576, 128),
-        (49, 2304, 512),
-        (64, 768, 768),
-    ];
+    let (a_d, b_d) = densities(category);
     let mut v = Vec::new();
     for i in 0..layers {
-        let (m, k, n) = shapes[i % shapes.len()];
+        let (m, k, n) = SHAPES[i % SHAPES.len()];
         v.push(synthetic_layer(
             m,
             k,
@@ -82,6 +75,42 @@ pub fn synthetic_workload(
     Ok(Workload::new(name, category, v))
 }
 
+/// The layer shapes [`synthetic_workload`] cycles through.
+const SHAPES: [(usize, usize, usize); 4] = [
+    (196, 1152, 256),
+    (784, 576, 128),
+    (49, 2304, 512),
+    (64, 768, 768),
+];
+
+/// The (A, B) nonzero fractions of [`synthetic_workload`]'s layers.
+fn densities(category: DnnCategory) -> (f64, f64) {
+    let a_d = if category.a_sparse() { 0.45 } else { 1.0 };
+    let b_d = if category.b_sparse() { 0.19 } else { 1.0 };
+    (a_d, b_d)
+}
+
+/// Mask elements a layer's build draws at random: a side at density 1.0
+/// or above is an all-ones mask and draws nothing (the rule
+/// [`synthetic_layer`] and the suite builders share).
+pub fn drawn_layer_elements(m: usize, k: usize, n: usize, b_density: f64, a_density: f64) -> usize {
+    let a = if a_density >= 1.0 { 0 } else { m * k };
+    let b = if b_density >= 1.0 { 0 } else { k * n };
+    a + b
+}
+
+/// Mask elements [`synthetic_workload`] draws at random, from the layer
+/// shapes alone.
+pub fn drawn_workload_elements(category: DnnCategory, layers: usize) -> usize {
+    let (a_d, b_d) = densities(category);
+    (0..layers)
+        .map(|i| {
+            let (m, k, n) = SHAPES[i % SHAPES.len()];
+            drawn_layer_elements(m, k, n, b_d, a_d)
+        })
+        .sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,6 +120,22 @@ mod tests {
         let l = synthetic_layer(128, 512, 128, 0.2, 0.5, 1).unwrap();
         assert!((l.b_density() - 0.2).abs() < 0.06);
         assert!((l.a_density() - 0.5).abs() < 0.06);
+    }
+
+    #[test]
+    fn drawn_elements_count_the_masks_a_build_draws() {
+        for cat in DnnCategory::ALL {
+            let wl = synthetic_workload("s", cat, 5, 3).unwrap();
+            let drawn: usize = wl
+                .layers
+                .iter()
+                .flat_map(|l| [&l.a, &l.b])
+                .filter(|m| m.nnz() < m.rows() * m.cols())
+                .map(|m| m.rows() * m.cols())
+                .sum();
+            assert_eq!(drawn_workload_elements(cat, 5), drawn, "{cat:?}");
+        }
+        assert_eq!(drawn_layer_elements(8, 16, 4, 0.5, 1.0), 16 * 4);
     }
 
     #[test]
