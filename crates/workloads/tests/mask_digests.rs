@@ -10,7 +10,7 @@ mod mask_digests;
 fn synth_and_alexnet_masks_match_the_golden_digests() {
     let golden = include_str!("../../../tests/golden/mask-digests.txt");
     for workload in ["synth", "alexnet"] {
-        for category in ["a", "b", "ab"] {
+        for category in ["dense", "a", "b", "ab"] {
             let line = mask_digests::line(workload, category);
             assert!(
                 golden.lines().any(|g| g == line),
