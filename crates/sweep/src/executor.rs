@@ -156,8 +156,9 @@ fn workload_key(cell: &Cell) -> Fingerprint {
 /// that builds anything first drops each entry its own build keys do
 /// not name ([`scope_memo`]), so the memo never holds more than the
 /// workloads the running campaigns hold anyway. Entries are large — one
-/// BERT workload is ≈11.3 MB of masks — so a cap counted in entries
-/// would not bound memory. The trade-off: campaigns alternating between
+/// BERT DNN.B workload holds 10,616,832 bytes of masks; its all-ones
+/// operands hold none — so a cap counted in entries would not bound
+/// memory. The trade-off: campaigns alternating between
 /// disjoint workload sets rebuild on every switch. Cells the
 /// [`ResultCache`] serves never reach phase 2, so warm resubmissions
 /// neither build nor evict.
@@ -192,7 +193,7 @@ fn scope_memo<W>(
 pub struct MemoStats {
     /// Resident workloads.
     pub workloads: usize,
-    /// Heap bytes of their A and B masks.
+    /// Heap bytes of their A and B masks; an all-ones mask holds none.
     pub mask_bytes: usize,
 }
 

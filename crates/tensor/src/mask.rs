@@ -16,6 +16,11 @@ use crate::error::TensorError;
 /// [`density`](SparsityMask::density) cost O(1): the simulator reads
 /// them per layer, per mode and per plane.
 ///
+/// An all-ones mask holds no words: the dense operands of DNN.dense,
+/// DNN.A and DNN.B are stored as their shape alone, and the readers
+/// synthesize their words. Every constructor and mutator keeps this
+/// canonical form, so the derived `PartialEq` compares content.
+///
 /// ```
 /// use griffin_tensor::mask::SparsityMask;
 /// let m = SparsityMask::from_fn(2, 3, |r, c| (r + c) % 2 == 0);
@@ -26,8 +31,11 @@ use crate::error::TensorError;
 pub struct SparsityMask {
     rows: usize,
     cols: usize,
+    /// Row-major packed bits, the trailing bits of the last word zero.
+    /// Empty exactly when every element is set (`nnz == rows · cols`);
+    /// dimensions are positive, so an empty vector means nothing else.
     bits: Vec<u64>,
-    /// Set bits in `bits`.
+    /// Nonzero elements.
     nnz: usize,
 }
 
@@ -49,17 +57,19 @@ impl SparsityMask {
         }
     }
 
-    /// Creates an all-one (fully dense) mask.
+    /// Creates an all-one (fully dense) mask, which holds no words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero.
     pub fn ones(rows: usize, cols: usize) -> Self {
-        let mut m = Self::zeros(rows, cols);
-        m.bits.fill(u64::MAX);
-        // Bits past `rows · cols` stay zero, as every reader assumes.
-        let tail = (rows * cols) % 64;
-        if tail != 0 {
-            *m.bits.last_mut().expect("dimensions are positive") = (1u64 << tail) - 1;
+        assert!(rows > 0 && cols > 0, "mask dimensions must be positive");
+        SparsityMask {
+            rows,
+            cols,
+            bits: Vec::new(),
+            nnz: rows * cols,
         }
-        m.nnz = rows * cols;
-        m
     }
 
     /// Builds a mask from a predicate over `(row, col)`.
@@ -81,20 +91,23 @@ impl SparsityMask {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero or `bits` is not exactly
-    /// `⌈rows · cols / 64⌉` words.
+    /// Panics if either dimension is zero, `bits` is not exactly
+    /// `⌈rows · cols / 64⌉` words, or a trailing bit is set: the count
+    /// decides whether the words are kept, so a stray padding bit would
+    /// make a mask with a zero read as all ones.
     pub(crate) fn from_words(rows: usize, cols: usize, bits: Vec<u64>) -> Self {
         assert!(rows > 0 && cols > 0, "mask dimensions must be positive");
-        assert_eq!(bits.len(), (rows * cols).div_ceil(64), "mask word count");
-        debug_assert!(
-            (rows * cols).is_multiple_of(64) || bits[bits.len() - 1] >> ((rows * cols) % 64) == 0,
+        let len = rows * cols;
+        assert_eq!(bits.len(), len.div_ceil(64), "mask word count");
+        assert!(
+            len.is_multiple_of(64) || bits[bits.len() - 1] >> (len % 64) == 0,
             "trailing bits must be zero"
         );
         let nnz = count_ones(&bits);
         SparsityMask {
             rows,
             cols,
-            bits,
+            bits: if nnz == len { Vec::new() } else { bits },
             nnz,
         }
     }
@@ -115,6 +128,22 @@ impl SparsityMask {
         row * self.cols + col
     }
 
+    /// Packed word `wi`. An all-ones mask synthesizes it: `u64::MAX`,
+    /// the last word masked to the `rows · cols mod 64` bits in range.
+    #[inline]
+    fn word(&self, wi: usize) -> u64 {
+        if self.bits.is_empty() {
+            let left = self.rows * self.cols - wi * 64;
+            if left >= 64 {
+                u64::MAX
+            } else {
+                (1u64 << left) - 1
+            }
+        } else {
+            self.bits[wi]
+        }
+    }
+
     /// Returns the bit at `(row, col)`; out-of-bounds coordinates read as
     /// `false` (a padded zero), which is exactly the semantics of tile
     /// edges in the blocked view.
@@ -124,10 +153,11 @@ impl SparsityMask {
             return false;
         }
         let i = self.bit_index(row, col);
-        self.bits[i / 64] >> (i % 64) & 1 == 1
+        self.word(i / 64) >> (i % 64) & 1 == 1
     }
 
-    /// Sets the bit at `(row, col)`.
+    /// Sets the bit at `(row, col)`. Clearing a bit of an all-ones mask
+    /// first materializes its words; setting the last zero drops them.
     ///
     /// # Panics
     ///
@@ -139,16 +169,22 @@ impl SparsityMask {
             self.rows,
             self.cols
         );
+        if self.get(row, col) == value {
+            return;
+        }
+        let len = self.rows * self.cols;
+        if self.bits.is_empty() {
+            self.bits = (0..len.div_ceil(64)).map(|wi| self.word(wi)).collect();
+        }
         let i = self.bit_index(row, col);
-        let word = &mut self.bits[i / 64];
-        let bit = 1u64 << (i % 64);
-        if (*word & bit != 0) != value {
-            *word ^= bit;
-            if value {
-                self.nnz += 1;
-            } else {
-                self.nnz -= 1;
-            }
+        self.bits[i / 64] ^= 1u64 << (i % 64);
+        if value {
+            self.nnz += 1;
+        } else {
+            self.nnz -= 1;
+        }
+        if self.nnz == len {
+            self.bits = Vec::new();
         }
     }
 
@@ -157,7 +193,7 @@ impl SparsityMask {
         self.nnz
     }
 
-    /// Heap bytes held by the packed bits.
+    /// Heap bytes held by the packed bits: 0 for an all-ones mask.
     pub fn heap_bytes(&self) -> usize {
         self.bits.len() * std::mem::size_of::<u64>()
     }
@@ -168,7 +204,8 @@ impl SparsityMask {
     }
 
     /// Element-wise AND of two masks of identical shape — the effectual
-    /// operations of a dual-sparse GEMM position pair.
+    /// operations of a dual-sparse GEMM position pair. An all-ones
+    /// operand returns a copy of the other.
     ///
     /// # Errors
     ///
@@ -180,27 +217,19 @@ impl SparsityMask {
                 found: format!("{}x{}", other.rows, other.cols),
             });
         }
-        let bits: Vec<u64> = self
+        if self.bits.is_empty() {
+            return Ok(other.clone());
+        }
+        if other.bits.is_empty() {
+            return Ok(self.clone());
+        }
+        let bits = self
             .bits
             .iter()
             .zip(&other.bits)
             .map(|(a, b)| a & b)
             .collect();
-        let nnz = count_ones(&bits);
-        Ok(SparsityMask {
-            rows: self.rows,
-            cols: self.cols,
-            bits,
-            nnz,
-        })
-    }
-
-    /// Iterator over the coordinates of nonzero elements in row-major order.
-    pub fn iter_nonzero(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let cols = self.cols;
-        (0..self.rows * self.cols)
-            .filter(move |&i| self.bits[i / 64] >> (i % 64) & 1 == 1)
-            .map(move |i| (i / cols, i % cols))
+        Ok(Self::from_words(self.rows, self.cols, bits))
     }
 
     /// Calls `f(col)` for every set bit of `row` with
@@ -234,7 +263,7 @@ impl SparsityMask {
         let first_word = lo / 64;
         let last_word = (hi - 1) / 64;
         for wi in first_word..=last_word {
-            let mut w = self.bits[wi];
+            let mut w = self.word(wi);
             if wi == first_word {
                 w &= !0u64 << (lo % 64);
             }
@@ -270,9 +299,9 @@ impl SparsityMask {
         let lo = row * self.cols + col_start;
         let wi = lo / 64;
         let sh = lo % 64;
-        let mut v = self.bits[wi] >> sh;
-        if sh != 0 && wi + 1 < self.bits.len() {
-            v |= self.bits[wi + 1] << (64 - sh);
+        let mut v = self.word(wi) >> sh;
+        if sh != 0 && (wi + 1) * 64 < self.rows * self.cols {
+            v |= self.word(wi + 1) << (64 - sh);
         }
         if w < 64 {
             v &= (1u64 << w) - 1;
@@ -285,10 +314,14 @@ impl SparsityMask {
     /// [`span_bits`](SparsityMask::span_bits). A range that runs past the
     /// mask reads as `false`, even when empty: a block that reaches into
     /// the zero padding is not full. An empty block inside the mask is
-    /// vacuously full.
+    /// vacuously full, and so is every block inside an all-ones mask:
+    /// O(1).
     pub fn all_set(&self, rows: Range<usize>, cols: Range<usize>) -> bool {
         if rows.end > self.rows || cols.end > self.cols {
             return false;
+        }
+        if self.bits.is_empty() {
+            return true;
         }
         for r in rows {
             for c in cols.clone().step_by(64) {
@@ -299,17 +332,6 @@ impl SparsityMask {
             }
         }
         true
-    }
-
-    /// Per-row nonzero counts (useful for load-imbalance diagnostics).
-    pub fn row_nnz(&self) -> Vec<usize> {
-        (0..self.rows)
-            .map(|r| {
-                let mut n = 0;
-                self.for_each_set_in_row(r, 0, self.cols, |_| n += 1);
-                n
-            })
-            .collect()
     }
 }
 
@@ -402,19 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_nonzero_is_row_major() {
-        let m = SparsityMask::from_fn(2, 3, |r, c| (r, c) == (0, 2) || (r, c) == (1, 0));
-        let v: Vec<_> = m.iter_nonzero().collect();
-        assert_eq!(v, vec![(0, 2), (1, 0)]);
-    }
-
-    #[test]
-    fn row_nnz_counts() {
-        let m = SparsityMask::from_fn(3, 4, |r, c| c < r);
-        assert_eq!(m.row_nnz(), vec![0, 1, 2]);
-    }
-
-    #[test]
     fn word_iteration_matches_per_element_reads() {
         // Shapes chosen so rows start at every word phase: 3, 64, 67 and
         // 130 columns exercise sub-word, exact-word and multi-word rows.
@@ -489,6 +498,79 @@ mod tests {
                 && c1 <= cols
                 && (r0..r1).all(|rr| (c0..c1).all(|cc| m.get(rr, cc)));
             prop_assert_eq!(m.all_set(r0..r1, c0..c1), want, "{}..{} x {}..{}", r0, r1, c0, c1);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `ones`, which holds no words, reads exactly as the per-element
+        /// definition: set in bounds, zero padding outside. Clearing one
+        /// bit materializes the words; setting it back drops them.
+        #[test]
+        fn ones_matches_the_per_element_definition(
+            rows in 1usize..5,
+            whole_words in 0usize..4,
+            tail in 0usize..96,
+            ranges in proptest::collection::vec((0usize..300, 0usize..300), 8..9),
+            seed in 0usize..1000,
+        ) {
+            // A third of the widths are whole words (64, 128, 192).
+            let cols = match 64 * whole_words + if tail < 64 { tail } else { 0 } {
+                0 => 64,
+                cols => cols,
+            };
+            let m = SparsityMask::ones(rows, cols);
+            let inside = |r: usize, c: usize| r < rows && c < cols;
+            prop_assert_eq!(m.heap_bytes(), 0);
+            prop_assert_eq!(m.nnz(), rows * cols);
+            prop_assert_eq!(m.density(), 1.0);
+            for r in 0..rows + 2 {
+                for c in 0..cols + 2 {
+                    prop_assert_eq!(m.get(r, c), inside(r, c), "get({}, {})", r, c);
+                }
+            }
+            for r in 0..=rows {
+                for start in 0..cols + 3 {
+                    for width in 0..=64 {
+                        let want = (0..width)
+                            .filter(|&i| inside(r, start + i))
+                            .fold(0u64, |w, i| w | 1 << i);
+                        prop_assert_eq!(
+                            m.span_bits(r, start, width), want,
+                            "span_bits({}, {}, {})", r, start, width
+                        );
+                    }
+                }
+            }
+            for &(a, b) in &ranges {
+                let (lo, hi) = (a.min(b) % (cols + 70), a.max(b) % (cols + 70));
+                for r in 0..=rows {
+                    let mut got = Vec::new();
+                    m.for_each_set_in_row(r, lo, hi, |c| got.push(c));
+                    let want: Vec<usize> = (lo..hi).filter(|&c| inside(r, c)).collect();
+                    prop_assert_eq!(got, want, "row {} cols {}..{}", r, lo, hi);
+                }
+                let (r0, r1) = (a % (rows + 2), b % (rows + 2));
+                let (r0, r1) = (r0.min(r1), r0.max(r1));
+                let want = r1 <= rows && hi <= cols;
+                prop_assert_eq!(m.all_set(r0..r1, lo..hi), want, "{}..{} x {}..{}", r0, r1, lo, hi);
+            }
+
+            let other = SparsityMask::from_fn(rows, cols, |r, c| (seed + r * 31 + c * 7) % 3 != 0);
+            prop_assert_eq!(&m.and(&other).unwrap(), &other);
+            prop_assert_eq!(&other.and(&m).unwrap(), &other);
+            prop_assert_eq!(&m.and(&m).unwrap(), &m);
+
+            let (hr, hc) = (seed % rows, seed / rows % cols);
+            let mut holed = m.clone();
+            holed.set(hr, hc, false);
+            prop_assert_eq!(&holed, &SparsityMask::from_fn(rows, cols, |r, c| (r, c) != (hr, hc)));
+            prop_assert_eq!(holed.heap_bytes(), (rows * cols).div_ceil(64) * 8);
+            holed.set(hr, hc, true);
+            prop_assert_eq!(&holed, &m);
+            prop_assert_eq!(holed.heap_bytes(), 0);
+            prop_assert_eq!(&SparsityMask::from_fn(rows, cols, |_, _| true), &m);
         }
     }
 

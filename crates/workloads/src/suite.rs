@@ -269,6 +269,32 @@ mod tests {
         }
     }
 
+    fn mask_bytes(wl: &Workload) -> usize {
+        wl.layers
+            .iter()
+            .map(|l| l.a.heap_bytes() + l.b.heap_bytes())
+            .sum()
+    }
+
+    #[test]
+    fn dense_builds_hold_no_mask_words() {
+        for bench in Benchmark::ALL {
+            let wl = build_workload(bench, DnnCategory::Dense, 42);
+            assert_eq!(mask_bytes(&wl), 0, "{bench:?}");
+        }
+    }
+
+    #[test]
+    fn resnet50_categories_hold_only_their_sparse_operands() {
+        // All-ones operands hold no words: 23,659,488 bytes when every
+        // mask was a full bitset.
+        let total: usize = DnnCategory::ALL
+            .iter()
+            .map(|&cat| mask_bytes(&build_workload(Benchmark::ResNet50, cat, 42)))
+            .sum();
+        assert_eq!(total, 11_368_752);
+    }
+
     #[test]
     fn first_layer_input_is_dense_in_dnn_a() {
         let wl = build_workload(Benchmark::AlexNet, DnnCategory::A, 3);
