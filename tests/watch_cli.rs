@@ -276,3 +276,24 @@ fn watch_json_follow_streams_summaries_and_watch_errors_cleanly() {
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// An old event directory's stream: a v3 header, cell lines stamped
+/// with `shard`, and every legacy line kind in its v1, v2 and
+/// host-stamped v3 shapes. Its summary is pinned byte for byte, both
+/// from the library fold and from `fleet watch --json`.
+#[test]
+fn legacy_event_fixture_folds_to_its_pinned_summary() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let stream = fixtures.join("legacy-events.jsonl");
+    let pinned = std::fs::read_to_string(fixtures.join("legacy-events.summary.json")).unwrap();
+
+    let model = griffin::watch::CampaignModel::from_file(&stream).unwrap();
+    assert_eq!(model.parse_errors, 0);
+    assert_eq!(format!("{}\n", model.summary().write()), pinned);
+
+    let out = run(
+        &["fleet", "watch", ".", "--events", stream.to_str().unwrap(), "--json"],
+        &fixtures,
+    );
+    assert_eq!(String::from_utf8_lossy(&out.stdout), pinned);
+}
