@@ -16,56 +16,40 @@
 //! | `campaign_done`   | `cells`, `elapsed_ms`                                       |
 //! | `campaign_failed` | `msg`                                                       |
 //!
-//! Legacy lines of v1–v3 streams, parsed and no longer emitted:
-//!
-//! | `ev`              | fields                                                      |
-//! |-------------------|-------------------------------------------------------------|
-//! | `shard_start`     | `shard`, `cells`, `skipped`                                 |
-//! | `shard_done`      | `shard`, `simulated`, `cached`, `elapsed_ms`                |
-//! | `shard_failed`    | `shard`, `attempt`, `msg`                                   |
-//! | `cells_requeued`  | `shard`, `cells`                                            |
-//! | `shard_retried`   | `shard`, `attempt`, `backoff_ms`                            |
-//! | `host_lost`       | `host`, `shards`                                            |
-//! | `host_retired`    | `host`                                                      |
-//! | `merge_done`      | `sources`, `merged`, `identical`, `healed`, `conflicts`     |
+//! Lines of the legacy kinds in [`LEGACY_EVENTS`] — `shard_start`,
+//! `shard_done`, `shard_failed`, `cells_requeued`, `shard_retried`,
+//! `host_lost`, `host_retired` and `merge_done`, the shard lifecycle,
+//! retries, hosts and cache merges of v1–v3 streams — still parse, as
+//! [`Event::Legacy`], but only their `ev` name is read: every other
+//! field is ignored. No coordinator emits them.
 //!
 //! Cell indices are grid positions (`usize` as JSON numbers);
 //! fingerprints are 32-digit hex strings; `metrics` is the same object
 //! the result cache stores ([`CellMetrics::to_json`]). Cells complete in
 //! whatever order the executor's workers finish them, not grid order.
 //!
-//! **Versioning.** `campaign_start` carries the schema tag in `format`;
-//! v2 added the shard-failure lifecycle (`shard_failed` →
-//! `cells_requeued` → `shard_retried`), the terminal `campaign_failed`,
-//! and `merge_done.healed`. v1 streams (no `format` field, no v2
-//! events) still parse; consumers must tolerate unknown *fields*
-//! inside known events (they are ignored), and a stream always ends
-//! with exactly one terminal event — `campaign_done` on success,
-//! `campaign_failed` on any abort. The optional scenario provenance
-//! pair (`scenario_file` + `scenario_fp`) on `campaign_start` rides on
-//! that unknown-field tolerance: campaigns launched from a scenario
-//! file carry it, token-built campaigns and older streams don't. The
-//! `heartbeat` enrichment (`elapsed_ms` + `cached`, letting a live
-//! watcher track throughput and the warm/cold split without replaying
-//! `cell_done` history) rides on it the same way: streams written
-//! before it parse with both fields as 0.
-//!
-//! v3 added `backoff_ms` to `shard_retried` (the deterministic retry
-//! backoff the coordinator slept before this attempt); v1/v2 streams
-//! parse with it 0. v3 streams written by the since-removed multi-host
-//! fleet also carry a `host` field on the four shard lifecycle events
-//! (ignored like any unknown field) and two host events, `host_lost`
-//! and `host_retired`. Those two still parse, so old streams stay
-//! readable, but no coordinator emits them and consumers ignore them.
+//! **Versioning.** `campaign_start` carries the schema tag in `format`:
+//! [`EVENTS_FORMAT`] today, one of [`LEGACY_FORMATS`] in older streams,
+//! none at all in v1 ones; any other tag is refused. Consumers must
+//! tolerate unknown *fields* inside known events (they are ignored),
+//! and a stream always ends with exactly one terminal event —
+//! `campaign_done` on success, `campaign_failed` on any abort. The
+//! optional scenario provenance pair (`scenario_file` + `scenario_fp`)
+//! on `campaign_start` rides on that unknown-field tolerance: campaigns
+//! launched from a scenario file carry it, token-built campaigns and
+//! older streams don't. The `heartbeat` enrichment (`elapsed_ms` +
+//! `cached`, letting a live watcher track throughput and the warm/cold
+//! split without replaying `cell_done` history) rides on it the same
+//! way: streams written before it parse with both fields as 0.
 //!
 //! v4 retires shards: a campaign is one pass over the grid, so
 //! `campaign_start` loses `shards`, `cell_start`, `cell_done` and
-//! `heartbeat` lose `shard`, and a heartbeat counts the whole pass.
-//! `shard_start`, `shard_done` and `shard_failed` join the legacy lines.
-//! Older streams still parse: the dropped fields are ignored like any
-//! unknown field, and the legacy lines fold into nothing but the event
-//! count, so a v1–v3 stream folds to the same campaign totals, state
-//! and failure message it always did.
+//! `heartbeat` lose `shard`, and a heartbeat counts the whole pass
+//! (v1–v3 heartbeats counted one shard's run). Older streams still
+//! parse: the dropped fields are ignored like any unknown field, and
+//! the legacy lines fold into nothing but the event count, so a v1–v3
+//! stream folds to the same campaign totals, state and failure message
+//! it always did.
 
 use std::io::{self, Write};
 
@@ -77,17 +61,28 @@ use griffin_sweep::scenario::ScenarioProvenance;
 /// Current schema tag, written into every `campaign_start` line.
 pub const EVENTS_FORMAT: &str = "griffin-fleet-events/4";
 
-/// The v3 schema tag (sharded campaigns); streams carrying it still
-/// parse.
-pub const EVENTS_FORMAT_V3: &str = "griffin-fleet-events/3";
+/// Schema tags of older streams (v1–v3), still accepted on
+/// `campaign_start`. A v1 stream may also carry no tag at all.
+pub const LEGACY_FORMATS: [&str; 3] = [
+    "griffin-fleet-events/1",
+    "griffin-fleet-events/2",
+    "griffin-fleet-events/3",
+];
 
-/// The v2 schema tag (failure lifecycle, terminal events); streams
-/// carrying it still parse.
-pub const EVENTS_FORMAT_V2: &str = "griffin-fleet-events/2";
-
-/// The original schema tag; streams carrying it (or no `format` at all)
-/// still parse.
-pub const EVENTS_FORMAT_V1: &str = "griffin-fleet-events/1";
+/// The `ev` names of the legacy lines of v1–v3 streams: the shard
+/// lifecycle, retries, hosts and cache merges. They parse to
+/// [`Event::Legacy`] with every other field ignored; nothing emits
+/// them.
+pub const LEGACY_EVENTS: [&str; 8] = [
+    "shard_start",
+    "shard_done",
+    "shard_failed",
+    "cells_requeued",
+    "shard_retried",
+    "host_lost",
+    "host_retired",
+    "merge_done",
+];
 
 /// One line of the campaign event stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,17 +104,6 @@ pub enum Event {
         /// wire) when the campaign was launched from a scenario file;
         /// absent for token-built campaigns and pre-scenario streams.
         scenario: Option<ScenarioProvenance>,
-    },
-    /// Legacy (v1–v3 streams): a shard began executing. Parsed; no
-    /// longer emitted.
-    ShardStart {
-        /// Shard index.
-        shard: usize,
-        /// Cells planned onto this shard.
-        cells: usize,
-        /// Cells skipped as journal-completed (by the coordinator that
-        /// wrote the stream).
-        skipped: usize,
     },
     /// A worker thread began simulating a cell (cache misses only).
     CellStart {
@@ -154,79 +138,6 @@ pub enum Event {
         /// (additive field; absent in older streams, parsed as 0).
         cached: usize,
     },
-    /// Legacy (v1–v3 streams): a shard finished executing. Parsed; no
-    /// longer emitted.
-    ShardDone {
-        /// Shard index.
-        shard: usize,
-        /// Cells freshly simulated by this shard run.
-        simulated: usize,
-        /// Cells served from cache / dedup by this shard run.
-        cached: usize,
-        /// Wall-clock milliseconds of the shard run.
-        elapsed_ms: u64,
-    },
-    /// Legacy (v2/v3 streams): a shard run died. Parsed; no longer
-    /// emitted.
-    ShardFailed {
-        /// Shard index.
-        shard: usize,
-        /// The attempt that failed.
-        attempt: usize,
-        /// Human-readable cause.
-        msg: String,
-    },
-    /// Legacy (v2/v3 streams): a dead shard's remaining (non-journaled)
-    /// cells were put back on the queue for a retry. Parsed; no longer
-    /// emitted.
-    CellsRequeued {
-        /// Shard index.
-        shard: usize,
-        /// Cells re-queued.
-        cells: usize,
-    },
-    /// Legacy (v2/v3 streams): a failed shard was retried. `attempt` is
-    /// the attempt about to run; follows `shard_failed` +
-    /// `cells_requeued`. Parsed; no longer emitted.
-    ShardRetried {
-        /// Shard index.
-        shard: usize,
-        /// Attempt number about to run (≥ 1).
-        attempt: usize,
-        /// Deterministic retry backoff slept before this attempt, in
-        /// milliseconds (v3; 0 in older streams).
-        backoff_ms: u64,
-    },
-    /// Legacy (v3 multi-host streams): a host was declared lost.
-    /// Parsed so old streams stay readable; never emitted.
-    HostLost {
-        /// The lost host's name.
-        host: String,
-        /// Shards pending on the host at the moment of loss.
-        shards: usize,
-    },
-    /// Legacy (v3 multi-host streams): a host finished every shard
-    /// assigned to it. Parsed so old streams stay readable; never
-    /// emitted.
-    HostRetired {
-        /// The retiring host's name.
-        host: String,
-    },
-    /// Legacy (v1–v3 streams): per-shard caches were unioned into a
-    /// merged cache. Parsed; no longer emitted.
-    MergeDone {
-        /// Source directories considered.
-        sources: usize,
-        /// Entries copied into the merged cache.
-        merged: u64,
-        /// Entries already present with identical content.
-        identical: u64,
-        /// Torn destination entries overwritten with good source
-        /// content (v2; absent in v1 streams, parsed as 0).
-        healed: u64,
-        /// Conflicting fingerprints (non-zero aborts the campaign).
-        conflicts: u64,
-    },
     /// The report was assembled.
     CampaignDone {
         /// Total grid cells reported.
@@ -239,6 +150,12 @@ pub enum Event {
     CampaignFailed {
         /// Human-readable cause.
         msg: String,
+    },
+    /// A line of one of the [`LEGACY_EVENTS`] kinds of v1–v3 streams.
+    /// Only its name is kept; nothing emits it.
+    Legacy {
+        /// The line's `ev` name.
+        ev: &'static str,
     },
 }
 
@@ -272,11 +189,11 @@ fn get_usize(v: &Json, key: &str) -> Result<usize, EventError> {
     Ok(n as usize)
 }
 
-/// Like [`get_usize`] but tolerating an absent key — fields added in
-/// v2 that v1 streams don't carry.
-fn get_usize_or(v: &Json, key: &str, default: usize) -> Result<usize, EventError> {
+/// Like [`get_usize`] but reading an absent key as 0 — the heartbeat
+/// enrichment older streams don't carry.
+fn get_usize_or_0(v: &Json, key: &str) -> Result<usize, EventError> {
     match v.get(key) {
-        None => Ok(default),
+        None => Ok(0),
         Some(_) => get_usize(v, key),
     }
 }
@@ -322,16 +239,6 @@ impl Event {
                 }
                 Json::obj(entries)
             }
-            Event::ShardStart {
-                shard,
-                cells,
-                skipped,
-            } => Json::obj([
-                ("ev".into(), Json::Str("shard_start".into())),
-                ("shard".into(), num(*shard)),
-                ("cells".into(), num(*cells)),
-                ("skipped".into(), num(*skipped)),
-            ]),
             Event::CellStart { cell, fp } => Json::obj([
                 ("ev".into(), Json::Str("cell_start".into())),
                 ("cell".into(), num(*cell)),
@@ -361,66 +268,6 @@ impl Event {
                 ("elapsed_ms".into(), num(*elapsed_ms as usize)),
                 ("cached".into(), num(*cached)),
             ]),
-            Event::ShardDone {
-                shard,
-                simulated,
-                cached,
-                elapsed_ms,
-            } => Json::obj([
-                ("ev".into(), Json::Str("shard_done".into())),
-                ("shard".into(), num(*shard)),
-                ("simulated".into(), num(*simulated)),
-                ("cached".into(), num(*cached)),
-                ("elapsed_ms".into(), num(*elapsed_ms as usize)),
-            ]),
-            Event::ShardFailed {
-                shard,
-                attempt,
-                msg,
-            } => Json::obj([
-                ("ev".into(), Json::Str("shard_failed".into())),
-                ("shard".into(), num(*shard)),
-                ("attempt".into(), num(*attempt)),
-                ("msg".into(), Json::Str(msg.clone())),
-            ]),
-            Event::CellsRequeued { shard, cells } => Json::obj([
-                ("ev".into(), Json::Str("cells_requeued".into())),
-                ("shard".into(), num(*shard)),
-                ("cells".into(), num(*cells)),
-            ]),
-            Event::ShardRetried {
-                shard,
-                attempt,
-                backoff_ms,
-            } => Json::obj([
-                ("ev".into(), Json::Str("shard_retried".into())),
-                ("shard".into(), num(*shard)),
-                ("attempt".into(), num(*attempt)),
-                ("backoff_ms".into(), num(*backoff_ms as usize)),
-            ]),
-            Event::HostLost { host, shards } => Json::obj([
-                ("ev".into(), Json::Str("host_lost".into())),
-                ("host".into(), Json::Str(host.clone())),
-                ("shards".into(), num(*shards)),
-            ]),
-            Event::HostRetired { host } => Json::obj([
-                ("ev".into(), Json::Str("host_retired".into())),
-                ("host".into(), Json::Str(host.clone())),
-            ]),
-            Event::MergeDone {
-                sources,
-                merged,
-                identical,
-                healed,
-                conflicts,
-            } => Json::obj([
-                ("ev".into(), Json::Str("merge_done".into())),
-                ("sources".into(), num(*sources)),
-                ("merged".into(), num(*merged as usize)),
-                ("identical".into(), num(*identical as usize)),
-                ("healed".into(), num(*healed as usize)),
-                ("conflicts".into(), num(*conflicts as usize)),
-            ]),
             Event::CampaignDone { cells, elapsed_ms } => Json::obj([
                 ("ev".into(), Json::Str("campaign_done".into())),
                 ("cells".into(), num(*cells)),
@@ -430,6 +277,7 @@ impl Event {
                 ("ev".into(), Json::Str("campaign_failed".into())),
                 ("msg".into(), Json::Str(msg.clone())),
             ]),
+            Event::Legacy { ev } => Json::obj([("ev".into(), Json::Str((*ev).into()))]),
         }
     }
 
@@ -458,14 +306,7 @@ impl Event {
                     let tag = tag
                         .as_str()
                         .map_err(|e| EventError { msg: e.to_string() })?;
-                    if ![
-                        EVENTS_FORMAT,
-                        EVENTS_FORMAT_V3,
-                        EVENTS_FORMAT_V2,
-                        EVENTS_FORMAT_V1,
-                    ]
-                    .contains(&tag)
-                    {
+                    if tag != EVENTS_FORMAT && !LEGACY_FORMATS.contains(&tag) {
                         return fail(format!("unknown event-stream format `{tag}`"));
                     }
                 }
@@ -485,11 +326,6 @@ impl Event {
                     scenario,
                 })
             }
-            "shard_start" => Ok(Event::ShardStart {
-                shard: get_usize(&v, "shard")?,
-                cells: get_usize(&v, "cells")?,
-                skipped: get_usize(&v, "skipped")?,
-            }),
             "cell_start" => Ok(Event::CellStart {
                 cell: get_usize(&v, "cell")?,
                 fp: get_fp(&v, "fp")?,
@@ -513,42 +349,8 @@ impl Event {
             "heartbeat" => Ok(Event::Heartbeat {
                 done: get_usize(&v, "done")?,
                 total: get_usize(&v, "total")?,
-                elapsed_ms: get_usize_or(&v, "elapsed_ms", 0)? as u64,
-                cached: get_usize_or(&v, "cached", 0)?,
-            }),
-            "shard_done" => Ok(Event::ShardDone {
-                shard: get_usize(&v, "shard")?,
-                simulated: get_usize(&v, "simulated")?,
-                cached: get_usize(&v, "cached")?,
-                elapsed_ms: get_usize(&v, "elapsed_ms")? as u64,
-            }),
-            "shard_failed" => Ok(Event::ShardFailed {
-                shard: get_usize(&v, "shard")?,
-                attempt: get_usize(&v, "attempt")?,
-                msg: get_str(&v, "msg")?,
-            }),
-            "cells_requeued" => Ok(Event::CellsRequeued {
-                shard: get_usize(&v, "shard")?,
-                cells: get_usize(&v, "cells")?,
-            }),
-            "shard_retried" => Ok(Event::ShardRetried {
-                shard: get_usize(&v, "shard")?,
-                attempt: get_usize(&v, "attempt")?,
-                backoff_ms: get_usize_or(&v, "backoff_ms", 0)? as u64,
-            }),
-            "host_lost" => Ok(Event::HostLost {
-                host: get_str(&v, "host")?,
-                shards: get_usize(&v, "shards")?,
-            }),
-            "host_retired" => Ok(Event::HostRetired {
-                host: get_str(&v, "host")?,
-            }),
-            "merge_done" => Ok(Event::MergeDone {
-                sources: get_usize(&v, "sources")?,
-                merged: get_usize(&v, "merged")? as u64,
-                identical: get_usize(&v, "identical")? as u64,
-                healed: get_usize_or(&v, "healed", 0)? as u64,
-                conflicts: get_usize(&v, "conflicts")? as u64,
+                elapsed_ms: get_usize_or_0(&v, "elapsed_ms")? as u64,
+                cached: get_usize_or_0(&v, "cached")?,
             }),
             "campaign_done" => Ok(Event::CampaignDone {
                 cells: get_usize(&v, "cells")?,
@@ -557,7 +359,10 @@ impl Event {
             "campaign_failed" => Ok(Event::CampaignFailed {
                 msg: get_str(&v, "msg")?,
             }),
-            other => fail(format!("unknown event `{other}`")),
+            other => match LEGACY_EVENTS.iter().find(|&&name| name == other) {
+                Some(name) => Ok(Event::Legacy { ev: name }),
+                None => fail(format!("unknown event `{other}`")),
+            },
         }
     }
 }
@@ -614,7 +419,7 @@ impl EventSink for NullSink {
 /// exercised against the exact same variant coverage. Not a public API.
 #[doc(hidden)]
 pub mod sample {
-    use super::Event;
+    use super::{Event, LEGACY_EVENTS};
     use griffin_sweep::cache::CellMetrics;
     use griffin_sweep::fingerprint::Fingerprint;
 
@@ -641,14 +446,19 @@ pub mod sample {
         m
     }
 
-    /// One event of each schema variant (`variant % 14`), fields
-    /// derived from the draws. Strings mix in characters that need
-    /// JSON escaping; `flag` toggles the optional fields (scenario
-    /// provenance, `cached`), so both shapes stay covered.
+    /// How many variants [`build_event`] draws from.
+    pub const VARIANTS: usize = 7;
+
+    /// One event of each schema variant (`variant % VARIANTS`, in the
+    /// order of [`Event`]'s variants), fields derived from the draws.
+    /// The legacy variant takes its name from `a`. Strings mix in
+    /// characters that need JSON escaping; `flag` toggles the optional
+    /// fields (scenario provenance, `cached`), so both shapes stay
+    /// covered.
     pub fn build_event(variant: usize, a: u64, b: u64, flag: bool, special: u64) -> Event {
         let s = |tag: &str| format!("{tag}-\"{a}\"\n\\{b}");
         let n = |x: u64| (x % 100_000) as usize;
-        match variant % 14 {
+        match variant % VARIANTS {
             0 => Event::CampaignStart {
                 campaign: s("camp"),
                 spec_fp: Fingerprint(a, b),
@@ -660,66 +470,30 @@ pub mod sample {
                     fp: Fingerprint(b ^ 7, a ^ 9),
                 }),
             },
-            1 => Event::ShardStart {
-                shard: n(a),
-                cells: n(b),
-                skipped: n(a ^ 1),
-            },
-            2 => Event::CellStart {
+            1 => Event::CellStart {
                 cell: n(b),
                 fp: Fingerprint(b, a),
             },
-            3 => Event::CellDone {
+            2 => Event::CellDone {
                 cell: n(b),
                 fp: Fingerprint(a, a),
                 cached: flag,
                 metrics: metrics_from(a, b, special),
             },
-            4 => Event::Heartbeat {
+            3 => Event::Heartbeat {
                 done: n(b),
                 total: n(b) + n(a),
                 elapsed_ms: a % 1_000_000_000,
                 cached: n(a ^ 3),
             },
-            5 => Event::ShardDone {
-                shard: n(a),
-                simulated: n(b),
-                cached: n(a ^ 2),
-                elapsed_ms: b % 1_000_000_000,
-            },
-            6 => Event::ShardFailed {
-                shard: n(a),
-                attempt: n(b) % 16,
-                msg: s("worker exited"),
-            },
-            7 => Event::CellsRequeued {
-                shard: n(a),
-                cells: n(b),
-            },
-            8 => Event::ShardRetried {
-                shard: n(a),
-                attempt: n(b) % 16 + 1,
-                backoff_ms: a % 60_000,
-            },
-            9 => Event::MergeDone {
-                sources: n(a),
-                merged: b % 1_000_000,
-                identical: a % 1_000_000,
-                healed: (a ^ b) % 100,
-                conflicts: u64::from(flag),
-            },
-            10 => Event::CampaignDone {
+            4 => Event::CampaignDone {
                 cells: n(a),
                 elapsed_ms: b % 1_000_000_000,
             },
-            11 => Event::HostLost {
-                host: s("ssh-host"),
-                shards: n(b) % 64,
+            5 => Event::CampaignFailed { msg: s("gave up") },
+            _ => Event::Legacy {
+                ev: LEGACY_EVENTS[(a % LEGACY_EVENTS.len() as u64) as usize],
             },
-            12 => Event::HostRetired {
-                host: s("ssh-host"),
-            },
-            _ => Event::CampaignFailed { msg: s("gave up") },
         }
     }
 }
@@ -742,6 +516,7 @@ mod tests {
 
     #[test]
     fn every_event_roundtrips_through_its_line() {
+        let legacy = LEGACY_EVENTS.map(|ev| Event::Legacy { ev });
         let events = [
             Event::CampaignStart {
                 campaign: "sweep-synth-b".into(),
@@ -760,11 +535,6 @@ mod tests {
                     fp: Fingerprint(3, 4),
                 }),
             },
-            Event::ShardStart {
-                shard: 2,
-                cells: 10,
-                skipped: 3,
-            },
             Event::CellStart {
                 cell: 17,
                 fp: Fingerprint(3, 4),
@@ -781,37 +551,6 @@ mod tests {
                 elapsed_ms: 210,
                 cached: 2,
             },
-            Event::ShardDone {
-                shard: 2,
-                simulated: 6,
-                cached: 1,
-                elapsed_ms: 1234,
-            },
-            Event::ShardFailed {
-                shard: 2,
-                attempt: 0,
-                msg: "worker exited with code 3 (\"killed\")".into(),
-            },
-            Event::CellsRequeued { shard: 2, cells: 4 },
-            Event::ShardRetried {
-                shard: 2,
-                attempt: 1,
-                backoff_ms: 375,
-            },
-            Event::HostLost {
-                host: "web-02".into(),
-                shards: 3,
-            },
-            Event::HostRetired {
-                host: "web-03".into(),
-            },
-            Event::MergeDone {
-                sources: 4,
-                merged: 33,
-                identical: 7,
-                healed: 1,
-                conflicts: 0,
-            },
             Event::CampaignDone {
                 cells: 40,
                 elapsed_ms: 9999,
@@ -820,7 +559,7 @@ mod tests {
                 msg: "fault injected: kill:after=2".into(),
             },
         ];
-        for ev in events {
+        for ev in events.into_iter().chain(legacy) {
             let line = ev.to_line();
             assert!(!line.contains('\n'), "one event, one line");
             assert_eq!(Event::parse_line(&line), Ok(ev.clone()), "{line}");
@@ -855,10 +594,12 @@ mod tests {
         assert!(Event::parse_line("{\"ev\":\"warp_drive\"}").is_err());
         assert!(Event::parse_line("{\"ev\":\"heartbeat\",\"done\":0}").is_err());
         assert!(Event::parse_line("{\"ev\":\"cell_start\",\"cell\":1,\"fp\":\"xy\"}").is_err());
-        assert!(Event::parse_line("{\"ev\":\"shard_failed\",\"shard\":0}").is_err());
         assert!(Event::parse_line("{\"ev\":\"campaign_failed\"}").is_err());
-        assert!(Event::parse_line("{\"ev\":\"host_lost\",\"shards\":2}").is_err());
-        assert!(Event::parse_line("{\"ev\":\"host_retired\"}").is_err());
+        // A legacy line must still be JSON with a string `ev` naming a
+        // legacy kind.
+        assert!(Event::parse_line("{\"ev\":\"shard_start\"").is_err());
+        assert!(Event::parse_line("{\"ev\":[\"shard_start\"]}").is_err());
+        assert!(Event::parse_line("{\"ev\":\"shard_starts\"}").is_err());
     }
 
     #[test]
@@ -883,16 +624,6 @@ mod tests {
         }
         let future = tagged.replace("events/1", "events/99");
         assert!(Event::parse_line(&future).is_err());
-        // A v2 shard_retried has no backoff_ms: parsed as 0.
-        let retried = "{\"attempt\":1,\"ev\":\"shard_retried\",\"shard\":4}";
-        assert_eq!(
-            Event::parse_line(retried),
-            Ok(Event::ShardRetried {
-                shard: 4,
-                attempt: 1,
-                backoff_ms: 0,
-            })
-        );
         // A pre-enrichment heartbeat has no elapsed_ms/cached: parsed
         // as 0. Its `shard` is ignored.
         let hb = "{\"done\":5,\"ev\":\"heartbeat\",\"shard\":1,\"total\":9}";
@@ -905,19 +636,26 @@ mod tests {
                 cached: 0,
             })
         );
-        // A v1 merge_done has no `healed` field: parsed as 0.
+        // Legacy lines of every version parse by their name alone:
+        // missing, extra or mistyped fields are never read.
+        for line in [
+            "{\"attempt\":1,\"ev\":\"shard_retried\",\"shard\":4}",
+            "{\"attempt\":1,\"backoff_ms\":250,\"ev\":\"shard_retried\",\"host\":\"h0\",\"shard\":4}",
+            "{\"ev\":\"shard_retried\",\"shard\":\"four\"}",
+        ] {
+            assert_eq!(
+                Event::parse_line(line),
+                Ok(Event::Legacy {
+                    ev: "shard_retried"
+                }),
+                "{line}"
+            );
+        }
         let merge =
             "{\"conflicts\":0,\"ev\":\"merge_done\",\"identical\":1,\"merged\":2,\"sources\":3}";
-        assert_eq!(
-            Event::parse_line(merge),
-            Ok(Event::MergeDone {
-                sources: 3,
-                merged: 2,
-                identical: 1,
-                healed: 0,
-                conflicts: 0,
-            })
-        );
+        let ev = Event::parse_line(merge).unwrap();
+        assert_eq!(ev, Event::Legacy { ev: "merge_done" });
+        assert_eq!(ev.to_line(), "{\"ev\":\"merge_done\"}");
     }
 
     #[test]

@@ -121,13 +121,7 @@ fn in_process_kill_fails_the_campaign_and_resume_stays_byte_identical() {
         })
         .collect();
     assert_eq!(done, vec![0]);
-    assert_eq!(
-        count(&rec.0, |e| matches!(
-            e,
-            Event::ShardStart { .. } | Event::ShardDone { .. } | Event::ShardFailed { .. }
-        )),
-        0
-    );
+    assert_eq!(count(&rec.0, |e| matches!(e, Event::Legacy { .. })), 0);
     match rec.0.last() {
         Some(Event::CampaignFailed { msg }) => {
             assert!(msg.contains("fault injected: kill:after=1"), "{msg}")

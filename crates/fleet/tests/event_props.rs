@@ -5,7 +5,7 @@
 //! must still parse) — plus literal lines from multi-host v3 streams,
 //! which must still parse and fold like the same stream without them.
 
-use griffin_fleet::events::sample::build_event;
+use griffin_fleet::events::sample::{build_event, VARIANTS};
 use griffin_fleet::events::Event;
 use griffin_sweep::fingerprint::Fingerprint;
 use griffin_sweep::json::Json;
@@ -25,35 +25,18 @@ fn with_unknown_fields(ev: &Event) -> String {
     Json::Obj(m).write()
 }
 
-/// Serializes `ev` as a v1 consumer would have written it: no `format`
-/// tag, no v2/v3-only optional fields. The enrichment fields are only
-/// stripped where they are later additions — `elapsed_ms`/`cached` are
-/// original v1 fields on `shard_done`, but additions on `heartbeat`.
+/// Serializes `ev` as a v1 producer would have written it: no `format`
+/// tag and no heartbeat enrichment (`elapsed_ms`, `cached`).
 fn as_v1_line(ev: &Event) -> String {
     let Json::Obj(mut m) = ev.to_json() else {
         panic!("events serialize to objects");
     };
     m.remove("format");
-    m.remove("healed");
-    m.remove("backoff_ms");
     if matches!(ev, Event::Heartbeat { .. }) {
         m.remove("elapsed_ms");
         m.remove("cached");
     }
     Json::Obj(m).write()
-}
-
-/// What a legacy (pre-v3) line parses back to: the same event with the
-/// v3 addition at its default.
-fn strip_v3(ev: Event) -> Event {
-    match ev {
-        Event::ShardRetried { shard, attempt, .. } => Event::ShardRetried {
-            shard,
-            attempt,
-            backoff_ms: 0,
-        },
-        other => other,
-    }
 }
 
 proptest! {
@@ -64,7 +47,7 @@ proptest! {
     /// line, since NaN breaks `PartialEq`).
     #[test]
     fn every_event_roundtrips_for_arbitrary_fields(
-        variant in 0usize..14,
+        variant in 0..VARIANTS,
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
         flag in proptest::bool::ANY,
@@ -81,10 +64,11 @@ proptest! {
     }
 
     /// Unknown fields inside known events are ignored, and v1 lines
-    /// (no `format` tag, no `healed`) still parse to the same event.
+    /// (no `format` tag, no heartbeat enrichment) still parse to the
+    /// same event.
     #[test]
     fn unknown_fields_and_v1_lines_are_tolerated(
-        variant in 0usize..14,
+        variant in 0..VARIANTS,
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
         flag in proptest::bool::ANY,
@@ -92,21 +76,18 @@ proptest! {
         let ev = build_event(variant, a, b, flag, 0);
         let noisy = Event::parse_line(&with_unknown_fields(&ev)).expect("unknown fields ignored");
         prop_assert_eq!(&noisy, &ev);
-        // v1 compatibility only differs for campaign_start/merge_done,
+        // v1 compatibility only differs for campaign_start/heartbeat,
         // but stripping nothing from the rest must be harmless too.
         let from_v1 = Event::parse_line(&as_v1_line(&ev)).expect("v1 line parses");
         match from_v1 {
-            Event::MergeDone { healed, .. } if variant == 9 => {
-                prop_assert_eq!(healed, 0, "v1 merge_done has no healed count")
-            }
-            Event::Heartbeat { elapsed_ms, cached, done, total } if variant == 4 => {
+            Event::Heartbeat { elapsed_ms, cached, done, total } => {
                 prop_assert_eq!((elapsed_ms, cached), (0, 0), "v1 heartbeat is unenriched");
                 let Event::Heartbeat { done: d, total: t, .. } = ev else {
                     unreachable!()
                 };
                 prop_assert_eq!((done, total), (d, t));
             }
-            other => prop_assert_eq!(other, strip_v3(ev)),
+            other => prop_assert_eq!(other, ev),
         }
     }
 }
@@ -132,7 +113,7 @@ fn legacy_stream(with_hosts: bool) -> Vec<String> {
         scenario: None,
     };
     let cell_done = |cell: u64| {
-        build_event(3, 0, cell, false, 0)
+        build_event(2, 0, cell, false, 0)
             .to_line()
             .replacen('{', "{\"shard\":0,", 1)
     };
@@ -161,7 +142,7 @@ fn legacy_stream(with_hosts: bool) -> Vec<String> {
 
 /// Streams written by the removed multi-host fleet stay readable: every
 /// line parses (a `host` field is ignored like any unknown field; the
-/// host events parse as legacy variants), and folding them gives the
+/// host events parse as legacy lines), and folding them gives the
 /// same campaign as the stream without the host lines.
 #[test]
 fn legacy_host_lines_parse_and_fold_like_the_stream_without_them() {

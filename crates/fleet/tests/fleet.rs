@@ -136,15 +136,7 @@ fn event_stream_covers_every_cell_once() {
         "a heartbeat every 2 completions, counting the whole pass"
     );
     // No shard, retry or merge lifecycle: those events are legacy-only.
-    assert!(!events.iter().any(|e| matches!(
-        e,
-        Event::ShardStart { .. }
-            | Event::ShardDone { .. }
-            | Event::ShardFailed { .. }
-            | Event::MergeDone { .. }
-            | Event::ShardRetried { .. }
-            | Event::CellsRequeued { .. }
-    )));
+    assert!(!events.iter().any(|e| matches!(e, Event::Legacy { .. })));
 
     // The on-disk cache now holds every cell, and the journal is its
     // one header line.

@@ -511,7 +511,7 @@ pub mod sample {
             },
             5 => Message::Event {
                 campaign: s("c"),
-                event: build_event(n(a) % 14, a, b, flag, 0).to_json(),
+                event: build_event(n(a), a, b, flag, 0).to_json(),
             },
             6 => Message::StreamEnd {
                 campaign: s("c"),

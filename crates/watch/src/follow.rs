@@ -10,7 +10,7 @@
 //! in the caller; this type holds only the stream-to-model plumbing so
 //! it is testable without a clock or a terminal.
 
-use crate::model::{CampaignModel, CampaignState, RateTracker};
+use crate::model::{CampaignModel, RateTracker};
 use griffin_fleet::TailCursor;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -26,23 +26,6 @@ pub struct PollReport {
     /// The stream was truncated and re-grown by a fresh campaign; the
     /// model was rebuilt from the new stream's first lines.
     pub restarted: bool,
-}
-
-/// Terminal outcome of a followed campaign.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WatchOutcome {
-    /// Stream ended with `campaign_done`.
-    Done {
-        /// Total grid cells reported.
-        cells: usize,
-        /// Wall-clock milliseconds of the whole fleet run.
-        elapsed_ms: u64,
-    },
-    /// Stream ended with `campaign_failed`.
-    Failed {
-        /// Human-readable cause.
-        msg: String,
-    },
 }
 
 /// A live event-stream follower.
@@ -101,23 +84,12 @@ impl Watcher {
             restarted: tail.truncated,
         })
     }
-
-    /// The terminal outcome, once the model reaches one.
-    pub fn outcome(&self) -> Option<WatchOutcome> {
-        match &self.model.state {
-            CampaignState::Done { cells, elapsed_ms } => Some(WatchOutcome::Done {
-                cells: *cells,
-                elapsed_ms: *elapsed_ms,
-            }),
-            CampaignState::Failed { msg } => Some(WatchOutcome::Failed { msg: msg.clone() }),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::CampaignState;
     use griffin_fleet::events::Event;
     use griffin_sweep::fingerprint::Fingerprint;
     use std::io::Write;
@@ -135,9 +107,9 @@ mod tests {
         let path = tmp("terminal");
         let _ = std::fs::remove_file(&path);
         let mut w = Watcher::new(&path);
-        // Nothing yet: empty poll, no outcome.
+        // Nothing yet: empty poll, no campaign.
         assert_eq!(w.poll(0).unwrap().folded, 0);
-        assert_eq!(w.outcome(), None);
+        assert_eq!(w.model().state, CampaignState::Waiting);
 
         let start = Event::CampaignStart {
             campaign: "f".into(),
@@ -157,18 +129,22 @@ mod tests {
         f.flush().unwrap();
         let p = w.poll(100).unwrap();
         assert_eq!(p.folded, 1);
-        assert_eq!(w.outcome(), None, "torn terminal line is not terminal");
+        assert_eq!(
+            w.model().state,
+            CampaignState::Running,
+            "torn terminal line is not terminal"
+        );
 
         // The rest of the line lands.
         writeln!(f, "{}", &done_line[10..]).unwrap();
         f.flush().unwrap();
         w.poll(200).unwrap();
         assert_eq!(
-            w.outcome(),
-            Some(WatchOutcome::Done {
+            w.model().state,
+            CampaignState::Done {
                 cells: 1,
                 elapsed_ms: 9
-            })
+            }
         );
         std::fs::remove_file(&path).unwrap();
     }

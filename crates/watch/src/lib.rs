@@ -37,7 +37,7 @@ pub mod html;
 pub mod model;
 pub mod render;
 
-pub use follow::{PollReport, WatchOutcome, Watcher, DEFAULT_RATE_TAU_MS};
+pub use follow::{PollReport, Watcher, DEFAULT_RATE_TAU_MS};
 pub use html::report_html;
 pub use model::{CampaignModel, CampaignState, RateTracker, SUMMARY_FORMAT};
 pub use render::{dashboard, fmt_duration_ms, status_line};

@@ -677,16 +677,52 @@ fn watch_events_path(dir: &str, events: &Option<String>) -> PathBuf {
     )
 }
 
+/// Draws one frame of `model` in the mode `opts` picks, and once the
+/// model is terminal, says how the campaign ended and returns the exit
+/// code. Shared by the file and the daemon watchers, so both end on
+/// the campaign's own terminal event.
+fn watch_frame(
+    opts: &WatchCliArgs,
+    model: &griffin::watch::CampaignModel,
+    rates: &griffin::watch::RateTracker,
+) -> Option<ExitCode> {
+    use griffin::watch::{dashboard, fmt_duration_ms, status_line, CampaignState};
+    if opts.json_follow {
+        println!("{}", model.summary().write());
+    } else if opts.no_tty {
+        println!("{}", status_line(model, rates));
+    } else {
+        // Full-frame redraw: clear, home, draw.
+        print!("\x1b[2J\x1b[H{}", dashboard(model, rates, 80, true));
+        use std::io::Write as _;
+        let _ = std::io::stdout().flush();
+    }
+    match &model.state {
+        CampaignState::Done { cells, elapsed_ms } => {
+            if !opts.json_follow {
+                eprintln!(
+                    "campaign done: {cells} cells in {}",
+                    fmt_duration_ms(*elapsed_ms)
+                );
+            }
+            Some(ExitCode::SUCCESS)
+        }
+        CampaignState::Failed { msg } => {
+            eprintln!("campaign failed: {msg}");
+            Some(ExitCode::FAILURE)
+        }
+        CampaignState::Waiting | CampaignState::Running => None,
+    }
+}
+
 /// `fleet watch --connect <addr>` — the same dashboard, fed from a
 /// resident daemon's subscription stream instead of an events.jsonl
 /// file. The daemon replays the campaign from its first event, so a
 /// late watcher still folds the complete stream into the same
 /// [`CampaignModel`](griffin::watch::CampaignModel).
 fn cmd_fleet_watch_connected(addr: &str, rest: &[String]) -> ExitCode {
-    use griffin::serve::{Client, Message, ServeAddr, StreamOutcome};
-    use griffin::watch::{
-        dashboard, fmt_duration_ms, status_line, CampaignModel, RateTracker, DEFAULT_RATE_TAU_MS,
-    };
+    use griffin::serve::{Client, Message, ServeAddr};
+    use griffin::watch::{CampaignModel, RateTracker, DEFAULT_RATE_TAU_MS};
 
     // `--campaign` is connect-only; everything else is the shared
     // watch flag set.
@@ -746,47 +782,20 @@ fn cmd_fleet_watch_connected(addr: &str, rest: &[String]) -> ExitCode {
             Message::Event { event, .. } => {
                 model.apply_line(&event.write());
                 rates.observe(now_ms, model.done());
-                if now_ms >= next_render_ms {
+                // The terminal frame waits for the stream's end.
+                if !model.state.is_terminal() && now_ms >= next_render_ms {
                     next_render_ms = now_ms + opts.interval_ms;
-                    if opts.json_follow {
-                        println!("{}", model.summary().write());
-                    } else if opts.no_tty {
-                        println!("{}", status_line(&model, &rates));
-                    } else {
-                        print!("\x1b[2J\x1b[H{}", dashboard(&model, &rates, 80, true));
-                        use std::io::Write as _;
-                        let _ = std::io::stdout().flush();
-                    }
+                    watch_frame(&opts, &model, &rates);
                 }
             }
-            Message::StreamEnd { outcome, .. } => {
-                // Final frame, then the same exit protocol as the
-                // file-backed watcher.
-                if opts.json_follow {
-                    println!("{}", model.summary().write());
-                } else if opts.no_tty {
-                    println!("{}", status_line(&model, &rates));
-                } else {
-                    print!("\x1b[2J\x1b[H{}", dashboard(&model, &rates, 80, true));
-                    use std::io::Write as _;
-                    let _ = std::io::stdout().flush();
-                }
-                return match outcome {
-                    StreamOutcome::Done => {
-                        if !opts.json_follow {
-                            eprintln!(
-                                "campaign done: {} cells in {}",
-                                model.done(),
-                                fmt_duration_ms(now_ms)
-                            );
-                        }
-                        ExitCode::SUCCESS
-                    }
-                    StreamOutcome::Failed => {
-                        eprintln!("campaign failed (see the daemon's journal for the cause)");
-                        ExitCode::FAILURE
-                    }
-                };
+            Message::StreamEnd { .. } => {
+                // The daemon publishes the terminal event before the
+                // stream's end, so the model already holds how the
+                // campaign ended.
+                return watch_frame(&opts, &model, &rates).unwrap_or_else(|| {
+                    eprintln!("stream from {addr} ended without a terminal event");
+                    ExitCode::FAILURE
+                });
             }
             _ => unreachable!("next_stream_item filters other variants"),
         }
@@ -823,8 +832,7 @@ fn cmd_fleet_watch(dir: &str, rest: &[String]) -> ExitCode {
     }
 
     // Follow mode: poll until the stream reaches its terminal event.
-    use griffin::watch::{dashboard, status_line, WatchOutcome, Watcher};
-    let mut w = Watcher::new(&path);
+    let mut w = griffin::watch::Watcher::new(&path);
     let started = std::time::Instant::now();
     let tick = std::time::Duration::from_millis(opts.interval_ms);
     loop {
@@ -836,34 +844,12 @@ fn cmd_fleet_watch(dir: &str, rest: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let moved = report.folded > 0 || report.restarted;
-        if moved {
-            if opts.json_follow {
-                println!("{}", w.model().summary().write());
-            } else if opts.no_tty {
-                println!("{}", status_line(w.model(), w.rates()));
-            } else {
-                // Full-frame redraw: clear, home, draw.
-                print!("\x1b[2J\x1b[H{}", dashboard(w.model(), w.rates(), 80, true));
-                use std::io::Write as _;
-                let _ = std::io::stdout().flush();
+        // Only a fold can change the state, so a still stream needs
+        // neither a frame nor a terminal check.
+        if report.folded > 0 || report.restarted {
+            if let Some(code) = watch_frame(&opts, w.model(), w.rates()) {
+                return code;
             }
-        }
-        match w.outcome() {
-            Some(WatchOutcome::Done { cells, elapsed_ms }) => {
-                if !opts.json_follow {
-                    eprintln!(
-                        "campaign done: {cells} cells in {}",
-                        griffin::watch::fmt_duration_ms(elapsed_ms)
-                    );
-                }
-                return ExitCode::SUCCESS;
-            }
-            Some(WatchOutcome::Failed { msg }) => {
-                eprintln!("campaign failed: {msg}");
-                return ExitCode::FAILURE;
-            }
-            None => {}
         }
         if opts.timeout_ms > 0 && started.elapsed().as_millis() as u64 >= opts.timeout_ms {
             eprintln!(

@@ -327,9 +327,9 @@ fn watch_stream_lines() -> Vec<String> {
         // fingerprint and metric draws per cell. Every 13th cell draws
         // a non-finite metric float (the lossless-float wire path).
         let a = (100_000 * cell) as u64;
-        evs.push(build_event(2, a, cell as u64, false, 0));
+        evs.push(build_event(1, a, cell as u64, false, 0));
         evs.push(build_event(
-            3,
+            2,
             a,
             cell as u64,
             cell.is_multiple_of(3),

@@ -258,3 +258,92 @@ fn serve_submit_verb_fetches_sweep_identical_reports() {
     stop_daemon(child);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Runs `griffin-cli` with `args` in `cwd` and returns its exit code
+/// and the `campaign …` line it ended on (stderr).
+fn watch_end(args: &[&str], cwd: &Path) -> (Option<i32>, String) {
+    let out = Command::new(CLI)
+        .args(args)
+        .current_dir(cwd)
+        .output()
+        .expect("spawn griffin-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let end = stderr
+        .lines()
+        .rfind(|l| l.starts_with("campaign "))
+        .unwrap_or_else(|| panic!("no campaign end line: {stderr}"));
+    (out.status.code(), end.to_string())
+}
+
+/// The daemon watcher ends on the campaign's own terminal event: a
+/// finished campaign reads the same as through the file watcher, and a
+/// cancelled one names its cause.
+#[test]
+fn connected_watcher_reports_the_campaign_end_like_the_file_watcher() {
+    let dir = scratch_dir("watch-end");
+    let (child, addr) = start_daemon(&dir, "sd");
+    let addr_s = addr.to_string();
+    let text = std::fs::read_to_string(SCENARIO).unwrap();
+    let mut client = Client::connect(&addr, "watch-end").unwrap();
+
+    let done = client
+        .submit(&ScenarioSource::Inline(text.clone()), None)
+        .unwrap();
+    assert_eq!(consume(&mut client).1, StreamOutcome::Done);
+    let connected = watch_end(
+        &[
+            "fleet",
+            "watch",
+            "--connect",
+            &addr_s,
+            "--campaign",
+            &done.campaign,
+            "--no-tty",
+        ],
+        &dir,
+    );
+    let campaign_dir = format!("sd/campaigns/{}", done.campaign);
+    let file = watch_end(&["fleet", "watch", &campaign_dir, "--no-tty"], &dir);
+    assert_eq!(connected, file);
+    assert_eq!(connected.0, Some(0));
+    assert!(
+        connected.1.starts_with("campaign done: 7 cells in "),
+        "{connected:?}"
+    );
+
+    // A campaign queued behind a running one, cancelled before it runs.
+    // A submitting client is subscribed to its campaign's stream, so
+    // each submission gets its own client.
+    let submit = |seeds: &str| {
+        let src = ScenarioSource::Inline(text.replace("seeds = [1]", seeds));
+        let mut c = Client::connect(&addr, "watch-end").unwrap();
+        let campaign = c.submit(&src, None).unwrap().campaign;
+        (c, campaign)
+    };
+    let (_running_client, running) = submit("seeds = [2, 3, 4, 5, 6, 7, 8, 9]");
+    let (_queued_client, queued) = submit("seeds = [10]");
+    assert!(client.cancel(&queued).unwrap());
+    assert!(client.cancel(&running).unwrap());
+    let cancelled = watch_end(
+        &[
+            "fleet",
+            "watch",
+            "--connect",
+            &addr_s,
+            "--campaign",
+            &queued,
+            "--no-tty",
+        ],
+        &dir,
+    );
+    assert_eq!(
+        cancelled,
+        (
+            Some(1),
+            "campaign failed: cancelled before execution".to_string()
+        )
+    );
+
+    stop_daemon(child);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -292,7 +292,14 @@ fn legacy_event_fixture_folds_to_its_pinned_summary() {
     assert_eq!(format!("{}\n", model.summary().write()), pinned);
 
     let out = run(
-        &["fleet", "watch", ".", "--events", stream.to_str().unwrap(), "--json"],
+        &[
+            "fleet",
+            "watch",
+            ".",
+            "--events",
+            stream.to_str().unwrap(),
+            "--json",
+        ],
         &fixtures,
     );
     assert_eq!(String::from_utf8_lossy(&out.stdout), pinned);
